@@ -81,8 +81,9 @@ def test_criterion_02_triple_agreement():
             p = random_params(rng, n_max=10)
             fr = solve_recursive(p)
             fs = solve_shooting(p)
-            state, _, _ = integrate_until_stationary(
+            state, converged, _ = integrate_until_stationary(
                 p, np.zeros(p.n_levels), np.zeros(p.n_levels), tau_max=400.0)
+            assert converged, f"flow still moving at tau 400 for {p}"
             points = {
                 "recursive": np.concatenate([fr.x_star, fr.y_star]),
                 "shooting": np.concatenate([fs.x_star, fs.y_star]),

@@ -1,8 +1,16 @@
 """Fluid ODE system: right-hand side, integration, comparison principle."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lobfluid
+from lobfluid import ode
 from lobfluid import (
     FluidState,
     HypothesisViolated,
@@ -30,6 +38,84 @@ def test_rhs_zero_state_is_pure_inflow():
     dx, dy = rhs(FluidState(np.zeros(4), np.zeros(4)), p)
     assert dx.tolist() == [2.0, 0.0, 0.0, 0.0]
     assert dy.tolist() == [0.0, 0.0, 0.0, 0.7]
+
+
+def levelwise_rhs(x, y, p):
+    """The fluid equations written out one level at a time."""
+    n = p.n_levels
+    bpa = p.beta + p.alpha
+    dx = np.empty(n)
+    dy = np.empty(n)
+    for k in range(n):
+        trade = p.gamma * min(x[k], y[k])
+        inflow_x = p.lambda_b if k == 0 else p.alpha * x[k - 1]
+        inflow_y = p.lambda_s if k == n - 1 else p.alpha * y[k + 1]
+        dx[k] = inflow_x - bpa * x[k] - trade
+        dy[k] = inflow_y - bpa * y[k] - trade
+    return dx, dy
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_rhs_matches_levelwise_equations(n):
+    rng = np.random.default_rng(36 + n)
+    for _ in range(20):
+        p = replace(random_params(rng), n_levels=n)
+        x = rng.uniform(0, 2, n)
+        y = rng.uniform(0, 2, n)
+        dx, dy = rhs(FluidState(x, y), p)
+        want_x, want_y = levelwise_rhs(x, y, p)
+        # same operations in the same order, so the results agree exactly
+        assert np.array_equal(dx, want_x) and np.array_equal(dy, want_y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_stacked_flow_equals_separate_evaluations(n):
+    # the comparison check integrates two states through the same equations
+    rng = np.random.default_rng(37 + n)
+    p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
+    a = ode._pack(rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+    b = ode._pack(rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+    stacked = ode._flow(0.0, np.concatenate([a, b]), p)
+    assert np.array_equal(stacked, np.concatenate([ode._flow(0.0, a, p),
+                                                   ode._flow(0.0, b, p)]))
+
+
+def test_single_level_integrate_and_comparison():
+    # one level is a 2-component system: the Jacobian band must shrink to 1
+    p = params(gamma=3.0)
+    sol = integrate(np.array([0.5]), np.array([0.0]), p, 40.0)
+    assert sol.x.shape == sol.y.shape == (len(sol.taus), 1)
+    assert sol.taus[0] == 0.0 and sol.taus[-1] == 40.0
+    fp = solve_recursive(p)
+    assert abs(sol.x[-1, 0] - fp.x_star[0]) < 1e-7
+    assert abs(sol.y[-1, 0] - fp.y_star[0]) < 1e-7
+    lo = FluidState(np.array([0.0]), np.array([2.0]))
+    hi = FluidState(np.array([2.0]), np.array([0.0]))
+    report = check_comparison(lo, hi, p, 20.0)
+    assert report.ok and report.x_ok.shape == report.y_ok.shape == (1,)
+
+
+def test_large_n_integration_cost_is_banded():
+    # a dense finite-difference Jacobian needs 2N evaluations per refresh
+    # (about 6300 here); the banded one needs five
+    n = 1000
+    sol = integrate(np.zeros(n), np.zeros(n), ModelParams(n, 1, 1, 1, 1, 1),
+                    50.0, grid=np.array([0.0, 50.0]))
+    assert sol.n_rhs_evals < 2000
+    assert sol.x.shape == (2, n)
+
+
+def test_import_and_solve_do_not_load_scipy():
+    src = str(Path(lobfluid.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, lobfluid\n"
+            "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_rhs_vanishes_at_analytic_fixed_points():
