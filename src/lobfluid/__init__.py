@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 from .errors import (
     BadN,
     BadPriceLabels,
-    BracketFailure,
     BudgetExceeded,
     ConfigError,
     DisabledEvent,
     HypothesisViolated,
+    InvariantViolation,
     LobFluidError,
     NegativeBeta,
     NegativeState,
@@ -19,6 +19,7 @@ from .errors import (
     NonPositiveRate,
     OnKink,
     ParamError,
+    ResidualTooLarge,
     StepUnderflow,
 )
 from .experiments import (
@@ -35,7 +36,6 @@ from .fixed_point import (
     classify_regime,
     fixed_point_residual,
     map_jacobian_check,
-    regime_ii_x_chain,
     solve_recursive,
     solve_shooting,
     step_map,

@@ -20,12 +20,14 @@ import numpy as np
 
 from . import experiments, output
 from .errors import (
-    BracketFailure,
     BudgetExceeded,
     ConfigError,
+    InvariantViolation,
     NegativeState,
     NoConvergence,
+    NonMonotoneInput,
     ParamError,
+    ResidualTooLarge,
     StepUnderflow,
 )
 from .fixed_point import solve_recursive, solve_shooting
@@ -94,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--method", choices=["recursive", "shooting", "both"],
                    help="solver choice (default both)")
-    p.add_argument("--tol", type=float, help="solver tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int,
-                   help="sweep budget for the recursive solver")
 
     p = sub.add_parser("converge", help="fluid-limit convergence study")
     _add_common_flags(p)
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--lambda-s-values", dest="lambda_s_values",
                    help="comma-separated increasing lambda_s grid")
-    p.add_argument("--tol", type=float, help="solver tolerance")
     return parser
 
 
@@ -273,15 +271,12 @@ def cmd_integrate(eff: Effective) -> int:
 def cmd_solve(eff: Effective) -> int:
     params = eff.model_params()
     method = eff.get("method", default="both")
-    tol = float(eff.get("tol", default=1e-12))
-    max_iter = int(eff.get("max_iter", default=10000))
     out = eff.out_dir()
     results = {}
     if method in ("recursive", "both"):
-        results["recursive"] = solve_recursive(params, tol=tol,
-                                               max_iter=max_iter)
+        results["recursive"] = solve_recursive(params)
     if method in ("shooting", "both"):
-        results["shooting"] = solve_shooting(params, tol=tol)
+        results["shooting"] = solve_shooting(params)
     summary = {}
     for name, fp in results.items():
         output.write_fixed_point_csv(out / f"fixed_point_{name}.csv", fp,
@@ -305,7 +300,7 @@ def cmd_solve(eff: Effective) -> int:
         summary["solver_sup_gap"] = gap
         print(f"solver agreement sup-gap = {gap:.3g}")
     output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "method": method, "tol": tol, "max_iter": max_iter, "result": summary,
+        "method": method, "result": summary,
     }))
     return EXIT_OK
 
@@ -365,12 +360,11 @@ def cmd_equilibrium(eff: Effective) -> int:
 def cmd_sweep(eff: Effective) -> int:
     params = eff.model_params()
     values = _parse_floats(eff.get("lambda_s_values", required=True))
-    tol = float(eff.get("tol", default=1e-12))
-    report = experiments.overproduction_sweep(params, values, tol=tol)
+    report = experiments.overproduction_sweep(params, values)
     out = eff.out_dir()
     output.write_sweep_csv(out / "sweep.csv", report)
     output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "lambda_s_values": values, "tol": tol,
+        "lambda_s_values": values,
         "saturation_onset": report.saturation_onset,
     }))
     for v, ell, regime, vol, res in report.rows:
@@ -401,7 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParamError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, BracketFailure, StepUnderflow, NegativeState) as exc:
+    except (NoConvergence, ResidualTooLarge, NonMonotoneInput,
+            InvariantViolation, StepUnderflow, NegativeState) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except BudgetExceeded as exc:

@@ -47,11 +47,18 @@ class HypothesisViolated(LobFluidError):
 
 
 class NoConvergence(LobFluidError):
-    """Iterative solver hit max_iter with change above tolerance."""
+    """Iterative solver hit its iteration cap with change above tolerance.
+    The fixed-point solvers are direct and no longer raise it; it stays
+    part of the error hierarchy that callers catch."""
 
 
-class BracketFailure(LobFluidError):
-    """Shooting solver could not bracket a sign change (internal error)."""
+class ResidualTooLarge(LobFluidError):
+    """Solver result misses its stated residual bound: not a solution."""
+
+
+class InvariantViolation(LobFluidError):
+    """A property the theory guarantees failed in floating point (a bug,
+    not bad input)."""
 
 
 class OnKink(LobFluidError):

@@ -193,7 +193,6 @@ def equilibrium_concentration(
 def overproduction_sweep(
     params: ModelParams,
     lambda_s_values: list[float],
-    tol: float = 1e-12,
 ) -> SweepReport:
     """Fixed-point regime and trade volume along an increasing lambda_s grid.
 
@@ -208,9 +207,9 @@ def overproduction_sweep(
     rows = []
     onset = None
     for v in values:
-        fp = solve_recursive(replace(params, lambda_s=v), tol=tol)
+        fp = solve_recursive(replace(params, lambda_s=v))
         rows.append((v, fp.ell, fp.regime, fp.trade_volume, fp.residual))
         if fp.ell == 0 and onset is None:
             onset = v
-    meta = {"params": params, "tol": tol}
+    meta = {"params": params}
     return SweepReport(values, rows, onset, meta)

@@ -1,6 +1,7 @@
-"""Fixed points of the fluid system, by two independent algorithms.
+"""Fixed points of the fluid system: a direct solve on the crossing index.
 
-The stationary equations for (x*, y*) are, level by level (1-based):
+The stationary equations for (x*, y*) are the zeros of the fluid right-hand
+side (ode._flow), level by level (1-based):
 
     lambda_b       = (beta+alpha) x*_1 + gamma min(x*_1, y*_1)
     alpha x*_{k-1} = (beta+alpha) x*_k + gamma min(x*_k, y*_k)   1 < k <= N
@@ -8,41 +9,58 @@ The stationary equations for (x*, y*) are, level by level (1-based):
     lambda_s       = (beta+alpha) y*_N + gamma min(x*_N, y*_N)
 
 Every solution interleaves strictly (x* decreasing, y* increasing), so the
-sign of x*-y* crosses at most once; the crossing index ell classifies the
-parameter regime (buyers dominate everywhere, sellers dominate everywhere,
-or one interior crossing).
+sign of x*-y* crosses once: x* > y* on levels 1..ell and not above. The
+crossing index ell classifies the parameter regime (buyers dominate
+everywhere, sellers dominate everywhere, or one interior crossing).
 
-The shooting solver exploits the geometry behind that structure: the first
-equation confines (v_1, w_1) = (x*_1, y*_1) to a broken line (a vertical ray
-above the diagonal plus a slanted segment below it), the middle equations
-push that line forward level by level, and the last equation cuts the image
-with a second broken line. Slopes only steepen under the forward map, which
-makes the cut function monotone along the traversal and the intersection
-unique; bisection runs separately on the ray and segment pieces so the root
-coordinate keeps full floating-point resolution near w_1 = 0.
+Once ell is fixed the min terms are known and the equations are linear.
+With r = alpha/(alpha+beta), c = alpha/(alpha+beta+gamma), rho = r c and
+kappa = gamma alpha / (gamma alpha + beta (2 alpha + beta + gamma)), y* is
+geometric below the crossing (y*_k = c^(ell+1-k) Y) and x* above it
+(x*_k = c^(k-ell) X), and X = x*_ell, Y = y*_(ell+1) solve
 
-The recursive solver sweeps the equations with a monotone Gauss-Seidel
-iteration started from the decoupled under/over-estimates x(0), y(0). Each
-scalar update solves its own piecewise-linear equation exactly (its min term
-is implicit), which keeps every iterate nonnegative and the sweep globally
-convergent; the variant with all min terms frozen at the previous iterate is
-retained as scheme="frozen" but can oscillate divergently once
-gamma > alpha + beta, so it is not the default.
+    X + kappa (1 - rho^ell) Y     = (lambda_b / alpha) r^ell
+    kappa (1 - rho^(N-ell)) X + Y = (lambda_s / alpha) r^(N-ell)
+
+(at ell = 0 the first row gives the virtual X = lambda_b / alpha, at ell = N
+the second the virtual Y = lambda_s / alpha). For a trial ell, c X > Y means
+x would exceed y one level up, so the crossing lies higher; X < c Y means it
+lies lower. The test is monotone in ell, so bisection finds ell in
+O(log N) trials of O(1) work each. The profile is then filled in O(N) by one
+implicit sweep against the trial's y: x forward from lambda_b, y backward
+from lambda_s, each scalar equation solved exactly with its min term
+implicit, which keeps every entry nonnegative.
+
+The two solvers share that solve and bracket ell differently.
+solve_shooting bisects over [0, N]. solve_recursive first runs one implicit
+sweep from decoupled starting chains; its iterate has x <= x* and y >= y*,
+so its strict sign count is a lower bound on ell, and it bisects over
+[ell_1, N]. The ODE route (ode.integrate_until_stationary) stays the
+independent check. Every returned point carries its residual, and a
+residual above 1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge
+instead of returning a non-solution.
+
+The forward broken-line map (step_map, map_jacobian_check) is the geometric
+picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
+broken line, the middle equations push it forward level by level with
+slopes that only steepen, and the last equation cuts the image once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BracketFailure,
-    NoConvergence,
+    InvariantViolation,
     NonMonotoneInput,
     OnKink,
+    ResidualTooLarge,
 )
 from .model import ModelParams
+from .ode import _flow, _pack
 
 __all__ = [
     "FixedPoint",
@@ -55,10 +73,11 @@ __all__ = [
     "classify_regime",
     "trade_volume",
     "fixed_point_residual",
-    "regime_ii_x_chain",
 ]
 
-DEFAULT_TOL = 1e-12
+# residual bound of a returned fixed point, relative to
+# max(1, lambda_b, lambda_s)
+RESIDUAL_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,7 +97,8 @@ class FixedPoint:
     ell counts the levels with x*_i > y*_i (strict; exact ties fall on the
     other side and sit on a measure-zero regime boundary). regime is "i"
     (ell = N), "ii" (ell = 0) or "iii" (interior crossing). residual is the
-    sup-norm defect over all 2N stationary equations.
+    sup-norm defect over all 2N stationary equations; iterations counts the
+    sweeps and crossing-index trials the solver made.
     """
 
     x_star: np.ndarray
@@ -106,7 +126,9 @@ def _advance(v: float, w: float, p: ModelParams) -> tuple[float, float]:
         v2 = u
     else:
         v2 = (a * v - g * w2) / (a + b)
-        assert v2 >= 0.0, "branch solve escaped the nonnegative orthant"
+        if v2 < 0.0:
+            raise InvariantViolation(
+                "branch solve escaped the nonnegative orthant")
     return v2, w2
 
 
@@ -179,7 +201,7 @@ def map_jacobian_check(
         case = 1 if v2 > w2 else 2
     else:
         if v2 > w2:
-            raise AssertionError("map cannot cross the diagonal downward")
+            raise InvariantViolation("map cannot cross the diagonal downward")
         case = 3
     va, wa = _advance(v + h, w + h * slope_in, p)
     dv = (va - v2) / h
@@ -194,19 +216,9 @@ def map_jacobian_check(
 def fixed_point_residual(
     x: np.ndarray, y: np.ndarray, params: ModelParams
 ) -> float:
-    """Sup-norm defect of (x, y) over all 2N stationary equations."""
-    p = params
-    n = p.n_levels
-    bpa = p.beta + p.alpha
-    m = np.minimum(x, y)
-    rx = np.empty(n)
-    ry = np.empty(n)
-    rx[0] = p.lambda_b - bpa * x[0] - p.gamma * m[0]
-    if n > 1:
-        rx[1:] = p.alpha * x[:-1] - bpa * x[1:] - p.gamma * m[1:]
-        ry[:-1] = p.alpha * y[1:] - bpa * y[:-1] - p.gamma * m[:-1]
-    ry[n - 1] = p.lambda_s - bpa * y[n - 1] - p.gamma * m[n - 1]
-    return float(max(np.abs(rx).max(), np.abs(ry).max()))
+    """Sup-norm defect of (x, y) over all 2N stationary equations: the
+    largest component of the fluid right-hand side at that point."""
+    return float(np.abs(_flow(0.0, _pack(x, y), params)).max())
 
 
 def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:
@@ -240,81 +252,14 @@ def trade_volume(fp: FixedPoint, params: ModelParams) -> float:
 def _package(
     x: np.ndarray, y: np.ndarray, params: ModelParams, solver: str, iters: int
 ) -> FixedPoint:
+    res = fixed_point_residual(x, y, params)
+    bound = RESIDUAL_REL * max(1.0, params.lambda_b, params.lambda_s)
+    if not res <= bound:
+        raise ResidualTooLarge(
+            f"{solver}: residual {res:.3e} exceeds the bound {bound:.3e}")
     ell, label = _classify(x, y)
     vol = float(params.gamma * np.minimum(x, y).sum())
-    res = fixed_point_residual(x, y, params)
     return FixedPoint(x, y, ell, label, vol, solver, res, iters)
-
-
-def solve_shooting(params: ModelParams, tol: float = DEFAULT_TOL) -> FixedPoint:
-    """Locate the fixed point by the forward broken-line construction.
-
-    The scalar unknown is w_1 = y*_1. The cut function
-    g(w_1) = (beta+alpha) w_N + gamma min(v_N, w_N) - lambda_s is continuous
-    and strictly increasing along the traversal of the first broken line
-    (the image slopes stay steeper than the sloped piece of the cut locus),
-    so a sign-changing bracket pins the root; bisection runs until
-    |g| <= tol * max(1, lambda_s) or the bracket collapses to adjacent
-    floats.
-    """
-    p = params
-    n = p.n_levels
-    a, b, g_, ls = p.alpha, p.beta, p.gamma, p.lambda_s
-    anchor = p.lambda_b / (a + b + g_)  # bisectrix corner of the first line
-
-    def cut(w1: float, on_ray: bool) -> float:
-        v = anchor if on_ray else (p.lambda_b - g_ * w1) / (a + b)
-        w = w1
-        for _ in range(n - 1):
-            v, w = _advance(v, w, p)
-        return (a + b) * w + g_ * min(v, w) - ls
-
-    g_anchor = cut(anchor, True)
-    if g_anchor >= 0.0:
-        on_ray = False
-        lo, hi = 0.0, anchor  # cut(0) = -lambda_s < 0 <= cut(anchor)
-        g_lo, g_hi = -ls, g_anchor
-    else:
-        on_ray = True
-        lo, g_lo = anchor, g_anchor
-        hi = 2.0 * max(anchor, ls / (a + b))
-        g_hi = cut(hi, True)
-        grow = 0
-        while g_hi <= 0.0:  # cannot persist: w_N >= w_1 (alpha+beta)/alpha
-            hi *= 2.0
-            g_hi = cut(hi, True)
-            grow += 1
-            if grow > 200:  # pragma: no cover - guarded impossibility
-                raise BracketFailure(
-                    f"no sign change up to w_1 = {hi:.3e}; "
-                    "the cut function should cross by construction"
-                )
-
-    g_scale = max(1.0, ls)
-    best_w, best_g = (lo, abs(g_lo)) if abs(g_lo) < abs(g_hi) else (hi, abs(g_hi))
-    iters = 0
-    while best_g > tol * g_scale:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or iters >= 600:
-            break
-        iters += 1
-        g_mid = cut(mid, on_ray)
-        if abs(g_mid) < best_g:
-            best_w, best_g = mid, abs(g_mid)
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    w = best_w
-    v = anchor if on_ray else (p.lambda_b - g_ * w) / (a + b)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    xs[0], ys[0] = v, w
-    for k in range(1, n):
-        v, w = _advance(v, w, p)
-        xs[k], ys[k] = v, w
-    return _package(xs, ys, p, "shooting", iters)
 
 
 def _pw_root(rhs: float, cap: float, p: ModelParams) -> float:
@@ -325,95 +270,124 @@ def _pw_root(rhs: float, cap: float, p: ModelParams) -> float:
     return (rhs - p.gamma * cap) / (p.beta + p.alpha)
 
 
-def _warm_start(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled starting chains: x(0) underestimates (min terms at their
-    largest), y(0) overestimates (min terms dropped)."""
+def _sweep(y: list[float], p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """One implicit sweep: x forward from lambda_b against y, then y
+    backward from lambda_s against the new x."""
+    x = []
+    gain = p.lambda_b
+    for cap in y:
+        x.append(_pw_root(gain, cap, p))
+        gain = p.alpha * x[-1]
+    yn = []
+    gain = p.lambda_s
+    for cap in reversed(x):
+        yn.append(_pw_root(gain, cap, p))
+        gain = p.alpha * yn[-1]
+    return np.array(x), np.array(yn[::-1])
+
+
+def _over_exp(d: float, log_w: float) -> float:
+    """d / exp(log_w), saturating near 1e300 where only the sign matters."""
+    if d == 0.0:
+        return 0.0
+    return math.copysign(math.exp(min(math.log(abs(d)) - log_w, 690.0)), d)
+
+
+def _trial(p: ModelParams, ell: int) -> tuple[float, float, float]:
+    """(X, Y, log_s) of the linear solve for crossing index ell: X = x_ell
+    and Y = y_(ell+1), both divided by exp(log_s) > 0.
+
+    The right-hand sides are divided by the larger of the two, and the
+    numerators and the determinant by max(1 - kappa^2, rho^ell,
+    rho^(N-ell)): at beta = 0 all three vanish together as N grows, and
+    the ratio stays exact.
+    """
+    n, a, b, g = p.n_levels, p.alpha, p.beta, p.gamma
+    q = b * (2.0 * a + b + g)
+    kappa = g * a / (g * a + q)
+    one_minus_kappa = q / (g * a + q)  # exactly 0 at beta = 0
+    log_r = -math.log1p(b / a)
+    log_rho = log_r - math.log1p((b + g) / a)
+    log_a = math.log(p.lambda_b / a) + ell * log_r
+    log_b = math.log(p.lambda_s / a) + (n - ell) * log_r
+    log_s = max(log_a, log_b)
+    rhs_a, rhs_b = math.exp(log_a - log_s), math.exp(log_b - log_s)
+    log_u, log_v = ell * log_rho, (n - ell) * log_rho
+    log_k = (math.log(one_minus_kappa * (1.0 + kappa)) if one_minus_kappa > 0
+             else -math.inf)
+    log_w = max(log_k, log_u, log_v)
+    u, v = math.exp(log_u - log_w), math.exp(log_v - log_w)
+    det = (math.exp(log_k - log_w)
+           + kappa * kappa * (u + v - u * math.exp(log_v)))
+    num_x = (_over_exp(rhs_a - rhs_b + one_minus_kappa * rhs_b, log_w)
+             + kappa * u * rhs_b)
+    num_y = (_over_exp(rhs_b - rhs_a + one_minus_kappa * rhs_a, log_w)
+             + kappa * v * rhs_a)
+    return num_x / det, num_y / det, log_s
+
+
+def _pattern_solve(
+    p: ModelParams, lo: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fixed point from the crossing index, bisected over [lo, N] with the
+    pattern sign test; returns (x, y, trials)."""
     n = p.n_levels
-    x = np.empty(n)
-    y = np.empty(n)
-    x[0] = p.lambda_b / (p.beta + p.alpha + p.gamma)
-    for i in range(1, n):
-        x[i] = p.alpha * x[i - 1] / (p.beta + p.alpha + p.gamma)
+    c = p.alpha / (p.alpha + p.beta + p.gamma)
+    hi = n
+    trials = 0
+    while True:
+        ell = (lo + hi) // 2
+        big_x, big_y, log_s = _trial(p, ell)
+        trials += 1
+        if c * big_x > big_y and ell < hi:
+            lo = ell + 1
+        elif big_x < c * big_y and ell > lo:
+            hi = ell - 1
+        else:
+            break
+    # the trial's y below the crossing; above it min = x, so y does not cap x
+    y = [math.inf] * n
+    level_y = big_y * math.exp(log_s)
+    for i in range(ell - 1, -1, -1):
+        level_y *= c
+        y[i] = level_y
+    x, y = _sweep(y, p)
+    return x, y, trials
+
+
+def solve_shooting(params: ModelParams) -> FixedPoint:
+    """Fixed point by bisection on the crossing index over [0, N], then one
+    implicit sweep against the solved pattern.
+
+    Raises ResidualTooLarge if the result misses its residual bound.
+    """
+    x, y, trials = _pattern_solve(params, 0)
+    return _package(x, y, params, "shooting", trials)
+
+
+def _warm_start(p: ModelParams) -> list[float]:
+    """Decoupled seller chain with every min term dropped: an overestimate
+    of y*."""
+    n = p.n_levels
+    y = [0.0] * n
     y[n - 1] = p.lambda_s / (p.beta + p.alpha)
     for i in range(n - 2, -1, -1):
         y[i] = p.alpha * y[i + 1] / (p.beta + p.alpha)
-    return x, y
+    return y
 
 
-def solve_recursive(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10000,
-    scheme: str = "implicit",
-) -> FixedPoint:
-    """Monotone sweep iteration for the fixed point.
+def solve_recursive(params: ModelParams) -> FixedPoint:
+    """Fixed point by one monotone sweep, then bisection on the crossing
+    index above the sweep's lower bound.
 
-    scheme="implicit" (default): each scalar equation is solved exactly with
-    its own min term implicit, sweeping x forward against the previous y and
-    then y backward against the fresh x. Iterates increase in x, decrease in
-    y, and stay nonnegative; the sweep converges for all parameters.
-
-    scheme="frozen": min terms frozen at the previous iterate (x-lines
-    against the old pair, y-lines against fresh x and old y). The frozen
-    sweep oscillates around the answer with gain gamma/(alpha+beta) wherever
-    the y-branch of a min stays active, so it is not monotone and can
-    diverge once gamma > alpha + beta; NoConvergence is raised when the
-    oscillation escapes. Kept for comparison, not as a default.
-
-    Stops when the sup-norm change drops below tol.
+    The sweep starts from the seller overestimate of _warm_start and solves
+    each scalar equation exactly with its min term implicit, so its iterate
+    has x <= x* and y >= y*: every level where x > y lies below the
+    crossing, and their count bounds ell from below. The pattern solve
+    finishes on [ell_1, N]. Raises ResidualTooLarge if the result misses its
+    residual bound.
     """
-    if scheme not in ("implicit", "frozen"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    p = params
-    n = p.n_levels
-    bpa = p.beta + p.alpha
-    x, y = _warm_start(p)
-    mono_slack = 1e-9 * max(1.0, float(y.max()))
-    for it in range(1, max_iter + 1):
-        xn = np.empty(n)
-        yn = np.empty(n)
-        if scheme == "implicit":
-            xn[0] = _pw_root(p.lambda_b, y[0], p)
-            for i in range(1, n):
-                xn[i] = _pw_root(p.alpha * xn[i - 1], y[i], p)
-            yn[n - 1] = _pw_root(p.lambda_s, xn[n - 1], p)
-            for i in range(n - 2, -1, -1):
-                yn[i] = _pw_root(p.alpha * yn[i + 1], xn[i], p)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                xn[0] = (p.lambda_b - p.gamma * min(x[0], y[0])) / bpa
-                for i in range(1, n):
-                    xn[i] = (p.alpha * xn[i - 1]
-                             - p.gamma * min(x[i], y[i])) / bpa
-                yn[n - 1] = (p.lambda_s
-                             - p.gamma * min(xn[n - 1], y[n - 1])) / bpa
-                for i in range(n - 2, -1, -1):
-                    yn[i] = (p.alpha * yn[i + 1]
-                             - p.gamma * min(xn[i], y[i])) / bpa
-        if not (np.isfinite(xn).all() and np.isfinite(yn).all()):
-            raise NoConvergence(f"{scheme} sweep lost finiteness at iteration {it}")
-        if scheme == "implicit" and (
-            (xn < x - mono_slack).any() or (yn > y + mono_slack).any()
-        ):
-            raise AssertionError("implicit sweep lost monotonicity")
-        change = max(float(np.abs(xn - x).max()), float(np.abs(yn - y).max()))
-        x, y = xn, yn
-        if change < tol:
-            return _package(x, y, p, f"recursive-{scheme}", it)
-    raise NoConvergence(
-        f"sup-norm change still {change:.3e} after {max_iter} sweeps"
-    )
-
-
-def regime_ii_x_chain(params: ModelParams) -> np.ndarray:
-    """The decoupled buyer chain that x* solves whenever sellers dominate at
-    every level (min = x throughout); independent of lambda_s."""
-    p = params
-    n = p.n_levels
-    x = np.empty(n)
-    x[0] = p.lambda_b / (p.beta + p.alpha + p.gamma)
-    for i in range(1, n):
-        x[i] = p.alpha * x[i - 1] / (p.beta + p.alpha + p.gamma)
-    return x
+    x, y = _sweep(_warm_start(params), params)
+    ell_1 = int((x > y).sum())
+    x, y, trials = _pattern_solve(params, ell_1)
+    return _package(x, y, params, "recursive-implicit", 1 + trials)

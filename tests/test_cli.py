@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lobfluid import NonMonotoneInput, ResidualTooLarge, cli
 from lobfluid.cli import main
 
 ONES = ["--lambda-b", "1", "--lambda-s", "1", "--alpha", "1", "--beta", "1",
@@ -83,12 +84,38 @@ def test_malformed_config(tmp_path, capsys):
     assert code == 2
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(params):
+        raise ResidualTooLarge("residual 1 exceeds the bound")
+
+    monkeypatch.setattr(cli, "solve_recursive", fail)
     code, out, err = run(capsys, [
         "solve", "--n", "4", *ONES, "--method", "recursive",
-        "--max-iter", "1", "--out-dir", str(tmp_path)])
+        "--out-dir", str(tmp_path)])
     assert code == 3
     assert "solver error" in err
+
+
+def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(params):
+        raise NonMonotoneInput("x* is not strictly decreasing")
+
+    monkeypatch.setattr(cli, "solve_shooting", fail)
+    code, out, err = run(capsys, [
+        "solve", "--n", "4", *ONES, "--method", "shooting",
+        "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "solver error" in err
+
+
+def test_large_n_shooting_solve(tmp_path, capsys):
+    code, out, err = run(capsys, [
+        "solve", "--n", "500", *ONES, "--method", "shooting",
+        "--out-dir", str(tmp_path)])
+    assert code == 0
+    result = json.loads((tmp_path / "manifest.json").read_text())["result"]
+    assert result["shooting"]["ell"] == 250
+    assert result["shooting"]["residual"] <= 1e-8
 
 
 def test_config_file_list_values(tmp_path, capsys):

@@ -2,23 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobfluid import (
     BrokenLinePoint,
     FixedPoint,
+    InvariantViolation,
     ModelParams,
-    NoConvergence,
     NonMonotoneInput,
     OnKink,
+    ResidualTooLarge,
     classify_regime,
     fixed_point_residual,
     map_jacobian_check,
-    regime_ii_x_chain,
     solve_recursive,
     solve_shooting,
     step_map,
     trade_volume,
 )
+from lobfluid import fixed_point
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -167,25 +170,15 @@ def test_shooting_analytic_cases(p, x_exp, y_exp):
 
 @pytest.mark.parametrize("p,x_exp,y_exp", ANALYTIC_CASES)
 def test_recursive_analytic_cases(p, x_exp, y_exp):
-    fp = solve_recursive(p, tol=1e-13)
+    fp = solve_recursive(p)
     assert np.abs(fp.x_star - x_exp).max() < 1e-10
     assert np.abs(fp.y_star - y_exp).max() < 1e-10
     assert fp.residual < 1e-10
 
 
-@pytest.mark.parametrize("p,x_exp,y_exp", ANALYTIC_CASES)
-def test_frozen_scheme_on_benign_parameters(p, x_exp, y_exp):
-    fp = solve_recursive(p, tol=1e-13, scheme="frozen")
-    assert np.abs(fp.x_star - x_exp).max() < 1e-10
-    assert fp.residual < 1e-10
-
-
-def test_frozen_scheme_diverges_where_gamma_dominates():
-    # the oscillation gain gamma/(alpha+beta) exceeds one here
-    bad = ModelParams(2, 0.249, 0.152, 1.448, 0.396, 2.208)
-    with pytest.raises(NoConvergence):
-        solve_recursive(bad, scheme="frozen", max_iter=3000)
-    fp = solve_recursive(bad)  # the implicit sweep is unaffected
+def test_recursive_where_gamma_dominates():
+    # gamma > alpha + beta, where a sweep with frozen min terms diverges
+    fp = solve_recursive(ModelParams(2, 0.249, 0.152, 1.448, 0.396, 2.208))
     assert fp.residual < 1e-10
 
 
@@ -249,9 +242,12 @@ def test_trade_volume_values():
 def test_regime_ii_decoupling():
     # once sellers dominate everywhere the buyer chain ignores lambda_s
     p = params(n=3, lam_s=8.0)
-    fp = solve_recursive(p, tol=1e-13)
+    fp = solve_recursive(p)
     assert fp.ell == 0
-    chain = regime_ii_x_chain(p)
+    # min = x at every level: x_1 = lambda_b / (alpha+beta+gamma), then
+    # each level keeps the fraction alpha / (alpha+beta+gamma)
+    c = p.alpha / (p.alpha + p.beta + p.gamma)
+    chain = p.lambda_b / p.alpha * c ** np.arange(1, p.n_levels + 1)
     assert np.abs(fp.x_star - chain).max() < 1e-10
     assert fp.trade_volume == pytest.approx(p.gamma * chain.sum(), abs=1e-10)
 
@@ -264,7 +260,122 @@ def test_residual_zero_at_analytic_points():
 
 
 def test_recursive_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        solve_recursive(params(), scheme="nonsense")
-    with pytest.raises(ValueError):
-        solve_recursive(params(), max_iter=0)
+    # the solvers are direct: iteration knobs are rejected, not ignored
+    with pytest.raises(TypeError):
+        solve_recursive(params(), scheme="implicit")
+    with pytest.raises(TypeError):
+        solve_recursive(params(), max_iter=10)
+    with pytest.raises(TypeError):
+        solve_shooting(params(), tol=1e-12)
+
+
+# ------------------------------------------------ crossing-index pattern solve
+
+def residual_bound(p):
+    return 1e-8 * max(1.0, p.lambda_b, p.lambda_s)
+
+
+def pattern_system(p, ell):
+    """Solve the stationary equations as a dense linear system with the min
+    terms fixed by crossing index ell (min = y on levels 1..ell, else x)."""
+    n = p.n_levels
+    m = np.zeros((2 * n, 2 * n))
+    rhs = np.zeros(2 * n)
+    for i in range(n):
+        m[i, i] += p.alpha + p.beta
+        m[n + i, n + i] += p.alpha + p.beta
+        trade = n + i if i < ell else i
+        m[i, trade] += p.gamma
+        m[n + i, trade] += p.gamma
+        if i:
+            m[i, i - 1] -= p.alpha
+        if i < n - 1:
+            m[n + i, n + i + 1] -= p.alpha
+    rhs[0] = p.lambda_b
+    rhs[2 * n - 1] = p.lambda_s
+    z = np.linalg.solve(m, rhs)
+    return z[:n], z[n:]
+
+
+def test_small_n_enumeration_matches_brute_force():
+    # every crossing index whose linear solution has the sign pattern it
+    # assumed is a fixed point; the solver's ell must be one of them and all
+    # of them must be the same point
+    rng = np.random.default_rng(45)
+    for k in range(200):
+        p = random_params(rng, n_max=12)
+        if k % 5 == 0:
+            p = ModelParams(p.n_levels, p.lambda_b, p.lambda_s, p.alpha, 0.0,
+                            p.gamma)
+        fr, fs = solve_recursive(p), solve_shooting(p)
+        scale = max(fr.x_star.max(), fr.y_star.max())
+        slack = 1e-9 * scale
+        consistent = []
+        for ell in range(p.n_levels + 1):
+            x, y = pattern_system(p, ell)
+            if ((x[:ell] >= y[:ell] - slack).all()
+                    and (x[ell:] <= y[ell:] + slack).all()):
+                consistent.append((ell, x, y))
+        assert fr.ell in [c[0] for c in consistent], p
+        assert fs.ell == fr.ell
+        for _, x, y in consistent:
+            for fp in (fr, fs):
+                gap = max(np.abs(x - fp.x_star).max(),
+                          np.abs(y - fp.y_star).max())
+                assert gap < 1e-8 * scale, p
+
+
+def test_balanced_beta_zero_profile_is_symmetric():
+    # lambda_b = lambda_s at beta = 0: the profile is its own mirror image.
+    # The residual is no guide here: a point 2.66 away from this one has
+    # residual 1.5e-12, so the test compares coordinates.
+    p = ModelParams(178, 1.8157118112524147, 1.8157118112524147,
+                    0.6836933117513347, 0.0, 5.15003798128096)
+    for solve in (solve_recursive, solve_shooting):
+        fp = solve(p)
+        scale = max(fp.x_star.max(), fp.y_star.max())
+        assert fp.ell == 89
+        assert np.abs(fp.x_star - fp.y_star[::-1]).max() <= 1e-12 * scale
+        assert fp.residual <= residual_bound(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1000),
+    alpha=st.floats(0.1, 10.0),
+    beta=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    gamma_ratio=st.floats(1e-2, 1e4),
+    lambda_b=st.floats(0.1, 10.0),
+    log_ratio=st.floats(-6.0, 6.0),
+)
+def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
+                                         log_ratio):
+    p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
+                    alpha * gamma_ratio)
+    fr, fs = solve_recursive(p), solve_shooting(p)
+    bound = residual_bound(p)
+    assert fr.residual <= bound and fs.residual <= bound
+    scale = max(fr.x_star.max(), fr.y_star.max())
+    gap = max(np.abs(fr.x_star - fs.x_star).max(),
+              np.abs(fr.y_star - fs.y_star).max())
+    assert gap <= 1e-6 * scale
+    for fp in (fr, fs):
+        assert classify_regime(fp) == (fp.ell, fp.regime)
+
+
+def test_non_solution_raises(monkeypatch):
+    p = params(n=3)
+    x, y, _ = fixed_point._pattern_solve(p, 0)
+    monkeypatch.setattr(fixed_point, "_pattern_solve",
+                        lambda p, lo: (x * 1.01, y, 1))
+    with pytest.raises(ResidualTooLarge):
+        solve_shooting(p)
+    with pytest.raises(ResidualTooLarge):
+        solve_recursive(p)
+
+
+def test_downward_crossing_raises_typed_error(monkeypatch):
+    # the theory rules this out; a broken map must raise, even under -O
+    monkeypatch.setattr(fixed_point, "_advance", lambda v, w, p: (1.0, 0.1))
+    with pytest.raises(InvariantViolation):
+        map_jacobian_check(BrokenLinePoint(0.1, 0.5, 1), params(n=2))
