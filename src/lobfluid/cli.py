@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     InvariantViolation,
     NegativeState,
-    NoConvergence,
     NonMonotoneInput,
     ParamError,
     ResidualTooLarge,
@@ -395,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParamError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, ResidualTooLarge, NonMonotoneInput,
-            InvariantViolation, StepUnderflow, NegativeState) as exc:
+    except (ResidualTooLarge, NonMonotoneInput, InvariantViolation,
+            StepUnderflow, NegativeState) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except BudgetExceeded as exc:

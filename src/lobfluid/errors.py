@@ -49,7 +49,7 @@ class HypothesisViolated(LobFluidError):
 class NoConvergence(LobFluidError):
     """Iterative solver hit its iteration cap with change above tolerance.
     The fixed-point solvers are direct and no longer raise it; it stays
-    part of the error hierarchy that callers catch."""
+    in the hierarchy for callers that import it."""
 
 
 class ResidualTooLarge(LobFluidError):

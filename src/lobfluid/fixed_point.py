@@ -114,21 +114,15 @@ class FixedPoint:
 def _advance(v: float, w: float, p: ModelParams) -> tuple[float, float]:
     """One forward step of the broken-line map (level k -> k+1).
 
-    w' is explicit; v' is the root of the strictly increasing piecewise
-    linear u -> (beta+alpha) u + gamma min(u, w'), found by testing which
-    linear branch contains it. The root exists for any v >= 0 because the
-    function vanishes at 0 and is unbounded.
+    w' is explicit; v' is the _pw_root of (beta+alpha) u + gamma min(u, w')
+    = alpha v. The root exists for any v >= 0 because the left side
+    vanishes at 0 and is unbounded.
     """
     a, b, g = p.alpha, p.beta, p.gamma
     w2 = ((a + b) * w + g * min(v, w)) / a
-    u = a * v / (a + b + g)
-    if u <= w2:
-        v2 = u
-    else:
-        v2 = (a * v - g * w2) / (a + b)
-        if v2 < 0.0:
-            raise InvariantViolation(
-                "branch solve escaped the nonnegative orthant")
+    v2 = _pw_root(a * v, w2, p)
+    if v2 < 0.0:
+        raise InvariantViolation("branch solve escaped the nonnegative orthant")
     return v2, w2
 
 

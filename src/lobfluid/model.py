@@ -5,9 +5,10 @@ drift upward; sellers enter at level N at rate lambda_s and drift downward.
 At scaling level L each trader trades at rate gamma/L (paired with one
 counterparty at the same level), quits at beta/L, and moves one level at
 alpha/L; a buyer at the top level and a seller at the bottom level leave the
-system instead of moving. This module is the single source of truth for
-those dynamics: every consumer (simulator, ODE right-hand side, fixed-point
-solvers) derives its rates from the enumeration here.
+system instead of moving. The event table here states those transition
+rules; `simulate.step` drives it directly, the simulator's incremental
+engine restates it (the tests replay one against the other), and the ODE
+right-hand side and fixed-point solvers use its fluid limit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,19 @@
 """Exact event-driven simulation of the order-book Markov chain.
 
-One exponential clock runs at the total event rate; the fired event is chosen
-by a single categorical draw over the canonical event order (arrivals, then
-per level: trades, buyer quits, seller quits, buyer alpha-moves with the top
-exit at level N, seller alpha-moves with the bottom exit at level 1). Rate
-aggregates are maintained incrementally from integer occupancies, so the total
-rate is recomputed exactly at every step; a debug mode cross-checks them
-against the full event enumeration.
+`step()` drives the transition rules of `model.enumerate_events` and
+`apply_event` directly and is the reference. `_Core`, the engine behind
+`simulate` and `empirical_equilibrium`, keeps B = sum b, S = sum s and
+M = sum min(b, s) as integers, so its closed-form total rate never drifts;
+the tests replay it event by event against `step()`.
+
+Per-event draw contract: one `standard_exponential()` over the total rate
+is the holding time; if the event falls before the horizon, one `random()`
+times that total is walked over the canonical order (arrivals, then trades,
+buyer quits, seller quits, buyer alpha-moves with the top exit at level N,
+seller alpha-moves with the bottom exit at level 1, each block over levels
+1..N); a target at or past the end (float summation) fires the last
+positive-rate event. Replica streams are `SeedSequence` spawn keys `(i, j)`
+(replica j at the i-th scaling level).
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -18,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .model import (
     DiscreteState,
     Event,
-    EventKind,
     FluidState,
     ModelParams,
     ScalingLevel,
@@ -155,7 +161,7 @@ class _Core:
     """
 
     def __init__(self, params: ModelParams, scale: ScalingLevel,
-                 init: DiscreteState, check_rates: bool = False):
+                 init: DiscreteState):
         self.params = params
         self.scale = scale
         self.n = params.n_levels
@@ -169,7 +175,6 @@ class _Core:
         self.rq = params.beta / scale.l
         self.rm = params.alpha / scale.l
         self.counters = EventCounters.zeros(self.n)
-        self.check_rates = check_rates
 
     def state(self) -> DiscreteState:
         return DiscreteState(np.array(self.b, dtype=np.int64),
@@ -177,38 +182,8 @@ class _Core:
 
     def total_rate(self) -> float:
         p = self.params
-        rate = (p.lambda_b + p.lambda_s
+        return (p.lambda_b + p.lambda_s
                 + (self.rq + self.rm) * (self.B + self.S) + self.rt * self.M)
-        if self.check_rates:
-            self._assert_rate_table(rate)
-        return rate
-
-    def _assert_rate_table(self, rate: float) -> None:
-        """Debug mode: the incremental aggregates must reproduce the full
-        event enumeration exactly (same per-event rates, same total)."""
-        p = self.params
-        table = {(e.kind, e.level): e.rate
-                 for e in enumerate_events(self.state(), p, self.scale)}
-        expected = {(EventKind.BUYER_ARRIVAL, None): p.lambda_b,
-                    (EventKind.SELLER_ARRIVAL, None): p.lambda_s}
-        n = self.n
-        for k in range(n):
-            if self.mins[k] > 0:
-                expected[(EventKind.TRADE, k + 1)] = self.rt * self.mins[k]
-            if self.b[k] > 0:
-                if self.rq > 0:
-                    expected[(EventKind.BUYER_QUIT, k + 1)] = self.rq * self.b[k]
-                kind = EventKind.BUYER_MOVE if k < n - 1 else EventKind.BUYER_EXIT_TOP
-                expected[(kind, k + 1)] = self.rm * self.b[k]
-            if self.s[k] > 0:
-                if self.rq > 0:
-                    expected[(EventKind.SELLER_QUIT, k + 1)] = self.rq * self.s[k]
-                kind = EventKind.SELLER_MOVE if k > 0 else EventKind.SELLER_EXIT_BOTTOM
-                expected[(kind, k + 1)] = self.rm * self.s[k]
-        assert table == expected
-        assert abs(sum(table.values()) - rate) <= 1e-9 * rate
-        assert self.B == sum(self.b) and self.S == sum(self.s)
-        assert self.M == sum(min(bk, sk) for bk, sk in zip(self.b, self.s))
 
     def _refresh_min(self, k: int) -> None:
         m = min(self.b[k], self.s[k])
@@ -217,8 +192,8 @@ class _Core:
 
     def fire(self, target: float) -> None:
         """Apply the event selected by walking the canonical order with
-        `target` in [0, total_rate). Falls back to the last positive-rate
-        event if float summation lands past the end of the table."""
+        `target` in [0, total_rate); a target at or past the end fires the
+        last positive-rate event."""
         n, b, s, c = self.n, self.b, self.s, self.counters
         p = self.params
         if target < p.lambda_b:
@@ -228,7 +203,7 @@ class _Core:
             c.buyer_arrivals += 1
             return
         target -= p.lambda_b
-        if target < p.lambda_s:
+        if target < p.lambda_s or (self.B == 0 and self.S == 0):
             s[n - 1] += 1
             self.S += 1
             self._refresh_min(n - 1)
@@ -268,8 +243,10 @@ class _Core:
             return
         target -= block
 
+        # on overshoot with no sellers (then B > 0: an empty book fired the
+        # seller arrival) the buyer alpha block is the last nonempty one
         block = self.rm * self.B
-        if target < block and self.B > 0:
+        if (target < block and self.B > 0) or self.S == 0:
             k = self._walk(b, self.rm, target)
             b[k] -= 1
             self.B -= 1
@@ -284,40 +261,19 @@ class _Core:
             return
         target -= block
 
-        # seller alpha block (exit at level 1, then moves k -> k-1)
-        if self.S > 0:
-            k = self._walk(s, self.rm, target)
-            s[k] -= 1
-            self.S -= 1
-            self._refresh_min(k)
-            if k > 0:
-                s[k - 1] += 1
-                self.S += 1
-                self._refresh_min(k - 1)
-                c.seller_moves[k] += 1
-            else:
-                c.seller_exit_bottom += 1
-            return
-
-        # float-summation fallthrough (target landed past the table end):
-        # fire the last positive-rate event in canonical order.
-        if self.B > 0:
-            k = self._walk(b, self.rm, float("inf"))
-            b[k] -= 1
-            self.B -= 1
-            self._refresh_min(k)
-            if k < n - 1:
-                b[k + 1] += 1
-                self.B += 1
-                self._refresh_min(k + 1)
-                c.buyer_moves[k] += 1
-            else:
-                c.buyer_exit_top += 1
-        else:
-            s[n - 1] += 1
+        # seller alpha block (exit at level 1, then moves k -> k-1); S > 0
+        # here, and _walk returns the last occupied level on overshoot
+        k = self._walk(s, self.rm, target)
+        s[k] -= 1
+        self.S -= 1
+        self._refresh_min(k)
+        if k > 0:
+            s[k - 1] += 1
             self.S += 1
-            self._refresh_min(n - 1)
-            c.seller_arrivals += 1
+            self._refresh_min(k - 1)
+            c.seller_moves[k] += 1
+        else:
+            c.seller_exit_bottom += 1
 
     @staticmethod
     def _walk(occ: list, unit: float, target: float) -> int:
@@ -381,7 +337,6 @@ def simulate(
     sample_dt: float,
     seed,
     max_events: int = DEFAULT_MAX_EVENTS,
-    check_rates: bool = False,
 ) -> Trajectory:
     """Simulate the scaled process over tau in [0, tau_max].
 
@@ -397,7 +352,7 @@ def simulate(
     init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)
     if init.n_levels != params.n_levels:
         raise ValueError("initial state dimension does not match n_levels")
-    core = _Core(params, scale, init, check_rates=check_rates)
+    core = _Core(params, scale, init)
     n_samples = int(np.floor(tau_max / sample_dt + 1e-9)) + 1
     taus = np.arange(n_samples) * sample_dt
     L = float(scale.l)
@@ -405,8 +360,9 @@ def simulate(
     xs, ys, n_events = _run(core, tau_max * L, sample_ts, rng, max_events)
     final = core.state()
     db, ds = core.counters.conservation_defects(init, final)
-    if db.any() or ds.any():  # pragma: no cover - bookkeeping bug guard
-        raise AssertionError(f"conservation defect: buyers {db}, sellers {ds}")
+    if db.any() or ds.any():
+        raise InvariantViolation(
+            f"conservation defect: buyers {db}, sellers {ds}")
     return Trajectory(
         taus=taus,
         x=np.array(xs, dtype=np.float64),

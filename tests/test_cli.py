@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from lobfluid import NonMonotoneInput, ResidualTooLarge, cli
+from lobfluid import EventCounters, NonMonotoneInput, ResidualTooLarge, cli
 from lobfluid.cli import main
 
 ONES = ["--lambda-b", "1", "--lambda-s", "1", "--alpha", "1", "--beta", "1",
@@ -178,3 +179,15 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
     assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], name
+
+
+def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
+    def defect(self, initial, final):
+        return np.array([1]), np.zeros(1, dtype=np.int64)
+
+    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+    code, out, err = run(capsys, [
+        "simulate", "--n", "1", *ONES, "--scale", "5", "--tau-max", "1",
+        "--sample-dt", "0.5", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "conservation defect" in err

@@ -189,3 +189,19 @@ def test_scale_state():
     zero = scale_state(DiscreteState(np.zeros(2, int), np.zeros(2, int)),
                        ScalingLevel(5))
     assert not zero.x.any() and not zero.y.any()
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants in the package raise typed
+    # errors instead
+    import ast
+    from pathlib import Path
+
+    import lobfluid
+
+    found = []
+    for path in sorted(Path(lobfluid.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in lobfluid: {found}"

@@ -1,18 +1,26 @@
 """Event-driven simulation: stepping law, conservation, determinism."""
 
+from collections import Counter
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from lobfluid import (
     BudgetExceeded,
     DiscreteState,
+    EventCounters,
     EventKind,
+    InvariantViolation,
     ModelParams,
     ScalingLevel,
+    apply_event,
     empirical_equilibrium,
+    enumerate_events,
     simulate,
     step,
 )
+from lobfluid.simulate import _Core
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -131,13 +139,6 @@ def test_simulate_matches_fluid_solution_at_tau_one():
     assert hits >= 95
 
 
-def test_simulate_checked_rates_mode():
-    p = params(n=2, beta=0.7, gamma=1.3)
-    traj = simulate(p, ScalingLevel(5), [0.4, 0.0], [0.0, 0.6], 1.0, 0.25,
-                    seed=5, check_rates=True)
-    assert traj.n_events > 0
-
-
 def test_simulate_budget_exceeded():
     p = params()
     with pytest.raises(BudgetExceeded):
@@ -171,44 +172,111 @@ def test_empirical_equilibrium_no_samples():
     assert empirical_equilibrium(params(), ScalingLevel(10), 1.0, 0, 1.0, 3) == []
 
 
-def test_simulate_equals_stepwise_replay():
-    # the incremental-rate engine and a naive replay over the enumerated
-    # event table make identical draws and land in identical states
-    from lobfluid import apply_event, enumerate_events
+# EventCounters field that tallies each event kind (per-level arrays are
+# indexed by the 0-based source level)
+TALLY_FIELD = {
+    EventKind.BUYER_ARRIVAL: "buyer_arrivals",
+    EventKind.SELLER_ARRIVAL: "seller_arrivals",
+    EventKind.TRADE: "trades",
+    EventKind.BUYER_QUIT: "buyer_quits",
+    EventKind.SELLER_QUIT: "seller_quits",
+    EventKind.BUYER_MOVE: "buyer_moves",
+    EventKind.BUYER_EXIT_TOP: "buyer_exit_top",
+    EventKind.SELLER_EXIT_BOTTOM: "seller_exit_bottom",
+    EventKind.SELLER_MOVE: "seller_moves",
+}
 
-    p = params(n=2, lam_s=1.5, alpha=0.8, beta=0.4, gamma=2.0)
-    scale = ScalingLevel(7)
-    seed = 31415
-    traj = simulate(p, scale, [0.9, 0.1], [0.2, 1.3], 3.0, 0.5, seed)
+# (params, L, x0, y0, tau_max, seed)
+REPLAY_CASES = {
+    "base": (params(n=2, lam_s=1.5, alpha=0.8, beta=0.4, gamma=2.0), 7,
+             [0.9, 0.1], [0.2, 1.3], 3.0, 31415),
+    "quits": (params(n=2, beta=0.7, gamma=1.3), 5,
+              [0.4, 0.0], [0.0, 0.6], 1.0, 5),
+    "zero-beta": (params(n=2, beta=0.0), 20, [0.0, 0.0], [0.0, 0.0], 2.0, 17),
+    "single-level": (params(n=1), 10, [0.6], [0.3], 3.0, 23),
+    "trade-heavy": (params(n=4, alpha=0.3, gamma=30.0), 10,
+                    [0.8, 0.5, 0.2, 0.0], [0.0, 0.3, 0.4, 0.9], 2.0, 29),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_simulate_equals_stepwise_replay(case):
+    # the incremental engine and step() over the enumerated event table
+    # make identical draws, fire identical events and tally them alike
+    p, L, x0, y0, tau_max, seed = REPLAY_CASES[case]
+    scale = ScalingLevel(L)
+    traj = simulate(p, scale, x0, y0, tau_max, 0.5, seed)
 
     rng = np.random.default_rng(seed)
     state = traj.initial_state
-    t, t_end, n_events = 0.0, 3.0 * scale.l, 0
+    tally = EventCounters.zeros(p.n_levels)
+    kinds = Counter()
+    t, t_end = 0.0, tau_max * L
     while True:
-        events = enumerate_events(state, p, scale)
-        total = sum(e.rate for e in events)
-        t_next = t + rng.standard_exponential() / total
-        if t_next >= t_end:
+        event, holding, nxt = step(state, p, scale, rng)
+        t += holding
+        if t >= t_end:
             break
-        t = t_next
-        target = rng.random() * total
-        chosen = events[-1]
-        for e in events:
-            if target < e.rate:
-                chosen = e
-                break
-            target -= e.rate
-        state = apply_event(state, chosen)
-        n_events += 1
-    assert n_events == traj.n_events
+        state = nxt
+        kinds[event.kind] += 1
+        name = TALLY_FIELD[event.kind]
+        field = getattr(tally, name)
+        if isinstance(field, np.ndarray):
+            field[event.level - 1] += 1
+        else:
+            setattr(tally, name, field + 1)
+
+    assert sum(kinds.values()) == traj.n_events > 0
     assert (state.b == traj.final_state.b).all()
     assert (state.s == traj.final_state.s).all()
+    for f in fields(EventCounters):
+        assert np.array_equal(getattr(traj.counters, f.name),
+                              getattr(tally, f.name)), f.name
+    for kind, name in TALLY_FIELD.items():
+        assert np.sum(getattr(traj.counters, name)) == kinds[kind], kind.name
+
+
+def test_fire_past_table_end_fires_last_event():
+    # a target at or past the end of the rate table (float summation) fires
+    # the last positive-rate event, as step() does
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        n = int(rng.integers(1, 5))
+        p = params(n=n, lam_b=rng.uniform(0.2, 3), lam_s=rng.uniform(0.2, 3),
+                   alpha=rng.uniform(0.2, 3), beta=float(rng.choice([0.0, 0.7])),
+                   gamma=rng.uniform(0.2, 3))
+        b = rng.integers(0, 3, n)
+        s = rng.integers(0, 3, n)
+        if trial % 4 in (1, 3):  # no buyers
+            b[:] = 0
+        if trial % 4 in (2, 3):  # no sellers; both: the empty book
+            s[:] = 0
+        state = DiscreteState(b, s)
+        scale = ScalingLevel(int(rng.integers(1, 10)))
+        core = _Core(p, scale, state)
+        core.fire(core.total_rate() * (1 + 1e-12))
+        expected = apply_event(state, enumerate_events(state, p, scale)[-1])
+        got = core.state()
+        assert (got.b == expected.b).all() and (got.s == expected.s).all()
+        assert core.counters.conserves(state, got)
+        assert (core.B, core.S, core.M) == (
+            got.b.sum(), got.s.sum(), np.minimum(got.b, got.s).sum())
+
+
+def test_conservation_defect_raises_typed_error(monkeypatch):
+    def defect(self, initial, final):
+        return np.array([1, 0]), np.zeros(2, dtype=np.int64)
+
+    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+    with pytest.raises(InvariantViolation, match="conservation defect"):
+        simulate(params(n=2), ScalingLevel(5), np.zeros(2), np.zeros(2),
+                 1.0, 0.5, seed=3)
 
 
 def test_simulate_with_zero_beta():
     p = params(n=2, beta=0.0)
     traj = simulate(p, ScalingLevel(20), np.zeros(2), np.zeros(2), 2.0, 0.5,
-                    seed=17, check_rates=True)
+                    seed=17)
     c = traj.counters
     assert not c.buyer_quits.any() and not c.seller_quits.any()
     assert c.conserves(traj.initial_state, traj.final_state)
