@@ -51,7 +51,6 @@ from .model import (
     apply_event,
     enumerate_events,
     scale_state,
-    total_rate,
     validate_params,
 )
 from .ode import (

@@ -30,17 +30,14 @@ from .errors import (
     StepUnderflow,
 )
 from .fixed_point import solve_recursive, solve_shooting
-from .model import ModelParams, ScalingLevel, validate_params
-from .ode import integrate, uniform_grid
+from .model import PARAM_FIELDS, ModelParams, ScalingLevel, validate_params
+from .ode import DEFAULT_TOL, integrate, uniform_grid
 from .simulate import DEFAULT_MAX_EVENTS, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
-
-MODEL_KEYS = ("n_levels", "lambda_b", "lambda_s", "alpha", "beta", "gamma",
-              "price_labels")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -133,8 +130,18 @@ def _parse_floats(value) -> list[float]:
         raise ConfigError(f"expected numbers, got {value!r}") from exc
 
 
-def _parse_ints(value) -> list[int]:
-    return [int(v) for v in _parse_floats(value)]
+def _parse_int(value, key: str) -> int:
+    """An integer option: integral numbers such as 10.0 are accepted,
+    anything else is a ConfigError rather than a silent truncation."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _parse_ints(value, key: str) -> list[int]:
+    return [_parse_int(v, key) for v in _parse_floats(value)]
 
 
 def _load_config(path: str | None) -> dict:
@@ -158,15 +165,24 @@ class Effective:
     def __init__(self, args: argparse.Namespace, command: str):
         cfg = _load_config(args.config)
         self.command = command
+        self.args = vars(args)
+        unknown = set(cfg) - {"model", "seed", "out_dir", *COMMANDS}
+        if unknown:
+            raise ConfigError(
+                f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
         self.file_model = dict(cfg.get("model", {}))
         self.file_block = dict(cfg.get(command, {}))
-        self.file_top = {k: v for k, v in cfg.items()
-                         if k not in ("model", command)}
-        self.args = vars(args)
+        # a block holds the subcommand's own options, and may set seed/out_dir
+        own = set(self.args) - {"command", "config", *PARAM_FIELDS}
+        unknown = set(self.file_block) - own
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in \"{command}\": "
+                              f"{', '.join(sorted(unknown))}")
+        self.file_top = cfg
 
     def model_params(self) -> ModelParams:
         merged = dict(self.file_model)
-        for key in MODEL_KEYS:
+        for key in PARAM_FIELDS:
             v = self.args.get(key)
             if v is not None:
                 merged[key] = v
@@ -194,14 +210,17 @@ class Effective:
             raise ConfigError(f"missing required option for {self.command}: {key}")
         return v
 
+    def get_int(self, key: str, default=None, required: bool = False) -> int:
+        return _parse_int(self.get(key, default, required), key)
+
     def out_dir(self) -> Path:
         return Path(self.get("out_dir", default=f"lobfluid_out/{self.command}"))
 
     def seed(self) -> int:
-        return int(self.get("seed", default=0))
+        return self.get_int("seed", default=0)
 
     def echo(self, params: ModelParams, extras: dict) -> dict:
-        model = {k: getattr(params, k) for k in MODEL_KEYS}
+        model = {k: getattr(params, k) for k in PARAM_FIELDS}
         return {"command": self.command, "model": model,
                 "seed": self.seed(), **extras}
 
@@ -222,10 +241,10 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 def cmd_simulate(eff: Effective) -> int:
     params = eff.model_params()
-    scale = ScalingLevel(int(eff.get("scale", required=True)))
+    scale = ScalingLevel(eff.get_int("scale", required=True))
     tau_max = float(eff.get("tau_max", required=True))
     sample_dt = float(eff.get("sample_dt", default=max(tau_max, 1.0) / 100))
-    max_events = int(eff.get("max_events", default=DEFAULT_MAX_EVENTS))
+    max_events = eff.get_int("max_events", default=DEFAULT_MAX_EVENTS)
     x0, y0 = _initial_pair(eff, params.n_levels)
     traj = simulate(params, scale, x0, y0, tau_max, sample_dt, eff.seed(),
                     max_events=max_events)
@@ -247,7 +266,7 @@ def cmd_simulate(eff: Effective) -> int:
 def cmd_integrate(eff: Effective) -> int:
     params = eff.model_params()
     tau_max = float(eff.get("tau_max", required=True))
-    tol = float(eff.get("tol", default=1e-9))
+    tol = float(eff.get("tol", default=DEFAULT_TOL))
     x0, y0 = _initial_pair(eff, params.n_levels)
     grid = None
     if tau_max > 0:
@@ -306,11 +325,11 @@ def cmd_solve(eff: Effective) -> int:
 
 def cmd_converge(eff: Effective) -> int:
     params = eff.model_params()
-    levels = _parse_ints(eff.get("levels", required=True))
+    levels = _parse_ints(eff.get("levels", required=True), "levels")
     T = float(eff.get("tau_horizon", required=True))
-    replicas = int(eff.get("replicas", required=True))
+    replicas = eff.get_int("replicas", required=True)
     grid_step = eff.get("grid_step")
-    workers = int(eff.get("workers", default=1))
+    workers = eff.get_int("workers", default=1)
     x0, y0 = _initial_pair(eff, params.n_levels)
     report = experiments.fluid_convergence(
         params, x0, y0, levels, T, replicas, eff.seed(),
@@ -334,9 +353,9 @@ def cmd_converge(eff: Effective) -> int:
 
 def cmd_equilibrium(eff: Effective) -> int:
     params = eff.model_params()
-    levels = _parse_ints(eff.get("levels", required=True))
+    levels = _parse_ints(eff.get("levels", required=True), "levels")
     burn_in = float(eff.get("burn_in", required=True))
-    n_samples = int(eff.get("n_samples", required=True))
+    n_samples = eff.get_int("n_samples", required=True)
     sample_gap = float(eff.get("sample_gap", required=True))
     report = experiments.equilibrium_concentration(
         params, levels, burn_in, n_samples, sample_gap, eff.seed())

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import FixedPoint, solve_recursive
+from .fixed_point import solve_recursive
 from .model import ModelParams, ScalingLevel
 from .ode import integrate, uniform_grid
-from .simulate import DEFAULT_MAX_EVENTS, simulate, empirical_equilibrium
+from .simulate import simulate, empirical_equilibrium
 
 __all__ = ["ConvergenceReport", "SweepReport", "fluid_convergence",
            "equilibrium_concentration", "overproduction_sweep"]
@@ -73,11 +73,9 @@ def _sup_distance(traj_x, traj_y, ode_x, ode_y) -> float:
 
 
 def _convergence_replica(args) -> tuple[int, int, float]:
-    (params, level, i, j, master_seed, x0, y0, T, dt, ode_x, ode_y,
-     max_events) = args
+    params, level, i, j, master_seed, x0, y0, T, dt, ode_x, ode_y = args
     traj = simulate(params, ScalingLevel(level), x0, y0, T, dt,
-                    _spawned_rng_seed(master_seed, i, j),
-                    max_events=max_events)
+                    _spawned_rng_seed(master_seed, i, j))
     return i, j, _sup_distance(traj.x, traj.y, ode_x, ode_y)
 
 
@@ -91,7 +89,6 @@ def fluid_convergence(
     master_seed: int,
     grid_step: float | None = None,
     workers: int = 1,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> ConvergenceReport:
     """Sup-distance of the scaled chain from the fluid solution over [0, T].
 
@@ -111,8 +108,7 @@ def fluid_convergence(
     sol = integrate(x0, y0, params, T, grid=grid)
 
     jobs = [
-        (params, level, i, j, master_seed, x0, y0, T, dt, sol.x, sol.y,
-         max_events)
+        (params, level, i, j, master_seed, x0, y0, T, dt, sol.x, sol.y)
         for i, level in enumerate(levels)
         for j in range(replicas)
     ]
@@ -151,22 +147,19 @@ def equilibrium_concentration(
     n_samples: int,
     sample_gap: float,
     master_seed: int,
-    fp: FixedPoint | None = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> ConvergenceReport:
-    """Distance of long-run equilibrium samples from the solved fixed point,
-    one long chain per scaling level."""
+    """Distance of long-run equilibrium samples from the fixed point solved
+    by solve_recursive, one long chain per scaling level."""
     if sorted(set(levels)) != list(levels):
         raise ValueError("levels must be strictly increasing")
-    if fp is None:
-        fp = solve_recursive(params)
+    fp = solve_recursive(params)
     target = np.concatenate([fp.x_star, fp.y_star])
     rows: list[tuple[int, int, str, float]] = []
     quartiles = {}
     for i, level in enumerate(levels):
         samples = empirical_equilibrium(
             params, ScalingLevel(level), burn_in, n_samples, sample_gap,
-            _spawned_rng_seed(master_seed, i), max_events=max_events,
+            _spawned_rng_seed(master_seed, i),
         )
         d = np.array([
             float(np.linalg.norm(np.concatenate([s.x, s.y]) - target))

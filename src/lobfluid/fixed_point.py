@@ -78,6 +78,7 @@ __all__ = [
 # residual bound of a returned fixed point, relative to
 # max(1, lambda_b, lambda_s)
 RESIDUAL_REL = 1e-8
+SLOPE_STEP = 1e-7  # finite-difference step of map_jacobian_check
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,6 @@ def _case_factor(case: int, p: ModelParams, slope_in: float) -> float:
 def map_jacobian_check(
     point: BrokenLinePoint,
     params: ModelParams,
-    h: float = 1e-7,
     slope_in: float | None = None,
 ) -> SlopeCheck:
     """Differentiate the forward map along a tangent direction and compare
@@ -181,7 +181,7 @@ def map_jacobian_check(
     of the initial segment, -(alpha+beta)/gamma). The point must lie strictly
     inside a case region: a tie v = w at input or image raises OnKink.
     """
-    p = params
+    p, h = params, SLOPE_STEP
     if slope_in is None:
         slope_in = -(p.alpha + p.beta) / p.gamma
     v, w = point.v, point.w

@@ -13,7 +13,7 @@ right-hand side and fixed-point solvers use its fluid limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_events",
     "apply_event",
     "scale_state",
-    "total_rate",
 ]
 
 
@@ -80,6 +79,9 @@ class ModelParams:
             if any(b <= a for a, b in zip(labels, labels[1:])):
                 raise BadPriceLabels("price labels must be strictly increasing")
             object.__setattr__(self, "price_labels", labels)
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,11 @@ def validate_params(raw) -> ModelParams:
     """
     if isinstance(raw, ModelParams):
         return raw
-    known = {"n_levels", "lambda_b", "lambda_s", "alpha", "beta", "gamma",
-             "price_labels"}
-    extra = set(raw) - known
+    extra = set(raw) - set(PARAM_FIELDS)
     if extra:
         raise ParamError(f"unknown parameter field(s): {', '.join(sorted(extra))}")
-    missing = known - {"price_labels"} - set(raw)
+    missing = {f.name for f in fields(ModelParams)
+               if f.default is MISSING} - set(raw)
     if missing:
         raise ParamError(f"missing parameter field(s): {', '.join(sorted(missing))}")
     return ModelParams(**dict(raw))
@@ -289,16 +290,3 @@ def scale_state(state: DiscreteState, scale: ScalingLevel) -> FluidState:
     """Componentwise division by L."""
     L = float(scale.l)
     return FluidState(state.b / L, state.s / L)
-
-
-def total_rate(
-    state: DiscreteState, params: ModelParams, scale: ScalingLevel
-) -> float:
-    """Closed form for the sum of all event rates in `state`."""
-    pop = float(state.b.sum() + state.s.sum())
-    mins = float(np.minimum(state.b, state.s).sum())
-    return (
-        params.lambda_b
-        + params.lambda_s
-        + ((params.beta + params.alpha) * pop + params.gamma * mins) / scale.l
-    )

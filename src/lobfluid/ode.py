@@ -34,6 +34,9 @@ __all__ = ["OdeSolution", "ComparisonReport", "rhs", "integrate",
            "integrate_until_stationary", "check_comparison", "uniform_grid"]
 
 DEFAULT_TOL = 1e-9
+STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
+STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
+COMPARISON_GRID = 201       # grid points of a comparison check
 
 
 def uniform_grid(stop: float, step: float) -> np.ndarray:
@@ -150,16 +153,13 @@ def integrate_until_stationary(
     params: ModelParams,
     x0: np.ndarray,
     y0: np.ndarray,
-    rhs_tol: float = 1e-10,
-    tau_block: float = 50.0,
     tau_max: float = 2000.0,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[FluidState, bool, float]:
-    """Run the flow in blocks of tau_block until sup-norm of the right-hand
-    side drops below rhs_tol or the tau budget is exhausted.
+    """Run the flow in STATIONARY_BLOCK spans until the right-hand side's
+    sup-norm drops below STATIONARY_RHS_TOL or the tau budget is exhausted.
 
     Returns (state, converged, tau_used); converged=False means the budget
-    ran out while the flow was still moving faster than rhs_tol. The
+    ran out while the flow was still moving faster than that. The
     integrator's BDF steps settle onto the fixed point rather than jitter
     around it, so from moderate parameters this flag is normally True well
     inside a budget of a few hundred tau units.
@@ -169,14 +169,14 @@ def integrate_until_stationary(
     tau = 0.0
     while True:
         dx, dy = rhs(state, params)
-        if max(np.abs(dx).max(), np.abs(dy).max()) < rhs_tol:
+        if max(np.abs(dx).max(), np.abs(dy).max()) < STATIONARY_RHS_TOL:
             return state, True, tau
         if tau >= tau_max:
             return state, False, tau
-        sol = integrate(state.x, state.y, params, tau_block, tol=tol,
-                        grid=np.array([0.0, tau_block]))
+        sol = integrate(state.x, state.y, params, STATIONARY_BLOCK,
+                        grid=np.array([0.0, STATIONARY_BLOCK]))
         state = sol.final
-        tau += tau_block
+        tau += STATIONARY_BLOCK
 
 
 @dataclass
@@ -199,7 +199,6 @@ def check_comparison(
     params: ModelParams,
     tau_max: float,
     tol: float = 1e-8,
-    n_grid: int = 201,
 ) -> ComparisonReport:
     """Verify the comparison principle: componentwise x_a <= x_b, y_a >= y_b
     at tau = 0 must propagate to every later time.
@@ -213,7 +212,7 @@ def check_comparison(
         raise HypothesisViolated(
             "need x_a <= x_b and y_a >= y_b componentwise at tau = 0"
         )
-    grid = np.linspace(0.0, tau_max, n_grid)
+    grid = np.linspace(0.0, tau_max, COMPARISON_GRID)
     z0 = np.concatenate([_pack(pair_a.x, pair_a.y), _pack(pair_b.x, pair_b.y)])
     itol = min(tol / 100.0, DEFAULT_TOL)
     sol = _solve(z0, params, tau_max, itol, grid)

@@ -164,6 +164,7 @@ class _Core:
                  init: DiscreteState):
         self.params = params
         self.scale = scale
+        self.initial = init
         self.n = params.n_levels
         self.b = [int(v) for v in init.b]
         self.s = [int(v) for v in init.s]
@@ -295,7 +296,8 @@ def _run(
     rng: np.random.Generator,
     max_events: int,
 ) -> tuple[list[list[float]], list[list[float]], int]:
-    """Advance the chain to t_end, recording scaled states at sample_ts."""
+    """Advance the chain to t_end, recording scaled states at sample_ts,
+    then verify the counter conservation identities exactly."""
     L = float(core.scale.l)
     xs: list[list[float]] = []
     ys: list[list[float]] = []
@@ -325,6 +327,10 @@ def _run(
         xs.append([v / L for v in core.b])
         ys.append([v / L for v in core.s])
         si += 1
+    db, ds = core.counters.conservation_defects(core.initial, core.state())
+    if db.any() or ds.any():
+        raise InvariantViolation(
+            f"conservation defect: buyers {db}, sellers {ds}")
     return xs, ys, n_events
 
 
@@ -358,17 +364,12 @@ def simulate(
     L = float(scale.l)
     sample_ts = [tau * L for tau in taus]
     xs, ys, n_events = _run(core, tau_max * L, sample_ts, rng, max_events)
-    final = core.state()
-    db, ds = core.counters.conservation_defects(init, final)
-    if db.any() or ds.any():
-        raise InvariantViolation(
-            f"conservation defect: buyers {db}, sellers {ds}")
     return Trajectory(
         taus=taus,
         x=np.array(xs, dtype=np.float64),
         y=np.array(ys, dtype=np.float64),
         initial_state=init,
-        final_state=final,
+        final_state=core.state(),
         counters=core.counters,
         scale=scale,
         seed=seed,
@@ -383,7 +384,6 @@ def empirical_equilibrium(
     n_samples: int,
     sample_gap: float,
     seed,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> list[FluidState]:
     """Equilibrium samples of the scaled state from one long run.
 
@@ -403,6 +403,5 @@ def empirical_equilibrium(
     core = _Core(params, scale, init)
     L = float(scale.l)
     sample_ts = [(burn_in + (i + 1) * sample_gap) * L for i in range(n_samples)]
-    t_end = sample_ts[-1] * (1 + 1e-12) + 1.0
-    xs, ys, _ = _run(core, t_end, sample_ts, rng, max_events)
+    xs, ys, _ = _run(core, sample_ts[-1], sample_ts, rng, DEFAULT_MAX_EVENTS)
     return [FluidState(np.array(x), np.array(y)) for x, y in zip(xs, ys)]

@@ -137,8 +137,7 @@ def test_criterion_05_comparison_principle_suite():
             pair_a = FluidState(x_low, y_low + rng.uniform(0, 2, n))
             pair_b = FluidState(x_low + rng.uniform(0, 2, n), y_low)
             tau_max = float(rng.uniform(5.0, 50.0))
-            report = check_comparison(pair_a, pair_b, p, tau_max, tol=1e-8,
-                                      n_grid=101)
+            report = check_comparison(pair_a, pair_b, p, tau_max, tol=1e-8)
             assert report.ok, f"violation {report.max_violation:.3e} for {p}"
         assert time.perf_counter() - start < 60.0
 

@@ -1,12 +1,18 @@
 """Command-line interface: output contracts, config precedence, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lobfluid import EventCounters, NonMonotoneInput, ResidualTooLarge, cli
 from lobfluid.cli import main
+from lobfluid.model import PARAM_FIELDS
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "run-config.schema.json"
+MODEL_ONES = {"n_levels": 1, "lambda_b": 1.0, "lambda_s": 1.0, "alpha": 1.0,
+              "beta": 1.0, "gamma": 1.0}
 
 ONES = ["--lambda-b", "1", "--lambda-s", "1", "--alpha", "1", "--beta", "1",
         "--gamma", "1"]
@@ -191,3 +197,116 @@ def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
         "--sample-dt", "0.5", "--out-dir", str(tmp_path)])
     assert code == 3
     assert "conservation defect" in err
+
+
+def test_equilibrium_conservation_defect_exit_code(tmp_path, capsys,
+                                                   monkeypatch):
+    def defect(self, initial, final):
+        return np.array([1]), np.zeros(1, dtype=np.int64)
+
+    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+    code, out, err = run(capsys, [
+        "equilibrium", "--n", "1", *ONES, "--levels", "5", "--burn-in", "1",
+        "--n-samples", "2", "--sample-gap", "0.5", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "conservation defect" in err
+
+
+def run_config(tmp_path, capsys, cfg, command, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, [command, "--config", str(path), *flags,
+                        "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"model": MODEL_ONES, "sede": 5,
+      "sweep": {"lambda_s_values": [3]}}, "sede"),
+    ({"model": MODEL_ONES, "sweep": {"lambda_s_valuez": [3]}},
+     "lambda_s_valuez"),
+    ({"model": MODEL_ONES, "sweep": {"lambda_s_values": [3], "method": "x"}},
+     "method"),
+])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, cfg, key):
+    code, out, err = run_config(tmp_path, capsys, cfg, "sweep")
+    assert code == 2
+    assert key in err
+
+
+def test_block_may_set_seed_and_out_dir(tmp_path, capsys):
+    # other subcommands' blocks are not read; this one's seed/out_dir are
+    out_dir = tmp_path / "from_block"
+    cfg = {"model": MODEL_ONES, "seed": 1,
+           "integrate": {"tau_max": 1.0, "tol": 1e-6},
+           "solve": {"method": "recursive", "seed": 7,
+                     "out_dir": str(out_dir)}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["solve", "--config", str(path)])
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("block, top, key", [
+    ({"scale": 20.6}, {}, "scale"),
+    ({"scale": 20}, {"seed": 3.9}, "seed"),
+    ({"scale": 20, "max_events": 1e6 + 0.5}, {}, "max_events"),
+    ({"scale": "20"}, {}, "scale"),
+    ({"scale": True}, {}, "scale"),
+])
+def test_integer_options_do_not_truncate(tmp_path, capsys, block, top, key):
+    cfg = {"model": MODEL_ONES, **top,
+           "simulate": {"tau_max": 0.5, "sample_dt": 0.1, **block}}
+    code, out, err = run_config(tmp_path, capsys, cfg, "simulate")
+    assert code == 2
+    assert key in err
+
+
+@pytest.mark.parametrize("command, block, key", [
+    ("converge", {"levels": [10.7, 20], "tau_horizon": 0.5, "replicas": 2},
+     "levels"),
+    ("converge", {"levels": [10, 20], "tau_horizon": 0.5, "replicas": 2.5},
+     "replicas"),
+    ("converge", {"levels": [10], "tau_horizon": 0.5, "replicas": 2,
+                  "workers": 1.5}, "workers"),
+    ("equilibrium", {"levels": [20], "burn_in": 1, "n_samples": 2.5,
+                     "sample_gap": 0.5}, "n_samples"),
+])
+def test_study_integer_options_do_not_truncate(tmp_path, capsys, command,
+                                               block, key):
+    code, out, err = run_config(tmp_path, capsys,
+                                {"model": MODEL_ONES, command: block}, command)
+    assert code == 2
+    assert key in err
+
+
+def test_levels_flag_does_not_truncate(tmp_path, capsys):
+    code, out, err = run(capsys, [
+        "converge", "--n", "1", *ONES, "--levels", "10.7,20",
+        "--tau-horizon", "0.5", "--replicas", "2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "levels" in err
+
+
+def test_integral_numbers_are_accepted_as_integers(tmp_path, capsys):
+    cfg = {"model": MODEL_ONES, "seed": 3.0,
+           "simulate": {"scale": 20.0, "tau_max": 0.5, "sample_dt": 0.1,
+                        "max_events": 1e6}}
+    code, out, err = run_config(tmp_path, capsys, cfg, "simulate")
+    assert code == 0
+    manifest = (tmp_path / "out" / "manifest.json").read_text()
+    loaded = json.loads(manifest)
+    assert loaded["scale"] == 20 and loaded["seed"] == 3
+    assert loaded["max_events"] == 1_000_000
+    assert '"scale": 20,' in manifest and '"seed": 3,' in manifest
+
+
+def test_schema_lists_exactly_the_parser_options():
+    schema = json.loads(SCHEMA.read_text())["properties"]
+    assert set(schema) == {"model", "seed", "out_dir", *cli.COMMANDS}
+    assert list(schema["model"]["properties"]) == list(PARAM_FIELDS)
+    parser = cli.build_parser()
+    common = {"command", "config", "seed", "out_dir", *PARAM_FIELDS}
+    for command in cli.COMMANDS:
+        own = set(vars(parser.parse_args([command]))) - common
+        assert set(schema[command]["properties"]) == own, command

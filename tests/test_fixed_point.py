@@ -90,7 +90,7 @@ def test_jacobian_middle_case_factor_is_nine():
     # diagonal: the factor is (alpha+beta+gamma)^2 / alpha^2 = 9
     p = params(n=3)
     t = 0.2
-    check = map_jacobian_check(BrokenLinePoint((1 - t) / 2, t, 1), p, h=1e-7)
+    check = map_jacobian_check(BrokenLinePoint((1 - t) / 2, t, 1), p)
     assert check.case == 2
     assert check.factor_analytic == pytest.approx(9.0, abs=0)
     assert check.rel_diff < 1e-6
@@ -99,7 +99,7 @@ def test_jacobian_middle_case_factor_is_nine():
 def test_jacobian_case_one_matches_finite_differences():
     p = params(n=3)
     t = 0.03
-    check = map_jacobian_check(BrokenLinePoint((1 - t) / 2, t, 1), p, h=1e-7)
+    check = map_jacobian_check(BrokenLinePoint((1 - t) / 2, t, 1), p)
     assert check.case == 1
     assert check.rel_diff < 1e-6
     # equivalent A-shaped form built from the image slope
@@ -111,7 +111,7 @@ def test_jacobian_case_one_matches_finite_differences():
 def test_jacobian_case_three_matches_finite_differences():
     p = params(n=3)
     v = 0.13
-    check = map_jacobian_check(BrokenLinePoint(v, 3 - 18 * v, 1), p, h=1e-7,
+    check = map_jacobian_check(BrokenLinePoint(v, 3 - 18 * v, 1), p,
                                slope_in=-18.0)
     assert check.case == 3
     assert check.rel_diff < 1e-6

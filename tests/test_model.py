@@ -18,9 +18,9 @@ from lobfluid import (
     apply_event,
     enumerate_events,
     scale_state,
-    total_rate,
     validate_params,
 )
+from lobfluid.simulate import _Core
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0, **kw):
@@ -120,6 +120,7 @@ def test_enumerate_sorted_and_duplicate_free():
 
 
 def test_rate_sum_matches_closed_form():
+    # the enumeration's rates sum to the closed form the simulator runs
     rng = np.random.default_rng(4)
     for _ in range(200):
         n = int(rng.integers(1, 7))
@@ -130,7 +131,7 @@ def test_rate_sum_matches_closed_form():
         state = DiscreteState(rng.integers(0, 20, n), rng.integers(0, 20, n))
         events = enumerate_events(state, p, scale)
         assert sum(e.rate for e in events) == pytest.approx(
-            total_rate(state, p, scale), rel=1e-12)
+            _Core(p, scale, state).total_rate(), rel=1e-12)
 
 
 def test_apply_trade_decrements_both_sides():
