@@ -159,6 +159,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_block(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"config key \"{key}\" must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 class Effective:
     """Flag-over-file option resolution for one subcommand run."""
 
@@ -170,8 +178,8 @@ class Effective:
         if unknown:
             raise ConfigError(
                 f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
-        self.file_model = dict(cfg.get("model", {}))
-        self.file_block = dict(cfg.get(command, {}))
+        self.file_model = _config_block(cfg, "model")
+        self.file_block = _config_block(cfg, command)
         # a block holds the subcommand's own options, and may set seed/out_dir
         own = set(self.args) - {"command", "config", *PARAM_FIELDS}
         unknown = set(self.file_block) - own

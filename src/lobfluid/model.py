@@ -6,8 +6,8 @@ At scaling level L each trader trades at rate gamma/L (paired with one
 counterparty at the same level), quits at beta/L, and moves one level at
 alpha/L; a buyer at the top level and a seller at the bottom level leave the
 system instead of moving. The event table here states those transition
-rules; `simulate.step` drives it directly, the simulator's incremental
-engine restates it (the tests replay one against the other), and the ODE
+rules; `simulate.step` drives it directly, the simulator's engine
+restates it (the tests replay one against the other), and the ODE
 right-hand side and fixed-point solvers use its fluid limit.
 """
 

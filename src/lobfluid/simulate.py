@@ -1,19 +1,24 @@
 """Exact event-driven simulation of the order-book Markov chain.
 
 `step()` drives the transition rules of `model.enumerate_events` and
-`apply_event` directly and is the reference. `_Core`, the engine behind
-`simulate` and `empirical_equilibrium`, keeps B = sum b, S = sum s and
-M = sum min(b, s) as integers, so its closed-form total rate never drifts;
-the tests replay it event by event against `step()`.
+`apply_event` directly and is the reference. `_run`, the engine behind
+`simulate` and `empirical_equilibrium`, restates those rules in one loop on
+plain Python ints; it keeps B = sum b, S = sum s and M = sum min(b, s) as
+integers, so its closed-form total rate never drifts. The tests replay it
+event by event against `step()`.
 
-Per-event draw contract: one `standard_exponential()` over the total rate
-is the holding time; if the event falls before the horizon, one `random()`
-times that total is walked over the canonical order (arrivals, then trades,
-buyer quits, seller quits, buyer alpha-moves with the top exit at level N,
-seller alpha-moves with the bottom exit at level 1, each block over levels
-1..N); a target at or past the end (float summation) fires the last
-positive-rate event. Replica streams are `SeedSequence` spawn keys `(i, j)`
-(replica j at the i-th scaling level).
+Draw contract: a replica's randomness is one stream of uniform doubles
+u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
+holding time -log1p(-u)/rate and, if it falls before the horizon, u_(2i)
+for its selection: u times the total rate is walked over the canonical
+order (arrivals, then trades, buyer quits, seller quits, buyer alpha-moves
+with the top exit at level N, seller alpha-moves with the bottom exit at
+level 1, each block over levels 1..N); a target at or past the end (float
+summation) fires the last positive-rate event. The engine takes the stream
+CHUNK uniforms at a time; for PCG64, random(a) followed by random(b) gives
+the values of random(a + b), so no output depends on CHUNK. Replica
+streams are `SeedSequence` spawn keys `(i, j)` (replica j at the i-th
+scaling level).
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -22,6 +27,7 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, log1p
 
 import numpy as np
 
@@ -40,6 +46,10 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
 
 DEFAULT_MAX_EVENTS = 50_000_000
+CHUNK = 1024  # uniforms per generator call; outputs do not depend on it
+
+# the engine's level blocks, in canonical order
+_TRADE, _BUYER_QUIT, _SELLER_QUIT, _BUYER_MOVE, _SELLER_MOVE = range(5)
 
 
 @dataclass
@@ -137,11 +147,12 @@ def step(
     scale: ScalingLevel,
     rng: np.random.Generator,
 ) -> tuple[Event, float, DiscreteState]:
-    """One exact CTMC step: exponential holding time at the total rate, then
-    a categorical event draw over the canonical order."""
+    """One exact CTMC step on two uniforms (the module's draw contract):
+    exponential holding time at the total rate, then a categorical event
+    draw over the canonical order."""
     events = enumerate_events(state, params, scale)
     total = sum(e.rate for e in events)
-    holding = rng.standard_exponential() / total
+    holding = -log1p(-rng.random()) / total
     target = rng.random() * total
     chosen = events[-1]
     for e in events:
@@ -152,168 +163,68 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
-class _Core:
-    """Mutable simulation state with incrementally maintained aggregates.
-
-    Occupancies are plain Python ints (the loop is pure Python; small numpy
-    arrays would dominate the per-event cost). Aggregate sums B, S, M are
-    integers, so block rates are recomputed exactly at every step.
-    """
-
-    def __init__(self, params: ModelParams, scale: ScalingLevel,
-                 init: DiscreteState):
-        self.params = params
-        self.scale = scale
-        self.initial = init
-        self.n = params.n_levels
-        self.b = [int(v) for v in init.b]
-        self.s = [int(v) for v in init.s]
-        self.B = sum(self.b)
-        self.S = sum(self.s)
-        self.mins = [min(bk, sk) for bk, sk in zip(self.b, self.s)]
-        self.M = sum(self.mins)
-        self.rt = params.gamma / scale.l
-        self.rq = params.beta / scale.l
-        self.rm = params.alpha / scale.l
-        self.counters = EventCounters.zeros(self.n)
-
-    def state(self) -> DiscreteState:
-        return DiscreteState(np.array(self.b, dtype=np.int64),
-                             np.array(self.s, dtype=np.int64))
-
-    def total_rate(self) -> float:
-        p = self.params
-        return (p.lambda_b + p.lambda_s
-                + (self.rq + self.rm) * (self.B + self.S) + self.rt * self.M)
-
-    def _refresh_min(self, k: int) -> None:
-        m = min(self.b[k], self.s[k])
-        self.M += m - self.mins[k]
-        self.mins[k] = m
-
-    def fire(self, target: float) -> None:
-        """Apply the event selected by walking the canonical order with
-        `target` in [0, total_rate); a target at or past the end fires the
-        last positive-rate event."""
-        n, b, s, c = self.n, self.b, self.s, self.counters
-        p = self.params
-        if target < p.lambda_b:
-            b[0] += 1
-            self.B += 1
-            self._refresh_min(0)
-            c.buyer_arrivals += 1
-            return
-        target -= p.lambda_b
-        if target < p.lambda_s or (self.B == 0 and self.S == 0):
-            s[n - 1] += 1
-            self.S += 1
-            self._refresh_min(n - 1)
-            c.seller_arrivals += 1
-            return
-        target -= p.lambda_s
-
-        block = self.rt * self.M
-        if target < block and self.M > 0:
-            k = self._walk(self.mins, self.rt, target)
-            b[k] -= 1
-            s[k] -= 1
-            self.B -= 1
-            self.S -= 1
-            self._refresh_min(k)
-            c.trades[k] += 1
-            return
-        target -= block
-
-        block = self.rq * self.B
-        if target < block and self.B > 0:
-            k = self._walk(b, self.rq, target)
-            b[k] -= 1
-            self.B -= 1
-            self._refresh_min(k)
-            c.buyer_quits[k] += 1
-            return
-        target -= block
-
-        block = self.rq * self.S
-        if target < block and self.S > 0:
-            k = self._walk(s, self.rq, target)
-            s[k] -= 1
-            self.S -= 1
-            self._refresh_min(k)
-            c.seller_quits[k] += 1
-            return
-        target -= block
-
-        # on overshoot with no sellers (then B > 0: an empty book fired the
-        # seller arrival) the buyer alpha block is the last nonempty one
-        block = self.rm * self.B
-        if (target < block and self.B > 0) or self.S == 0:
-            k = self._walk(b, self.rm, target)
-            b[k] -= 1
-            self.B -= 1
-            self._refresh_min(k)
-            if k < n - 1:
-                b[k + 1] += 1
-                self.B += 1
-                self._refresh_min(k + 1)
-                c.buyer_moves[k] += 1
-            else:
-                c.buyer_exit_top += 1
-            return
-        target -= block
-
-        # seller alpha block (exit at level 1, then moves k -> k-1); S > 0
-        # here, and _walk returns the last occupied level on overshoot
-        k = self._walk(s, self.rm, target)
-        s[k] -= 1
-        self.S -= 1
-        self._refresh_min(k)
-        if k > 0:
-            s[k - 1] += 1
-            self.S += 1
-            self._refresh_min(k - 1)
-            c.seller_moves[k] += 1
-        else:
-            c.seller_exit_bottom += 1
-
-    @staticmethod
-    def _walk(occ: list, unit: float, target: float) -> int:
-        last = -1
-        for k, v in enumerate(occ):
-            if v > 0:
-                rk = unit * v
-                if target < rk:
-                    return k
-                target -= rk
-                last = k
-        return last
-
-
 def _run(
-    core: _Core,
+    params: ModelParams,
+    scale: ScalingLevel,
+    init: DiscreteState,
     t_end: float,
     sample_ts: list[float],
     rng: np.random.Generator,
     max_events: int,
-) -> tuple[list[list[float]], list[list[float]], int]:
-    """Advance the chain to t_end, recording scaled states at sample_ts,
-    then verify the counter conservation identities exactly."""
-    L = float(core.scale.l)
-    xs: list[list[float]] = []
-    ys: list[list[float]] = []
+) -> tuple[np.ndarray, np.ndarray, int, DiscreteState, EventCounters]:
+    """Advance the chain from init to t_end, recording scaled states at
+    sample_ts, then verify the aggregates and the counter conservation
+    identities exactly. Returns (x, y, n_events, final state, counters);
+    row i of x and y is the scaled state at sample_ts[i].
+
+    Occupancies are plain Python ints (the loop is pure Python; small numpy
+    arrays would dominate the per-event cost), and the aggregates B, S, M
+    are integers updated by the +-1 increments, so the total rate is exact
+    at every step.
+    """
+    n = params.n_levels
+    top = n - 1
+    L = float(scale.l)
+    lam_b = params.lambda_b
+    lam_s = params.lambda_s
+    lam = lam_b + lam_s
+    rt = params.gamma / scale.l
+    rq = params.beta / scale.l
+    rm = params.alpha / scale.l
+    rqm = rq + rm
+    b = [int(v) for v in init.b]
+    s = [int(v) for v in init.s]
+    B, S, M = sum(b), sum(s), sum(map(min, b, s))
+    trades = [0] * n
+    buyer_quits = [0] * n
+    seller_quits = [0] * n
+    buyer_moves = [0] * n
+    seller_moves = [0] * n
+    buyer_arrivals = seller_arrivals = exit_top = exit_bottom = 0
+
+    xs: list[list[int]] = []
+    ys: list[list[int]] = []
     si = 0
     m = len(sample_ts)
+    next_sample = sample_ts[0] if m else inf
     t = 0.0
     n_events = 0
-    exp = rng.standard_exponential
-    uni = rng.random
+    buf: list[float] = []
+    pos = 0
     while t < t_end:
-        rate = core.total_rate()
-        t_next = t + exp() / rate
-        while si < m and sample_ts[si] <= t_next:
-            xs.append([v / L for v in core.b])
-            ys.append([v / L for v in core.s])
-            si += 1
+        if pos + 2 > len(buf):
+            buf = buf[pos:]
+            while len(buf) < 2:
+                buf += rng.random(CHUNK).tolist()
+            pos = 0
+        rate = lam + rqm * (B + S) + rt * M
+        t_next = t - log1p(-buf[pos]) / rate
+        if t_next >= next_sample:
+            while si < m and sample_ts[si] <= t_next:
+                xs.append(b[:])
+                ys.append(s[:])
+                si += 1
+            next_sample = sample_ts[si] if si < m else inf
         if t_next >= t_end:
             break
         n_events += 1
@@ -321,17 +232,135 @@ def _run(
             raise BudgetExceeded(
                 f"event budget {max_events} exhausted at t={t_next:.6g}"
             )
-        core.fire(uni() * rate)
+        target = buf[pos + 1] * rate
+        pos += 2
         t = t_next
+
+        # walk the canonical order; a target at or past the end fires the
+        # last positive-rate event
+        if target < lam_b:
+            b[0] += 1
+            B += 1
+            if b[0] <= s[0]:
+                M += 1
+            buyer_arrivals += 1
+            continue
+        target -= lam_b
+        if target < lam_s or not (B or S):
+            s[top] += 1
+            S += 1
+            if s[top] <= b[top]:
+                M += 1
+            seller_arrivals += 1
+            continue
+        target -= lam_s
+
+        # pick the level block; on overshoot with no sellers (then B > 0: an
+        # empty book fired the seller arrival) the buyer alpha block is the
+        # last nonempty one, and otherwise the seller alpha block is
+        block = rt * M
+        if target < block and M:
+            kind, occ, unit = _TRADE, map(min, b, s), rt
+        else:
+            target -= block
+            block = rq * B
+            if target < block and B:
+                kind, occ, unit = _BUYER_QUIT, b, rq
+            else:
+                target -= block
+                block = rq * S
+                if target < block and S:
+                    kind, occ, unit = _SELLER_QUIT, s, rq
+                else:
+                    target -= block
+                    block = rm * B
+                    if (target < block and B) or not S:
+                        kind, occ, unit = _BUYER_MOVE, b, rm
+                    else:
+                        target -= block
+                        kind, occ, unit = _SELLER_MOVE, s, rm
+        # then the level within it; on overshoot, the last occupied one
+        last = -1
+        for k, v in enumerate(occ):
+            if v:
+                w = unit * v
+                if target < w:
+                    break
+                target -= w
+                last = k
+        else:
+            k = last
+
+        # the +-1 increments; min(b, s) moves with b exactly when b <= s
+        # after a buyer arrives, and when b < s after one leaves (mirrored
+        # for sellers)
+        if kind == _TRADE:
+            b[k] -= 1
+            s[k] -= 1
+            B -= 1
+            S -= 1
+            M -= 1
+            trades[k] += 1
+        elif kind == _BUYER_QUIT:
+            b[k] -= 1
+            B -= 1
+            if b[k] < s[k]:
+                M -= 1
+            buyer_quits[k] += 1
+        elif kind == _SELLER_QUIT:
+            s[k] -= 1
+            S -= 1
+            if s[k] < b[k]:
+                M -= 1
+            seller_quits[k] += 1
+        elif kind == _BUYER_MOVE:
+            b[k] -= 1
+            if b[k] < s[k]:
+                M -= 1
+            if k < top:
+                buyer_moves[k] += 1
+                k += 1
+                b[k] += 1
+                if b[k] <= s[k]:
+                    M += 1
+            else:
+                B -= 1
+                exit_top += 1
+        else:
+            s[k] -= 1
+            if s[k] < b[k]:
+                M -= 1
+            if k > 0:
+                seller_moves[k] += 1
+                k -= 1
+                s[k] += 1
+                if s[k] <= b[k]:
+                    M += 1
+            else:
+                S -= 1
+                exit_bottom += 1
     while si < m:
-        xs.append([v / L for v in core.b])
-        ys.append([v / L for v in core.s])
+        xs.append(b[:])
+        ys.append(s[:])
         si += 1
-    db, ds = core.counters.conservation_defects(core.initial, core.state())
+
+    if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
+        raise InvariantViolation(
+            f"aggregate drift: B={B}, S={S}, M={M} for b={b}, s={s}")
+    final = DiscreteState(np.array(b, dtype=np.int64),
+                          np.array(s, dtype=np.int64))
+    i64 = lambda v: np.array(v, dtype=np.int64)
+    counters = EventCounters(i64(trades), i64(buyer_quits), i64(seller_quits),
+                             i64(buyer_moves), i64(seller_moves),
+                             buyer_arrivals, seller_arrivals,
+                             exit_top, exit_bottom)
+    db, ds = counters.conservation_defects(init, final)
     if db.any() or ds.any():
         raise InvariantViolation(
             f"conservation defect: buyers {db}, sellers {ds}")
-    return xs, ys, n_events
+    x = np.array(xs, dtype=np.float64).reshape(m, n) / L
+    y = np.array(ys, dtype=np.float64).reshape(m, n) / L
+    return x, y, n_events, final, counters
 
 
 def simulate(
@@ -358,19 +387,19 @@ def simulate(
     init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)
     if init.n_levels != params.n_levels:
         raise ValueError("initial state dimension does not match n_levels")
-    core = _Core(params, scale, init)
     n_samples = int(np.floor(tau_max / sample_dt + 1e-9)) + 1
     taus = np.arange(n_samples) * sample_dt
     L = float(scale.l)
     sample_ts = [tau * L for tau in taus]
-    xs, ys, n_events = _run(core, tau_max * L, sample_ts, rng, max_events)
+    x, y, n_events, final, counters = _run(
+        params, scale, init, tau_max * L, sample_ts, rng, max_events)
     return Trajectory(
         taus=taus,
-        x=np.array(xs, dtype=np.float64),
-        y=np.array(ys, dtype=np.float64),
+        x=x,
+        y=y,
         initial_state=init,
-        final_state=core.state(),
-        counters=core.counters,
+        final_state=final,
+        counters=counters,
         scale=scale,
         seed=seed,
         n_events=n_events,
@@ -400,8 +429,8 @@ def empirical_equilibrium(
     rng = np.random.default_rng(seed)
     n = params.n_levels
     init = DiscreteState(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    core = _Core(params, scale, init)
     L = float(scale.l)
     sample_ts = [(burn_in + (i + 1) * sample_gap) * L for i in range(n_samples)]
-    xs, ys, _ = _run(core, sample_ts[-1], sample_ts, rng, DEFAULT_MAX_EVENTS)
-    return [FluidState(np.array(x), np.array(y)) for x, y in zip(xs, ys)]
+    x, y, _, _, _ = _run(params, scale, init, sample_ts[-1], sample_ts, rng,
+                         DEFAULT_MAX_EVENTS)
+    return [FluidState(xi, yi) for xi, yi in zip(x, y)]

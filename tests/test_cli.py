@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, config precedence, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -187,6 +188,22 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
         assert outputs[0][name] == outputs[1][name], name
 
 
+# sha256 of trajectory.csv from the fixed-seed run below; it pins the draw
+# contract introduced in 0.2.0 (simulate.py's docstring), so a change that
+# promises byte-identical output is checked across versions, not only reruns
+TRAJECTORY_SHA256 = (
+    "2fb16571b56ce3534adc14619aee739bc6f346ef9af1d207f7a04fc093d95a51")
+
+
+def test_simulate_trajectory_golden_digest(tmp_path, capsys):
+    code, _, _ = run(capsys, ["simulate", "--n", "3", *ONES, "--scale", "50",
+                              "--tau-max", "2", "--seed", "42",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
+    assert digest.hexdigest() == TRAJECTORY_SHA256
+
+
 def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
     def defect(self, initial, final):
         return np.array([1]), np.zeros(1, dtype=np.int64)
@@ -231,6 +248,16 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, cfg, key):
     code, out, err = run_config(tmp_path, capsys, cfg, "sweep")
     assert code == 2
     assert key in err
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"model": MODEL_ONES, "sweep": 5}, "sweep"),
+    ({"model": [1, 2], "sweep": {"lambda_s_values": [3]}}, "model"),
+])
+def test_non_object_config_blocks_exit_2(tmp_path, capsys, cfg, key):
+    code, out, err = run_config(tmp_path, capsys, cfg, "sweep")
+    assert code == 2
+    assert f'config key "{key}" must be a JSON object' in err
 
 
 def test_block_may_set_seed_and_out_dir(tmp_path, capsys):

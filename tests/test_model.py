@@ -20,7 +20,6 @@ from lobfluid import (
     scale_state,
     validate_params,
 )
-from lobfluid.simulate import _Core
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0, **kw):
@@ -119,8 +118,10 @@ def test_enumerate_sorted_and_duplicate_free():
         assert all(e.rate > 0 for e in events)
 
 
-def test_rate_sum_matches_closed_form():
-    # the enumeration's rates sum to the closed form the simulator runs
+def test_rate_sum_matches_closed_form(fire_once):
+    # the enumeration's rates sum to the closed form the simulator runs: the
+    # engine fires the buyer arrival iff u * rate < lambda_b, so selection
+    # uniforms just either side of lambda_b / sum pin its rate to rel 1e-12
     rng = np.random.default_rng(4)
     for _ in range(200):
         n = int(rng.integers(1, 7))
@@ -130,8 +131,11 @@ def test_rate_sum_matches_closed_form():
         scale = ScalingLevel(int(rng.integers(1, 100)))
         state = DiscreteState(rng.integers(0, 20, n), rng.integers(0, 20, n))
         events = enumerate_events(state, p, scale)
-        assert sum(e.rate for e in events) == pytest.approx(
-            _Core(p, scale, state).total_rate(), rel=1e-12)
+        edge = p.lambda_b / sum(e.rate for e in events)
+        _, below = fire_once(p, scale, state, edge * (1 - 1e-12))
+        _, above = fire_once(p, scale, state, edge * (1 + 1e-12))
+        assert below.buyer_arrivals == 1 and below.seller_arrivals == 0
+        assert above.buyer_arrivals == 0 and above.seller_arrivals == 1
 
 
 def test_apply_trade_decrements_both_sides():

@@ -1,5 +1,6 @@
 """Event-driven simulation: stepping law, conservation, determinism."""
 
+import importlib
 from collections import Counter
 from dataclasses import fields
 
@@ -20,7 +21,6 @@ from lobfluid import (
     simulate,
     step,
 )
-from lobfluid.simulate import _Core
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -120,6 +120,36 @@ def test_simulate_bit_identical_for_fixed_seed():
     assert a.counters.buyer_arrivals == b.counters.buyer_arrivals
 
 
+def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
+    # the engine takes its uniforms CHUNK at a time, and random(a) followed
+    # by random(b) gives the values of random(a + b); both runs draw more
+    # than one real chunk
+    engine = importlib.import_module("lobfluid.simulate")
+    p = params(n=3, beta=0.2, gamma=2.0)
+    runs, equilibria = [], []
+    for chunk in (1, 3, engine.CHUNK):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        runs.append(simulate(p, ScalingLevel(500), np.zeros(3), np.zeros(3),
+                             2.0, 0.05, seed=4242))
+        equilibria.append(empirical_equilibrium(
+            p, ScalingLevel(200), burn_in=1.0, n_samples=20, sample_gap=0.25,
+            seed=4243))
+    ref = runs[-1]
+    assert 2 * ref.n_events > engine.CHUNK
+    for run in runs[:-1]:
+        assert run.n_events == ref.n_events
+        assert (run.x == ref.x).all() and (run.y == ref.y).all()
+        assert (run.final_state.b == ref.final_state.b).all()
+        assert (run.final_state.s == ref.final_state.s).all()
+        for f in fields(EventCounters):
+            assert np.array_equal(getattr(run.counters, f.name),
+                                  getattr(ref.counters, f.name)), f.name
+    for samples in equilibria[:-1]:
+        assert len(samples) == len(equilibria[-1]) == 20
+        for got, want in zip(samples, equilibria[-1]):
+            assert (got.x == want.x).all() and (got.y == want.y).all()
+
+
 def test_simulate_matches_fluid_solution_at_tau_one():
     # N=1, all constants 1: scaled endpoint near the ODE value in >= 95 of
     # 100 seeded replicas at L=1000.
@@ -201,7 +231,7 @@ REPLAY_CASES = {
 
 @pytest.mark.parametrize("case", list(REPLAY_CASES))
 def test_simulate_equals_stepwise_replay(case):
-    # the incremental engine and step() over the enumerated event table
+    # the engine and step() over the enumerated event table
     # make identical draws, fire identical events and tally them alike
     p, L, x0, y0, tau_max, seed = REPLAY_CASES[case]
     scale = ScalingLevel(L)
@@ -236,9 +266,10 @@ def test_simulate_equals_stepwise_replay(case):
         assert np.sum(getattr(traj.counters, name)) == kinds[kind], kind.name
 
 
-def test_fire_past_table_end_fires_last_event():
+def test_fire_past_table_end_fires_last_event(fire_once):
     # a target at or past the end of the rate table (float summation) fires
-    # the last positive-rate event, as step() does
+    # the last positive-rate event, as step() does; the engine's own check
+    # raises if its aggregates B, S, M drift from the occupancies
     rng = np.random.default_rng(41)
     for trial in range(400):
         n = int(rng.integers(1, 5))
@@ -253,14 +284,10 @@ def test_fire_past_table_end_fires_last_event():
             s[:] = 0
         state = DiscreteState(b, s)
         scale = ScalingLevel(int(rng.integers(1, 10)))
-        core = _Core(p, scale, state)
-        core.fire(core.total_rate() * (1 + 1e-12))
+        got, counters = fire_once(p, scale, state, 1 + 1e-12)
         expected = apply_event(state, enumerate_events(state, p, scale)[-1])
-        got = core.state()
         assert (got.b == expected.b).all() and (got.s == expected.s).all()
-        assert core.counters.conserves(state, got)
-        assert (core.B, core.S, core.M) == (
-            got.b.sum(), got.s.sum(), np.minimum(got.b, got.s).sum())
+        assert counters.conserves(state, got)
 
 
 def test_conservation_defect_raises_typed_error(monkeypatch):
