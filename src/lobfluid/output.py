@@ -3,6 +3,10 @@
 Floats are written with 17 significant digits so CSV round-trips reproduce
 the binary values exactly; line endings are fixed to '\\n' and nothing
 time-dependent is ever written, so identical runs produce identical bytes.
+State matrices (trajectories and ODE solutions) are streamed one row at a
+time through the row format "%.17g,%.17g,...\\n" (1 + 2N fields: tau, x,
+y); `%.17g` is the same C formatting as `format(v, ".17g")`, so these files
+have the bytes `write_csv` would give them.
 """
 
 from __future__ import annotations
@@ -66,24 +70,30 @@ def write_manifest(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def solution_rows(taus, x, y):
-    for i, tau in enumerate(taus):
-        yield [tau, *x[i], *y[i]]
-
-
 def state_header(n: int) -> list[str]:
     return (["tau"] + [f"x_{k}" for k in range(1, n + 1)]
             + [f"y_{k}" for k in range(1, n + 1)])
 
 
+def _write_states_csv(path, taus, x, y) -> None:
+    """Row i is taus[i], x[i], y[i]. Rows are converted to Python floats one
+    at a time, so the whole matrix never is."""
+    n = x.shape[1]
+    line = ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(state_header(n)) + "\n")
+        for tau, x_row, y_row in zip(taus.tolist(), x, y):
+            fh.write(line % (tau, *x_row.tolist(), *y_row.tolist()))
+
+
 def write_solution_csv(path, sol: OdeSolution) -> None:
-    write_csv(path, state_header(sol.x.shape[1]),
-              solution_rows(sol.taus, sol.x, sol.y))
+    _write_states_csv(path, sol.taus, sol.x, sol.y)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    write_csv(path, state_header(traj.x.shape[1]),
-              solution_rows(traj.taus, traj.x, traj.y))
+    _write_states_csv(path, traj.taus, traj.x, traj.y)
 
 
 def write_fixed_point_csv(path, fp: FixedPoint, gamma: float) -> None:

@@ -15,10 +15,15 @@ order (arrivals, then trades, buyer quits, seller quits, buyer alpha-moves
 with the top exit at level N, seller alpha-moves with the bottom exit at
 level 1, each block over levels 1..N); a target at or past the end (float
 summation) fires the last positive-rate event. The engine takes the stream
-CHUNK uniforms at a time; for PCG64, random(a) followed by random(b) gives
-the values of random(a + b), so no output depends on CHUNK. Replica
-streams are `SeedSequence` spawn keys `(i, j)` (replica j at the i-th
-scaling level).
+as (holding, selection) pairs, CHUNK pairs (2 * CHUNK uniforms) per
+generator call, so no pair spans two calls; for PCG64, random(a) followed
+by random(b) gives the values of random(a + b), so no output depends on
+CHUNK. The holding column goes through `math.log1p`, never `np.log1p`,
+whose vectorised form differs from it in the last bit on some machines.
+Within a level block the walk skips empty levels; it makes the same
+subtractions in the same order as a walk over every level, so it picks the
+same level. Replica streams are `SeedSequence` spawn keys `(i, j)` (replica
+j at the i-th scaling level).
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -27,6 +32,7 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from math import inf, log1p
 
 import numpy as np
@@ -46,7 +52,7 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
 
 DEFAULT_MAX_EVENTS = 50_000_000
-CHUNK = 1024  # uniforms per generator call; outputs do not depend on it
+CHUNK = 1024  # (holding, selection) pairs per generator call
 
 # the engine's level blocks, in canonical order
 _TRADE, _BUYER_QUIT, _SELLER_QUIT, _BUYER_MOVE, _SELLER_MOVE = range(5)
@@ -163,6 +169,12 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
+def _chunk_pairs(rng) -> zip:
+    """CHUNK (log1p(-u_hold), u_pick) pairs from one generator call."""
+    u = rng.random(2 * CHUNK)
+    return zip(map(log1p, (-u[0::2]).tolist()), u[1::2].tolist())
+
+
 def _run(
     params: ModelParams,
     scale: ScalingLevel,
@@ -209,16 +221,10 @@ def _run(
     next_sample = sample_ts[0] if m else inf
     t = 0.0
     n_events = 0
-    buf: list[float] = []
-    pos = 0
-    while t < t_end:
-        if pos + 2 > len(buf):
-            buf = buf[pos:]
-            while len(buf) < 2:
-                buf += rng.random(CHUNK).tolist()
-            pos = 0
+    ranks = range(n)
+    for hold, pick in chain.from_iterable(map(_chunk_pairs, repeat(rng))):
         rate = lam + rqm * (B + S) + rt * M
-        t_next = t - log1p(-buf[pos]) / rate
+        t_next = t - hold / rate
         if t_next >= next_sample:
             while si < m and sample_ts[si] <= t_next:
                 xs.append(b[:])
@@ -232,8 +238,7 @@ def _run(
             raise BudgetExceeded(
                 f"event budget {max_events} exhausted at t={t_next:.6g}"
             )
-        target = buf[pos + 1] * rate
-        pos += 2
+        target = pick * rate
         t = t_next
 
         # walk the canonical order; a target at or past the end fires the
@@ -260,7 +265,7 @@ def _run(
         # last nonempty one, and otherwise the seller alpha block is
         block = rt * M
         if target < block and M:
-            kind, occ, unit = _TRADE, map(min, b, s), rt
+            kind, occ, unit = _TRADE, list(map(min, b, s)), rt
         else:
             target -= block
             block = rq * B
@@ -279,15 +284,15 @@ def _run(
                     else:
                         target -= block
                         kind, occ, unit = _SELLER_MOVE, s, rm
-        # then the level within it; on overshoot, the last occupied one
+        # then the level within it, skipping empty levels; on overshoot,
+        # the last occupied one
         last = -1
-        for k, v in enumerate(occ):
-            if v:
-                w = unit * v
-                if target < w:
-                    break
-                target -= w
-                last = k
+        for k in compress(ranks, occ):
+            w = unit * occ[k]
+            if target < w:
+                break
+            target -= w
+            last = k
         else:
             k = last
 

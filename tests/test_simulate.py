@@ -1,11 +1,13 @@
 """Event-driven simulation: stepping law, conservation, determinism."""
 
 import importlib
+import math
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import ScriptedUniforms
 
 from lobfluid import (
     BudgetExceeded,
@@ -18,9 +20,11 @@ from lobfluid import (
     apply_event,
     empirical_equilibrium,
     enumerate_events,
+    initial_discrete_state,
     simulate,
     step,
 )
+from lobfluid.simulate import DEFAULT_MAX_EVENTS, _run
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -121,9 +125,9 @@ def test_simulate_bit_identical_for_fixed_seed():
 
 
 def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
-    # the engine takes its uniforms CHUNK at a time, and random(a) followed
-    # by random(b) gives the values of random(a + b); both runs draw more
-    # than one real chunk
+    # the engine takes its uniforms CHUNK pairs at a time, and random(a)
+    # followed by random(b) gives the values of random(a + b); both runs
+    # draw more than one real chunk
     engine = importlib.import_module("lobfluid.simulate")
     p = params(n=3, beta=0.2, gamma=2.0)
     runs, equilibria = [], []
@@ -135,7 +139,7 @@ def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
             p, ScalingLevel(200), burn_in=1.0, n_samples=20, sample_gap=0.25,
             seed=4243))
     ref = runs[-1]
-    assert 2 * ref.n_events > engine.CHUNK
+    assert ref.n_events > engine.CHUNK
     for run in runs[:-1]:
         assert run.n_events == ref.n_events
         assert (run.x == ref.x).all() and (run.y == ref.y).all()
@@ -174,6 +178,45 @@ def test_simulate_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         simulate(p, ScalingLevel(100), np.zeros(1), np.zeros(1), 5.0, 0.5,
                  seed=1, max_events=10)
+
+
+def test_budget_boundary_is_the_event_count():
+    # a budget of exactly n_events lets the run finish unchanged; one less
+    # stops it
+    p = params(n=3, beta=0.2, gamma=2.0)
+    run = lambda budget: simulate(p, ScalingLevel(50), np.zeros(3),
+                                  np.zeros(3), 2.0, 0.05, seed=4242,
+                                  max_events=budget)
+    ref = run(DEFAULT_MAX_EVENTS)
+    exact = run(ref.n_events)
+    assert exact.n_events == ref.n_events > 0
+    assert (exact.x == ref.x).all() and (exact.y == ref.y).all()
+    for f in fields(EventCounters):
+        assert np.array_equal(getattr(exact.counters, f.name),
+                              getattr(ref.counters, f.name)), f.name
+    with pytest.raises(BudgetExceeded):
+        run(ref.n_events - 1)
+
+
+@pytest.mark.parametrize("lam_b,lam_s", [(0.5, 0.5), (1.5, 2.5)])
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.39240466433477816,
+                               0.8062153310270436, 0.31645208740449016,
+                               0.7998795260549534])
+def test_holding_time_is_bit_exact(lam_b, lam_s, u):
+    # from the empty book the total rate is exactly lambda_b + lambda_s (a
+    # power of two here, so the division is exact), and the first event
+    # falls at exactly -math.log1p(-u) / rate: a horizon there fires none,
+    # the next double up fires one. The nonzero u values are ones where
+    # numpy's vectorised np.log1p and math.log1p differ in the last bit on
+    # an AVX-512 x86-64 machine.
+    p = params(n=3, lam_b=lam_b, lam_s=lam_s)
+    empty = DiscreteState(np.zeros(3), np.zeros(3))
+    t_first = -math.log1p(-u) / (lam_b + lam_s)
+    t_after = math.nextafter(t_first, math.inf)
+    for t_end, want in ((t_first, 0), (t_after, 1)):
+        _, _, n_events, _, _ = _run(p, ScalingLevel(7), empty, t_end, [],
+                                    ScriptedUniforms([u, 0.25]), 10)
+        assert n_events == want, (t_end, want)
 
 
 def test_samples_are_scaled_lattice_points():
@@ -226,6 +269,11 @@ REPLAY_CASES = {
     "single-level": (params(n=1), 10, [0.6], [0.3], 3.0, 23),
     "trade-heavy": (params(n=4, alpha=0.3, gamma=30.0), 10,
                     [0.8, 0.5, 0.2, 0.0], [0.0, 0.3, 0.4, 0.9], 2.0, 29),
+    # buyers at levels 1-2, sellers at N-1..N, both at one interior level:
+    # the walk skips long runs of empty levels in every block
+    "sparse": (params(n=12, alpha=0.6, beta=0.3, gamma=20.0), 10,
+               [0.8, 0.5, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0],
+               [0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.6, 0.9], 1.5, 37),
 }
 
 
@@ -264,6 +312,25 @@ def test_simulate_equals_stepwise_replay(case):
                               getattr(tally, f.name)), f.name
     for kind, name in TALLY_FIELD.items():
         assert np.sum(getattr(traj.counters, name)) == kinds[kind], kind.name
+
+
+def test_sparse_book_fires_each_event_as_step_does(fire_once):
+    # from the sparse replay case's initial book, a selection uniform at the
+    # middle of each event's share of the rate, and one past the end of the
+    # table, fire the same event in the engine as in step()
+    p, L, x0, y0, _, _ = REPLAY_CASES["sparse"]
+    scale = ScalingLevel(L)
+    state = initial_discrete_state(np.array(x0), np.array(y0), scale)
+    events = enumerate_events(state, p, scale)
+    total = sum(e.rate for e in events)
+    edges = np.cumsum([0.0] + [e.rate for e in events])
+    picks = [(lo + hi) / 2 / total for lo, hi in zip(edges, edges[1:])]
+    assert len(picks) == 15  # 2 arrivals, 1 trade, 3 levels per other block
+    for u in picks + [1 + 1e-12]:
+        got, counters = fire_once(p, scale, state, u)
+        _, _, want = step(state, p, scale, ScriptedUniforms([0.0, u]))
+        assert (got.b == want.b).all() and (got.s == want.s).all(), u
+        assert counters.conserves(state, got)
 
 
 def test_fire_past_table_end_fires_last_event(fire_once):
