@@ -9,7 +9,6 @@ changing the output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,6 +112,9 @@ def fluid_convergence(
         for j in range(replicas)
     ]
     if workers > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_convergence_replica, jobs))
     else:

@@ -17,12 +17,26 @@ most two places away: the Jacobian is banded with lower and upper bandwidth
 2, and LSODA's finite-difference Jacobian costs five right-hand-side
 evaluations and an O(N) factorisation whatever N is.
 
+Every integration is one `scipy.integrate.odeint` call: LSODA steps inside
+Fortran from 0 to the last output time and interpolates onto the requested
+grid there, with `tcrit = tau_max` so that no step passes the span. Only
+the right-hand side runs in Python, and it is written twice, selected by
+the state's size. Up to SCALAR_FLOW_MAX components it computes on Python
+floats, since numpy's per-call dispatch costs more than the arithmetic on
+so few values; above that the numpy form is faster (on a 2-core Xeon the
+crossover lay between 64 and 72 components, and at N = 1000 the float form
+made integration four times slower), so both stay. The two forms make the
+same operations in the same order, with the same tie rule in the min, so
+they agree to the last bit; tests/test_ode.py compares their bytes on both
+sides of the threshold.
+
 scipy is imported only by the functions that integrate, so the solvers and
 the simulator run without loading it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +51,8 @@ DEFAULT_TOL = 1e-9
 STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
 STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
+SCALAR_FLOW_MAX = 64        # state components up to which _flow uses floats
+MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 
 
 def uniform_grid(stop: float, step: float) -> np.ndarray:
@@ -66,8 +82,11 @@ def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
 
     z holds any number of states of 2N components each; every state is
     advanced independently, so one call evaluates a single trajectory or the
-    stacked pair of a comparison check.
+    stacked pair of a comparison check. Small z runs on Python floats
+    (_flow_floats); both forms give the same bits.
     """
+    if z.size <= SCALAR_FLOW_MAX:
+        return _flow_floats(z, p)
     s = z.reshape(-1, p.n_levels, 2)  # (state, level, x/y)
     gain = np.empty_like(s)
     gain[:, 0, 0] = p.lambda_b
@@ -78,18 +97,48 @@ def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
     return (gain - (p.beta + p.alpha) * s - trade).ravel()
 
 
-def _solve(z0: np.ndarray, params: ModelParams, tau_max: float, tol: float,
-           t_eval: np.ndarray | None):
-    """LSODA over [0, tau_max] on packed states with a banded Jacobian."""
-    from scipy.integrate import solve_ivp
+def _flow_floats(z: np.ndarray, p: ModelParams) -> np.ndarray:
+    """_flow's equations one level at a time on Python floats.
+
+    The min takes y on a tie, as numpy's min over the (x, y) axis does, so
+    a signed zero comes out the same.
+    """
+    v = z.tolist()
+    a, bpa, g, lambda_s = p.alpha, p.beta + p.alpha, p.gamma, p.lambda_s
+    width = 2 * p.n_levels
+    out = []
+    for start in range(0, len(v), width):
+        end = start + width
+        x_in = p.lambda_b
+        for k in range(start, end, 2):
+            x = v[k]
+            y = v[k + 1]
+            y_in = a * v[k + 3] if k + 2 < end else lambda_s
+            trade = g * (x if x < y else y)
+            out += (x_in - bpa * x - trade, y_in - bpa * y - trade)
+            x_in = a * x
+    return np.array(out)
+
+
+def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
+           tau_max: float, tol: float) -> tuple[np.ndarray, int]:
+    """LSODA on packed states with a banded Jacobian, reported at taus
+    (which start at 0 and end at most at tau_max); returns the states, one
+    row per output time, and the number of right-hand-side evaluations."""
+    from scipy.integrate import ODEintWarning, odeint
 
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
-    sol = solve_ivp(_flow, (0.0, tau_max), z0, args=(params,),
-                    method="LSODA", lband=band, uband=band,
-                    rtol=tol, atol=tol, t_eval=t_eval)
-    if not sol.success:
-        raise StepUnderflow(sol.message)
-    return sol
+    with warnings.catch_warnings():
+        # odeint reports a failed integration only by this warning
+        warnings.simplefilter("error", ODEintWarning)
+        try:
+            states, info = odeint(_flow, z0, taus, args=(params,), tfirst=True,
+                                  ml=band, mu=band, rtol=tol, atol=tol,
+                                  tcrit=[tau_max], mxstep=MAX_STEPS,
+                                  full_output=True)
+        except ODEintWarning as exc:
+            raise StepUnderflow(str(exc).partition(" Run with")[0]) from None
+    return states, int(info["nfe"][-1])
 
 
 @dataclass
@@ -130,8 +179,9 @@ def integrate(
 ) -> OdeSolution:
     """Integrate the fluid system over [0, tau_max] with rtol = atol = tol.
 
-    With `grid` given, states are reported on it (it must start at 0 and end
-    at tau_max); otherwise the integrator's accepted steps form the grid.
+    With `grid` given, states are reported on it: it must be strictly
+    increasing, start at 0 and end at most at tau_max. Without it, the states
+    at the two endpoints 0 and tau_max are reported.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -143,10 +193,12 @@ def integrate(
     if tau_max == 0.0:
         return OdeSolution(np.array([0.0]), x0[None, :].copy(),
                            y0[None, :].copy(), tol, tol, 0)
-    sol = _solve(_pack(x0, y0), params, tau_max, tol, grid)
-    states = _clamp(sol.y.T, tol).reshape(-1, n, 2)
-    return OdeSolution(sol.t, states[:, :, 0], states[:, :, 1], tol, tol,
-                       sol.nfev)
+    taus = np.array([0.0, tau_max] if grid is None else grid, dtype=np.float64)
+    if taus[0] != 0.0 or taus[-1] > tau_max or (np.diff(taus) <= 0).any():
+        raise ValueError("grid must increase strictly from 0 to at most tau_max")
+    states, nfev = _solve(_pack(x0, y0), params, taus, tau_max, tol)
+    states = _clamp(states, tol).reshape(-1, n, 2)
+    return OdeSolution(taus, states[:, :, 0], states[:, :, 1], tol, tol, nfev)
 
 
 def integrate_until_stationary(
@@ -173,9 +225,7 @@ def integrate_until_stationary(
             return state, True, tau
         if tau >= tau_max:
             return state, False, tau
-        sol = integrate(state.x, state.y, params, STATIONARY_BLOCK,
-                        grid=np.array([0.0, STATIONARY_BLOCK]))
-        state = sol.final
+        state = integrate(state.x, state.y, params, STATIONARY_BLOCK).final
         tau += STATIONARY_BLOCK
 
 
@@ -215,8 +265,8 @@ def check_comparison(
     grid = np.linspace(0.0, tau_max, COMPARISON_GRID)
     z0 = np.concatenate([_pack(pair_a.x, pair_a.y), _pack(pair_b.x, pair_b.y)])
     itol = min(tol / 100.0, DEFAULT_TOL)
-    sol = _solve(z0, params, tau_max, itol, grid)
-    states = sol.y.T.reshape(-1, 2, params.n_levels, 2)  # (tau, pair, level, x/y)
+    states, _ = _solve(z0, params, grid, tau_max, itol)
+    states = states.reshape(-1, 2, params.n_levels, 2)  # (tau, pair, level, x/y)
     a, b = states[:, 0], states[:, 1]
     x_gap = a[..., 0] - b[..., 0]          # should stay <= 0
     y_gap = b[..., 1] - a[..., 1]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 import lobfluid
-from lobfluid import ode
+from lobfluid import cli, ode
 from lobfluid import (
     FluidState,
     HypothesisViolated,
     ModelParams,
+    StepUnderflow,
     check_comparison,
     integrate,
     integrate_until_stationary,
@@ -47,7 +49,7 @@ def levelwise_rhs(x, y, p):
     dx = np.empty(n)
     dy = np.empty(n)
     for k in range(n):
-        trade = p.gamma * min(x[k], y[k])
+        trade = p.gamma * min(y[k], x[k])  # y on a tie, as numpy's min
         inflow_x = p.lambda_b if k == 0 else p.alpha * x[k - 1]
         inflow_y = p.lambda_s if k == n - 1 else p.alpha * y[k + 1]
         dx[k] = inflow_x - bpa * x[k] - trade
@@ -55,37 +57,76 @@ def levelwise_rhs(x, y, p):
     return dx, dy
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
+# both sides of the threshold between _flow's Python-float and numpy forms
+HALF = ode.SCALAR_FLOW_MAX // 2
+FLOW_SIZES = [1, 2, 7, HALF, HALF + 1, 400]
+
+
+def flow_state(rng, n, ties):
+    """Random x, y; with ties, some levels have x == y and some are signed
+    zeros, so the min's tie rule shows in the bytes."""
+    x = rng.uniform(0, 2, n)
+    y = rng.uniform(0, 2, n)
+    if ties:
+        tie = rng.random(n) < 0.3
+        y[tie] = x[tie]
+        # x = -0.0, 0.0 and y = 0.0, -0.0 on levels 1, 2: the tie rule then
+        # picks the sign of dx_2 and dy_1
+        zero = rng.random(n) < 0.5
+        zero[:2] = True
+        signs = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        x[zero] = signs[zero]
+        y[zero] = -signs[zero]
+    return x, y
+
+
+@pytest.mark.parametrize("n", FLOW_SIZES)
 def test_rhs_matches_levelwise_equations(n):
     rng = np.random.default_rng(36 + n)
-    for _ in range(20):
+    for i in range(20):
         p = replace(random_params(rng), n_levels=n)
-        x = rng.uniform(0, 2, n)
-        y = rng.uniform(0, 2, n)
+        x, y = flow_state(rng, n, ties=i % 2 == 1)
         dx, dy = rhs(FluidState(x, y), p)
         want_x, want_y = levelwise_rhs(x, y, p)
         # same operations in the same order, so the results agree exactly
-        assert np.array_equal(dx, want_x) and np.array_equal(dy, want_y)
+        assert dx.tobytes() == want_x.tobytes()
+        assert dy.tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, HALF])
 def test_stacked_flow_equals_separate_evaluations(n):
-    # the comparison check integrates two states through the same equations
+    # the comparison check integrates two states through the same equations;
+    # at n = HALF each state runs on floats and the stacked pair on numpy
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
-    a = ode._pack(rng.uniform(0, 2, n), rng.uniform(0, 2, n))
-    b = ode._pack(rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+    a = ode._pack(*flow_state(rng, n, ties=True))
+    b = ode._pack(*flow_state(rng, n, ties=False))
     stacked = ode._flow(0.0, np.concatenate([a, b]), p)
-    assert np.array_equal(stacked, np.concatenate([ode._flow(0.0, a, p),
-                                                   ode._flow(0.0, b, p)]))
+    separate = np.concatenate([ode._flow(0.0, a, p), ode._flow(0.0, b, p)])
+    assert stacked.tobytes() == separate.tobytes()
+
+
+def test_failed_integration_raises_step_underflow(monkeypatch, tmp_path,
+                                                  capsys):
+    monkeypatch.setattr(ode, "MAX_STEPS", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ODEintWarning may leak
+        with pytest.raises(StepUnderflow, match="Excess work done"):
+            integrate(np.zeros(2), np.zeros(2), params(n=2), 40.0)
+        code = cli.main(["integrate", "--n", "2", "--lambda-b", "1",
+                         "--lambda-s", "1", "--alpha", "1", "--beta", "1",
+                         "--gamma", "1", "--tau-max", "40",
+                         "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "Excess work done" in capsys.readouterr().err
 
 
 def test_single_level_integrate_and_comparison():
     # one level is a 2-component system: the Jacobian band must shrink to 1
     p = params(gamma=3.0)
     sol = integrate(np.array([0.5]), np.array([0.0]), p, 40.0)
-    assert sol.x.shape == sol.y.shape == (len(sol.taus), 1)
-    assert sol.taus[0] == 0.0 and sol.taus[-1] == 40.0
+    assert sol.taus.tolist() == [0.0, 40.0]
+    assert sol.x.shape == sol.y.shape == (2, 1)
     fp = solve_recursive(p)
     assert abs(sol.x[-1, 0] - fp.x_star[0]) < 1e-7
     assert abs(sol.y[-1, 0] - fp.y_star[0]) < 1e-7
@@ -110,9 +151,11 @@ def test_import_and_solve_do_not_load_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
-    code = ("import sys, lobfluid\n"
+    code = ("import sys, lobfluid, lobfluid.cli\n"
             "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            "assert 'concurrent.futures.process' not in sys.modules, "
+            "'the process pool was imported'\n")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -153,6 +196,13 @@ def test_integrate_zero_horizon_single_point():
 def test_integrate_rejects_negative_initial_data():
     with pytest.raises(ValueError):
         integrate(np.array([-0.1]), np.array([0.0]), params(), 1.0)
+
+
+def test_integrate_rejects_grid_outside_span():
+    for grid in ([0.5, 1.0], [0.0, 2.0], [0.0, 0.5, 0.5, 1.0]):
+        with pytest.raises(ValueError):
+            integrate(np.zeros(1), np.zeros(1), params(), 1.0,
+                      grid=np.array(grid))
 
 
 def test_uniform_grid_endpoint_never_overshoots():
