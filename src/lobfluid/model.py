@@ -144,7 +144,14 @@ class FluidState:
 
 
 class EventKind(IntEnum):
-    """Transition kinds. The integer value is the canonical sort rank."""
+    """Transition kinds. The integer value is the canonical block rank.
+
+    `Event.sort_key` orders the levels within a block: trades and the buyer
+    blocks run over levels 1..N, the seller blocks over N..1, so each trader
+    block starts where its traders enter the book. The buyer alpha block
+    ends with the top exit at level N, the seller alpha block with the
+    bottom exit at level 1.
+    """
 
     BUYER_ARRIVAL = 0
     SELLER_ARRIVAL = 1
@@ -153,8 +160,13 @@ class EventKind(IntEnum):
     SELLER_QUIT = 4
     BUYER_MOVE = 5       # level k -> k+1, only for k < N
     BUYER_EXIT_TOP = 6   # alpha-departure at level N
-    SELLER_EXIT_BOTTOM = 7  # alpha-departure at level 1
-    SELLER_MOVE = 8      # level k -> k-1, only for k > 1
+    SELLER_MOVE = 7      # level k -> k-1, only for k > 1
+    SELLER_EXIT_BOTTOM = 8  # alpha-departure at level 1
+
+
+# kinds whose levels are walked N..1 (sellers enter at level N)
+_SELLER_KINDS = frozenset({EventKind.SELLER_QUIT, EventKind.SELLER_MOVE,
+                           EventKind.SELLER_EXIT_BOTTOM})
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,8 @@ class Event:
     rate: float
 
     def sort_key(self) -> tuple[int, int]:
-        return (int(self.kind), self.level or 0)
+        level = self.level or 0
+        return (int(self.kind), -level if self.kind in _SELLER_KINDS else level)
 
 
 def validate_params(raw) -> ModelParams:
@@ -191,8 +204,12 @@ def enumerate_events(
 ) -> list[Event]:
     """Exhaustive, duplicate-free list of positive-rate events.
 
-    Sorted by the canonical key (EventKind rank, level); zero-rate events are
-    omitted. The sum of rates equals
+    Sorted by the canonical key `Event.sort_key`: EventKind rank, then level,
+    ascending for trades and buyers and descending for sellers. Buyers enter
+    at level 1 and sellers at level N, and the stationary profile decays
+    away from each entry level, so a walk over this order meets most of a
+    trader block's rate first. Zero-rate events are omitted. The sum of
+    rates equals
     lambda_b + lambda_s + ((alpha+beta) * (sum b + sum s) + gamma * sum min(b,s)) / L.
     """
     n = params.n_levels

@@ -58,6 +58,9 @@ MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 def uniform_grid(stop: float, step: float) -> np.ndarray:
     """Grid 0, step, 2*step, ... ending at stop; the last point is clamped
     so float round-up cannot push it past the integration span."""
+    for name, v in (("stop", stop), ("step", step)):
+        if not np.isfinite(v):
+            raise ValueError(f"grid {name} must be finite, got {v}")
     if step <= 0 or stop < 0:
         raise ValueError("need step > 0 and stop >= 0")
     m = int(np.floor(stop / step + 1e-9))

@@ -11,19 +11,22 @@ Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
 holding time -log1p(-u)/rate and, if it falls before the horizon, u_(2i)
 for its selection: u times the total rate is walked over the canonical
-order (arrivals, then trades, buyer quits, seller quits, buyer alpha-moves
-with the top exit at level N, seller alpha-moves with the bottom exit at
-level 1, each block over levels 1..N); a target at or past the end (float
-summation) fires the last positive-rate event. The engine takes the stream
-as (holding, selection) pairs, CHUNK pairs (2 * CHUNK uniforms) per
-generator call, so no pair spans two calls; for PCG64, random(a) followed
-by random(b) gives the values of random(a + b), so no output depends on
-CHUNK. The holding column goes through `math.log1p`, never `np.log1p`,
-whose vectorised form differs from it in the last bit on some machines.
-Within a level block the walk skips empty levels; it makes the same
-subtractions in the same order as a walk over every level, so it picks the
-same level. Replica streams are `SeedSequence` spawn keys `(i, j)` (replica
-j at the i-th scaling level).
+order of `model.enumerate_events` (arrivals, then trades, buyer quits,
+seller quits, buyer alpha-moves with the top exit at level N, seller
+alpha-moves with the bottom exit at level 1); a target at or past the end
+(float summation) fires the last positive-rate event. Trades and the buyer
+blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
+and sellers at level N, and the stationary profile decays geometrically
+away from each entry level, so starting there keeps the expected walk
+short at any N. The engine takes the stream as (holding, selection) pairs,
+CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
+calls; for PCG64, random(a) followed by random(b) gives the values of
+random(a + b), so no output depends on CHUNK. The holding column goes
+through `math.log1p`, never `np.log1p`, whose vectorised form differs from
+it in the last bit on some machines. Within a level block the walk skips
+empty levels; it makes the same subtractions in the same order as a walk
+over every level, so it picks the same level. Replica streams are
+`SeedSequence` spawn keys `(i, j)` (replica j at the i-th scaling level).
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -47,6 +50,7 @@ from .model import (
     apply_event,
     enumerate_events,
 )
+from .ode import uniform_grid
 
 __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
@@ -222,6 +226,7 @@ def _run(
     t = 0.0
     n_events = 0
     ranks = range(n)
+    downward = range(top, -1, -1)
     for hold, pick in chain.from_iterable(map(_chunk_pairs, repeat(rng))):
         rate = lam + rqm * (B + S) + rt * M
         t_next = t - hold / rate
@@ -260,41 +265,58 @@ def _run(
             continue
         target -= lam_s
 
-        # pick the level block; on overshoot with no sellers (then B > 0: an
-        # empty book fired the seller arrival) the buyer alpha block is the
-        # last nonempty one, and otherwise the seller alpha block is
+        # pick the level block, then the level within it. On overshoot with
+        # no sellers (then B > 0: an empty book fired the seller arrival)
+        # the buyer alpha block is the last nonempty one, and otherwise the
+        # seller alpha block is; within a block, the last occupied level in
+        # walk order. The walks skip empty levels
         block = rt * M
         if target < block and M:
-            kind, occ, unit = _TRADE, list(map(min, b, s)), rt
+            kind = _TRADE
+            last = -1
+            for k in compress(ranks, map(min, b, s)):
+                w = rt * min(b[k], s[k])
+                if target < w:
+                    break
+                target -= w
+                last = k
+            else:
+                k = last
         else:
             target -= block
             block = rq * B
             if target < block and B:
-                kind, occ, unit = _BUYER_QUIT, b, rq
+                kind, occ, unit, first = _BUYER_QUIT, b, rq, 0
             else:
                 target -= block
                 block = rq * S
                 if target < block and S:
-                    kind, occ, unit = _SELLER_QUIT, s, rq
+                    kind, occ, unit, first = _SELLER_QUIT, s, rq, top
                 else:
                     target -= block
                     block = rm * B
                     if (target < block and B) or not S:
-                        kind, occ, unit = _BUYER_MOVE, b, rm
+                        kind, occ, unit, first = _BUYER_MOVE, b, rm, 0
                     else:
                         target -= block
-                        kind, occ, unit = _SELLER_MOVE, s, rm
-        # then the level within it, skipping empty levels; on overshoot,
-        # the last occupied one
-        last = -1
-        for k in compress(ranks, occ):
-            w = unit * occ[k]
-            if target < w:
-                break
-            target -= w
-            last = k
-        else:
-            k = last
+                        kind, occ, unit, first = _SELLER_MOVE, s, rm, top
+            # a trader block walks from its entry level (1 for buyers, N for
+            # sellers), where most of its rate sits near equilibrium, so
+            # test that level before building a walk; a miss there walks
+            # again from it, making the same comparison and subtraction
+            if target < unit * occ[first]:
+                k = first
+            else:
+                last = -1
+                for k in (compress(downward, reversed(occ)) if first
+                          else compress(ranks, occ)):
+                    w = unit * occ[k]
+                    if target < w:
+                        break
+                    target -= w
+                    last = k
+                else:
+                    k = last
 
         # the +-1 increments; min(b, s) moves with b exactly when b <= s
         # after a buyer arrives, and when b < s after one leaves (mirrored
@@ -381,19 +403,15 @@ def simulate(
     """Simulate the scaled process over tau in [0, tau_max].
 
     The chain runs in unscaled time over [0, tau_max * L]; scaled states are
-    recorded every sample_dt of tau (including tau = 0). Counter conservation
+    recorded at `ode.uniform_grid(tau_max, sample_dt)`: every sample_dt of
+    tau from 0, the last time clamped to tau_max. Counter conservation
     identities are verified exactly before returning.
     """
-    if tau_max < 0:
-        raise ValueError("tau_max must be >= 0")
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be > 0")
+    taus = uniform_grid(tau_max, sample_dt)
     rng = np.random.default_rng(seed)
     init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)
     if init.n_levels != params.n_levels:
         raise ValueError("initial state dimension does not match n_levels")
-    n_samples = int(np.floor(tau_max / sample_dt + 1e-9)) + 1
-    taus = np.arange(n_samples) * sample_dt
     L = float(scale.l)
     sample_ts = [tau * L for tau in taus]
     x, y, n_events, final, counters = _run(

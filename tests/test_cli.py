@@ -189,10 +189,11 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
 
 
 # sha256 of trajectory.csv from the fixed-seed run below; it pins the draw
-# contract introduced in 0.2.0 (simulate.py's docstring), so a change that
-# promises byte-identical output is checked across versions, not only reruns
+# contract (simulate.py's docstring) and the canonical event order of 0.4.0,
+# so a change that promises byte-identical output is checked across
+# versions, not only reruns
 TRAJECTORY_SHA256 = (
-    "2fb16571b56ce3534adc14619aee739bc6f346ef9af1d207f7a04fc093d95a51")
+    "83ae1d7a304fd8c89f8b8d1472bb3613e172d3ef4b0751fdc8fa890d526deb54")
 
 
 def test_simulate_trajectory_golden_digest(tmp_path, capsys):
@@ -202,6 +203,30 @@ def test_simulate_trajectory_golden_digest(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
     assert digest.hexdigest() == TRAJECTORY_SHA256
+
+
+def test_simulate_last_sample_is_the_horizon(tmp_path, capsys):
+    # 3 * 0.1 rounds up past 0.3; the sample grid clamps its last time
+    code, _, _ = run(capsys, ["simulate", "--n", "2", *ONES, "--scale", "10",
+                              "--tau-max", "0.3", "--sample-dt", "0.1",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [0.0, 0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--tau-max", "0.3", "--sample-dt", "inf"], "step"),
+    (["--tau-max", "inf"], "stop"),
+    (["--tau-max", "nan", "--sample-dt", "0.1"], "stop"),
+])
+def test_simulate_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
+    code, _, err = run(capsys, ["simulate", "--n", "2", *ONES, "--scale",
+                                "10", *flags, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"grid {name} must be finite" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):

@@ -106,6 +106,24 @@ def test_enumerate_empty_state_only_arrivals():
     ]
 
 
+def test_enumerate_canonical_order():
+    # each block walks its levels from the side its traders enter: buyer
+    # blocks and trades from level 1 up, seller blocks from level N down,
+    # the seller alpha block ending with the bottom exit
+    state = DiscreteState(np.array([1, 2, 3, 4]), np.array([5, 6, 7, 8]))
+    events = enumerate_events(state, params(n=4), ScalingLevel(3))
+    K = EventKind
+    up, down = [1, 2, 3, 4], [4, 3, 2, 1]
+    assert [(e.kind, e.level) for e in events] == [
+        (K.BUYER_ARRIVAL, None), (K.SELLER_ARRIVAL, None),
+        *((K.TRADE, k) for k in up),
+        *((K.BUYER_QUIT, k) for k in up),
+        *((K.SELLER_QUIT, k) for k in down),
+        *((K.BUYER_MOVE, k) for k in up[:-1]), (K.BUYER_EXIT_TOP, 4),
+        *((K.SELLER_MOVE, k) for k in down[:-1]), (K.SELLER_EXIT_BOTTOM, 1),
+    ]
+
+
 def test_enumerate_sorted_and_duplicate_free():
     rng = np.random.default_rng(3)
     p = params(n=5, alpha=0.7, beta=0.3, gamma=2.0)

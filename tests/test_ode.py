@@ -217,6 +217,10 @@ def test_uniform_grid_endpoint_never_overshoots():
         integrate(np.zeros(1), np.zeros(1), params(), stop, grid=grid)
     with pytest.raises(ValueError):
         uniform_grid(1.0, 0.0)
+    for stop, step, name in ((np.inf, 0.1, "stop"), (np.nan, 0.1, "stop"),
+                             (1.0, np.inf, "step"), (1.0, np.nan, "step")):
+        with pytest.raises(ValueError, match=f"grid {name} must be finite"):
+            uniform_grid(stop, step)
 
 
 def test_integrate_nonnegative_and_bounded():

@@ -23,6 +23,7 @@ from lobfluid import (
     initial_discrete_state,
     simulate,
     step,
+    uniform_grid,
 )
 from lobfluid.simulate import DEFAULT_MAX_EVENTS, _run
 
@@ -106,6 +107,18 @@ def test_simulate_zero_horizon():
     assert traj.n_events == 0
     c = traj.counters
     assert c.buyer_arrivals == 0 and not c.trades.any()
+
+
+def test_sample_times_are_the_uniform_grid():
+    # the sample times follow ode.uniform_grid byte for byte, so the last
+    # one is clamped to the horizon (3 * 0.1 rounds up past 0.3)
+    p = params(n=2)
+    for tau_max, dt in ((0.3, 0.1), (1.0, 0.3), (0.7, 0.1), (2.0, 0.05)):
+        traj = simulate(p, ScalingLevel(10), np.zeros(2), np.zeros(2),
+                        tau_max, dt, seed=5)
+        assert traj.taus.tobytes() == uniform_grid(tau_max, dt).tobytes()
+        assert traj.taus[-1] <= tau_max
+        assert traj.x.shape == (len(traj.taus), 2)
 
 
 def test_simulate_bit_identical_for_fixed_seed():
@@ -274,6 +287,15 @@ REPLAY_CASES = {
     "sparse": (params(n=12, alpha=0.6, beta=0.3, gamma=20.0), 10,
                [0.8, 0.5, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0],
                [0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.6, 0.9], 1.5, 37),
+    # buyers spread from level 1 and sellers from level N over about 30
+    # levels each: long walks upward in the buyer blocks, downward in the
+    # seller blocks
+    "spread": (params(n=34, alpha=1.5, beta=0.2, gamma=0.5), 20,
+               [0.6 * 0.9 ** k for k in range(34)],
+               [0.6 * 0.9 ** (33 - k) for k in range(34)], 0.5, 41),
+    # overlapping books: both sides on every level, so trades walk long runs
+    "overlap": (params(n=20, alpha=0.5, beta=0.3, gamma=30.0), 10,
+                [0.5] * 20, [0.4] * 20, 0.3, 43),
 }
 
 
@@ -331,6 +353,22 @@ def test_sparse_book_fires_each_event_as_step_does(fire_once):
         _, _, want = step(state, p, scale, ScriptedUniforms([0.0, u]))
         assert (got.b == want.b).all() and (got.s == want.s).all(), u
         assert counters.conserves(state, got)
+
+
+@pytest.mark.parametrize("b,s", [([1, 1], [0, 0]), ([0, 0], [1, 1])])
+def test_target_on_entry_level_edge_fires_next_level(fire_once, b, s):
+    # rates chosen so the float walk is exact: the total rate is 4 and the
+    # selection uniform 0.75 leaves a target of exactly 1 at the alpha
+    # block's entry level, whose weight is also 1; the target is not below
+    # it, so the next level in walk order fires (the exit), as in step()
+    p = params(n=2, beta=0.0)
+    scale = ScalingLevel(1)
+    state = DiscreteState(np.array(b), np.array(s))
+    got, counters = fire_once(p, scale, state, 0.75)
+    event, _, want = step(state, p, scale, ScriptedUniforms([0.0, 0.75]))
+    assert event.kind in (EventKind.BUYER_EXIT_TOP, EventKind.SELLER_EXIT_BOTTOM)
+    assert (got.b == want.b).all() and (got.s == want.s).all()
+    assert counters.buyer_exit_top + counters.seller_exit_bottom == 1
 
 
 def test_fire_past_table_end_fires_last_event(fire_once):
