@@ -1,7 +1,7 @@
 """lobfluid: a limit-order-book Markov model, its fluid-limit ODE system,
 and fixed-point solvers for the stationary book profile."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     BadN,

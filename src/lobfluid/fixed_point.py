@@ -31,14 +31,12 @@ implicit sweep against the trial's y: x forward from lambda_b, y backward
 from lambda_s, each scalar equation solved exactly with its min term
 implicit, which keeps every entry nonnegative.
 
-The two solvers share that solve and bracket ell differently.
-solve_shooting bisects over [0, N]. solve_recursive first runs one implicit
-sweep from decoupled starting chains; its iterate has x <= x* and y >= y*,
-so its strict sign count is a lower bound on ell, and it bisects over
-[ell_1, N]. The ODE route (ode.integrate_until_stationary) stays the
-independent check. Every returned point carries its residual, and a
-residual above 1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge
-instead of returning a non-solution.
+solve_shooting and solve_recursive currently run this same solve, bisecting
+ell over [0, N], and return the same bits under their own labels; the ODE
+route (ode.integrate_until_stationary) is the independent check. Every
+returned point carries its residual, and a residual above
+1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge instead of
+returning a non-solution.
 
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
@@ -99,7 +97,7 @@ class FixedPoint:
     other side and sit on a measure-zero regime boundary). regime is "i"
     (ell = N), "ii" (ell = 0) or "iii" (interior crossing). residual is the
     sup-norm defect over all 2N stationary equations; iterations counts the
-    sweeps and crossing-index trials the solver made.
+    crossing-index trials of the bisection.
     """
 
     x_star: np.ndarray
@@ -320,14 +318,12 @@ def _trial(p: ModelParams, ell: int) -> tuple[float, float, float]:
     return num_x / det, num_y / det, log_s
 
 
-def _pattern_solve(
-    p: ModelParams, lo: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fixed point from the crossing index, bisected over [lo, N] with the
+def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fixed point from the crossing index, bisected over [0, N] with the
     pattern sign test; returns (x, y, trials)."""
     n = p.n_levels
     c = p.alpha / (p.alpha + p.beta + p.gamma)
-    hi = n
+    lo, hi = 0, n
     trials = 0
     while True:
         ell = (lo + hi) // 2
@@ -355,33 +351,17 @@ def solve_shooting(params: ModelParams) -> FixedPoint:
 
     Raises ResidualTooLarge if the result misses its residual bound.
     """
-    x, y, trials = _pattern_solve(params, 0)
+    x, y, trials = _pattern_solve(params)
     return _package(x, y, params, "shooting", trials)
 
 
-def _warm_start(p: ModelParams) -> list[float]:
-    """Decoupled seller chain with every min term dropped: an overestimate
-    of y*."""
-    n = p.n_levels
-    y = [0.0] * n
-    y[n - 1] = p.lambda_s / (p.beta + p.alpha)
-    for i in range(n - 2, -1, -1):
-        y[i] = p.alpha * y[i + 1] / (p.beta + p.alpha)
-    return y
-
-
 def solve_recursive(params: ModelParams) -> FixedPoint:
-    """Fixed point by one monotone sweep, then bisection on the crossing
-    index above the sweep's lower bound.
+    """Fixed point by the same crossing-index solve as solve_shooting,
+    labelled "recursive-implicit".
 
-    The sweep starts from the seller overestimate of _warm_start and solves
-    each scalar equation exactly with its min term implicit, so its iterate
-    has x <= x* and y >= y*: every level where x > y lies below the
-    crossing, and their count bounds ell from below. The pattern solve
-    finishes on [ell_1, N]. Raises ResidualTooLarge if the result misses its
+    The two names return the same bits today; the ODE route is the
+    independent check. Raises ResidualTooLarge if the result misses its
     residual bound.
     """
-    x, y = _sweep(_warm_start(params), params)
-    ell_1 = int((x > y).sum())
-    x, y, trials = _pattern_solve(params, ell_1)
-    return _package(x, y, params, "recursive-implicit", 1 + trials)
+    x, y, trials = _pattern_solve(params)
+    return _package(x, y, params, "recursive-implicit", trials)

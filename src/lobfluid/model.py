@@ -146,11 +146,11 @@ class FluidState:
 class EventKind(IntEnum):
     """Transition kinds. The integer value is the canonical block rank.
 
-    `Event.sort_key` orders the levels within a block: trades and the buyer
-    blocks run over levels 1..N, the seller blocks over N..1, so each trader
-    block starts where its traders enter the book. The buyer alpha block
-    ends with the top exit at level N, the seller alpha block with the
-    bottom exit at level 1.
+    Within a block, `enumerate_events` walks trades and the buyer blocks
+    over levels 1..N and the seller blocks over N..1, so each trader block
+    starts where its traders enter the book. The buyer alpha block ends
+    with the top exit at level N, the seller alpha block with the bottom
+    exit at level 1.
     """
 
     BUYER_ARRIVAL = 0
@@ -164,11 +164,6 @@ class EventKind(IntEnum):
     SELLER_EXIT_BOTTOM = 8  # alpha-departure at level 1
 
 
-# kinds whose levels are walked N..1 (sellers enter at level N)
-_SELLER_KINDS = frozenset({EventKind.SELLER_QUIT, EventKind.SELLER_MOVE,
-                           EventKind.SELLER_EXIT_BOTTOM})
-
-
 @dataclass(frozen=True)
 class Event:
     """One enabled transition. level is 1-based; None for arrivals."""
@@ -176,10 +171,6 @@ class Event:
     kind: EventKind
     level: int | None
     rate: float
-
-    def sort_key(self) -> tuple[int, int]:
-        level = self.level or 0
-        return (int(self.kind), -level if self.kind in _SELLER_KINDS else level)
 
 
 def validate_params(raw) -> ModelParams:
@@ -204,12 +195,13 @@ def enumerate_events(
 ) -> list[Event]:
     """Exhaustive, duplicate-free list of positive-rate events.
 
-    Sorted by the canonical key `Event.sort_key`: EventKind rank, then level,
-    ascending for trades and buyers and descending for sellers. Buyers enter
-    at level 1 and sellers at level N, and the stationary profile decays
-    away from each entry level, so a walk over this order meets most of a
-    trader block's rate first. Zero-rate events are omitted. The sum of
-    rates equals
+    Built in the canonical order: EventKind rank, then level, ascending for
+    trades and buyers and descending for sellers (trades 1..N, buyer quits
+    1..N, seller quits N..1, buyer moves 1..N-1 and the top exit, seller
+    moves N..2 and the bottom exit). Buyers enter at level 1 and sellers at
+    level N, and the stationary profile decays away from each entry level,
+    so a walk over this order meets most of a trader block's rate first.
+    Zero-rate events are omitted. The sum of rates equals
     lambda_b + lambda_s + ((alpha+beta) * (sum b + sum s) + gamma * sum min(b,s)) / L.
     """
     n = params.n_levels
@@ -233,7 +225,7 @@ def enumerate_events(
         for k in range(n):
             if b[k] > 0:
                 events.append(Event(EventKind.BUYER_QUIT, k + 1, rq * b[k]))
-        for k in range(n):
+        for k in range(n - 1, -1, -1):
             if s[k] > 0:
                 events.append(Event(EventKind.SELLER_QUIT, k + 1, rq * s[k]))
     for k in range(n - 1):
@@ -241,12 +233,11 @@ def enumerate_events(
             events.append(Event(EventKind.BUYER_MOVE, k + 1, rm * b[k]))
     if b[n - 1] > 0:
         events.append(Event(EventKind.BUYER_EXIT_TOP, n, rm * b[n - 1]))
-    if s[0] > 0:
-        events.append(Event(EventKind.SELLER_EXIT_BOTTOM, 1, rm * s[0]))
-    for k in range(1, n):
+    for k in range(n - 1, 0, -1):
         if s[k] > 0:
             events.append(Event(EventKind.SELLER_MOVE, k + 1, rm * s[k]))
-    events.sort(key=Event.sort_key)
+    if s[0] > 0:
+        events.append(Event(EventKind.SELLER_EXIT_BOTTOM, 1, rm * s[0]))
     return events
 
 

@@ -155,9 +155,6 @@ class OdeSolution:
     atol: float
     n_rhs_evals: int
 
-    def state_at(self, i: int) -> FluidState:
-        return FluidState(self.x[i], self.y[i])
-
     @property
     def final(self) -> FluidState:
         return FluidState(self.x[-1], self.y[-1])

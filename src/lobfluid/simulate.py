@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from math import inf, log1p
+from math import inf, isfinite, log1p
 
 import numpy as np
 
@@ -134,9 +134,6 @@ class Trajectory:
     scale: ScalingLevel
     seed: int | np.random.SeedSequence
     n_events: int
-
-    def state_at(self, i: int) -> FluidState:
-        return FluidState(self.x[i], self.y[i])
 
 
 def initial_discrete_state(
@@ -443,8 +440,9 @@ def empirical_equilibrium(
     burn-in period; ergodicity makes the starting state irrelevant for long
     enough burn-in, which is the only equilibrium approximation used here.
     """
-    if burn_in <= 0 or sample_gap <= 0:
-        raise ValueError("burn_in and sample_gap must be > 0")
+    for name, v in (("burn_in", burn_in), ("sample_gap", sample_gap)):
+        if not (isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if n_samples == 0:

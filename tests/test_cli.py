@@ -205,6 +205,39 @@ def test_simulate_trajectory_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == TRAJECTORY_SHA256
 
 
+# sha256 of the solver CSVs: the README's `solve` and `sweep` arguments, and
+# an N = 40 solve whose bisection takes several crossing-index trials. Both
+# solver files hold the same bytes (the CSV carries no solver label).
+SOLVE_SHA256 = {
+    "2": "7f6c1b8bfd9346e338deffef5864981140e66d8cb6fc5ef632fe5a7aa4054a04",
+    "40": "3681fd282f31bd05aab8cec86d2a4918642a0d905640ab16b712d09d074326b6",
+}
+SWEEP_SHA256 = (
+    "81871f40aba7f12ed0414dd1f281defbee9cbcc5a80ce7db7579b95781ccef5c")
+
+
+@pytest.mark.parametrize("n,rates", [
+    ("2", ONES),
+    ("40", ["--lambda-b", "3", "--lambda-s", "0.5", "--alpha", "1",
+            "--beta", "0.2", "--gamma", "4"]),
+])
+def test_solve_golden_digests(tmp_path, capsys, n, rates):
+    code, _, _ = run(capsys, ["solve", "--n", n, *rates, "--method", "both",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    for name in ("fixed_point_recursive.csv", "fixed_point_shooting.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == SOLVE_SHA256[n], name
+
+
+def test_sweep_golden_digest(tmp_path, capsys):
+    code, _, _ = run(capsys, ["sweep", "--n", "2", *ONES, "--lambda-s-values",
+                              "0.5,1,2,5,10,20", "--out-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes())
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
 def test_simulate_last_sample_is_the_horizon(tmp_path, capsys):
     # 3 * 0.1 rounds up past 0.3; the sample grid clamps its last time
     code, _, _ = run(capsys, ["simulate", "--n", "2", *ONES, "--scale", "10",
@@ -227,6 +260,21 @@ def test_simulate_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
     assert code == 2
     assert f"grid {name} must be finite" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--burn-in", "1", "--sample-gap", "nan"], "sample_gap"),
+    (["--burn-in", "1", "--sample-gap", "inf"], "sample_gap"),
+    (["--burn-in", "inf", "--sample-gap", "0.5"], "burn_in"),
+])
+def test_equilibrium_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
+    # a non-finite horizon would run the chain to the event budget
+    code, _, err = run(capsys, ["equilibrium", "--n", "2", *ONES, "--levels",
+                                "10", "--n-samples", "2", *flags,
+                                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{name} must be finite" in err
+    assert not (tmp_path / "equilibrium.csv").exists()
 
 
 def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):

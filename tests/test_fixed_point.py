@@ -365,9 +365,9 @@ def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
 
 def test_non_solution_raises(monkeypatch):
     p = params(n=3)
-    x, y, _ = fixed_point._pattern_solve(p, 0)
+    x, y, _ = fixed_point._pattern_solve(p)
     monkeypatch.setattr(fixed_point, "_pattern_solve",
-                        lambda p, lo: (x * 1.01, y, 1))
+                        lambda p: (x * 1.01, y, 1))
     with pytest.raises(ResidualTooLarge):
         solve_shooting(p)
     with pytest.raises(ResidualTooLarge):

@@ -125,12 +125,20 @@ def test_enumerate_canonical_order():
 
 
 def test_enumerate_sorted_and_duplicate_free():
+    # canonical key: block rank, then level, seller blocks walked N..1
+    seller = {EventKind.SELLER_QUIT, EventKind.SELLER_MOVE,
+              EventKind.SELLER_EXIT_BOTTOM}
+
+    def key(e):
+        level = e.level or 0
+        return int(e.kind), -level if e.kind in seller else level
+
     rng = np.random.default_rng(3)
     p = params(n=5, alpha=0.7, beta=0.3, gamma=2.0)
     for _ in range(50):
         state = DiscreteState(rng.integers(0, 6, 5), rng.integers(0, 6, 5))
         events = enumerate_events(state, p, ScalingLevel(4))
-        keys = [e.sort_key() for e in events]
+        keys = [key(e) for e in events]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
         assert all(e.rate > 0 for e in events)

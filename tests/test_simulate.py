@@ -258,6 +258,17 @@ def test_empirical_equilibrium_no_samples():
     assert empirical_equilibrium(params(), ScalingLevel(10), 1.0, 0, 1.0, 3) == []
 
 
+@pytest.mark.parametrize("burn_in,gap,name", [
+    (1.0, math.nan, "sample_gap"),
+    (1.0, math.inf, "sample_gap"),
+    (math.inf, 0.5, "burn_in"),
+    (math.nan, 0.5, "burn_in"),
+])
+def test_empirical_equilibrium_rejects_nonfinite_times(burn_in, gap, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        empirical_equilibrium(params(), ScalingLevel(10), burn_in, 2, gap, 3)
+
+
 # EventCounters field that tallies each event kind (per-level arrays are
 # indexed by the 0-based source level)
 TALLY_FIELD = {
