@@ -348,7 +348,7 @@ def cmd_converge(eff: Effective) -> int:
     output.write_convergence_csv(out / "convergence.csv", report)
     output.write_manifest(out / "manifest.json", eff.echo(params, {
         "levels": levels, "tau_horizon": T, "replicas": replicas,
-        "grid_step": report.metadata["grid_step"], "workers": workers,
+        "grid_step": report.grid_step, "workers": workers,
         "x0": x0, "y0": y0,
         "quartiles": {str(k): v for k, v in report.quartiles.items()},
     }))
@@ -372,7 +372,7 @@ def cmd_equilibrium(eff: Effective) -> int:
     output.write_manifest(out / "manifest.json", eff.echo(params, {
         "levels": levels, "burn_in": burn_in, "n_samples": n_samples,
         "sample_gap": sample_gap,
-        "fixed_point_solver": report.metadata["fixed_point_solver"],
+        "fixed_point_solver": report.fixed_point.solver,
         "quartiles": {str(k): v for k, v in report.quartiles.items()},
     }))
     for lv in levels:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import solve_recursive
+from .fixed_point import FixedPoint, solve_recursive
 from .model import ModelParams, ScalingLevel
 from .ode import integrate, uniform_grid
 from .simulate import simulate, empirical_equilibrium
@@ -28,14 +28,16 @@ class ConvergenceReport:
 
     rows: one (L, index, seed_label, distance) tuple per replica or
     equilibrium sample, in deterministic order. quartiles: L -> (q25, q50,
-    q75) of the distances at that level.
+    q75) of the distances at that level. grid_step is the shared ODE grid's
+    step of a convergence study; fixed_point is the target an equilibrium
+    study measured against.
     """
 
-    kind: str  # "fluid_convergence" or "equilibrium_concentration"
     levels: list[int]
     rows: list[tuple[int, int, str, float]]
     quartiles: dict[int, tuple[float, float, float]]
-    metadata: dict
+    grid_step: float | None = None
+    fixed_point: FixedPoint | None = None
 
     def distances(self, level: int) -> np.ndarray:
         return np.array([r[3] for r in self.rows if r[0] == level])
@@ -55,7 +57,6 @@ class SweepReport:
     lambda_s_values: list[float]
     rows: list[tuple[float, int, str, float, float]]
     saturation_onset: float | None
-    metadata: dict
 
 
 def _seed_label(master_seed: int, *key: int) -> str:
@@ -119,7 +120,6 @@ def fluid_convergence(
             results = list(pool.map(_convergence_replica, jobs))
     else:
         results = [_convergence_replica(job) for job in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
 
     rows = [
         (levels[i], j, _seed_label(master_seed, i, j), d) for i, j, d in results
@@ -129,17 +129,7 @@ def fluid_convergence(
         d = np.array([r[2] for r in results if r[0] == i])
         q25, q50, q75 = np.percentile(d, [25, 50, 75])
         quartiles[level] = (float(q25), float(q50), float(q75))
-    meta = {
-        "params": params,
-        "x0": x0.tolist(),
-        "y0": y0.tolist(),
-        "T": T,
-        "grid_step": dt,
-        "replicas": replicas,
-        "master_seed": master_seed,
-    }
-    return ConvergenceReport("fluid_convergence", list(levels), rows,
-                             quartiles, meta)
+    return ConvergenceReport(list(levels), rows, quartiles, grid_step=dt)
 
 
 def equilibrium_concentration(
@@ -172,17 +162,7 @@ def equilibrium_concentration(
         if d.size:
             q25, q50, q75 = np.percentile(d, [25, 50, 75])
             quartiles[level] = (float(q25), float(q50), float(q75))
-    meta = {
-        "params": params,
-        "burn_in": burn_in,
-        "n_samples": n_samples,
-        "sample_gap": sample_gap,
-        "master_seed": master_seed,
-        "fixed_point_solver": fp.solver,
-        "fixed_point_residual": fp.residual,
-    }
-    return ConvergenceReport("equilibrium_concentration", list(levels), rows,
-                             quartiles, meta)
+    return ConvergenceReport(list(levels), rows, quartiles, fixed_point=fp)
 
 
 def overproduction_sweep(
@@ -206,5 +186,4 @@ def overproduction_sweep(
         rows.append((v, fp.ell, fp.regime, fp.trade_volume, fp.residual))
         if fp.ell == 0 and onset is None:
             onset = v
-    meta = {"params": params}
-    return SweepReport(values, rows, onset, meta)
+    return SweepReport(values, rows, onset)

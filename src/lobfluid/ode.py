@@ -151,8 +151,6 @@ class OdeSolution:
     taus: np.ndarray
     x: np.ndarray  # shape (len(taus), N)
     y: np.ndarray
-    rtol: float
-    atol: float
     n_rhs_evals: int
 
     @property
@@ -188,17 +186,22 @@ def integrate(
     n = params.n_levels
     if x0.shape != (n,) or y0.shape != (n,):
         raise ValueError("initial data dimension does not match n_levels")
+    for name, v in (("x0", x0), ("y0", y0)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
     if (x0 < 0).any() or (y0 < 0).any():
         raise ValueError("initial data must be nonnegative")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if tau_max == 0.0:
         return OdeSolution(np.array([0.0]), x0[None, :].copy(),
-                           y0[None, :].copy(), tol, tol, 0)
+                           y0[None, :].copy(), 0)
     taus = np.array([0.0, tau_max] if grid is None else grid, dtype=np.float64)
     if taus[0] != 0.0 or taus[-1] > tau_max or (np.diff(taus) <= 0).any():
         raise ValueError("grid must increase strictly from 0 to at most tau_max")
     states, nfev = _solve(_pack(x0, y0), params, taus, tau_max, tol)
     states = _clamp(states, tol).reshape(-1, n, 2)
-    return OdeSolution(taus, states[:, :, 0], states[:, :, 1], tol, tol, nfev)
+    return OdeSolution(taus, states[:, :, 0], states[:, :, 1], nfev)
 
 
 def integrate_until_stationary(

@@ -3,15 +3,15 @@
 Floats are written with 17 significant digits so CSV round-trips reproduce
 the binary values exactly; line endings are fixed to '\\n' and nothing
 time-dependent is ever written, so identical runs produce identical bytes.
-State matrices (trajectories and ODE solutions) are streamed one row at a
-time through the row format "%.17g,%.17g,...\\n" (1 + 2N fields: tau, x,
-y); `%.17g` is the same C formatting as `format(v, ".17g")`, so these files
-have the bytes `write_csv` would give them.
+Every CSV goes through one row format per file, applied with `%` one row
+at a time: `%.17g` for floats (the same C formatting as
+`format(v, ".17g")`), `%d` for integers and `%s` for labels, which never
+hold a comma, quote or newline. State matrices (trajectories and ODE
+solutions) use "%.17g,%.17g,...\\n" (1 + 2N fields: tau, x, y).
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -24,20 +24,14 @@ from .ode import OdeSolution
 from .simulate import Trajectory
 
 
-def fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def write_csv(path, header: list[str], rows) -> None:
+def _write_rows(path, header: list[str], line: str, rows) -> None:
+    """The header, then `line % row` for each row (a tuple)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            fh.write(line % row)
 
 
 def _jsonable(obj):
@@ -80,12 +74,9 @@ def _write_states_csv(path, taus, x, y) -> None:
     at a time, so the whole matrix never is."""
     n = x.shape[1]
     line = ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(state_header(n)) + "\n")
-        for tau, x_row, y_row in zip(taus.tolist(), x, y):
-            fh.write(line % (tau, *x_row.tolist(), *y_row.tolist()))
+    rows = ((tau, *x_row.tolist(), *y_row.tolist())
+            for tau, x_row, y_row in zip(taus.tolist(), x, y))
+    _write_rows(path, state_header(n), line, rows)
 
 
 def write_solution_csv(path, sol: OdeSolution) -> None:
@@ -103,20 +94,21 @@ def write_fixed_point_csv(path, fp: FixedPoint, gamma: float) -> None:
     for k in range(fp.x_star.shape[0]):
         m = float(mins[k])
         cum += gamma * m
-        rows.append([k + 1, fp.x_star[k], fp.y_star[k], m, cum])
-    write_csv(path, ["level", "x_star", "y_star", "min_xy",
-                     "cum_trade_volume"], rows)
+        rows.append((k + 1, fp.x_star[k], fp.y_star[k], m, cum))
+    _write_rows(path, ["level", "x_star", "y_star", "min_xy",
+                       "cum_trade_volume"], "%d,%.17g,%.17g,%.17g,%.17g\n", rows)
 
 
 def write_convergence_csv(path, report: ConvergenceReport) -> None:
-    write_csv(path, ["L", "replica", "seed", "sup_dist"], report.rows)
+    _write_rows(path, ["L", "replica", "seed", "sup_dist"],
+                "%d,%d,%s,%.17g\n", report.rows)
 
 
 def write_equilibrium_csv(path, report: ConvergenceReport) -> None:
     rows = ((level, idx, dist) for level, idx, _seed, dist in report.rows)
-    write_csv(path, ["L", "sample_idx", "dist"], rows)
+    _write_rows(path, ["L", "sample_idx", "dist"], "%d,%d,%.17g\n", rows)
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:
-    write_csv(path, ["lambda_s", "ell", "regime", "trade_volume", "residual"],
-              report.rows)
+    _write_rows(path, ["lambda_s", "ell", "regime", "trade_volume", "residual"],
+                "%.17g,%d,%s,%.17g,%.17g\n", report.rows)

@@ -23,9 +23,11 @@ CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
 through `math.log1p`, never `np.log1p`, whose vectorised form differs from
-it in the last bit on some machines. Within a level block the walk skips
-empty levels; it makes the same subtractions in the same order as a walk
-over every level, so it picks the same level. Replica streams are
+it in the last bit on some machines. One level walk serves all five level
+blocks (trades, quits and alpha-moves of either side): it tests the
+block's first level in walk order, then skips empty levels, making the
+same subtractions in the same order as a walk over every level, so it
+picks the same level. Replica streams are
 `SeedSequence` spawn keys `(i, j)` (replica j at the i-th scaling level).
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
@@ -131,8 +133,6 @@ class Trajectory:
     initial_state: DiscreteState
     final_state: DiscreteState
     counters: EventCounters
-    scale: ScalingLevel
-    seed: int | np.random.SeedSequence
     n_events: int
 
 
@@ -144,6 +144,9 @@ def initial_discrete_state(
     L = scale.l
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
+    for name, v in (("x0", x0), ("y0", y0)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
     return DiscreteState(np.floor(L * x0 + 0.5).astype(np.int64),
                          np.floor(L * y0 + 0.5).astype(np.int64))
 
@@ -262,23 +265,15 @@ def _run(
             continue
         target -= lam_s
 
-        # pick the level block, then the level within it. On overshoot with
-        # no sellers (then B > 0: an empty book fired the seller arrival)
-        # the buyer alpha block is the last nonempty one, and otherwise the
-        # seller alpha block is; within a block, the last occupied level in
-        # walk order. The walks skip empty levels
+        # pick the level block (its per-level occupancies occ, per-unit
+        # rate and first level in walk order), then the level within it. On
+        # overshoot with no sellers (then B > 0: an empty book fired the
+        # seller arrival) the buyer alpha block is the last nonempty one,
+        # and otherwise the seller alpha block is; within a block, the last
+        # occupied level in walk order
         block = rt * M
         if target < block and M:
-            kind = _TRADE
-            last = -1
-            for k in compress(ranks, map(min, b, s)):
-                w = rt * min(b[k], s[k])
-                if target < w:
-                    break
-                target -= w
-                last = k
-            else:
-                k = last
+            kind, occ, unit, first = _TRADE, list(map(min, b, s)), rt, 0
         else:
             target -= block
             block = rq * B
@@ -297,23 +292,25 @@ def _run(
                     else:
                         target -= block
                         kind, occ, unit, first = _SELLER_MOVE, s, rm, top
-            # a trader block walks from its entry level (1 for buyers, N for
-            # sellers), where most of its rate sits near equilibrium, so
-            # test that level before building a walk; a miss there walks
-            # again from it, making the same comparison and subtraction
-            if target < unit * occ[first]:
-                k = first
+        # the walk starts at the block's first level (1 for trades and the
+        # buyer blocks, N for the seller blocks); a trader block's first
+        # level is its entry level, where most of its rate sits near
+        # equilibrium, so test that level before building a walk. A miss
+        # there walks again from it, making the same comparison and
+        # subtraction; the walk skips empty levels
+        if target < unit * occ[first]:
+            k = first
+        else:
+            last = -1
+            for k in (compress(downward, reversed(occ)) if first
+                      else compress(ranks, occ)):
+                w = unit * occ[k]
+                if target < w:
+                    break
+                target -= w
+                last = k
             else:
-                last = -1
-                for k in (compress(downward, reversed(occ)) if first
-                          else compress(ranks, occ)):
-                    w = unit * occ[k]
-                    if target < w:
-                        break
-                    target -= w
-                    last = k
-                else:
-                    k = last
+                k = last
 
         # the +-1 increments; min(b, s) moves with b exactly when b <= s
         # after a buyer arrives, and when b < s after one leaves (mirrored
@@ -420,8 +417,6 @@ def simulate(
         initial_state=init,
         final_state=final,
         counters=counters,
-        scale=scale,
-        seed=seed,
         n_events=n_events,
     )
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,42 @@ def test_equilibrium_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
     assert code == 2
     assert f"{name} must be finite" in err
     assert not (tmp_path / "equilibrium.csv").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--tol", "inf"], "tol must be finite and > 0, got inf"),
+    (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
+    (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+    (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
+    (["--x0", "inf,0"], "x0 must be finite, got [inf, 0.0]"),
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "x0-nan", "x0-inf"])
+def test_integrate_bad_tol_or_initial_data_exit_2(tmp_path, capsys, flags,
+                                                  message):
+    # LSODA would return a non-solution for a non-finite tol or initial
+    # data, and reject a tol <= 0 as an internal error
+    code, _, err = run(capsys, ["integrate", "--n", "2", *ONES, "--tau-max",
+                                "5", *flags, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
+    (["--y0", "0,inf"], "y0 must be finite, got [0.0, inf]"),
+], ids=["x0-nan", "y0-inf"])
+def test_simulate_nonfinite_initial_data_exit_2(tmp_path, capsys, flags,
+                                                message):
+    # rejected before the cast to integer occupancies, which would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["simulate", "--n", "2", *ONES, "--scale",
+                                    "10", "--tau-max", "1", *flags,
+                                    "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):

@@ -366,20 +366,30 @@ def test_sparse_book_fires_each_event_as_step_does(fire_once):
         assert counters.conserves(state, got)
 
 
-@pytest.mark.parametrize("b,s", [([1, 1], [0, 0]), ([0, 0], [1, 1])])
+@pytest.mark.parametrize("b,s", [([1, 1], [0, 0]), ([0, 0], [1, 1]),
+                                 ([1, 1], [1, 1])])
 def test_target_on_entry_level_edge_fires_next_level(fire_once, b, s):
-    # rates chosen so the float walk is exact: the total rate is 4 and the
-    # selection uniform 0.75 leaves a target of exactly 1 at the alpha
-    # block's entry level, whose weight is also 1; the target is not below
-    # it, so the next level in walk order fires (the exit), as in step()
+    # rates chosen so the float walk is exact: the total rate is 4 with one
+    # side's book, 8 with both, and the selection uniform leaves a target of
+    # exactly 1 at the entry level of the alpha block (one side) or of the
+    # trade block (both), whose weight is also 1; the target is not below
+    # it, so the next level in walk order fires, as in step()
+    both = any(b) and any(s)
+    u = 0.375 if both else 0.75
+    kind = (EventKind.TRADE if both else EventKind.BUYER_EXIT_TOP if any(b)
+            else EventKind.SELLER_EXIT_BOTTOM)
     p = params(n=2, beta=0.0)
     scale = ScalingLevel(1)
     state = DiscreteState(np.array(b), np.array(s))
-    got, counters = fire_once(p, scale, state, 0.75)
-    event, _, want = step(state, p, scale, ScriptedUniforms([0.0, 0.75]))
-    assert event.kind in (EventKind.BUYER_EXIT_TOP, EventKind.SELLER_EXIT_BOTTOM)
+    got, counters = fire_once(p, scale, state, u)
+    event, _, want = step(state, p, scale, ScriptedUniforms([0.0, u]))
+    assert event.kind == kind
     assert (got.b == want.b).all() and (got.s == want.s).all()
-    assert counters.buyer_exit_top + counters.seller_exit_bottom == 1
+    tally = getattr(counters, TALLY_FIELD[kind])
+    if isinstance(tally, np.ndarray):
+        assert event.level == 2 and tally.tolist() == [0, 1]
+    else:
+        assert tally == 1
 
 
 def test_fire_past_table_end_fires_last_event(fire_once):
