@@ -17,26 +17,40 @@ most two places away: the Jacobian is banded with lower and upper bandwidth
 2, and LSODA's finite-difference Jacobian costs five right-hand-side
 evaluations and an O(N) factorisation whatever N is.
 
-Every integration is one `scipy.integrate.odeint` call: LSODA steps inside
-Fortran from 0 to the last output time and interpolates onto the requested
-grid there, with `tcrit = tau_max` so that no step passes the span. Only
-the right-hand side runs in Python, and it is written twice, selected by
-the state's size. Up to SCALAR_FLOW_MAX components it computes on Python
-floats, since numpy's per-call dispatch costs more than the arithmetic on
-so few values; above that the numpy form is faster (on a 2-core Xeon the
-crossover lay between 64 and 72 components, and at N = 1000 the float form
-made integration four times slower), so both stay. The two forms make the
-same operations in the same order, with the same tie rule in the min, so
-they agree to the last bit; tests/test_ode.py compares their bytes on both
-sides of the threshold.
+Every integration is one call of LSODA's `odeint` entry point: LSODA steps
+inside Fortran from 0 to the last output time and interpolates onto the
+requested grid there, with `tcrit = tau_max` so that no step passes the
+span. Only the right-hand side runs in Python, and it is written twice,
+selected by the state's size. Up to SCALAR_FLOW_MAX components it computes
+on Python floats, since numpy's per-call dispatch costs more than the
+arithmetic on so few values; above that the numpy form is faster (on a
+2-core Xeon the crossover lay between 64 and 72 components, and at N = 1000
+the float form made integration four times slower), so both stay. The two
+forms make the same operations in the same order, with the same tie rule in
+the min, so they agree to the last bit; tests/test_ode.py compares their
+bytes on both sides of the threshold.
 
-scipy is imported only by the functions that integrate, so the solvers and
-the simulator run without loading it.
+LSODA is called through scipy's compiled ODEPACK module,
+`scipy.integrate._odepack`, which `_lsoda` loads on its own from the
+scipy.integrate directory. Importing the public `scipy.integrate.odeint`
+runs the package's `__init__`, which loads some 580 modules (345 of them
+scipy's: special, optimize, sparse.linalg, linalg, fft, ...) for about 40
+MiB of memory and half a second; the extension alone loads in milliseconds.
+`_solve` passes it the arguments the public wrapper passes, so the results
+are the same bits, and checks LSODA's return code itself: a negative
+`istate` raises StepUnderflow with LSODA's message for it.
+tests/test_ode.py pins `_solve` to the public `odeint` bit for bit.
+
+scipy is loaded only by the functions that integrate, so the solvers and
+the simulator run without it.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +67,19 @@ STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
 SCALAR_FLOW_MAX = 64        # state components up to which _flow uses floats
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
+
+ODEPACK = "scipy.integrate._odepack"
+# LSODA's failure codes (istate < 0), with the messages scipy's odeint gives
+LSODA_ERRORS = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
 
 
 def uniform_grid(stop: float, step: float) -> np.ndarray:
@@ -123,24 +150,54 @@ def _flow_floats(z: np.ndarray, p: ModelParams) -> np.ndarray:
     return np.array(out)
 
 
+@functools.cache
+def _lsoda():
+    """scipy's compiled ODEPACK module, without the scipy.integrate package.
+
+    An already imported copy is reused. Otherwise find_spec locates the
+    package directory without running its __init__, and only the extension
+    module is loaded from there.
+    """
+    if ODEPACK in sys.modules:
+        return sys.modules[ODEPACK]
+    package = importlib.util.find_spec("scipy.integrate")
+    finder = importlib.machinery.FileFinder(
+        package.submodule_search_locations[0],
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(ODEPACK)
+    if spec is None:
+        raise ModuleNotFoundError(f"no {ODEPACK} extension in {finder.path}",
+                                  name=ODEPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
            tau_max: float, tol: float) -> tuple[np.ndarray, int]:
     """LSODA on packed states with a banded Jacobian, reported at taus
     (which start at 0 and end at most at tau_max); returns the states, one
-    row per output time, and the number of right-hand-side evaluations."""
-    from scipy.integrate import ODEintWarning, odeint
+    row per output time, and the number of right-hand-side evaluations.
 
+    The positional arguments are those scipy.integrate.odeint passes for
+    `odeint(_flow, z0, taus, args=(params,), tfirst=True, ml=band, mu=band,
+    rtol=tol, atol=tol, tcrit=[tau_max], mxstep=MAX_STEPS,
+    full_output=True)`, on copies of z0 and taus, since LSODA integrates in
+    the state array it is given. A negative istate, LSODA's only report of
+    a failed integration, raises StepUnderflow.
+    """
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
-    with warnings.catch_warnings():
-        # odeint reports a failed integration only by this warning
-        warnings.simplefilter("error", ODEintWarning)
-        try:
-            states, info = odeint(_flow, z0, taus, args=(params,), tfirst=True,
-                                  ml=band, mu=band, rtol=tol, atol=tol,
-                                  tcrit=[tau_max], mxstep=MAX_STEPS,
-                                  full_output=True)
-        except ODEintWarning as exc:
-            raise StepUnderflow(str(exc).partition(" Run with")[0]) from None
+    states, info, istate = _lsoda().odeint(
+        _flow, z0.copy(), taus.copy(), (params,),
+        None, 0,              # Dfun, col_deriv: finite-difference Jacobian
+        band, band, 1,        # ml, mu, full_output
+        tol, tol, [tau_max],  # rtol, atol, tcrit
+        0.0, 0.0, 0.0, 0,     # h0, hmax, hmin, ixpr
+        MAX_STEPS, 0, 12, 5,  # mxstep, mxhnil, mxordn, mxords
+        1)                    # tfirst
+    if istate < 0:
+        raise StepUnderflow(LSODA_ERRORS[istate])
     return states, int(info["nfe"][-1])
 
 

@@ -140,13 +140,21 @@ def initial_discrete_state(
     x0: np.ndarray, y0: np.ndarray, scale: ScalingLevel
 ) -> DiscreteState:
     """Round half-up of L*x0, L*y0 (the fluid limit only needs the initial
-    states to converge in probability, so any consistent rounding works)."""
+    states to converge in probability, so any consistent rounding works).
+
+    Raises ValueError unless every |L*x0|, |L*y0| is below 2**62, so the
+    rounded counts fit in int64.
+    """
     L = scale.l
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     for name, v in (("x0", x0), ("y0", y0)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite, got {v.tolist()}")
+        # divided, not multiplied, so a huge value cannot overflow to inf
+        if (np.abs(v) >= 2.0**62 / L).any():
+            raise ValueError(f"{name} times the scale L = {L} must stay below "
+                             f"2**62 in size, got {name} = {v.tolist()}")
     return DiscreteState(np.floor(L * x0 + 0.5).astype(np.int64),
                          np.floor(L * y0 + 0.5).astype(np.int64))
 

@@ -300,7 +300,9 @@ def test_integrate_bad_tol_or_initial_data_exit_2(tmp_path, capsys, flags,
 @pytest.mark.parametrize("flags,message", [
     (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
     (["--y0", "0,inf"], "y0 must be finite, got [0.0, inf]"),
-], ids=["x0-nan", "y0-inf"])
+    (["--x0", "1e18,0"], "x0 times the scale L = 10 must stay below 2**62"),
+    (["--y0", "0,1e300"], "got y0 = [0.0, 1e+300]"),
+], ids=["x0-nan", "y0-inf", "x0-huge", "y0-huge"])
 def test_simulate_nonfinite_initial_data_exit_2(tmp_path, capsys, flags,
                                                 message):
     # rejected before the cast to integer occupancies, which would warn

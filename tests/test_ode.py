@@ -106,6 +106,120 @@ def test_stacked_flow_equals_separate_evaluations(n):
     assert stacked.tobytes() == separate.tobytes()
 
 
+def public_solve(z0, p, taus, tau_max, tol):
+    """ode._solve's integration through scipy's public odeint wrapper."""
+    from scipy.integrate import odeint
+
+    band = min(2, z0.size - 1)
+    states, info = odeint(ode._flow, z0, taus, args=(p,), tfirst=True,
+                          ml=band, mu=band, rtol=tol, atol=tol,
+                          tcrit=[tau_max], mxstep=ode.MAX_STEPS,
+                          full_output=True)
+    return states, int(info["nfe"][-1])
+
+
+def solve_cases():
+    """(z0, params, taus, tau_max, tol) over the shapes _solve is called on:
+    one level (band clamped to 1), single states up to N = 10 on the
+    endpoint default and on explicit grids, stacked comparison pairs, stiff
+    draws, and N = 1000 (numpy right-hand side)."""
+    rng = np.random.default_rng(38)
+    for i in range(24):
+        p = random_params(rng, n_max=1 if i < 4 else 10)
+        if i % 4 == 3:  # stiff: the BDF steps reach their top order, 5
+            p = replace(p, gamma=100 * p.gamma)
+        n = p.n_levels
+        z0 = ode._pack(rng.uniform(0, 2, n), rng.uniform(0, 2, n))
+        if i % 3 == 2:  # a comparison check's stacked pair
+            z0 = np.concatenate([z0, ode._pack(rng.uniform(0, 2, n),
+                                               rng.uniform(0, 2, n))])
+        tau_max = float(rng.uniform(1, 60))
+        taus = (np.array([0.0, tau_max]) if i % 2 == 0
+                else np.linspace(0.0, tau_max * rng.uniform(0.5, 1), 31))
+        tol = float(10.0 ** rng.uniform(-11, -6))
+        yield z0, p, taus, tau_max, tol
+    n = 1000  # from empty: a random start costs LSODA ~10^4 evaluations
+    yield (np.zeros(2 * n), ModelParams(n, 1, 1, 1, 1, 1),
+           np.array([0.0, 25.0, 50.0]), 50.0, ode.DEFAULT_TOL)
+
+
+def test_solve_matches_public_odeint_bit_for_bit():
+    for z0, p, taus, tau_max, tol in solve_cases():
+        z0_kept, taus_kept = z0.copy(), taus.copy()
+        states, nfe = ode._solve(z0, p, taus, tau_max, tol)
+        want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
+        assert states.tobytes() == want.tobytes(), p
+        assert nfe == want_nfe, p
+        # _solve passes copies: LSODA integrates in the state array it gets
+        assert z0.tobytes() == z0_kept.tobytes()
+        assert taus.tobytes() == taus_kept.tobytes()
+
+
+def run_python(code):
+    """Run code in a fresh interpreter on this source tree; returns stdout."""
+    src = str(Path(lobfluid.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_ode_routes_leave_scipy_integrate_unloaded(tmp_path):
+    # the package's __init__ would pull these in; the LSODA extension
+    # alone needs none of them
+    heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
+             "scipy.sparse"]
+    out = run_python(
+        "import sys\n"
+        "from lobfluid import cli\n"
+        "model = ['--n', '2', '--lambda-b', '1', '--lambda-s', '1',\n"
+        "         '--alpha', '1', '--beta', '1', '--gamma', '1']\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['integrate', *model, '--tau-max', '50',\n"
+        "                 '--out-dir', out + '/integrate']) == 0\n"
+        "assert cli.main(['converge', *model, '--levels', '10,20',\n"
+        "                 '--tau-horizon', '1', '--replicas', '2',\n"
+        "                 '--out-dir', out + '/converge']) == 0\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        "print(sys.modules['lobfluid.ode']._lsoda().__name__)\n")
+    assert out.splitlines()[-2:] == ["[]", ode.ODEPACK]
+    assert (tmp_path / "integrate" / "solution.csv").exists()
+    assert (tmp_path / "converge" / "convergence.csv").exists()
+
+
+def test_lsoda_loader_and_public_odeint_agree_in_either_import_order():
+    setup = ("import hashlib, numpy as np\n"
+             "from lobfluid import ModelParams, ode\n"
+             "p = ModelParams(3, 1.3, 0.7, 0.9, 0.4, 2.5)\n"
+             "z0 = ode._pack(np.array([0.5, 0.0, 1.0]),\n"
+             "               np.array([0.0, 2.0, 0.1]))\n"
+             "taus = np.linspace(0.0, 30.0, 11)\n"
+             "def public():\n"
+             "    from scipy.integrate import odeint\n"
+             "    s, info = odeint(ode._flow, z0, taus, args=(p,),\n"
+             "                     tfirst=True, ml=2, mu=2, rtol=1e-9,\n"
+             "                     atol=1e-9, tcrit=[30.0],\n"
+             "                     mxstep=ode.MAX_STEPS, full_output=True)\n"
+             "    return s, int(info['nfe'][-1])\n"
+             "def private():\n"
+             "    return ode._solve(z0, p, taus, 30.0, 1e-9)\n"
+             "def show(s, nfe):\n"
+             "    print(hashlib.sha256(s.tobytes()).hexdigest(), nfe)\n")
+    loader_first = run_python(setup + "show(*private())\n"
+                                      "show(*public())\n"
+                                      "show(*private())\n")
+    public_first = run_python(
+        setup + "show(*public())\n"
+                "show(*private())\n"
+                "import sys\n"
+                "assert ode._lsoda() is sys.modules[ode.ODEPACK]\n")
+    lines = loader_first.splitlines() + public_first.splitlines()
+    assert len(lines) == 5 and len(set(lines)) == 1, lines
+
+
 def test_failed_integration_raises_step_underflow(monkeypatch, tmp_path,
                                                   capsys):
     monkeypatch.setattr(ode, "MAX_STEPS", 1)
@@ -147,18 +261,12 @@ def test_large_n_integration_cost_is_banded():
 
 
 def test_import_and_solve_do_not_load_scipy():
-    src = str(Path(lobfluid.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, *filter(None, [env.get("PYTHONPATH")])])
-    code = ("import sys, lobfluid, lobfluid.cli\n"
-            "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-            "assert 'concurrent.futures.process' not in sys.modules, "
-            "'the process pool was imported'\n")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_python(
+        "import sys, lobfluid, lobfluid.cli\n"
+        "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "assert 'concurrent.futures.process' not in sys.modules, "
+        "'the process pool was imported'\n")
 
 
 def test_rhs_vanishes_at_analytic_fixed_points():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -267,6 +268,32 @@ def test_empirical_equilibrium_no_samples():
 def test_empirical_equilibrium_rejects_nonfinite_times(burn_in, gap, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         empirical_equilibrium(params(), ScalingLevel(10), burn_in, 2, gap, 3)
+
+
+@pytest.mark.parametrize("x0,y0,L,name", [
+    ([1e18, 0.0], [0.0, 0.0], 10, "x0"),
+    ([0.0, 0.0], [0.0, 1e300], 10, "y0"),
+    ([2.0**52, 0.0], [0.0, 0.0], 2**10, "x0"),  # L*x0 == 2**62 exactly
+    ([0.0, 0.0], [-1e300, 0.0], 1, "y0"),
+])
+def test_initial_state_rejects_counts_beyond_int64(x0, y0, L, name):
+    # rejected before the cast to int64, which would warn and wrap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} times the scale L = {L}"):
+            initial_discrete_state(np.array(x0), np.array(y0), ScalingLevel(L))
+        with pytest.raises(ValueError, match=f"{name} times the scale"):
+            simulate(params(n=2), ScalingLevel(L), x0, y0, 1.0, 0.5, seed=1)
+
+
+def test_initial_state_accepts_counts_just_below_the_bound():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = initial_discrete_state(np.array([2.0**52 - 1, 0.0]),
+                                       np.array([0.0, 1.0]),
+                                       ScalingLevel(2**10))
+    assert state.b.tolist() == [2**62 - 2**10, 0]
+    assert state.s.tolist() == [0, 2**10]
 
 
 # EventCounters field that tallies each event kind (per-level arrays are
