@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +153,11 @@ def _flow_floats(z: np.ndarray, p: ModelParams) -> np.ndarray:
 def _lsoda():
     """scipy's compiled ODEPACK module, without the scipy.integrate package.
 
-    An already imported copy is reused. Otherwise find_spec locates the
-    package directory without running its __init__, and only the extension
-    module is loaded from there.
+    find_spec locates the package directory without running its __init__,
+    and only the extension module is loaded from there. If scipy.integrate
+    was imported first, CPython hands back the extension it already loaded
+    from that file.
     """
-    if ODEPACK in sys.modules:
-        return sys.modules[ODEPACK]
     package = importlib.util.find_spec("scipy.integrate")
     finder = importlib.machinery.FileFinder(
         package.submodule_search_locations[0],
@@ -215,6 +213,12 @@ class OdeSolution:
         return FluidState(self.x[-1], self.y[-1])
 
 
+def _check_span(tau_max: float) -> None:
+    """LSODA takes a NaN output time and steps on without end."""
+    if not np.isfinite(tau_max):
+        raise ValueError(f"tau_max must be finite, got {tau_max}")
+
+
 def _clamp(states: np.ndarray, tol: float) -> np.ndarray:
     """Zero small negative round-off; anything below -100*tol is a real bug."""
     floor = -100.0 * tol
@@ -236,7 +240,8 @@ def integrate(
 
     With `grid` given, states are reported on it: it must be strictly
     increasing, start at 0 and end at most at tau_max. Without it, the states
-    at the two endpoints 0 and tau_max are reported.
+    at the two endpoints 0 and tau_max are reported. A non-finite tau_max
+    raises ValueError.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -250,11 +255,12 @@ def integrate(
         raise ValueError("initial data must be nonnegative")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_span(tau_max)
     if tau_max == 0.0:
         return OdeSolution(np.array([0.0]), x0[None, :].copy(),
                            y0[None, :].copy(), 0)
     taus = np.array([0.0, tau_max] if grid is None else grid, dtype=np.float64)
-    if taus[0] != 0.0 or taus[-1] > tau_max or (np.diff(taus) <= 0).any():
+    if taus[0] != 0.0 or taus[-1] > tau_max or not (np.diff(taus) > 0).all():
         raise ValueError("grid must increase strictly from 0 to at most tau_max")
     states, nfev = _solve(_pack(x0, y0), params, taus, tau_max, tol)
     states = _clamp(states, tol).reshape(-1, n, 2)
@@ -313,11 +319,13 @@ def check_comparison(
     """Verify the comparison principle: componentwise x_a <= x_b, y_a >= y_b
     at tau = 0 must propagate to every later time.
 
-    Raises HypothesisViolated when the initial ordering fails. Both systems
-    are integrated jointly (one stacked solve, shared adaptive steps) at a
-    tolerance two orders below tol, so apparent ordering violations reflect
-    the dynamics rather than independent discretization noise.
+    Raises ValueError for a non-finite tau_max and HypothesisViolated when
+    the initial ordering fails. Both systems are integrated jointly (one
+    stacked solve, shared adaptive steps) at a tolerance two orders below
+    tol, so apparent ordering violations reflect the dynamics rather than
+    independent discretization noise.
     """
+    _check_span(tau_max)
     if (pair_a.x > pair_b.x).any() or (pair_a.y < pair_b.y).any():
         raise HypothesisViolated(
             "need x_a <= x_b and y_a >= y_b componentwise at tau = 0"

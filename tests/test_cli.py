@@ -298,6 +298,21 @@ def test_integrate_bad_tol_or_initial_data_exit_2(tmp_path, capsys, flags,
 
 
 @pytest.mark.parametrize("flags,message", [
+    (["--tau-max", "nan"], "tau_max must be finite, got nan"),
+    (["--tau-max", "nan", "--grid-step", "0.1"],
+     "tau_max must be finite, got nan"),
+    (["--tau-max", "inf"], "grid stop must be finite, got inf"),
+], ids=["nan", "nan-grid-step", "inf"])
+def test_integrate_nonfinite_tau_max_exit_2(tmp_path, capsys, flags, message):
+    # a NaN output time would reach LSODA, which steps on without end
+    code, _, err = run(capsys, ["integrate", "--n", "2", *ONES, *flags,
+                                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
     (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
     (["--y0", "0,inf"], "y0 must be finite, got [0.0, inf]"),
     (["--x0", "1e18,0"], "x0 times the scale L = 10 must stay below 2**62"),
