@@ -218,8 +218,12 @@ class Effective:
             raise ConfigError(f"missing required option for {self.command}: {key}")
         return v
 
-    def get_int(self, key: str, default=None, required: bool = False) -> int:
-        return _parse_int(self.get(key, default, required), key)
+    def get_int(self, key: str, default=None, required: bool = False,
+                minimum: int | None = None) -> int:
+        v = _parse_int(self.get(key, default, required), key)
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+        return v
 
     def out_dir(self) -> Path:
         return Path(self.get("out_dir", default=f"lobfluid_out/{self.command}"))
@@ -252,7 +256,8 @@ def cmd_simulate(eff: Effective) -> int:
     scale = ScalingLevel(eff.get_int("scale", required=True))
     tau_max = float(eff.get("tau_max", required=True))
     sample_dt = float(eff.get("sample_dt", default=max(tau_max, 1.0) / 100))
-    max_events = eff.get_int("max_events", default=DEFAULT_MAX_EVENTS)
+    max_events = eff.get_int("max_events", default=DEFAULT_MAX_EVENTS,
+                             minimum=1)
     x0, y0 = _initial_pair(eff, params.n_levels)
     traj = simulate(params, scale, x0, y0, tau_max, sample_dt, eff.seed(),
                     max_events=max_events)
@@ -337,7 +342,7 @@ def cmd_converge(eff: Effective) -> int:
     T = float(eff.get("tau_horizon", required=True))
     replicas = eff.get_int("replicas", required=True)
     grid_step = eff.get("grid_step")
-    workers = eff.get_int("workers", default=1)
+    workers = eff.get_int("workers", default=1, minimum=1)
     x0, y0 = _initial_pair(eff, params.n_levels)
     report = experiments.fluid_convergence(
         params, x0, y0, levels, T, replicas, eff.seed(),

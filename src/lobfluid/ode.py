@@ -39,7 +39,9 @@ MiB of memory and half a second; the extension alone loads in milliseconds.
 `_solve` passes it the arguments the public wrapper passes, so the results
 are the same bits, and checks LSODA's return code itself: a negative
 `istate` raises StepUnderflow with LSODA's message for it.
-tests/test_ode.py pins `_solve` to the public `odeint` bit for bit.
+tests/test_ode.py pins `_solve` to the public `odeint` bit for bit, and
+compares every argument the two pass to the extension, since some (such as
+the Adams order cap mxordn) change no output bit on this system.
 
 scipy is loaded only by the functions that integrate, so the solvers and
 the simulator run without it.
@@ -189,7 +191,7 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     states, info, istate = _lsoda().odeint(
         _flow, z0.copy(), taus.copy(), (params,),
         None, 0,              # Dfun, col_deriv: finite-difference Jacobian
-        band, band, 1,        # ml, mu, full_output
+        band, band, True,     # ml, mu, full_output
         tol, tol, [tau_max],  # rtol, atol, tcrit
         0.0, 0.0, 0.0, 0,     # h0, hmax, hmin, ixpr
         MAX_STEPS, 0, 12, 5,  # mxstep, mxhnil, mxordn, mxords

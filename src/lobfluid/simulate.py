@@ -5,7 +5,10 @@
 `simulate` and `empirical_equilibrium`, restates those rules in one loop on
 plain Python ints; it keeps B = sum b, S = sum s and M = sum min(b, s) as
 integers, so its closed-form total rate never drifts. The tests replay it
-event by event against `step()`.
+event by event against `step()`. It records each sample by copying the
+counts into two `array("d")` buffers, as doubles and at C level, and scales
+them once in place at the end: no Python object per sample outlives its
+copy, so a run's samples take little more memory than the arrays returned.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -36,6 +39,7 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import inf, isfinite, log1p
@@ -204,7 +208,11 @@ def _run(
     Occupancies are plain Python ints (the loop is pure Python; small numpy
     arrays would dominate the per-event cost), and the aggregates B, S, M
     are integers updated by the +-1 increments, so the total rate is exact
-    at every step.
+    at every step. Samples go into `array("d")` buffers as doubles, through
+    `fromlist`, which grows a buffer once per sample where `extend` grows it
+    once per count; x and y are numpy views of the buffers, divided by L in
+    place, which converts and divides exactly as
+    `np.array(samples, dtype=np.float64) / L` would.
     """
     n = params.n_levels
     top = n - 1
@@ -226,8 +234,8 @@ def _run(
     seller_moves = [0] * n
     buyer_arrivals = seller_arrivals = exit_top = exit_bottom = 0
 
-    xs: list[list[int]] = []
-    ys: list[list[int]] = []
+    xs = array("d")
+    ys = array("d")
     si = 0
     m = len(sample_ts)
     next_sample = sample_ts[0] if m else inf
@@ -240,8 +248,8 @@ def _run(
         t_next = t - hold / rate
         if t_next >= next_sample:
             while si < m and sample_ts[si] <= t_next:
-                xs.append(b[:])
-                ys.append(s[:])
+                xs.fromlist(b)
+                ys.fromlist(s)
                 si += 1
             next_sample = sample_ts[si] if si < m else inf
         if t_next >= t_end:
@@ -369,8 +377,8 @@ def _run(
                 S -= 1
                 exit_bottom += 1
     while si < m:
-        xs.append(b[:])
-        ys.append(s[:])
+        xs.fromlist(b)
+        ys.fromlist(s)
         si += 1
 
     if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
@@ -387,8 +395,10 @@ def _run(
     if db.any() or ds.any():
         raise InvariantViolation(
             f"conservation defect: buyers {db}, sellers {ds}")
-    x = np.array(xs, dtype=np.float64).reshape(m, n) / L
-    y = np.array(ys, dtype=np.float64).reshape(m, n) / L
+    x = np.frombuffer(xs).reshape(m, n)
+    y = np.frombuffer(ys).reshape(m, n)
+    x /= L
+    y /= L
     return x, y, n_events, final, counters
 
 

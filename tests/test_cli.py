@@ -407,6 +407,9 @@ def test_block_may_set_seed_and_out_dir(tmp_path, capsys):
     ({"scale": 20, "max_events": 1e6 + 0.5}, {}, "max_events"),
     ({"scale": "20"}, {}, "scale"),
     ({"scale": True}, {}, "scale"),
+    # below the schema minimum: not a budget error after the run starts
+    ({"scale": 20, "max_events": 0}, {}, "max_events"),
+    ({"scale": 20, "max_events": -5}, {}, "max_events"),
 ])
 def test_integer_options_do_not_truncate(tmp_path, capsys, block, top, key):
     cfg = {"model": MODEL_ONES, **top,
@@ -414,6 +417,7 @@ def test_integer_options_do_not_truncate(tmp_path, capsys, block, top, key):
     code, out, err = run_config(tmp_path, capsys, cfg, "simulate")
     assert code == 2
     assert key in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, block, key", [
@@ -425,6 +429,11 @@ def test_integer_options_do_not_truncate(tmp_path, capsys, block, top, key):
                   "workers": 1.5}, "workers"),
     ("equilibrium", {"levels": [20], "burn_in": 1, "n_samples": 2.5,
                      "sample_gap": 0.5}, "n_samples"),
+    # below the schema minimum: not run serially and echoed to the manifest
+    ("converge", {"levels": [10], "tau_horizon": 0.5, "replicas": 2,
+                  "workers": 0}, "workers"),
+    ("converge", {"levels": [10], "tau_horizon": 0.5, "replicas": 2,
+                  "workers": -2}, "workers"),
 ])
 def test_study_integer_options_do_not_truncate(tmp_path, capsys, command,
                                                block, key):
@@ -432,6 +441,7 @@ def test_study_integer_options_do_not_truncate(tmp_path, capsys, command,
                                 {"model": MODEL_ONES, command: block}, command)
     assert code == 2
     assert key in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_levels_flag_does_not_truncate(tmp_path, capsys):

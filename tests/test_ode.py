@@ -155,6 +155,49 @@ def test_solve_matches_public_odeint_bit_for_bit():
         assert taus.tobytes() == taus_kept.tobytes()
 
 
+class RecordingOdepack:
+    """Stands in for scipy's ODEPACK extension: `odeint` records its
+    positional arguments and returns a successful, all-zero integration."""
+
+    def __init__(self):
+        self.calls = []
+
+    def odeint(self, func, y0, t, *rest):
+        self.calls.append((func, y0, t, *rest))
+        return np.zeros((len(t), len(y0))), {"nfe": np.array([0])}, 2
+
+
+def same_argument(a, b):
+    """Equal values of the same type; arrays also of the same dtype and
+    shape, and sequences element by element."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_argument, a, b))
+    return a is b or a == b
+
+
+def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
+    # every argument, including those no result shows: LSODA reaches Adams
+    # order 11 at most on this system, so an mxordn other than 12 would
+    # leave every output bit as it is
+    from scipy.integrate import _odepack_py
+
+    private, public = RecordingOdepack(), RecordingOdepack()
+    monkeypatch.setattr(ode, "_lsoda", lambda: private)
+    monkeypatch.setattr(_odepack_py, "_odepack", public)
+    for z0, p, taus, tau_max, tol in solve_cases():
+        ode._solve(z0, p, taus, tau_max, tol)
+        public_solve(z0, p, taus, tau_max, tol)
+        got, want = private.calls.pop(), public.calls.pop()
+        assert len(got) == len(want) == 21
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_argument(a, b), (i, a, b)
+
+
 def run_python(code):
     """Run code in a fresh interpreter on this source tree; returns stdout."""
     src = str(Path(lobfluid.__file__).resolve().parent.parent)

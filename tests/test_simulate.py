@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -242,6 +243,45 @@ def test_samples_are_scaled_lattice_points():
     assert np.allclose(traj.y * L, np.round(traj.y * L))
     assert (traj.x[-1] == traj.final_state.b / L).all()
     assert (traj.y[-1] == traj.final_state.s / L).all()
+
+
+# A run's samples may cost at most MEMORY_RATIO times the bytes of the
+# arrays it returns, plus MEMORY_SLACK for the draw chunks, the sample-time
+# list and the counters. A Python object per sample (a list of ints) peaks
+# at 2.6 to 4.2 times those bytes on the shapes below.
+MEMORY_RATIO = 1.5
+MEMORY_SLACK = 64 * 1024
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_samples_cost_little_beyond_the_returned_arrays():
+    p = params(n=40)
+    z = np.zeros(40)
+    run = lambda tau: simulate(p, ScalingLevel(100), z, z, tau, 0.001, seed=3)
+    run(0.01)  # first-call allocations are not the run's
+    traj, peak = _traced_peak(lambda: run(2.0))
+    assert traj.x.shape == (2001, 40)
+    assert peak <= MEMORY_RATIO * (traj.x.nbytes + traj.y.nbytes) + MEMORY_SLACK
+
+
+def test_empirical_equilibrium_samples_cost_little_beyond_their_bytes():
+    p = params(n=100)
+    run = lambda n: empirical_equilibrium(p, ScalingLevel(100), 1.0, n,
+                                          0.001, seed=3)
+    run(1)
+    samples, peak = _traced_peak(lambda: run(1000))
+    assert len(samples) == 1000
+    data = sum(s.x.nbytes + s.y.nbytes for s in samples)
+    assert peak <= MEMORY_RATIO * data + MEMORY_SLACK
 
 
 def test_empirical_equilibrium_mean_and_seed_stability():
