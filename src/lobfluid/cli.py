@@ -281,7 +281,7 @@ def cmd_integrate(eff: Effective) -> int:
     tau_max = float(eff.get("tau_max", required=True))
     tol = float(eff.get("tol", default=DEFAULT_TOL))
     x0, y0 = _initial_pair(eff, params.n_levels)
-    grid = None
+    grid = step = None
     if tau_max > 0:
         step = float(eff.get("grid_step", default=tau_max / 100))
         grid = uniform_grid(tau_max, step)
@@ -290,7 +290,7 @@ def cmd_integrate(eff: Effective) -> int:
     output.write_solution_csv(out / "solution.csv", sol)
     output.write_manifest(out / "manifest.json", eff.echo(params, {
         "tau_max": tau_max, "tol": tol, "x0": x0, "y0": y0,
-        "grid_step": None if grid is None else float(grid[1] - grid[0]),
+        "grid_step": step,
         "final_x": sol.x[-1], "final_y": sol.y[-1],
     }))
     print(f"integrated to tau={tau_max} with {sol.n_rhs_evals} derivative evaluations")

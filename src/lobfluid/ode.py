@@ -84,8 +84,10 @@ LSODA_ERRORS = {
 
 
 def uniform_grid(stop: float, step: float) -> np.ndarray:
-    """Grid 0, step, 2*step, ... ending at stop; the last point is clamped
-    so float round-up cannot push it past the integration span."""
+    """Grid 0, step, 2*step, ... ending at stop. A last multiple of step
+    within 1e-9 * step of stop ends the grid, clamped so float round-up
+    cannot push it past the integration span; one further short of stop is
+    followed by stop itself."""
     for name, v in (("stop", stop), ("step", step)):
         if not np.isfinite(v):
             raise ValueError(f"grid {name} must be finite, got {v}")
@@ -94,6 +96,8 @@ def uniform_grid(stop: float, step: float) -> np.ndarray:
     m = int(np.floor(stop / step + 1e-9))
     grid = np.arange(m + 1) * step
     grid[-1] = min(grid[-1], stop)
+    if stop - grid[-1] > 1e-9 * step:
+        grid = np.append(grid, stop)
     return grid
 
 

@@ -26,12 +26,20 @@ CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
 through `math.log1p`, never `np.log1p`, whose vectorised form differs from
-it in the last bit on some machines. One level walk serves all five level
-blocks (trades, quits and alpha-moves of either side): it tests the
-block's first level in walk order, then skips empty levels, making the
-same subtractions in the same order as a walk over every level, so it
-picks the same level. Replica streams are
-`SeedSequence` spawn keys `(i, j)` (replica j at the i-th scaling level).
+it in the last bit on some machines. Replica streams are `SeedSequence`
+spawn keys `(i, j)` (replica j at the i-th scaling level).
+
+Per event the engine does only the work that event needs: one clock
+test, against the next sample time or the horizon, whichever comes first;
+no budget test (the loop takes at most the budget's worth of pairs plus
+one, and the budget ran out if that last pair falls before the horizon
+too); and one dispatch, in which each block applies its +-1 increments
+where it is picked. Each level block (trades, quits and alpha-moves of either side)
+tests its entry level inline; only a miss there calls the one level walk,
+`_walk`, which goes on level by level from the entry level's neighbour.
+An empty level subtracts 0.0 and leaves the target unchanged, so every
+comparison and subtraction is that of a walk over the occupied levels,
+and the same level fires.
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -39,10 +47,11 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from math import inf, isfinite, log1p
+from itertools import chain, compress, islice, repeat
+from math import isfinite, log1p
 
 import numpy as np
 
@@ -63,9 +72,6 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
 
 DEFAULT_MAX_EVENTS = 50_000_000
 CHUNK = 1024  # (holding, selection) pairs per generator call
-
-# the engine's level blocks, in canonical order
-_TRADE, _BUYER_QUIT, _SELLER_QUIT, _BUYER_MOVE, _SELLER_MOVE = range(5)
 
 
 @dataclass
@@ -191,6 +197,28 @@ def _chunk_pairs(rng) -> zip:
     return zip(map(log1p, (-u[0::2]).tolist()), u[1::2].tolist())
 
 
+def _walk(target: float, unit: float, occ: list[int], rest: range) -> int:
+    """The level a selection target picks in a level block after missing
+    the entry level: target is what is left once the entry level's weight
+    is taken off, and rest holds the other levels in walk order.
+
+    An empty level subtracts 0.0, which leaves the nonnegative target
+    unchanged, so the walk makes the comparisons and subtractions of a walk
+    over the occupied levels only. A target at or past the block's end
+    (float summation) picks the last occupied level in walk order: the
+    entry level, rest.start - rest.step, when no other level is occupied.
+    """
+    for k in rest:
+        w = unit * occ[k]
+        if target < w:
+            return k
+        target -= w
+    last = rest.start - rest.step
+    for last in compress(rest, map(occ.__getitem__, rest)):
+        pass
+    return last
+
+
 def _run(
     params: ModelParams,
     scale: ScalingLevel,
@@ -213,6 +241,16 @@ def _run(
     once per count; x and y are numpy views of the buffers, divided by L in
     place, which converts and divides exactly as
     `np.array(samples, dtype=np.float64) / L` would.
+
+    Per event the loop does only what the event needs. The clock moves in
+    place and is tested once, against stop = min(next sample time, t_end),
+    which changes only when samples are taken. The budget costs no test per
+    event: the loop takes at most max_events + 1 pairs from the stream, and
+    if the last of them also falls before t_end, it ends without reaching
+    t_end and raises BudgetExceeded. n_events is counted on its own, so the
+    counters' sum stays a check on it. Each level block applies its +-1 increments right
+    where it is picked; its entry level is tested inline, and only a miss
+    there calls `_walk`.
     """
     n = params.n_levels
     top = n - 1
@@ -238,32 +276,40 @@ def _run(
     ys = array("d")
     si = 0
     m = len(sample_ts)
-    next_sample = sample_ts[0] if m else inf
+    stop = min(sample_ts[0], t_end) if m else t_end
     t = 0.0
     n_events = 0
-    ranks = range(n)
-    downward = range(top, -1, -1)
-    for hold, pick in chain.from_iterable(map(_chunk_pairs, repeat(rng))):
-        rate = lam + rqm * (B + S) + rt * M
-        t_next = t - hold / rate
-        if t_next >= next_sample:
-            while si < m and sample_ts[si] <= t_next:
+    # the levels after the entry level in walk order: buyers and trades
+    # walk up from level 1, sellers down from level N
+    up = range(1, n)
+    down = range(top - 1, -1, -1)
+    # one pair past the budget decides it: an event there exhausts it. A
+    # budget past islice's limit, sys.maxsize, is one no run can use up
+    pairs = chain.from_iterable(map(_chunk_pairs, repeat(rng)))
+    for hold, pick in islice(pairs, min(max_events + 1, sys.maxsize)):
+        w_trade = rt * M  # the trade block's weight, a term of the rate
+        rate = lam + rqm * (B + S) + w_trade
+        t -= hold / rate
+        if t >= stop:
+            # samples at or before t take the state before this event; at
+            # t_end every sample left takes the final state, after the loop
+            if t >= t_end:
+                break
+            while si < m and sample_ts[si] <= t:
                 xs.fromlist(b)
                 ys.fromlist(s)
                 si += 1
-            next_sample = sample_ts[si] if si < m else inf
-        if t_next >= t_end:
-            break
+            stop = min(sample_ts[si], t_end) if si < m else t_end
         n_events += 1
-        if n_events > max_events:
-            raise BudgetExceeded(
-                f"event budget {max_events} exhausted at t={t_next:.6g}"
-            )
         target = pick * rate
-        t = t_next
 
         # walk the canonical order; a target at or past the end fires the
-        # last positive-rate event
+        # last positive-rate event: the seller arrival on an empty book,
+        # else the buyer alpha block when there are no sellers (then
+        # B > 0), else the seller alpha block. min(b, s) moves with b
+        # exactly when b <= s after a buyer arrives, and when b < s after
+        # one leaves (mirrored for sellers). The target is never negative,
+        # so an empty block (weight 0.0) is never picked by its test
         if target < lam_b:
             b[0] += 1
             B += 1
@@ -280,77 +326,44 @@ def _run(
             seller_arrivals += 1
             continue
         target -= lam_s
-
-        # pick the level block (its per-level occupancies occ, per-unit
-        # rate and first level in walk order), then the level within it. On
-        # overshoot with no sellers (then B > 0: an empty book fired the
-        # seller arrival) the buyer alpha block is the last nonempty one,
-        # and otherwise the seller alpha block is; within a block, the last
-        # occupied level in walk order
-        block = rt * M
-        if target < block and M:
-            kind, occ, unit, first = _TRADE, list(map(min, b, s)), rt, 0
-        else:
-            target -= block
-            block = rq * B
-            if target < block and B:
-                kind, occ, unit, first = _BUYER_QUIT, b, rq, 0
-            else:
-                target -= block
-                block = rq * S
-                if target < block and S:
-                    kind, occ, unit, first = _SELLER_QUIT, s, rq, top
-                else:
-                    target -= block
-                    block = rm * B
-                    if (target < block and B) or not S:
-                        kind, occ, unit, first = _BUYER_MOVE, b, rm, 0
-                    else:
-                        target -= block
-                        kind, occ, unit, first = _SELLER_MOVE, s, rm, top
-        # the walk starts at the block's first level (1 for trades and the
-        # buyer blocks, N for the seller blocks); a trader block's first
-        # level is its entry level, where most of its rate sits near
-        # equilibrium, so test that level before building a walk. A miss
-        # there walks again from it, making the same comparison and
-        # subtraction; the walk skips empty levels
-        if target < unit * occ[first]:
-            k = first
-        else:
-            last = -1
-            for k in (compress(downward, reversed(occ)) if first
-                      else compress(ranks, occ)):
-                w = unit * occ[k]
-                if target < w:
-                    break
-                target -= w
-                last = k
-            else:
-                k = last
-
-        # the +-1 increments; min(b, s) moves with b exactly when b <= s
-        # after a buyer arrives, and when b < s after one leaves (mirrored
-        # for sellers)
-        if kind == _TRADE:
+        if target < w_trade:
+            w = rt * min(b[0], s[0])
+            k = 0 if target < w else _walk(target - w, rt,
+                                           list(map(min, b, s)), up)
             b[k] -= 1
             s[k] -= 1
             B -= 1
             S -= 1
             M -= 1
             trades[k] += 1
-        elif kind == _BUYER_QUIT:
+            continue
+        target -= w_trade
+        w = rq * B
+        if target < w:
+            w = rq * b[0]
+            k = 0 if target < w else _walk(target - w, rq, b, up)
             b[k] -= 1
             B -= 1
             if b[k] < s[k]:
                 M -= 1
             buyer_quits[k] += 1
-        elif kind == _SELLER_QUIT:
+            continue
+        target -= w
+        w = rq * S
+        if target < w:
+            w = rq * s[top]
+            k = top if target < w else _walk(target - w, rq, s, down)
             s[k] -= 1
             S -= 1
             if s[k] < b[k]:
                 M -= 1
             seller_quits[k] += 1
-        elif kind == _BUYER_MOVE:
+            continue
+        target -= w
+        w = rm * B
+        if target < w or not S:
+            w = rm * b[0]
+            k = 0 if target < w else _walk(target - w, rm, b, up)
             b[k] -= 1
             if b[k] < s[k]:
                 M -= 1
@@ -363,19 +376,25 @@ def _run(
             else:
                 B -= 1
                 exit_top += 1
+            continue
+        target -= w
+        w = rm * s[top]
+        k = top if target < w else _walk(target - w, rm, s, down)
+        s[k] -= 1
+        if s[k] < b[k]:
+            M -= 1
+        if k > 0:
+            seller_moves[k] += 1
+            k -= 1
+            s[k] += 1
+            if s[k] <= b[k]:
+                M += 1
         else:
-            s[k] -= 1
-            if s[k] < b[k]:
-                M -= 1
-            if k > 0:
-                seller_moves[k] += 1
-                k -= 1
-                s[k] += 1
-                if s[k] <= b[k]:
-                    M += 1
-            else:
-                S -= 1
-                exit_bottom += 1
+            S -= 1
+            exit_bottom += 1
+    else:
+        raise BudgetExceeded(
+            f"event budget {max_events} exhausted at t={t:.6g}")
     while si < m:
         xs.fromlist(b)
         ys.fromlist(s)
@@ -416,8 +435,8 @@ def simulate(
 
     The chain runs in unscaled time over [0, tau_max * L]; scaled states are
     recorded at `ode.uniform_grid(tau_max, sample_dt)`: every sample_dt of
-    tau from 0, the last time clamped to tau_max. Counter conservation
-    identities are verified exactly before returning.
+    tau from 0, and tau_max last. Counter conservation identities are
+    verified exactly before returning.
     """
     taus = uniform_grid(tau_max, sample_dt)
     rng = np.random.default_rng(seed)

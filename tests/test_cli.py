@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobfluid import EventCounters, NonMonotoneInput, ResidualTooLarge, cli
+from lobfluid import (EventCounters, ModelParams, NonMonotoneInput,
+                      ResidualTooLarge, ScalingLevel, cli, simulate)
 from lobfluid.cli import main
 from lobfluid.model import PARAM_FIELDS
 
@@ -195,6 +196,13 @@ def test_reruns_are_byte_identical(tmp_path, capsys, argv):
 # versions, not only reruns
 TRAJECTORY_SHA256 = (
     "83ae1d7a304fd8c89f8b8d1472bb3613e172d3ef4b0751fdc8fa890d526deb54")
+# the same at N = 50 with the benchmark's long-chain rates, at a small
+# scale: 13,405 events, of which about 4,000 miss the entry level and
+# about 1,900 walk on past a second occupied level, so it pins the level
+# walk deep into the book (the N = 3 run has 408 events, 57 misses and 12
+# such walks)
+TRAJECTORY_N50_SHA256 = (
+    "8e5d5d6909c59bf37ae1ac77eb525b8837eaed1068e75c3461ab4dd12a3a12f3")
 
 
 def test_simulate_trajectory_golden_digest(tmp_path, capsys):
@@ -204,6 +212,15 @@ def test_simulate_trajectory_golden_digest(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
     assert digest.hexdigest() == TRAJECTORY_SHA256
+
+
+def test_simulate_n50_trajectory_golden_digest(tmp_path, capsys):
+    code, _, _ = run(capsys, ["simulate", "--n", "50", *ONES, "--scale",
+                              "300", "--tau-max", "8", "--seed", "42",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
+    assert digest.hexdigest() == TRAJECTORY_N50_SHA256
 
 
 # sha256 of the solver CSVs: the README's `solve` and `sweep` arguments, and
@@ -248,6 +265,45 @@ def test_simulate_last_sample_is_the_horizon(tmp_path, capsys):
     rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
                       skiprows=1, ndmin=2)
     assert rows[:, 0].tolist() == [0.0, 0.1, 0.2, 0.3]
+
+
+def test_simulate_off_grid_horizon_reports_the_horizon_state(tmp_path,
+                                                            capsys):
+    # tau_max 1 is no multiple of 0.3: the grid still ends at tau 1, and the
+    # reported final state is the chain's state there, not at tau 0.9
+    code, out, _ = run(capsys, ["simulate", "--n", "2", *ONES, "--scale",
+                                "1000", "--tau-max", "1", "--sample-dt", "0.3",
+                                "--seed", "3", "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [0.0, 0.3, 0.6, 3 * 0.3, 1.0]
+    traj = simulate(ModelParams(2, 1.0, 1.0, 1.0, 1.0, 1.0),
+                    ScalingLevel(1000), np.zeros(2), np.zeros(2), 1.0, 0.3, 3)
+    final = (traj.final_state.b / 1000).tolist()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["final_scaled_x"] == rows[-1, 1:3].tolist() == final
+    assert manifest["final_scaled_y"] == rows[-1, 3:5].tolist()
+    assert final == [0.399, 0.103] and "x=(0.399, 0.103)" in out
+
+
+@pytest.mark.parametrize("tau_max,step,taus", [
+    ("1", "0.3", [0.0, 0.3, 0.6, 3 * 0.3, 1.0]),
+    ("0.05", "0.1", [0.0, 0.05]),  # a step past the horizon
+])
+def test_integrate_off_grid_horizon_ends_at_the_horizon(tmp_path, capsys,
+                                                        tau_max, step, taus):
+    code, out, _ = run(capsys, ["integrate", "--n", "2", *ONES, "--tau-max",
+                                tau_max, "--grid-step", step,
+                                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert f"integrated to tau={float(tau_max)} " in out
+    rows = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert rows[:, 0].tolist() == taus
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["final_x"] == rows[-1, 1:3].tolist()
+    assert manifest["grid_step"] == float(step)
 
 
 @pytest.mark.parametrize("flags,name", [

@@ -379,6 +379,17 @@ def test_uniform_grid_endpoint_never_overshoots():
         assert len(grid) == 101
         # the clamped grid must be accepted by the integrator
         integrate(np.zeros(1), np.zeros(1), params(), stop, grid=grid)
+    # stop off the step's multiples: the grid still ends at stop
+    for stop, step, head in ((1.0, 0.3, [0.0, 0.3, 0.6, 3 * 0.3]),
+                             (7.0, 2.0, [0.0, 2.0, 4.0, 6.0]),
+                             (0.05, 0.1, [0.0]),
+                             (0.25 + 1e-6, 0.05, [0.05 * k for k in range(6)])):
+        grid = uniform_grid(stop, step)
+        assert grid.tolist() == head + [stop]
+        integrate(np.zeros(1), np.zeros(1), params(), stop, grid=grid)
+    # a multiple within 1e-9 * step of stop ends the grid, as before
+    assert uniform_grid(0.9, 0.3).tolist() == [0.0, 0.3, 0.6, 3 * 0.3]
+    assert uniform_grid(1.0 + 1e-12, 0.5).tolist() == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError):
         uniform_grid(1.0, 0.0)
     for stop, step, name in ((np.inf, 0.1, "stop"), (np.nan, 0.1, "stop"),

@@ -195,22 +195,30 @@ def test_simulate_budget_exceeded():
                  seed=1, max_events=10)
 
 
-def test_budget_boundary_is_the_event_count():
+def test_budget_boundary_is_the_event_count(monkeypatch):
     # a budget of exactly n_events lets the run finish unchanged; one less
-    # stops it
+    # stops it. The run has 369 events, a multiple of 3: with CHUNK = 3 a
+    # budget of n_events or n_events - 3 ends on a chunk edge, so the pair
+    # after the budget, which decides, comes from a new generator call
+    engine = importlib.import_module("lobfluid.simulate")
     p = params(n=3, beta=0.2, gamma=2.0)
     run = lambda budget: simulate(p, ScalingLevel(50), np.zeros(3),
                                   np.zeros(3), 2.0, 0.05, seed=4242,
                                   max_events=budget)
-    ref = run(DEFAULT_MAX_EVENTS)
-    exact = run(ref.n_events)
-    assert exact.n_events == ref.n_events > 0
-    assert (exact.x == ref.x).all() and (exact.y == ref.y).all()
-    for f in fields(EventCounters):
-        assert np.array_equal(getattr(exact.counters, f.name),
-                              getattr(ref.counters, f.name)), f.name
-    with pytest.raises(BudgetExceeded):
-        run(ref.n_events - 1)
+    for chunk in (engine.CHUNK, 3):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        ref = run(DEFAULT_MAX_EVENTS)
+        exact = run(ref.n_events)
+        assert exact.n_events == ref.n_events == 369
+        assert (exact.x == ref.x).all() and (exact.y == ref.y).all()
+        for f in fields(EventCounters):
+            assert np.array_equal(getattr(exact.counters, f.name),
+                                  getattr(ref.counters, f.name)), f.name
+        for budget in (ref.n_events - 1, ref.n_events - 3):
+            with pytest.raises(BudgetExceeded, match=f"budget {budget} "):
+                run(budget)
+    # a budget beyond sys.maxsize is one no run can use up
+    assert run(10**30).n_events == 369
 
 
 @pytest.mark.parametrize("lam_b,lam_s", [(0.5, 0.5), (1.5, 2.5)])
@@ -462,15 +470,19 @@ def test_target_on_entry_level_edge_fires_next_level(fire_once, b, s):
 def test_fire_past_table_end_fires_last_event(fire_once):
     # a target at or past the end of the rate table (float summation) fires
     # the last positive-rate event, as step() does; the engine's own check
-    # raises if its aggregates B, S, M drift from the occupancies
+    # raises if its aggregates B, S, M drift from the occupancies. The books
+    # are sparse (a level holds traders with probability 1/4), so the walk
+    # past the end of a block crosses long runs of empty levels, upward in
+    # the buyer alpha block and downward in the seller one
     rng = np.random.default_rng(41)
+    up = down = 0  # most empty levels crossed before the level that fired
     for trial in range(400):
-        n = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 13))
         p = params(n=n, lam_b=rng.uniform(0.2, 3), lam_s=rng.uniform(0.2, 3),
                    alpha=rng.uniform(0.2, 3), beta=float(rng.choice([0.0, 0.7])),
                    gamma=rng.uniform(0.2, 3))
-        b = rng.integers(0, 3, n)
-        s = rng.integers(0, 3, n)
+        b = rng.integers(1, 3, n) * (rng.random(n) < 0.25)
+        s = rng.integers(1, 3, n) * (rng.random(n) < 0.25)
         if trial % 4 in (1, 3):  # no buyers
             b[:] = 0
         if trial % 4 in (2, 3):  # no sellers; both: the empty book
@@ -478,9 +490,15 @@ def test_fire_past_table_end_fires_last_event(fire_once):
         state = DiscreteState(b, s)
         scale = ScalingLevel(int(rng.integers(1, 10)))
         got, counters = fire_once(p, scale, state, 1 + 1e-12)
-        expected = apply_event(state, enumerate_events(state, p, scale)[-1])
+        last = enumerate_events(state, p, scale)[-1]
+        expected = apply_event(state, last)
         assert (got.b == expected.b).all() and (got.s == expected.s).all()
         assert counters.conserves(state, got)
+        if last.kind in (EventKind.BUYER_MOVE, EventKind.BUYER_EXIT_TOP):
+            up = max(up, int((b[:last.level - 1] == 0).sum()))
+        elif last.kind in (EventKind.SELLER_MOVE, EventKind.SELLER_EXIT_BOTTOM):
+            down = max(down, int((s[last.level:] == 0).sum()))
+    assert up >= 6 and down >= 6, (up, down)
 
 
 def test_conservation_defect_raises_typed_error(monkeypatch):
