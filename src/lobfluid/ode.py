@@ -31,11 +31,15 @@ the min, so they agree to the last bit; tests/test_ode.py compares their
 bytes on both sides of the threshold.
 
 LSODA is called through scipy's compiled ODEPACK module,
-`scipy.integrate._odepack`, which `_lsoda` loads on its own from the
-scipy.integrate directory. Importing the public `scipy.integrate.odeint`
-runs the package's `__init__`, which loads some 580 modules (345 of them
-scipy's: special, optimize, sparse.linalg, linalg, fft, ...) for about 40
-MiB of memory and half a second; the extension alone loads in milliseconds.
+`scipy.integrate._odepack`, which `_lsoda` loads on its own from the file
+`scipy/integrate/_odepack*.so`, running neither scipy's nor scipy.integrate's
+package `__init__`. Importing the public `scipy.integrate.odeint` runs both:
+scipy.integrate's loads some 580 modules (345 of them scipy's: special,
+optimize, sparse.linalg, linalg, fft, ...) for about 40 MiB of memory and
+half a second, and scipy's own, which a lookup of any scipy submodule runs,
+loads 10 more (among them `scipy._lib._testutils`, which imports
+subprocess and sysconfig) for about 0.7 MiB and 15 ms. The extension
+itself needs only numpy and loads in milliseconds.
 `_solve` passes it the arguments the public wrapper passes, so the results
 are the same bits, and checks LSODA's return code itself: a negative
 `istate` raises StepUnderflow with LSODA's message for it.
@@ -43,8 +47,9 @@ tests/test_ode.py pins `_solve` to the public `odeint` bit for bit, and
 compares every argument the two pass to the extension, since some (such as
 the Adams order cap mxordn) change no output bit on this system.
 
-scipy is loaded only by the functions that integrate, so the solvers and
-the simulator run without it.
+The extension is loaded only by the functions that integrate, so the
+solvers and the simulator run without scipy, and no route adds a scipy
+module to sys.modules.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +90,10 @@ LSODA_ERRORS = {
 
 
 def uniform_grid(stop: float, step: float) -> np.ndarray:
-    """Grid 0, step, 2*step, ... ending at stop. A last multiple of step
-    within 1e-9 * step of stop ends the grid, clamped so float round-up
-    cannot push it past the integration span; one further short of stop is
-    followed by stop itself."""
+    """Grid 0, step, 2*step, ... ending at stop. A last positive multiple of
+    step within 1e-9 * step of stop ends the grid, clamped so float round-up
+    cannot push it past the integration span; one further short of stop, or
+    0 for a positive stop, is followed by stop itself."""
     for name, v in (("stop", stop), ("step", step)):
         if not np.isfinite(v):
             raise ValueError(f"grid {name} must be finite, got {v}")
@@ -96,13 +102,16 @@ def uniform_grid(stop: float, step: float) -> np.ndarray:
     m = int(np.floor(stop / step + 1e-9))
     grid = np.arange(m + 1) * step
     grid[-1] = min(grid[-1], stop)
-    if stop - grid[-1] > 1e-9 * step:
+    # tau 0 alone never ends the grid of a positive stop, however short
+    if stop - grid[-1] > (1e-9 * step if m else 0.0):
         grid = np.append(grid, stop)
     return grid
 
 
 def rhs(state: FluidState, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (dx/dtau, dy/dtau) at a fluid state."""
+    """Evaluate (dx/dtau, dy/dtau) at a finite fluid state with
+    params.n_levels levels; any other state raises ValueError."""
+    _check_state(state, params)
     d = _flow(0.0, _pack(state.x, state.y), params).reshape(-1, 2)
     return d[:, 0], d[:, 1]
 
@@ -157,16 +166,22 @@ def _flow_floats(z: np.ndarray, p: ModelParams) -> np.ndarray:
 
 @functools.cache
 def _lsoda():
-    """scipy's compiled ODEPACK module, without the scipy.integrate package.
+    """scipy's compiled ODEPACK module, without any scipy package __init__.
 
-    find_spec locates the package directory without running its __init__,
-    and only the extension module is loaded from there. If scipy.integrate
-    was imported first, CPython hands back the extension it already loaded
-    from that file.
+    The extension is the file scipy/integrate/_odepack*.so. A find_spec of
+    a dotted name such as "scipy.integrate" imports the parent package
+    first, so it would run scipy's __init__; a find_spec of the top-level
+    "scipy" only searches sys.path (or returns the loaded package's spec)
+    and runs no package code. The extension is loaded from the integrate
+    directory under it and registered nowhere in sys.modules. If
+    scipy.integrate was imported first, CPython hands back the extension
+    it already loaded from that file.
     """
-    package = importlib.util.find_spec("scipy.integrate")
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     finder = importlib.machinery.FileFinder(
-        package.submodule_search_locations[0],
+        os.path.join(package.submodule_search_locations[0], "integrate"),
         (importlib.machinery.ExtensionFileLoader,
          importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(ODEPACK)
@@ -220,9 +235,30 @@ class OdeSolution:
 
 
 def _check_span(tau_max: float) -> None:
-    """LSODA takes a NaN output time and steps on without end."""
+    """LSODA takes a NaN output time and steps on without end, and a
+    negative one integrates backwards."""
     if not np.isfinite(tau_max):
         raise ValueError(f"tau_max must be finite, got {tau_max}")
+    if tau_max < 0:
+        raise ValueError(f"tau_max must be >= 0, got {tau_max}")
+
+
+def _check_tol(tol: float) -> None:
+    """LSODA returns a non-solution for a non-finite tolerance and rejects
+    one <= 0 as illegal input."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _check_state(state: FluidState, params: ModelParams) -> None:
+    """The equations index n_levels levels, and a NaN component would turn
+    a comparison into a violation of NaN."""
+    if state.x.size != params.n_levels:
+        raise ValueError(f"state dimension {state.x.size} does not match "
+                         f"n_levels = {params.n_levels}")
+    if not (np.isfinite(state.x).all() and np.isfinite(state.y).all()):
+        raise ValueError(f"state must be finite, got x = {state.x.tolist()}, "
+                         f"y = {state.y.tolist()}")
 
 
 def _clamp(states: np.ndarray, tol: float) -> np.ndarray:
@@ -246,8 +282,9 @@ def integrate(
 
     With `grid` given, states are reported on it: it must be strictly
     increasing, start at 0 and end at most at tau_max. Without it, the states
-    at the two endpoints 0 and tau_max are reported. A non-finite tau_max
-    raises ValueError.
+    at the two endpoints 0 and tau_max are reported, and at tau_max = 0 the
+    initial state alone, as on the grid [0]. A tau_max that is not finite
+    and >= 0 raises ValueError.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -259,15 +296,15 @@ def integrate(
             raise ValueError(f"{name} must be finite, got {v.tolist()}")
     if (x0 < 0).any() or (y0 < 0).any():
         raise ValueError("initial data must be nonnegative")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
     _check_span(tau_max)
-    if tau_max == 0.0:
-        return OdeSolution(np.array([0.0]), x0[None, :].copy(),
-                           y0[None, :].copy(), 0)
-    taus = np.array([0.0, tau_max] if grid is None else grid, dtype=np.float64)
-    if taus[0] != 0.0 or taus[-1] > tau_max or not (np.diff(taus) > 0).all():
+    taus = np.array(grid if grid is not None else
+                    [0.0, tau_max] if tau_max else [0.0], dtype=np.float64)
+    if (taus.size == 0 or taus[0] != 0.0 or taus[-1] > tau_max
+            or not (np.diff(taus) > 0).all()):
         raise ValueError("grid must increase strictly from 0 to at most tau_max")
+    if taus.size == 1:  # LSODA reports no evaluation count for one time
+        return OdeSolution(taus, x0[None, :].copy(), y0[None, :].copy(), 0)
     states, nfev = _solve(_pack(x0, y0), params, taus, tau_max, tol)
     states = _clamp(states, tol).reshape(-1, n, 2)
     return OdeSolution(taus, states[:, :, 0], states[:, :, 1], nfev)
@@ -286,8 +323,11 @@ def integrate_until_stationary(
     ran out while the flow was still moving faster than that. The
     integrator's BDF steps settle onto the fixed point rather than jitter
     around it, so from moderate parameters this flag is normally True well
-    inside a budget of a few hundred tau units.
+    inside a budget of a few hundred tau units. A budget that is not finite
+    and >= 0 raises ValueError: the loop would never end on a flow that
+    does not settle.
     """
+    _check_span(tau_max)
     state = FluidState(np.asarray(x0, dtype=np.float64),
                        np.asarray(y0, dtype=np.float64))
     tau = 0.0
@@ -325,13 +365,18 @@ def check_comparison(
     """Verify the comparison principle: componentwise x_a <= x_b, y_a >= y_b
     at tau = 0 must propagate to every later time.
 
-    Raises ValueError for a non-finite tau_max and HypothesisViolated when
-    the initial ordering fails. Both systems are integrated jointly (one
-    stacked solve, shared adaptive steps) at a tolerance two orders below
-    tol, so apparent ordering violations reflect the dynamics rather than
-    independent discretization noise.
+    Raises ValueError for a tau_max that is not finite and >= 0, a tol that
+    is not finite and > 0, or states that are not finite or whose level
+    count is not params.n_levels, and HypothesisViolated when the initial
+    ordering fails. Both systems are integrated jointly (one stacked solve,
+    shared adaptive steps) at a tolerance two orders below tol, so apparent
+    ordering violations reflect the dynamics rather than independent
+    discretization noise.
     """
     _check_span(tau_max)
+    _check_tol(tol)
+    _check_state(pair_a, params)
+    _check_state(pair_b, params)
     if (pair_a.x > pair_b.x).any() or (pair_a.y < pair_b.y).any():
         raise HypothesisViolated(
             "need x_a <= x_b and y_a >= y_b componentwise at tau = 0"

@@ -287,9 +287,22 @@ def test_simulate_off_grid_horizon_reports_the_horizon_state(tmp_path,
     assert final == [0.399, 0.103] and "x=(0.399, 0.103)" in out
 
 
+def test_simulate_tiny_horizon_samples_the_horizon(tmp_path, capsys):
+    # tau_max within 1e-9 * sample_dt of 0: the grid was [0] alone, so the
+    # initial state was written and reported as the final one
+    code, _, _ = run(capsys, ["simulate", "--n", "2", *ONES, "--scale", "10",
+                              "--tau-max", "1e-12", "--sample-dt", "1",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [0.0, 1e-12]
+
+
 @pytest.mark.parametrize("tau_max,step,taus", [
     ("1", "0.3", [0.0, 0.3, 0.6, 3 * 0.3, 1.0]),
     ("0.05", "0.1", [0.0, 0.05]),  # a step past the horizon
+    ("1e-12", "1", [0.0, 1e-12]),  # a horizon within 1e-9 of a step
 ])
 def test_integrate_off_grid_horizon_ends_at_the_horizon(tmp_path, capsys,
                                                         tau_max, step, taus):

@@ -211,10 +211,9 @@ def run_python(code):
 
 
 def test_ode_routes_leave_scipy_integrate_unloaded(tmp_path):
-    # the package's __init__ would pull these in; the LSODA extension
-    # alone needs none of them
-    heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
-             "scipy.sparse"]
+    # no scipy module at all: scipy.integrate's __init__ would load some 580
+    # modules, and scipy's own __init__ (run by a lookup of any scipy
+    # submodule) 10 more; the LSODA extension alone needs neither
     out = run_python(
         "import sys\n"
         "from lobfluid import cli\n"
@@ -226,39 +225,67 @@ def test_ode_routes_leave_scipy_integrate_unloaded(tmp_path):
         "assert cli.main(['converge', *model, '--levels', '10,20',\n"
         "                 '--tau-horizon', '1', '--replicas', '2',\n"
         "                 '--out-dir', out + '/converge']) == 0\n"
-        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
         "print(sys.modules['lobfluid.ode']._lsoda().__name__)\n")
     assert out.splitlines()[-2:] == ["[]", ode.ODEPACK]
     assert (tmp_path / "integrate" / "solution.csv").exists()
     assert (tmp_path / "converge" / "convergence.csv").exists()
 
 
+# one small integration by the loader (private) and by the public odeint
+LSODA_SETUP = ("import hashlib, numpy as np\n"
+               "from lobfluid import ModelParams, ode\n"
+               "p = ModelParams(3, 1.3, 0.7, 0.9, 0.4, 2.5)\n"
+               "z0 = ode._pack(np.array([0.5, 0.0, 1.0]),\n"
+               "               np.array([0.0, 2.0, 0.1]))\n"
+               "taus = np.linspace(0.0, 30.0, 11)\n"
+               "def public():\n"
+               "    from scipy.integrate import odeint\n"
+               "    s, info = odeint(ode._flow, z0, taus, args=(p,),\n"
+               "                     tfirst=True, ml=2, mu=2, rtol=1e-9,\n"
+               "                     atol=1e-9, tcrit=[30.0],\n"
+               "                     mxstep=ode.MAX_STEPS, full_output=True)\n"
+               "    return s, int(info['nfe'][-1])\n"
+               "def private():\n"
+               "    return ode._solve(z0, p, taus, 30.0, 1e-9)\n"
+               "def show(s, nfe):\n"
+               "    print(hashlib.sha256(s.tobytes()).hexdigest(), nfe)\n")
+
+
 def test_lsoda_loader_and_public_odeint_agree_in_either_import_order():
-    setup = ("import hashlib, numpy as np\n"
-             "from lobfluid import ModelParams, ode\n"
-             "p = ModelParams(3, 1.3, 0.7, 0.9, 0.4, 2.5)\n"
-             "z0 = ode._pack(np.array([0.5, 0.0, 1.0]),\n"
-             "               np.array([0.0, 2.0, 0.1]))\n"
-             "taus = np.linspace(0.0, 30.0, 11)\n"
-             "def public():\n"
-             "    from scipy.integrate import odeint\n"
-             "    s, info = odeint(ode._flow, z0, taus, args=(p,),\n"
-             "                     tfirst=True, ml=2, mu=2, rtol=1e-9,\n"
-             "                     atol=1e-9, tcrit=[30.0],\n"
-             "                     mxstep=ode.MAX_STEPS, full_output=True)\n"
-             "    return s, int(info['nfe'][-1])\n"
-             "def private():\n"
-             "    return ode._solve(z0, p, taus, 30.0, 1e-9)\n"
-             "def show(s, nfe):\n"
-             "    print(hashlib.sha256(s.tobytes()).hexdigest(), nfe)\n")
-    loader_first = run_python(setup + "show(*private())\n"
-                                      "show(*public())\n"
-                                      "show(*private())\n")
+    loader_first = run_python(LSODA_SETUP + "show(*private())\n"
+                                            "show(*public())\n"
+                                            "show(*private())\n")
     public_first = run_python(
-        setup + "show(*public())\n"
-                "show(*private())\n")
+        LSODA_SETUP + "show(*public())\n"
+                      "show(*private())\n")
     lines = loader_first.splitlines() + public_first.splitlines()
     assert len(lines) == 5 and len(set(lines)) == 1, lines
+
+
+def test_lsoda_loader_after_the_scipy_package_alone():
+    # with the scipy package already imported, the loader finds the
+    # extension under the loaded package's directory and adds no module
+    out = run_python(
+        "import sys, scipy\n" + LSODA_SETUP
+        + "before = set(sys.modules)\n"
+          "show(*private())\n"
+          "print(sorted(set(sys.modules) - before))\n"
+          "print(ode._lsoda().__file__.startswith(scipy.__path__[0]))\n"
+          "show(*public())\n")
+    lines = out.splitlines()
+    assert lines[1:3] == ["[]", "True"], lines
+    assert len(lines) == 4 and lines[0] == lines[3], lines
+
+
+def test_lsoda_loader_without_scipy_names_it(monkeypatch):
+    import importlib.util
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="'scipy'") as failure:
+        ode._lsoda.__wrapped__()  # the uncached loader
+    assert failure.value.name == "scipy"
 
 
 def test_failed_integration_raises_step_underflow(monkeypatch, tmp_path,
@@ -340,6 +367,12 @@ def test_integrate_zero_horizon_single_point():
     sol = integrate(np.array([0.2]), np.array([0.4]), params(), 0.0)
     assert sol.taus.tolist() == [0.0]
     assert sol.x.tolist() == [[0.2]] and sol.y.tolist() == [[0.4]]
+    # the grid [0] asks for the initial state alone, whatever the span;
+    # LSODA, given one output time, reports no evaluation count
+    sol = integrate(np.array([0.2]), np.array([0.4]), params(), 5.0,
+                    grid=np.array([0.0]))
+    assert sol.taus.tolist() == [0.0] and sol.n_rhs_evals == 0
+    assert sol.x.tolist() == [[0.2]] and sol.y.tolist() == [[0.4]]
 
 
 def test_integrate_rejects_negative_initial_data():
@@ -349,10 +382,16 @@ def test_integrate_rejects_negative_initial_data():
 
 def test_integrate_rejects_grid_outside_span():
     for grid in ([0.5, 1.0], [0.0, 2.0], [0.0, 0.5, 0.5, 1.0],
-                 [0.0, np.nan, 1.0], [0.0, np.nan]):
+                 [0.0, np.nan, 1.0], [0.0, np.nan], []):
         with pytest.raises(ValueError, match="grid must increase strictly"):
             integrate(np.zeros(1), np.zeros(1), params(), 1.0,
                       grid=np.array(grid))
+    # a zero span takes no grid past 0 either; before, it ignored the grid
+    with pytest.raises(ValueError, match="grid must increase strictly"):
+        integrate(np.zeros(1), np.zeros(1), params(), 0.0,
+                  grid=np.array([0.0, 1.0]))
+    sol = integrate(np.zeros(1), np.ones(1), params(), 0.0, grid=np.zeros(1))
+    assert sol.taus.tolist() == [0.0] and sol.y.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("tau_max", [np.nan, np.inf, -np.inf])
@@ -367,6 +406,74 @@ def test_nonfinite_tau_max_is_rejected(tau_max):
         integrate(state.x, state.y, p, tau_max, grid=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match=message):
         check_comparison(state, state, p, tau_max)
+    # the budget is checked before the first block: on a flow that never
+    # settles (N = 20, beta = 0, gamma = 10 from x = 5) the block loop had
+    # no end at NaN or inf; this flow settles, so the old loop returned
+    with pytest.raises(ValueError, match=message):
+        integrate_until_stationary(p, state.x, state.y, tau_max=tau_max)
+
+
+def test_negative_tau_max_is_rejected():
+    # check_comparison integrated backwards and could report a violation;
+    # integrate_until_stationary returned converged=False at tau 0
+    p = params(n=2)
+    lo = FluidState(np.zeros(2), np.ones(2))
+    hi = FluidState(np.ones(2), np.zeros(2))
+    message = "tau_max must be >= 0, got -1.0"
+    with pytest.raises(ValueError, match=message):
+        check_comparison(lo, hi, p, -1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_until_stationary(p, np.zeros(2), np.zeros(2), tau_max=-1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate(np.zeros(2), np.zeros(2), p, -1.0)
+    # a zero span is no violation and no convergence
+    assert check_comparison(lo, hi, p, 0.0).ok
+    assert not integrate_until_stationary(p, np.zeros(2), np.zeros(2),
+                                          tau_max=0.0)[1]
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_comparison_rejects_a_tol_it_cannot_use(tol):
+    # a NaN tol reported a violation; tol <= 0 reached LSODA as illegal
+    # input and surfaced as a StepUnderflow
+    p = params(n=2)
+    lo = FluidState(np.zeros(2), np.ones(2))
+    hi = FluidState(np.ones(2), np.zeros(2))
+    message = f"tol must be finite and > 0, got {tol}"
+    with pytest.raises(ValueError, match=message):
+        check_comparison(lo, hi, p, 10.0, tol=tol)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_states_of_another_level_count_are_rejected(n):
+    # a state of n levels against params of 2 ended in an IndexError inside
+    # the right-hand side, or at n = 4 was read as two stacked states
+    p = params(n=2)
+    wrong = FluidState(np.zeros(n), np.ones(n))
+    right = FluidState(np.zeros(2), np.ones(2))
+    message = f"state dimension {n} does not match n_levels = 2"
+    with pytest.raises(ValueError, match=message):
+        rhs(wrong, p)
+    with pytest.raises(ValueError, match=message):
+        check_comparison(wrong, right, p, 1.0)
+    with pytest.raises(ValueError, match=message):
+        check_comparison(right, wrong, p, 1.0)
+
+
+def test_nonfinite_states_are_rejected():
+    # a NaN level made check_comparison report ok=False with a violation
+    # of NaN, and rhs return NaN
+    p = params(n=2)
+    lo = FluidState(np.zeros(2), np.ones(2))
+    hi = FluidState(np.ones(2), np.zeros(2))
+    for bad in (FluidState(np.array([np.nan, 0.0]), np.ones(2)),
+                FluidState(np.zeros(2), np.array([1.0, np.inf]))):
+        with pytest.raises(ValueError, match="state must be finite"):
+            rhs(bad, p)
+        with pytest.raises(ValueError, match="state must be finite"):
+            check_comparison(bad, hi, p, 1.0)
+        with pytest.raises(ValueError, match="state must be finite"):
+            check_comparison(lo, bad, p, 1.0)
 
 
 def test_uniform_grid_endpoint_never_overshoots():
@@ -390,6 +497,13 @@ def test_uniform_grid_endpoint_never_overshoots():
     # a multiple within 1e-9 * step of stop ends the grid, as before
     assert uniform_grid(0.9, 0.3).tolist() == [0.0, 0.3, 0.6, 3 * 0.3]
     assert uniform_grid(1.0 + 1e-12, 0.5).tolist() == [0.0, 0.5, 1.0]
+    # but 0 never ends the grid of a positive stop, however close to it
+    for stop in (1e-12, 1e-9, 5e-324):
+        assert uniform_grid(stop, 1.0).tolist() == [0.0, stop]
+    sol = integrate(np.zeros(1), np.ones(1), params(), 1e-12,
+                    grid=uniform_grid(1e-12, 1.0))
+    assert sol.taus.tolist() == [0.0, 1e-12] and sol.x.shape == (2, 1)
+    assert uniform_grid(0.0, 1.0).tolist() == [0.0]
     with pytest.raises(ValueError):
         uniform_grid(1.0, 0.0)
     for stop, step, name in ((np.inf, 0.1, "stop"), (np.nan, 0.1, "stop"),
