@@ -57,7 +57,8 @@ def levelwise_rhs(x, y, p):
     return dx, dy
 
 
-# both sides of the threshold between _flow's Python-float and numpy forms
+# both sides of the threshold between _flow's compiled and numpy forms:
+# a state of HALF levels runs the compiled form, one of HALF + 1 numpy
 HALF = ode.SCALAR_FLOW_MAX // 2
 FLOW_SIZES = [1, 2, 7, HALF, HALF + 1, 400]
 
@@ -96,7 +97,7 @@ def test_rhs_matches_levelwise_equations(n):
 @pytest.mark.parametrize("n", [1, 2, 7, HALF])
 def test_stacked_flow_equals_separate_evaluations(n):
     # the comparison check integrates two states through the same equations;
-    # at n = HALF each state runs on floats and the stacked pair on numpy
+    # at n = HALF each state runs the compiled form and the stacked pair numpy
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
@@ -106,12 +107,29 @@ def test_stacked_flow_equals_separate_evaluations(n):
     assert stacked.tobytes() == separate.tobytes()
 
 
-def public_solve(z0, p, taus, tau_max, tol):
-    """ode._solve's integration through scipy's public odeint wrapper."""
+def test_one_compiled_flow_serves_every_parameter_set_of_its_shape():
+    # the compiled form is cached per state shape, not per parameter set:
+    # two sets called alternately must each get their own rates
+    rng = np.random.default_rng(39)
+    n = 3
+    sets = [replace(random_params(rng), n_levels=n) for _ in range(2)]
+    for i in range(8):
+        p = sets[i % 2]
+        x, y = flow_state(rng, n, ties=i % 4 < 2)
+        dx, dy = rhs(FluidState(x, y), p)
+        want_x, want_y = levelwise_rhs(x, y, p)
+        assert dx.tobytes() == want_x.tobytes()
+        assert dy.tobytes() == want_y.tobytes()
+    assert ode._flow_for(n, 2 * n) is ode._flow_for(n, 2 * n)
+
+
+def public_solve(z0, p, taus, tau_max, tol, func=ode._numpy_flow):
+    """ode._solve's integration through scipy's public odeint wrapper, by
+    default on the numpy form of the right-hand side."""
     from scipy.integrate import odeint
 
     band = min(2, z0.size - 1)
-    states, info = odeint(ode._flow, z0, taus, args=(p,), tfirst=True,
+    states, info = odeint(func, z0, taus, args=(p,), tfirst=True,
                           ml=band, mu=band, rtol=tol, atol=tol,
                           tcrit=[tau_max], mxstep=ode.MAX_STEPS,
                           full_output=True)
@@ -144,6 +162,8 @@ def solve_cases():
 
 
 def test_solve_matches_public_odeint_bit_for_bit():
+    # _solve hands LSODA the compiled form up to SCALAR_FLOW_MAX components;
+    # the public run on the numpy form takes the same steps to the same bits
     for z0, p, taus, tau_max, tol in solve_cases():
         z0_kept, taus_kept = z0.copy(), taus.copy()
         states, nfe = ode._solve(z0, p, taus, tau_max, tol)
@@ -183,7 +203,8 @@ def same_argument(a, b):
 def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     # every argument, including those no result shows: LSODA reaches Adams
     # order 11 at most on this system, so an mxordn other than 12 would
-    # leave every output bit as it is
+    # leave every output bit as it is; the callable is the form _flow_for
+    # selects for the state's shape
     from scipy.integrate import _odepack_py
 
     private, public = RecordingOdepack(), RecordingOdepack()
@@ -191,7 +212,8 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     monkeypatch.setattr(_odepack_py, "_odepack", public)
     for z0, p, taus, tau_max, tol in solve_cases():
         ode._solve(z0, p, taus, tau_max, tol)
-        public_solve(z0, p, taus, tau_max, tol)
+        public_solve(z0, p, taus, tau_max, tol,
+                     func=ode._flow_for(p.n_levels, z0.size))
         got, want = private.calls.pop(), public.calls.pop()
         assert len(got) == len(want) == 21
         for i, (a, b) in enumerate(zip(got, want)):
@@ -548,6 +570,26 @@ def test_integrate_until_stationary_reaches_fixed_point():
     assert converged
     assert np.abs(state.x - fp.x_star).max() < 1e-6
     assert np.abs(state.y - fp.y_star).max() < 1e-6
+
+
+@pytest.mark.parametrize("p, x0, tau_max, blocks, converged", [
+    # rates 1 from empty settle inside one block cut to 10
+    (params(n=2), 0.0, 10.0, [10.0], True),
+    # slow moves and quits from a full book: still moving at tau 120
+    (params(n=2, alpha=0.1, beta=0.1), 5.0, 120.0, [50.0, 50.0, 20.0], False),
+])
+def test_integrate_until_stationary_stays_inside_its_budget(p, x0, tau_max,
+                                                            blocks, converged):
+    # the last block ends at the budget; a whole last block reported
+    # tau_used = 50 for a budget of 10
+    state, done, tau_used = integrate_until_stationary(
+        p, np.full(2, x0), np.zeros(2), tau_max=tau_max)
+    assert (done, tau_used) == (converged, tau_max)
+    want = FluidState(np.full(2, x0), np.zeros(2))
+    for span in blocks:
+        want = integrate(want.x, want.y, p, span).final
+    assert state.x.tobytes() == want.x.tobytes()
+    assert state.y.tobytes() == want.y.tobytes()
 
 
 def test_long_horizon_flow_lands_on_fixed_point():
