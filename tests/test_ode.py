@@ -58,9 +58,11 @@ def levelwise_rhs(x, y, p):
 
 
 # both sides of the threshold between _flow's compiled and numpy forms:
-# a state of HALF levels runs the compiled form, one of HALF + 1 numpy
+# a state of HALF levels runs the compiled form, one of HALF + 1 numpy;
+# 32 and 33 levels, the sides of an earlier threshold of 64 components,
+# stay as compiled sizes whose stacked pair runs numpy
 HALF = ode.SCALAR_FLOW_MAX // 2
-FLOW_SIZES = [1, 2, 7, HALF, HALF + 1, 400]
+FLOW_SIZES = [1, 2, 7, 32, 33, HALF, HALF + 1, 400]
 
 
 def flow_state(rng, n, ties):
@@ -94,10 +96,11 @@ def test_rhs_matches_levelwise_equations(n):
         assert dy.tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, HALF])
+@pytest.mark.parametrize("n", [1, 2, 7, 32, HALF])
 def test_stacked_flow_equals_separate_evaluations(n):
     # the comparison check integrates two states through the same equations;
-    # at n = HALF each state runs the compiled form and the stacked pair numpy
+    # at n = 32 and HALF each state runs the compiled form and the stacked
+    # pair numpy
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
