@@ -140,6 +140,17 @@ def _parse_int(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _parse_float(value, key: str) -> float:
+    """A real-valued option: a number, not a bool, string, list or object,
+    which float() would take as 1.0 or 0.5 or fail on with a TypeError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _parse_ints(value, key: str) -> list[int]:
     return [_parse_int(v, key) for v in _parse_floats(value)]
 
@@ -194,6 +205,11 @@ class Effective:
             v = self.args.get(key)
             if v is not None:
                 merged[key] = v
+        for key, v in merged.items():  # flag values pass unchanged
+            if key == "n_levels":
+                merged[key] = _parse_int(v, key)
+            elif key in PARAM_FIELDS and key != "price_labels":
+                merged[key] = _parse_float(v, key)
         if merged.get("price_labels") is not None:
             merged["price_labels"] = tuple(_parse_floats(merged["price_labels"]))
         if not merged:
@@ -225,6 +241,11 @@ class Effective:
             raise ConfigError(f"{key} must be >= {minimum}, got {v}")
         return v
 
+    def get_float(self, key: str, default=None,
+                  required: bool = False) -> float | None:
+        v = self.get(key, default, required)
+        return None if v is None else _parse_float(v, key)
+
     def out_dir(self) -> Path:
         return Path(self.get("out_dir", default=f"lobfluid_out/{self.command}"))
 
@@ -254,8 +275,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 def cmd_simulate(eff: Effective) -> int:
     params = eff.model_params()
     scale = ScalingLevel(eff.get_int("scale", required=True))
-    tau_max = float(eff.get("tau_max", required=True))
-    sample_dt = float(eff.get("sample_dt", default=max(tau_max, 1.0) / 100))
+    tau_max = eff.get_float("tau_max", required=True)
+    sample_dt = eff.get_float("sample_dt", default=max(tau_max, 1.0) / 100)
     max_events = eff.get_int("max_events", default=DEFAULT_MAX_EVENTS,
                              minimum=1)
     x0, y0 = _initial_pair(eff, params.n_levels)
@@ -278,12 +299,12 @@ def cmd_simulate(eff: Effective) -> int:
 
 def cmd_integrate(eff: Effective) -> int:
     params = eff.model_params()
-    tau_max = float(eff.get("tau_max", required=True))
-    tol = float(eff.get("tol", default=DEFAULT_TOL))
+    tau_max = eff.get_float("tau_max", required=True)
+    tol = eff.get_float("tol", default=DEFAULT_TOL)
     x0, y0 = _initial_pair(eff, params.n_levels)
     grid = step = None
     if tau_max > 0:
-        step = float(eff.get("grid_step", default=tau_max / 100))
+        step = eff.get_float("grid_step", default=tau_max / 100)
         grid = uniform_grid(tau_max, step)
     sol = integrate(x0, y0, params, tau_max, tol=tol, grid=grid)
     out = eff.out_dir()
@@ -339,14 +360,14 @@ def cmd_solve(eff: Effective) -> int:
 def cmd_converge(eff: Effective) -> int:
     params = eff.model_params()
     levels = _parse_ints(eff.get("levels", required=True), "levels")
-    T = float(eff.get("tau_horizon", required=True))
+    T = eff.get_float("tau_horizon", required=True)
     replicas = eff.get_int("replicas", required=True)
-    grid_step = eff.get("grid_step")
+    grid_step = eff.get_float("grid_step")
     workers = eff.get_int("workers", default=1, minimum=1)
     x0, y0 = _initial_pair(eff, params.n_levels)
     report = experiments.fluid_convergence(
         params, x0, y0, levels, T, replicas, eff.seed(),
-        grid_step=None if grid_step is None else float(grid_step),
+        grid_step=grid_step,
         workers=workers,
     )
     out = eff.out_dir()
@@ -367,9 +388,9 @@ def cmd_converge(eff: Effective) -> int:
 def cmd_equilibrium(eff: Effective) -> int:
     params = eff.model_params()
     levels = _parse_ints(eff.get("levels", required=True), "levels")
-    burn_in = float(eff.get("burn_in", required=True))
+    burn_in = eff.get_float("burn_in", required=True)
     n_samples = eff.get_int("n_samples", required=True)
-    sample_gap = float(eff.get("sample_gap", required=True))
+    sample_gap = eff.get_float("sample_gap", required=True)
     report = experiments.equilibrium_concentration(
         params, levels, burn_in, n_samples, sample_gap, eff.seed())
     out = eff.out_dir()

@@ -58,7 +58,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .model import ModelParams
-from .ode import _numpy_flow, _pack
+from .ode import _defect
 
 __all__ = [
     "FixedPoint",
@@ -209,11 +209,9 @@ def fixed_point_residual(
     x: np.ndarray, y: np.ndarray, params: ModelParams
 ) -> float:
     """Sup-norm defect of (x, y) over all 2N stationary equations: the
-    largest component of the fluid right-hand side at that point. It is
-    evaluated once, so on the numpy form: compiling the straight-line form
-    for the shape costs some 20 to 150 numpy evaluations (0.4 ms at 8
-    components, 3 ms at 120, on a 2-core Xeon)."""
-    return float(np.abs(_numpy_flow(0.0, _pack(x, y), params)).max())
+    largest component of the fluid right-hand side at that point, the
+    defect integrate_until_stationary tests (ode._defect)."""
+    return _defect(x, y, params)
 
 
 def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:

@@ -20,19 +20,24 @@ evaluations and an O(N) factorisation whatever N is.
 Every integration is one call of LSODA's `odeint` entry point: LSODA steps
 inside Fortran from 0 to the last output time and interpolates onto the
 requested grid there, with `tcrit = tau_max` so that no step passes the
-span. Only the right-hand side runs in Python, in one of two forms selected
-by the state's size (_flow_for), and LSODA calls the selected form itself.
-Up to SCALAR_FLOW_MAX components it is a straight-line function on Python
-floats, generated and compiled once per state shape (_compiled_flow): it
-unpacks the state into locals, writes every level's two equations out and
-returns a list, which the extension converts in C, since numpy's per-call
-dispatch costs more than the arithmetic on so few values. Above that the
+span. Only the right-hand side runs in Python. It is stated once, as the
+numpy form _flow, which every evaluation outside LSODA runs: rhs, and the
+stationarity defect _defect that integrate_until_stationary tests and
+fixed_point.fixed_point_residual returns. Inside LSODA, and only there,
+_solve runs a second form up to SCALAR_FLOW_MAX components: a
+straight-line function on Python floats, generated and compiled once per
+state shape (_compiled_flow). It unpacks the state into locals, writes
+every level's two equations out and returns a list, which the extension
+converts in C, since numpy's per-call dispatch costs more than the
+arithmetic on so few values. A compile costs some 20 to 150 numpy
+evaluations (0.4 ms at 8 components, 3 ms at 120), which only an
+integration's thousands of evaluations repay. Above the threshold the
 numpy form is faster: on a 2-core Xeon, inside LSODA, the compiled form
-took 13.6 against numpy's 24.7 us per evaluation at 64 components, the two
-met near 120, and at 240 the compiled form took 42.5 against 27.0 us. The
-two forms make the same operations in the same order, with the same tie
-rule in the min, so they agree to the last bit; tests/test_ode.py compares
-their bytes on both sides of the threshold.
+took 13.6 against numpy's 24.7 us per evaluation at 64 components, the
+two met near 120, and at 240 the compiled form took 42.5 against 27.0 us.
+The two forms make the same operations in the same order, with the same
+tie rule in the min, so they agree to the last bit; tests/test_ode.py
+compares their bytes on both sides of the threshold.
 
 LSODA is called through scipy's compiled ODEPACK module,
 `scipy.integrate._odepack`, which `_lsoda` loads on its own from the file
@@ -46,7 +51,9 @@ subprocess and sysconfig) for about 0.7 MiB and 15 ms. The extension
 itself needs only numpy and loads in milliseconds.
 `_solve` passes it the arguments the public wrapper passes, so the results
 are the same bits, and checks LSODA's return code itself: a negative
-`istate` raises StepUnderflow with LSODA's message for it.
+`istate` raises StepUnderflow with LSODA's message for it, and so does a
+non-finite state, which LSODA returns without a failure code for a span
+so short that its first step underflows.
 tests/test_ode.py pins `_solve` to the public `odeint` bit for bit, and
 compares every argument the two pass to the extension, since some (such as
 the Adams order cap mxordn) change no output bit on this system.
@@ -76,7 +83,7 @@ DEFAULT_TOL = 1e-9
 STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
 STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
-SCALAR_FLOW_MAX = 120       # state components up to which _flow is compiled
+SCALAR_FLOW_MAX = 120       # state components up to which _solve compiles
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 
 ODEPACK = "scipy.integrate._odepack"
@@ -126,27 +133,13 @@ def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The fluid equations on one or more stacked level-major states.
+    """The fluid equations on one or more stacked level-major states, on
+    arrays of shape (state, level, x/y).
 
     z holds any number of states of 2N components each; every state is
     advanced independently, so one call evaluates a single trajectory or the
-    stacked pair of a comparison check. It runs the form _flow_for selects
-    for z's shape; both forms give the same bits.
+    stacked pair of a comparison check.
     """
-    return np.asarray(_flow_for(p.n_levels, z.size)(t, z, p))
-
-
-def _flow_for(n_levels: int, size: int):
-    """The right-hand side for states of size components at n_levels
-    levels, called as f(t, z, p): up to SCALAR_FLOW_MAX components the
-    compiled straight-line form (a list), above it the numpy form."""
-    if size <= SCALAR_FLOW_MAX:
-        return _compiled_flow(n_levels, size)
-    return _numpy_flow
-
-
-def _numpy_flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
-    """_flow's equations on arrays of shape (state, level, x/y)."""
     s = z.reshape(-1, p.n_levels, 2)
     gain = np.empty_like(s)
     gain[:, 0, 0] = p.lambda_b
@@ -157,6 +150,12 @@ def _numpy_flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
     return (gain - (p.beta + p.alpha) * s - trade).ravel()
 
 
+def _defect(x: np.ndarray, y: np.ndarray, params: ModelParams) -> float:
+    """Sup-norm of the right-hand side at (x, y): how far the point is from
+    stationary."""
+    return float(np.abs(_flow(0.0, _pack(x, y), params)).max())
+
+
 @functools.cache
 def _compiled_flow(n_levels: int, size: int):
     """_flow's equations for one state shape as a straight-line function
@@ -164,12 +163,12 @@ def _compiled_flow(n_levels: int, size: int):
 
     The source is built from integer indices alone; the rates are read
     from p on every call, so one function serves every parameter set of
-    the shape. _flow_for asks only for shapes of at most SCALAR_FLOW_MAX
-    components, so the cache stays small. Component i of z is the local
-    v<i>, and each level's two equations make the numpy form's operations
-    in its order: (inflow - (beta+alpha) * v) - trade. The min takes y on
-    a tie, as numpy's min over the (x, y) axis does, so a signed zero comes
-    out the same.
+    the shape. Its one caller, _solve, asks only for shapes of at most
+    SCALAR_FLOW_MAX components, so the cache stays small. Component i of z
+    is the local v<i>, and each level's two equations make _flow's
+    operations in its order: (inflow - (beta+alpha) * v) - trade. The min
+    takes y on a tie, as numpy's min over the (x, y) axis does, so a signed
+    zero comes out the same.
     """
     width = 2 * n_levels
     body = []
@@ -234,16 +233,17 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     The positional arguments are those scipy.integrate.odeint passes for
     `odeint(f, z0, taus, args=(params,), tfirst=True, ml=band, mu=band,
     rtol=tol, atol=tol, tcrit=[tau_max], mxstep=MAX_STEPS,
-    full_output=True)`, with f the right-hand side _flow_for selects for
-    z0's shape (the extension converts a returned list in C), on copies of
-    z0 and taus, since LSODA integrates in the state array it is given. A
-    negative istate, LSODA's only report of a failed integration, raises
-    StepUnderflow.
+    full_output=True)`, on copies of z0 and taus, since LSODA integrates in
+    the state array it is given. f is _compiled_flow for z0's shape up to
+    SCALAR_FLOW_MAX components (the extension converts its list in C) and
+    _flow above. A negative istate, LSODA's report of a failed integration,
+    raises StepUnderflow, and so does a non-finite state.
     """
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
+    flow = (_compiled_flow(params.n_levels, z0.size)
+            if z0.size <= SCALAR_FLOW_MAX else _flow)
     states, info, istate = _lsoda().odeint(
-        _flow_for(params.n_levels, z0.size),
-        z0.copy(), taus.copy(), (params,),
+        flow, z0.copy(), taus.copy(), (params,),
         None, 0,              # Dfun, col_deriv: finite-difference Jacobian
         band, band, True,     # ml, mu, full_output
         tol, tol, [tau_max],  # rtol, atol, tcrit
@@ -252,6 +252,9 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
         1)                    # tfirst
     if istate < 0:
         raise StepUnderflow(LSODA_ERRORS[istate])
+    if not np.isfinite(states).all():
+        raise StepUnderflow(f"LSODA returned a non-finite state over a span "
+                            f"of {tau_max}")
     return states, int(info["nfe"][-1])
 
 
@@ -361,15 +364,17 @@ def integrate_until_stationary(
     fixed point rather than jitter around it, so from moderate parameters
     this flag is normally True well inside a budget of a few hundred tau
     units. A budget that is not finite and >= 0 raises ValueError: the loop
-    would never end on a flow that does not settle.
+    would never end on a flow that does not settle. So does an initial
+    state that is not finite or not of params.n_levels levels; each block
+    starts from integrate's output, which is finite.
     """
     _check_span(tau_max)
     state = FluidState(np.asarray(x0, dtype=np.float64),
                        np.asarray(y0, dtype=np.float64))
+    _check_state(state, params)
     tau = 0.0
     while True:
-        dx, dy = rhs(state, params)
-        if max(np.abs(dx).max(), np.abs(dy).max()) < STATIONARY_RHS_TOL:
+        if _defect(state.x, state.y, params) < STATIONARY_RHS_TOL:
             return state, True, tau
         if tau >= tau_max:
             return state, False, tau

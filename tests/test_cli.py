@@ -513,6 +513,54 @@ def test_study_integer_options_do_not_truncate(tmp_path, capsys, command,
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, block, model, key", [
+    # these ended in a TypeError traceback (exit 1)
+    ("integrate", {"tau_max": [1]}, {}, "tau_max"),
+    ("equilibrium", {"levels": [20], "burn_in": {"x": 1}, "n_samples": 2,
+                     "sample_gap": 0.5}, {}, "burn_in"),
+    # these ran as 1.0, 1.0 and 0.5 although the schema asks for a number
+    ("integrate", {"tau_max": True}, {}, "tau_max"),
+    ("integrate", {"tau_max": 1}, {"gamma": True}, "gamma"),
+    ("simulate", {"scale": 20, "tau_max": 1, "sample_dt": "0.5"}, {},
+     "sample_dt"),
+    ("integrate", {"tau_max": 1, "tol": "1e-9"}, {}, "tol"),
+    ("integrate", {"tau_max": 1, "grid_step": [0.5]}, {}, "grid_step"),
+    ("converge", {"levels": [10], "tau_horizon": "1", "replicas": 2},
+     {}, "tau_horizon"),
+    ("converge", {"levels": [10], "tau_horizon": 1, "replicas": 2,
+                  "grid_step": False}, {}, "grid_step"),
+    ("equilibrium", {"levels": [20], "burn_in": 1, "n_samples": 2,
+                     "sample_gap": "0.5"}, {}, "sample_gap"),
+    ("integrate", {"tau_max": 1}, {"lambda_b": "2"}, "lambda_b"),
+    ("integrate", {"tau_max": 1}, {"beta": 10 ** 400}, "beta"),
+    ("integrate", {"tau_max": 1}, {"n_levels": "1"}, "n_levels"),
+])
+def test_float_options_must_be_numbers(tmp_path, capsys, command, block,
+                                       model, key):
+    cfg = {"model": {**MODEL_ONES, **model}, command: block}
+    code, out, err = run_config(tmp_path, capsys, cfg, command)
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_numbers_from_a_file_echo_as_from_flags(tmp_path, capsys):
+    # integers where the schema asks for numbers run as floats, and the
+    # manifest is the one the equivalent flags write
+    cfg = {"model": {**MODEL_ONES, "n_levels": 2.0, "gamma": 3},
+           "integrate": {"tau_max": 2, "tol": 1e-9, "grid_step": 1}}
+    code, out, err = run_config(tmp_path, capsys, cfg, "integrate")
+    assert code == 0
+    code, out, err = run(capsys, [
+        "integrate", "--n", "2", *ONES[:-1], "3", "--tau-max", "2",
+        "--tol", "1e-9", "--grid-step", "1", "--out-dir",
+        str(tmp_path / "flags")])
+    assert code == 0
+    for name in ("manifest.json", "solution.csv"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes())
+
+
 def test_levels_flag_does_not_truncate(tmp_path, capsys):
     code, out, err = run(capsys, [
         "converge", "--n", "1", *ONES, "--levels", "10.7,20",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lobfluid
-from lobfluid import cli, ode
+from lobfluid import cli, fixed_point_residual, ode
 from lobfluid import (
     FluidState,
     HypothesisViolated,
@@ -57,12 +57,13 @@ def levelwise_rhs(x, y, p):
     return dx, dy
 
 
-# both sides of the threshold between _flow's compiled and numpy forms:
-# a state of HALF levels runs the compiled form, one of HALF + 1 numpy;
-# 32 and 33 levels, the sides of an earlier threshold of 64 components,
-# stay as compiled sizes whose stacked pair runs numpy
+# both sides of the threshold up to which _solve hands LSODA the compiled
+# form: a state of HALF levels runs it, one of HALF + 1 runs _flow; 32 and
+# 33 levels, the sides of an earlier threshold of 64 components, stay as
+# compiled sizes whose stacked pair runs _flow
 HALF = ode.SCALAR_FLOW_MAX // 2
 FLOW_SIZES = [1, 2, 7, 32, 33, HALF, HALF + 1, 400]
+COMPILED_SIZES = [n for n in FLOW_SIZES if 2 * n <= ode.SCALAR_FLOW_MAX]
 
 
 def flow_state(rng, n, ties):
@@ -96,18 +97,36 @@ def test_rhs_matches_levelwise_equations(n):
         assert dy.tobytes() == want_y.tobytes()
 
 
+@pytest.mark.parametrize("n", COMPILED_SIZES)
+def test_compiled_flow_matches_levelwise_equations(n):
+    # the form _solve hands LSODA up to SCALAR_FLOW_MAX components
+    rng = np.random.default_rng(40 + n)
+    flow = ode._compiled_flow(n, 2 * n)
+    for i in range(20):
+        p = replace(random_params(rng), n_levels=n)
+        x, y = flow_state(rng, n, ties=i % 2 == 1)
+        d = np.array(flow(0.0, ode._pack(x, y), p)).reshape(-1, 2)
+        want_x, want_y = levelwise_rhs(x, y, p)
+        assert d[:, 0].tobytes() == want_x.tobytes()
+        assert d[:, 1].tobytes() == want_y.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 32, HALF])
 def test_stacked_flow_equals_separate_evaluations(n):
-    # the comparison check integrates two states through the same equations;
-    # at n = 32 and HALF each state runs the compiled form and the stacked
-    # pair numpy
+    # the comparison check integrates two states through the same equations,
+    # on either form; at n = 32 and HALF _solve runs each state on the
+    # compiled form and the stacked pair on _flow
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
     b = ode._pack(*flow_state(rng, n, ties=False))
-    stacked = ode._flow(0.0, np.concatenate([a, b]), p)
-    separate = np.concatenate([ode._flow(0.0, a, p), ode._flow(0.0, b, p)])
-    assert stacked.tobytes() == separate.tobytes()
+    single, pair = ode._compiled_flow(n, 2 * n), ode._compiled_flow(n, 4 * n)
+    for stacked, separate in (
+            (ode._flow(0.0, np.concatenate([a, b]), p),
+             np.concatenate([ode._flow(0.0, a, p), ode._flow(0.0, b, p)])),
+            (np.array(pair(0.0, np.concatenate([a, b]), p)),
+             np.array(single(0.0, a, p) + single(0.0, b, p)))):
+        assert stacked.tobytes() == separate.tobytes()
 
 
 def test_one_compiled_flow_serves_every_parameter_set_of_its_shape():
@@ -119,14 +138,31 @@ def test_one_compiled_flow_serves_every_parameter_set_of_its_shape():
     for i in range(8):
         p = sets[i % 2]
         x, y = flow_state(rng, n, ties=i % 4 < 2)
-        dx, dy = rhs(FluidState(x, y), p)
+        d = np.array(ode._compiled_flow(n, 2 * n)(0.0, ode._pack(x, y), p))
         want_x, want_y = levelwise_rhs(x, y, p)
-        assert dx.tobytes() == want_x.tobytes()
-        assert dy.tobytes() == want_y.tobytes()
-    assert ode._flow_for(n, 2 * n) is ode._flow_for(n, 2 * n)
+        assert d[0::2].tobytes() == want_x.tobytes()
+        assert d[1::2].tobytes() == want_y.tobytes()
+    assert ode._compiled_flow(n, 2 * n) is ode._compiled_flow(n, 2 * n)
 
 
-def public_solve(z0, p, taus, tau_max, tol, func=ode._numpy_flow):
+def test_evaluations_outside_lsoda_compile_nothing():
+    # a compile costs 20 to 150 evaluations, so rhs, fixed_point_residual
+    # and the stationarity test evaluate _flow; a one-off rhs at 120
+    # components compiled a function it never used again
+    n = HALF
+    p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
+    x, y = flow_state(np.random.default_rng(41), n, ties=True)
+    ode._compiled_flow.cache_clear()
+    dx, dy = rhs(FluidState(x, y), p)
+    residual = fixed_point_residual(x, y, p)
+    state, converged, tau_used = integrate_until_stationary(p, x, y,
+                                                            tau_max=0.0)
+    assert ode._compiled_flow.cache_info().currsize == 0
+    assert residual == max(np.abs(dx).max(), np.abs(dy).max()) > 0
+    assert (converged, tau_used) == (False, 0.0)
+
+
+def public_solve(z0, p, taus, tau_max, tol, func=ode._flow):
     """ode._solve's integration through scipy's public odeint wrapper, by
     default on the numpy form of the right-hand side."""
     from scipy.integrate import odeint
@@ -206,8 +242,8 @@ def same_argument(a, b):
 def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     # every argument, including those no result shows: LSODA reaches Adams
     # order 11 at most on this system, so an mxordn other than 12 would
-    # leave every output bit as it is; the callable is the form _flow_for
-    # selects for the state's shape
+    # leave every output bit as it is; the callable is the compiled form
+    # for the state's shape up to SCALAR_FLOW_MAX components, _flow above
     from scipy.integrate import _odepack_py
 
     private, public = RecordingOdepack(), RecordingOdepack()
@@ -215,8 +251,10 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     monkeypatch.setattr(_odepack_py, "_odepack", public)
     for z0, p, taus, tau_max, tol in solve_cases():
         ode._solve(z0, p, taus, tau_max, tol)
+        compiled = z0.size <= ode.SCALAR_FLOW_MAX
         public_solve(z0, p, taus, tau_max, tol,
-                     func=ode._flow_for(p.n_levels, z0.size))
+                     func=ode._compiled_flow(p.n_levels, z0.size) if compiled
+                     else ode._flow)
         got, want = private.calls.pop(), public.calls.pop()
         assert len(got) == len(want) == 21
         for i, (a, b) in enumerate(zip(got, want)):
@@ -326,6 +364,30 @@ def test_failed_integration_raises_step_underflow(monkeypatch, tmp_path,
                          "--out-dir", str(tmp_path)])
     assert code == 3
     assert "Excess work done" in capsys.readouterr().err
+
+
+def test_nonfinite_lsoda_output_raises_step_underflow(tmp_path, capsys):
+    # over a span of 1e-200 LSODA's first step underflows and it returns
+    # NaN states with a success code: integrate wrote rows of nan,
+    # check_comparison reported a violation of NaN, and
+    # integrate_until_stationary blamed the state it had produced
+    p = params(n=2)
+    lo = FluidState(np.zeros(2), np.ones(2))
+    hi = FluidState(np.ones(2), np.zeros(2))
+    message = "non-finite state"
+    with pytest.raises(StepUnderflow, match=message):
+        integrate(np.zeros(2), np.zeros(2), p, 1e-200)
+    with pytest.raises(StepUnderflow, match=message):
+        check_comparison(lo, hi, p, 1e-200)
+    with pytest.raises(StepUnderflow, match=message):
+        integrate_until_stationary(p, np.zeros(2), np.zeros(2), tau_max=1e-200)
+    code = cli.main(["integrate", "--n", "2", "--lambda-b", "1",
+                     "--lambda-s", "1", "--alpha", "1", "--beta", "1",
+                     "--gamma", "1", "--tau-max", "1e-200",
+                     "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_single_level_integrate_and_comparison():
@@ -483,6 +545,8 @@ def test_states_of_another_level_count_are_rejected(n):
         check_comparison(wrong, right, p, 1.0)
     with pytest.raises(ValueError, match=message):
         check_comparison(right, wrong, p, 1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_until_stationary(p, wrong.x, wrong.y)
 
 
 def test_nonfinite_states_are_rejected():
@@ -499,6 +563,8 @@ def test_nonfinite_states_are_rejected():
             check_comparison(bad, hi, p, 1.0)
         with pytest.raises(ValueError, match="state must be finite"):
             check_comparison(lo, bad, p, 1.0)
+        with pytest.raises(ValueError, match="state must be finite"):
+            integrate_until_stationary(p, bad.x, bad.y)
 
 
 def test_uniform_grid_endpoint_never_overshoots():
