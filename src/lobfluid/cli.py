@@ -118,18 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(value) -> list[float]:
-    """Numbers from a comma-separated string or a config-file JSON list."""
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = [v for v in str(value).split(",") if v.strip()]
-    try:
-        return [float(v) for v in items]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"expected numbers, got {value!r}") from exc
-
-
 def _parse_int(value, key: str) -> int:
     """An integer option: integral numbers such as 10.0 are accepted,
     anything else is a ConfigError rather than a silent truncation."""
@@ -151,8 +139,21 @@ def _parse_float(value, key: str) -> float:
     raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
-def _parse_ints(value, key: str) -> list[int]:
-    return [_parse_int(v, key) for v in _parse_floats(value)]
+def _parse_list(value, key: str, parse, from_flag: bool) -> list:
+    """A list option: a flag's comma-separated numbers, or a config file's
+    JSON array of numbers; parse (_parse_float or _parse_int) checks each
+    number. A file value of any other kind, such as a comma string, a bool
+    or a numeric string, is a ConfigError naming the key."""
+    if from_flag:
+        try:
+            value = [float(v) for v in value.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"{key} must be comma-separated numbers, "
+                              f"got {value!r}") from None
+    elif not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON array of numbers, "
+                          f"got {value!r}")
+    return [parse(v, key) for v in value]
 
 
 def _load_config(path: str | None) -> dict:
@@ -201,17 +202,18 @@ class Effective:
 
     def model_params(self) -> ModelParams:
         merged = dict(self.file_model)
-        for key in PARAM_FIELDS:
-            v = self.args.get(key)
-            if v is not None:
-                merged[key] = v
+        flags = {key for key in PARAM_FIELDS if self.args.get(key) is not None}
+        for key in flags:
+            merged[key] = self.args[key]
         for key, v in merged.items():  # flag values pass unchanged
             if key == "n_levels":
                 merged[key] = _parse_int(v, key)
-            elif key in PARAM_FIELDS and key != "price_labels":
+            elif key == "price_labels":
+                if v is not None:
+                    merged[key] = tuple(_parse_list(v, key, _parse_float,
+                                                    key in flags))
+            elif key in PARAM_FIELDS:
                 merged[key] = _parse_float(v, key)
-        if merged.get("price_labels") is not None:
-            merged["price_labels"] = tuple(_parse_floats(merged["price_labels"]))
         if not merged:
             raise ConfigError(
                 "no model parameters given (flags --n/--lambda-b/... or a "
@@ -246,6 +248,13 @@ class Effective:
         v = self.get(key, default, required)
         return None if v is None else _parse_float(v, key)
 
+    def get_list(self, key: str, parse=_parse_float,
+                 required: bool = False) -> list | None:
+        """A list option from its flag or the file (see _parse_list)."""
+        v = self.get(key, required=required)
+        from_flag = self.args.get(key) is not None
+        return None if v is None else _parse_list(v, key, parse, from_flag)
+
     def out_dir(self) -> Path:
         return Path(self.get("out_dir", default=f"lobfluid_out/{self.command}"))
 
@@ -259,10 +268,10 @@ class Effective:
 
 
 def _initial_pair(eff: Effective, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x0 = eff.get("x0")
-    y0 = eff.get("y0")
-    x0 = np.zeros(n) if x0 is None else np.asarray(_parse_floats(x0))
-    y0 = np.zeros(n) if y0 is None else np.asarray(_parse_floats(y0))
+    x0 = eff.get_list("x0")
+    y0 = eff.get_list("y0")
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0)
+    y0 = np.zeros(n) if y0 is None else np.asarray(y0)
     if x0.shape != (n,) or y0.shape != (n,):
         raise ConfigError(f"x0/y0 must have exactly {n} entries")
     return x0, y0
@@ -359,7 +368,7 @@ def cmd_solve(eff: Effective) -> int:
 
 def cmd_converge(eff: Effective) -> int:
     params = eff.model_params()
-    levels = _parse_ints(eff.get("levels", required=True), "levels")
+    levels = eff.get_list("levels", _parse_int, required=True)
     T = eff.get_float("tau_horizon", required=True)
     replicas = eff.get_int("replicas", required=True)
     grid_step = eff.get_float("grid_step")
@@ -387,7 +396,7 @@ def cmd_converge(eff: Effective) -> int:
 
 def cmd_equilibrium(eff: Effective) -> int:
     params = eff.model_params()
-    levels = _parse_ints(eff.get("levels", required=True), "levels")
+    levels = eff.get_list("levels", _parse_int, required=True)
     burn_in = eff.get_float("burn_in", required=True)
     n_samples = eff.get_int("n_samples", required=True)
     sample_gap = eff.get_float("sample_gap", required=True)
@@ -411,7 +420,7 @@ def cmd_equilibrium(eff: Effective) -> int:
 
 def cmd_sweep(eff: Effective) -> int:
     params = eff.model_params()
-    values = _parse_floats(eff.get("lambda_s_values", required=True))
+    values = eff.get_list("lambda_s_values", required=True)
     report = experiments.overproduction_sweep(params, values)
     out = eff.out_dir()
     output.write_sweep_csv(out / "sweep.csv", report)

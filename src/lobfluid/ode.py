@@ -159,16 +159,25 @@ def _defect(x: np.ndarray, y: np.ndarray, params: ModelParams) -> float:
 @functools.cache
 def _compiled_flow(n_levels: int, size: int):
     """_flow's equations for one state shape as a straight-line function
-    on Python floats, compiled once per shape.
+    on Python floats (`_flow_source`), compiled once per shape.
 
-    The source is built from integer indices alone; the rates are read
-    from p on every call, so one function serves every parameter set of
-    the shape. Its one caller, _solve, asks only for shapes of at most
-    SCALAR_FLOW_MAX components, so the cache stays small. Component i of z
-    is the local v<i>, and each level's two equations make _flow's
-    operations in its order: (inflow - (beta+alpha) * v) - trade. The min
-    takes y on a tie, as numpy's min over the (x, y) axis does, so a signed
-    zero comes out the same.
+    The rates are read from p on every call, so one function serves every
+    parameter set of the shape. Its one caller, _solve, asks only for
+    shapes of at most SCALAR_FLOW_MAX components, so the cache stays small.
+    """
+    namespace = {}
+    exec(compile(_flow_source(n_levels, size),
+                 f"<lobfluid.ode flow {n_levels} {size}>", "exec"), namespace)
+    return namespace["flow"]
+
+
+def _flow_source(n_levels: int, size: int) -> str:
+    """Source of `_compiled_flow`, built from integer indices alone.
+
+    Component i of z is the local v<i>, and each level's two equations
+    make _flow's operations in its order: (inflow - (beta+alpha) * v) -
+    trade. The min takes y on a tie, as numpy's min over the (x, y) axis
+    does, so a signed zero comes out the same.
     """
     width = 2 * n_levels
     body = []
@@ -179,7 +188,7 @@ def _compiled_flow(n_levels: int, size: int):
         y_in = f"a * v{k + 3}" if (k + 2) % width else "lambda_s"
         out += (f"{x_in} - bpa * v{k} - t{k}",
                 f"{y_in} - bpa * v{k + 1} - t{k}")
-    source = "\n    ".join([
+    return "\n    ".join([
         "def flow(t, z, p):",
         ", ".join(f"v{i}" for i in range(size)) + ", = z.tolist()",
         "a = p.alpha",
@@ -189,10 +198,6 @@ def _compiled_flow(n_levels: int, size: int):
         "lambda_s = p.lambda_s",
         *body,
         "return [" + ", ".join(out) + "]"])
-    namespace = {}
-    exec(compile(source, f"<lobfluid.ode flow {n_levels} {size}>", "exec"),
-         namespace)
-    return namespace["flow"]
 
 
 @functools.cache

@@ -1,14 +1,33 @@
 """Exact event-driven simulation of the order-book Markov chain.
 
 `step()` drives the transition rules of `model.enumerate_events` and
-`apply_event` directly and is the reference. `_run`, the engine behind
-`simulate` and `empirical_equilibrium`, restates those rules in one loop on
-plain Python ints; it keeps B = sum b, S = sum s and M = sum min(b, s) as
-integers, so its closed-form total rate never drifts. The tests replay it
-event by event against `step()`. It records each sample by copying the
-counts into two `array("d")` buffers, as doubles and at C level, and scales
-them once in place at the end: no Python object per sample outlives its
-copy, so a run's samples take little more memory than the arrays returned.
+`apply_event` directly and is the reference. `_run`, behind `simulate` and
+`empirical_equilibrium`, restates those rules in one of two engines,
+picked by the level count N (no option chooses it). Both hold exact
+counts, and keep B = sum b, S = sum s and M = sum min(b, s) exactly, so
+the closed-form total rate never drifts, and they make the same
+comparisons and float operations in the same order, so they give the same
+bits. The tests replay both event by event against `step()`, and compare
+them bit for bit at every compiled size. Each records a sample by copying
+the counts into two `array("d")` buffers, as doubles and at C level, and
+`_run` scales them once in place at the end: no Python object per sample
+outlives its copy, so a run's samples take little more memory than the
+arrays returned.
+
+Engine choice: up to ENGINE_UNROLL_MAX levels, `_compiled_engine(N)`,
+straight-line Python generated from N and compiled once per N: every b_k,
+s_k and per-level tally is a local variable, the counts are floats (exact,
+since the engine runs only when no count can reach 2**53), and each level
+block's walk is an elif chain over the levels that ends in the
+past-the-end fallback. Above it, `_list_engine`, one loop over lists of
+ints with one walk helper. On a 2-core Xeon (Python 3.11) the compiled
+engine takes about a third less time per event up to N = 16 (402 against
+594 ns at N = 2, 452 against 651 ns at N = 16) and a quarter less at
+N = 50, while its compile time grows about linearly with N: 1.1 ms at
+N = 2, 6 ms at N = 16, 23 ms at N = 50 (CHANGES.md has the table by N).
+At the threshold a compile is repaid after some 30,000 events, a few
+times that at N = 50; large books keep the list loop, which compiles
+nothing, and nothing is compiled at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -21,7 +40,7 @@ alpha-moves with the bottom exit at level 1); a target at or past the end
 blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
 and sellers at level N, and the stationary profile decays geometrically
 away from each entry level, so starting there keeps the expected walk
-short at any N. The engine takes the stream as (holding, selection) pairs,
+short at any N. The engines take the stream as (holding, selection) pairs,
 CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
@@ -29,17 +48,16 @@ through `math.log1p`, never `np.log1p`, whose vectorised form differs from
 it in the last bit on some machines. Replica streams are `SeedSequence`
 spawn keys `(i, j)` (replica j at the i-th scaling level).
 
-Per event the engine does only the work that event needs: one clock
+Per event an engine does only the work that event needs: one clock
 test, against the next sample time or the horizon, whichever comes first;
-no budget test (the loop takes at most the budget's worth of pairs plus
+no budget test (an engine takes at most the budget's worth of pairs plus
 one, and the budget ran out if that last pair falls before the horizon
 too); and one dispatch, in which each block applies its +-1 increments
-where it is picked. Each level block (trades, quits and alpha-moves of either side)
-tests its entry level inline; only a miss there calls the one level walk,
-`_walk`, which goes on level by level from the entry level's neighbour.
-An empty level subtracts 0.0 and leaves the target unchanged, so every
-comparison and subtraction is that of a walk over the occupied levels,
-and the same level fires.
+where it is picked. Each level block (trades, quits and alpha-moves of
+either side) tests its entry level first, then the others level by level
+in walk order. An empty level subtracts 0.0 and leaves the target
+unchanged, so every comparison and subtraction is that of a walk over the
+occupied levels, and the same level fires.
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -47,11 +65,13 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from math import isfinite, log1p
+from operator import index, length_hint
 
 import numpy as np
 
@@ -72,6 +92,7 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
 
 DEFAULT_MAX_EVENTS = 50_000_000
 CHUNK = 1024  # (holding, selection) pairs per generator call
+ENGINE_UNROLL_MAX = 16  # level counts up to which _run compiles its engine
 
 
 @dataclass
@@ -191,10 +212,29 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
-def _chunk_pairs(rng) -> zip:
-    """CHUNK (log1p(-u_hold), u_pick) pairs from one generator call."""
-    u = rng.random(2 * CHUNK)
+def _chunk_pairs(rng, chunk: int) -> zip:
+    """chunk (log1p(-u_hold), u_pick) pairs from one generator call."""
+    u = rng.random(2 * chunk)
     return zip(map(log1p, (-u[0::2]).tolist()), u[1::2].tolist())
+
+
+def _count(value, name: str) -> int:
+    """value as a nonnegative int: an int, a numpy integer or an integral
+    float. A bool, a non-integral value or a negative one raises
+    ValueError naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            count = index(value)
+        except TypeError:
+            integral = isinstance(value, float) and value.is_integer()
+            count = int(value) if integral else -1
+        if count >= 0:
+            return count
+    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _exhausted(max_events: int, t: float) -> BudgetExceeded:
+    return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
 
 
 def _walk(target: float, unit: float, occ: list[int], rest: range) -> int:
@@ -219,28 +259,9 @@ def _walk(target: float, unit: float, occ: list[int], rest: range) -> int:
     return last
 
 
-def _run(
-    params: ModelParams,
-    scale: ScalingLevel,
-    init: DiscreteState,
-    t_end: float,
-    sample_ts: list[float],
-    rng: np.random.Generator,
-    max_events: int,
-) -> tuple[np.ndarray, np.ndarray, int, DiscreteState, EventCounters]:
-    """Advance the chain from init to t_end, recording scaled states at
-    sample_ts, then verify the aggregates and the counter conservation
-    identities exactly. Returns (x, y, n_events, final state, counters);
-    row i of x and y is the scaled state at sample_ts[i].
-
-    Occupancies are plain Python ints (the loop is pure Python; small numpy
-    arrays would dominate the per-event cost), and the aggregates B, S, M
-    are integers updated by the +-1 increments, so the total rate is exact
-    at every step. Samples go into `array("d")` buffers as doubles, through
-    `fromlist`, which grows a buffer once per sample where `extend` grows it
-    once per count; x and y are numpy views of the buffers, divided by L in
-    place, which converts and divides exactly as
-    `np.array(samples, dtype=np.float64) / L` would.
+def _list_engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
+    """The engine for any level count: occupancies and per-level tallies in
+    lists, one level walk (`_walk`) for all five level blocks.
 
     Per event the loop does only what the event needs. The clock moves in
     place and is tested once, against stop = min(next sample time, t_end),
@@ -248,22 +269,13 @@ def _run(
     event: the loop takes at most max_events + 1 pairs from the stream, and
     if the last of them also falls before t_end, it ends without reaching
     t_end and raises BudgetExceeded. n_events is counted on its own, so the
-    counters' sum stays a check on it. Each level block applies its +-1 increments right
-    where it is picked; its entry level is tested inline, and only a miss
-    there calls `_walk`.
+    counters' sum stays a check on it. Each level block applies its +-1
+    increments right where it is picked; its entry level is tested inline,
+    and only a miss there calls `_walk`.
     """
-    n = params.n_levels
+    lam_b, lam_s, lam, rt, rq, rm, rqm = rates
+    n = len(b)
     top = n - 1
-    L = float(scale.l)
-    lam_b = params.lambda_b
-    lam_s = params.lambda_s
-    lam = lam_b + lam_s
-    rt = params.gamma / scale.l
-    rq = params.beta / scale.l
-    rm = params.alpha / scale.l
-    rqm = rq + rm
-    b = [int(v) for v in init.b]
-    s = [int(v) for v in init.s]
     B, S, M = sum(b), sum(s), sum(map(min, b, s))
     trades = [0] * n
     buyer_quits = [0] * n
@@ -285,7 +297,7 @@ def _run(
     down = range(top - 1, -1, -1)
     # one pair past the budget decides it: an event there exhausts it. A
     # budget past islice's limit, sys.maxsize, is one no run can use up
-    pairs = chain.from_iterable(map(_chunk_pairs, repeat(rng)))
+    pairs = chain.from_iterable(map(_chunk_pairs, repeat(rng), repeat(chunk)))
     for hold, pick in islice(pairs, min(max_events + 1, sys.maxsize)):
         w_trade = rt * M  # the trade block's weight, a term of the rate
         rate = lam + rqm * (B + S) + w_trade
@@ -393,29 +405,289 @@ def _run(
             S -= 1
             exit_bottom += 1
     else:
-        raise BudgetExceeded(
-            f"event budget {max_events} exhausted at t={t:.6g}")
+        raise _exhausted(max_events, t)
     while si < m:
         xs.fromlist(b)
         ys.fromlist(s)
         si += 1
+    return (n_events, xs, ys, b, s, (B, S, M),
+            (trades, buyer_quits, seller_quits, buyer_moves, seller_moves),
+            (buyer_arrivals, seller_arrivals, exit_top, exit_bottom))
+
+
+# The compiled engine's source for n levels, with {fields} filled in by
+# _engine_source. Its statements are _list_engine's with the book in locals
+# b0.., s0.. and the tallies in tr0.. (trades), bq0.. and sq0.. (quits),
+# bm0.. and sm0.. (moves), ba, sa (arrivals), et, eb (boundary exits).
+_ENGINE = '''\
+def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
+    lam_b, lam_s, lam, rt, rq, rm, rqm = rates
+    B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
+    {bs}, = map(float, b)
+    {ss}, = map(float, s)
+    {tallies} = ba = sa = et = eb = 0
+    xs = array("d")
+    ys = array("d")
+    si = 0
+    m = len(sample_ts)
+    stop = min(sample_ts[0], t_end) if m else t_end
+    t = 0.0
+    done = 0
+    left = max_events + 1
+    while left:
+        size = chunk if chunk < left else left
+        u = rng.random(2 * chunk)[:2 * size]
+        picks = iter(u[1::2].tolist())
+        for hold, pick in zip(map(log1p, (-u[0::2]).tolist()), picks):
+            w_trade = rt * M
+            rate = lam + rqm * (B + S) + w_trade
+            t -= hold / rate
+            if t >= stop:
+                if t >= t_end:
+                    break
+                while si < m and sample_ts[si] <= t:
+                    xs.fromlist([{bs}])
+                    ys.fromlist([{ss}])
+                    si += 1
+                stop = min(sample_ts[si], t_end) if si < m else t_end
+            target = pick * rate
+            if target < lam_b:
+                b0 += 1.0
+                B += 1.0
+                if b0 <= s0:
+                    M += 1.0
+                ba += 1
+            elif (target := target - lam_b) < lam_s or not (B or S):
+                s{top} += 1.0
+                S += 1.0
+                if s{top} <= b{top}:
+                    M += 1.0
+                sa += 1
+            elif (target := target - lam_s) < w_trade:
+{trade}
+            elif (target := target - w_trade) < (w := rq * B):
+{buyer_quit}
+            elif (target := target - w) < (w := rq * S):
+{seller_quit}
+            elif (target := target - w) < (w := rm * B) or not S:
+{buyer_move}
+            else:
+                target -= w
+{seller_move}
+        else:
+            done += size
+            left -= size
+            continue
+        break
+    else:
+        raise _exhausted(max_events, t)
+    while si < m:
+        xs.fromlist([{bs}])
+        ys.fromlist([{ss}])
+        si += 1
+    # the pair that ended the run was drawn but fired no event
+    n_events = done + size - length_hint(picks) - 1
+    return (n_events, xs, ys, [{b_ints}], [{s_ints}],
+            (int(B), int(S), int(M)), ({per_level}), (ba, sa, et, eb))
+'''
+
+# each event at level {k}; {j} is the level a move goes to
+_TRADE = """\
+b{k} -= 1.0
+s{k} -= 1.0
+B -= 1.0
+S -= 1.0
+M -= 1.0
+tr{k} += 1"""
+_BUYER_QUIT = """\
+b{k} -= 1.0
+B -= 1.0
+if b{k} < s{k}:
+    M -= 1.0
+bq{k} += 1"""
+_SELLER_QUIT = """\
+s{k} -= 1.0
+S -= 1.0
+if s{k} < b{k}:
+    M -= 1.0
+sq{k} += 1"""
+_BUYER_MOVE = """\
+b{k} -= 1.0
+if b{k} < s{k}:
+    M -= 1.0
+bm{k} += 1
+b{j} += 1.0
+if b{j} <= s{j}:
+    M += 1.0"""
+_BUYER_EXIT = """\
+b{k} -= 1.0
+if b{k} < s{k}:
+    M -= 1.0
+B -= 1.0
+et += 1"""
+_SELLER_MOVE = """\
+s{k} -= 1.0
+if s{k} < b{k}:
+    M -= 1.0
+sm{k} += 1
+s{j} += 1.0
+if s{j} <= b{j}:
+    M += 1.0"""
+_SELLER_EXIT = """\
+s{k} -= 1.0
+if s{k} < b{k}:
+    M -= 1.0
+S -= 1.0
+eb += 1"""
+
+
+def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
+    """One level block's walk over levels (in walk order) as an elif
+    chain, indented to sit in the engine's dispatch.
+
+    weight and occupied are source templates in {k} for level k's weight
+    in the block and for "level k is occupied", and fire(k) is the source
+    that fires the block's event at level k. Each test subtracts the
+    weight tested before it, as `_walk` does. The last level's test
+    reduces to occupied, since a target below its weight implies a
+    positive weight; from there on the chain is the fallback of a target
+    at or past the end: the last occupied level in walk order, the entry
+    level if no other is occupied. A block of one level always fires it.
+    """
+    def branch(test, k):
+        return f"{test}:\n    " + fire(k).replace("\n", "\n    ")
+
+    if len(levels) == 1:
+        lines = [fire(levels[0])]
+    else:
+        first, *middle, last = levels
+        w = weight.format
+        lines = [branch(f"if target < (w := {w(k=first)})", first)]
+        lines += [branch(f"elif (target := target - w) < (w := {w(k=k)})", k)
+                  for k in middle]
+        lines += [branch(f"elif {occupied.format(k=k)}", k)
+                  for k in [last, *reversed(middle)]]
+        lines.append(branch("else", first))
+    pad = " " * 16
+    return pad + "\n".join(lines).replace("\n", "\n" + pad)
+
+
+def _engine_source(n: int) -> str:
+    """Source of the engine for n levels, generated from the level count
+    alone (see `_compiled_engine`)."""
+    top = n - 1
+    up = range(n)
+    down = range(top, -1, -1)
+    names = lambda prefix: [f"{prefix}{k}" for k in up]
+    tallies = [names(prefix) for prefix in ("tr", "bq", "sq", "bm", "sm")]
+    at = lambda template: lambda k: template.format(k=k)
+
+    def buyer_move(k):
+        template = _BUYER_MOVE if k < top else _BUYER_EXIT
+        return template.format(k=k, j=k + 1)
+
+    def seller_move(k):
+        template = _SELLER_MOVE if k > 0 else _SELLER_EXIT
+        return template.format(k=k, j=k - 1)
+
+    return _ENGINE.format(
+        top=top,
+        bs=", ".join(names("b")),
+        ss=", ".join(names("s")),
+        b_ints=", ".join(f"int({v})" for v in names("b")),
+        s_ints=", ".join(f"int({v})" for v in names("s")),
+        tallies=" = ".join(sum(tallies, [])),
+        per_level=", ".join(f"[{', '.join(t)}]" for t in tallies),
+        trade=_unrolled_walk(up, "rt * (b{k} if b{k} < s{k} else s{k})",
+                             "b{k} and s{k}", at(_TRADE)),
+        buyer_quit=_unrolled_walk(up, "rq * b{k}", "b{k}", at(_BUYER_QUIT)),
+        seller_quit=_unrolled_walk(down, "rq * s{k}", "s{k}",
+                                   at(_SELLER_QUIT)),
+        buyer_move=_unrolled_walk(up, "rm * b{k}", "b{k}", buyer_move),
+        seller_move=_unrolled_walk(down, "rm * s{k}", "s{k}", seller_move),
+    )
+
+
+@functools.cache
+def _compiled_engine(n: int):
+    """The engine for n levels, compiled once per level count.
+
+    It makes `_list_engine`'s draws, comparisons and float operations in
+    its order, on locals: every b_k, s_k and per-level tally is a local,
+    and each level block's walk is unrolled (`_unrolled_walk`). The counts
+    b_k, s_k, B, S and M are floats, which step by 1.0 and multiply the
+    rates without an int-to-float conversion; `_run` calls this engine only
+    when no count can reach 2**53, below which they are exact, so every
+    comparison and product equals the list engine's on ints. The tallies
+    stay ints. The pairs come chunk by chunk, at most max_events + 1 of
+    them in all, and n_events is the number of pairs consumed less the one
+    that ended the run, so it is counted apart from the tallies.
+    """
+    namespace = {"array": array, "log1p": log1p, "length_hint": length_hint,
+                 "_exhausted": _exhausted}
+    exec(compile(_engine_source(n), f"<lobfluid.simulate engine {n}>",
+                 "exec"), namespace)
+    return namespace["engine"]
+
+
+def _run(
+    params: ModelParams,
+    scale: ScalingLevel,
+    init: DiscreteState,
+    t_end: float,
+    sample_ts: list[float],
+    rng: np.random.Generator,
+    max_events: int,
+) -> tuple[np.ndarray, np.ndarray, int, DiscreteState, EventCounters]:
+    """Advance the chain from init to t_end, recording scaled states at
+    sample_ts, then verify the aggregates and the counter conservation
+    identities exactly. Returns (x, y, n_events, final state, counters);
+    row i of x and y is the scaled state at sample_ts[i].
+
+    Up to ENGINE_UNROLL_MAX levels the chain runs on the engine compiled
+    for its level count, unless the population plus the budget reaches
+    2**53; otherwise on `_list_engine`. The two give the same bits.
+    Occupancies are Python ints, or floats below 2**53 in the compiled
+    engine, so exact either way (the loop is pure Python; small numpy
+    arrays would dominate the per-event cost), and the aggregates B, S, M
+    move with the +-1 increments, so the total rate is exact at every
+    step. Samples go into `array("d")`
+    buffers as doubles, through `fromlist`, which grows a buffer once per
+    sample where `extend` grows it once per count; x and y are numpy views
+    of the buffers, divided by L in place, which converts and divides
+    exactly as `np.array(samples, dtype=np.float64) / L` would.
+    """
+    n = params.n_levels
+    b = [int(v) for v in init.b]
+    s = [int(v) for v in init.s]
+    # no count can pass the initial population plus the budget, and the
+    # compiled engine's float counts are exact below 2**53
+    exact = sum(b) + sum(s) + max_events < 2**53
+    engine = (_compiled_engine(n) if n <= ENGINE_UNROLL_MAX and exact
+              else _list_engine)
+    L = float(scale.l)
+    lam_b = params.lambda_b
+    lam_s = params.lambda_s
+    rq = params.beta / scale.l
+    rm = params.alpha / scale.l
+    rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
+             rq + rm)
+    n_events, xs, ys, b, s, (B, S, M), per_level, totals = engine(
+        rates, b, s, t_end, sample_ts, rng, max_events, CHUNK)
 
     if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
         raise InvariantViolation(
             f"aggregate drift: B={B}, S={S}, M={M} for b={b}, s={s}")
     final = DiscreteState(np.array(b, dtype=np.int64),
                           np.array(s, dtype=np.int64))
-    i64 = lambda v: np.array(v, dtype=np.int64)
-    counters = EventCounters(i64(trades), i64(buyer_quits), i64(seller_quits),
-                             i64(buyer_moves), i64(seller_moves),
-                             buyer_arrivals, seller_arrivals,
-                             exit_top, exit_bottom)
+    counters = EventCounters(
+        *(np.array(v, dtype=np.int64) for v in per_level), *totals)
     db, ds = counters.conservation_defects(init, final)
     if db.any() or ds.any():
         raise InvariantViolation(
             f"conservation defect: buyers {db}, sellers {ds}")
-    x = np.frombuffer(xs).reshape(m, n)
-    y = np.frombuffer(ys).reshape(m, n)
+    x = np.frombuffer(xs).reshape(len(sample_ts), n)
+    y = np.frombuffer(ys).reshape(len(sample_ts), n)
     x /= L
     y /= L
     return x, y, n_events, final, counters
@@ -436,8 +708,10 @@ def simulate(
     The chain runs in unscaled time over [0, tau_max * L]; scaled states are
     recorded at `ode.uniform_grid(tau_max, sample_dt)`: every sample_dt of
     tau from 0, and tau_max last. Counter conservation identities are
-    verified exactly before returning.
+    verified exactly before returning. max_events must be a nonnegative
+    integer (an integral float passes as one).
     """
+    max_events = _count(max_events, "max_events")
     taus = uniform_grid(tau_max, sample_dt)
     rng = np.random.default_rng(seed)
     init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)
@@ -475,8 +749,7 @@ def empirical_equilibrium(
     for name, v in (("burn_in", burn_in), ("sample_gap", sample_gap)):
         if not (isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v}")
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+    n_samples = _count(n_samples, "n_samples")
     if n_samples == 0:
         return []
     rng = np.random.default_rng(seed)

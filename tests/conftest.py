@@ -1,9 +1,36 @@
-"""Shared test helpers: driving the simulator's engine on scripted draws."""
+"""Shared test helpers: driving the simulator's engines on scripted draws."""
+
+import importlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from lobfluid import EventCounters
 from lobfluid.simulate import _run
+
+# the ENGINE_UNROLL_MAX that forces `_run` onto each engine at every level
+# count: the compiled (unrolled) one, or the list one
+ENGINES = {"unrolled": 10**6, "list": 0}
+
+
+def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
+    for f in fields(EventCounters):
+        assert np.array_equal(getattr(got, f.name),
+                              getattr(want, f.name)), f.name
+
+
+@pytest.fixture
+def each_engine(monkeypatch):
+    """Call it to iterate over the engine names; on each step `_run` runs
+    that engine at every level count."""
+    module = importlib.import_module("lobfluid.simulate")
+
+    def engines():
+        for name, cap in ENGINES.items():
+            monkeypatch.setattr(module, "ENGINE_UNROLL_MAX", cap)
+            yield name
+    return engines
 
 
 class ScriptedUniforms:
@@ -24,14 +51,21 @@ class ScriptedUniforms:
 
 
 @pytest.fixture
-def fire_once():
-    """Run the engine from `state` through exactly one event, fired at time
-    0 with selection uniform `u`; returns (final state, counters)."""
+def fire_once(each_engine):
+    """Run each engine from `state` through exactly one event, fired at
+    time 0 with selection uniform `u`; both must end alike. Returns (final
+    state, counters)."""
     def run(params, scale, state, u):
-        # holding uniform 0 fires at t = 0; the next one, 0.5, lands past
-        # the horizon, and a one-event budget would catch a second event
-        _, _, n_events, final, counters = _run(
-            params, scale, state, 1e-9, [], ScriptedUniforms([0.0, u]), 1)
-        assert n_events == 1
+        outcomes = []
+        for _ in each_engine():
+            # holding uniform 0 fires at t = 0; the next one, 0.5, lands
+            # past the horizon, and a one-event budget would catch a second
+            _, _, n_events, final, counters = _run(
+                params, scale, state, 1e-9, [], ScriptedUniforms([0.0, u]), 1)
+            assert n_events == 1
+            outcomes.append((final, counters))
+        (final, counters), (other, other_counters) = outcomes
+        assert (final.b == other.b).all() and (final.s == other.s).all()
+        assert_same_counters(counters, other_counters)
         return final, counters
     return run

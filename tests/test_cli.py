@@ -544,6 +544,69 @@ def test_float_options_must_be_numbers(tmp_path, capsys, command, block,
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+MODEL_TWO = {**MODEL_ONES, "n_levels": 2}
+
+
+@pytest.mark.parametrize("command, block, model, key", [
+    # these ran: the first as x0 = [1.0, 0.5], the sweep as [1.0, 2.0]
+    ("integrate", {"tau_max": 1, "x0": [True, "0.5"]}, {}, "x0"),
+    ("sweep", {"lambda_s_values": "1,2"}, {}, "lambda_s_values"),
+    ("integrate", {"tau_max": 1, "x0": "0.5,0.5"}, {}, "x0"),
+    ("integrate", {"tau_max": 1, "y0": [0.0, "1"]}, {}, "y0"),
+    ("integrate", {"tau_max": 1, "y0": 0.5}, {}, "y0"),
+    ("simulate", {"scale": 10, "tau_max": 1, "x0": [0, False]}, {}, "x0"),
+    ("integrate", {"tau_max": 1}, {"price_labels": "1,2"}, "price_labels"),
+    ("integrate", {"tau_max": 1}, {"price_labels": [1, True]},
+     "price_labels"),
+    ("sweep", {"lambda_s_values": [1, "2"]}, {}, "lambda_s_values"),
+    ("sweep", {"lambda_s_values": [1, None]}, {}, "lambda_s_values"),
+    ("converge", {"levels": "10,20", "tau_horizon": 0.5, "replicas": 2},
+     {}, "levels"),
+    ("converge", {"levels": [10, True], "tau_horizon": 0.5, "replicas": 2},
+     {}, "levels"),
+    ("equilibrium", {"levels": ["20"], "burn_in": 1, "n_samples": 2,
+                     "sample_gap": 0.5}, {}, "levels"),
+    ("equilibrium", {"levels": 20, "burn_in": 1, "n_samples": 2,
+                     "sample_gap": 0.5}, {}, "levels"),
+])
+def test_list_options_from_a_file_must_be_arrays_of_numbers(
+        tmp_path, capsys, command, block, model, key):
+    cfg = {"model": {**MODEL_TWO, **model}, command: block}
+    code, out, err = run_config(tmp_path, capsys, cfg, command)
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_list_options_from_a_file_echo_as_from_flags(tmp_path, capsys):
+    # JSON arrays in the file and comma strings on the command line give
+    # the same run and the same manifest
+    cfg = {"model": {**MODEL_TWO, "price_labels": [99.5, 100]},
+           "converge": {"levels": [10, 20.0], "tau_horizon": 0.5,
+                        "replicas": 2, "x0": [0.5, 0], "y0": [0, 1]}}
+    code, out, err = run_config(tmp_path, capsys, cfg, "converge")
+    assert code == 0
+    code, out, err = run(capsys, [
+        "converge", "--n", "2", *ONES, "--price-labels", "99.5,100",
+        "--levels", "10,20", "--tau-horizon", "0.5", "--replicas", "2",
+        "--x0", "0.5,0", "--y0", "0,1", "--out-dir", str(tmp_path / "flags")])
+    assert code == 0
+    for name in ("manifest.json", "convergence.csv"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x0", "0.5,x"), ("--levels", "10,,2O"), ("--price-labels", "1;2")])
+def test_list_flags_must_be_comma_separated_numbers(tmp_path, capsys, flag,
+                                                    value):
+    code, out, err = run(capsys, [
+        "converge", "--n", "2", *ONES, "--levels", "10", "--tau-horizon",
+        "0.5", "--replicas", "2", flag, value, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_numbers_from_a_file_echo_as_from_flags(tmp_path, capsys):
     # integers where the schema asks for numbers run as floats, and the
     # manifest is the one the equivalent flags write

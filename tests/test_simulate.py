@@ -5,11 +5,10 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import ScriptedUniforms
+from conftest import ScriptedUniforms, assert_same_counters
 
 from lobfluid import (
     BudgetExceeded,
@@ -139,30 +138,30 @@ def test_simulate_bit_identical_for_fixed_seed():
     assert a.counters.buyer_arrivals == b.counters.buyer_arrivals
 
 
-def test_outputs_do_not_depend_on_chunk_size(monkeypatch):
-    # the engine takes its uniforms CHUNK pairs at a time, and random(a)
+def test_outputs_do_not_depend_on_chunk_size(monkeypatch, each_engine):
+    # the engines take their uniforms CHUNK pairs at a time, and random(a)
     # followed by random(b) gives the values of random(a + b); both runs
-    # draw more than one real chunk
+    # draw more than one real chunk. Each engine reads CHUNK per call
     engine = importlib.import_module("lobfluid.simulate")
     p = params(n=3, beta=0.2, gamma=2.0)
     runs, equilibria = [], []
-    for chunk in (1, 3, engine.CHUNK):
-        monkeypatch.setattr(engine, "CHUNK", chunk)
-        runs.append(simulate(p, ScalingLevel(500), np.zeros(3), np.zeros(3),
-                             2.0, 0.05, seed=4242))
-        equilibria.append(empirical_equilibrium(
-            p, ScalingLevel(200), burn_in=1.0, n_samples=20, sample_gap=0.25,
-            seed=4243))
+    default = engine.CHUNK
+    for _ in each_engine():
+        for chunk in (1, 3, default):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            runs.append(simulate(p, ScalingLevel(500), np.zeros(3),
+                                 np.zeros(3), 2.0, 0.05, seed=4242))
+            equilibria.append(empirical_equilibrium(
+                p, ScalingLevel(200), burn_in=1.0, n_samples=20,
+                sample_gap=0.25, seed=4243))
     ref = runs[-1]
-    assert ref.n_events > engine.CHUNK
+    assert ref.n_events > default
     for run in runs[:-1]:
         assert run.n_events == ref.n_events
         assert (run.x == ref.x).all() and (run.y == ref.y).all()
         assert (run.final_state.b == ref.final_state.b).all()
         assert (run.final_state.s == ref.final_state.s).all()
-        for f in fields(EventCounters):
-            assert np.array_equal(getattr(run.counters, f.name),
-                                  getattr(ref.counters, f.name)), f.name
+        assert_same_counters(run.counters, ref.counters)
     for samples in equilibria[:-1]:
         assert len(samples) == len(equilibria[-1]) == 20
         for got, want in zip(samples, equilibria[-1]):
@@ -195,7 +194,105 @@ def test_simulate_budget_exceeded():
                  seed=1, max_events=10)
 
 
-def test_budget_boundary_is_the_event_count(monkeypatch):
+# -2 and 2.5 failed inside itertools.islice, -1 raised BudgetExceeded at
+# t = 0, True ran as a budget of 1
+@pytest.mark.parametrize("max_events", [-2, -1, 2.5, True, False, math.inf,
+                                        math.nan, "10", None])
+def test_simulate_rejects_bad_event_budgets(each_engine, max_events):
+    for _ in each_engine():
+        with pytest.raises(ValueError, match="max_events must be a "
+                                             "nonnegative integer, got"):
+            simulate(params(n=2), ScalingLevel(10), np.zeros(2), np.zeros(2),
+                     1.0, 0.5, seed=1, max_events=max_events)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 2.5, True, False, math.nan, "2"])
+def test_empirical_equilibrium_rejects_bad_sample_counts(each_engine,
+                                                          n_samples):
+    for _ in each_engine():
+        with pytest.raises(ValueError, match="n_samples must be a "
+                                             "nonnegative integer, got"):
+            empirical_equilibrium(params(n=2), ScalingLevel(10), 1.0,
+                                  n_samples, 0.5, seed=3)
+
+
+def test_integral_counts_run_as_integers(each_engine):
+    # an integral float or a numpy integer is the count it equals (2.0
+    # samples raised a TypeError); a zero budget allows no event
+    p = params(n=2)
+    z = np.zeros(2)
+    for _ in each_engine():
+        runs = [simulate(p, ScalingLevel(10), z, z, 1.0, 0.5, seed=1,
+                         max_events=budget)
+                for budget in (400, 400.0, np.int64(400))]
+        for run in runs[1:]:
+            assert run.n_events == runs[0].n_events
+            assert (run.x == runs[0].x).all() and (run.y == runs[0].y).all()
+        assert simulate(p, ScalingLevel(10), z, z, 0.0, 0.5, seed=1,
+                        max_events=0).n_events == 0
+        with pytest.raises(BudgetExceeded, match="budget 0 "):
+            simulate(p, ScalingLevel(10), z, z, 1.0, 0.5, seed=1,
+                     max_events=0.0)
+        samples = [empirical_equilibrium(p, ScalingLevel(10), 1.0, count,
+                                         0.5, seed=3)
+                   for count in (2, 2.0, np.int64(2))]
+        for got in samples:
+            assert len(got) == 2
+            for a, b in zip(got, samples[0]):
+                assert (a.x == b.x).all() and (a.y == b.y).all()
+
+
+def test_budget_that_could_pass_exact_float_counts_runs_on_the_list_engine(
+        monkeypatch):
+    # the compiled engine holds the counts as floats, exact below 2**53,
+    # and no count passes the initial population (here 5 + 3) plus the
+    # budget; at that bound the run takes the list engine, with equal bits
+    engine = importlib.import_module("lobfluid.simulate")
+    compiled = []
+    real = engine._compiled_engine
+    monkeypatch.setattr(engine, "_compiled_engine",
+                        lambda n: compiled.append(n) or real(n))
+    runs = []
+    for budget, used in ((2**53 - 9, [2]), (2**53 - 8, []), (10**30, [])):
+        compiled.clear()
+        runs.append(simulate(params(n=2), ScalingLevel(10), [0.5, 0.0],
+                             [0.0, 0.3], 1.0, 0.5, seed=1, max_events=budget))
+        assert compiled == used, budget
+    for run in runs[1:]:
+        assert run.n_events == runs[0].n_events > 0
+        assert (run.x == runs[0].x).all() and (run.y == runs[0].y).all()
+        assert_same_counters(run.counters, runs[0].counters)
+
+
+def test_each_unrolled_size_matches_the_list_engine(each_engine):
+    # every level count up to the threshold has its own generated engine;
+    # a short run at each one, from a book with traders of both sides on
+    # most levels, gives the list engine's bits
+    engine = importlib.import_module("lobfluid.simulate")
+    threshold = engine.ENGINE_UNROLL_MAX  # each_engine() overrides it
+    assert threshold >= 1
+    engine._compiled_engine.cache_clear()
+    rng = np.random.default_rng(53)
+    for n in range(1, threshold + 1):
+        p = params(n=n, lam_b=rng.uniform(0.2, 3), lam_s=rng.uniform(0.2, 3),
+                   alpha=rng.uniform(0.2, 3),
+                   beta=float(rng.choice([0.0, rng.uniform(0.2, 3)])),
+                   gamma=rng.uniform(0.2, 3))
+        x0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
+        y0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
+        runs = [simulate(p, ScalingLevel(10), x0, y0, 2.0, 0.25, seed=n)
+                for _ in each_engine()]
+        unrolled, listed = runs
+        assert unrolled.n_events == listed.n_events > 0, n
+        assert unrolled.x.tobytes() == listed.x.tobytes(), n
+        assert unrolled.y.tobytes() == listed.y.tobytes(), n
+        assert (unrolled.final_state.b == listed.final_state.b).all(), n
+        assert (unrolled.final_state.s == listed.final_state.s).all(), n
+        assert_same_counters(unrolled.counters, listed.counters)
+    assert engine._compiled_engine.cache_info().currsize == threshold
+
+
+def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
     # a budget of exactly n_events lets the run finish unchanged; one less
     # stops it. The run has 369 events, a multiple of 3: with CHUNK = 3 a
     # budget of n_events or n_events - 3 ends on a chunk edge, so the pair
@@ -205,27 +302,27 @@ def test_budget_boundary_is_the_event_count(monkeypatch):
     run = lambda budget: simulate(p, ScalingLevel(50), np.zeros(3),
                                   np.zeros(3), 2.0, 0.05, seed=4242,
                                   max_events=budget)
-    for chunk in (engine.CHUNK, 3):
-        monkeypatch.setattr(engine, "CHUNK", chunk)
-        ref = run(DEFAULT_MAX_EVENTS)
-        exact = run(ref.n_events)
-        assert exact.n_events == ref.n_events == 369
-        assert (exact.x == ref.x).all() and (exact.y == ref.y).all()
-        for f in fields(EventCounters):
-            assert np.array_equal(getattr(exact.counters, f.name),
-                                  getattr(ref.counters, f.name)), f.name
-        for budget in (ref.n_events - 1, ref.n_events - 3):
-            with pytest.raises(BudgetExceeded, match=f"budget {budget} "):
-                run(budget)
-    # a budget beyond sys.maxsize is one no run can use up
-    assert run(10**30).n_events == 369
+    default = engine.CHUNK
+    for _ in each_engine():
+        for chunk in (default, 3):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            ref = run(DEFAULT_MAX_EVENTS)
+            exact = run(ref.n_events)
+            assert exact.n_events == ref.n_events == 369
+            assert (exact.x == ref.x).all() and (exact.y == ref.y).all()
+            assert_same_counters(exact.counters, ref.counters)
+            for budget in (ref.n_events - 1, ref.n_events - 3):
+                with pytest.raises(BudgetExceeded, match=f"budget {budget} "):
+                    run(budget)
+        # a budget beyond sys.maxsize is one no run can use up
+        assert run(10**30).n_events == 369
 
 
 @pytest.mark.parametrize("lam_b,lam_s", [(0.5, 0.5), (1.5, 2.5)])
 @pytest.mark.parametrize("u", [0.0, 0.5, 0.39240466433477816,
                                0.8062153310270436, 0.31645208740449016,
                                0.7998795260549534])
-def test_holding_time_is_bit_exact(lam_b, lam_s, u):
+def test_holding_time_is_bit_exact(each_engine, lam_b, lam_s, u):
     # from the empty book the total rate is exactly lambda_b + lambda_s (a
     # power of two here, so the division is exact), and the first event
     # falls at exactly -math.log1p(-u) / rate: a horizon there fires none,
@@ -236,10 +333,11 @@ def test_holding_time_is_bit_exact(lam_b, lam_s, u):
     empty = DiscreteState(np.zeros(3), np.zeros(3))
     t_first = -math.log1p(-u) / (lam_b + lam_s)
     t_after = math.nextafter(t_first, math.inf)
-    for t_end, want in ((t_first, 0), (t_after, 1)):
-        _, _, n_events, _, _ = _run(p, ScalingLevel(7), empty, t_end, [],
-                                    ScriptedUniforms([u, 0.25]), 10)
-        assert n_events == want, (t_end, want)
+    for engine in each_engine():
+        for t_end, want in ((t_first, 0), (t_after, 1)):
+            _, _, n_events, _, _ = _run(p, ScalingLevel(7), empty, t_end, [],
+                                        ScriptedUniforms([u, 0.25]), 10)
+            assert n_events == want, (engine, t_end, want)
 
 
 def test_samples_are_scaled_lattice_points():
@@ -386,15 +484,16 @@ REPLAY_CASES = {
 
 
 @pytest.mark.parametrize("case", list(REPLAY_CASES))
-def test_simulate_equals_stepwise_replay(case):
-    # the engine and step() over the enumerated event table
+def test_simulate_equals_stepwise_replay(each_engine, case):
+    # each engine and step() over the enumerated event table
     # make identical draws, fire identical events and tally them alike
     p, L, x0, y0, tau_max, seed = REPLAY_CASES[case]
     scale = ScalingLevel(L)
-    traj = simulate(p, scale, x0, y0, tau_max, 0.5, seed)
+    trajs = [simulate(p, scale, x0, y0, tau_max, 0.5, seed)
+             for _ in each_engine()]
 
     rng = np.random.default_rng(seed)
-    state = traj.initial_state
+    state = trajs[0].initial_state
     tally = EventCounters.zeros(p.n_levels)
     kinds = Counter()
     t, t_end = 0.0, tau_max * L
@@ -412,14 +511,16 @@ def test_simulate_equals_stepwise_replay(case):
         else:
             setattr(tally, name, field + 1)
 
-    assert sum(kinds.values()) == traj.n_events > 0
-    assert (state.b == traj.final_state.b).all()
-    assert (state.s == traj.final_state.s).all()
-    for f in fields(EventCounters):
-        assert np.array_equal(getattr(traj.counters, f.name),
-                              getattr(tally, f.name)), f.name
-    for kind, name in TALLY_FIELD.items():
-        assert np.sum(getattr(traj.counters, name)) == kinds[kind], kind.name
+    for traj in trajs:
+        assert sum(kinds.values()) == traj.n_events > 0
+        assert (state.b == traj.final_state.b).all()
+        assert (state.s == traj.final_state.s).all()
+        assert_same_counters(traj.counters, tally)
+        for kind, name in TALLY_FIELD.items():
+            assert (np.sum(getattr(traj.counters, name))
+                    == kinds[kind]), kind.name
+    assert all((traj.x == trajs[0].x).all() and (traj.y == trajs[0].y).all()
+               for traj in trajs)
 
 
 def test_sparse_book_fires_each_event_as_step_does(fire_once):

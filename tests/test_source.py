@@ -1,9 +1,16 @@
 """Rules the library's own source keeps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lobfluid
+from lobfluid import ode
+
+
+def _asserts(source: str, name: str) -> list[str]:
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
 
 
 def test_library_checks_invariants_without_assert():
@@ -12,7 +19,20 @@ def test_library_checks_invariants_without_assert():
     package = Path(lobfluid.__file__).resolve().parent
     sources = sorted(package.glob("*.py"))
     assert sources
-    asserts = [f"{path.name}:{node.lineno}" for path in sources
-               for node in ast.walk(ast.parse(path.read_text(), str(path)))
-               if isinstance(node, ast.Assert)]
+    asserts = [hit for path in sources
+               for hit in _asserts(path.read_text(), path.name)]
+    assert asserts == []
+
+
+def test_generated_source_checks_invariants_without_assert():
+    # the source the library compiles at run time keeps the same rule: the
+    # simulator's engine for every level count it compiles, and the ODE
+    # right-hand side on both sides of its compiled-form threshold
+    engine = importlib.import_module("lobfluid.simulate")
+    sources = [(engine._engine_source(n), f"engine {n}")
+               for n in range(1, engine.ENGINE_UNROLL_MAX + 1)]
+    sources += [(ode._flow_source(n, size), f"flow {n} {size}")
+                for n in (1, 2, 60) for size in (2 * n, 4 * n)]
+    asserts = [hit for source, name in sources
+               for hit in _asserts(source, name)]
     assert asserts == []
