@@ -164,11 +164,22 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, say, or no permission to read it
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a JSON object")
     return cfg
+
+
+def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """{option: allowed values} for the command's options whose flag takes
+    one of a fixed set of values."""
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return {a.dest: a.choices for a in commands.choices[command]._actions
+            if a.choices is not None}
 
 
 def _config_block(cfg: dict, key: str) -> dict:
@@ -182,10 +193,12 @@ def _config_block(cfg: dict, key: str) -> dict:
 class Effective:
     """Flag-over-file option resolution for one subcommand run."""
 
-    def __init__(self, args: argparse.Namespace, command: str):
+    def __init__(self, args: argparse.Namespace, command: str,
+                 choices: dict):
         cfg = _load_config(args.config)
         self.command = command
         self.args = vars(args)
+        self.choices = choices
         unknown = set(cfg) - {"model", "seed", "out_dir", *COMMANDS}
         if unknown:
             raise ConfigError(
@@ -234,6 +247,9 @@ class Effective:
             v = default
         if v is None and required:
             raise ConfigError(f"missing required option for {self.command}: {key}")
+        if key in self.choices and v not in self.choices[key]:
+            raise ConfigError(f"{key} must be one of "
+                              f"{', '.join(self.choices[key])}, got {v!r}")
         return v
 
     def get_int(self, key: str, default=None, required: bool = False,
@@ -256,7 +272,10 @@ class Effective:
         return None if v is None else _parse_list(v, key, parse, from_flag)
 
     def out_dir(self) -> Path:
-        return Path(self.get("out_dir", default=f"lobfluid_out/{self.command}"))
+        v = self.get("out_dir", default=f"lobfluid_out/{self.command}")
+        if not isinstance(v, str):
+            raise ConfigError(f"out_dir must be a string, got {v!r}")
+        return Path(v)
 
     def seed(self) -> int:
         return self.get_int("seed", default=0)
@@ -451,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        eff = Effective(args, args.command)
+        eff = Effective(args, args.command, _choices(parser, args.command))
         return COMMANDS[args.command](eff)
     except (ConfigError, ParamError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

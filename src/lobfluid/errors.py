@@ -22,7 +22,8 @@ class BadN(ParamError):
 
 
 class BadPriceLabels(ParamError):
-    """price_labels has the wrong length or is not strictly increasing."""
+    """price_labels has the wrong length, a non-finite label or is not
+    strictly increasing."""
 
 
 class DisabledEvent(LobFluidError):

@@ -6,10 +6,11 @@ At scaling level L each trader trades at rate gamma/L (paired with one
 counterparty at the same level), quits at beta/L, and moves one level at
 alpha/L; a buyer at the top level and a seller at the bottom level leave the
 system instead of moving. The event table here states those transition
-rules; `simulate.step` drives it directly, the simulator's two engines
-restate it (the list engine for any N, and the one compiled per N for
-small books; the tests replay each against `step`), and the ODE
-right-hand side and fixed-point solvers use its fluid limit.
+rules; `simulate.step` drives it directly, the simulator's engine
+restates it once, as one source template rendered with the book in
+locals for small books and in lists for large ones (the tests replay
+each rendering against `step`), and the ODE right-hand side and
+fixed-point solvers use its fluid limit.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class ModelParams:
                 raise BadPriceLabels(
                     f"expected {self.n_levels} price labels, got {len(labels)}"
                 )
+            # NaN compares false with everything, so it would pass the
+            # ordering test, and no JSON manifest can hold NaN or inf
+            if not np.isfinite(labels).all():
+                raise BadPriceLabels(
+                    f"price labels must be finite, got {list(labels)}")
             if any(b <= a for a, b in zip(labels, labels[1:])):
                 raise BadPriceLabels("price labels must be strictly increasing")
             object.__setattr__(self, "price_labels", labels)

@@ -53,15 +53,19 @@ def _jsonable(obj):
 
 
 def write_manifest(path, payload: dict) -> None:
-    """Structured run record: effective config, seeds, grids, code version."""
+    """Structured run record: effective config, seeds, grids, code version.
+
+    The record is strict JSON: a NaN or infinite value raises ValueError
+    before anything is written.
+    """
     from . import __version__
 
     body = {"lobfluid_version": __version__, **_jsonable(payload)}
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def state_header(n: int) -> list[str]:

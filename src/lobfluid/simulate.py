@@ -2,32 +2,32 @@
 
 `step()` drives the transition rules of `model.enumerate_events` and
 `apply_event` directly and is the reference. `_run`, behind `simulate` and
-`empirical_equilibrium`, restates those rules in one of two engines,
-picked by the level count N (no option chooses it). Both hold exact
-counts, and keep B = sum b, S = sum s and M = sum min(b, s) exactly, so
-the closed-form total rate never drifts, and they make the same
-comparisons and float operations in the same order, so they give the same
-bits. The tests replay both event by event against `step()`, and compare
-them bit for bit at every compiled size. Each records a sample by copying
-the counts into two `array("d")` buffers, as doubles and at C level, and
-`_run` scales them once in place at the end: no Python object per sample
-outlives its copy, so a run's samples take little more memory than the
-arrays returned.
+`empirical_equilibrium`, restates those rules once more, in one engine:
+the source template `_ENGINE` with one snippet per event kind, rendered by
+`_engine_source` and compiled on first use (`_compiled_engine`). Every
+rendering holds exact counts and keeps B = sum b, S = sum s and
+M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
+every rendering makes the same comparisons and float operations in the
+same order, so all give the same bits. The tests replay each rendering
+event by event against `step()`, and compare them bit for bit at every
+unrolled size. A sample is recorded by copying the counts into two
+`array("d")` buffers, as doubles and at C level, and `_run` scales them
+once in place at the end: no Python object per sample outlives its copy,
+so a run's samples take little more memory than the arrays returned.
 
-Engine choice: up to ENGINE_UNROLL_MAX levels, `_compiled_engine(N)`,
-straight-line Python generated from N and compiled once per N: every b_k,
-s_k and per-level tally is a local variable, the counts are floats (exact,
-since the engine runs only when no count can reach 2**53), and each level
+Renderings: the template is rendered in two layouts and with two count
+types, picked by `_run` from the level count N and the budget (no option
+chooses them). Up to ENGINE_UNROLL_MAX levels the book lives in locals:
+every b_k, s_k and per-level tally is a local variable and each level
 block's walk is an elif chain over the levels that ends in the
-past-the-end fallback. Above it, `_list_engine`, one loop over lists of
-ints with one walk helper. On a 2-core Xeon (Python 3.11) the compiled
-engine takes about a third less time per event up to N = 16 (402 against
-594 ns at N = 2, 452 against 651 ns at N = 16) and a quarter less at
-N = 50, while its compile time grows about linearly with N: 1.1 ms at
-N = 2, 6 ms at N = 16, 23 ms at N = 50 (CHANGES.md has the table by N).
-At the threshold a compile is repaid after some 30,000 events, a few
-times that at N = 50; large books keep the list loop, which compiles
-nothing, and nothing is compiled at import.
+past-the-end fallback, compiled once per N (1.1 ms at N = 2, 6 ms at
+N = 16). Above it the book lives in lists, each level block tests its
+entry level inline and calls `_walk` on a miss, and the one list form is
+compiled once per process (about 2 ms). The counts are floats while they
+are exact, that is while the population plus the budget stays below
+2**53, and ints beyond. On a 2-core Xeon (Python 3.11) the locals form
+takes about a fifth less time per event than the list form at N = 2 and
+at N = 16 (CHANGES.md has the tables by N); nothing is compiled at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -40,7 +40,7 @@ alpha-moves with the bottom exit at level 1); a target at or past the end
 blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
 and sellers at level N, and the stationary profile decays geometrically
 away from each entry level, so starting there keeps the expected walk
-short at any N. The engines take the stream as (holding, selection) pairs,
+short at any N. The engine takes the stream as (holding, selection) pairs,
 CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
@@ -48,9 +48,9 @@ through `math.log1p`, never `np.log1p`, whose vectorised form differs from
 it in the last bit on some machines. Replica streams are `SeedSequence`
 spawn keys `(i, j)` (replica j at the i-th scaling level).
 
-Per event an engine does only the work that event needs: one clock
+Per event the engine does only the work that event needs: one clock
 test, against the next sample time or the horizon, whichever comes first;
-no budget test (an engine takes at most the budget's worth of pairs plus
+no budget test (the engine takes at most the budget's worth of pairs plus
 one, and the budget ran out if that last pair falls before the horizon
 too); and one dispatch, in which each block applies its +-1 increments
 where it is picked. Each level block (trades, quits and alpha-moves of
@@ -66,10 +66,9 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 from __future__ import annotations
 
 import functools
-import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import compress
 from math import isfinite, log1p
 from operator import index, length_hint
 
@@ -92,7 +91,7 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
 
 DEFAULT_MAX_EVENTS = 50_000_000
 CHUNK = 1024  # (holding, selection) pairs per generator call
-ENGINE_UNROLL_MAX = 16  # level counts up to which _run compiles its engine
+ENGINE_UNROLL_MAX = 16  # level counts up to which the book lives in locals
 
 
 @dataclass
@@ -212,12 +211,6 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
-def _chunk_pairs(rng, chunk: int) -> zip:
-    """chunk (log1p(-u_hold), u_pick) pairs from one generator call."""
-    u = rng.random(2 * chunk)
-    return zip(map(log1p, (-u[0::2]).tolist()), u[1::2].tolist())
-
-
 def _count(value, name: str) -> int:
     """value as a nonnegative int: an int, a numpy integer or an integral
     float. A bool, a non-integral value or a negative one raises
@@ -237,10 +230,11 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
     return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
 
 
-def _walk(target: float, unit: float, occ: list[int], rest: range) -> int:
-    """The level a selection target picks in a level block after missing
-    the entry level: target is what is left once the entry level's weight
-    is taken off, and rest holds the other levels in walk order.
+def _walk(target: float, unit: float, occ: list, rest: range) -> int:
+    """The level a selection target picks in a level block of the list
+    form, after missing the entry level: target is what is left once the
+    entry level's weight is taken off, and rest holds the other levels in
+    walk order.
 
     An empty level subtracts 0.0, which leaves the nonnegative target
     unchanged, so the walk makes the comparisons and subtractions of a walk
@@ -259,173 +253,38 @@ def _walk(target: float, unit: float, occ: list[int], rest: range) -> int:
     return last
 
 
-def _list_engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
-    """The engine for any level count: occupancies and per-level tallies in
-    lists, one level walk (`_walk`) for all five level blocks.
-
-    Per event the loop does only what the event needs. The clock moves in
-    place and is tested once, against stop = min(next sample time, t_end),
-    which changes only when samples are taken. The budget costs no test per
-    event: the loop takes at most max_events + 1 pairs from the stream, and
-    if the last of them also falls before t_end, it ends without reaching
-    t_end and raises BudgetExceeded. n_events is counted on its own, so the
-    counters' sum stays a check on it. Each level block applies its +-1
-    increments right where it is picked; its entry level is tested inline,
-    and only a miss there calls `_walk`.
-    """
-    lam_b, lam_s, lam, rt, rq, rm, rqm = rates
-    n = len(b)
-    top = n - 1
-    B, S, M = sum(b), sum(s), sum(map(min, b, s))
-    trades = [0] * n
-    buyer_quits = [0] * n
-    seller_quits = [0] * n
-    buyer_moves = [0] * n
-    seller_moves = [0] * n
-    buyer_arrivals = seller_arrivals = exit_top = exit_bottom = 0
-
-    xs = array("d")
-    ys = array("d")
-    si = 0
-    m = len(sample_ts)
-    stop = min(sample_ts[0], t_end) if m else t_end
-    t = 0.0
-    n_events = 0
-    # the levels after the entry level in walk order: buyers and trades
-    # walk up from level 1, sellers down from level N
-    up = range(1, n)
-    down = range(top - 1, -1, -1)
-    # one pair past the budget decides it: an event there exhausts it. A
-    # budget past islice's limit, sys.maxsize, is one no run can use up
-    pairs = chain.from_iterable(map(_chunk_pairs, repeat(rng), repeat(chunk)))
-    for hold, pick in islice(pairs, min(max_events + 1, sys.maxsize)):
-        w_trade = rt * M  # the trade block's weight, a term of the rate
-        rate = lam + rqm * (B + S) + w_trade
-        t -= hold / rate
-        if t >= stop:
-            # samples at or before t take the state before this event; at
-            # t_end every sample left takes the final state, after the loop
-            if t >= t_end:
-                break
-            while si < m and sample_ts[si] <= t:
-                xs.fromlist(b)
-                ys.fromlist(s)
-                si += 1
-            stop = min(sample_ts[si], t_end) if si < m else t_end
-        n_events += 1
-        target = pick * rate
-
-        # walk the canonical order; a target at or past the end fires the
-        # last positive-rate event: the seller arrival on an empty book,
-        # else the buyer alpha block when there are no sellers (then
-        # B > 0), else the seller alpha block. min(b, s) moves with b
-        # exactly when b <= s after a buyer arrives, and when b < s after
-        # one leaves (mirrored for sellers). The target is never negative,
-        # so an empty block (weight 0.0) is never picked by its test
-        if target < lam_b:
-            b[0] += 1
-            B += 1
-            if b[0] <= s[0]:
-                M += 1
-            buyer_arrivals += 1
-            continue
-        target -= lam_b
-        if target < lam_s or not (B or S):
-            s[top] += 1
-            S += 1
-            if s[top] <= b[top]:
-                M += 1
-            seller_arrivals += 1
-            continue
-        target -= lam_s
-        if target < w_trade:
-            w = rt * min(b[0], s[0])
-            k = 0 if target < w else _walk(target - w, rt,
-                                           list(map(min, b, s)), up)
-            b[k] -= 1
-            s[k] -= 1
-            B -= 1
-            S -= 1
-            M -= 1
-            trades[k] += 1
-            continue
-        target -= w_trade
-        w = rq * B
-        if target < w:
-            w = rq * b[0]
-            k = 0 if target < w else _walk(target - w, rq, b, up)
-            b[k] -= 1
-            B -= 1
-            if b[k] < s[k]:
-                M -= 1
-            buyer_quits[k] += 1
-            continue
-        target -= w
-        w = rq * S
-        if target < w:
-            w = rq * s[top]
-            k = top if target < w else _walk(target - w, rq, s, down)
-            s[k] -= 1
-            S -= 1
-            if s[k] < b[k]:
-                M -= 1
-            seller_quits[k] += 1
-            continue
-        target -= w
-        w = rm * B
-        if target < w or not S:
-            w = rm * b[0]
-            k = 0 if target < w else _walk(target - w, rm, b, up)
-            b[k] -= 1
-            if b[k] < s[k]:
-                M -= 1
-            if k < top:
-                buyer_moves[k] += 1
-                k += 1
-                b[k] += 1
-                if b[k] <= s[k]:
-                    M += 1
-            else:
-                B -= 1
-                exit_top += 1
-            continue
-        target -= w
-        w = rm * s[top]
-        k = top if target < w else _walk(target - w, rm, s, down)
-        s[k] -= 1
-        if s[k] < b[k]:
-            M -= 1
-        if k > 0:
-            seller_moves[k] += 1
-            k -= 1
-            s[k] += 1
-            if s[k] <= b[k]:
-                M += 1
-        else:
-            S -= 1
-            exit_bottom += 1
-    else:
-        raise _exhausted(max_events, t)
-    while si < m:
-        xs.fromlist(b)
-        ys.fromlist(s)
-        si += 1
-    return (n_events, xs, ys, b, s, (B, S, M),
-            (trades, buyer_quits, seller_quits, buyer_moves, seller_moves),
-            (buyer_arrivals, seller_arrivals, exit_top, exit_bottom))
-
-
-# The compiled engine's source for n levels, with {fields} filled in by
-# _engine_source. Its statements are _list_engine's with the book in locals
-# b0.., s0.. and the tallies in tr0.. (trades), bq0.. and sq0.. (quits),
-# bm0.. and sm0.. (moves), ba, sa (arrivals), et, eb (boundary exits).
+# The engine's source, with {fields} filled in by _engine_source. The book
+# is b{k}, s{k} and the per-level tallies tr{k} (trades), bq{k} and sq{k}
+# (quits), bm{k} and sm{k} (moves), where {k} is a level's digits in the
+# locals form (b0, b1, ..) and its index in the list form (b[k]); ba, sa
+# (arrivals) and et, eb (boundary exits) are locals in both. {one} is the
+# counts' unit, 1.0 or 1.
+#
+# Per event it does only what the event needs. The clock moves in place and
+# is tested once, against stop = min(next sample time, t_end), which
+# changes only when samples are taken. The budget costs no test per event:
+# the engine takes at most max_events + 1 pairs, chunk by chunk, and if the
+# last of them also falls before t_end it raises BudgetExceeded. n_events is
+# the number of pairs consumed less the one that ended the run, counted
+# apart from the tallies, so their sum stays a check on it. The dispatch
+# walks the canonical order; a target at or past the end fires the last
+# positive-rate event: the seller arrival on an empty book, else the buyer
+# alpha block when there are no sellers (then B > 0), else the seller alpha
+# block. min(b, s) moves with b exactly when b <= s after a buyer arrives,
+# and when b < s after one leaves (mirrored for sellers). The target is
+# never negative, so an empty block (weight 0.0) is never picked by its test.
 _ENGINE = '''\
 def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     lam_b, lam_s, lam, rt, rq, rm, rqm = rates
-    B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
-    {bs}, = map(float, b)
-    {ss}, = map(float, s)
-    {tallies} = ba = sa = et = eb = 0
+    B, S, M = map({num}, (sum(b), sum(s), sum(map(min, b, s))))
+    {bs} = [*map({num}, b)]
+    {ss} = [*map({num}, s)]
+    {per_level} = ([0] * len(b) for _ in range(5))
+    ba = sa = et = eb = 0
+    # the list form's levels after the entry level, in walk order
+    top = len(b) - 1
+    up = range(1, len(b))
+    down = range(top - 1, -1, -1)
     xs = array("d")
     ys = array("d")
     si = 0
@@ -446,22 +305,22 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
                 if t >= t_end:
                     break
                 while si < m and sample_ts[si] <= t:
-                    xs.fromlist([{bs}])
-                    ys.fromlist([{ss}])
+                    xs.fromlist({bs})
+                    ys.fromlist({ss})
                     si += 1
                 stop = min(sample_ts[si], t_end) if si < m else t_end
             target = pick * rate
             if target < lam_b:
-                b0 += 1.0
-                B += 1.0
-                if b0 <= s0:
-                    M += 1.0
+                b{lo} += {one}
+                B += {one}
+                if b{lo} <= s{lo}:
+                    M += {one}
                 ba += 1
             elif (target := target - lam_b) < lam_s or not (B or S):
-                s{top} += 1.0
-                S += 1.0
-                if s{top} <= b{top}:
-                    M += 1.0
+                s{hi} += {one}
+                S += {one}
+                if s{hi} <= b{hi}:
+                    M += {one}
                 sa += 1
             elif (target := target - lam_s) < w_trade:
 {trade}
@@ -482,68 +341,94 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     else:
         raise _exhausted(max_events, t)
     while si < m:
-        xs.fromlist([{bs}])
-        ys.fromlist([{ss}])
+        xs.fromlist({bs})
+        ys.fromlist({ss})
         si += 1
     # the pair that ended the run was drawn but fired no event
     n_events = done + size - length_hint(picks) - 1
-    return (n_events, xs, ys, [{b_ints}], [{s_ints}],
+    return (n_events, xs, ys, [*map(int, {bs})], [*map(int, {ss})],
             (int(B), int(S), int(M)), ({per_level}), (ba, sa, et, eb))
 '''
 
 # each event at level {k}; {j} is the level a move goes to
 _TRADE = """\
-b{k} -= 1.0
-s{k} -= 1.0
-B -= 1.0
-S -= 1.0
-M -= 1.0
+b{k} -= {one}
+s{k} -= {one}
+B -= {one}
+S -= {one}
+M -= {one}
 tr{k} += 1"""
 _BUYER_QUIT = """\
-b{k} -= 1.0
-B -= 1.0
+b{k} -= {one}
+B -= {one}
 if b{k} < s{k}:
-    M -= 1.0
+    M -= {one}
 bq{k} += 1"""
 _SELLER_QUIT = """\
-s{k} -= 1.0
-S -= 1.0
+s{k} -= {one}
+S -= {one}
 if s{k} < b{k}:
-    M -= 1.0
+    M -= {one}
 sq{k} += 1"""
 _BUYER_MOVE = """\
-b{k} -= 1.0
+b{k} -= {one}
 if b{k} < s{k}:
-    M -= 1.0
+    M -= {one}
 bm{k} += 1
-b{j} += 1.0
+b{j} += {one}
 if b{j} <= s{j}:
-    M += 1.0"""
+    M += {one}"""
 _BUYER_EXIT = """\
-b{k} -= 1.0
+b{k} -= {one}
 if b{k} < s{k}:
-    M -= 1.0
-B -= 1.0
+    M -= {one}
+B -= {one}
 et += 1"""
 _SELLER_MOVE = """\
-s{k} -= 1.0
+s{k} -= {one}
 if s{k} < b{k}:
-    M -= 1.0
+    M -= {one}
 sm{k} += 1
-s{j} += 1.0
+s{j} += {one}
 if s{j} <= b{j}:
-    M += 1.0"""
+    M += {one}"""
 _SELLER_EXIT = """\
-s{k} -= 1.0
+s{k} -= {one}
 if s{k} < b{k}:
-    M -= 1.0
-S -= 1.0
+    M -= {one}
+S -= {one}
 eb += 1"""
+
+# Each level block: its rate unit, level {k}'s count, the test that level
+# {k} is occupied, every level's count (for `_walk`), whether it walks up
+# from level 1 (else down from level N), and its event, or for the alpha
+# blocks the move and the exit at the far edge.
+_BLOCKS = {
+    "trade": ("rt", "(b{k} if b{k} < s{k} else s{k})", "b{k} and s{k}",
+              "[*map(min, b, s)]", True, _TRADE),
+    "buyer_quit": ("rq", "b{k}", "b{k}", "b", True, _BUYER_QUIT),
+    "seller_quit": ("rq", "s{k}", "s{k}", "s", False, _SELLER_QUIT),
+    "buyer_move": ("rm", "b{k}", "b{k}", "b", True,
+                   (_BUYER_MOVE, _BUYER_EXIT)),
+    "seller_move": ("rm", "s{k}", "s{k}", "s", False,
+                    (_SELLER_MOVE, _SELLER_EXIT)),
+}
+
+
+def _branch(test: str, body: str) -> str:
+    """body under the clause test (`if ...`, `elif ...` or `else`)."""
+    return f"{test}:\n    " + body.replace("\n", "\n    ")
+
+
+def _indent(lines: str) -> str:
+    """lines indented to sit in the engine's dispatch."""
+    pad = " " * 16
+    return pad + lines.replace("\n", "\n" + pad)
 
 
 def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
     """One level block's walk over levels (in walk order) as an elif
-    chain, indented to sit in the engine's dispatch.
+    chain, for the locals form.
 
     weight and occupied are source templates in {k} for level k's weight
     in the block and for "level k is occupied", and fire(k) is the source
@@ -554,79 +439,82 @@ def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
     at or past the end: the last occupied level in walk order, the entry
     level if no other is occupied. A block of one level always fires it.
     """
-    def branch(test, k):
-        return f"{test}:\n    " + fire(k).replace("\n", "\n    ")
-
     if len(levels) == 1:
-        lines = [fire(levels[0])]
+        return _indent(fire(levels[0]))
+    first, *middle, last = levels
+    w = weight.format
+    lines = [_branch(f"if target < (w := {w(k=first)})", fire(first))]
+    lines += [_branch(f"elif (target := target - w) < (w := {w(k=k)})",
+                      fire(k)) for k in middle]
+    lines += [_branch(f"elif {occupied.format(k=k)}", fire(k))
+              for k in [last, *reversed(middle)]]
+    lines.append(_branch("else", fire(first)))
+    return _indent("\n".join(lines))
+
+
+def _engine_source(n: int | None, exact: bool) -> str:
+    """Source of the engine (see `_compiled_engine`): with the book in
+    locals for n levels, or in lists for any level count when n is None;
+    the counts are floats when exact, else ints."""
+    one = "1.0" if exact else "1"
+    fill = lambda template, k, j=None: template.format(k=k, j=j, one=one)
+
+    def fire(event, up, k):
+        if isinstance(event, str):
+            return fill(event, k)
+        move, leave = event
+        if n is None:
+            test, j = ("k < top", "[k + 1]") if up else ("k > 0", "[k - 1]")
+            return (_branch(f"if {test}", fill(move, k, j)) + "\n"
+                    + _branch("else", fill(leave, k)))
+        edge, j = (n - 1, k + 1) if up else (0, k - 1)
+        return fill(move if k != edge else leave, k, j)
+
+    blocks = {}
+    for name, (unit, count, occupied, counts, up, event) in _BLOCKS.items():
+        if n is None:
+            # the entry level inline, `_walk` over the rest on a miss
+            entry, rest = ("0", "up") if up else ("top", "down")
+            w = f"{unit} * {count.format(k=f'[{entry}]')}"
+            blocks[name] = _indent(
+                f"k = {entry} if target < (w := {w}) else "
+                f"_walk(target - w, {unit}, {counts}, {rest})\n"
+                + fire(event, up, "[k]"))
+        else:
+            levels = range(n) if up else range(n - 1, -1, -1)
+            blocks[name] = _unrolled_walk(levels, f"{unit} * {count}",
+                                          occupied,
+                                          functools.partial(fire, event, up))
+    if n is None:
+        bs, ss, lo, hi = "b", "s", "[0]", "[top]"
+        per_level = "tr, bq, sq, bm, sm"
     else:
-        first, *middle, last = levels
-        w = weight.format
-        lines = [branch(f"if target < (w := {w(k=first)})", first)]
-        lines += [branch(f"elif (target := target - w) < (w := {w(k=k)})", k)
-                  for k in middle]
-        lines += [branch(f"elif {occupied.format(k=k)}", k)
-                  for k in [last, *reversed(middle)]]
-        lines.append(branch("else", first))
-    pad = " " * 16
-    return pad + "\n".join(lines).replace("\n", "\n" + pad)
-
-
-def _engine_source(n: int) -> str:
-    """Source of the engine for n levels, generated from the level count
-    alone (see `_compiled_engine`)."""
-    top = n - 1
-    up = range(n)
-    down = range(top, -1, -1)
-    names = lambda prefix: [f"{prefix}{k}" for k in up]
-    tallies = [names(prefix) for prefix in ("tr", "bq", "sq", "bm", "sm")]
-    at = lambda template: lambda k: template.format(k=k)
-
-    def buyer_move(k):
-        template = _BUYER_MOVE if k < top else _BUYER_EXIT
-        return template.format(k=k, j=k + 1)
-
-    def seller_move(k):
-        template = _SELLER_MOVE if k > 0 else _SELLER_EXIT
-        return template.format(k=k, j=k - 1)
-
-    return _ENGINE.format(
-        top=top,
-        bs=", ".join(names("b")),
-        ss=", ".join(names("s")),
-        b_ints=", ".join(f"int({v})" for v in names("b")),
-        s_ints=", ".join(f"int({v})" for v in names("s")),
-        tallies=" = ".join(sum(tallies, [])),
-        per_level=", ".join(f"[{', '.join(t)}]" for t in tallies),
-        trade=_unrolled_walk(up, "rt * (b{k} if b{k} < s{k} else s{k})",
-                             "b{k} and s{k}", at(_TRADE)),
-        buyer_quit=_unrolled_walk(up, "rq * b{k}", "b{k}", at(_BUYER_QUIT)),
-        seller_quit=_unrolled_walk(down, "rq * s{k}", "s{k}",
-                                   at(_SELLER_QUIT)),
-        buyer_move=_unrolled_walk(up, "rm * b{k}", "b{k}", buyer_move),
-        seller_move=_unrolled_walk(down, "rm * s{k}", "s{k}", seller_move),
-    )
+        names = lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]"
+        bs, ss, lo, hi = names("b"), names("s"), "0", str(n - 1)
+        per_level = ", ".join(map(names, ("tr", "bq", "sq", "bm", "sm")))
+    return _ENGINE.format(num="float" if exact else "int", one=one, bs=bs,
+                          ss=ss, per_level=per_level, lo=lo, hi=hi, **blocks)
 
 
 @functools.cache
-def _compiled_engine(n: int):
-    """The engine for n levels, compiled once per level count.
+def _compiled_engine(n: int | None, exact: bool):
+    """The engine rendered by `_engine_source(n, exact)`, compiled once per
+    argument pair.
 
-    It makes `_list_engine`'s draws, comparisons and float operations in
-    its order, on locals: every b_k, s_k and per-level tally is a local,
-    and each level block's walk is unrolled (`_unrolled_walk`). The counts
-    b_k, s_k, B, S and M are floats, which step by 1.0 and multiply the
-    rates without an int-to-float conversion; `_run` calls this engine only
-    when no count can reach 2**53, below which they are exact, so every
-    comparison and product equals the list engine's on ints. The tallies
-    stay ints. The pairs come chunk by chunk, at most max_events + 1 of
-    them in all, and n_events is the number of pairs consumed less the one
-    that ended the run, so it is counted apart from the tallies.
+    Both layouts make the same draws, comparisons and float operations in
+    the same order, and so give the same bits. The locals form (n levels)
+    holds every b_k, s_k and per-level tally in a local and unrolls each
+    level block's walk (`_unrolled_walk`); the list form holds them in
+    lists and walks with `_walk`. Float counts b_k, s_k, B, S and M step by
+    1.0 and multiply the rates without an int-to-float conversion; they
+    are exact below 2**53, so every comparison and product equals that on
+    ints, and `_run` asks for them only when no count can reach 2**53. The
+    tallies stay ints.
     """
     namespace = {"array": array, "log1p": log1p, "length_hint": length_hint,
-                 "_exhausted": _exhausted}
-    exec(compile(_engine_source(n), f"<lobfluid.simulate engine {n}>",
-                 "exec"), namespace)
+                 "_exhausted": _exhausted, "_walk": _walk}
+    name = f"<lobfluid.simulate engine {n} {'float' if exact else 'int'}>"
+    exec(compile(_engine_source(n, exact), name, "exec"), namespace)
     return namespace["engine"]
 
 
@@ -644,27 +532,25 @@ def _run(
     identities exactly. Returns (x, y, n_events, final state, counters);
     row i of x and y is the scaled state at sample_ts[i].
 
-    Up to ENGINE_UNROLL_MAX levels the chain runs on the engine compiled
-    for its level count, unless the population plus the budget reaches
-    2**53; otherwise on `_list_engine`. The two give the same bits.
-    Occupancies are Python ints, or floats below 2**53 in the compiled
-    engine, so exact either way (the loop is pure Python; small numpy
-    arrays would dominate the per-event cost), and the aggregates B, S, M
-    move with the +-1 increments, so the total rate is exact at every
-    step. Samples go into `array("d")`
-    buffers as doubles, through `fromlist`, which grows a buffer once per
-    sample where `extend` grows it once per count; x and y are numpy views
-    of the buffers, divided by L in place, which converts and divides
-    exactly as `np.array(samples, dtype=np.float64) / L` would.
+    The chain runs on one rendering of the engine: with the book in
+    locals up to ENGINE_UNROLL_MAX levels and in lists above, with float
+    counts while the population plus the budget stays below 2**53 and int
+    counts beyond; all four give the same bits. The counts are exact
+    either way (the loop is pure Python; small numpy arrays would dominate
+    the per-event cost), and the aggregates B, S, M move with the +-1
+    increments, so the total rate is exact at every step. Samples go into
+    `array("d")` buffers as doubles, through `fromlist`, which grows a
+    buffer once per sample where `extend` grows it once per count; x and y
+    are numpy views of the buffers, divided by L in place, which converts
+    and divides exactly as `np.array(samples, dtype=np.float64) / L` would.
     """
     n = params.n_levels
     b = [int(v) for v in init.b]
     s = [int(v) for v in init.s]
     # no count can pass the initial population plus the budget, and the
-    # compiled engine's float counts are exact below 2**53
+    # engine's float counts are exact below 2**53
     exact = sum(b) + sum(s) + max_events < 2**53
-    engine = (_compiled_engine(n) if n <= ENGINE_UNROLL_MAX and exact
-              else _list_engine)
+    engine = _compiled_engine(n if n <= ENGINE_UNROLL_MAX else None, exact)
     L = float(scale.l)
     lam_b = params.lambda_b
     lam_s = params.lambda_s

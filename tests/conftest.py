@@ -1,4 +1,4 @@
-"""Shared test helpers: driving the simulator's engines on scripted draws."""
+"""Shared test helpers: the engine renderings on scripted draws."""
 
 import importlib
 from dataclasses import fields
@@ -9,9 +9,9 @@ import pytest
 from lobfluid import EventCounters
 from lobfluid.simulate import _run
 
-# the ENGINE_UNROLL_MAX that forces `_run` onto each engine at every level
-# count: the compiled (unrolled) one, or the list one
-ENGINES = {"unrolled": 10**6, "list": 0}
+# the ENGINE_UNROLL_MAX that forces `_run` onto each layout of the engine
+# at every level count: the book in locals (unrolled), or in lists
+LAYOUTS = {"locals": 10**6, "lists": 0}
 
 
 def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
@@ -22,14 +22,21 @@ def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
 
 @pytest.fixture
 def each_engine(monkeypatch):
-    """Call it to iterate over the engine names; on each step `_run` runs
-    that engine at every level count."""
+    """Call it to iterate over the names of the engine's four renderings,
+    each layout with float and with int counts; on each step `_run` runs
+    that rendering at every level count. `_run` asks for float counts
+    whenever they are exact, so int counts are forced by wrapping
+    `_compiled_engine`."""
     module = importlib.import_module("lobfluid.simulate")
+    compiled = module._compiled_engine
+    as_ints = lambda n, exact: compiled(n, False)
 
     def engines():
-        for name, cap in ENGINES.items():
+        for layout, cap in LAYOUTS.items():
             monkeypatch.setattr(module, "ENGINE_UNROLL_MAX", cap)
-            yield name
+            for counts, engine in (("float", compiled), ("int", as_ints)):
+                monkeypatch.setattr(module, "_compiled_engine", engine)
+                yield f"{layout}, {counts} counts"
     return engines
 
 
@@ -52,9 +59,9 @@ class ScriptedUniforms:
 
 @pytest.fixture
 def fire_once(each_engine):
-    """Run each engine from `state` through exactly one event, fired at
-    time 0 with selection uniform `u`; both must end alike. Returns (final
-    state, counters)."""
+    """Run each engine rendering from `state` through exactly one event,
+    fired at time 0 with selection uniform `u`; all must end alike. Returns
+    (final state, counters)."""
     def run(params, scale, state, u):
         outcomes = []
         for _ in each_engine():
@@ -64,8 +71,9 @@ def fire_once(each_engine):
                 params, scale, state, 1e-9, [], ScriptedUniforms([0.0, u]), 1)
             assert n_events == 1
             outcomes.append((final, counters))
-        (final, counters), (other, other_counters) = outcomes
-        assert (final.b == other.b).all() and (final.s == other.s).all()
-        assert_same_counters(counters, other_counters)
+        (final, counters), *others = outcomes
+        for other, other_counters in others:
+            assert (final.b == other.b).all() and (final.s == other.s).all()
+            assert_same_counters(counters, other_counters)
         return final, counters
     return run

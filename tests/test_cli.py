@@ -87,6 +87,23 @@ def test_price_labels_flag(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("labels", ["nan,1", "1,inf", "-inf,1"])
+def test_nonfinite_price_labels_exit_2(tmp_path, capsys, labels):
+    # NaN passed the ordering test and reached the manifest as NaN, which
+    # is not JSON, as was Infinity; from a flag or from a config file
+    values = [float(v) for v in labels.split(",")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {**MODEL_ONES, "n_levels": 2,
+                                         "price_labels": values}}))
+    for source in (["--n", "2", *ONES, f"--price-labels={labels}"],
+                   ["--config", str(cfg)]):
+        code, out, err = run(capsys, ["solve", *source,
+                                      "--out-dir", str(tmp_path / "out")])
+        assert code == 2, source
+        assert "price labels must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -444,6 +461,31 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, cfg, key):
     code, out, err = run_config(tmp_path, capsys, cfg, "sweep")
     assert code == 2
     assert key in err
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"model": MODEL_ONES, "solve": {"method": "newton"}}, "method"),
+    ({"model": MODEL_ONES, "solve": {"method": ["both"]}}, "method"),
+    ({"model": MODEL_ONES, "out_dir": 5}, "out_dir"),
+    ({"model": MODEL_ONES, "solve": {"out_dir": None}, "out_dir": [1]},
+     "out_dir"),
+    (None, "config"),  # --config names a directory
+])
+def test_config_values_the_parser_never_sees_exit_2(tmp_path, capsys,
+                                                    monkeypatch, cfg, key):
+    # a file value outside the flag's choices ran as "no method" and wrote
+    # a manifest; a non-string out_dir and a directory for --config ended
+    # in a traceback
+    monkeypatch.chdir(tmp_path)  # the default out_dir is relative
+    path = tmp_path / "cfg"
+    if cfg is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["solve", "--config", str(path)])
+    assert code == 2
+    assert key in err
+    assert list(tmp_path.rglob("manifest.json")) == []
 
 
 @pytest.mark.parametrize("cfg, key", [

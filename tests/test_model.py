@@ -54,6 +54,11 @@ def test_validate_params_rejections():
         params(n=2, price_labels=(1.0, 1.0))
     with pytest.raises(BadPriceLabels):
         params(n=3, price_labels=(1.0, 2.0))
+    # NaN compares false with everything, so it passed the ordering test
+    for labels in ((float("nan"), 1.0), (1.0, float("inf")),
+                   (float("-inf"), 0.0), (float("nan"), float("nan"))):
+        with pytest.raises(BadPriceLabels, match="must be finite"):
+            params(n=2, price_labels=labels)
     with pytest.raises(ParamError):
         validate_params(dict(n_levels=1, lambda_b=1, lambda_s=1, alpha=1,
                              beta=1, gamma=1, typo=3))

@@ -152,3 +152,15 @@ def test_sweep_writer_matches_reference_bytes(tmp_path):
     output.write_sweep_csv(path, report)
     assert path.read_bytes() == reference_csv(
         ["lambda_s", "ell", "regime", "trade_volume", "residual"], rows)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_manifest_is_strict_json(tmp_path, value):
+    # json.dump writes NaN and Infinity by default, which strict JSON
+    # parsers reject; the manifest refuses them and writes nothing
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        output.write_manifest(path, {"x": [1.0, value]})
+    assert not path.exists()
+    output.write_manifest(path, {"x": np.array([1.0, 0.1])})
+    assert path.read_text().endswith('"x": [\n    1.0,\n    0.1\n  ]\n}\n')

@@ -139,9 +139,9 @@ def test_simulate_bit_identical_for_fixed_seed():
 
 
 def test_outputs_do_not_depend_on_chunk_size(monkeypatch, each_engine):
-    # the engines take their uniforms CHUNK pairs at a time, and random(a)
+    # the engine takes its uniforms CHUNK pairs at a time, and random(a)
     # followed by random(b) gives the values of random(a + b); both runs
-    # draw more than one real chunk. Each engine reads CHUNK per call
+    # draw more than one real chunk. Each rendering reads CHUNK per call
     engine = importlib.import_module("lobfluid.simulate")
     p = params(n=3, beta=0.2, gamma=2.0)
     runs, equilibria = [], []
@@ -242,22 +242,24 @@ def test_integral_counts_run_as_integers(each_engine):
                 assert (a.x == b.x).all() and (a.y == b.y).all()
 
 
-def test_budget_that_could_pass_exact_float_counts_runs_on_the_list_engine(
+def test_budget_that_could_pass_exact_float_counts_runs_on_int_counts(
         monkeypatch):
-    # the compiled engine holds the counts as floats, exact below 2**53,
-    # and no count passes the initial population (here 5 + 3) plus the
-    # budget; at that bound the run takes the list engine, with equal bits
+    # the engine holds the counts as floats, exact below 2**53, and no
+    # count passes the initial population (here 5 + 3) plus the budget; at
+    # that bound the run takes int counts, with equal bits
     engine = importlib.import_module("lobfluid.simulate")
-    compiled = []
+    calls = []
     real = engine._compiled_engine
     monkeypatch.setattr(engine, "_compiled_engine",
-                        lambda n: compiled.append(n) or real(n))
+                        lambda n, exact: calls.append((n, exact))
+                        or real(n, exact))
     runs = []
-    for budget, used in ((2**53 - 9, [2]), (2**53 - 8, []), (10**30, [])):
-        compiled.clear()
+    for budget, exact in ((2**53 - 9, True), (2**53 - 8, False),
+                          (10**30, False)):
+        calls.clear()
         runs.append(simulate(params(n=2), ScalingLevel(10), [0.5, 0.0],
                              [0.0, 0.3], 1.0, 0.5, seed=1, max_events=budget))
-        assert compiled == used, budget
+        assert calls == [(2, exact)], budget
     for run in runs[1:]:
         assert run.n_events == runs[0].n_events > 0
         assert (run.x == runs[0].x).all() and (run.y == runs[0].y).all()
@@ -265,13 +267,14 @@ def test_budget_that_could_pass_exact_float_counts_runs_on_the_list_engine(
 
 
 def test_each_unrolled_size_matches_the_list_engine(each_engine):
-    # every level count up to the threshold has its own generated engine;
-    # a short run at each one, from a book with traders of both sides on
-    # most levels, gives the list engine's bits
+    # every level count up to the threshold has its own generated engine
+    # for each count type; a short run at each one, from a book with
+    # traders of both sides on most levels, gives the list rendering's bits
     engine = importlib.import_module("lobfluid.simulate")
     threshold = engine.ENGINE_UNROLL_MAX  # each_engine() overrides it
     assert threshold >= 1
-    engine._compiled_engine.cache_clear()
+    compiled = engine._compiled_engine  # each_engine() wraps it
+    compiled.cache_clear()
     rng = np.random.default_rng(53)
     for n in range(1, threshold + 1):
         p = params(n=n, lam_b=rng.uniform(0.2, 3), lam_s=rng.uniform(0.2, 3),
@@ -280,16 +283,19 @@ def test_each_unrolled_size_matches_the_list_engine(each_engine):
                    gamma=rng.uniform(0.2, 3))
         x0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
         y0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
-        runs = [simulate(p, ScalingLevel(10), x0, y0, 2.0, 0.25, seed=n)
-                for _ in each_engine()]
-        unrolled, listed = runs
-        assert unrolled.n_events == listed.n_events > 0, n
-        assert unrolled.x.tobytes() == listed.x.tobytes(), n
-        assert unrolled.y.tobytes() == listed.y.tobytes(), n
-        assert (unrolled.final_state.b == listed.final_state.b).all(), n
-        assert (unrolled.final_state.s == listed.final_state.s).all(), n
-        assert_same_counters(unrolled.counters, listed.counters)
-    assert engine._compiled_engine.cache_info().currsize == threshold
+        runs = {name: simulate(p, ScalingLevel(10), x0, y0, 2.0, 0.25, seed=n)
+                for name in each_engine()}
+        listed = runs["lists, float counts"]
+        assert listed.n_events > 0
+        for name, run in runs.items():
+            assert run.n_events == listed.n_events, (n, name)
+            assert run.x.tobytes() == listed.x.tobytes(), (n, name)
+            assert run.y.tobytes() == listed.y.tobytes(), (n, name)
+            assert (run.final_state.b == listed.final_state.b).all(), n
+            assert (run.final_state.s == listed.final_state.s).all(), n
+            assert_same_counters(run.counters, listed.counters)
+    # both count types at each size, and the list form once per count type
+    assert compiled.cache_info().currsize == 2 * threshold + 2
 
 
 def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
@@ -485,7 +491,7 @@ REPLAY_CASES = {
 
 @pytest.mark.parametrize("case", list(REPLAY_CASES))
 def test_simulate_equals_stepwise_replay(each_engine, case):
-    # each engine and step() over the enumerated event table
+    # each engine rendering and step() over the enumerated event table
     # make identical draws, fire identical events and tally them alike
     p, L, x0, y0, tau_max, seed = REPLAY_CASES[case]
     scale = ScalingLevel(L)
