@@ -40,6 +40,25 @@ EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
 
+# the flags whose value is a comma-separated list of numbers
+LIST_FLAGS = ("--price-labels", "--x0", "--y0", "--levels", "--lambda-s-values")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """argv with each list flag whose value starts with "-", such as
+    "--x0 -1,0", joined into one "--x0=-1,0" token. argparse takes a
+    separate value that starts with "-" and is not a plain number for an
+    option, and exits with "expected one argument"."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in LIST_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", dest="n_levels", type=int, help="number of price levels")
     p.add_argument("--lambda-b", dest="lambda_b", type=float,
@@ -468,7 +487,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         eff = Effective(args, args.command, _choices(parser, args.command))
         return COMMANDS[args.command](eff)

@@ -15,19 +15,19 @@ unrolled size. A sample is recorded by copying the counts into two
 once in place at the end: no Python object per sample outlives its copy,
 so a run's samples take little more memory than the arrays returned.
 
-Renderings: the template is rendered in two layouts and with two count
-types, picked by `_run` from the level count N and the budget (no option
-chooses them). Up to ENGINE_UNROLL_MAX levels the book lives in locals:
-every b_k, s_k and per-level tally is a local variable and each level
-block's walk is an elif chain over the levels that ends in the
-past-the-end fallback, compiled once per N (1.1 ms at N = 2, 6 ms at
-N = 16). Above it the book lives in lists, each level block tests its
-entry level inline and calls `_walk` on a miss, and the one list form is
-compiled once per process (about 2 ms). The counts are floats while they
-are exact, that is while the population plus the budget stays below
-2**53, and ints beyond. On a 2-core Xeon (Python 3.11) the locals form
-takes about a fifth less time per event than the list form at N = 2 and
-at N = 16 (CHANGES.md has the tables by N); nothing is compiled at import.
+Renderings: the template is rendered in two layouts, picked by `_run`
+from the level count N (no option chooses them). Up to ENGINE_UNROLL_MAX
+levels the book lives in locals: every b_k, s_k and per-level tally is a
+local variable and each level block's walk is an elif chain over the
+levels that ends in the past-the-end fallback, compiled once per N (1.1 ms
+at N = 2, 6 ms at N = 16). Above it the book lives in lists, each level
+block tests its entry level inline and then loops over the other levels
+(`_LIST_WALK`), and the one list form is compiled once per process (about
+2 ms). Both hold the counts as floats, which are exact below 2**53: `_run`
+refuses an initial population of 2**53 or more and caps the budget so
+that no count reaches it. On a 2-core Xeon (Python 3.11) the locals form
+takes less time per event than the list form at N <= 16 (CHANGES.md has
+the tables by N); nothing is compiled at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -68,7 +68,6 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from math import isfinite, log1p
 from operator import index, length_hint
 
@@ -230,35 +229,12 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
     return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
 
 
-def _walk(target: float, unit: float, occ: list, rest: range) -> int:
-    """The level a selection target picks in a level block of the list
-    form, after missing the entry level: target is what is left once the
-    entry level's weight is taken off, and rest holds the other levels in
-    walk order.
-
-    An empty level subtracts 0.0, which leaves the nonnegative target
-    unchanged, so the walk makes the comparisons and subtractions of a walk
-    over the occupied levels only. A target at or past the block's end
-    (float summation) picks the last occupied level in walk order: the
-    entry level, rest.start - rest.step, when no other level is occupied.
-    """
-    for k in rest:
-        w = unit * occ[k]
-        if target < w:
-            return k
-        target -= w
-    last = rest.start - rest.step
-    for last in compress(rest, map(occ.__getitem__, rest)):
-        pass
-    return last
-
-
 # The engine's source, with {fields} filled in by _engine_source. The book
 # is b{k}, s{k} and the per-level tallies tr{k} (trades), bq{k} and sq{k}
 # (quits), bm{k} and sm{k} (moves), where {k} is a level's digits in the
 # locals form (b0, b1, ..) and its index in the list form (b[k]); ba, sa
-# (arrivals) and et, eb (boundary exits) are locals in both. {one} is the
-# counts' unit, 1.0 or 1.
+# (arrivals) and et, eb (boundary exits) are locals in both. The counts are
+# floats, which `_run` keeps exact (see `_compiled_engine`).
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
@@ -276,9 +252,9 @@ def _walk(target: float, unit: float, occ: list, rest: range) -> int:
 _ENGINE = '''\
 def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     lam_b, lam_s, lam, rt, rq, rm, rqm = rates
-    B, S, M = map({num}, (sum(b), sum(s), sum(map(min, b, s))))
-    {bs} = [*map({num}, b)]
-    {ss} = [*map({num}, s)]
+    B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
+    {bs} = [*map(float, b)]
+    {ss} = [*map(float, s)]
     {per_level} = ([0] * len(b) for _ in range(5))
     ba = sa = et = eb = 0
     # the list form's levels after the entry level, in walk order
@@ -311,16 +287,16 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
                 stop = min(sample_ts[si], t_end) if si < m else t_end
             target = pick * rate
             if target < lam_b:
-                b{lo} += {one}
-                B += {one}
+                b{lo} += 1.0
+                B += 1.0
                 if b{lo} <= s{lo}:
-                    M += {one}
+                    M += 1.0
                 ba += 1
             elif (target := target - lam_b) < lam_s or not (B or S):
-                s{hi} += {one}
-                S += {one}
+                s{hi} += 1.0
+                S += 1.0
                 if s{hi} <= b{hi}:
-                    M += {one}
+                    M += 1.0
                 sa += 1
             elif (target := target - lam_s) < w_trade:
 {trade}
@@ -352,67 +328,82 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
 
 # each event at level {k}; {j} is the level a move goes to
 _TRADE = """\
-b{k} -= {one}
-s{k} -= {one}
-B -= {one}
-S -= {one}
-M -= {one}
+b{k} -= 1.0
+s{k} -= 1.0
+B -= 1.0
+S -= 1.0
+M -= 1.0
 tr{k} += 1"""
 _BUYER_QUIT = """\
-b{k} -= {one}
-B -= {one}
+b{k} -= 1.0
+B -= 1.0
 if b{k} < s{k}:
-    M -= {one}
+    M -= 1.0
 bq{k} += 1"""
 _SELLER_QUIT = """\
-s{k} -= {one}
-S -= {one}
+s{k} -= 1.0
+S -= 1.0
 if s{k} < b{k}:
-    M -= {one}
+    M -= 1.0
 sq{k} += 1"""
 _BUYER_MOVE = """\
-b{k} -= {one}
+b{k} -= 1.0
 if b{k} < s{k}:
-    M -= {one}
+    M -= 1.0
 bm{k} += 1
-b{j} += {one}
+b{j} += 1.0
 if b{j} <= s{j}:
-    M += {one}"""
+    M += 1.0"""
 _BUYER_EXIT = """\
-b{k} -= {one}
+b{k} -= 1.0
 if b{k} < s{k}:
-    M -= {one}
-B -= {one}
+    M -= 1.0
+B -= 1.0
 et += 1"""
 _SELLER_MOVE = """\
-s{k} -= {one}
+s{k} -= 1.0
 if s{k} < b{k}:
-    M -= {one}
+    M -= 1.0
 sm{k} += 1
-s{j} += {one}
+s{j} += 1.0
 if s{j} <= b{j}:
-    M += {one}"""
+    M += 1.0"""
 _SELLER_EXIT = """\
-s{k} -= {one}
+s{k} -= 1.0
 if s{k} < b{k}:
-    M -= {one}
-S -= {one}
+    M -= 1.0
+S -= 1.0
 eb += 1"""
 
 # Each level block: its rate unit, level {k}'s count, the test that level
-# {k} is occupied, every level's count (for `_walk`), whether it walks up
-# from level 1 (else down from level N), and its event, or for the alpha
-# blocks the move and the exit at the far edge.
+# {k} is occupied, whether it walks up from level 1 (else down from level
+# N), and its event, or for the alpha blocks the move and the exit at the
+# far edge.
 _BLOCKS = {
-    "trade": ("rt", "(b{k} if b{k} < s{k} else s{k})", "b{k} and s{k}",
-              "[*map(min, b, s)]", True, _TRADE),
-    "buyer_quit": ("rq", "b{k}", "b{k}", "b", True, _BUYER_QUIT),
-    "seller_quit": ("rq", "s{k}", "s{k}", "s", False, _SELLER_QUIT),
-    "buyer_move": ("rm", "b{k}", "b{k}", "b", True,
-                   (_BUYER_MOVE, _BUYER_EXIT)),
-    "seller_move": ("rm", "s{k}", "s{k}", "s", False,
-                    (_SELLER_MOVE, _SELLER_EXIT)),
+    "trade": ("rt", "(b{k} if b{k} < s{k} else s{k})", "b{k} and s{k}", True,
+              _TRADE),
+    "buyer_quit": ("rq", "b{k}", "b{k}", True, _BUYER_QUIT),
+    "seller_quit": ("rq", "s{k}", "s{k}", False, _SELLER_QUIT),
+    "buyer_move": ("rm", "b{k}", "b{k}", True, (_BUYER_MOVE, _BUYER_EXIT)),
+    "seller_move": ("rm", "s{k}", "s{k}", False, (_SELLER_MOVE, _SELLER_EXIT)),
 }
+
+# A level block's walk in the list form, which leaves the level it picks
+# in k: the entry level inline, then the levels after it (`rest`, in walk
+# order), each test subtracting the weight tested before it. A target at or
+# past the block's end scans all levels back from the far edge (`back`) for
+# the last occupied one in walk order; the scan ends at the entry level,
+# which it picks when no other level is occupied.
+_LIST_WALK = """\
+k = {entry}
+if not target < (w := {weight}):
+    for k in {rest}:
+        if (target := target - w) < (w := {weight}):
+            break
+    else:
+        for k in {back}:
+            if {occupied}:
+                break"""
 
 
 def _branch(test: str, body: str) -> str:
@@ -433,11 +424,12 @@ def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
     weight and occupied are source templates in {k} for level k's weight
     in the block and for "level k is occupied", and fire(k) is the source
     that fires the block's event at level k. Each test subtracts the
-    weight tested before it, as `_walk` does. The last level's test
-    reduces to occupied, since a target below its weight implies a
-    positive weight; from there on the chain is the fallback of a target
-    at or past the end: the last occupied level in walk order, the entry
-    level if no other is occupied. A block of one level always fires it.
+    weight tested before it, as the list form's walk does. The last
+    level's test reduces to occupied, since a target below its weight
+    implies a positive weight; from there on the chain is the fallback of
+    a target at or past the end: the last occupied level in walk order,
+    the entry level if no other is occupied. A block of one level always
+    fires it.
     """
     if len(levels) == 1:
         return _indent(fire(levels[0]))
@@ -452,38 +444,33 @@ def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
     return _indent("\n".join(lines))
 
 
-def _engine_source(n: int | None, exact: bool) -> str:
+def _engine_source(n: int | None) -> str:
     """Source of the engine (see `_compiled_engine`): with the book in
-    locals for n levels, or in lists for any level count when n is None;
-    the counts are floats when exact, else ints."""
-    one = "1.0" if exact else "1"
-    fill = lambda template, k, j=None: template.format(k=k, j=j, one=one)
-
+    locals for n levels, or in lists for any level count when n is None."""
     def fire(event, up, k):
         if isinstance(event, str):
-            return fill(event, k)
+            return event.format(k=k)
         move, leave = event
         if n is None:
             test, j = ("k < top", "[k + 1]") if up else ("k > 0", "[k - 1]")
-            return (_branch(f"if {test}", fill(move, k, j)) + "\n"
-                    + _branch("else", fill(leave, k)))
+            return (_branch(f"if {test}", move.format(k=k, j=j)) + "\n"
+                    + _branch("else", leave.format(k=k)))
         edge, j = (n - 1, k + 1) if up else (0, k - 1)
-        return fill(move if k != edge else leave, k, j)
+        return (move if k != edge else leave).format(k=k, j=j)
 
     blocks = {}
-    for name, (unit, count, occupied, counts, up, event) in _BLOCKS.items():
+    for name, (unit, count, occupied, up, event) in _BLOCKS.items():
+        weight = f"{unit} * {count}"
         if n is None:
-            # the entry level inline, `_walk` over the rest on a miss
-            entry, rest = ("0", "up") if up else ("top", "down")
-            w = f"{unit} * {count.format(k=f'[{entry}]')}"
-            blocks[name] = _indent(
-                f"k = {entry} if target < (w := {w}) else "
-                f"_walk(target - w, {unit}, {counts}, {rest})\n"
-                + fire(event, up, "[k]"))
+            entry, rest, back = (("0", "up", "range(top, -1, -1)") if up
+                                 else ("top", "down", "range(top + 1)"))
+            walk = _LIST_WALK.format(entry=entry, rest=rest, back=back,
+                                     weight=weight.format(k="[k]"),
+                                     occupied=occupied.format(k="[k]"))
+            blocks[name] = _indent(walk + "\n" + fire(event, up, "[k]"))
         else:
             levels = range(n) if up else range(n - 1, -1, -1)
-            blocks[name] = _unrolled_walk(levels, f"{unit} * {count}",
-                                          occupied,
+            blocks[name] = _unrolled_walk(levels, weight, occupied,
                                           functools.partial(fire, event, up))
     if n is None:
         bs, ss, lo, hi = "b", "s", "[0]", "[top]"
@@ -492,29 +479,29 @@ def _engine_source(n: int | None, exact: bool) -> str:
         names = lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]"
         bs, ss, lo, hi = names("b"), names("s"), "0", str(n - 1)
         per_level = ", ".join(map(names, ("tr", "bq", "sq", "bm", "sm")))
-    return _ENGINE.format(num="float" if exact else "int", one=one, bs=bs,
-                          ss=ss, per_level=per_level, lo=lo, hi=hi, **blocks)
+    return _ENGINE.format(bs=bs, ss=ss, per_level=per_level, lo=lo, hi=hi,
+                          **blocks)
 
 
 @functools.cache
-def _compiled_engine(n: int | None, exact: bool):
-    """The engine rendered by `_engine_source(n, exact)`, compiled once per
-    argument pair.
+def _compiled_engine(n: int | None):
+    """The engine rendered by `_engine_source(n)`, compiled once per level
+    count up to ENGINE_UNROLL_MAX and once for the list form.
 
     Both layouts make the same draws, comparisons and float operations in
     the same order, and so give the same bits. The locals form (n levels)
     holds every b_k, s_k and per-level tally in a local and unrolls each
     level block's walk (`_unrolled_walk`); the list form holds them in
-    lists and walks with `_walk`. Float counts b_k, s_k, B, S and M step by
-    1.0 and multiply the rates without an int-to-float conversion; they
-    are exact below 2**53, so every comparison and product equals that on
-    ints, and `_run` asks for them only when no count can reach 2**53. The
-    tallies stay ints.
+    lists and renders each walk as a loop (`_LIST_WALK`). The counts b_k,
+    s_k, B, S and M are floats, which step by 1.0 and multiply the rates
+    without an int-to-float conversion; they are exact below 2**53, so
+    every comparison and product equals that on ints, and `_run` caps the
+    budget so that no count reaches 2**53. The tallies stay ints.
     """
     namespace = {"array": array, "log1p": log1p, "length_hint": length_hint,
-                 "_exhausted": _exhausted, "_walk": _walk}
-    name = f"<lobfluid.simulate engine {n} {'float' if exact else 'int'}>"
-    exec(compile(_engine_source(n, exact), name, "exec"), namespace)
+                 "_exhausted": _exhausted}
+    exec(compile(_engine_source(n), f"<lobfluid.simulate engine {n}>",
+                 "exec"), namespace)
     return namespace["engine"]
 
 
@@ -533,12 +520,15 @@ def _run(
     row i of x and y is the scaled state at sample_ts[i].
 
     The chain runs on one rendering of the engine: with the book in
-    locals up to ENGINE_UNROLL_MAX levels and in lists above, with float
-    counts while the population plus the budget stays below 2**53 and int
-    counts beyond; all four give the same bits. The counts are exact
-    either way (the loop is pure Python; small numpy arrays would dominate
-    the per-event cost), and the aggregates B, S, M move with the +-1
-    increments, so the total rate is exact at every step. Samples go into
+    locals up to ENGINE_UNROLL_MAX levels and in lists above; both give
+    the same bits. The counts are floats, exact below 2**53 (the loop is
+    pure Python; small numpy arrays would dominate the per-event cost), and
+    the aggregates B, S, M move with the +-1 increments, so the total rate
+    is exact at every step. An event adds at most one trader, so the
+    engine's budget is capped at 2**53 - 1 - P events for an initial
+    population P: reaching the cap raises BudgetExceeded naming it as the
+    budget, and a population of 2**53 or more raises ValueError. At any
+    real population the cap is far beyond a run's reach. Samples go into
     `array("d")` buffers as doubles, through `fromlist`, which grows a
     buffer once per sample where `extend` grows it once per count; x and y
     are numpy views of the buffers, divided by L in place, which converts
@@ -547,10 +537,14 @@ def _run(
     n = params.n_levels
     b = [int(v) for v in init.b]
     s = [int(v) for v in init.s]
-    # no count can pass the initial population plus the budget, and the
-    # engine's float counts are exact below 2**53
-    exact = sum(b) + sum(s) + max_events < 2**53
-    engine = _compiled_engine(n if n <= ENGINE_UNROLL_MAX else None, exact)
+    # float counts are exact below 2**53, and an event adds at most one
+    # trader; a run that reaches the cap raises BudgetExceeded naming it
+    population = sum(b) + sum(s)
+    if population >= 2**53:
+        raise ValueError(f"initial population {population} is not below "
+                         f"2**53, where float counts stop being exact")
+    budget = min(max_events, 2**53 - 1 - population)
+    engine = _compiled_engine(n if n <= ENGINE_UNROLL_MAX else None)
     L = float(scale.l)
     lam_b = params.lambda_b
     lam_s = params.lambda_s
@@ -559,7 +553,7 @@ def _run(
     rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
              rq + rm)
     n_events, xs, ys, b, s, (B, S, M), per_level, totals = engine(
-        rates, b, s, t_end, sample_ts, rng, max_events, CHUNK)
+        rates, b, s, t_end, sample_ts, rng, budget, CHUNK)
 
     if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
         raise InvariantViolation(

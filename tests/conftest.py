@@ -22,21 +22,15 @@ def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
 
 @pytest.fixture
 def each_engine(monkeypatch):
-    """Call it to iterate over the names of the engine's four renderings,
-    each layout with float and with int counts; on each step `_run` runs
-    that rendering at every level count. `_run` asks for float counts
-    whenever they are exact, so int counts are forced by wrapping
-    `_compiled_engine`."""
+    """Call it to iterate over the names of the engine's two renderings,
+    the book in locals and in lists; on each step `_run` runs that
+    rendering at every level count."""
     module = importlib.import_module("lobfluid.simulate")
-    compiled = module._compiled_engine
-    as_ints = lambda n, exact: compiled(n, False)
 
     def engines():
         for layout, cap in LAYOUTS.items():
             monkeypatch.setattr(module, "ENGINE_UNROLL_MAX", cap)
-            for counts, engine in (("float", compiled), ("int", as_ints)):
-                monkeypatch.setattr(module, "_compiled_engine", engine)
-                yield f"{layout}, {counts} counts"
+            yield layout
     return engines
 
 
@@ -60,8 +54,8 @@ class ScriptedUniforms:
 @pytest.fixture
 def fire_once(each_engine):
     """Run each engine rendering from `state` through exactly one event,
-    fired at time 0 with selection uniform `u`; all must end alike. Returns
-    (final state, counters)."""
+    fired at time 0 with selection uniform `u`; both must end alike.
+    Returns (final state, counters)."""
     def run(params, scale, state, u):
         outcomes = []
         for _ in each_engine():

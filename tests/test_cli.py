@@ -87,6 +87,56 @@ def test_price_labels_flag(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("labels", ["-1,0", "-0.5,2"])
+def test_list_flag_value_may_start_with_minus(tmp_path, capsys, labels):
+    # argparse takes a separate value that starts with "-" and is not a
+    # plain number for an option ("expected one argument"); the space form
+    # writes what the "=" form writes
+    outputs = []
+    for tag, flag in (("space", ["--price-labels", labels]),
+                      ("equals", [f"--price-labels={labels}"])):
+        code, out, err = run(capsys, ["solve", "--n", "2", *ONES, *flag,
+                                      "--out-dir", str(tmp_path / tag)])
+        assert code == 0, err
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / tag).iterdir())})
+    assert outputs[0] == outputs[1]
+    manifest = json.loads(outputs[0]["manifest.json"])
+    assert manifest["model"]["price_labels"] == [
+        float(v) for v in labels.split(",")]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--scale", "10", "--tau-max", "1", "--x0", "-1,0"],
+     "occupancies must be nonnegative"),
+    ("integrate", ["--tau-max", "1", "--y0", "-1,0"],
+     "initial data must be nonnegative"),
+    ("converge", ["--levels", "-10,20", "--tau-horizon", "1", "--replicas",
+                  "2"], "scaling level must be a positive integer"),
+    ("sweep", ["--lambda-s-values", "-1,2"], "lambda_s must be > 0"),
+])
+def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
+                                                       command, flags,
+                                                       message):
+    code, out, err = run(capsys, [command, "--n", "2", *ONES, *flags,
+                                  "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in err
+
+
+def test_help_is_the_parsers_own(capsys):
+    # joining a list flag with its value leaves --help to argparse
+    commands = next(a for a in cli.build_parser()._actions
+                    if a.dest == "command")
+    for command, parser in commands.choices.items():
+        with pytest.raises(SystemExit) as exit:
+            main([command, "--help"])
+        assert exit.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
+    assert "--price-labels PRICE_LABELS" in commands.choices[
+        "solve"].format_help()
+
+
 @pytest.mark.parametrize("labels", ["nan,1", "1,inf", "-inf,1"])
 def test_nonfinite_price_labels_exit_2(tmp_path, capsys, labels):
     # NaN passed the ordering test and reached the manifest as NaN, which
@@ -158,6 +208,17 @@ def test_config_file_list_values(tmp_path, capsys):
     assert code == 0
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4  # header + three grid points
+
+
+def test_population_of_2_53_exits_2(tmp_path, capsys):
+    # float counts are exact below 2**53, so the chain refuses a book of
+    # 2**53 traders or more
+    code, out, err = run(capsys, [
+        "simulate", "--n", "2", *ONES, "--scale", "1", "--tau-max", "1",
+        "--x0", "9007199254740992,0", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "initial population 9007199254740992 is not below 2**53" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):

@@ -242,38 +242,58 @@ def test_integral_counts_run_as_integers(each_engine):
                 assert (a.x == b.x).all() and (a.y == b.y).all()
 
 
-def test_budget_that_could_pass_exact_float_counts_runs_on_int_counts(
-        monkeypatch):
+def test_budgets_past_the_exactness_cap_give_equal_bits(each_engine):
     # the engine holds the counts as floats, exact below 2**53, and no
-    # count passes the initial population (here 5 + 3) plus the budget; at
-    # that bound the run takes int counts, with equal bits
-    engine = importlib.import_module("lobfluid.simulate")
-    calls = []
-    real = engine._compiled_engine
-    monkeypatch.setattr(engine, "_compiled_engine",
-                        lambda n, exact: calls.append((n, exact))
-                        or real(n, exact))
-    runs = []
-    for budget, exact in ((2**53 - 9, True), (2**53 - 8, False),
-                          (10**30, False)):
-        calls.clear()
-        runs.append(simulate(params(n=2), ScalingLevel(10), [0.5, 0.0],
-                             [0.0, 0.3], 1.0, 0.5, seed=1, max_events=budget))
-        assert calls == [(2, exact)], budget
-    for run in runs[1:]:
-        assert run.n_events == runs[0].n_events > 0
-        assert (run.x == runs[0].x).all() and (run.y == runs[0].y).all()
-        assert_same_counters(run.counters, runs[0].counters)
+    # count passes the initial population (here 5 + 3) plus the events
+    # run, so `_run` caps the budget at 2**53 - 1 - 8; at and past that
+    # cap the run is the same
+    for _ in each_engine():
+        runs = [simulate(params(n=2), ScalingLevel(10), [0.5, 0.0],
+                         [0.0, 0.3], 1.0, 0.5, seed=1, max_events=budget)
+                for budget in (2**53 - 9, 2**53 - 8, 10**30)]
+        for run in runs[1:]:
+            assert run.n_events == runs[0].n_events > 0
+            assert (run.x == runs[0].x).all() and (run.y == runs[0].y).all()
+            assert_same_counters(run.counters, runs[0].counters)
+
+
+def test_population_of_2_53_is_refused(each_engine):
+    # float counts are exact below 2**53; a book that starts there cannot
+    # run on them
+    state = DiscreteState(np.array([2**52, 0]), np.array([0, 2**52]))
+    for engine in each_engine():
+        with pytest.raises(ValueError, match=r"initial population "
+                                             r"9007199254740992 is not "
+                                             r"below 2\*\*53, "):
+            _run(params(n=2), ScalingLevel(1), state, 1.0, [],
+                 ScriptedUniforms([0.0, 0.0]), 10**30)
+
+
+def test_budget_stops_at_the_exactness_cap(each_engine):
+    # from a population of 2**53 - 3 the cap is 2 events: each event adds
+    # at most one trader (here each is a buyer arrival, selection 0), so
+    # the counts stay below 2**53. Holding uniform 0 fires at t = 0, and
+    # the 0.5 after the scripted pairs lands past the tiny horizon
+    state = DiscreteState(np.array([2**53 - 3, 0]), np.array([0, 0]))
+    for engine in each_engine():
+        _, _, n_events, final, counters = _run(
+            params(n=2), ScalingLevel(1), state, 1e-30, [],
+            ScriptedUniforms([0.0] * 4), 10**30)
+        assert n_events == counters.buyer_arrivals == 2, engine
+        assert final.b.tolist() == [2**53 - 1, 0], engine
+        with pytest.raises(BudgetExceeded, match="budget 2 exhausted at t=0$"):
+            _run(params(n=2), ScalingLevel(1), state, 1e-30, [],
+                 ScriptedUniforms([0.0] * 6), 10**30)
 
 
 def test_each_unrolled_size_matches_the_list_engine(each_engine):
-    # every level count up to the threshold has its own generated engine
-    # for each count type; a short run at each one, from a book with
-    # traders of both sides on most levels, gives the list rendering's bits
+    # every level count up to the threshold has its own generated engine;
+    # a short run at each one, from a book with traders of both sides on
+    # most levels, gives the list rendering's bits
     engine = importlib.import_module("lobfluid.simulate")
     threshold = engine.ENGINE_UNROLL_MAX  # each_engine() overrides it
     assert threshold >= 1
-    compiled = engine._compiled_engine  # each_engine() wraps it
+    compiled = engine._compiled_engine
     compiled.cache_clear()
     rng = np.random.default_rng(53)
     for n in range(1, threshold + 1):
@@ -285,7 +305,7 @@ def test_each_unrolled_size_matches_the_list_engine(each_engine):
         y0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
         runs = {name: simulate(p, ScalingLevel(10), x0, y0, 2.0, 0.25, seed=n)
                 for name in each_engine()}
-        listed = runs["lists, float counts"]
+        listed = runs["lists"]
         assert listed.n_events > 0
         for name, run in runs.items():
             assert run.n_events == listed.n_events, (n, name)
@@ -294,8 +314,8 @@ def test_each_unrolled_size_matches_the_list_engine(each_engine):
             assert (run.final_state.b == listed.final_state.b).all(), n
             assert (run.final_state.s == listed.final_state.s).all(), n
             assert_same_counters(run.counters, listed.counters)
-    # both count types at each size, and the list form once per count type
-    assert compiled.cache_info().currsize == 2 * threshold + 2
+    # one engine at each size, and the list form once
+    assert compiled.cache_info().currsize == threshold + 1
 
 
 def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
@@ -606,6 +626,84 @@ def test_fire_past_table_end_fires_last_event(fire_once):
         elif last.kind in (EventKind.SELLER_MOVE, EventKind.SELLER_EXIT_BOTTOM):
             down = max(down, int((s[last.level:] == 0).sum()))
     assert up >= 6 and down >= 6, (up, down)
+
+
+def _block_and_walk(u, p, scale, state):
+    """(block, level) for selection uniform u from state, in the engine's
+    float operations: the trade or quit block the dispatch picks and the
+    level its walk picks, None for a target at or past the walk's end."""
+    rt, rq = p.gamma / scale.l, p.beta / scale.l
+    rqm = rq + p.alpha / scale.l
+    b, s = state.b.tolist(), state.s.tolist()
+    B, S, M = float(sum(b)), float(sum(s)), float(sum(map(min, b, s)))
+    target = u * (p.lambda_b + p.lambda_s + rqm * (B + S) + rt * M)
+    target = target - p.lambda_b - p.lambda_s
+    if target < 0:
+        return None, None
+    blocks = [("trade", rt * M, [rt * float(min(x, y)) for x, y in zip(b, s)]),
+              ("buyer_quit", rq * B, [rq * float(x) for x in b]),
+              ("seller_quit", rq * S, [rq * float(x) for x in s[::-1]])]
+    for name, weight, levels in blocks:
+        if target < weight:
+            for k, w in enumerate(levels):
+                if target < w:
+                    return name, k
+                target -= w
+            return name, None
+        target -= weight
+    return None, None
+
+
+def test_target_past_a_block_end_fires_its_last_occupied_level(fire_once):
+    # a target below a block's weight (rt * M, rq * B or rq * S) but at or
+    # past the float sum of its level weights misses every level; the block
+    # then fires its last occupied level in walk order. Such targets are a
+    # few ulps wide, so they are found by search: books with a handful of
+    # traders per level, and selection uniforms stepped one ulp at a time
+    # across each block's upper edge
+    rng = np.random.default_rng(2053)
+    found = Counter()
+    for trial in range(3000):
+        block = ("trade", "buyer_quit", "seller_quit")[trial % 3]
+        if found[block] == 2:
+            continue
+        n = int(rng.integers(2, 7))
+        small = lambda: rng.uniform(0.01, 0.1)
+        p = params(n=n, lam_b=small(), lam_s=small(), alpha=small(),
+                   beta=small() if block == "trade" else rng.uniform(0.5, 3),
+                   gamma=rng.uniform(0.5, 3))
+        scale = ScalingLevel(int(rng.integers(1, 20)))
+        state = DiscreteState(rng.integers(1, 4, n) * (rng.random(n) < 0.7),
+                              rng.integers(1, 4, n) * (rng.random(n) < 0.7))
+        events = enumerate_events(state, p, scale)
+        kind = {"trade": EventKind.TRADE, "buyer_quit": EventKind.BUYER_QUIT,
+                "seller_quit": EventKind.SELLER_QUIT}[block]
+        block_events = [e for e in events if e.kind == kind]
+        if not block_events:
+            continue
+        total = sum(e.rate for e in events)
+        end = sum(e.rate for e in events[:events.index(block_events[-1]) + 1])
+        u = end / total
+        for _ in range(40):
+            u = math.nextafter(u, 0)
+        for _ in range(80):
+            if _block_and_walk(u, p, scale, state) == (block, None):
+                break
+            u = math.nextafter(u, 1)
+        else:
+            continue
+        found[block] += 1
+        # the last occupied level in walk order: trades and buyer quits
+        # walk up from level 1, seller quits down from level N
+        last = block_events[-1]
+        assert last.level == (min if block == "seller_quit" else max)(
+            e.level for e in block_events)
+        got, counters = fire_once(p, scale, state, u)
+        want = apply_event(state, last)
+        assert (got.b == want.b).all() and (got.s == want.s).all(), block
+        tally = getattr(counters, TALLY_FIELD[kind])
+        assert tally[last.level - 1] == tally.sum() == 1, block
+    assert found == {"trade": 2, "buyer_quit": 2, "seller_quit": 2}, found
 
 
 def test_conservation_defect_raises_typed_error(monkeypatch):

@@ -27,12 +27,11 @@ def test_library_checks_invariants_without_assert():
 def test_generated_source_checks_invariants_without_assert():
     # the source the library compiles at run time keeps the same rule: the
     # simulator's engine in its list form and its locals form at every
-    # level count it unrolls, each with float and int counts, and the ODE
-    # right-hand side on both sides of its compiled-form threshold
+    # level count it unrolls, and the ODE right-hand side on both sides of
+    # its compiled-form threshold
     engine = importlib.import_module("lobfluid.simulate")
-    sources = [(engine._engine_source(n, exact), f"engine {n} {exact}")
-               for n in [None, *range(1, engine.ENGINE_UNROLL_MAX + 1)]
-               for exact in (True, False)]
+    sources = [(engine._engine_source(n), f"engine {n}")
+               for n in [None, *range(1, engine.ENGINE_UNROLL_MAX + 1)]]
     sources += [(ode._flow_source(n, size), f"flow {n} {size}")
                 for n in (1, 2, 60) for size in (2 * n, 4 * n)]
     asserts = [hit for source, name in sources
