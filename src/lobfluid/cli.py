@@ -12,6 +12,7 @@ stdout. Exit codes: 0 ok, 2 configuration error, 3 numerical-solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,8 @@ def _join_list_values(argv: list[str]) -> list[str]:
     """argv with each list flag whose value starts with "-", such as
     "--x0 -1,0", joined into one "--x0=-1,0" token. argparse takes a
     separate value that starts with "-" and is not a plain number for an
-    option, and exits with "expected one argument"."""
+    option, and exits with "expected one argument". The parser takes no
+    abbreviation, so a flag's full name is its only spelling."""
     out = []
     for arg in argv:
         if (out and out[-1] in LIST_FLAGS and arg.startswith("-")
@@ -80,13 +82,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: every flag has one spelling
     parser = argparse.ArgumentParser(
         prog="lobfluid",
         description="Order-book Markov chain, fluid ODE limit, and fixed points.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("simulate", help="run one scaled chain trajectory")
+    p = add("simulate", help="run one scaled chain trajectory")
     _add_common_flags(p)
     p.add_argument("--scale", type=int, help="scaling level L")
     p.add_argument("--tau-max", dest="tau_max", type=float,
@@ -98,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", dest="max_events", type=int,
                    help="event budget cap")
 
-    p = sub.add_parser("integrate", help="integrate the fluid ODE system")
+    p = add("integrate", help="integrate the fluid ODE system")
     _add_common_flags(p)
     p.add_argument("--tau-max", dest="tau_max", type=float)
     p.add_argument("--tol", type=float, help="integrator rtol = atol")
@@ -107,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="comma-separated initial x (default zeros)")
     p.add_argument("--y0", help="comma-separated initial y (default zeros)")
 
-    p = sub.add_parser("solve", help="compute the fixed point")
+    p = add("solve", help="compute the fixed point")
     _add_common_flags(p)
     p.add_argument("--method", choices=["recursive", "shooting", "both"],
                    help="solver choice (default both)")
 
-    p = sub.add_parser("converge", help="fluid-limit convergence study")
+    p = add("converge", help="fluid-limit convergence study")
     _add_common_flags(p)
     p.add_argument("--levels", help="comma-separated scaling levels")
     p.add_argument("--tau-horizon", dest="tau_horizon", type=float,
@@ -123,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="comma-separated initial x (default zeros)")
     p.add_argument("--y0", help="comma-separated initial y (default zeros)")
 
-    p = sub.add_parser("equilibrium", help="equilibrium concentration study")
+    p = add("equilibrium", help="equilibrium concentration study")
     _add_common_flags(p)
     p.add_argument("--levels", help="comma-separated scaling levels")
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--n-samples", dest="n_samples", type=int)
     p.add_argument("--sample-gap", dest="sample_gap", type=float)
 
-    p = sub.add_parser("sweep", help="overproduction sweep over lambda_s")
+    p = add("sweep", help="overproduction sweep over lambda_s")
     _add_common_flags(p)
     p.add_argument("--lambda-s-values", dest="lambda_s_values",
                    help="comma-separated increasing lambda_s grid")

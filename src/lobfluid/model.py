@@ -1,16 +1,17 @@
-"""Core model: parameters, states, rate scaling, and the event table.
+"""Core model: parameters, states, rate scaling, and the transition table.
 
 The market has N price levels. Buyers enter at level 1 at rate lambda_b and
 drift upward; sellers enter at level N at rate lambda_s and drift downward.
 At scaling level L each trader trades at rate gamma/L (paired with one
 counterparty at the same level), quits at beta/L, and moves one level at
 alpha/L; a buyer at the top level and a seller at the bottom level leave the
-system instead of moving. The event table here states those transition
-rules; `simulate.step` drives it directly, the simulator's engine
-restates it once, as one source template rendered with the book in
-locals for small books and in lists for large ones (the tests replay
-each rendering against `step`), and the ODE right-hand side and
-fixed-point solvers use its fluid limit.
+system instead of moving. `TRANSITIONS` states those rules once, as data:
+one row per event kind with its rate, its levels and its +-1 increments.
+`enumerate_events` and `apply_event` read it, `simulate.step` drives them,
+and `EventCounters.conservation_defects` derives its counting identities
+from it. The simulator's engine restates the rules as hand-written source
+(the tests replay it against `step`), and the ODE right-hand side is their
+drift, rescaled (a test checks it against the table).
 """
 
 from __future__ import annotations
@@ -151,14 +152,8 @@ class FluidState:
 
 
 class EventKind(IntEnum):
-    """Transition kinds. The integer value is the canonical block rank.
-
-    Within a block, `enumerate_events` walks trades and the buyer blocks
-    over levels 1..N and the seller blocks over N..1, so each trader block
-    starts where its traders enter the book. The buyer alpha block ends
-    with the top exit at level N, the seller alpha block with the bottom
-    exit at level 1.
-    """
+    """Transition kinds. The integer value is the canonical block rank;
+    `TRANSITIONS` gives each kind's levels in walk order."""
 
     BUYER_ARRIVAL = 0
     SELLER_ARRIVAL = 1
@@ -197,108 +192,94 @@ def validate_params(raw) -> ModelParams:
     return ModelParams(**dict(raw))
 
 
+def _buyers(b, s):
+    return b
+
+
+def _sellers(b, s):
+    return s
+
+
+# The transition table: one row per EventKind, in rank order. A row holds
+# the ModelParams field behind the rate; the count the rate multiplies,
+# as a function of (b_k, s_k), with the field divided by L (None for an
+# arrival, whose rate is the field itself); the 0-based levels where the
+# kind applies, in walk order, as a function of N (an arrival's is its
+# entry level); and the kind's +-1 increments as (side, level offset,
+# sign), side 0 for the buyers b and 1 for the sellers s.
+TRANSITIONS = {
+    EventKind.BUYER_ARRIVAL:
+        ("lambda_b", None, lambda n: range(1), ((0, 0, 1),)),
+    EventKind.SELLER_ARRIVAL:
+        ("lambda_s", None, lambda n: range(n - 1, n), ((1, 0, 1),)),
+    EventKind.TRADE:
+        ("gamma", min, lambda n: range(n), ((0, 0, -1), (1, 0, -1))),
+    EventKind.BUYER_QUIT:
+        ("beta", _buyers, lambda n: range(n), ((0, 0, -1),)),
+    EventKind.SELLER_QUIT:
+        ("beta", _sellers, lambda n: range(n - 1, -1, -1), ((1, 0, -1),)),
+    EventKind.BUYER_MOVE:
+        ("alpha", _buyers, lambda n: range(n - 1), ((0, 0, -1), (0, 1, 1))),
+    EventKind.BUYER_EXIT_TOP:
+        ("alpha", _buyers, lambda n: range(n - 1, n), ((0, 0, -1),)),
+    EventKind.SELLER_MOVE:
+        ("alpha", _sellers, lambda n: range(n - 1, 0, -1),
+         ((1, 0, -1), (1, -1, 1))),
+    EventKind.SELLER_EXIT_BOTTOM:
+        ("alpha", _sellers, lambda n: range(1), ((1, 0, -1),)),
+}
+
+
 def enumerate_events(
     state: DiscreteState, params: ModelParams, scale: ScalingLevel
 ) -> list[Event]:
-    """Exhaustive, duplicate-free list of positive-rate events.
-
-    Built in the canonical order: EventKind rank, then level, ascending for
-    trades and buyers and descending for sellers (trades 1..N, buyer quits
-    1..N, seller quits N..1, buyer moves 1..N-1 and the top exit, seller
-    moves N..2 and the bottom exit). Buyers enter at level 1 and sellers at
-    level N, and the stationary profile decays away from each entry level,
-    so a walk over this order meets most of a trader block's rate first.
-    Zero-rate events are omitted. The sum of rates equals
+    """Exhaustive, duplicate-free list of positive-rate events, read off
+    `TRANSITIONS` in its canonical order: EventKind rank, then each row's
+    levels in walk order (trades 1..N, buyer quits 1..N, seller quits
+    N..1, buyer moves 1..N-1 and the top exit, seller moves N..2 and the
+    bottom exit). Buyers enter at level 1 and sellers at level N, and the
+    stationary profile decays away from each entry level, so a walk over
+    this order meets most of a trader block's rate first. Zero-rate events
+    are omitted. The sum of rates equals
     lambda_b + lambda_s + ((alpha+beta) * (sum b + sum s) + gamma * sum min(b,s)) / L.
     """
     n = params.n_levels
     if state.n_levels != n:
         raise ValueError("state dimension does not match params.n_levels")
-    L = scale.l
-    rt = params.gamma / L
-    rq = params.beta / L
-    rm = params.alpha / L
-    b, s = state.b, state.s
-
-    events = [
-        Event(EventKind.BUYER_ARRIVAL, None, params.lambda_b),
-        Event(EventKind.SELLER_ARRIVAL, None, params.lambda_s),
-    ]
-    for k in range(n):
-        m = min(b[k], s[k])
-        if m > 0:
-            events.append(Event(EventKind.TRADE, k + 1, rt * m))
-    if rq > 0.0:
-        for k in range(n):
-            if b[k] > 0:
-                events.append(Event(EventKind.BUYER_QUIT, k + 1, rq * b[k]))
-        for k in range(n - 1, -1, -1):
-            if s[k] > 0:
-                events.append(Event(EventKind.SELLER_QUIT, k + 1, rq * s[k]))
-    for k in range(n - 1):
-        if b[k] > 0:
-            events.append(Event(EventKind.BUYER_MOVE, k + 1, rm * b[k]))
-    if b[n - 1] > 0:
-        events.append(Event(EventKind.BUYER_EXIT_TOP, n, rm * b[n - 1]))
-    for k in range(n - 1, 0, -1):
-        if s[k] > 0:
-            events.append(Event(EventKind.SELLER_MOVE, k + 1, rm * s[k]))
-    if s[0] > 0:
-        events.append(Event(EventKind.SELLER_EXIT_BOTTOM, 1, rm * s[0]))
+    # Python ints index and multiply faster than numpy scalars, same bits
+    b, s = state.b.tolist(), state.s.tolist()
+    events = []
+    for kind, (field, count, levels, _) in TRANSITIONS.items():
+        if count is None:
+            events.append(Event(kind, None, getattr(params, field)))
+            continue
+        unit = getattr(params, field) / scale.l
+        if unit > 0.0:
+            for k in levels(n):
+                c = count(b[k], s[k])
+                if c > 0:
+                    events.append(Event(kind, k + 1, unit * c))
     return events
 
 
 def apply_event(state: DiscreteState, event: Event) -> DiscreteState:
     """Apply the +-1 increments of one event; raises DisabledEvent if the
-    event could not fire in this state."""
-    b = state.b.copy()
-    s = state.s.copy()
-    n = b.shape[0]
-    kind = event.kind
-    k = (event.level - 1) if event.level is not None else None
-
-    if kind == EventKind.BUYER_ARRIVAL:
-        b[0] += 1
-    elif kind == EventKind.SELLER_ARRIVAL:
-        s[n - 1] += 1
-    elif kind == EventKind.TRADE:
-        if b[k] < 1 or s[k] < 1:
-            raise DisabledEvent(f"trade at level {event.level} with empty side")
-        b[k] -= 1
-        s[k] -= 1
-    elif kind == EventKind.BUYER_QUIT:
-        if b[k] < 1:
-            raise DisabledEvent(f"buyer quit at empty level {event.level}")
-        b[k] -= 1
-    elif kind == EventKind.SELLER_QUIT:
-        if s[k] < 1:
-            raise DisabledEvent(f"seller quit at empty level {event.level}")
-        s[k] -= 1
-    elif kind == EventKind.BUYER_MOVE:
-        if k >= n - 1:
-            raise DisabledEvent("buyer move is undefined at the top level")
-        if b[k] < 1:
-            raise DisabledEvent(f"buyer move from empty level {event.level}")
-        b[k] -= 1
-        b[k + 1] += 1
-    elif kind == EventKind.BUYER_EXIT_TOP:
-        if b[n - 1] < 1:
-            raise DisabledEvent("buyer exit from empty top level")
-        b[n - 1] -= 1
-    elif kind == EventKind.SELLER_EXIT_BOTTOM:
-        if s[0] < 1:
-            raise DisabledEvent("seller exit from empty bottom level")
-        s[0] -= 1
-    elif kind == EventKind.SELLER_MOVE:
-        if k < 1:
-            raise DisabledEvent("seller move is undefined at the bottom level")
-        if s[k] < 1:
-            raise DisabledEvent(f"seller move from empty level {event.level}")
-        s[k] -= 1
-        s[k - 1] += 1
-    else:  # pragma: no cover
-        raise DisabledEvent(f"unknown event kind {kind!r}")
-    return DiscreteState(b, s)
+    event could not fire in this state: a level outside its row's levels,
+    an arrival with a level, or a zero count."""
+    _, count, levels, increments = TRANSITIONS[event.kind]
+    where = levels(state.n_levels)
+    if count is None:
+        k = where[0] if event.level is None else None
+    else:
+        k = None if event.level is None else event.level - 1
+    if k not in where or (count is not None
+                          and count(state.b[k], state.s[k]) < 1):
+        raise DisabledEvent(f"{event.kind.name} cannot fire at level "
+                            f"{event.level} in this state")
+    book = (state.b.copy(), state.s.copy())
+    for side, offset, sign in increments:
+        book[side][k + offset] += sign
+    return DiscreteState(*book)
 
 
 def scale_state(state: DiscreteState, scale: ScalingLevel) -> FluidState:

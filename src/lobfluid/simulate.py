@@ -1,19 +1,22 @@
 """Exact event-driven simulation of the order-book Markov chain.
 
-`step()` drives the transition rules of `model.enumerate_events` and
-`apply_event` directly and is the reference. `_run`, behind `simulate` and
-`empirical_equilibrium`, restates those rules once more, in one engine:
-the source template `_ENGINE` with one snippet per event kind, rendered by
-`_engine_source` and compiled on first use (`_compiled_engine`). Every
-rendering holds exact counts and keeps B = sum b, S = sum s and
-M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
-every rendering makes the same comparisons and float operations in the
-same order, so all give the same bits. The tests replay each rendering
-event by event against `step()`, and compare them bit for bit at every
-unrolled size. A sample is recorded by copying the counts into two
-`array("d")` buffers, as doubles and at C level, and `_run` scales them
-once in place at the end: no Python object per sample outlives its copy,
-so a run's samples take little more memory than the arrays returned.
+`step()` drives the transition table `model.TRANSITIONS` through
+`enumerate_events` and `apply_event` and is the reference, and
+`EventCounters.conservation_defects` derives its identities from the
+same table (`TALLIES` names the counter of each kind). `_run`, behind
+`simulate` and `empirical_equilibrium`, restates the rules as fast
+hand-written source, in one engine: the template `_ENGINE` with one snippet
+per event kind, rendered by `_engine_source` and compiled on first use
+(`_compiled_engine`). Every rendering holds exact counts and keeps
+B = sum b, S = sum s and M = sum min(b, s) exactly, so the closed-form
+total rate never drifts, and every rendering makes the same comparisons
+and float operations in the same order, so all give the same bits. The
+tests replay each rendering event by event against `step()`, and compare
+them bit for bit at every unrolled size. A sample is recorded by copying
+the counts into two `array("d")` buffers, as doubles and at C level, and
+`_run` scales them once in place at the end: no Python object per sample
+outlives its copy, so a run's samples take little more memory than the
+arrays returned.
 
 Renderings: the template is rendered in two layouts, picked by `_run`
 from the level count N (no option chooses them). Up to ENGINE_UNROLL_MAX
@@ -75,8 +78,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
 from .model import (
+    TRANSITIONS,
     DiscreteState,
     Event,
+    EventKind,
     FluidState,
     ModelParams,
     ScalingLevel,
@@ -91,6 +96,14 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
 DEFAULT_MAX_EVENTS = 50_000_000
 CHUNK = 1024  # (holding, selection) pairs per generator call
 ENGINE_UNROLL_MAX = 16  # level counts up to which the book lives in locals
+
+
+# The EventCounters field that tallies each event kind, in rank order.
+# Per-level arrays are indexed by the 0-based level the event fires at.
+TALLIES = dict(zip(EventKind, (
+    "buyer_arrivals", "seller_arrivals", "trades", "buyer_quits",
+    "seller_quits", "buyer_moves", "buyer_exit_top", "seller_moves",
+    "seller_exit_bottom")))
 
 
 @dataclass
@@ -122,26 +135,20 @@ class EventCounters:
     def conservation_defects(
         self, initial: DiscreteState, final: DiscreteState
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-level defects of the buyer/seller counting identities.
-
-        Both arrays are identically zero on every correctly simulated window:
-        b_k(t') - b_k(t) = inflow - trades - outflow - quits, where the
-        inflow at level 1 is the exogenous arrival count and the outflow at
-        level N is the top exit (mirrored for sellers).
-        """
+        """Per-level defects of the buyer/seller counting identities
+        final - initial = sum of tally * increment over the rows of
+        `model.TRANSITIONS`; both arrays are identically zero on every
+        correctly simulated window."""
         n = initial.n_levels
-        db = np.empty(n, dtype=np.int64)
-        ds = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            b_in = self.buyer_arrivals if k == 0 else self.buyer_moves[k - 1]
-            b_out = self.buyer_exit_top if k == n - 1 else self.buyer_moves[k]
-            db[k] = (final.b[k] - initial.b[k]
-                     - (b_in - self.trades[k] - b_out - self.buyer_quits[k]))
-            s_in = self.seller_arrivals if k == n - 1 else self.seller_moves[k + 1]
-            s_out = self.seller_exit_bottom if k == 0 else self.seller_moves[k]
-            ds[k] = (final.s[k] - initial.s[k]
-                     - (s_in - self.trades[k] - s_out - self.seller_quits[k]))
-        return db, ds
+        defects = (final.b - initial.b, final.s - initial.s)
+        for kind, (_, _, levels, increments) in TRANSITIONS.items():
+            ks = np.array(levels(n), dtype=np.intp)
+            tally = getattr(self, TALLIES[kind])
+            if isinstance(tally, np.ndarray):
+                tally = tally[ks]
+            for side, offset, sign in increments:
+                defects[side][ks + offset] -= sign * tally
+        return defects
 
     def conserves(self, initial: DiscreteState, final: DiscreteState) -> bool:
         db, ds = self.conservation_defects(initial, final)

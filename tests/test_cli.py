@@ -106,6 +106,19 @@ def test_list_flag_value_may_start_with_minus(tmp_path, capsys, labels):
         float(v) for v in labels.split(",")]
 
 
+@pytest.mark.parametrize("labels", ["-1,0", "1,2"])
+def test_abbreviated_flag_is_unrecognised(tmp_path, capsys, labels):
+    # the parser takes no abbreviation, so a flag's full name, which the
+    # list-value join matches, is its only spelling, whatever the value
+    with pytest.raises(SystemExit) as exit:
+        main(["solve", "--n", "2", *ONES, "--price-lab", labels,
+              "--out-dir", str(tmp_path / "run")])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --price-lab {labels}" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("simulate", ["--scale", "10", "--tau-max", "1", "--x0", "-1,0"],
      "occupancies must be nonnegative"),

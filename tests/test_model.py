@@ -20,6 +20,7 @@ from lobfluid import (
     scale_state,
     validate_params,
 )
+from lobfluid.model import TRANSITIONS
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0, **kw):
@@ -118,6 +119,7 @@ def test_enumerate_canonical_order():
     state = DiscreteState(np.array([1, 2, 3, 4]), np.array([5, 6, 7, 8]))
     events = enumerate_events(state, params(n=4), ScalingLevel(3))
     K = EventKind
+    assert list(TRANSITIONS) == list(K)  # the table's rows in rank order
     up, down = [1, 2, 3, 4], [4, 3, 2, 1]
     assert [(e.kind, e.level) for e in events] == [
         (K.BUYER_ARRIVAL, None), (K.SELLER_ARRIVAL, None),
@@ -192,6 +194,24 @@ def test_apply_disabled_events():
         apply_event(state, Event(EventKind.BUYER_MOVE, 2, 1.0))
     with pytest.raises(DisabledEvent):
         apply_event(state, Event(EventKind.SELLER_MOVE, 1, 1.0))
+
+    # a level outside the kind's levels, a level on an arrival, or none on
+    # a level kind; as numpy indices, levels 0 and -1 would hit levels N
+    # and N - 1, which can fire
+    state = DiscreteState(np.array([1, 0, 2]), np.array([0, 3, 1]))
+    K = EventKind
+    for kind, level in [
+            (K.BUYER_QUIT, 0),
+            (K.SELLER_QUIT, -1),
+            (K.BUYER_ARRIVAL, 3),
+            (K.SELLER_ARRIVAL, 1),
+            (K.TRADE, None),
+            (K.TRADE, 4),
+            (K.BUYER_EXIT_TOP, 1),
+            (K.SELLER_EXIT_BOTTOM, 3),
+            (K.SELLER_MOVE, None)]:
+        with pytest.raises(DisabledEvent, match=f"{kind.name} cannot fire"):
+            apply_event(state, Event(kind, level, 1.0))
 
 
 def test_enumerated_events_apply_cleanly_with_unit_population_steps():

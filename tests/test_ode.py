@@ -12,6 +12,7 @@ import pytest
 
 import lobfluid
 from lobfluid import cli, fixed_point_residual, ode
+from lobfluid.model import TRANSITIONS
 from lobfluid import (
     FluidState,
     HypothesisViolated,
@@ -95,6 +96,41 @@ def test_rhs_matches_levelwise_equations(n):
         # same operations in the same order, so the results agree exactly
         assert dx.tobytes() == want_x.tobytes()
         assert dy.tobytes() == want_y.tobytes()
+
+
+def table_drift(x, y, p):
+    """The chain's drift read off `model.TRANSITIONS` on the fluid state:
+    the sum over rows and levels of rate * increment, each rate its field
+    times its count of (x_k, y_k) (the rate per unit of tau, in which L
+    cancels). Returns (drift, scale), each of shape (level, x/y), scale
+    being the sum of |rate| that meets each component."""
+    n = p.n_levels
+    drift = np.zeros((n, 2))
+    scale = np.zeros((n, 2))
+    for field, count, levels, increments in TRANSITIONS.values():
+        for k in levels(n):
+            rate = getattr(p, field) * (count(x[k], y[k]) if count else 1.0)
+            for side, offset, sign in increments:
+                drift[k + offset, side] += sign * rate
+                scale[k + offset, side] += abs(rate)
+    return drift, scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_flow_is_the_drift_of_the_transition_table(n):
+    # the fluid equations are the chain's drift, rescaled (Kurtz 1971): the
+    # table's sum of rate * increment equals _flow on random states, exact
+    # ties and signed zeros included, and at beta = 0; the float operations
+    # come in another order, so to 1e-14 of the terms' absolute sum
+    rng = np.random.default_rng(2100 + n)
+    for i in range(40):
+        p = replace(random_params(rng), n_levels=n)
+        if i % 4 == 0:
+            p = replace(p, beta=0.0)
+        x, y = flow_state(rng, n, ties=i % 2 == 1)
+        drift, scale = table_drift(x, y, p)
+        got = ode._flow(0.0, ode._pack(x, y), p).reshape(n, 2)
+        assert (np.abs(got - drift) <= 1e-14 * scale).all(), (p, x, y)
 
 
 @pytest.mark.parametrize("n", COMPILED_SIZES)

@@ -1,5 +1,6 @@
 """Event-driven simulation: stepping law, conservation, determinism."""
 
+import copy
 import importlib
 import math
 import tracemalloc
@@ -26,7 +27,8 @@ from lobfluid import (
     step,
     uniform_grid,
 )
-from lobfluid.simulate import DEFAULT_MAX_EVENTS, _run
+from lobfluid.model import TRANSITIONS
+from lobfluid.simulate import DEFAULT_MAX_EVENTS, TALLIES, _run
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -468,20 +470,6 @@ def test_initial_state_accepts_counts_just_below_the_bound():
     assert state.s.tolist() == [0, 2**10]
 
 
-# EventCounters field that tallies each event kind (per-level arrays are
-# indexed by the 0-based source level)
-TALLY_FIELD = {
-    EventKind.BUYER_ARRIVAL: "buyer_arrivals",
-    EventKind.SELLER_ARRIVAL: "seller_arrivals",
-    EventKind.TRADE: "trades",
-    EventKind.BUYER_QUIT: "buyer_quits",
-    EventKind.SELLER_QUIT: "seller_quits",
-    EventKind.BUYER_MOVE: "buyer_moves",
-    EventKind.BUYER_EXIT_TOP: "buyer_exit_top",
-    EventKind.SELLER_EXIT_BOTTOM: "seller_exit_bottom",
-    EventKind.SELLER_MOVE: "seller_moves",
-}
-
 # (params, L, x0, y0, tau_max, seed)
 REPLAY_CASES = {
     "base": (params(n=2, lam_s=1.5, alpha=0.8, beta=0.4, gamma=2.0), 7,
@@ -530,7 +518,7 @@ def test_simulate_equals_stepwise_replay(each_engine, case):
             break
         state = nxt
         kinds[event.kind] += 1
-        name = TALLY_FIELD[event.kind]
+        name = TALLIES[event.kind]
         field = getattr(tally, name)
         if isinstance(field, np.ndarray):
             field[event.level - 1] += 1
@@ -542,7 +530,7 @@ def test_simulate_equals_stepwise_replay(each_engine, case):
         assert (state.b == traj.final_state.b).all()
         assert (state.s == traj.final_state.s).all()
         assert_same_counters(traj.counters, tally)
-        for kind, name in TALLY_FIELD.items():
+        for kind, name in TALLIES.items():
             assert (np.sum(getattr(traj.counters, name))
                     == kinds[kind]), kind.name
     assert all((traj.x == trajs[0].x).all() and (traj.y == trajs[0].y).all()
@@ -587,7 +575,7 @@ def test_target_on_entry_level_edge_fires_next_level(fire_once, b, s):
     event, _, want = step(state, p, scale, ScriptedUniforms([0.0, u]))
     assert event.kind == kind
     assert (got.b == want.b).all() and (got.s == want.s).all()
-    tally = getattr(counters, TALLY_FIELD[kind])
+    tally = getattr(counters, TALLIES[kind])
     if isinstance(tally, np.ndarray):
         assert event.level == 2 and tally.tolist() == [0, 1]
     else:
@@ -701,9 +689,32 @@ def test_target_past_a_block_end_fires_its_last_occupied_level(fire_once):
         got, counters = fire_once(p, scale, state, u)
         want = apply_event(state, last)
         assert (got.b == want.b).all() and (got.s == want.s).all(), block
-        tally = getattr(counters, TALLY_FIELD[kind])
+        tally = getattr(counters, TALLIES[kind])
         assert tally[last.level - 1] == tally.sum() == 1, block
     assert found == {"trade": 2, "buyer_quit": 2, "seller_quit": 2}, found
+
+
+def test_conservation_defect_shows_each_extra_tally():
+    # one tally too many at any (kind, level) of a real trajectory leaves a
+    # defect of minus that row's increments, at exactly the levels they touch
+    p = params(n=3, alpha=0.8, beta=0.5, gamma=2.0)
+    traj = simulate(p, ScalingLevel(10), [0.5, 0.3, 0.2], [0.1, 0.4, 0.6],
+                    2.0, 0.5, seed=53)
+    ends = traj.initial_state, traj.final_state
+    assert not np.any(traj.counters.conservation_defects(*ends))
+    for kind, (_, _, levels, increments) in TRANSITIONS.items():
+        for k in levels(p.n_levels):
+            counters = copy.deepcopy(traj.counters)
+            tally = getattr(counters, TALLIES[kind])
+            if isinstance(tally, np.ndarray):
+                tally[k] += 1
+            else:
+                setattr(counters, TALLIES[kind], tally + 1)
+            want = np.zeros((2, p.n_levels), dtype=np.int64)
+            for side, offset, sign in increments:
+                want[side, k + offset] = -sign
+            got = counters.conservation_defects(*ends)
+            assert np.array_equal(got, want), (kind.name, k)
 
 
 def test_conservation_defect_raises_typed_error(monkeypatch):
