@@ -26,10 +26,13 @@ geometric below the crossing (y*_k = c^(ell+1-k) Y) and x* above it
 the second the virtual Y = lambda_s / alpha). For a trial ell, c X > Y means
 x would exceed y one level up, so the crossing lies higher; X < c Y means it
 lies lower. The test is monotone in ell, so bisection finds ell in
-O(log N) trials of O(1) work each. The profile is then filled in O(N) by one
-implicit sweep against the trial's y: x forward from lambda_b, y backward
-from lambda_s, each scalar equation solved exactly with its min term
-implicit, which keeps every entry nonnegative.
+O(log N) trials of O(1) work each, on constants computed once per solve
+(_trials). The profile is then filled in O(N) by one implicit sweep against
+the trial's y: x forward from lambda_b, y backward from lambda_s, each
+scalar equation solved exactly with its min term implicit, which keeps
+every entry nonnegative. Each direction is one loop of _chain, the one
+statement of that piecewise-linear root; the broken-line map's _advance
+takes a single step of it.
 
 solve_shooting and solve_recursive currently run this same solve, bisecting
 ell over [0, N], and return the same bits under their own labels; the ODE
@@ -47,6 +50,7 @@ slopes that only steepen, and the last equation cuts the image once.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +117,14 @@ class FixedPoint:
 def _advance(v: float, w: float, p: ModelParams) -> tuple[float, float]:
     """One forward step of the broken-line map (level k -> k+1).
 
-    w' is explicit; v' is the _pw_root of (beta+alpha) u + gamma min(u, w')
-    = alpha v. The root exists for any v >= 0 because the left side
-    vanishes at 0 and is unbounded.
+    w' is explicit; v' is one step of _chain from gain alpha v against the
+    cap w', the root of (beta+alpha) u + gamma min(u, w') = alpha v. The
+    root exists for any v >= 0 because the left side vanishes at 0 and is
+    unbounded.
     """
     a, b, g = p.alpha, p.beta, p.gamma
     w2 = ((a + b) * w + g * min(v, w)) / a
-    v2 = _pw_root(a * v, w2, p)
+    v2, = _chain(a * v, (w2,), p)
     if v2 < 0.0:
         raise InvariantViolation("branch solve escaped the nonnegative orthant")
     return v2, w2
@@ -220,13 +225,13 @@ def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:
     scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
     slack = 1e-9 * scale
     if n > 1:
-        if (x[1:] >= x[:-1] + slack).any():
+        if np.count_nonzero(x[1:] >= x[:-1] + slack):
             raise NonMonotoneInput("x* is not strictly decreasing")
-        if (y[1:] <= y[:-1] - slack).any():
+        if np.count_nonzero(y[1:] <= y[:-1] - slack):
             raise NonMonotoneInput("y* is not strictly increasing")
     above = x > y
-    ell = int(above.sum())
-    if above[:ell].sum() != ell or above[ell:].any():
+    ell = int(np.count_nonzero(above))
+    if np.count_nonzero(above[:ell]) != ell:  # one lies at ell or beyond
         raise NonMonotoneInput("sign pattern of x*-y* crosses more than once")
     label = "i" if ell == n else ("ii" if ell == 0 else "iii")
     return ell, label
@@ -255,28 +260,25 @@ def _package(
     return FixedPoint(x, y, ell, label, vol, solver, res, iters)
 
 
-def _pw_root(rhs: float, cap: float, p: ModelParams) -> float:
-    """Root of (beta+alpha) u + gamma min(u, cap) = rhs for u >= 0."""
-    u = rhs / (p.beta + p.alpha + p.gamma)
-    if u <= cap:
-        return u
-    return (rhs - p.gamma * cap) / (p.beta + p.alpha)
+def _chain(gain: float, caps: Iterable[float], p: ModelParams) -> list[float]:
+    """u_k for each cap_k in order: the root u >= 0 of
+    (beta+alpha) u + gamma min(u, cap_k) = gain, where gain is the one
+    given for the first cap and alpha u_(k-1) after it.
 
-
-def _sweep(y: list[float], p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """One implicit sweep: x forward from lambda_b against y, then y
-    backward from lambda_s against the new x."""
-    x = []
-    gain = p.lambda_b
-    for cap in y:
-        x.append(_pw_root(gain, cap, p))
-        gain = p.alpha * x[-1]
-    yn = []
-    gain = p.lambda_s
-    for cap in reversed(x):
-        yn.append(_pw_root(gain, cap, p))
-        gain = p.alpha * yn[-1]
-    return np.array(x), np.array(yn[::-1])
+    The root is gain / (beta+alpha+gamma) where that is at most the cap,
+    and (gain - gamma cap) / (beta+alpha) otherwise.
+    """
+    a, g = p.alpha, p.gamma
+    bpa = p.beta + a
+    bpag = bpa + g
+    out = []
+    for cap in caps:
+        u = gain / bpag
+        if not u <= cap:
+            u = (gain - g * cap) / bpa
+        out.append(u)
+        gain = a * u
+    return out
 
 
 def _over_exp(d: float, log_w: float) -> float:
@@ -286,9 +288,30 @@ def _over_exp(d: float, log_w: float) -> float:
     return math.copysign(math.exp(min(math.log(abs(d)) - log_w, 690.0)), d)
 
 
-def _trial(p: ModelParams, ell: int) -> tuple[float, float, float]:
-    """(X, Y, log_s) of the linear solve for crossing index ell: X = x_ell
-    and Y = y_(ell+1), both divided by exp(log_s) > 0.
+def _kappa(a: float, b: float, g: float) -> tuple[float, float]:
+    """(kappa, 1 - kappa) with kappa = gamma alpha / (gamma alpha + q) and
+    q = beta (2 alpha + beta + gamma); 1 - kappa = q / (gamma alpha + q) is
+    exactly 0 at beta = 0.
+
+    Where q overflows and gamma alpha does not (beta above about 1e154 at
+    unit rates), 1 - kappa would be inf / inf and the trial determinant 0;
+    where both round to 0 (gamma alpha below 5e-324 at beta = 0), kappa
+    would be 0 / 0. There the rates are first divided by the largest of
+    them, which moves neither ratio.
+    """
+    q = b * (2.0 * a + b + g)
+    if (q == math.inf and g * a < math.inf) or g * a + q == 0.0:
+        m = max(a, b, g)
+        a, b, g = a / m, b / m, g / m
+        q = b * (2.0 * a + b + g)
+    return g * a / (g * a + q), q / (g * a + q)
+
+
+def _trials(p: ModelParams) -> Callable[[int], tuple[float, float, float]]:
+    """The linear solve for a trial crossing index, as a function of ell
+    that returns (X, Y, log_s): X = x_ell and Y = y_(ell+1), both divided
+    by exp(log_s) > 0. The constants that depend on the parameters alone
+    are computed once, here.
 
     The right-hand sides are divided by the larger of the two, and the
     numerators and the determinant by max(1 - kappa^2, rho^ell,
@@ -296,39 +319,44 @@ def _trial(p: ModelParams, ell: int) -> tuple[float, float, float]:
     the ratio stays exact.
     """
     n, a, b, g = p.n_levels, p.alpha, p.beta, p.gamma
-    q = b * (2.0 * a + b + g)
-    kappa = g * a / (g * a + q)
-    one_minus_kappa = q / (g * a + q)  # exactly 0 at beta = 0
+    kappa, one_minus_kappa = _kappa(a, b, g)
     log_r = -math.log1p(b / a)
     log_rho = log_r - math.log1p((b + g) / a)
-    log_a = math.log(p.lambda_b / a) + ell * log_r
-    log_b = math.log(p.lambda_s / a) + (n - ell) * log_r
-    log_s = max(log_a, log_b)
-    rhs_a, rhs_b = math.exp(log_a - log_s), math.exp(log_b - log_s)
-    log_u, log_v = ell * log_rho, (n - ell) * log_rho
     log_k = (math.log(one_minus_kappa * (1.0 + kappa)) if one_minus_kappa > 0
              else -math.inf)
-    log_w = max(log_k, log_u, log_v)
-    u, v = math.exp(log_u - log_w), math.exp(log_v - log_w)
-    det = (math.exp(log_k - log_w)
-           + kappa * kappa * (u + v - u * math.exp(log_v)))
-    num_x = (_over_exp(rhs_a - rhs_b + one_minus_kappa * rhs_b, log_w)
-             + kappa * u * rhs_b)
-    num_y = (_over_exp(rhs_b - rhs_a + one_minus_kappa * rhs_a, log_w)
-             + kappa * v * rhs_a)
-    return num_x / det, num_y / det, log_s
+    log_lb, log_ls = math.log(p.lambda_b / a), math.log(p.lambda_s / a)
+
+    def trial(ell: int) -> tuple[float, float, float]:
+        log_a = log_lb + ell * log_r
+        log_b = log_ls + (n - ell) * log_r
+        log_s = max(log_a, log_b)
+        rhs_a, rhs_b = math.exp(log_a - log_s), math.exp(log_b - log_s)
+        log_u, log_v = ell * log_rho, (n - ell) * log_rho
+        log_w = max(log_k, log_u, log_v)
+        u, v = math.exp(log_u - log_w), math.exp(log_v - log_w)
+        det = (math.exp(log_k - log_w)
+               + kappa * kappa * (u + v - u * math.exp(log_v)))
+        num_x = (_over_exp(rhs_a - rhs_b + one_minus_kappa * rhs_b, log_w)
+                 + kappa * u * rhs_b)
+        num_y = (_over_exp(rhs_b - rhs_a + one_minus_kappa * rhs_a, log_w)
+                 + kappa * v * rhs_a)
+        return num_x / det, num_y / det, log_s
+    return trial
 
 
 def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
     """Fixed point from the crossing index, bisected over [0, N] with the
-    pattern sign test; returns (x, y, trials)."""
+    pattern sign test, then one implicit sweep against the trial's y: x
+    forward from lambda_b, y backward from lambda_s against the new x.
+    Returns (x, y, trials)."""
     n = p.n_levels
     c = p.alpha / (p.alpha + p.beta + p.gamma)
+    trial = _trials(p)
     lo, hi = 0, n
     trials = 0
     while True:
         ell = (lo + hi) // 2
-        big_x, big_y, log_s = _trial(p, ell)
+        big_x, big_y, log_s = trial(ell)
         trials += 1
         if c * big_x > big_y and ell < hi:
             lo = ell + 1
@@ -342,8 +370,10 @@ def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
     for i in range(ell - 1, -1, -1):
         level_y *= c
         y[i] = level_y
-    x, y = _sweep(y, p)
-    return x, y, trials
+    x = _chain(p.lambda_b, y, p)
+    y = _chain(p.lambda_s, reversed(x), p)
+    y.reverse()
+    return np.fromiter(x, float, n), np.fromiter(y, float, n), trials
 
 
 def solve_shooting(params: ModelParams) -> FixedPoint:

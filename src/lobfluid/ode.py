@@ -32,9 +32,18 @@ converts in C, since numpy's per-call dispatch costs more than the
 arithmetic on so few values. A compile costs some 20 to 150 numpy
 evaluations (0.4 ms at 8 components, 3 ms at 120), which only an
 integration's thousands of evaluations repay. Above the threshold the
-numpy form is faster: on a 2-core Xeon, inside LSODA, the compiled form
-took 13.6 against numpy's 24.7 us per evaluation at 64 components, the
-two met near 120, and at 240 the compiled form took 42.5 against 27.0 us.
+numpy form is faster. On a 2-core Xeon, inside LSODA, in us per
+evaluation (medians of 21 runs, the two forms alternating, of one
+integration from a random state over tau 40):
+
+    components   compiled   numpy
+        40          6.2      13.8
+        64          9.5      14.1
+       104         22.1      22.5
+       120         22.6      20.2
+       240         45.7      25.2
+
+so the two meet between 104 and 108 components.
 The two forms make the same operations in the same order, with the same
 tie rule in the min, so they agree to the last bit; tests/test_ode.py
 compares their bytes on both sides of the threshold.
@@ -83,7 +92,7 @@ DEFAULT_TOL = 1e-9
 STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
 STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
-SCALAR_FLOW_MAX = 120       # state components up to which _solve compiles
+SCALAR_FLOW_MAX = 104       # state components up to which _solve compiles
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 
 ODEPACK = "scipy.integrate._odepack"
@@ -138,7 +147,11 @@ def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
 
     z holds any number of states of 2N components each; every state is
     advanced independently, so one call evaluates a single trajectory or the
-    stacked pair of a comparison check.
+    stacked pair of a comparison check. The min is numpy's elementwise
+    minimum of the x and y columns, which takes y on a tie (so a signed
+    zero comes out as y's) and is NaN where either is; an axis reduction
+    over the (x, y) pairs gives the same values at some 25 times the cost
+    at N = 1000.
     """
     s = z.reshape(-1, p.n_levels, 2)
     gain = np.empty_like(s)
@@ -146,7 +159,7 @@ def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
     gain[:, 1:, 0] = p.alpha * s[:, :-1, 0]
     gain[:, :-1, 1] = p.alpha * s[:, 1:, 1]
     gain[:, -1, 1] = p.lambda_s
-    trade = p.gamma * s.min(axis=2, keepdims=True)
+    trade = p.gamma * np.minimum(s[:, :, 0:1], s[:, :, 1:2])
     return (gain - (p.beta + p.alpha) * s - trade).ravel()
 
 
@@ -176,8 +189,8 @@ def _flow_source(n_levels: int, size: int) -> str:
 
     Component i of z is the local v<i>, and each level's two equations
     make _flow's operations in its order: (inflow - (beta+alpha) * v) -
-    trade. The min takes y on a tie, as numpy's min over the (x, y) axis
-    does, so a signed zero comes out the same.
+    trade. The min takes y on a tie, as _flow's elementwise minimum does,
+    so a signed zero comes out the same.
     """
     width = 2 * n_levels
     body = []

@@ -186,6 +186,16 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "solver error" in err
 
 
+def test_solve_with_overflowing_beta(tmp_path, capsys):
+    # beta (2 alpha + beta + gamma) overflows: the solve still returns
+    code, out, err = run(capsys, [
+        "solve", "--n", "3", "--lambda-b", "1", "--lambda-s", "1",
+        "--alpha", "1", "--beta", "1e300", "--gamma", "1",
+        "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert "x* = (1e-300, 0, 0)" in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

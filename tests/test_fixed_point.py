@@ -1,8 +1,10 @@
 """Fixed-point solvers, the forward broken-line map, and regime structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobfluid import (
@@ -348,6 +350,18 @@ def test_balanced_beta_zero_profile_is_symmetric():
     lambda_b=st.floats(0.1, 10.0),
     log_ratio=st.floats(-6.0, 6.0),
 )
+# q = beta (2 alpha + beta + gamma) overflows (kappa's 1 - kappa would be
+# inf / inf), and gamma alpha underflows to 0 at beta = 0 (kappa 0 / 0)
+@example(n=3, alpha=1.0, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=1000, alpha=1.0, beta=1e155, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=1, alpha=1.0, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=3.0)
+@example(n=3, alpha=1.0, beta=1e100, gamma_ratio=1e300, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=50, alpha=1e-100, beta=0.0, gamma_ratio=1e-200, lambda_b=2.0,
+         log_ratio=-3.0)
 def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
                                          log_ratio):
     p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
@@ -361,6 +375,55 @@ def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
     assert gap <= 1e-6 * scale
     for fp in (fr, fs):
         assert classify_regime(fp) == (fp.ell, fp.regime)
+
+
+def pinned_params():
+    """Parameter sets over the admissible range: N in {1, 6, 178, 1000},
+    each with beta = 0 at balanced and at unbalanced arrivals,
+    gamma/alpha = 1e4, arrival ratios 1e-6 and 1e6 and one moderate set,
+    and beta just below where q = beta (2 alpha + beta + gamma) overflows.
+    Where beta > 0 the rates are chosen so that (beta + alpha) + gamma and
+    beta + (alpha + gamma) round apart, so a reordered sum shows."""
+    for n in (1, 6, 178, 1000):
+        yield ModelParams(n, 1.8157118112524147, 1.8157118112524147,
+                          0.6836933117513347, 0.0, 5.15003798128096)
+        yield ModelParams(n, 0.73, 2.9, 1.3, 0.0, 0.41)
+        yield ModelParams(n, 1.7, 0.6, 0.910499, 1.495533, 9104.99)
+        yield ModelParams(n, 3.1, 3.1e-6, 1.764429, 0.138031, 2.139209)
+        yield ModelParams(n, 0.29, 0.29e6, 0.562852, 2.411726, 0.278119)
+        yield ModelParams(n, 0.83, 1.21, 1.147451, 0.581273, 0.614107)
+    yield ModelParams(3, 1.0, 1.0, 1.0, 1e154, 1.0)
+
+
+PINNED_STEPS = [
+    (BrokenLinePoint(0.3, 0.1, 1),
+     ModelParams(2, 1.0, 1.0, 1.764429, 0.138031, 2.139209)),
+    (BrokenLinePoint(0.1, 0.3, 1), params(n=2)),
+    (BrokenLinePoint(0.2, 0.2, 2),
+     ModelParams(3, 0.83, 1.21, 1.147451, 0.581273, 0.614107)),
+    (BrokenLinePoint(0.7, 0.05, 1), ModelParams(4, 0.73, 2.9, 1.3, 0.0, 0.41)),
+    (BrokenLinePoint(0.0, 0.0, 1),
+     ModelParams(2, 1.7, 0.6, 0.910499, 1.495533, 9104.99)),
+]
+# sha256 over solve_recursive's x*, y*, ell, iterations and residual on
+# pinned_params() and over step_map on PINNED_STEPS; it pins the solver's
+# bits where the golden CSVs of test_cli (N = 2 and 40) do not reach
+PINNED_SOLVER_DIGEST = (
+    "2de0399329b2c246fd007dc49424bcf63182edccc3c1b32119a46b5793614b63")
+
+
+def test_solver_bits_over_the_admissible_range():
+    digest = hashlib.sha256()
+    for p in pinned_params():
+        fp = solve_recursive(p)
+        digest.update(fp.x_star.astype("<f8").tobytes())
+        digest.update(fp.y_star.astype("<f8").tobytes())
+        digest.update(
+            f"{fp.ell} {fp.iterations} {fp.residual.hex()}".encode())
+    for point, p in PINNED_STEPS:
+        out = step_map(point, p)
+        digest.update(f"{out.v.hex()} {out.w.hex()} {out.k}".encode())
+    assert digest.hexdigest() == PINNED_SOLVER_DIGEST
 
 
 def test_non_solution_raises(monkeypatch):

@@ -50,7 +50,7 @@ def levelwise_rhs(x, y, p):
     dx = np.empty(n)
     dy = np.empty(n)
     for k in range(n):
-        trade = p.gamma * min(y[k], x[k])  # y on a tie, as numpy's min
+        trade = p.gamma * min(y[k], x[k])  # y on a tie, as np.minimum(x, y)
         inflow_x = p.lambda_b if k == 0 else p.alpha * x[k - 1]
         inflow_y = p.lambda_s if k == n - 1 else p.alpha * y[k + 1]
         dx[k] = inflow_x - bpa * x[k] - trade
@@ -60,11 +60,12 @@ def levelwise_rhs(x, y, p):
 
 # both sides of the threshold up to which _solve hands LSODA the compiled
 # form: a state of HALF levels runs it, one of HALF + 1 runs _flow; 32 and
-# 33 levels, the sides of an earlier threshold of 64 components, stay as
-# compiled sizes whose stacked pair runs _flow
+# 33 levels, and 60 and 61, the sides of earlier thresholds of 64 and 120
+# components, stay, and the compiled form is checked up to 60 levels, the
+# largest state it ran at under the earlier threshold
 HALF = ode.SCALAR_FLOW_MAX // 2
-FLOW_SIZES = [1, 2, 7, 32, 33, HALF, HALF + 1, 400]
-COMPILED_SIZES = [n for n in FLOW_SIZES if 2 * n <= ode.SCALAR_FLOW_MAX]
+FLOW_SIZES = [1, 2, 7, 32, 33, HALF, HALF + 1, 60, 61, 400]
+COMPILED_SIZES = [n for n in FLOW_SIZES if n <= 60]
 
 
 def flow_state(rng, n, ties):
@@ -147,11 +148,12 @@ def test_compiled_flow_matches_levelwise_equations(n):
         assert d[:, 1].tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 32, HALF])
+@pytest.mark.parametrize("n", [1, 2, 7, 32, HALF, 60])
 def test_stacked_flow_equals_separate_evaluations(n):
     # the comparison check integrates two states through the same equations,
     # on either form; at n = 32 and HALF _solve runs each state on the
-    # compiled form and the stacked pair on _flow
+    # compiled form and the stacked pair on _flow (at 60 it did so under
+    # the earlier threshold of 120 components)
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
