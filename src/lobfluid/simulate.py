@@ -363,9 +363,9 @@ if b{j} <= s{j}:
     M += 1.0"""
 _BUYER_EXIT = """\
 b{k} -= 1.0
+B -= 1.0
 if b{k} < s{k}:
     M -= 1.0
-B -= 1.0
 et += 1"""
 _SELLER_MOVE = """\
 s{k} -= 1.0
@@ -377,9 +377,9 @@ if s{j} <= b{j}:
     M += 1.0"""
 _SELLER_EXIT = """\
 s{k} -= 1.0
+S -= 1.0
 if s{k} < b{k}:
     M -= 1.0
-S -= 1.0
 eb += 1"""
 
 # Each level block: its rate unit, level {k}'s count, the test that level
