@@ -8,10 +8,11 @@ alpha/L; a buyer at the top level and a seller at the bottom level leave the
 system instead of moving. `TRANSITIONS` states those rules once, as data:
 one row per event kind with its rate, its levels and its +-1 increments.
 `enumerate_events` and `apply_event` read it, `simulate.step` drives them,
-and `EventCounters.conservation_defects` derives its counting identities
-from it. The simulator's engine restates the rules as hand-written source
-(the tests replay it against `step`), and the ODE right-hand side is their
-drift, rescaled (a test checks it against the table).
+`EventCounters.conservation_defects` derives its counting identities from
+it, and the simulator's engine renders its event code from it (the tests
+replay the engine against `step`). The ODE right-hand side, written apart
+as the rules' drift rescaled, is the independent check on the table: a
+test compares the two.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@
 `enumerate_events` and `apply_event` and is the reference, and
 `EventCounters.conservation_defects` derives its identities from the
 same table (`TALLIES` names the counter of each kind). `_run`, behind
-`simulate` and `empirical_equilibrium`, restates the rules as fast
-hand-written source, in one engine: the template `_ENGINE` with one snippet
-per event kind, rendered by `_engine_source` and compiled on first use
-(`_compiled_engine`). Every rendering holds exact counts and keeps
+`simulate` and `empirical_equilibrium`, runs one fast engine: the template
+`_ENGINE`, whose event code `_engine_source` renders from the same table
+and `_compiled_engine` compiles on first use. The ODE right-hand side,
+written apart, is the independent check on the table (a test compares it
+with the table's drift). Every rendering holds exact counts and keeps
 B = sum b, S = sum s and M = sum min(b, s) exactly, so the closed-form
 total rate never drifts, and every rendering makes the same comparisons
 and float operations in the same order, so all give the same bits. The
@@ -71,6 +72,7 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
+from itertools import groupby
 from math import isfinite, log1p
 from operator import index, length_hint
 
@@ -236,12 +238,11 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
     return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
 
 
-# The engine's source, with {fields} filled in by _engine_source. The book
-# is b{k}, s{k} and the per-level tallies tr{k} (trades), bq{k} and sq{k}
-# (quits), bm{k} and sm{k} (moves), where {k} is a level's digits in the
-# locals form (b0, b1, ..) and its index in the list form (b[k]); ba, sa
-# (arrivals) and et, eb (boundary exits) are locals in both. The counts are
-# floats, which `_run` keeps exact (see `_compiled_engine`).
+# The engine's source, with {fields} filled in by _engine_source: the book
+# (b{k}, s{k}, where {k} is a level's digits in the locals form and its
+# index in the list form) and each block of the dispatch, rendered from
+# `model.TRANSITIONS`. The counts are floats, which `_run` keeps exact (see
+# `_compiled_engine`).
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
@@ -253,9 +254,8 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
 # walks the canonical order; a target at or past the end fires the last
 # positive-rate event: the seller arrival on an empty book, else the buyer
 # alpha block when there are no sellers (then B > 0), else the seller alpha
-# block. min(b, s) moves with b exactly when b <= s after a buyer arrives,
-# and when b < s after one leaves (mirrored for sellers). The target is
-# never negative, so an empty block (weight 0.0) is never picked by its test.
+# block. The target is never negative, so an empty block (weight 0.0) is
+# never picked by its test.
 _ENGINE = '''\
 def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     lam_b, lam_s, lam, rt, rq, rm, rqm = rates
@@ -294,17 +294,9 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
                 stop = min(sample_ts[si], t_end) if si < m else t_end
             target = pick * rate
             if target < lam_b:
-                b{lo} += 1.0
-                B += 1.0
-                if b{lo} <= s{lo}:
-                    M += 1.0
-                ba += 1
+{buyer_arrival}
             elif (target := target - lam_b) < lam_s or not (B or S):
-                s{hi} += 1.0
-                S += 1.0
-                if s{hi} <= b{hi}:
-                    M += 1.0
-                sa += 1
+{seller_arrival}
             elif (target := target - lam_s) < w_trade:
 {trade}
             elif (target := target - w_trade) < (w := rq * B):
@@ -333,67 +325,11 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
             (int(B), int(S), int(M)), ({per_level}), (ba, sa, et, eb))
 '''
 
-# each event at level {k}; {j} is the level a move goes to
-_TRADE = """\
-b{k} -= 1.0
-s{k} -= 1.0
-B -= 1.0
-S -= 1.0
-M -= 1.0
-tr{k} += 1"""
-_BUYER_QUIT = """\
-b{k} -= 1.0
-B -= 1.0
-if b{k} < s{k}:
-    M -= 1.0
-bq{k} += 1"""
-_SELLER_QUIT = """\
-s{k} -= 1.0
-S -= 1.0
-if s{k} < b{k}:
-    M -= 1.0
-sq{k} += 1"""
-_BUYER_MOVE = """\
-b{k} -= 1.0
-if b{k} < s{k}:
-    M -= 1.0
-bm{k} += 1
-b{j} += 1.0
-if b{j} <= s{j}:
-    M += 1.0"""
-_BUYER_EXIT = """\
-b{k} -= 1.0
-B -= 1.0
-if b{k} < s{k}:
-    M -= 1.0
-et += 1"""
-_SELLER_MOVE = """\
-s{k} -= 1.0
-if s{k} < b{k}:
-    M -= 1.0
-sm{k} += 1
-s{j} += 1.0
-if s{j} <= b{j}:
-    M += 1.0"""
-_SELLER_EXIT = """\
-s{k} -= 1.0
-S -= 1.0
-if s{k} < b{k}:
-    M -= 1.0
-eb += 1"""
-
-# Each level block: its rate unit, level {k}'s count, the test that level
-# {k} is occupied, whether it walks up from level 1 (else down from level
-# N), and its event, or for the alpha blocks the move and the exit at the
-# far edge.
-_BLOCKS = {
-    "trade": ("rt", "(b{k} if b{k} < s{k} else s{k})", "b{k} and s{k}", True,
-              _TRADE),
-    "buyer_quit": ("rq", "b{k}", "b{k}", True, _BUYER_QUIT),
-    "seller_quit": ("rq", "s{k}", "s{k}", False, _SELLER_QUIT),
-    "buyer_move": ("rm", "b{k}", "b{k}", True, (_BUYER_MOVE, _BUYER_EXIT)),
-    "seller_move": ("rm", "s{k}", "s{k}", False, (_SELLER_MOVE, _SELLER_EXIT)),
-}
+# The engine's local for each level block's rate unit, the field over L,
+# and for each kind's tally, in rank order; {k} marks a per-level tally
+_UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
+_TALLY_LOCALS = dict(zip(EventKind, (
+    "ba", "sa", "tr{k}", "bq{k}", "sq{k}", "bm{k}", "et", "sm{k}", "eb")))
 
 # A level block's walk in the list form, which leaves the level it picks
 # in k: the entry level inline, then the levels after it (`rest`, in walk
@@ -422,6 +358,45 @@ def _indent(lines: str) -> str:
     """lines indented to sit in the engine's dispatch."""
     pad = " " * 16
     return pad + lines.replace("\n", "\n" + pad)
+
+
+def _event(kind: EventKind, at) -> str:
+    """Source that fires one event of kind, read off its row of
+    `model.TRANSITIONS`; at(offset) is the suffix of b and s that names
+    the level offset from the one it fires at. In order: the counts at
+    that level, the side totals B and S by the row's net change on each
+    side, M, the tally, and a move's destination count with its M test.
+    M moves unconditionally when both sides change alike; else min(b, s)
+    moves with b exactly when b <= s after a buyer arrives and when b < s
+    after one leaves (mirrored for sellers)."""
+    def add(name, sign):
+        return f"{name} {'+-'[sign < 0]}= 1.0"
+
+    def moves_min(side, sign, level):
+        return (f"if {'bs'[side]}{level} {'<' if sign < 0 else '<='} "
+                f"{'sb'[side]}{level}:\n    " + add("M", sign))
+
+    increments = TRANSITIONS[kind][3]
+    here = [(side, sign) for side, offset, sign in increments if not offset]
+    nets = [sum(sign for s, _, sign in increments if s == side)
+            for side in (0, 1)]
+    lines = [add("bs"[side] + at(0), sign) for side, sign in here]
+    lines += [add(total, net) for total, net in zip("BS", nets) if net]
+    if len(here) == 2 and here[0][1] == here[1][1]:
+        lines.append(add("M", here[0][1]))
+    else:
+        lines += [moves_min(side, sign, at(0)) for side, sign in here]
+    lines.append(_TALLY_LOCALS[kind].format(k=at(0)) + " += 1")
+    for side, offset, sign in increments:
+        if offset:
+            lines += [add("bs"[side] + at(offset), sign),
+                      moves_min(side, sign, at(offset))]
+    return "\n".join(lines)
+
+
+def _in_list(k: str, offset: int) -> str:
+    """The list form's index of the level offset from level k."""
+    return f"[{k} {'+-'[offset < 0]} {abs(offset)}]" if offset else f"[{k}]"
 
 
 def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
@@ -453,40 +428,54 @@ def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
 
 def _engine_source(n: int | None) -> str:
     """Source of the engine (see `_compiled_engine`): with the book in
-    locals for n levels, or in lists for any level count when n is None."""
-    def fire(event, up, k):
-        if isinstance(event, str):
-            return event.format(k=k)
-        move, leave = event
-        if n is None:
-            test, j = ("k < top", "[k + 1]") if up else ("k > 0", "[k - 1]")
-            return (_branch(f"if {test}", move.format(k=k, j=j)) + "\n"
-                    + _branch("else", leave.format(k=k)))
-        edge, j = (n - 1, k + 1) if up else (0, k - 1)
-        return (move if k != edge else leave).format(k=k, j=j)
+    locals for n levels, or in lists for any level count when n is None.
 
+    The dispatch's blocks are the rows of `model.TRANSITIONS` grouped by
+    rate (field, count), in rank order, which puts each alpha-move with
+    the exit at its far edge. A block walks its rows' levels in row order,
+    as the rows give them for n levels; the list form reads them for a
+    book of two levels, where the first gives the block's entry level
+    (0 or top) and so its direction. Its weight at a level and the test
+    that the level is occupied come from the sides its rows decrement.
+    """
     blocks = {}
-    for name, (unit, count, occupied, up, event) in _BLOCKS.items():
-        weight = f"{unit} * {count}"
-        if n is None:
-            entry, rest, back = (("0", "up", "range(top, -1, -1)") if up
-                                 else ("top", "down", "range(top + 1)"))
-            walk = _LIST_WALK.format(entry=entry, rest=rest, back=back,
+    for (field, _), rows in groupby(TRANSITIONS.items(),
+                                    key=lambda row: row[1][:2]):
+        kinds = [kind for kind, _ in rows]
+        name = kinds[0].name.lower()
+        sides = [f"{'bs'[side]}{{k}}"
+                 for side, _, sign in TRANSITIONS[kinds[0]][3] if sign < 0]
+        occupied = " and ".join(sides)
+        count = ("(b{k} if b{k} < s{k} else s{k})" if len(sides) > 1
+                 else occupied)
+        # an arrival decrements no side: it fires at its one level, unwalked
+        weight = f"{_UNITS[field]} * {count}" if sides else None
+        if n is not None:
+            kind_at = {k: kind for kind in kinds
+                       for k in TRANSITIONS[kind][2](n)}
+            blocks[name] = _unrolled_walk(
+                [*kind_at], weight, occupied,
+                lambda k: _event(kind_at[k], lambda o: str(k + o)))
+            continue
+        up = TRANSITIONS[kinds[0]][2](2)[0] == 0
+        entry, rest, back = (("0", "up", "range(top, -1, -1)") if up
+                             else ("top", "down", "range(top + 1)"))
+        at = functools.partial(_in_list, "k" if weight else entry)
+        fire, *leave = [_event(kind, at) for kind in kinds]
+        if leave:
+            fire = (_branch("if k < top" if up else "if k > 0", fire) + "\n"
+                    + _branch("else", *leave))
+        if weight:
+            fire = _LIST_WALK.format(entry=entry, rest=rest, back=back,
                                      weight=weight.format(k="[k]"),
-                                     occupied=occupied.format(k="[k]"))
-            blocks[name] = _indent(walk + "\n" + fire(event, up, "[k]"))
-        else:
-            levels = range(n) if up else range(n - 1, -1, -1)
-            blocks[name] = _unrolled_walk(levels, weight, occupied,
-                                          functools.partial(fire, event, up))
-    if n is None:
-        bs, ss, lo, hi = "b", "s", "[0]", "[top]"
-        per_level = "tr, bq, sq, bm, sm"
-    else:
-        names = lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]"
-        bs, ss, lo, hi = names("b"), names("s"), "0", str(n - 1)
-        per_level = ", ".join(map(names, ("tr", "bq", "sq", "bm", "sm")))
-    return _ENGINE.format(bs=bs, ss=ss, per_level=per_level, lo=lo, hi=hi,
+                                     occupied=occupied.format(k="[k]")
+                                     ) + "\n" + fire
+        blocks[name] = _indent(fire)
+    names = ((lambda p: p) if n is None else
+             lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]")
+    per_level = [t.format(k="") for t in _TALLY_LOCALS.values() if "{k}" in t]
+    return _ENGINE.format(bs=names("b"), ss=names("s"),
+                          per_level=", ".join(map(names, per_level)),
                           **blocks)
 
 
