@@ -293,14 +293,14 @@ def _kappa(a: float, b: float, g: float) -> tuple[float, float]:
     q = beta (2 alpha + beta + gamma); 1 - kappa = q / (gamma alpha + q) is
     exactly 0 at beta = 0.
 
-    Where q overflows and gamma alpha does not (beta above about 1e154 at
-    unit rates), 1 - kappa would be inf / inf and the trial determinant 0;
-    where both round to 0 (gamma alpha below 5e-324 at beta = 0), kappa
-    would be 0 / 0. There the rates are first divided by the largest of
-    them, which moves neither ratio.
+    Where q or gamma alpha overflows (beta above about 1e154 at unit
+    rates, or gamma alpha above about 1.8e308), kappa or 1 - kappa would be
+    inf / inf; where both round to 0 (gamma alpha below 5e-324 at
+    beta = 0), kappa would be 0 / 0. There the rates are first divided by
+    the largest of them, which moves neither ratio.
     """
     q = b * (2.0 * a + b + g)
-    if (q == math.inf and g * a < math.inf) or g * a + q == 0.0:
+    if not (q < math.inf and g * a < math.inf) or g * a + q == 0.0:
         m = max(a, b, g)
         a, b, g = a / m, b / m, g / m
         q = b * (2.0 * a + b + g)

@@ -196,6 +196,16 @@ def test_solve_with_overflowing_beta(tmp_path, capsys):
     assert "x* = (1e-300, 0, 0)" in out
 
 
+def test_solve_with_overflowing_gamma_alpha(tmp_path, capsys):
+    # gamma alpha overflows: the solve still returns
+    code, out, err = run(capsys, [
+        "solve", "--n", "2", "--lambda-b", "1", "--lambda-s", "1",
+        "--alpha", "1e200", "--beta", "1", "--gamma", "1e200",
+        "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert "x* = (6.666666667e-201, 3.333333333e-201)" in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

@@ -364,8 +364,24 @@ def test_balanced_beta_zero_profile_is_symmetric():
          log_ratio=-3.0)
 def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
                                          log_ratio):
-    p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
-                    alpha * gamma_ratio)
+    assert_solvers_agree(ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio,
+                                     alpha, beta, alpha * gamma_ratio))
+
+
+# gamma alpha overflows at alpha = gamma = 1e200 (kappa would be inf / inf,
+# as would 1 - kappa where q overflows too); at N = 1 the point is pinned
+@pytest.mark.parametrize("beta,x1", [(0.0, 5e-201), (1.0, 5e-201),
+                                     (1e300, 1e-300)])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+def test_solvers_where_gamma_alpha_overflows(n, beta, x1):
+    fp = assert_solvers_agree(ModelParams(n, 1.0, 1.0, 1e200, beta, 1e200))
+    if n == 1:
+        assert fp.x_star.tolist() == fp.y_star.tolist() == [x1]
+
+
+def assert_solvers_agree(p):
+    """Both solvers return within the residual bound, agree, and classify
+    their own crossing index; returns solve_recursive's point."""
     fr, fs = solve_recursive(p), solve_shooting(p)
     bound = residual_bound(p)
     assert fr.residual <= bound and fs.residual <= bound
@@ -375,6 +391,7 @@ def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
     assert gap <= 1e-6 * scale
     for fp in (fr, fs):
         assert classify_regime(fp) == (fp.ell, fp.regime)
+    return fr
 
 
 def pinned_params():
