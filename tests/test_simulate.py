@@ -556,6 +556,38 @@ def test_sparse_book_fires_each_event_as_step_does(fire_once):
         assert counters.conserves(state, got)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_engine_fires_each_event_as_its_table_row(fire_once, n):
+    # with traders on both sides of every level, a selection uniform at the
+    # middle of each event's share of the rate fires that event in both
+    # layouts: the book moves by exactly its row's +-1 increments at its
+    # level, and only its kind's tally counts it, once, there. N = 1 has
+    # an alpha block of exits alone; N = 17 runs every level of the list
+    # layout's walks
+    p = params(n=n, alpha=0.7, beta=0.4, gamma=1.3)
+    scale = ScalingLevel(3)
+    state = DiscreteState(np.arange(n) % 3 + 1, np.arange(n) % 2 + 1)
+    events = enumerate_events(state, p, scale)
+    assert len(events) == 2 + 5 * n  # every level of every level block
+    edges = np.cumsum([0.0] + [e.rate for e in events])
+    for event, lo, hi in zip(events, edges, edges[1:]):
+        _, _, levels, increments = TRANSITIONS[event.kind]
+        k = levels(n)[0] if event.level is None else event.level - 1
+        want = np.zeros((2, n), dtype=np.int64)
+        for side, offset, sign in increments:
+            want[side, k + offset] += sign
+        got, counters = fire_once(p, scale, state, (lo + hi) / 2 / edges[-1])
+        assert (got.b - state.b).tolist() == want[0].tolist(), event
+        assert (got.s - state.s).tolist() == want[1].tolist(), event
+        for kind, name in TALLIES.items():
+            tally = getattr(counters, name)
+            if isinstance(tally, np.ndarray):
+                fired = [int(kind == event.kind and j == k) for j in range(n)]
+                assert tally.tolist() == fired, (event, name)
+            else:
+                assert tally == (kind == event.kind), (event, name)
+
+
 @pytest.mark.parametrize("b,s", [([1, 1], [0, 0]), ([0, 0], [1, 1]),
                                  ([1, 1], [1, 1])])
 def test_target_on_entry_level_edge_fires_next_level(fire_once, b, s):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import lobfluid
@@ -11,6 +12,19 @@ from lobfluid import ode
 def _asserts(source: str, name: str) -> list[str]:
     return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Assert)]
+
+
+def _generated_sources() -> list[tuple[str, str]]:
+    """(source, name) of what the library compiles at run time: the
+    simulator's engine in its list form and its locals form at every level
+    count it unrolls, and the ODE right-hand side on both sides of its
+    compiled-form threshold."""
+    engine = importlib.import_module("lobfluid.simulate")
+    sources = [(engine._engine_source(n), f"engine {n}")
+               for n in [None, *range(1, engine.ENGINE_UNROLL_MAX + 1)]]
+    sources += [(ode._flow_source(n, size), f"flow {n} {size}")
+                for n in (1, 2, 60) for size in (2 * n, 4 * n)]
+    return sources
 
 
 def test_library_checks_invariants_without_assert():
@@ -25,15 +39,17 @@ def test_library_checks_invariants_without_assert():
 
 
 def test_generated_source_checks_invariants_without_assert():
-    # the source the library compiles at run time keeps the same rule: the
-    # simulator's engine in its list form and its locals form at every
-    # level count it unrolls, and the ODE right-hand side on both sides of
-    # its compiled-form threshold
-    engine = importlib.import_module("lobfluid.simulate")
-    sources = [(engine._engine_source(n), f"engine {n}")
-               for n in [None, *range(1, engine.ENGINE_UNROLL_MAX + 1)]]
-    sources += [(ode._flow_source(n, size), f"flow {n} {size}")
-                for n in (1, 2, 60) for size in (2 * n, 4 * n)]
-    asserts = [hit for source, name in sources
+    # the source the library compiles at run time keeps the same rule
+    asserts = [hit for source, name in _generated_sources()
                for hit in _asserts(source, name)]
     assert asserts == []
+
+
+def test_generated_source_compiles_without_warnings():
+    # ast.parse does not raise the compiler's SyntaxWarnings (`x is 1`
+    # parses, and fails to compile under -W error), so each generated
+    # source is compiled with every warning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source, name in _generated_sources():
+            compile(source, name, "exec")
