@@ -790,3 +790,58 @@ def test_schema_lists_exactly_the_parser_options():
     for command in cli.COMMANDS:
         own = set(vars(parser.parse_args([command]))) - common
         assert set(schema[command]["properties"]) == own, command
+
+
+# sha256 of manifest.json from the README's simulate, solve and sweep runs
+# at --seed 42. None of them runs LSODA or a BLAS reduction, so the bytes
+# are the same on every interpreter and platform tested; the manifest
+# echoes the package version, so a version change moves them.
+README_RUNS = {
+    "solve": [],
+    "simulate": ["--scale", "1000", "--tau-max", "5", "--sample-dt", "0.05"],
+    "sweep": ["--lambda-s-values", "0.5,1,2,5,10,20"],
+}
+MANIFEST_SHA256 = {
+    "solve": "ece30f06eba7bed8e4e334024593778e1b89c18e1d578e763786086ca508a66e",
+    "simulate":
+        "2eb68bb711e8f41405cb99e4aefd76b015892962f80d8cea0398826b3a85cdb7",
+    "sweep": "bf961c5bdf0340035e287a56b56f1bfcbba42d49da37a0cb261a2fc8180e8563",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_RUNS))
+def test_readme_manifest_golden_digests(tmp_path, capsys, command):
+    code, _, err = run(capsys, [command, *README_RUNS[command], "--n", "2",
+                                *ONES, "--seed", "42",
+                                "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
+    assert digest.hexdigest() == MANIFEST_SHA256[command]
+
+
+# the manifest keys of the runs whose values rest on LSODA
+MANIFEST_KEYS = {
+    "integrate": (["--tau-max", "50"],
+                  {"final_x", "final_y", "grid_step", "tau_max", "tol", "x0",
+                   "y0"}),
+    "converge": (["--levels", "5,10", "--tau-horizon", "0.5", "--replicas",
+                  "2"],
+                 {"grid_step", "levels", "quartiles", "replicas",
+                  "tau_horizon", "workers", "x0", "y0"}),
+    "equilibrium": (["--levels", "20", "--burn-in", "2", "--n-samples", "10",
+                     "--sample-gap", "0.5"],
+                    {"burn_in", "fixed_point_solver", "levels", "n_samples",
+                     "quartiles", "sample_gap"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_KEYS))
+def test_manifest_key_sets(tmp_path, capsys, command):
+    flags, keys = MANIFEST_KEYS[command]
+    code, _, err = run(capsys, [command, *flags, "--n", "2", *ONES,
+                                "--seed", "42", "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"command", "lobfluid_version", "model", "seed",
+                             *keys}
+    assert list(manifest["model"]) == sorted(PARAM_FIELDS)
