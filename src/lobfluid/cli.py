@@ -1,18 +1,22 @@
 """Command-line entry point.
 
 Subcommands: simulate, integrate, solve, converge, equilibrium, sweep.
-Model parameters and subcommand options come from flags and/or a JSON config
-file (flags override the file; see docs/run-config.schema.json). Every run
-writes its artifacts plus a manifest.json echoing the effective
-configuration into --out-dir, and prints a short human-readable summary to
-stdout. Exit codes: 0 ok, 2 configuration error, 3 numerical-solver failure,
-4 event-budget exhaustion.
+Every option is declared once, as (kind, default, help) in a table: MODEL
+for the model parameters, COMMON for seed and out_dir, and
+OPTIONS[command] for a subcommand's own options. The tables build the
+parser, and `resolve` takes each value from its flag, else from the JSON
+config file's block for the subcommand, else (seed and out_dir) from the
+file's top level, else from the table's default, and checks it against its
+kind (see docs/run-config.schema.json). Every run writes its artifacts plus
+a manifest.json, the resolved options and the run's results, into out_dir,
+and prints a short human-readable summary to stdout. Exit codes: 0 ok, 2
+configuration error (an out_dir that cannot be written included), 3
+numerical-solver failure, 4 event-budget exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -40,9 +44,82 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
+REQUIRED = object()  # the default of an option that must be given
+
+# {key: (kind, default, help)}. A kind is int, float or str, [int] or
+# [float] for a list of numbers (comma-separated in a flag, a JSON array in
+# the file), or a tuple of the allowed values. A callable default is
+# computed from the options resolved before it. An option's flag is its key
+# with "-" for "_", except --n for n_levels.
+MODEL = {  # a parameter missing altogether is left to validate_params
+    "n_levels": (int, REQUIRED, "number of price levels"),
+    "lambda_b": (float, REQUIRED, "buyer arrival rate"),
+    "lambda_s": (float, REQUIRED, "seller arrival rate"),
+    "alpha": (float, REQUIRED, "move-rate constant"),
+    "beta": (float, REQUIRED, "quit-rate constant (>= 0)"),
+    "gamma": (float, REQUIRED, "trade-rate constant"),
+    "price_labels": ([float], None,
+                     "comma-separated strictly increasing price labels"),
+}
+COMMON = {  # every subcommand's; the file's top level may set them too
+    "out_dir": (str, lambda o: f"lobfluid_out/{o['command']}",
+                "output directory"),
+    "seed": (int, 0, "master seed (default 0)"),
+}
+INITIAL = {
+    "x0": ([float], None, "comma-separated initial x (default zeros)"),
+    "y0": ([float], None, "comma-separated initial y (default zeros)"),
+}
+LEVELS = ([int], REQUIRED, "comma-separated scaling levels")
+OPTIONS = {
+    "simulate": {
+        "scale": (int, REQUIRED, "scaling level L"),
+        "tau_max": (float, REQUIRED, "horizon in scaled time"),
+        "sample_dt": (float, lambda o: max(o["tau_max"], 1.0) / 100,
+                      "sampling step in scaled time"),
+        **INITIAL,
+        "max_events": (int, DEFAULT_MAX_EVENTS, "event budget cap"),
+    },
+    "integrate": {
+        "tau_max": (float, REQUIRED, None),
+        "tol": (float, DEFAULT_TOL, "integrator rtol = atol"),
+        "grid_step": (float, lambda o: o["tau_max"] / 100,
+                      "output grid step (default tau_max / 100)"),
+        **INITIAL,
+    },
+    "solve": {
+        "method": (("recursive", "shooting", "both"), "both",
+                   "solver choice (default both)"),
+    },
+    "converge": {
+        "levels": LEVELS,
+        "tau_horizon": (float, REQUIRED, "study horizon T in scaled time"),
+        "replicas": (int, REQUIRED, None),
+        "grid_step": (float, None, None),
+        "workers": (int, 1, "parallel replica workers"),
+        **INITIAL,
+    },
+    "equilibrium": {
+        "levels": LEVELS,
+        "burn_in": (float, REQUIRED, None),
+        "n_samples": (int, REQUIRED, None),
+        "sample_gap": (float, REQUIRED, None),
+    },
+    "sweep": {
+        "lambda_s_values": ([float], REQUIRED,
+                            "comma-separated increasing lambda_s grid"),
+    },
+}
+MINIMUM = {"max_events": 1, "workers": 1}  # the bounds checked here
+
+
+def _flag(key: str) -> str:
+    return "--n" if key == "n_levels" else "--" + key.replace("_", "-")
+
 
 # the flags whose value is a comma-separated list of numbers
-LIST_FLAGS = ("--price-labels", "--x0", "--y0", "--levels", "--lambda-s-values")
+LIST_FLAGS = {_flag(key) for table in (MODEL, *OPTIONS.values())
+              for key, (kind, _, _) in table.items() if isinstance(kind, list)}
 
 
 def _join_list_values(argv: list[str]) -> list[str]:
@@ -61,26 +138,6 @@ def _join_list_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", dest="n_levels", type=int, help="number of price levels")
-    p.add_argument("--lambda-b", dest="lambda_b", type=float,
-                   help="buyer arrival rate")
-    p.add_argument("--lambda-s", dest="lambda_s", type=float,
-                   help="seller arrival rate")
-    p.add_argument("--alpha", type=float, help="move-rate constant")
-    p.add_argument("--beta", type=float, help="quit-rate constant (>= 0)")
-    p.add_argument("--gamma", type=float, help="trade-rate constant")
-    p.add_argument("--price-labels", dest="price_labels",
-                   help="comma-separated strictly increasing price labels")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    _add_model_flags(p)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: every flag has one spelling
     parser = argparse.ArgumentParser(
@@ -89,95 +146,54 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add("simulate", help="run one scaled chain trajectory")
-    _add_common_flags(p)
-    p.add_argument("--scale", type=int, help="scaling level L")
-    p.add_argument("--tau-max", dest="tau_max", type=float,
-                   help="horizon in scaled time")
-    p.add_argument("--sample-dt", dest="sample_dt", type=float,
-                   help="sampling step in scaled time")
-    p.add_argument("--x0", help="comma-separated initial x (default zeros)")
-    p.add_argument("--y0", help="comma-separated initial y (default zeros)")
-    p.add_argument("--max-events", dest="max_events", type=int,
-                   help="event budget cap")
-
-    p = add("integrate", help="integrate the fluid ODE system")
-    _add_common_flags(p)
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--tol", type=float, help="integrator rtol = atol")
-    p.add_argument("--grid-step", dest="grid_step", type=float,
-                   help="output grid step (default tau_max / 100)")
-    p.add_argument("--x0", help="comma-separated initial x (default zeros)")
-    p.add_argument("--y0", help="comma-separated initial y (default zeros)")
-
-    p = add("solve", help="compute the fixed point")
-    _add_common_flags(p)
-    p.add_argument("--method", choices=["recursive", "shooting", "both"],
-                   help="solver choice (default both)")
-
-    p = add("converge", help="fluid-limit convergence study")
-    _add_common_flags(p)
-    p.add_argument("--levels", help="comma-separated scaling levels")
-    p.add_argument("--tau-horizon", dest="tau_horizon", type=float,
-                   help="study horizon T in scaled time")
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--workers", type=int, help="parallel replica workers")
-    p.add_argument("--x0", help="comma-separated initial x (default zeros)")
-    p.add_argument("--y0", help="comma-separated initial y (default zeros)")
-
-    p = add("equilibrium", help="equilibrium concentration study")
-    _add_common_flags(p)
-    p.add_argument("--levels", help="comma-separated scaling levels")
-    p.add_argument("--burn-in", dest="burn_in", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--sample-gap", dest="sample_gap", type=float)
-
-    p = add("sweep", help="overproduction sweep over lambda_s")
-    _add_common_flags(p)
-    p.add_argument("--lambda-s-values", dest="lambda_s_values",
-                   help="comma-separated increasing lambda_s grid")
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__,
+                           allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for key, (kind, _, text) in {**COMMON, **MODEL, **options}.items():
+            p.add_argument(_flag(key), dest=key, help=text,
+                           type=kind if kind in (int, float) else None,
+                           choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
-def _parse_int(value, key: str) -> int:
-    """An integer option: integral numbers such as 10.0 are accepted,
-    anything else is a ConfigError rather than a silent truncation."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _parse_float(value, key: str) -> float:
-    """A real-valued option: a number, not a bool, string, list or object,
-    which float() would take as 1.0 or 0.5 or fail on with a TypeError."""
+def _parse(kind, value, key: str, from_flag: bool = False):
+    """value checked against kind. An int takes integral numbers such as
+    10.0, not 10.5, a bool or a string; a float takes a number that is not a
+    bool. A list takes a flag's comma-separated numbers or a file's JSON
+    array, not a comma string; each item is checked as kind[0]."""
+    if isinstance(kind, list):
+        if from_flag:
+            try:
+                value = [float(v) for v in value.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigError(f"{key} must be comma-separated numbers, "
+                                  f"got {value!r}") from None
+        elif not isinstance(value, list):
+            raise ConfigError(f"{key} must be a JSON array of numbers, "
+                              f"got {value!r}")
+        return [_parse(kind[0], v, key) for v in value]
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(f"{key} must be one of {', '.join(kind)}, "
+                          f"got {value!r}")
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
     raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
-def _parse_list(value, key: str, parse, from_flag: bool) -> list:
-    """A list option: a flag's comma-separated numbers, or a config file's
-    JSON array of numbers; parse (_parse_float or _parse_int) checks each
-    number. A file value of any other kind, such as a comma string, a bool
-    or a numeric string, is a ConfigError naming the key."""
-    if from_flag:
-        try:
-            value = [float(v) for v in value.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"{key} must be comma-separated numbers, "
-                              f"got {value!r}") from None
-    elif not isinstance(value, list):
-        raise ConfigError(f"{key} must be a JSON array of numbers, "
-                          f"got {value!r}")
-    return [parse(v, key) for v in value]
 
 
 def _load_config(path: str | None) -> dict:
@@ -198,14 +214,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
-    """{option: allowed values} for the command's options whose flag takes
-    one of a fixed set of values."""
-    commands = next(a for a in parser._actions if a.dest == "command")
-    return {a.dest: a.choices for a in commands.choices[command]._actions
-            if a.choices is not None}
-
-
 def _config_block(cfg: dict, key: str) -> dict:
     value = cfg.get(key, {})
     if not isinstance(value, dict):
@@ -214,107 +222,67 @@ def _config_block(cfg: dict, key: str) -> dict:
     return dict(value)
 
 
-class Effective:
-    """Flag-over-file option resolution for one subcommand run."""
+def _model_params(file_model: dict, args: dict) -> ModelParams:
+    """The file's model block with the model flags over it. A null is
+    an error except where the default is None (price_labels)."""
+    flags = {key: args[key] for key in MODEL if args[key] is not None}
+    merged = {**file_model, **flags}
+    for key, v in merged.items():  # an unknown key is left to validate_params
+        if key in MODEL and (v is not None or MODEL[key][1] is REQUIRED):
+            merged[key] = _parse(MODEL[key][0], v, key, key in flags)
+    if not merged:
+        raise ConfigError(
+            "no model parameters given (flags --n/--lambda-b/... or a "
+            "config file with a \"model\" block)"
+        )
+    try:
+        return validate_params(merged)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def __init__(self, args: argparse.Namespace, command: str,
-                 choices: dict):
-        cfg = _load_config(args.config)
-        self.command = command
-        self.args = vars(args)
-        self.choices = choices
-        unknown = set(cfg) - {"model", "seed", "out_dir", *COMMANDS}
-        if unknown:
-            raise ConfigError(
-                f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
-        self.file_model = _config_block(cfg, "model")
-        self.file_block = _config_block(cfg, command)
-        # a block holds the subcommand's own options, and may set seed/out_dir
-        own = set(self.args) - {"command", "config", *PARAM_FIELDS}
-        unknown = set(self.file_block) - own
-        if unknown:
-            raise ConfigError(f"unknown config key(s) in \"{command}\": "
-                              f"{', '.join(sorted(unknown))}")
-        self.file_top = cfg
 
-    def model_params(self) -> ModelParams:
-        merged = dict(self.file_model)
-        flags = {key for key in PARAM_FIELDS if self.args.get(key) is not None}
-        for key in flags:
-            merged[key] = self.args[key]
-        for key, v in merged.items():  # flag values pass unchanged
-            if key == "n_levels":
-                merged[key] = _parse_int(v, key)
-            elif key == "price_labels":
-                if v is not None:
-                    merged[key] = tuple(_parse_list(v, key, _parse_float,
-                                                    key in flags))
-            elif key in PARAM_FIELDS:
-                merged[key] = _parse_float(v, key)
-        if not merged:
-            raise ConfigError(
-                "no model parameters given (flags --n/--lambda-b/... or a "
-                "config file with a \"model\" block)"
-            )
-        try:
-            return validate_params(merged)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def get(self, key: str, default=None, required: bool = False):
-        v = self.args.get(key)
+def resolve(args: dict) -> tuple[ModelParams, dict, Path]:
+    """The run's model parameters, its options and its out_dir, from the
+    parsed flags (a dict). The options are the command, the seed and the
+    subcommand's own, each from its flag, else the file's block for the
+    subcommand, else (seed and out_dir) the file's top level, else its
+    default; a null in the file counts as absent."""
+    command = args["command"]
+    cfg = _load_config(args["config"])
+    unknown = set(cfg) - {"model", *COMMON, *OPTIONS}
+    if unknown:
+        raise ConfigError(
+            f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
+    file_model = _config_block(cfg, "model")
+    block = _config_block(cfg, command)
+    table = {**COMMON, **OPTIONS[command]}
+    unknown = set(block) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in \"{command}\": "
+                          f"{', '.join(sorted(unknown))}")
+    params = _model_params(file_model, args)
+    opts = {"command": command}
+    for key, (kind, default, _) in table.items():
+        v = args[key]
         if v is None:
-            v = self.file_block.get(key)
-        if v is None and key in ("seed", "out_dir"):
-            v = self.file_top.get(key)
+            v = block.get(key)
+        if v is None and key in COMMON:
+            v = cfg.get(key)
         if v is None:
-            v = default
-        if v is None and required:
-            raise ConfigError(f"missing required option for {self.command}: {key}")
-        if key in self.choices and v not in self.choices[key]:
-            raise ConfigError(f"{key} must be one of "
-                              f"{', '.join(self.choices[key])}, got {v!r}")
-        return v
-
-    def get_int(self, key: str, default=None, required: bool = False,
-                minimum: int | None = None) -> int:
-        v = _parse_int(self.get(key, default, required), key)
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-        return v
-
-    def get_float(self, key: str, default=None,
-                  required: bool = False) -> float | None:
-        v = self.get(key, default, required)
-        return None if v is None else _parse_float(v, key)
-
-    def get_list(self, key: str, parse=_parse_float,
-                 required: bool = False) -> list | None:
-        """A list option from its flag or the file (see _parse_list)."""
-        v = self.get(key, required=required)
-        from_flag = self.args.get(key) is not None
-        return None if v is None else _parse_list(v, key, parse, from_flag)
-
-    def out_dir(self) -> Path:
-        v = self.get("out_dir", default=f"lobfluid_out/{self.command}")
-        if not isinstance(v, str):
-            raise ConfigError(f"out_dir must be a string, got {v!r}")
-        return Path(v)
-
-    def seed(self) -> int:
-        return self.get_int("seed", default=0)
-
-    def echo(self, params: ModelParams, extras: dict) -> dict:
-        model = {k: getattr(params, k) for k in PARAM_FIELDS}
-        return {"command": self.command, "model": model,
-                "seed": self.seed(), **extras}
+            v = default(opts) if callable(default) else default
+        if v is REQUIRED:
+            raise ConfigError(f"missing required option for {command}: {key}")
+        if v is not None:
+            v = _parse(kind, v, key, args[key] is not None)
+        if key in MINIMUM and v < MINIMUM[key]:
+            raise ConfigError(f"{key} must be >= {MINIMUM[key]}, got {v}")
+        opts[key] = v
+    return params, opts, Path(opts.pop("out_dir"))
 
 
-def _initial_pair(eff: Effective, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x0 = eff.get_list("x0")
-    y0 = eff.get_list("y0")
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0)
-    y0 = np.zeros(n) if y0 is None else np.asarray(y0)
+def _initial_pair(opts: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x0, y0 = (np.zeros(n) if opts[key] is None else np.asarray(opts[key])
+              for key in ("x0", "y0"))
     if x0.shape != (n,) or y0.shape != (n,):
         raise ConfigError(f"x0/y0 must have exactly {n} entries")
     return x0, y0
@@ -324,58 +292,42 @@ def _fmt_vec(v: np.ndarray) -> str:
     return "(" + ", ".join(format(float(t), ".10g") for t in v) + ")"
 
 
-def cmd_simulate(eff: Effective) -> int:
-    params = eff.model_params()
-    scale = ScalingLevel(eff.get_int("scale", required=True))
-    tau_max = eff.get_float("tau_max", required=True)
-    sample_dt = eff.get_float("sample_dt", default=max(tau_max, 1.0) / 100)
-    max_events = eff.get_int("max_events", default=DEFAULT_MAX_EVENTS,
-                             minimum=1)
-    x0, y0 = _initial_pair(eff, params.n_levels)
-    traj = simulate(params, scale, x0, y0, tau_max, sample_dt, eff.seed(),
-                    max_events=max_events)
-    out = eff.out_dir()
+def cmd_simulate(params: ModelParams, opts: dict, out: Path) -> dict:
+    """run one scaled chain trajectory"""
+    scale = ScalingLevel(opts["scale"])
+    x0, y0 = _initial_pair(opts, params.n_levels)
+    traj = simulate(params, scale, x0, y0, opts["tau_max"], opts["sample_dt"],
+                    opts["seed"], max_events=opts["max_events"])
     output.write_trajectory_csv(out / "trajectory.csv", traj)
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "scale": scale.l, "tau_max": tau_max, "sample_dt": sample_dt,
-        "max_events": max_events, "x0": x0, "y0": y0,
-        "n_events": traj.n_events,
-        "counters": traj.counters,
-        "final_scaled_x": traj.x[-1], "final_scaled_y": traj.y[-1],
-    }))
-    print(f"simulated {traj.n_events} events over tau <= {tau_max} at L={scale.l}")
+    print(f"simulated {traj.n_events} events over tau <= {opts['tau_max']} "
+          f"at L={scale.l}")
     print(f"final scaled state x={_fmt_vec(traj.x[-1])} y={_fmt_vec(traj.y[-1])}")
     print(f"wrote {out / 'trajectory.csv'}")
-    return EXIT_OK
+    return {"x0": x0, "y0": y0, "n_events": traj.n_events,
+            "counters": traj.counters,
+            "final_scaled_x": traj.x[-1], "final_scaled_y": traj.y[-1]}
 
 
-def cmd_integrate(eff: Effective) -> int:
-    params = eff.model_params()
-    tau_max = eff.get_float("tau_max", required=True)
-    tol = eff.get_float("tol", default=DEFAULT_TOL)
-    x0, y0 = _initial_pair(eff, params.n_levels)
+def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
+    """integrate the fluid ODE system"""
+    tau_max = opts["tau_max"]
+    x0, y0 = _initial_pair(opts, params.n_levels)
     grid = step = None
     if tau_max > 0:
-        step = eff.get_float("grid_step", default=tau_max / 100)
+        step = opts["grid_step"]
         grid = uniform_grid(tau_max, step)
-    sol = integrate(x0, y0, params, tau_max, tol=tol, grid=grid)
-    out = eff.out_dir()
+    sol = integrate(x0, y0, params, tau_max, tol=opts["tol"], grid=grid)
     output.write_solution_csv(out / "solution.csv", sol)
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "tau_max": tau_max, "tol": tol, "x0": x0, "y0": y0,
-        "grid_step": step,
-        "final_x": sol.x[-1], "final_y": sol.y[-1],
-    }))
     print(f"integrated to tau={tau_max} with {sol.n_rhs_evals} derivative evaluations")
     print(f"final state x={_fmt_vec(sol.x[-1])} y={_fmt_vec(sol.y[-1])}")
     print(f"wrote {out / 'solution.csv'}")
-    return EXIT_OK
+    return {"x0": x0, "y0": y0, "grid_step": step,
+            "final_x": sol.x[-1], "final_y": sol.y[-1]}
 
 
-def cmd_solve(eff: Effective) -> int:
-    params = eff.model_params()
-    method = eff.get("method", default="both")
-    out = eff.out_dir()
+def cmd_solve(params: ModelParams, opts: dict, out: Path) -> dict:
+    """compute the fixed point"""
+    method = opts["method"]
     results = {}
     if method in ("recursive", "both"):
         results["recursive"] = solve_recursive(params)
@@ -403,83 +355,54 @@ def cmd_solve(eff: Effective) -> int:
         )
         summary["solver_sup_gap"] = gap
         print(f"solver agreement sup-gap = {gap:.3g}")
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "method": method, "result": summary,
-    }))
-    return EXIT_OK
+    return {"result": summary}
 
 
-def cmd_converge(eff: Effective) -> int:
-    params = eff.model_params()
-    levels = eff.get_list("levels", _parse_int, required=True)
-    T = eff.get_float("tau_horizon", required=True)
-    replicas = eff.get_int("replicas", required=True)
-    grid_step = eff.get_float("grid_step")
-    workers = eff.get_int("workers", default=1, minimum=1)
-    x0, y0 = _initial_pair(eff, params.n_levels)
+def cmd_converge(params: ModelParams, opts: dict, out: Path) -> dict:
+    """fluid-limit convergence study"""
+    x0, y0 = _initial_pair(opts, params.n_levels)
     report = experiments.fluid_convergence(
-        params, x0, y0, levels, T, replicas, eff.seed(),
-        grid_step=grid_step,
-        workers=workers,
-    )
-    out = eff.out_dir()
+        params, x0, y0, opts["levels"], opts["tau_horizon"], opts["replicas"],
+        opts["seed"], grid_step=opts["grid_step"], workers=opts["workers"])
     output.write_convergence_csv(out / "convergence.csv", report)
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "levels": levels, "tau_horizon": T, "replicas": replicas,
-        "grid_step": report.grid_step, "workers": workers,
-        "x0": x0, "y0": y0,
-        "quartiles": {str(k): v for k, v in report.quartiles.items()},
-    }))
-    for lv in levels:
+    for lv in opts["levels"]:
         q25, q50, q75 = report.quartiles[lv]
         print(f"L={lv}: sup-distance median {q50:.4g} (IQR {q25:.4g}..{q75:.4g})")
     print(f"wrote {out / 'convergence.csv'}")
-    return EXIT_OK
+    return {"x0": x0, "y0": y0, "grid_step": report.grid_step,
+            "quartiles": {str(k): v for k, v in report.quartiles.items()}}
 
 
-def cmd_equilibrium(eff: Effective) -> int:
-    params = eff.model_params()
-    levels = eff.get_list("levels", _parse_int, required=True)
-    burn_in = eff.get_float("burn_in", required=True)
-    n_samples = eff.get_int("n_samples", required=True)
-    sample_gap = eff.get_float("sample_gap", required=True)
+def cmd_equilibrium(params: ModelParams, opts: dict, out: Path) -> dict:
+    """equilibrium concentration study"""
     report = experiments.equilibrium_concentration(
-        params, levels, burn_in, n_samples, sample_gap, eff.seed())
-    out = eff.out_dir()
+        params, opts["levels"], opts["burn_in"], opts["n_samples"],
+        opts["sample_gap"], opts["seed"])
     output.write_equilibrium_csv(out / "equilibrium.csv", report)
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "levels": levels, "burn_in": burn_in, "n_samples": n_samples,
-        "sample_gap": sample_gap,
-        "fixed_point_solver": report.fixed_point.solver,
-        "quartiles": {str(k): v for k, v in report.quartiles.items()},
-    }))
-    for lv in levels:
+    for lv in opts["levels"]:
         if lv in report.quartiles:
             print(f"L={lv}: equilibrium distance median "
                   f"{report.quartiles[lv][1]:.4g}")
     print(f"wrote {out / 'equilibrium.csv'}")
-    return EXIT_OK
+    return {"fixed_point_solver": report.fixed_point.solver,
+            "quartiles": {str(k): v for k, v in report.quartiles.items()}}
 
 
-def cmd_sweep(eff: Effective) -> int:
-    params = eff.model_params()
-    values = eff.get_list("lambda_s_values", required=True)
-    report = experiments.overproduction_sweep(params, values)
-    out = eff.out_dir()
+def cmd_sweep(params: ModelParams, opts: dict, out: Path) -> dict:
+    """overproduction sweep over lambda_s"""
+    report = experiments.overproduction_sweep(params, opts["lambda_s_values"])
     output.write_sweep_csv(out / "sweep.csv", report)
-    output.write_manifest(out / "manifest.json", eff.echo(params, {
-        "lambda_s_values": values,
-        "saturation_onset": report.saturation_onset,
-    }))
     for v, ell, regime, vol, res in report.rows:
         print(f"lambda_s={v:g}: regime ({regime}), ell={ell}, "
               f"trade volume {vol:.10g}")
     if report.saturation_onset is not None:
         print(f"saturation onset at lambda_s = {report.saturation_onset:g}")
     print(f"wrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    return {"saturation_onset": report.saturation_onset}
 
 
+# each runs its subcommand, writes its CSV into out and returns what the
+# manifest adds to the options; its docstring is its --help line
 COMMANDS = {
     "simulate": cmd_simulate,
     "integrate": cmd_integrate,
@@ -491,14 +414,22 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _join_list_values(sys.argv[1:] if argv is None else argv))
     try:
-        eff = Effective(args, args.command, _choices(parser, args.command))
-        return COMMANDS[args.command](eff)
+        params, opts, out = resolve(vars(args))
+        results = COMMANDS[args.command](params, opts, out)
+        model = {k: getattr(params, k) for k in PARAM_FIELDS}
+        output.write_manifest(out / "manifest.json",
+                              {"model": model, **opts, **results})
     except (ConfigError, ParamError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        if exc.filename is None:  # not a file of the run's own
+            raise
+        print(f"config error: cannot write into out_dir {out}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ResidualTooLarge, NonMonotoneInput, InvariantViolation,
             StepUnderflow, NegativeState) as exc:
@@ -507,6 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    return EXIT_OK
 
 
 if __name__ == "__main__":

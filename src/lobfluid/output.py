@@ -47,8 +47,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.random.SeedSequence):
-        return {"entropy": obj.entropy, "spawn_key": list(obj.spawn_key)}
     return obj
 
 

@@ -262,6 +262,25 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", []),
+    ("simulate", ["--scale", "10", "--tau-max", "1"]),
+])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_unwritable_out_dir_exits_2(tmp_path, capsys, command, flags, below):
+    # an out_dir that is an existing file, or lies below one, ended in a
+    # FileExistsError or NotADirectoryError traceback (exit 1)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out_dir = blocker / "run" if below else blocker
+    code, out, err = run(capsys, [command, "--n", "2", *ONES, *flags,
+                                  "--out-dir", str(out_dir)])
+    assert code == 2
+    assert f"config error: cannot write into out_dir {out_dir}: " in err
+    assert blocker.read_text() == "kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
 def test_outputs_confined_to_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out_dir = tmp_path / "only_here"
@@ -781,6 +800,17 @@ def test_integral_numbers_are_accepted_as_integers(tmp_path, capsys):
     assert '"scale": 20,' in manifest and '"seed": 3,' in manifest
 
 
+def _schema_matches_kind(entry: dict, kind) -> bool:
+    """Whether a schema property states the option table's kind."""
+    if isinstance(kind, tuple):
+        return entry.get("enum") == list(kind)
+    if isinstance(kind, list):
+        return (entry.get("type") == "array"
+                and _schema_matches_kind(entry["items"], kind[0]))
+    return entry.get("type") == {int: "integer", float: "number",
+                                 str: "string"}[kind]
+
+
 def test_schema_lists_exactly_the_parser_options():
     schema = json.loads(SCHEMA.read_text())["properties"]
     assert set(schema) == {"model", "seed", "out_dir", *cli.COMMANDS}
@@ -790,6 +820,19 @@ def test_schema_lists_exactly_the_parser_options():
     for command in cli.COMMANDS:
         own = set(vars(parser.parse_args([command]))) - common
         assert set(schema[command]["properties"]) == own, command
+    # each option's schema type is its table kind
+    tables = [(schema["model"]["properties"], cli.MODEL),
+              (schema, cli.COMMON),
+              *((schema[c]["properties"], cli.OPTIONS[c])
+                for c in cli.COMMANDS)]
+    checked = 0
+    for properties, table in tables:
+        for key, (kind, _, _) in table.items():
+            assert _schema_matches_kind(properties[key], kind), key
+            if key in cli.MINIMUM:
+                assert properties[key]["minimum"] == cli.MINIMUM[key], key
+                checked += 1
+    assert checked == 2 and set(cli.MINIMUM) == {"max_events", "workers"}
 
 
 # sha256 of manifest.json from the README's simulate, solve and sweep runs
