@@ -110,7 +110,8 @@ OPTIONS = {
                             "comma-separated increasing lambda_s grid"),
     },
 }
-MINIMUM = {"max_events": 1, "workers": 1}  # the bounds checked here
+# lower bounds checked here; the library checks the other options' ranges
+MINIMUM = {"max_events": 1, "workers": 1}
 
 
 def _flag(key: str) -> str:
@@ -426,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        if exc.filename is None:  # not a file of the run's own
+        if exc.filename is None:  # not from a file written into out_dir
             raise
         print(f"config error: cannot write into out_dir {out}: {exc}",
               file=sys.stderr)
