@@ -11,7 +11,7 @@ kind (see docs/run-config.schema.json). Every run writes its artifacts plus
 a manifest.json, the resolved options and the run's results, into out_dir,
 and prints a short human-readable summary to stdout. Exit codes: 0 ok, 2
 configuration error (an out_dir that cannot be written included), 3
-numerical-solver failure, 4 event-budget exhaustion.
+numerical-solver failure (an errors.SolverError), 4 event-budget exhaustion.
 """
 
 from __future__ import annotations
@@ -24,16 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, output
-from .errors import (
-    BudgetExceeded,
-    ConfigError,
-    InvariantViolation,
-    NegativeState,
-    NonMonotoneInput,
-    ParamError,
-    ResidualTooLarge,
-    StepUnderflow,
-)
+from .errors import BudgetExceeded, ConfigError, SolverError
 from .fixed_point import solve_recursive, solve_shooting
 from .model import PARAM_FIELDS, ModelParams, ScalingLevel, validate_params
 from .ode import DEFAULT_TOL, integrate, uniform_grid
@@ -148,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
-        p = sub.add_parser(command, help=COMMANDS[command].__doc__,
+        p = sub.add_parser(command, help=COMMANDS[command][1],
                            allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, (kind, _, text) in {**COMMON, **MODEL, **options}.items():
@@ -294,7 +285,6 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_simulate(params: ModelParams, opts: dict, out: Path) -> dict:
-    """run one scaled chain trajectory"""
     scale = ScalingLevel(opts["scale"])
     x0, y0 = _initial_pair(opts, params.n_levels)
     traj = simulate(params, scale, x0, y0, opts["tau_max"], opts["sample_dt"],
@@ -310,7 +300,6 @@ def cmd_simulate(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
-    """integrate the fluid ODE system"""
     tau_max = opts["tau_max"]
     x0, y0 = _initial_pair(opts, params.n_levels)
     grid = step = None
@@ -327,7 +316,6 @@ def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_solve(params: ModelParams, opts: dict, out: Path) -> dict:
-    """compute the fixed point"""
     method = opts["method"]
     results = {}
     if method in ("recursive", "both"):
@@ -360,7 +348,6 @@ def cmd_solve(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_converge(params: ModelParams, opts: dict, out: Path) -> dict:
-    """fluid-limit convergence study"""
     x0, y0 = _initial_pair(opts, params.n_levels)
     report = experiments.fluid_convergence(
         params, x0, y0, opts["levels"], opts["tau_horizon"], opts["replicas"],
@@ -375,7 +362,6 @@ def cmd_converge(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_equilibrium(params: ModelParams, opts: dict, out: Path) -> dict:
-    """equilibrium concentration study"""
     report = experiments.equilibrium_concentration(
         params, opts["levels"], opts["burn_in"], opts["n_samples"],
         opts["sample_gap"], opts["seed"])
@@ -390,7 +376,6 @@ def cmd_equilibrium(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_sweep(params: ModelParams, opts: dict, out: Path) -> dict:
-    """overproduction sweep over lambda_s"""
     report = experiments.overproduction_sweep(params, opts["lambda_s_values"])
     output.write_sweep_csv(out / "sweep.csv", report)
     for v, ell, regime, vol, res in report.rows:
@@ -402,16 +387,30 @@ def cmd_sweep(params: ModelParams, opts: dict, out: Path) -> dict:
     return {"saturation_onset": report.saturation_onset}
 
 
-# each runs its subcommand, writes its CSV into out and returns what the
-# manifest adds to the options; its docstring is its --help line
+# {command: (run, help)}: run runs the subcommand, writes its CSV into out
+# and returns what the manifest adds to the options; help is its --help
+# line, held as data since python -OO strips docstrings
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "integrate": cmd_integrate,
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "equilibrium": cmd_equilibrium,
-    "sweep": cmd_sweep,
+    "simulate": (cmd_simulate, "run one scaled chain trajectory"),
+    "integrate": (cmd_integrate, "integrate the fluid ODE system"),
+    "solve": (cmd_solve, "compute the fixed point"),
+    "converge": (cmd_converge, "fluid-limit convergence study"),
+    "equilibrium": (cmd_equilibrium, "equilibrium concentration study"),
+    "sweep": (cmd_sweep, "overproduction sweep over lambda_s"),
 }
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise ConfigError, creating nothing, if out_dir cannot become a
+    directory: the nearest of it and its ancestors that exists is not one.
+    What this cannot see (no permission, say) shows when the first file is
+    written."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"cannot write into out_dir {out}: "
+                                  f"{path} is not a directory")
+            return
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -419,11 +418,12 @@ def main(argv: list[str] | None = None) -> int:
         _join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         params, opts, out = resolve(vars(args))
-        results = COMMANDS[args.command](params, opts, out)
+        _check_out_dir(out)
+        results = COMMANDS[args.command][0](params, opts, out)
         model = {k: getattr(params, k) for k in PARAM_FIELDS}
         output.write_manifest(out / "manifest.json",
                               {"model": model, **opts, **results})
-    except (ConfigError, ParamError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -432,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot write into out_dir {out}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    except (ResidualTooLarge, NonMonotoneInput, InvariantViolation,
-            StepUnderflow, NegativeState) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except BudgetExceeded as exc:

@@ -34,12 +34,18 @@ class BudgetExceeded(LobFluidError):
     """Simulation hit its event-count safety cap."""
 
 
-class StepUnderflow(LobFluidError):
+class SolverError(LobFluidError):
+    """A numerical result that is not a solution, or an invariant the
+    theory guarantees that failed: a solver's fault, not the input's (the
+    CLI exits 3)."""
+
+
+class StepUnderflow(SolverError):
     """ODE integrator failed; the right-hand side is globally Lipschitz,
     so this signals a bug rather than stiffness."""
 
 
-class NegativeState(LobFluidError):
+class NegativeState(SolverError):
     """ODE solution drifted below zero beyond the clamping tolerance."""
 
 
@@ -47,17 +53,17 @@ class HypothesisViolated(LobFluidError):
     """Initial ordering required by the comparison principle does not hold."""
 
 
-class NoConvergence(LobFluidError):
+class NoConvergence(SolverError):
     """Iterative solver hit its iteration cap with change above tolerance.
     The fixed-point solvers are direct and no longer raise it; it stays
     in the hierarchy for callers that import it."""
 
 
-class ResidualTooLarge(LobFluidError):
+class ResidualTooLarge(SolverError):
     """Solver result misses its stated residual bound: not a solution."""
 
 
-class InvariantViolation(LobFluidError):
+class InvariantViolation(SolverError):
     """A property the theory guarantees failed in floating point (a bug,
     not bad input)."""
 
@@ -66,7 +72,7 @@ class OnKink(LobFluidError):
     """Jacobian check requested at or too close to a v = w tie."""
 
 
-class NonMonotoneInput(LobFluidError):
+class NonMonotoneInput(SolverError):
     """Fixed point violates the strict interleaving ordering (upstream bug)."""
 
 

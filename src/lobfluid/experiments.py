@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fixed_point import FixedPoint, solve_recursive
-from .model import ModelParams, ScalingLevel
+from .model import ModelParams, ScalingLevel, _count
 from .ode import integrate, uniform_grid
 from .simulate import simulate, empirical_equilibrium
 
@@ -99,8 +99,7 @@ def fluid_convergence(
     """
     if sorted(set(levels)) != list(levels):
         raise ValueError("levels must be strictly increasing")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    replicas = _count(replicas, "replicas", positive=True)
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     dt = grid_step if grid_step is not None else 0.01 * T

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
+from operator import index
 
 import numpy as np
 
@@ -45,6 +46,25 @@ __all__ = [
 ]
 
 
+def _count(value, name: str, positive: bool = False,
+           error: type[Exception] = ValueError) -> int:
+    """value as an int, at least 1 if positive and 0 otherwise: an int, a
+    numpy integer or an integral float (a numpy float included). A bool, a
+    non-integral or non-finite value or a smaller one raises error naming
+    the argument."""
+    if not isinstance(value, bool):
+        try:
+            count = index(value)
+        except TypeError:
+            integral = (isinstance(value, (float, np.floating))
+                        and float(value).is_integer())
+            count = int(value) if integral else -1
+        if count >= (1 if positive else 0):
+            return count
+    raise error(f"{name} must be a {'positive' if positive else 'nonnegative'}"
+                f" integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five rate constants plus the level count N.
@@ -63,9 +83,8 @@ class ModelParams:
     price_labels: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n_levels) != self.n_levels or self.n_levels < 1:
-            raise BadN(f"n_levels must be a positive integer, got {self.n_levels}")
-        object.__setattr__(self, "n_levels", int(self.n_levels))
+        object.__setattr__(self, "n_levels", _count(
+            self.n_levels, "n_levels", positive=True, error=BadN))
         for name in ("lambda_b", "lambda_s", "alpha", "gamma"):
             v = float(getattr(self, name))
             if not (v > 0.0) or not np.isfinite(v):
@@ -100,9 +119,8 @@ class ScalingLevel:
     l: int
 
     def __post_init__(self) -> None:
-        if int(self.l) != self.l or self.l < 1:
-            raise ValueError(f"scaling level must be a positive integer, got {self.l}")
-        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "l", _count(self.l, "scaling level",
+                                             positive=True))
 
 
 @dataclass(frozen=True)

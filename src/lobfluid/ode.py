@@ -117,8 +117,10 @@ def uniform_grid(stop: float, step: float) -> np.ndarray:
     for name, v in (("stop", stop), ("step", step)):
         if not np.isfinite(v):
             raise ValueError(f"grid {name} must be finite, got {v}")
-    if step <= 0 or stop < 0:
-        raise ValueError("need step > 0 and stop >= 0")
+    if step <= 0:
+        raise ValueError(f"grid step must be > 0, got {step}")
+    if stop < 0:
+        raise ValueError(f"grid stop must be >= 0, got {stop}")
     m = int(np.floor(stop / step + 1e-9))
     grid = np.arange(m + 1) * step
     grid[-1] = min(grid[-1], stop)

@@ -74,7 +74,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import groupby
 from math import isfinite, log1p
-from operator import index, length_hint
+from operator import length_hint
 
 import numpy as np
 
@@ -87,6 +87,7 @@ from .model import (
     FluidState,
     ModelParams,
     ScalingLevel,
+    _count,
     apply_event,
     enumerate_events,
 )
@@ -180,8 +181,9 @@ def initial_discrete_state(
     """Round half-up of L*x0, L*y0 (the fluid limit only needs the initial
     states to converge in probability, so any consistent rounding works).
 
-    Raises ValueError unless every |L*x0|, |L*y0| is below 2**62, so the
-    rounded counts fit in int64.
+    Raises ValueError unless every x0, y0 is finite, every |L*x0|, |L*y0|
+    is below 2**62, so the rounded counts fit in int64, and none is
+    negative (a small negative value would round to 0).
     """
     L = scale.l
     x0 = np.asarray(x0, dtype=np.float64)
@@ -193,6 +195,8 @@ def initial_discrete_state(
         if (np.abs(v) >= 2.0**62 / L).any():
             raise ValueError(f"{name} times the scale L = {L} must stay below "
                              f"2**62 in size, got {name} = {v.tolist()}")
+        if (v < 0).any():
+            raise ValueError(f"{name} must be nonnegative, got {v.tolist()}")
     return DiscreteState(np.floor(L * x0 + 0.5).astype(np.int64),
                          np.floor(L * y0 + 0.5).astype(np.int64))
 
@@ -217,21 +221,6 @@ def step(
             break
         target -= e.rate
     return chosen, holding, apply_event(state, chosen)
-
-
-def _count(value, name: str) -> int:
-    """value as a nonnegative int: an int, a numpy integer or an integral
-    float. A bool, a non-integral value or a negative one raises
-    ValueError naming the argument."""
-    if not isinstance(value, bool):
-        try:
-            count = index(value)
-        except TypeError:
-            integral = isinstance(value, float) and value.is_integer()
-            count = int(value) if integral else -1
-        if count >= 0:
-            return count
-    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _exhausted(max_events: int, t: float) -> BudgetExceeded:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import numpy as np
 import pytest
 
 from lobfluid import (EventCounters, ModelParams, NonMonotoneInput,
-                      ResidualTooLarge, ScalingLevel, cli, simulate)
+                      ResidualTooLarge, ScalingLevel, SolverError, cli,
+                      simulate)
 from lobfluid.cli import main
 from lobfluid.model import PARAM_FIELDS
 
@@ -121,12 +125,16 @@ def test_abbreviated_flag_is_unrecognised(tmp_path, capsys, labels):
 
 @pytest.mark.parametrize("command, flags, message", [
     ("simulate", ["--scale", "10", "--tau-max", "1", "--x0", "-1,0"],
-     "occupancies must be nonnegative"),
+     "x0 must be nonnegative"),
     ("integrate", ["--tau-max", "1", "--y0", "-1,0"],
      "initial data must be nonnegative"),
     ("converge", ["--levels", "-10,20", "--tau-horizon", "1", "--replicas",
                   "2"], "scaling level must be a positive integer"),
     ("sweep", ["--lambda-s-values", "-1,2"], "lambda_s must be > 0"),
+    # rounded to 0 and ran, echoed in the manifest, where integrate
+    # rejected it
+    ("simulate", ["--scale", "1000", "--tau-max", "1", "--x0", "-0.0004,0"],
+     "x0 must be nonnegative, got [-0.0004, 0.0]"),
 ])
 def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
                                                        command, flags,
@@ -135,6 +143,59 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
                                   "--out-dir", str(tmp_path)])
     assert code == 2
     assert message in err
+
+
+# the grid's checks named no argument: "need step > 0 and stop >= 0"
+@pytest.mark.parametrize("command, flags, message", [
+    ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "0"],
+     "grid step must be > 0, got 0.0"),
+    ("simulate", ["--scale", "10", "--tau-max", "1", "--sample-dt", "0"],
+     "grid step must be > 0, got 0.0"),
+    ("simulate", ["--scale", "10", "--tau-max", "-1"],
+     "grid stop must be >= 0, got -1.0"),
+    ("integrate", ["--tau-max", "1", "--grid-step", "0"],
+     "grid step must be > 0, got 0.0"),
+])
+def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
+                                      message):
+    code, out, err = run(capsys, [command, "--n", "2", *ONES, *flags,
+                                  "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "missing.json"], "config file not found: missing.json"),
+    (["--config", "list.json"], "config file must contain a JSON object"),
+    ([], "no model parameters given"),
+    (["--n", "2", *ONES, "--tau-max", "1", "--x0", "1,2,3"],
+     "x0/y0 must have exactly 2 entries"),
+])
+def test_config_errors_before_the_run_exit_2(tmp_path, capsys, monkeypatch,
+                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("list.json").write_text("[1, 2]")
+    code, out, err = run(capsys, ["integrate", "--tau-max", "1", *argv,
+                                  "--out-dir", "out"])
+    assert code == 2
+    assert err.startswith(f"config error: {message}")
+    assert not Path("out").exists()
+
+
+def test_help_lines_survive_python_OO(monkeypatch):
+    # each subcommand's help line was its cmd_* docstring, which -OO strips
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    help_text = subprocess.run(
+        [sys.executable, "-OO", "-m", "lobfluid.cli", "--help"], env=env,
+        capture_output=True, text=True, timeout=120, check=True).stdout
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_text == cli.build_parser().format_help()
+    lines = [line.split() for line in help_text.splitlines()]
+    for command, (_, text) in cli.COMMANDS.items():
+        assert [command, *text.split()] in lines
 
 
 def test_help_is_the_parsers_own(capsys):
@@ -218,6 +279,28 @@ def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     assert "solver error" in err
 
 
+def test_solver_error_family():
+    # the classes the CLI maps to exit code 3, and no other
+    assert {e.__name__ for e in SolverError.__subclasses__()} == {
+        "ResidualTooLarge", "NonMonotoneInput", "InvariantViolation",
+        "StepUnderflow", "NegativeState", "NoConvergence"}
+
+
+@pytest.mark.parametrize("error", SolverError.__subclasses__(),
+                         ids=lambda error: error.__name__)
+def test_every_solver_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    def fail(params):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "solve_recursive", fail)
+    code, out, err = run(capsys, [
+        "solve", "--n", "2", *ONES, "--method", "recursive",
+        "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert err == "solver error: synthetic failure\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_large_n_shooting_solve(tmp_path, capsys):
     code, out, err = run(capsys, [
         "solve", "--n", "500", *ONES, "--method", "shooting",
@@ -278,6 +361,26 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys, command, flags, below):
     assert code == 2
     assert f"config error: cannot write into out_dir {out_dir}: " in err
     assert blocker.read_text() == "kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_unwritable_out_dir_is_found_before_the_run(tmp_path, capsys,
+                                                    monkeypatch, below):
+    # the chain ran to its horizon before the first write failed, however
+    # long that took; the check creates nothing
+    ran = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kw: ran.append(1))
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out_dir = blocker / "run" if below else blocker
+    code, out, err = run(capsys, [
+        "simulate", "--n", "2", *ONES, "--scale", "10", "--tau-max", "1",
+        "--out-dir", str(out_dir)])
+    assert code == 2
+    assert err == (f"config error: cannot write into out_dir {out_dir}: "
+                   f"{blocker} is not a directory\n")
+    assert ran == []
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 

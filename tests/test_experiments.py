@@ -55,9 +55,12 @@ def test_fluid_convergence_validates_arguments():
     with pytest.raises(ValueError):
         fluid_convergence(params(), np.zeros(1), np.zeros(1), [100, 10],
                           1.0, 2, 0)
-    with pytest.raises(ValueError):
-        fluid_convergence(params(), np.zeros(1), np.zeros(1), [10],
-                          1.0, 0, 0)
+    # 1.5 raised a TypeError in range(), and True ran one replica
+    for replicas in (0, 1.5, True, np.float32(0.5)):
+        with pytest.raises(ValueError, match="replicas must be a positive "
+                                             "integer, got"):
+            fluid_convergence(params(), np.zeros(1), np.zeros(1), [10],
+                              1.0, replicas, 0)
 
 
 def test_equilibrium_report_small_run():

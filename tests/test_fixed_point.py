@@ -229,6 +229,20 @@ def test_classify_rejects_nonmonotone_input():
         classify_regime(bad)
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([0.3, 0.2], [0.2, 0.1], "y\\* is not strictly increasing"),
+    # x* falls and y* rises by less than the 1e-9 slack the ordering
+    # allows, so x* - y* is negative at level 1 and positive at level 2
+    ([0.5, 0.5 + 5e-10], [0.5 + 1e-10, 0.5 + 2e-10],
+     "crosses more than once"),
+])
+def test_classify_rejects_a_broken_interleaving(x, y, message):
+    bad = FixedPoint(np.array(x), np.array(y), 1, "iii", 0.0, "synthetic",
+                     0.0, 0)
+    with pytest.raises(NonMonotoneInput, match=message):
+        classify_regime(bad)
+
+
 def test_trade_volume_values():
     p2 = params(n=2)
     assert trade_volume(solve_shooting(p2), p2) == pytest.approx(2 / 7,

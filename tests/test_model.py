@@ -1,5 +1,7 @@
 """Parameter validation, event enumeration, and state updates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ def test_validate_params_rejections():
         validate_params(dict(n_levels=1))
 
 
+# True ran as 1, inf raised OverflowError and nan a bare "cannot convert
+# float NaN to integer"; a numpy float passed ScalingLevel and not the
+# simulator's count check
+@pytest.mark.parametrize("value", [True, False, 0, -3, 2.5, math.inf,
+                                   math.nan, np.float32(2.5), "2", None])
+def test_integer_arguments_share_one_check(value):
+    with pytest.raises(BadN, match="n_levels must be a positive integer, got"):
+        params(n=value)
+    with pytest.raises(ValueError, match="scaling level must be a positive "
+                                         "integer, got"):
+        ScalingLevel(value)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float32(3.0),
+                                   np.float64(3.0)])
+def test_integral_numbers_are_integer_arguments(value):
+    assert params(n=value).n_levels == 3
+    assert ScalingLevel(value).l == 3
+    assert type(params(n=value).n_levels) is type(ScalingLevel(value).l) is int
+
+
 def as_dict(events):
     return {(e.kind, e.level): e.rate for e in events}
 
@@ -100,6 +123,12 @@ def test_enumerate_n2_scaled_hand_enumeration():
         (EventKind.SELLER_MOVE, 2): pytest.approx(0.2),
     }
     assert sum(table.values()) == pytest.approx(2.6)
+
+
+def test_enumerate_rejects_a_state_of_another_dimension():
+    state = DiscreteState(np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+    with pytest.raises(ValueError, match="state dimension does not match"):
+        enumerate_events(state, params(n=3), ScalingLevel(1))
 
 
 def test_enumerate_empty_state_only_arrivals():

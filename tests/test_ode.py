@@ -17,6 +17,7 @@ from lobfluid import (
     FluidState,
     HypothesisViolated,
     ModelParams,
+    NegativeState,
     StepUnderflow,
     check_comparison,
     integrate,
@@ -585,6 +586,33 @@ def test_states_of_another_level_count_are_rejected(n):
         check_comparison(right, wrong, p, 1.0)
     with pytest.raises(ValueError, match=message):
         integrate_until_stationary(p, wrong.x, wrong.y)
+
+
+@pytest.mark.parametrize("x0, y0", [(np.zeros(3), np.zeros(2)),
+                                    (np.zeros(2), np.zeros(3)),
+                                    (np.zeros((2, 2)), np.zeros((2, 2)))])
+def test_integrate_rejects_initial_data_of_another_dimension(x0, y0):
+    with pytest.raises(ValueError, match="initial data dimension does not "
+                                         "match n_levels"):
+        integrate(x0, y0, params(n=2), 1.0)
+
+
+def test_integrate_clamps_round_off_and_raises_on_a_negative_state(
+        monkeypatch):
+    # a component below -100 * tol is a bug, not round-off to clamp away
+    p = params(n=1)
+
+    def solve(low):
+        def fake(z0, params, taus, tau_max, tol):
+            return np.array([[0.0, 0.0], [low, 0.5]]), 7
+        monkeypatch.setattr(ode, "_solve", fake)
+        return integrate(np.zeros(1), np.zeros(1), p, 1.0, tol=1e-9)
+
+    sol = solve(-1e-7)
+    assert sol.x.tolist() == [[0.0], [0.0]] and sol.y.tolist() == [[0.0], [0.5]]
+    with pytest.raises(NegativeState, match="solution component reached "
+                                            "-1.000e-06"):
+        solve(-1e-6)
 
 
 def test_nonfinite_states_are_rejected():

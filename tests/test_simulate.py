@@ -759,6 +759,25 @@ def test_conservation_defect_raises_typed_error(monkeypatch):
                  1.0, 0.5, seed=3)
 
 
+def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
+    # the engine carries B = sum b, S = sum s and M = sum min(b, s) along
+    # with the book; _run checks them against the final book
+    module = importlib.import_module("lobfluid.simulate")
+    compiled = module._compiled_engine
+
+    def drifting(n):
+        def engine(*args):
+            n_events, xs, ys, b, s, (B, S, M), *rest = compiled(n)(*args)
+            return (n_events, xs, ys, b, s, (B, S, M + 1), *rest)
+        return engine
+
+    monkeypatch.setattr(module, "_compiled_engine", drifting)
+    for _ in each_engine():
+        with pytest.raises(InvariantViolation, match="aggregate drift: "):
+            simulate(params(n=2), ScalingLevel(5), np.zeros(2), np.zeros(2),
+                     1.0, 0.5, seed=3)
+
+
 def test_simulate_with_zero_beta():
     p = params(n=2, beta=0.0)
     traj = simulate(p, ScalingLevel(20), np.zeros(2), np.zeros(2), 2.0, 0.5,

@@ -2,11 +2,12 @@
 
 import ast
 import importlib
+import pkgutil
 import warnings
 from pathlib import Path
 
 import lobfluid
-from lobfluid import ode
+from lobfluid import errors, ode
 
 
 def _asserts(source: str, name: str) -> list[str]:
@@ -53,3 +54,18 @@ def test_generated_source_compiles_without_warnings():
         warnings.simplefilter("error")
         for source, name in _generated_sources():
             compile(source, name, "exec")
+
+
+def test_package_namespace_is_the_modules_public_names():
+    # the package re-exports each module's __all__ and the error classes,
+    # and nothing else: no helper and no import (np, say) leaks into it
+    expected = {name for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, Exception)}
+    for info in pkgutil.iter_modules(lobfluid.__path__):
+        module = importlib.import_module(f"lobfluid.{info.name}")
+        expected |= set(getattr(module, "__all__", ()))
+    # the submodules are attributes of the package; any other module is not
+    public = {name for name, value in vars(lobfluid).items()
+              if not name.startswith("_")
+              and getattr(value, "__name__", None) != f"lobfluid.{name}"}
+    assert public == expected
