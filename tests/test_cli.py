@@ -965,6 +965,29 @@ def test_readme_manifest_golden_digests(tmp_path, capsys, command):
     assert digest.hexdigest() == MANIFEST_SHA256[command]
 
 
+# sha256 of the README's JSON config example run as `sweep --config run.json
+# --seed 42`: every model value and option comes from the file
+CONFIG_EXAMPLE_SHA256 = {
+    "manifest.json":
+        "53b789891820d875b420bf1ea101061e6c83a17087614f9cc8bf5ab6130870b8",
+    "sweep.csv":
+        "770b6a0710789d115ad06d2c0ce04919a7d1e2cdd3c2a196006bdd214d73a58a",
+}
+
+
+def test_readme_config_example_golden_digests(tmp_path, capsys):
+    readme = (SCHEMA.parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.json").write_text(example)
+    code, _, err = run(capsys, ["sweep", "--config", str(tmp_path / "run.json"),
+                                "--seed", "42", "--out-dir",
+                                str(tmp_path / "out")])
+    assert code == 0, err
+    for name, sha256 in CONFIG_EXAMPLE_SHA256.items():
+        digest = hashlib.sha256((tmp_path / "out" / name).read_bytes())
+        assert digest.hexdigest() == sha256, name
+
+
 # the manifest keys of the runs whose values rest on LSODA
 MANIFEST_KEYS = {
     "integrate": (["--tau-max", "50"],
