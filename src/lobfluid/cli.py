@@ -5,13 +5,14 @@ Every option is declared once, as (kind, default, help) in a table: MODEL
 for the model parameters, COMMON for seed and out_dir, and
 OPTIONS[command] for a subcommand's own options. The tables build the
 parser, and `resolve` takes each value from its flag, else from the JSON
-config file's block for the subcommand, else (seed and out_dir) from the
-file's top level, else from the table's default, and checks it against its
-kind (see docs/run-config.schema.json). Every run writes its artifacts plus
-a manifest.json, the resolved options and the run's results, into out_dir,
-and prints a short human-readable summary to stdout. Exit codes: 0 ok, 2
-configuration error (an out_dir that cannot be written included), 3
-numerical-solver failure (an errors.SolverError), 4 event-budget exhaustion.
+config file's block for it ("model" or the subcommand's), else (seed and
+out_dir) from the file's top level, else from the table's default, and
+checks it against its kind (see docs/run-config.schema.json). Every run
+writes its artifacts plus a manifest.json, the resolved options and the
+run's results, into out_dir, and prints a short human-readable summary to
+stdout. Exit codes: 0 ok, 2 configuration error (an out_dir that cannot be
+written included), 3 numerical-solver failure (an errors.SolverError), 4
+event-budget exhaustion.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from . import experiments, output
 from .errors import BudgetExceeded, ConfigError, SolverError
 from .fixed_point import solve_recursive, solve_shooting
-from .model import PARAM_FIELDS, ModelParams, ScalingLevel, validate_params
+from .model import (PARAM_FIELDS, ModelParams, ScalingLevel, _count,
+                    validate_params)
 from .ode import DEFAULT_TOL, integrate, uniform_grid
 from .simulate import DEFAULT_MAX_EVENTS, simulate
 
@@ -42,7 +44,7 @@ REQUIRED = object()  # the default of an option that must be given
 # the file), or a tuple of the allowed values. A callable default is
 # computed from the options resolved before it. An option's flag is its key
 # with "-" for "_", except --n for n_levels.
-MODEL = {  # a parameter missing altogether is left to validate_params
+MODEL = {
     "n_levels": (int, REQUIRED, "number of price levels"),
     "lambda_b": (float, REQUIRED, "buyer arrival rate"),
     "lambda_s": (float, REQUIRED, "seller arrival rate"),
@@ -150,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(kind, value, key: str, from_flag: bool = False):
-    """value checked against kind. An int takes integral numbers such as
-    10.0, not 10.5, a bool or a string; a float takes a number that is not a
-    bool. A list takes a flag's comma-separated numbers or a file's JSON
-    array, not a comma string; each item is checked as kind[0]."""
+    """value checked against kind. An int takes what model._count takes, a
+    nonnegative integral number such as 10.0, not 10.5, -1, a bool or a
+    string; a float takes a number that is not a bool. A list takes a
+    flag's comma-separated numbers or a file's JSON array, not a comma
+    string; each item is checked as kind[0]."""
     if isinstance(kind, list):
         if from_flag:
             try:
@@ -175,11 +178,7 @@ def _parse(kind, value, key: str, from_flag: bool = False):
             return value
         raise ConfigError(f"{key} must be a string, got {value!r}")
     if kind is int:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return _count(value, key, error=ConfigError)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
@@ -214,61 +213,50 @@ def _config_block(cfg: dict, key: str) -> dict:
     return dict(value)
 
 
-def _model_params(file_model: dict, args: dict) -> ModelParams:
-    """The file's model block with the model flags over it. A null is
-    an error except where the default is None (price_labels)."""
-    flags = {key: args[key] for key in MODEL if args[key] is not None}
-    merged = {**file_model, **flags}
-    for key, v in merged.items():  # an unknown key is left to validate_params
-        if key in MODEL and (v is not None or MODEL[key][1] is REQUIRED):
-            merged[key] = _parse(MODEL[key][0], v, key, key in flags)
-    if not merged:
-        raise ConfigError(
-            "no model parameters given (flags --n/--lambda-b/... or a "
-            "config file with a \"model\" block)"
-        )
-    try:
-        return validate_params(merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def resolve(args: dict) -> tuple[ModelParams, dict, Path]:
     """The run's model parameters, its options and its out_dir, from the
     parsed flags (a dict). The options are the command, the seed and the
-    subcommand's own, each from its flag, else the file's block for the
-    subcommand, else (seed and out_dir) the file's top level, else its
-    default; a null in the file counts as absent."""
+    subcommand's own. Each model value and option comes from its flag, else
+    its file block ("model" or the subcommand's), else (seed and out_dir)
+    the file's top level, else its default; a null in the file counts as
+    absent."""
     command = args["command"]
     cfg = _load_config(args["config"])
     unknown = set(cfg) - {"model", *COMMON, *OPTIONS}
     if unknown:
         raise ConfigError(
             f"unknown top-level config key(s): {', '.join(sorted(unknown))}")
-    file_model = _config_block(cfg, "model")
-    block = _config_block(cfg, command)
-    table = {**COMMON, **OPTIONS[command]}
-    unknown = set(block) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in \"{command}\": "
-                          f"{', '.join(sorted(unknown))}")
-    params = _model_params(file_model, args)
+    if (all(args[key] is None for key in MODEL)
+            and not _config_block(cfg, "model")):
+        raise ConfigError(
+            "no model parameters given (flags --n/--lambda-b/... or a "
+            "config file with a \"model\" block)"
+        )
     opts = {"command": command}
-    for key, (kind, default, _) in table.items():
-        v = args[key]
-        if v is None:
-            v = block.get(key)
-        if v is None and key in COMMON:
-            v = cfg.get(key)
-        if v is None:
-            v = default(opts) if callable(default) else default
-        if v is REQUIRED:
-            raise ConfigError(f"missing required option for {command}: {key}")
-        if v is not None:
-            v = _parse(kind, v, key, args[key] is not None)
-        if key in MINIMUM and v < MINIMUM[key]:
-            raise ConfigError(f"{key} must be >= {MINIMUM[key]}, got {v}")
-        opts[key] = v
+    for name, table in (("model", MODEL),
+                        (command, {**COMMON, **OPTIONS[command]})):
+        block = _config_block(cfg, name)
+        unknown = set(block) - set(table)
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in \"{name}\": "
+                              f"{', '.join(sorted(unknown))}")
+        for key, (kind, default, _) in table.items():
+            v = args[key]
+            if v is None:
+                v = block.get(key)
+            if v is None and key in COMMON:
+                v = cfg.get(key)
+            if v is None:
+                v = default(opts) if callable(default) else default
+            if v is REQUIRED:
+                raise ConfigError(
+                    f"missing required option for {command}: {key}")
+            if v is not None:
+                v = _parse(kind, v, key, args[key] is not None)
+            if key in MINIMUM and v < MINIMUM[key]:
+                raise ConfigError(f"{key} must be >= {MINIMUM[key]}, got {v}")
+            opts[key] = v
+    params = validate_params({key: opts.pop(key) for key in MODEL})
     return params, opts, Path(opts.pop("out_dir"))
 
 
@@ -353,12 +341,13 @@ def cmd_converge(params: ModelParams, opts: dict, out: Path) -> dict:
         params, x0, y0, opts["levels"], opts["tau_horizon"], opts["replicas"],
         opts["seed"], grid_step=opts["grid_step"], workers=opts["workers"])
     output.write_convergence_csv(out / "convergence.csv", report)
+    quartiles = report.quartiles
     for lv in opts["levels"]:
-        q25, q50, q75 = report.quartiles[lv]
+        q25, q50, q75 = quartiles[lv]
         print(f"L={lv}: sup-distance median {q50:.4g} (IQR {q25:.4g}..{q75:.4g})")
     print(f"wrote {out / 'convergence.csv'}")
     return {"x0": x0, "y0": y0, "grid_step": report.grid_step,
-            "quartiles": {str(k): v for k, v in report.quartiles.items()}}
+            "quartiles": {str(k): v for k, v in quartiles.items()}}
 
 
 def cmd_equilibrium(params: ModelParams, opts: dict, out: Path) -> dict:
@@ -366,13 +355,12 @@ def cmd_equilibrium(params: ModelParams, opts: dict, out: Path) -> dict:
         params, opts["levels"], opts["burn_in"], opts["n_samples"],
         opts["sample_gap"], opts["seed"])
     output.write_equilibrium_csv(out / "equilibrium.csv", report)
-    for lv in opts["levels"]:
-        if lv in report.quartiles:
-            print(f"L={lv}: equilibrium distance median "
-                  f"{report.quartiles[lv][1]:.4g}")
+    quartiles = report.quartiles
+    for lv, (_, q50, _) in quartiles.items():
+        print(f"L={lv}: equilibrium distance median {q50:.4g}")
     print(f"wrote {out / 'equilibrium.csv'}")
     return {"fixed_point_solver": report.fixed_point.solver,
-            "quartiles": {str(k): v for k, v in report.quartiles.items()}}
+            "quartiles": {str(k): v for k, v in quartiles.items()}}
 
 
 def cmd_sweep(params: ModelParams, opts: dict, out: Path) -> dict:
@@ -381,10 +369,11 @@ def cmd_sweep(params: ModelParams, opts: dict, out: Path) -> dict:
     for v, ell, regime, vol, res in report.rows:
         print(f"lambda_s={v:g}: regime ({regime}), ell={ell}, "
               f"trade volume {vol:.10g}")
-    if report.saturation_onset is not None:
-        print(f"saturation onset at lambda_s = {report.saturation_onset:g}")
+    onset = report.saturation_onset
+    if onset is not None:
+        print(f"saturation onset at lambda_s = {onset:g}")
     print(f"wrote {out / 'sweep.csv'}")
-    return {"saturation_onset": report.saturation_onset}
+    return {"saturation_onset": onset}
 
 
 # {command: (run, help)}: run runs the subcommand, writes its CSV into out

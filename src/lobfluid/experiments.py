@@ -15,7 +15,7 @@ import numpy as np
 
 from .fixed_point import FixedPoint, solve_recursive
 from .model import ModelParams, ScalingLevel, _count
-from .ode import integrate, uniform_grid
+from .ode import _check_tol, integrate, uniform_grid
 from .simulate import simulate, empirical_equilibrium
 
 __all__ = ["ConvergenceReport", "SweepReport", "fluid_convergence",
@@ -24,39 +24,53 @@ __all__ = ["ConvergenceReport", "SweepReport", "fluid_convergence",
 
 @dataclass
 class ConvergenceReport:
-    """Per-level distance samples with their quartiles.
+    """Per-level distance samples.
 
     rows: one (L, index, seed_label, distance) tuple per replica or
-    equilibrium sample, in deterministic order. quartiles: L -> (q25, q50,
-    q75) of the distances at that level. grid_step is the shared ODE grid's
-    step of a convergence study; fixed_point is the target an equilibrium
-    study measured against.
+    equilibrium sample, in deterministic order. grid_step is the shared ODE
+    grid's step of a convergence study; fixed_point is the target an
+    equilibrium study measured against.
     """
 
     levels: list[int]
     rows: list[tuple[int, int, str, float]]
-    quartiles: dict[int, tuple[float, float, float]]
     grid_step: float | None = None
     fixed_point: FixedPoint | None = None
 
     def distances(self, level: int) -> np.ndarray:
         return np.array([r[3] for r in self.rows if r[0] == level])
 
+    @property
+    def quartiles(self) -> dict[int, tuple[float, float, float]]:
+        """L -> (q25, q50, q75) of the distances at each level with rows."""
+        return {lv: tuple(float(q) for q in np.percentile(d, [25, 50, 75]))
+                for lv in self.levels if (d := self.distances(lv)).size}
+
     def medians(self) -> list[float]:
-        return [self.quartiles[lv][1] for lv in self.levels]
+        """The median distance of each level with rows, in level order."""
+        return [q50 for _, q50, _ in self.quartiles.values()]
 
 
 @dataclass
 class SweepReport:
-    """Fixed-point summaries along an increasing lambda_s grid.
-
-    saturation_onset is the first swept value whose fixed point has ell = 0
-    (sellers dominate at every level), or None if the sweep never gets there.
-    """
+    """Fixed-point summaries along an increasing lambda_s grid: one
+    (lambda_s, ell, regime, trade_volume, residual) row per swept value."""
 
     lambda_s_values: list[float]
     rows: list[tuple[float, int, str, float, float]]
-    saturation_onset: float | None
+
+    @property
+    def saturation_onset(self) -> float | None:
+        """The first swept value whose fixed point has ell = 0 (sellers
+        dominate at every level), or None if the sweep never gets there."""
+        return next((v for v, ell, *_ in self.rows if ell == 0), None)
+
+
+def _increasing(values: list, name: str) -> list:
+    """values as a list, checked to be strictly increasing."""
+    if sorted(set(values)) != list(values):
+        raise ValueError(f"{name} must be strictly increasing")
+    return list(values)
 
 
 def _seed_label(master_seed: int, *key: int) -> str:
@@ -97,12 +111,14 @@ def fluid_convergence(
     concatenated 2N-vector. The sup between grid points is dominated by Monte
     Carlo noise at these study sizes.
     """
-    if sorted(set(levels)) != list(levels):
-        raise ValueError("levels must be strictly increasing")
+    levels = _increasing(levels, "levels")
     replicas = _count(replicas, "replicas", positive=True)
+    workers = _count(workers, "workers", positive=True)
+    _check_tol(T, "T")
+    dt = grid_step if grid_step is not None else 0.01 * T
+    _check_tol(dt, "grid_step")
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
-    dt = grid_step if grid_step is not None else 0.01 * T
     grid = uniform_grid(T, dt)
     sol = integrate(x0, y0, params, T, grid=grid)
 
@@ -123,12 +139,7 @@ def fluid_convergence(
     rows = [
         (levels[i], j, _seed_label(master_seed, i, j), d) for i, j, d in results
     ]
-    quartiles = {}
-    for i, level in enumerate(levels):
-        d = np.array([r[2] for r in results if r[0] == i])
-        q25, q50, q75 = np.percentile(d, [25, 50, 75])
-        quartiles[level] = (float(q25), float(q50), float(q75))
-    return ConvergenceReport(list(levels), rows, quartiles, grid_step=dt)
+    return ConvergenceReport(levels, rows, grid_step=dt)
 
 
 def equilibrium_concentration(
@@ -141,12 +152,10 @@ def equilibrium_concentration(
 ) -> ConvergenceReport:
     """Distance of long-run equilibrium samples from the fixed point solved
     by solve_recursive, one long chain per scaling level."""
-    if sorted(set(levels)) != list(levels):
-        raise ValueError("levels must be strictly increasing")
+    levels = _increasing(levels, "levels")
     fp = solve_recursive(params)
     target = np.concatenate([fp.x_star, fp.y_star])
     rows: list[tuple[int, int, str, float]] = []
-    quartiles = {}
     for i, level in enumerate(levels):
         samples = empirical_equilibrium(
             params, ScalingLevel(level), burn_in, n_samples, sample_gap,
@@ -158,10 +167,7 @@ def equilibrium_concentration(
         ])
         label = _seed_label(master_seed, i)
         rows.extend((level, j, label, float(dj)) for j, dj in enumerate(d))
-        if d.size:
-            q25, q50, q75 = np.percentile(d, [25, 50, 75])
-            quartiles[level] = (float(q25), float(q50), float(q75))
-    return ConvergenceReport(list(levels), rows, quartiles, fixed_point=fp)
+    return ConvergenceReport(levels, rows, fixed_point=fp)
 
 
 def overproduction_sweep(
@@ -175,14 +181,9 @@ def overproduction_sweep(
     leave without trading. The report flags the first swept value in that
     regime.
     """
-    values = [float(v) for v in lambda_s_values]
-    if sorted(set(values)) != values:
-        raise ValueError("lambda_s_values must be strictly increasing")
+    values = _increasing([*map(float, lambda_s_values)], "lambda_s_values")
     rows = []
-    onset = None
     for v in values:
         fp = solve_recursive(replace(params, lambda_s=v))
         rows.append((v, fp.ell, fp.regime, fp.trade_volume, fp.residual))
-        if fp.ell == 0 and onset is None:
-            onset = v
-    return SweepReport(values, rows, onset)
+    return SweepReport(values, rows)

@@ -292,20 +292,21 @@ class OdeSolution:
         return FluidState(self.x[-1], self.y[-1])
 
 
-def _check_span(tau_max: float) -> None:
+def _check_span(tau_max: float, name: str = "tau_max") -> None:
     """LSODA takes a NaN output time and steps on without end, and a
-    negative one integrates backwards."""
+    negative one integrates backwards. The error names the argument."""
     if not np.isfinite(tau_max):
-        raise ValueError(f"tau_max must be finite, got {tau_max}")
+        raise ValueError(f"{name} must be finite, got {tau_max}")
     if tau_max < 0:
-        raise ValueError(f"tau_max must be >= 0, got {tau_max}")
+        raise ValueError(f"{name} must be >= 0, got {tau_max}")
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, name: str = "tol") -> None:
     """LSODA returns a non-solution for a non-finite tolerance and rejects
-    one <= 0 as illegal input."""
+    one <= 0 as illegal input. A grid step or a study horizon must be
+    finite and > 0 too; the error names the argument."""
     if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
 def _check_state(state: FluidState, params: ModelParams) -> None:

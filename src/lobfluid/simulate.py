@@ -91,7 +91,7 @@ from .model import (
     apply_event,
     enumerate_events,
 )
-from .ode import uniform_grid
+from .ode import _check_span, _check_tol, uniform_grid
 
 __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
@@ -577,6 +577,8 @@ def simulate(
     integer (an integral float passes as one).
     """
     max_events = _count(max_events, "max_events")
+    _check_span(tau_max)
+    _check_tol(sample_dt, "sample_dt")
     taus = uniform_grid(tau_max, sample_dt)
     rng = np.random.default_rng(seed)
     init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)

@@ -129,7 +129,7 @@ def test_abbreviated_flag_is_unrecognised(tmp_path, capsys, labels):
     ("integrate", ["--tau-max", "1", "--y0", "-1,0"],
      "initial data must be nonnegative"),
     ("converge", ["--levels", "-10,20", "--tau-horizon", "1", "--replicas",
-                  "2"], "scaling level must be a positive integer"),
+                  "2"], "levels must be a nonnegative integer, got -10.0"),
     ("sweep", ["--lambda-s-values", "-1,2"], "lambda_s must be > 0"),
     # rounded to 0 and ran, echoed in the manifest, where integrate
     # rejected it
@@ -148,11 +148,11 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
 # the grid's checks named no argument: "need step > 0 and stop >= 0"
 @pytest.mark.parametrize("command, flags, message", [
     ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "0"],
-     "grid step must be > 0, got 0.0"),
+     "T must be finite and > 0, got 0.0"),
     ("simulate", ["--scale", "10", "--tau-max", "1", "--sample-dt", "0"],
-     "grid step must be > 0, got 0.0"),
+     "sample_dt must be finite and > 0, got 0.0"),
     ("simulate", ["--scale", "10", "--tau-max", "-1"],
-     "grid stop must be >= 0, got -1.0"),
+     "tau_max must be >= 0, got -1.0"),
     ("integrate", ["--tau-max", "1", "--grid-step", "0"],
      "grid step must be > 0, got 0.0"),
 ])
@@ -553,15 +553,15 @@ def test_integrate_off_grid_horizon_ends_at_the_horizon(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flags,name", [
-    (["--tau-max", "0.3", "--sample-dt", "inf"], "step"),
-    (["--tau-max", "inf"], "stop"),
-    (["--tau-max", "nan", "--sample-dt", "0.1"], "stop"),
+    (["--tau-max", "0.3", "--sample-dt", "inf"], "sample_dt"),
+    (["--tau-max", "inf"], "tau_max"),
+    (["--tau-max", "nan", "--sample-dt", "0.1"], "tau_max"),
 ])
 def test_simulate_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
     code, _, err = run(capsys, ["simulate", "--n", "2", *ONES, "--scale",
                                 "10", *flags, "--out-dir", str(tmp_path)])
     assert code == 2
-    assert f"grid {name} must be finite" in err
+    assert f"{name} must be finite" in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -677,6 +677,28 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, cfg, key):
     code, out, err = run_config(tmp_path, capsys, cfg, "sweep")
     assert code == 2
     assert key in err
+
+
+# the model block took its own path: the messages came from the library
+# ("missing parameter field(s): alpha", "unknown parameter field(s): delta",
+# "lambda_b must be a number, got None"), and a negative seed ran
+@pytest.mark.parametrize("model, flags, message", [
+    ({k: v for k, v in MODEL_ONES.items() if k != "alpha"}, [],
+     "missing required option for solve: alpha"),
+    ({**MODEL_ONES, "delta": 1.0}, [],
+     'unknown config key(s) in "model": delta'),
+    ({**MODEL_ONES, "lambda_b": None}, [],
+     "missing required option for solve: lambda_b"),
+    (MODEL_ONES, ["--seed", "-1"],
+     "seed must be a nonnegative integer, got -1"),
+])
+def test_model_block_resolves_like_a_subcommand_block(tmp_path, capsys,
+                                                      model, flags, message):
+    code, out, err = run_config(tmp_path, capsys, {"model": model}, "solve",
+                                *flags)
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("cfg, key", [

@@ -63,6 +63,29 @@ def test_fluid_convergence_validates_arguments():
                               1.0, replicas, 0)
 
 
+def test_fluid_convergence_checks_workers():
+    # 0 and True ran serially, and 2.5 raised a TypeError in the pool
+    for workers in (0, -3, True, 2.5):
+        with pytest.raises(ValueError, match="workers must be a positive "
+                                             "integer, got"):
+            fluid_convergence(params(), np.zeros(1), np.zeros(1), [10],
+                              1.0, 2, 0, workers=workers)
+
+
+@pytest.mark.parametrize("T, grid_step, message", [
+    (0.0, None, "T must be finite and > 0, got 0.0"),
+    (np.inf, None, "T must be finite and > 0, got inf"),
+    (1.0, 0.0, "grid_step must be finite and > 0, got 0.0"),
+    (1.0, np.nan, "grid_step must be finite and > 0, got nan"),
+])
+def test_fluid_convergence_grid_errors_name_the_argument(T, grid_step,
+                                                         message):
+    # these named the grid's own stop and step
+    with pytest.raises(ValueError, match=message):
+        fluid_convergence(params(), np.zeros(1), np.zeros(1), [10], T, 2, 0,
+                          grid_step=grid_step)
+
+
 def test_equilibrium_report_small_run():
     report = equilibrium_concentration(params(), [50], burn_in=5.0,
                                        n_samples=20, sample_gap=0.5,
