@@ -103,7 +103,8 @@ OPTIONS = {
                             "comma-separated increasing lambda_s grid"),
     },
 }
-# lower bounds checked here; the library checks the other options' ranges
+# the schema's minimums above the integer rule's 0, checked before the run;
+# the library checks the other options' ranges
 MINIMUM = {"max_events": 1, "workers": 1}
 
 
