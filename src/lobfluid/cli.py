@@ -29,7 +29,8 @@ from .errors import BudgetExceeded, ConfigError, SolverError
 from .fixed_point import solve_recursive, solve_shooting
 from .model import (PARAM_FIELDS, ModelParams, ScalingLevel, _count,
                     validate_params)
-from .ode import DEFAULT_TOL, integrate, uniform_grid
+from .ode import (DEFAULT_TOL, _check_positive, _check_span, integrate,
+                  uniform_grid)
 from .simulate import DEFAULT_MAX_EVENTS, simulate
 
 EXIT_OK = 0
@@ -103,8 +104,9 @@ OPTIONS = {
                             "comma-separated increasing lambda_s grid"),
     },
 }
-# the schema's minimums above the integer rule's 0, checked before the run;
-# the library checks the other options' ranges
+# the schema's minimums above the integer rule's 0: these options are
+# checked as positive integers before the run; the library checks the
+# other options' ranges
 MINIMUM = {"max_events": 1, "workers": 1}
 
 
@@ -155,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(kind, value, key: str, from_flag: bool = False):
     """value checked against kind. An int takes what model._count takes, a
     nonnegative integral number such as 10.0, not 10.5, -1, a bool or a
-    string; a float takes a number that is not a bool. A list takes a
-    flag's comma-separated numbers or a file's JSON array, not a comma
-    string; each item is checked as kind[0]."""
+    string, and a positive one for a key in MINIMUM; a float takes a
+    number that is not a bool. A list takes a flag's comma-separated
+    numbers or a file's JSON array, not a comma string; each item is
+    checked as kind[0]."""
     if isinstance(kind, list):
         if from_flag:
             try:
@@ -179,7 +182,7 @@ def _parse(kind, value, key: str, from_flag: bool = False):
             return value
         raise ConfigError(f"{key} must be a string, got {value!r}")
     if kind is int:
-        return _count(value, key, error=ConfigError)
+        return _count(value, key, positive=key in MINIMUM, error=ConfigError)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
@@ -254,19 +257,15 @@ def resolve(args: dict) -> tuple[ModelParams, dict, Path]:
                     f"missing required option for {command}: {key}")
             if v is not None:
                 v = _parse(kind, v, key, args[key] is not None)
-            if key in MINIMUM and v < MINIMUM[key]:
-                raise ConfigError(f"{key} must be >= {MINIMUM[key]}, got {v}")
             opts[key] = v
     params = validate_params({key: opts.pop(key) for key in MODEL})
     return params, opts, Path(opts.pop("out_dir"))
 
 
-def _initial_pair(opts: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x0, y0 = (np.zeros(n) if opts[key] is None else np.asarray(opts[key])
-              for key in ("x0", "y0"))
-    if x0.shape != (n,) or y0.shape != (n,):
-        raise ConfigError(f"x0/y0 must have exactly {n} entries")
-    return x0, y0
+def _initial_pair(opts: dict, n: int) -> tuple[np.ndarray, ...]:
+    """x0 and y0, zeros where not given; the library checks them."""
+    return tuple(np.zeros(n) if opts[key] is None else np.asarray(opts[key])
+                 for key in ("x0", "y0"))
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -292,8 +291,10 @@ def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
     tau_max = opts["tau_max"]
     x0, y0 = _initial_pair(opts, params.n_levels)
     grid = step = None
+    _check_span(tau_max)  # before the grid, whose error names its own stop
     if tau_max > 0:
         step = opts["grid_step"]
+        _check_positive(step, "grid_step")
         grid = uniform_grid(tau_max, step)
     sol = integrate(x0, y0, params, tau_max, tol=opts["tol"], grid=grid)
     output.write_solution_csv(out / "solution.csv", sol)

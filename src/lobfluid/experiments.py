@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fixed_point import FixedPoint, solve_recursive
-from .model import ModelParams, ScalingLevel, _count
-from .ode import _check_tol, integrate, uniform_grid
+from .model import ModelParams, ScalingLevel, _count, _pair
+from .ode import _check_positive, integrate, uniform_grid
 from .simulate import simulate, empirical_equilibrium
 
 __all__ = ["ConvergenceReport", "SweepReport", "fluid_convergence",
@@ -114,11 +114,10 @@ def fluid_convergence(
     levels = _increasing(levels, "levels")
     replicas = _count(replicas, "replicas", positive=True)
     workers = _count(workers, "workers", positive=True)
-    _check_tol(T, "T")
+    _check_positive(T, "T")
     dt = grid_step if grid_step is not None else 0.01 * T
-    _check_tol(dt, "grid_step")
-    x0 = np.asarray(x0, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
+    _check_positive(dt, "grid_step")
+    x0, y0 = _pair(x0, y0, params.n_levels)
     grid = uniform_grid(T, dt)
     sol = integrate(x0, y0, params, T, grid=grid)
 

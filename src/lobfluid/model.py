@@ -65,6 +65,22 @@ def _count(value, name: str, positive: bool = False,
                 f" integer, got {value!r}")
 
 
+def _pair(x, y, n_levels: int,
+          names: tuple[str, str] = ("x0", "y0")) -> tuple[np.ndarray, ...]:
+    """x and y as float arrays of n_levels finite, nonnegative values each:
+    the one check of an initial pair and of a fluid state. Anything else
+    raises ValueError naming the side."""
+    pair = []
+    for name, v in zip(names, (x, y)):
+        v = np.asarray(v, dtype=np.float64)
+        if not (v.shape == (n_levels,) and np.isfinite(v).all()
+                and (v >= 0).all()):
+            raise ValueError(f"{name} must be {n_levels} finite, nonnegative "
+                             f"values, got {v.tolist()}")
+        pair.append(v)
+    return tuple(pair)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five rate constants plus the level count N.
@@ -150,18 +166,13 @@ class DiscreteState:
 
 @dataclass(frozen=True)
 class FluidState:
-    """Nonnegative real occupancies (x, y), the scaled state."""
+    """Finite, nonnegative real occupancies (x, y), the scaled state."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 1 or y.shape != x.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        if (x < 0).any() or (y < 0).any():
-            raise ValueError("fluid state must be nonnegative")
+        x, y = _pair(self.x, self.y, np.size(self.x), ("x", "y"))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

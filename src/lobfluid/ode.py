@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, NegativeState, StepUnderflow
-from .model import FluidState, ModelParams
+from .model import FluidState, ModelParams, _pair
 
 __all__ = ["OdeSolution", "ComparisonReport", "rhs", "integrate",
            "integrate_until_stationary", "check_comparison", "uniform_grid"]
@@ -114,13 +114,8 @@ def uniform_grid(stop: float, step: float) -> np.ndarray:
     step within 1e-9 * step of stop ends the grid, clamped so float round-up
     cannot push it past the integration span; one further short of stop, or
     0 for a positive stop, is followed by stop itself."""
-    for name, v in (("stop", stop), ("step", step)):
-        if not np.isfinite(v):
-            raise ValueError(f"grid {name} must be finite, got {v}")
-    if step <= 0:
-        raise ValueError(f"grid step must be > 0, got {step}")
-    if stop < 0:
-        raise ValueError(f"grid stop must be >= 0, got {stop}")
+    _check_span(stop, "grid stop")
+    _check_positive(step, "grid step")
     m = int(np.floor(stop / step + 1e-9))
     grid = np.arange(m + 1) * step
     grid[-1] = min(grid[-1], stop)
@@ -133,8 +128,8 @@ def uniform_grid(stop: float, step: float) -> np.ndarray:
 def rhs(state: FluidState, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (dx/dtau, dy/dtau) at a finite fluid state with
     params.n_levels levels; any other state raises ValueError."""
-    _check_state(state, params)
-    d = _flow(0.0, _pack(state.x, state.y), params).reshape(-1, 2)
+    x, y = _pair(state.x, state.y, params.n_levels, ("state.x", "state.y"))
+    d = _flow(0.0, _pack(x, y), params).reshape(-1, 2)
     return d[:, 0], d[:, 1]
 
 
@@ -301,23 +296,13 @@ def _check_span(tau_max: float, name: str = "tau_max") -> None:
         raise ValueError(f"{name} must be >= 0, got {tau_max}")
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """LSODA returns a non-solution for a non-finite tolerance and rejects
-    one <= 0 as illegal input. A grid step or a study horizon must be
-    finite and > 0 too; the error names the argument."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {tol}")
-
-
-def _check_state(state: FluidState, params: ModelParams) -> None:
-    """The equations index n_levels levels, and a NaN component would turn
-    a comparison into a violation of NaN."""
-    if state.x.size != params.n_levels:
-        raise ValueError(f"state dimension {state.x.size} does not match "
-                         f"n_levels = {params.n_levels}")
-    if not (np.isfinite(state.x).all() and np.isfinite(state.y).all()):
-        raise ValueError(f"state must be finite, got x = {state.x.tolist()}, "
-                         f"y = {state.y.tolist()}")
+def _check_positive(value: float, name: str) -> None:
+    """The one check of a value that must be finite and > 0: a tolerance
+    (LSODA returns a non-solution for a non-finite one and rejects one <= 0
+    as illegal input), a grid or sample step, a study horizon, a burn-in
+    and a sample gap. The error names the argument."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _clamp(states: np.ndarray, tol: float) -> np.ndarray:
@@ -343,19 +328,12 @@ def integrate(
     increasing, start at 0 and end at most at tau_max. Without it, the states
     at the two endpoints 0 and tau_max are reported, and at tau_max = 0 the
     initial state alone, as on the grid [0]. A tau_max that is not finite
-    and >= 0 raises ValueError.
+    and >= 0 raises ValueError, and so do an x0 or y0 that is not
+    params.n_levels finite, nonnegative values.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
     n = params.n_levels
-    if x0.shape != (n,) or y0.shape != (n,):
-        raise ValueError("initial data dimension does not match n_levels")
-    for name, v in (("x0", x0), ("y0", y0)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {v.tolist()}")
-    if (x0 < 0).any() or (y0 < 0).any():
-        raise ValueError("initial data must be nonnegative")
-    _check_tol(tol)
+    x0, y0 = _pair(x0, y0, n)
+    _check_positive(tol, "tol")
     _check_span(tau_max)
     taus = np.array(grid if grid is not None else
                     [0.0, tau_max] if tau_max else [0.0], dtype=np.float64)
@@ -385,14 +363,12 @@ def integrate_until_stationary(
     fixed point rather than jitter around it, so from moderate parameters
     this flag is normally True well inside a budget of a few hundred tau
     units. A budget that is not finite and >= 0 raises ValueError: the loop
-    would never end on a flow that does not settle. So does an initial
-    state that is not finite or not of params.n_levels levels; each block
-    starts from integrate's output, which is finite.
+    would never end on a flow that does not settle. So do an x0 or y0
+    that is not params.n_levels finite, nonnegative values; each block
+    starts from integrate's output, which is.
     """
     _check_span(tau_max)
-    state = FluidState(np.asarray(x0, dtype=np.float64),
-                       np.asarray(y0, dtype=np.float64))
-    _check_state(state, params)
+    state = FluidState(*_pair(x0, y0, params.n_levels))
     tau = 0.0
     while True:
         if _defect(state.x, state.y, params) < STATIONARY_RHS_TOL:
@@ -429,17 +405,19 @@ def check_comparison(
     at tau = 0 must propagate to every later time.
 
     Raises ValueError for a tau_max that is not finite and >= 0, a tol that
-    is not finite and > 0, or states that are not finite or whose level
-    count is not params.n_levels, and HypothesisViolated when the initial
+    is not finite and > 0, or states that are not params.n_levels finite,
+    nonnegative values per side, and HypothesisViolated when the initial
     ordering fails. Both systems are integrated jointly (one stacked solve,
     shared adaptive steps) at a tolerance two orders below tol, so apparent
     ordering violations reflect the dynamics rather than independent
-    discretization noise.
+    discretization noise. The solved states are clamped as integrate's
+    are: round-off below 0 becomes 0, and a component below -100 times
+    the integration tolerance raises NegativeState.
     """
     _check_span(tau_max)
-    _check_tol(tol)
-    _check_state(pair_a, params)
-    _check_state(pair_b, params)
+    _check_positive(tol, "tol")
+    for name, pair in (("pair_a", pair_a), ("pair_b", pair_b)):
+        _pair(pair.x, pair.y, params.n_levels, (f"{name}.x", f"{name}.y"))
     if (pair_a.x > pair_b.x).any() or (pair_a.y < pair_b.y).any():
         raise HypothesisViolated(
             "need x_a <= x_b and y_a >= y_b componentwise at tau = 0"
@@ -448,7 +426,8 @@ def check_comparison(
     z0 = np.concatenate([_pack(pair_a.x, pair_a.y), _pack(pair_b.x, pair_b.y)])
     itol = min(tol / 100.0, DEFAULT_TOL)
     states, _ = _solve(z0, params, grid, tau_max, itol)
-    states = states.reshape(-1, 2, params.n_levels, 2)  # (tau, pair, level, x/y)
+    # (tau, pair, level, x/y)
+    states = _clamp(states, itol).reshape(-1, 2, params.n_levels, 2)
     a, b = states[:, 0], states[:, 1]
     x_gap = a[..., 0] - b[..., 0]          # should stay <= 0
     y_gap = b[..., 1] - a[..., 1]

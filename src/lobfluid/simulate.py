@@ -73,7 +73,7 @@ import functools
 from array import array
 from dataclasses import dataclass
 from itertools import groupby
-from math import isfinite, log1p
+from math import log1p
 from operator import length_hint
 
 import numpy as np
@@ -88,10 +88,11 @@ from .model import (
     ModelParams,
     ScalingLevel,
     _count,
+    _pair,
     apply_event,
     enumerate_events,
 )
-from .ode import _check_span, _check_tol, uniform_grid
+from .ode import _check_positive, _check_span, uniform_grid
 
 __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
@@ -181,22 +182,17 @@ def initial_discrete_state(
     """Round half-up of L*x0, L*y0 (the fluid limit only needs the initial
     states to converge in probability, so any consistent rounding works).
 
-    Raises ValueError unless every x0, y0 is finite, every |L*x0|, |L*y0|
-    is below 2**62, so the rounded counts fit in int64, and none is
-    negative (a small negative value would round to 0).
+    Raises ValueError unless x0 and y0 are as many finite, nonnegative
+    values each (`model._pair`; a small negative value would round to 0),
+    and every L*x0, L*y0 is below 2**62, so the rounded counts fit in int64.
     """
     L = scale.l
-    x0 = np.asarray(x0, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
+    x0, y0 = _pair(x0, y0, np.size(x0))
     for name, v in (("x0", x0), ("y0", y0)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {v.tolist()}")
         # divided, not multiplied, so a huge value cannot overflow to inf
-        if (np.abs(v) >= 2.0**62 / L).any():
+        if (v >= 2.0**62 / L).any():
             raise ValueError(f"{name} times the scale L = {L} must stay below "
                              f"2**62 in size, got {name} = {v.tolist()}")
-        if (v < 0).any():
-            raise ValueError(f"{name} must be nonnegative, got {v.tolist()}")
     return DiscreteState(np.floor(L * x0 + 0.5).astype(np.int64),
                          np.floor(L * y0 + 0.5).astype(np.int64))
 
@@ -578,12 +574,10 @@ def simulate(
     """
     max_events = _count(max_events, "max_events")
     _check_span(tau_max)
-    _check_tol(sample_dt, "sample_dt")
+    _check_positive(sample_dt, "sample_dt")
     taus = uniform_grid(tau_max, sample_dt)
     rng = np.random.default_rng(seed)
-    init = initial_discrete_state(np.asarray(x0), np.asarray(y0), scale)
-    if init.n_levels != params.n_levels:
-        raise ValueError("initial state dimension does not match n_levels")
+    init = initial_discrete_state(*_pair(x0, y0, params.n_levels), scale)
     L = float(scale.l)
     sample_ts = [tau * L for tau in taus]
     x, y, n_events, final, counters = _run(
@@ -613,9 +607,8 @@ def empirical_equilibrium(
     burn-in period; ergodicity makes the starting state irrelevant for long
     enough burn-in, which is the only equilibrium approximation used here.
     """
-    for name, v in (("burn_in", burn_in), ("sample_gap", sample_gap)):
-        if not (isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    _check_positive(burn_in, "burn_in")
+    _check_positive(sample_gap, "sample_gap")
     n_samples = _count(n_samples, "n_samples")
     if n_samples == 0:
         return []

@@ -13,6 +13,8 @@ import pytest
 
 from lobfluid import (EventCounters, ModelParams, NonMonotoneInput,
                       ResidualTooLarge, ScalingLevel, SolverError, cli,
+                      empirical_equilibrium, equilibrium_concentration,
+                      fluid_convergence, integrate, integrate_until_stationary,
                       simulate)
 from lobfluid.cli import main
 from lobfluid.model import PARAM_FIELDS
@@ -125,16 +127,17 @@ def test_abbreviated_flag_is_unrecognised(tmp_path, capsys, labels):
 
 @pytest.mark.parametrize("command, flags, message", [
     ("simulate", ["--scale", "10", "--tau-max", "1", "--x0", "-1,0"],
-     "x0 must be nonnegative"),
+     "x0 must be 2 finite, nonnegative values, got [-1.0, 0.0]"),
+    # this read "initial data must be nonnegative", naming neither side
     ("integrate", ["--tau-max", "1", "--y0", "-1,0"],
-     "initial data must be nonnegative"),
+     "y0 must be 2 finite, nonnegative values, got [-1.0, 0.0]"),
     ("converge", ["--levels", "-10,20", "--tau-horizon", "1", "--replicas",
                   "2"], "levels must be a nonnegative integer, got -10.0"),
     ("sweep", ["--lambda-s-values", "-1,2"], "lambda_s must be > 0"),
     # rounded to 0 and ran, echoed in the manifest, where integrate
     # rejected it
     ("simulate", ["--scale", "1000", "--tau-max", "1", "--x0", "-0.0004,0"],
-     "x0 must be nonnegative, got [-0.0004, 0.0]"),
+     "x0 must be 2 finite, nonnegative values, got [-0.0004, 0.0]"),
 ])
 def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
                                                        command, flags,
@@ -145,7 +148,8 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
     assert message in err
 
 
-# the grid's checks named no argument: "need step > 0 and stop >= 0"
+# the grid's checks named no argument: "need step > 0 and stop >= 0", and
+# integrate --grid-step 0 read "grid step must be > 0, got 0.0"
 @pytest.mark.parametrize("command, flags, message", [
     ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "0"],
      "T must be finite and > 0, got 0.0"),
@@ -154,7 +158,10 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
     ("simulate", ["--scale", "10", "--tau-max", "-1"],
      "tau_max must be >= 0, got -1.0"),
     ("integrate", ["--tau-max", "1", "--grid-step", "0"],
-     "grid step must be > 0, got 0.0"),
+     "grid_step must be finite and > 0, got 0.0"),
+    ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "1",
+                  "--grid-step", "0"],
+     "grid_step must be finite and > 0, got 0.0"),
 ])
 def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
                                       message):
@@ -170,7 +177,7 @@ def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
     (["--config", "list.json"], "config file must contain a JSON object"),
     ([], "no model parameters given"),
     (["--n", "2", *ONES, "--tau-max", "1", "--x0", "1,2,3"],
-     "x0/y0 must have exactly 2 entries"),
+     "x0 must be 2 finite, nonnegative values, got [1.0, 2.0, 3.0]"),
 ])
 def test_config_errors_before_the_run_exit_2(tmp_path, capsys, monkeypatch,
                                              argv, message):
@@ -181,6 +188,82 @@ def test_config_errors_before_the_run_exit_2(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err.startswith(f"config error: {message}")
     assert not Path("out").exists()
+
+
+# One bad input for each input rule (an initial pair is n_levels finite,
+# nonnegative values per side; a grid step, a burn-in or a sample gap is
+# finite and > 0; a worker count or an event budget given to the CLI is a
+# positive integer), as a flag and as parsed, with the one message that
+# every entry point taking it gives
+INPUT_RULES = [
+    ("x0", "-1,0", [-1.0, 0.0],
+     "x0 must be 2 finite, nonnegative values, got [-1.0, 0.0]"),
+    ("y0", "0,nan", [0.0, np.nan],
+     "y0 must be 2 finite, nonnegative values, got [0.0, nan]"),
+    ("x0", "inf,0", [np.inf, 0.0],
+     "x0 must be 2 finite, nonnegative values, got [inf, 0.0]"),
+    ("y0", "1,2,3", [1.0, 2.0, 3.0],
+     "y0 must be 2 finite, nonnegative values, got [1.0, 2.0, 3.0]"),
+    ("grid_step", "0", 0.0, "grid_step must be finite and > 0, got 0.0"),
+    ("burn_in", "0", 0.0, "burn_in must be finite and > 0, got 0.0"),
+    ("workers", "0", 0, "workers must be a positive integer, got 0"),
+    ("max_events", "0", 0, "max_events must be a positive integer, got 0"),
+]
+# each subcommand's required options, none of them a key above
+REQUIRED_FLAGS = {
+    "simulate": ["--scale", "10", "--tau-max", "1"],
+    "integrate": ["--tau-max", "1"],
+    "converge": ["--levels", "10", "--tau-horizon", "1", "--replicas", "2"],
+    "equilibrium": ["--levels", "10", "--n-samples", "2", "--sample-gap",
+                    "0.5"],
+}
+
+
+def library_calls(key, value):
+    """The library calls that take the input key, given value for it. The
+    library takes an event budget of 0 (tests/test_simulate.py)."""
+    p = ModelParams(2, 1.0, 1.0, 1.0, 1.0, 1.0)
+    z = np.zeros(2)
+    if key in ("x0", "y0"):
+        x0, y0 = (value, z) if key == "x0" else (z, value)
+        return [lambda: integrate(x0, y0, p, 1.0),
+                lambda: integrate_until_stationary(p, x0, y0),
+                lambda: simulate(p, ScalingLevel(10), x0, y0, 1.0, 0.5, 1),
+                lambda: fluid_convergence(p, x0, y0, [10], 1.0, 2, 0)]
+    if key == "burn_in":
+        return [lambda: empirical_equilibrium(p, ScalingLevel(10), value, 2,
+                                              0.5, 1),
+                lambda: equilibrium_concentration(p, [10], value, 2, 0.5, 0)]
+    if key in ("grid_step", "workers"):
+        return [lambda: fluid_convergence(p, z, z, [10], 1.0, 2, 0,
+                                          **{key: value})]
+    return []
+
+
+@pytest.mark.parametrize("key, flag, value, message", INPUT_RULES,
+                         ids=[f"{k}={flag}" for k, flag, *_ in INPUT_RULES])
+def test_each_input_rule_gives_one_message_at_every_entry_point(
+        tmp_path, capsys, key, flag, value, message):
+    # the CLI restated these checks with its own messages ("x0/y0 must
+    # have exactly 2 entries", "workers must be >= 1, got 0"), and the
+    # library's differed between integrate and simulate
+    commands = [c for c, table in cli.OPTIONS.items() if key in table]
+    assert commands
+    for command in commands:
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({command: {key: value}}))
+        for how in ([f"--{key.replace('_', '-')}", flag],
+                    ["--config", str(config)]):
+            out = tmp_path / "out"
+            code, _, err = run(capsys, [command, "--n", "2", *ONES,
+                                        *REQUIRED_FLAGS[command], *how,
+                                        "--out-dir", str(out)])
+            assert (code, err) == (2, f"config error: {message}\n"), how
+            assert not out.exists()
+    for call in library_calls(key, value):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_help_lines_survive_python_OO(monkeypatch):
@@ -585,8 +668,10 @@ def test_equilibrium_nonfinite_times_exit_2(tmp_path, capsys, flags, name):
     (["--tol", "inf"], "tol must be finite and > 0, got inf"),
     (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
     (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
-    (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
-    (["--x0", "inf,0"], "x0 must be finite, got [inf, 0.0]"),
+    (["--x0", "nan,0"],
+     "x0 must be 2 finite, nonnegative values, got [nan, 0.0]"),
+    (["--x0", "inf,0"],
+     "x0 must be 2 finite, nonnegative values, got [inf, 0.0]"),
 ], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "x0-nan", "x0-inf"])
 def test_integrate_bad_tol_or_initial_data_exit_2(tmp_path, capsys, flags,
                                                   message):
@@ -603,7 +688,8 @@ def test_integrate_bad_tol_or_initial_data_exit_2(tmp_path, capsys, flags,
     (["--tau-max", "nan"], "tau_max must be finite, got nan"),
     (["--tau-max", "nan", "--grid-step", "0.1"],
      "tau_max must be finite, got nan"),
-    (["--tau-max", "inf"], "grid stop must be finite, got inf"),
+    # this named the grid's stop, built before tau_max was checked
+    (["--tau-max", "inf"], "tau_max must be finite, got inf"),
 ], ids=["nan", "nan-grid-step", "inf"])
 def test_integrate_nonfinite_tau_max_exit_2(tmp_path, capsys, flags, message):
     # a NaN output time would reach LSODA, which steps on without end
@@ -615,8 +701,10 @@ def test_integrate_nonfinite_tau_max_exit_2(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--x0", "nan,0"], "x0 must be finite, got [nan, 0.0]"),
-    (["--y0", "0,inf"], "y0 must be finite, got [0.0, inf]"),
+    (["--x0", "nan,0"],
+     "x0 must be 2 finite, nonnegative values, got [nan, 0.0]"),
+    (["--y0", "0,inf"],
+     "y0 must be 2 finite, nonnegative values, got [0.0, inf]"),
     (["--x0", "1e18,0"], "x0 times the scale L = 10 must stay below 2**62"),
     (["--y0", "0,1e300"], "got y0 = [0.0, 1e+300]"),
 ], ids=["x0-nan", "y0-inf", "x0-huge", "y0-huge"])

@@ -1,6 +1,7 @@
 """Fluid ODE system: right-hand side, integration, comparison principle."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -577,14 +578,17 @@ def test_states_of_another_level_count_are_rejected(n):
     p = params(n=2)
     wrong = FluidState(np.zeros(n), np.ones(n))
     right = FluidState(np.zeros(2), np.ones(2))
-    message = f"state dimension {n} does not match n_levels = 2"
-    with pytest.raises(ValueError, match=message):
+
+    def message(name):
+        return re.escape(f"{name} must be 2 finite, nonnegative values, "
+                         f"got {[0.0] * n}")
+    with pytest.raises(ValueError, match=message("state.x")):
         rhs(wrong, p)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message("pair_a.x")):
         check_comparison(wrong, right, p, 1.0)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message("pair_b.x")):
         check_comparison(right, wrong, p, 1.0)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message("x0")):
         integrate_until_stationary(p, wrong.x, wrong.y)
 
 
@@ -592,9 +596,14 @@ def test_states_of_another_level_count_are_rejected(n):
                                     (np.zeros(2), np.zeros(3)),
                                     (np.zeros((2, 2)), np.zeros((2, 2)))])
 def test_integrate_rejects_initial_data_of_another_dimension(x0, y0):
-    with pytest.raises(ValueError, match="initial data dimension does not "
-                                         "match n_levels"):
-        integrate(x0, y0, params(n=2), 1.0)
+    # this read "initial data dimension does not match n_levels", naming
+    # neither side; the first side of another shape is named
+    name = "x0" if x0.shape != (2,) else "y0"
+    message = f"{name} must be 2 finite, nonnegative values, got "
+    for run in (lambda: integrate(x0, y0, params(n=2), 1.0),
+                lambda: integrate_until_stationary(params(n=2), x0, y0)):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_integrate_clamps_round_off_and_raises_on_a_negative_state(
@@ -617,20 +626,49 @@ def test_integrate_clamps_round_off_and_raises_on_a_negative_state(
 
 def test_nonfinite_states_are_rejected():
     # a NaN level made check_comparison report ok=False with a violation
-    # of NaN, and rhs return NaN
+    # of NaN, and rhs return NaN. A fluid state is now refused when built,
+    # and each route checks its state again, since the arrays stay writable
     p = params(n=2)
     lo = FluidState(np.zeros(2), np.ones(2))
     hi = FluidState(np.ones(2), np.zeros(2))
-    for bad in (FluidState(np.array([np.nan, 0.0]), np.ones(2)),
-                FluidState(np.zeros(2), np.array([1.0, np.inf]))):
-        with pytest.raises(ValueError, match="state must be finite"):
+    for side, values in (("x", [np.nan, 0.0]), ("y", [1.0, np.inf])):
+        message = f"{side} must be 2 finite, nonnegative values"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            FluidState(**{"x": np.zeros(2), "y": np.ones(2),
+                          side: np.array(values)})
+        bad = FluidState(np.zeros(2), np.ones(2))
+        getattr(bad, side)[:] = values
+        with pytest.raises(ValueError, match=f"state.{message}"):
             rhs(bad, p)
-        with pytest.raises(ValueError, match="state must be finite"):
+        with pytest.raises(ValueError, match=f"pair_a.{message}"):
             check_comparison(bad, hi, p, 1.0)
-        with pytest.raises(ValueError, match="state must be finite"):
+        with pytest.raises(ValueError, match=f"pair_b.{message}"):
             check_comparison(lo, bad, p, 1.0)
-        with pytest.raises(ValueError, match="state must be finite"):
+        with pytest.raises(ValueError, match=f"{side}0 must be 2 finite"):
             integrate_until_stationary(p, bad.x, bad.y)
+
+
+def test_comparison_clamps_round_off_and_raises_on_a_negative_state(
+        monkeypatch):
+    # the comparison skipped integrate's clamp, so a component below
+    # -100 times the integration tolerance passed unnoticed
+    p = params(n=1)
+    lo = FluidState(np.zeros(1), np.ones(1))
+    hi = FluidState(np.ones(1), np.zeros(1))
+
+    def compare(low):
+        def fake(z0, params, taus, tau_max, tol):
+            states = np.tile(z0, (taus.size, 1))
+            states[-1, 3] = low  # pair_b's y at the last time
+            return states, 7
+        monkeypatch.setattr(ode, "_solve", fake)
+        # tol 1e-8 integrates at 1e-10, whose clamp floor is -1e-8
+        return check_comparison(lo, hi, p, 1.0, tol=1e-8)
+
+    assert compare(-1e-9).ok
+    with pytest.raises(NegativeState, match="solution component reached "
+                                            "-1.000e-07"):
+        compare(-1e-7)
 
 
 def test_uniform_grid_endpoint_never_overshoots():

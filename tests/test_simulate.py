@@ -451,12 +451,15 @@ def test_empirical_equilibrium_rejects_nonfinite_times(burn_in, gap, name):
     ([0.0, 0.0], [-1e300, 0.0], 1, "y0"),
 ])
 def test_initial_state_rejects_counts_beyond_int64(x0, y0, L, name):
-    # rejected before the cast to int64, which would warn and wrap
+    # rejected before the cast to int64, which would warn and wrap; a
+    # negative value, however large, fails the initial-pair rule first
+    message = (f"{name} times the scale L = {L}" if min(x0 + y0) >= 0
+               else f"{name} must be 2 finite, nonnegative values")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"{name} times the scale L = {L}"):
+        with pytest.raises(ValueError, match=message):
             initial_discrete_state(np.array(x0), np.array(y0), ScalingLevel(L))
-        with pytest.raises(ValueError, match=f"{name} times the scale"):
+        with pytest.raises(ValueError, match=message):
             simulate(params(n=2), ScalingLevel(L), x0, y0, 1.0, 0.5, seed=1)
 
 
