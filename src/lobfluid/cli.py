@@ -77,8 +77,9 @@ OPTIONS = {
     "integrate": {
         "tau_max": (float, REQUIRED, None),
         "tol": (float, DEFAULT_TOL, "integrator rtol = atol"),
-        "grid_step": (float, lambda o: o["tau_max"] / 100,
-                      "output grid step (default tau_max / 100)"),
+        "grid_step": (float, lambda o: (o["tau_max"] or 1) / 100,
+                      "output grid step (default tau_max / 100, or 0.01 "
+                      "at tau_max 0)"),
         **INITIAL,
     },
     "solve": {
@@ -104,10 +105,10 @@ OPTIONS = {
                             "comma-separated increasing lambda_s grid"),
     },
 }
-# the schema's minimums above the integer rule's 0: these options are
-# checked as positive integers before the run; the library checks the
-# other options' ranges
-MINIMUM = {"max_events": 1, "workers": 1}
+# the schema's minimums above the integer rule's 0 that the library does
+# not check: these options are checked as positive integers before the
+# run; the library checks the other options' ranges
+MINIMUM = {"max_events": 1}
 
 
 def _flag(key: str) -> str:
@@ -288,15 +289,13 @@ def cmd_simulate(params: ModelParams, opts: dict, out: Path) -> dict:
 
 
 def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
-    tau_max = opts["tau_max"]
+    tau_max, step = opts["tau_max"], opts["grid_step"]
     x0, y0 = _initial_pair(opts, params.n_levels)
-    grid = step = None
-    _check_span(tau_max)  # before the grid, whose error names its own stop
-    if tau_max > 0:
-        step = opts["grid_step"]
-        _check_positive(step, "grid_step")
-        grid = uniform_grid(tau_max, step)
-    sol = integrate(x0, y0, params, tau_max, tol=opts["tol"], grid=grid)
+    # before the grid, whose errors name its own stop and step
+    _check_span(tau_max)
+    _check_positive(step, "grid_step")
+    sol = integrate(x0, y0, params, tau_max, tol=opts["tol"],
+                    grid=uniform_grid(tau_max, step))
     output.write_solution_csv(out / "solution.csv", sol)
     print(f"integrated to tau={tau_max} with {sol.n_rhs_evals} derivative evaluations")
     print(f"final state x={_fmt_vec(sol.x[-1])} y={_fmt_vec(sol.y[-1])}")

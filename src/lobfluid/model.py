@@ -6,7 +6,8 @@ At scaling level L each trader trades at rate gamma/L (paired with one
 counterparty at the same level), quits at beta/L, and moves one level at
 alpha/L; a buyer at the top level and a seller at the bottom level leave the
 system instead of moving. `TRANSITIONS` states those rules once, as data:
-one row per event kind with its rate, its levels and its +-1 increments.
+one row per event kind with its rate constant, its levels and its +-1
+increments, off which `_taken` reads the count that the rate multiplies.
 `enumerate_events` and `apply_event` read it, `simulate.step` drives them,
 `EventCounters.conservation_defects` derives its counting identities from
 it, and the simulator's engine renders its event code from it (the tests
@@ -222,42 +223,38 @@ def validate_params(raw) -> ModelParams:
     return ModelParams(**dict(raw))
 
 
-def _buyers(b, s):
-    return b
-
-
-def _sellers(b, s):
-    return s
-
-
 # The transition table: one row per EventKind, in rank order. A row holds
-# the ModelParams field behind the rate; the count the rate multiplies,
-# as a function of (b_k, s_k), with the field divided by L (None for an
-# arrival, whose rate is the field itself); the 0-based levels where the
-# kind applies, in walk order, as a function of N (an arrival's is its
-# entry level); and the kind's +-1 increments as (side, level offset,
-# sign), side 0 for the buyers b and 1 for the sellers s.
+# the ModelParams field behind the rate; the 0-based levels where the kind
+# applies, in walk order, as a function of N (an arrival's is its entry
+# level); and the kind's +-1 increments as (side, level offset, sign), side
+# 0 for the buyers b and 1 for the sellers s. An arrival's rate is the
+# field; any other kind's is the field over L times its count at the level,
+# which `_taken` reads off the increments.
 TRANSITIONS = {
-    EventKind.BUYER_ARRIVAL:
-        ("lambda_b", None, lambda n: range(1), ((0, 0, 1),)),
+    EventKind.BUYER_ARRIVAL: ("lambda_b", lambda n: range(1), ((0, 0, 1),)),
     EventKind.SELLER_ARRIVAL:
-        ("lambda_s", None, lambda n: range(n - 1, n), ((1, 0, 1),)),
-    EventKind.TRADE:
-        ("gamma", min, lambda n: range(n), ((0, 0, -1), (1, 0, -1))),
-    EventKind.BUYER_QUIT:
-        ("beta", _buyers, lambda n: range(n), ((0, 0, -1),)),
+        ("lambda_s", lambda n: range(n - 1, n), ((1, 0, 1),)),
+    EventKind.TRADE: ("gamma", lambda n: range(n), ((0, 0, -1), (1, 0, -1))),
+    EventKind.BUYER_QUIT: ("beta", lambda n: range(n), ((0, 0, -1),)),
     EventKind.SELLER_QUIT:
-        ("beta", _sellers, lambda n: range(n - 1, -1, -1), ((1, 0, -1),)),
+        ("beta", lambda n: range(n - 1, -1, -1), ((1, 0, -1),)),
     EventKind.BUYER_MOVE:
-        ("alpha", _buyers, lambda n: range(n - 1), ((0, 0, -1), (0, 1, 1))),
+        ("alpha", lambda n: range(n - 1), ((0, 0, -1), (0, 1, 1))),
     EventKind.BUYER_EXIT_TOP:
-        ("alpha", _buyers, lambda n: range(n - 1, n), ((0, 0, -1),)),
+        ("alpha", lambda n: range(n - 1, n), ((0, 0, -1),)),
     EventKind.SELLER_MOVE:
-        ("alpha", _sellers, lambda n: range(n - 1, 0, -1),
-         ((1, 0, -1), (1, -1, 1))),
+        ("alpha", lambda n: range(n - 1, 0, -1), ((1, 0, -1), (1, -1, 1))),
     EventKind.SELLER_EXIT_BOTTOM:
-        ("alpha", _sellers, lambda n: range(1), ((1, 0, -1),)),
+        ("alpha", lambda n: range(1), ((1, 0, -1),)),
 }
+
+
+def _taken(increments, book) -> list:
+    """The entries of book, a (buyers, sellers) pair, for the sides that a
+    kind with these increments takes a trader from: the kind's rate count
+    at a level is the smallest of their counts there. An arrival takes
+    from no side and has no count."""
+    return [book[side] for side, _, sign in increments if sign < 0]
 
 
 def enumerate_events(
@@ -277,16 +274,17 @@ def enumerate_events(
     if state.n_levels != n:
         raise ValueError("state dimension does not match params.n_levels")
     # Python ints index and multiply faster than numpy scalars, same bits
-    b, s = state.b.tolist(), state.s.tolist()
+    book = (state.b.tolist(), state.s.tolist())
     events = []
-    for kind, (field, count, levels, _) in TRANSITIONS.items():
-        if count is None:
+    for kind, (field, levels, increments) in TRANSITIONS.items():
+        if not (taken := _taken(increments, book)):
             events.append(Event(kind, None, getattr(params, field)))
             continue
         unit = getattr(params, field) / scale.l
         if unit > 0.0:
+            counts = [*zip(*taken)]  # per level, those of the sides taken
             for k in levels(n):
-                c = count(b[k], s[k])
+                c = min(counts[k])
                 if c > 0:
                     events.append(Event(kind, k + 1, unit * c))
     return events
@@ -296,17 +294,17 @@ def apply_event(state: DiscreteState, event: Event) -> DiscreteState:
     """Apply the +-1 increments of one event; raises DisabledEvent if the
     event could not fire in this state: a level outside its row's levels,
     an arrival with a level, or a zero count."""
-    _, count, levels, increments = TRANSITIONS[event.kind]
+    _, levels, increments = TRANSITIONS[event.kind]
     where = levels(state.n_levels)
-    if count is None:
-        k = where[0] if event.level is None else None
-    else:
+    book = (state.b.copy(), state.s.copy())
+    taken = _taken(increments, book)
+    if taken:
         k = None if event.level is None else event.level - 1
-    if k not in where or (count is not None
-                          and count(state.b[k], state.s[k]) < 1):
+    else:
+        k = where[0] if event.level is None else None
+    if k not in where or any(side[k] < 1 for side in taken):
         raise DisabledEvent(f"{event.kind.name} cannot fire at level "
                             f"{event.level} in this state")
-    book = (state.b.copy(), state.s.copy())
     for side, offset, sign in increments:
         book[side][k + offset] += sign
     return DiscreteState(*book)

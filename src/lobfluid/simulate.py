@@ -3,7 +3,8 @@
 `step()` drives the transition table `model.TRANSITIONS` through
 `enumerate_events` and `apply_event` and is the reference, and
 `EventCounters.conservation_defects` derives its identities from the
-same table (`TALLIES` names the counter of each kind). `_run`, behind
+same table (`EventCounters`' fields are the tallies, one per kind in rank
+order, and `TALLIES` names them by kind). `_run`, behind
 `simulate` and `empirical_equilibrium`, runs one fast engine: the template
 `_ENGINE`, whose event code `_engine_source` renders from the same table
 and `_compiled_engine` compiles on first use. The ODE right-hand side,
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from math import log1p
 from operator import length_hint
@@ -89,6 +90,7 @@ from .model import (
     ScalingLevel,
     _count,
     _pair,
+    _taken,
     apply_event,
     enumerate_events,
 )
@@ -102,39 +104,33 @@ CHUNK = 1024  # (holding, selection) pairs per generator call
 ENGINE_UNROLL_MAX = 16  # level counts up to which the book lives in locals
 
 
-# The EventCounters field that tallies each event kind, in rank order.
-# Per-level arrays are indexed by the 0-based level the event fires at.
-TALLIES = dict(zip(EventKind, (
-    "buyer_arrivals", "seller_arrivals", "trades", "buyer_quits",
-    "seller_quits", "buyer_moves", "buyer_exit_top", "seller_moves",
-    "seller_exit_bottom")))
-
-
 @dataclass
 class EventCounters:
-    """Cumulative event tallies over a simulation window.
+    """Cumulative event tallies over a simulation window: the one statement
+    of the tally layout, from which the engine renders its tallies. There
+    is one field per EventKind, in rank order: an int tallies a kind, an
+    array tallies it per (0-based) level it fires at.
 
-    trades[k], buyer_quits[k], seller_quits[k] count per (0-based) level.
     buyer_moves[k] counts moves from level k to k+1 (last entry unused);
     seller_moves[k] counts moves from level k to k-1 (entry 0 unused).
     Boundary alpha-departures are tallied separately in buyer_exit_top /
     seller_exit_bottom, not folded into the quit counters.
     """
 
+    buyer_arrivals: int
+    seller_arrivals: int
     trades: np.ndarray
     buyer_quits: np.ndarray
     seller_quits: np.ndarray
     buyer_moves: np.ndarray
-    seller_moves: np.ndarray
-    buyer_arrivals: int
-    seller_arrivals: int
     buyer_exit_top: int
+    seller_moves: np.ndarray
     seller_exit_bottom: int
 
     @classmethod
     def zeros(cls, n: int) -> "EventCounters":
-        z = lambda: np.zeros(n, dtype=np.int64)
-        return cls(z(), z(), z(), z(), z(), 0, 0, 0, 0)
+        return cls(*(0 if f.type == "int" else np.zeros(n, dtype=np.int64)
+                     for f in fields(cls)))
 
     def conservation_defects(
         self, initial: DiscreteState, final: DiscreteState
@@ -145,7 +141,7 @@ class EventCounters:
         correctly simulated window."""
         n = initial.n_levels
         defects = (final.b - initial.b, final.s - initial.s)
-        for kind, (_, _, levels, increments) in TRANSITIONS.items():
+        for kind, (_, levels, increments) in TRANSITIONS.items():
             ks = np.array(levels(n), dtype=np.intp)
             tally = getattr(self, TALLIES[kind])
             if isinstance(tally, np.ndarray):
@@ -157,6 +153,11 @@ class EventCounters:
     def conserves(self, initial: DiscreteState, final: DiscreteState) -> bool:
         db, ds = self.conservation_defects(initial, final)
         return not (db.any() or ds.any())
+
+
+# The EventCounters field that tallies each event kind
+TALLIES = dict(zip(EventKind, (f.name for f in fields(EventCounters)),
+                   strict=True))
 
 
 @dataclass
@@ -225,9 +226,10 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
 
 # The engine's source, with {fields} filled in by _engine_source: the book
 # (b{k}, s{k}, where {k} is a level's digits in the locals form and its
-# index in the list form) and each block of the dispatch, rendered from
-# `model.TRANSITIONS`. The counts are floats, which `_run` keeps exact (see
-# `_compiled_engine`).
+# index in the list form), the tallies (one local per EventCounters field,
+# per level {k} of a per-level one), which it returns in rank order, and
+# each block of the dispatch, rendered from `model.TRANSITIONS`. The
+# counts are floats, which `_run` keeps exact (see `_compiled_engine`).
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
@@ -247,8 +249,7 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
     {bs} = [*map(float, b)]
     {ss} = [*map(float, s)]
-    {per_level} = ([0] * len(b) for _ in range(5))
-    ba = sa = et = eb = 0
+    {tallies} = {zeros}
     # the list form's levels after the entry level, in walk order
     top = len(b) - 1
     up = range(1, len(b))
@@ -307,14 +308,11 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     # the pair that ended the run was drawn but fired no event
     n_events = done + size - length_hint(picks) - 1
     return (n_events, xs, ys, [*map(int, {bs})], [*map(int, {ss})],
-            (int(B), int(S), int(M)), ({per_level}), (ba, sa, et, eb))
+            (int(B), int(S), int(M)), ({tallies}))
 '''
 
-# The engine's local for each level block's rate unit, the field over L,
-# and for each kind's tally, in rank order; {k} marks a per-level tally
+# The engine's local for each level block's rate unit, the field over L
 _UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
-_TALLY_LOCALS = dict(zip(EventKind, (
-    "ba", "sa", "tr{k}", "bq{k}", "sq{k}", "bm{k}", "et", "sm{k}", "eb")))
 
 # A level block's walk in the list form, which leaves the level it picks
 # in k: the entry level inline, then the levels after it (`rest`, in walk
@@ -361,7 +359,8 @@ def _event(kind: EventKind, at) -> str:
         return (f"if {'bs'[side]}{level} {'<' if sign < 0 else '<='} "
                 f"{'sb'[side]}{level}:\n    " + add("M", sign))
 
-    increments = TRANSITIONS[kind][3]
+    increments = TRANSITIONS[kind][2]
+    tally = fields(EventCounters)[kind]
     here = [(side, sign) for side, offset, sign in increments if not offset]
     nets = [sum(sign for s, _, sign in increments if s == side)
             for side in (0, 1)]
@@ -371,7 +370,7 @@ def _event(kind: EventKind, at) -> str:
         lines.append(add("M", here[0][1]))
     else:
         lines += [moves_min(side, sign, at(0)) for side, sign in here]
-    lines.append(_TALLY_LOCALS[kind].format(k=at(0)) + " += 1")
+    lines.append(f"{tally.name}{'' if tally.type == 'int' else at(0)} += 1")
     for side, offset, sign in increments:
         if offset:
             lines += [add("bs"[side] + at(offset), sign),
@@ -416,20 +415,21 @@ def _engine_source(n: int | None) -> str:
     locals for n levels, or in lists for any level count when n is None.
 
     The dispatch's blocks are the rows of `model.TRANSITIONS` grouped by
-    rate (field, count), in rank order, which puts each alpha-move with
-    the exit at its far edge. A block walks its rows' levels in row order,
-    as the rows give them for n levels; the list form reads them for a
-    book of two levels, where the first gives the block's entry level
-    (0 or top) and so its direction. Its weight at a level and the test
-    that the level is occupied come from the sides its rows decrement.
+    rate (field, and the sides `model._taken` reads off the increments),
+    in rank order, which puts each alpha-move with the exit at its far
+    edge. A block walks its rows' levels in row order, as the rows give
+    them for n levels; the list form reads them for a book of two levels,
+    where the first gives the block's entry level (0 or top) and so its
+    direction. Its weight at a level (the rate unit times the smaller
+    count of those sides) and the test that the level is occupied come
+    from those sides.
     """
     blocks = {}
-    for (field, _), rows in groupby(TRANSITIONS.items(),
-                                    key=lambda row: row[1][:2]):
+    for (field, sides), rows in groupby(
+            TRANSITIONS.items(),
+            key=lambda row: (row[1][0], _taken(row[1][2], ("b{k}", "s{k}")))):
         kinds = [kind for kind, _ in rows]
         name = kinds[0].name.lower()
-        sides = [f"{'bs'[side]}{{k}}"
-                 for side, _, sign in TRANSITIONS[kinds[0]][3] if sign < 0]
         occupied = " and ".join(sides)
         count = ("(b{k} if b{k} < s{k} else s{k})" if len(sides) > 1
                  else occupied)
@@ -437,12 +437,12 @@ def _engine_source(n: int | None) -> str:
         weight = f"{_UNITS[field]} * {count}" if sides else None
         if n is not None:
             kind_at = {k: kind for kind in kinds
-                       for k in TRANSITIONS[kind][2](n)}
+                       for k in TRANSITIONS[kind][1](n)}
             blocks[name] = _unrolled_walk(
                 [*kind_at], weight, occupied,
                 lambda k: _event(kind_at[k], lambda o: str(k + o)))
             continue
-        up = TRANSITIONS[kinds[0]][2](2)[0] == 0
+        up = TRANSITIONS[kinds[0]][1](2)[0] == 0
         entry, rest, back = (("0", "up", "range(top, -1, -1)") if up
                              else ("top", "down", "range(top + 1)"))
         at = functools.partial(_in_list, "k" if weight else entry)
@@ -458,9 +458,11 @@ def _engine_source(n: int | None) -> str:
         blocks[name] = _indent(fire)
     names = ((lambda p: p) if n is None else
              lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]")
-    per_level = [t.format(k="") for t in _TALLY_LOCALS.values() if "{k}" in t]
+    tallies, zeros = zip(*(
+        (f.name, "0") if f.type == "int" else (names(f.name), "[0] * len(b)")
+        for f in fields(EventCounters)))
     return _ENGINE.format(bs=names("b"), ss=names("s"),
-                          per_level=", ".join(map(names, per_level)),
+                          tallies=", ".join(tallies), zeros=", ".join(zeros),
                           **blocks)
 
 
@@ -533,7 +535,7 @@ def _run(
     rm = params.alpha / scale.l
     rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
              rq + rm)
-    n_events, xs, ys, b, s, (B, S, M), per_level, totals = engine(
+    n_events, xs, ys, b, s, (B, S, M), tallies = engine(
         rates, b, s, t_end, sample_ts, rng, budget, CHUNK)
 
     if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
@@ -541,8 +543,9 @@ def _run(
             f"aggregate drift: B={B}, S={S}, M={M} for b={b}, s={s}")
     final = DiscreteState(np.array(b, dtype=np.int64),
                           np.array(s, dtype=np.int64))
-    counters = EventCounters(
-        *(np.array(v, dtype=np.int64) for v in per_level), *totals)
+    counters = EventCounters(*(
+        np.array(v, dtype=np.int64) if isinstance(v, list) else v
+        for v in tallies))
     db, ds = counters.conservation_defects(init, final)
     if db.any() or ds.any():
         raise InvariantViolation(

@@ -149,7 +149,8 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
 
 
 # the grid's checks named no argument: "need step > 0 and stop >= 0", and
-# integrate --grid-step 0 read "grid step must be > 0, got 0.0"
+# integrate --grid-step 0 read "grid step must be > 0, got 0.0"; at
+# --tau-max 0, integrate took any grid step and recorded it as null
 @pytest.mark.parametrize("command, flags, message", [
     ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "0"],
      "T must be finite and > 0, got 0.0"),
@@ -162,7 +163,11 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
     ("converge", ["--levels", "10", "--replicas", "2", "--tau-horizon", "1",
                   "--grid-step", "0"],
      "grid_step must be finite and > 0, got 0.0"),
-])
+    ("integrate", ["--tau-max", "0", "--grid-step", "-5"],
+     "grid_step must be finite and > 0, got -5.0"),
+], ids=["converge-tau-horizon=0", "simulate-sample-dt=0",
+        "simulate-tau-max=-1", "integrate-grid-step=0", "converge-grid-step=0",
+        "integrate-tau-max=0-grid-step=-5"])
 def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
                                       message):
     code, out, err = run(capsys, [command, "--n", "2", *ONES, *flags,
@@ -619,6 +624,7 @@ def test_simulate_tiny_horizon_samples_the_horizon(tmp_path, capsys):
     ("1", "0.3", [0.0, 0.3, 0.6, 3 * 0.3, 1.0]),
     ("0.05", "0.1", [0.0, 0.05]),  # a step past the horizon
     ("1e-12", "1", [0.0, 1e-12]),  # a horizon within 1e-9 of a step
+    ("0", "0.5", [0.0]),  # recorded as null, where any step passed
 ])
 def test_integrate_off_grid_horizon_ends_at_the_horizon(tmp_path, capsys,
                                                         tau_max, step, taus):
@@ -1045,7 +1051,7 @@ def test_schema_lists_exactly_the_parser_options():
             if key in cli.MINIMUM:
                 assert properties[key]["minimum"] == cli.MINIMUM[key], key
                 checked += 1
-    assert checked == 2 and set(cli.MINIMUM) == {"max_events", "workers"}
+    assert checked == 1 and set(cli.MINIMUM) == {"max_events"}
 
 
 # sha256 of manifest.json from the README's simulate, solve and sweep runs
@@ -1096,6 +1102,19 @@ def test_readme_config_example_golden_digests(tmp_path, capsys):
     for name, sha256 in CONFIG_EXAMPLE_SHA256.items():
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes())
         assert digest.hexdigest() == sha256, name
+
+
+def test_readme_library_example_runs():
+    # the README's python block runs as written, and its comments hold
+    readme = (SCHEMA.parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    fp, sol = namespace["fp"], namespace["sol"]
+    assert np.allclose(fp.x_star, [3 / 7, 1 / 7], rtol=0, atol=1e-12)
+    assert np.allclose(fp.y_star, [1 / 7, 3 / 7], rtol=0, atol=1e-12)
+    assert sol.taus.tolist() == [0, 50]
+    assert namespace["traj"].n_events > 0
 
 
 # the manifest keys of the runs whose values rest on LSODA

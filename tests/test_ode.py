@@ -13,7 +13,7 @@ import pytest
 
 import lobfluid
 from lobfluid import cli, fixed_point_residual, ode
-from lobfluid.model import TRANSITIONS
+from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
     HypothesisViolated,
@@ -104,15 +104,18 @@ def test_rhs_matches_levelwise_equations(n):
 def table_drift(x, y, p):
     """The chain's drift read off `model.TRANSITIONS` on the fluid state:
     the sum over rows and levels of rate * increment, each rate its field
-    times its count of (x_k, y_k) (the rate per unit of tau, in which L
+    times its count of (x_k, y_k), the smaller of the sides it takes
+    from, or 1 for an arrival (the rate per unit of tau, in which L
     cancels). Returns (drift, scale), each of shape (level, x/y), scale
     being the sum of |rate| that meets each component."""
     n = p.n_levels
     drift = np.zeros((n, 2))
     scale = np.zeros((n, 2))
-    for field, count, levels, increments in TRANSITIONS.values():
+    for field, levels, increments in TRANSITIONS.values():
+        taken = _taken(increments, (x, y))
         for k in levels(n):
-            rate = getattr(p, field) * (count(x[k], y[k]) if count else 1.0)
+            count = min(side[k] for side in taken) if taken else 1.0
+            rate = getattr(p, field) * count
             for side, offset, sign in increments:
                 drift[k + offset, side] += sign * rate
                 scale[k + offset, side] += abs(rate)

@@ -574,7 +574,7 @@ def test_engine_fires_each_event_as_its_table_row(fire_once, n):
     assert len(events) == 2 + 5 * n  # every level of every level block
     edges = np.cumsum([0.0] + [e.rate for e in events])
     for event, lo, hi in zip(events, edges, edges[1:]):
-        _, _, levels, increments = TRANSITIONS[event.kind]
+        _, levels, increments = TRANSITIONS[event.kind]
         k = levels(n)[0] if event.level is None else event.level - 1
         want = np.zeros((2, n), dtype=np.int64)
         for side, offset, sign in increments:
@@ -737,7 +737,7 @@ def test_conservation_defect_shows_each_extra_tally():
                     2.0, 0.5, seed=53)
     ends = traj.initial_state, traj.final_state
     assert not np.any(traj.counters.conservation_defects(*ends))
-    for kind, (_, _, levels, increments) in TRANSITIONS.items():
+    for kind, (_, levels, increments) in TRANSITIONS.items():
         for k in levels(p.n_levels):
             counters = copy.deepcopy(traj.counters)
             tally = getattr(counters, TALLIES[kind])
