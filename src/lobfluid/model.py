@@ -282,7 +282,7 @@ def enumerate_events(
             continue
         unit = getattr(params, field) / scale.l
         if unit > 0.0:
-            counts = [*zip(*taken)]  # per level, those of the sides taken
+            counts = [*zip(*taken)]  # each level's counts on those sides
             for k in levels(n):
                 c = min(counts[k])
                 if c > 0:
