@@ -7,12 +7,14 @@ OPTIONS[command] for a subcommand's own options. The tables build the
 parser, and `resolve` takes each value from its flag, else from the JSON
 config file's block for it ("model" or the subcommand's), else (seed and
 out_dir) from the file's top level, else from the table's default, and
-checks it against its kind (see docs/run-config.schema.json). Every run
-writes its artifacts plus a manifest.json, the resolved options and the
-run's results, into out_dir, and prints a short human-readable summary to
-stdout. Exit codes: 0 ok, 2 configuration error (an out_dir that cannot be
-written included), 3 numerical-solver failure (an errors.SolverError), 4
-event-budget exhaustion.
+checks it against its kind (see docs/run-config.schema.json); a flag's
+text is first read as the file would hold it, so a flag and a file value
+meet one check and one message. Every run writes its artifacts plus a
+manifest.json, the resolved options and the run's results, into out_dir,
+and prints a short human-readable summary to stdout. Exit codes: 0 ok, 2
+configuration error (an out_dir that cannot be written included), 3
+numerical-solver failure (an errors.SolverError), 4 event-budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +87,7 @@ OPTIONS = {
     },
     "solve": {
         "method": (("recursive", "shooting", "both"), "both",
-                   "solver choice (default both)"),
+                   "solver: recursive, shooting or both (default both)"),
     },
     "converge": {
         "levels": LEVELS,
@@ -105,10 +108,10 @@ OPTIONS = {
                             "comma-separated increasing lambda_s grid"),
     },
 }
-# the schema's minimums above the integer rule's 0 that the library does
-# not check: these options are checked as positive integers before the
-# run; the library checks the other options' ranges
-MINIMUM = {"max_events": 1}
+# the schema's minimums that the library does not check, checked before
+# the run; an int option not named here takes any integer, and the library
+# checks its range
+MINIMUM = {"seed": 0, "max_events": 1}
 
 
 def _flag(key: str) -> str:
@@ -148,28 +151,33 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=COMMANDS[command][1],
                            allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        for key, (kind, _, text) in {**COMMON, **MODEL, **options}.items():
-            p.add_argument(_flag(key), dest=key, help=text,
-                           type=kind if kind in (int, float) else None,
-                           choices=kind if isinstance(kind, tuple) else None)
+        # each value stays the flag's string: _parse reads and checks it
+        for key, (_, _, text) in {**COMMON, **MODEL, **options}.items():
+            p.add_argument(_flag(key), dest=key, help=text)
     return parser
 
 
+def _number(text: str):
+    """A flag's text as the config file would hold it: an int, else a
+    float, else the text itself."""
+    for read in (int, float, str):
+        with suppress(ValueError):
+            return read(text)
+
+
 def _parse(kind, value, key: str, from_flag: bool = False):
-    """value checked against kind. An int takes what model._count takes, a
-    nonnegative integral number such as 10.0, not 10.5, -1, a bool or a
-    string, and a positive one for a key in MINIMUM; a float takes a
-    number that is not a bool. A list takes a flag's comma-separated
-    numbers or a file's JSON array, not a comma string; each item is
-    checked as kind[0]."""
+    """value checked against kind, the one reader of a flag's and the
+    file's values. A flag's text (each comma-separated item for a list) is
+    first read by _number. An int takes what model._count takes, an
+    integral number such as 10.0, not 10.5, a bool or a string, of at least
+    MINIMUM[key] for a key there; a float takes a number that is not a
+    bool. A list takes a flag's comma-separated items or a file's JSON
+    array, not a comma string; each item is checked as kind[0]."""
+    if from_flag and kind is not str:
+        value = ([_number(v) for v in value.split(",") if v.strip()]
+                 if isinstance(kind, list) else _number(value))
     if isinstance(kind, list):
-        if from_flag:
-            try:
-                value = [float(v) for v in value.split(",") if v.strip()]
-            except ValueError:
-                raise ConfigError(f"{key} must be comma-separated numbers, "
-                                  f"got {value!r}") from None
-        elif not isinstance(value, list):
+        if not isinstance(value, list):
             raise ConfigError(f"{key} must be a JSON array of numbers, "
                               f"got {value!r}")
         return [_parse(kind[0], v, key) for v in value]
@@ -183,7 +191,7 @@ def _parse(kind, value, key: str, from_flag: bool = False):
             return value
         raise ConfigError(f"{key} must be a string, got {value!r}")
     if kind is int:
-        return _count(value, key, positive=key in MINIMUM, error=ConfigError)
+        return _count(value, key, minimum=MINIMUM.get(key), error=ConfigError)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)

@@ -87,8 +87,8 @@ def _sup_distance(traj_x, traj_y, ode_x, ode_y) -> float:
 
 
 def _convergence_replica(args) -> tuple[int, int, float]:
-    params, level, i, j, master_seed, x0, y0, T, dt, ode_x, ode_y = args
-    traj = simulate(params, ScalingLevel(level), x0, y0, T, dt,
+    params, scale, i, j, master_seed, x0, y0, T, dt, ode_x, ode_y = args
+    traj = simulate(params, scale, x0, y0, T, dt,
                     _spawned_rng_seed(master_seed, i, j))
     return i, j, _sup_distance(traj.x, traj.y, ode_x, ode_y)
 
@@ -112,8 +112,9 @@ def fluid_convergence(
     Carlo noise at these study sizes.
     """
     levels = _increasing(levels, "levels")
-    replicas = _count(replicas, "replicas", positive=True)
-    workers = _count(workers, "workers", positive=True)
+    scales = [ScalingLevel(lv) for lv in levels]  # checked before any run
+    replicas = _count(replicas, "replicas", minimum=1)
+    workers = _count(workers, "workers", minimum=1)
     _check_positive(T, "T")
     dt = grid_step if grid_step is not None else 0.01 * T
     _check_positive(dt, "grid_step")
@@ -122,8 +123,8 @@ def fluid_convergence(
     sol = integrate(x0, y0, params, T, grid=grid)
 
     jobs = [
-        (params, level, i, j, master_seed, x0, y0, T, dt, sol.x, sol.y)
-        for i, level in enumerate(levels)
+        (params, scale, i, j, master_seed, x0, y0, T, dt, sol.x, sol.y)
+        for i, scale in enumerate(scales)
         for j in range(replicas)
     ]
     if workers > 1:
@@ -152,12 +153,13 @@ def equilibrium_concentration(
     """Distance of long-run equilibrium samples from the fixed point solved
     by solve_recursive, one long chain per scaling level."""
     levels = _increasing(levels, "levels")
+    scales = [ScalingLevel(lv) for lv in levels]  # checked before any run
     fp = solve_recursive(params)
     target = np.concatenate([fp.x_star, fp.y_star])
     rows: list[tuple[int, int, str, float]] = []
-    for i, level in enumerate(levels):
+    for i, (level, scale) in enumerate(zip(levels, scales)):
         samples = empirical_equilibrium(
-            params, ScalingLevel(level), burn_in, n_samples, sample_gap,
+            params, scale, burn_in, n_samples, sample_gap,
             _spawned_rng_seed(master_seed, i),
         )
         d = np.array([

@@ -47,23 +47,23 @@ __all__ = [
 ]
 
 
-def _count(value, name: str, positive: bool = False,
+def _count(value, name: str, minimum: int | None = 0,
            error: type[Exception] = ValueError) -> int:
-    """value as an int, at least 1 if positive and 0 otherwise: an int, a
-    numpy integer or an integral float (a numpy float included). A bool, a
-    non-integral or non-finite value or a smaller one raises error naming
-    the argument."""
+    """value as an int of at least minimum (0 or 1; None takes any sign):
+    an int, a numpy integer or an integral float (a numpy float included).
+    A bool, a non-integral or non-finite value or a smaller one raises
+    error naming the argument."""
     if not isinstance(value, bool):
         try:
             count = index(value)
         except TypeError:
             integral = (isinstance(value, (float, np.floating))
                         and float(value).is_integer())
-            count = int(value) if integral else -1
-        if count >= (1 if positive else 0):
+            count = int(value) if integral else None
+        if count is not None and (minimum is None or count >= minimum):
             return count
-    raise error(f"{name} must be a {'positive' if positive else 'nonnegative'}"
-                f" integer, got {value!r}")
+    what = {0: "a nonnegative", 1: "a positive"}.get(minimum, "an")
+    raise error(f"{name} must be {what} integer, got {value!r}")
 
 
 def _pair(x, y, n_levels: int,
@@ -101,7 +101,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_levels", _count(
-            self.n_levels, "n_levels", positive=True, error=BadN))
+            self.n_levels, "n_levels", minimum=1, error=BadN))
         for name in ("lambda_b", "lambda_s", "alpha", "gamma"):
             v = float(getattr(self, name))
             if not (v > 0.0) or not np.isfinite(v):
@@ -137,7 +137,7 @@ class ScalingLevel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", _count(self.l, "scaling level",
-                                             positive=True))
+                                             minimum=1))
 
 
 @dataclass(frozen=True)

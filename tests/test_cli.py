@@ -131,14 +131,16 @@ def test_abbreviated_flag_is_unrecognised(tmp_path, capsys, labels):
     # this read "initial data must be nonnegative", naming neither side
     ("integrate", ["--tau-max", "1", "--y0", "-1,0"],
      "y0 must be 2 finite, nonnegative values, got [-1.0, 0.0]"),
+    # this read the CLI's "levels must be a nonnegative integer, got -10.0"
     ("converge", ["--levels", "-10,20", "--tau-horizon", "1", "--replicas",
-                  "2"], "levels must be a nonnegative integer, got -10.0"),
+                  "2"], "scaling level must be a positive integer, got -10"),
     ("sweep", ["--lambda-s-values", "-1,2"], "lambda_s must be > 0"),
     # rounded to 0 and ran, echoed in the manifest, where integrate
     # rejected it
     ("simulate", ["--scale", "1000", "--tau-max", "1", "--x0", "-0.0004,0"],
      "x0 must be 2 finite, nonnegative values, got [-0.0004, 0.0]"),
-])
+], ids=["simulate-x0=-1,0", "integrate-y0=-1,0", "converge-levels=-10,20",
+        "sweep-lambda-s-values=-1,2", "simulate-x0=-0.0004,0"])
 def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
                                                        command, flags,
                                                        message):
@@ -183,7 +185,7 @@ def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
     ([], "no model parameters given"),
     (["--n", "2", *ONES, "--tau-max", "1", "--x0", "1,2,3"],
      "x0 must be 2 finite, nonnegative values, got [1.0, 2.0, 3.0]"),
-])
+], ids=["config=missing.json", "config=list.json", "no-model", "x0=1,2,3"])
 def test_config_errors_before_the_run_exit_2(tmp_path, capsys, monkeypatch,
                                              argv, message):
     monkeypatch.chdir(tmp_path)
@@ -197,9 +199,9 @@ def test_config_errors_before_the_run_exit_2(tmp_path, capsys, monkeypatch,
 
 # One bad input for each input rule (an initial pair is n_levels finite,
 # nonnegative values per side; a grid step, a burn-in or a sample gap is
-# finite and > 0; a worker count or an event budget given to the CLI is a
-# positive integer), as a flag and as parsed, with the one message that
-# every entry point taking it gives
+# finite and > 0; a worker or replica count, a scaling level, n_levels and
+# an event budget given to the CLI are positive integers), as a flag and as
+# parsed, with the one message that every entry point taking it gives
 INPUT_RULES = [
     ("x0", "-1,0", [-1.0, 0.0],
      "x0 must be 2 finite, nonnegative values, got [-1.0, 0.0]"),
@@ -213,15 +215,32 @@ INPUT_RULES = [
     ("burn_in", "0", 0.0, "burn_in must be finite and > 0, got 0.0"),
     ("workers", "0", 0, "workers must be a positive integer, got 0"),
     ("max_events", "0", 0, "max_events must be a positive integer, got 0"),
+    # below 0 these read the CLI's "... must be a nonnegative integer, got
+    # -1", and at 0 the library's message
+    ("workers", "-1", -1, "workers must be a positive integer, got -1"),
+    ("replicas", "-1", -1, "replicas must be a positive integer, got -1"),
+    ("scale", "-1", -1, "scaling level must be a positive integer, got -1"),
+    ("levels", "-1", [-1], "scaling level must be a positive integer, got -1"),
+    ("n_levels", "-1", -1, "n_levels must be a positive integer, got -1"),
 ]
-# each subcommand's required options, none of them a key above
+# each subcommand's required options; a row drops its own key's flag
 REQUIRED_FLAGS = {
     "simulate": ["--scale", "10", "--tau-max", "1"],
     "integrate": ["--tau-max", "1"],
     "converge": ["--levels", "10", "--tau-horizon", "1", "--replicas", "2"],
-    "equilibrium": ["--levels", "10", "--n-samples", "2", "--sample-gap",
-                    "0.5"],
+    "equilibrium": ["--levels", "10", "--burn-in", "1", "--n-samples", "2",
+                    "--sample-gap", "0.5"],
 }
+
+
+def given_flags(command, key):
+    """The model's flags and the command's required ones, without key's
+    own flag, which would override a value from the file."""
+    given = ["--n", "2", *ONES, *REQUIRED_FLAGS.get(command, [])]
+    if cli._flag(key) in given:
+        i = given.index(cli._flag(key))
+        del given[i:i + 2]
+    return given
 
 
 def library_calls(key, value):
@@ -242,6 +261,15 @@ def library_calls(key, value):
     if key in ("grid_step", "workers"):
         return [lambda: fluid_convergence(p, z, z, [10], 1.0, 2, 0,
                                           **{key: value})]
+    if key == "replicas":
+        return [lambda: fluid_convergence(p, z, z, [10], 1.0, value, 0)]
+    if key == "scale":
+        return [lambda: ScalingLevel(value)]
+    if key == "levels":
+        return [lambda: fluid_convergence(p, z, z, value, 1.0, 2, 0),
+                lambda: equilibrium_concentration(p, value, 1.0, 2, 0.5, 0)]
+    if key == "n_levels":
+        return [lambda: ModelParams(value, 1.0, 1.0, 1.0, 1.0, 1.0)]
     return []
 
 
@@ -252,23 +280,60 @@ def test_each_input_rule_gives_one_message_at_every_entry_point(
     # the CLI restated these checks with its own messages ("x0/y0 must
     # have exactly 2 entries", "workers must be >= 1, got 0"), and the
     # library's differed between integrate and simulate
-    commands = [c for c, table in cli.OPTIONS.items() if key in table]
+    commands = [c for c in REQUIRED_FLAGS
+                if key in {**cli.MODEL, **cli.OPTIONS[c]}]
     assert commands
     for command in commands:
         config = tmp_path / f"{command}.json"
-        config.write_text(json.dumps({command: {key: value}}))
-        for how in ([f"--{key.replace('_', '-')}", flag],
-                    ["--config", str(config)]):
+        config.write_text(json.dumps(
+            {"model" if key in cli.MODEL else command: {key: value}}))
+        for how in ([cli._flag(key), flag], ["--config", str(config)]):
             out = tmp_path / "out"
-            code, _, err = run(capsys, [command, "--n", "2", *ONES,
-                                        *REQUIRED_FLAGS[command], *how,
-                                        "--out-dir", str(out)])
+            code, _, err = run(capsys, [command, *given_flags(command, key),
+                                        *how, "--out-dir", str(out)])
             assert (code, err) == (2, f"config error: {message}\n"), how
             assert not out.exists()
     for call in library_calls(key, value):
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message
+
+
+# One value of each option kind, as a flag's text and as the file's JSON
+# value, with the message of a bad one. argparse read a flag first
+# (type=int or float, choices=), so "--scale 20.0" exited 2 where the file's
+# 20.0 ran, and a bad number or choice read "argument --tau-max: invalid
+# float value: 'abc'" as a flag only
+PARITY = [
+    ("simulate", "scale", "20.0", 20.0, None),
+    ("simulate", "seed", "3.0", 3.0, None),
+    ("simulate", "max_events", "1e6", 1e6, None),
+    ("simulate", "tau_max", "abc", "abc",
+     "tau_max must be a number, got 'abc'"),
+    ("converge", "levels", "10.0,20", [10.0, 20], None),
+    ("solve", "method", "foo", "foo",
+     "method must be one of recursive, shooting, both, got 'foo'"),
+]
+
+
+@pytest.mark.parametrize("command, key, flag, value, message", PARITY,
+                         ids=[f"{k}={flag}" for _, k, flag, *_ in PARITY])
+def test_a_flag_and_the_file_give_one_result(tmp_path, capsys, command, key,
+                                             flag, value, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({command: {key: value}}))
+    results = []
+    for how in ([cli._flag(key), flag], ["--config", str(config)]):
+        out = tmp_path / how[0].strip("-")
+        code, _, err = run(capsys, [command, *given_flags(command, key), *how,
+                                    "--out-dir", str(out)])
+        if message is None:
+            assert code == 0, (how, err)
+            results.append((out / "manifest.json").read_bytes())
+        else:
+            assert (code, err) == (2, f"config error: {message}\n"), how
+            assert not out.exists()
+    assert len(set(results)) <= 1
 
 
 def test_help_lines_survive_python_OO(monkeypatch):
@@ -785,7 +850,7 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, cfg, key):
      "missing required option for solve: lambda_b"),
     (MODEL_ONES, ["--seed", "-1"],
      "seed must be a nonnegative integer, got -1"),
-])
+], ids=["model-no-alpha", "model-delta", "model-lambda_b=null", "seed=-1"])
 def test_model_block_resolves_like_a_subcommand_block(tmp_path, capsys,
                                                       model, flags, message):
     code, out, err = run_config(tmp_path, capsys, {"model": model}, "solve",
@@ -1051,7 +1116,7 @@ def test_schema_lists_exactly_the_parser_options():
             if key in cli.MINIMUM:
                 assert properties[key]["minimum"] == cli.MINIMUM[key], key
                 checked += 1
-    assert checked == 1 and set(cli.MINIMUM) == {"max_events"}
+    assert checked == 2 and set(cli.MINIMUM) == {"seed", "max_events"}
 
 
 # sha256 of manifest.json from the README's simulate, solve and sweep runs

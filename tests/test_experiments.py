@@ -5,6 +5,7 @@ import pytest
 
 from lobfluid import (
     ModelParams,
+    experiments,
     equilibrium_concentration,
     fluid_convergence,
     overproduction_sweep,
@@ -84,6 +85,24 @@ def test_fluid_convergence_grid_errors_name_the_argument(T, grid_step,
     with pytest.raises(ValueError, match=message):
         fluid_convergence(params(), np.zeros(1), np.zeros(1), [10], T, 2, 0,
                           grid_step=grid_step)
+
+
+def test_studies_check_their_scaling_levels_before_any_run(monkeypatch):
+    # each level was checked when its first chain started, after the ODE
+    # run or the fixed-point solve (and, with workers, inside the pool)
+    def run(*args, **kwargs):
+        raise AssertionError("ran before its scaling levels were checked")
+
+    monkeypatch.setattr(experiments, "integrate", run)
+    monkeypatch.setattr(experiments, "solve_recursive", run)
+    z = np.zeros(1)
+    for study in (lambda: fluid_convergence(params(), z, z, [0, 10], 1.0, 2,
+                                            0, workers=2),
+                  lambda: equilibrium_concentration(params(), [-1, 10], 1.0,
+                                                    2, 0.5, 0)):
+        with pytest.raises(ValueError, match="scaling level must be a "
+                                             "positive integer, got"):
+            study()
 
 
 def test_equilibrium_report_small_run():
