@@ -32,8 +32,7 @@ from .errors import BudgetExceeded, ConfigError, SolverError
 from .fixed_point import solve_recursive, solve_shooting
 from .model import (PARAM_FIELDS, ModelParams, ScalingLevel, _count,
                     validate_params)
-from .ode import (DEFAULT_TOL, _check_positive, _check_span, integrate,
-                  uniform_grid)
+from .ode import DEFAULT_TOL, integrate, uniform_grid
 from .simulate import DEFAULT_MAX_EVENTS, simulate
 
 EXIT_OK = 0
@@ -299,11 +298,8 @@ def cmd_simulate(params: ModelParams, opts: dict, out: Path) -> dict:
 def cmd_integrate(params: ModelParams, opts: dict, out: Path) -> dict:
     tau_max, step = opts["tau_max"], opts["grid_step"]
     x0, y0 = _initial_pair(opts, params.n_levels)
-    # before the grid, whose errors name its own stop and step
-    _check_span(tau_max)
-    _check_positive(step, "grid_step")
     sol = integrate(x0, y0, params, tau_max, tol=opts["tol"],
-                    grid=uniform_grid(tau_max, step))
+                    grid=uniform_grid(tau_max, step, ("tau_max", "grid_step")))
     output.write_solution_csv(out / "solution.csv", sol)
     print(f"integrated to tau={tau_max} with {sol.n_rhs_evals} derivative evaluations")
     print(f"final state x={_fmt_vec(sol.x[-1])} y={_fmt_vec(sol.y[-1])}")

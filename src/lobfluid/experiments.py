@@ -67,10 +67,12 @@ class SweepReport:
 
 
 def _increasing(values: list, name: str) -> list:
-    """values as a list, checked to be strictly increasing."""
-    if sorted(set(values)) != list(values):
-        raise ValueError(f"{name} must be strictly increasing")
-    return list(values)
+    """values as a list, checked to be strictly increasing and not empty:
+    an empty list would run no study and report nothing."""
+    values = list(values)
+    if not values or sorted(set(values)) != values:
+        raise ValueError(f"{name} must be strictly increasing and not empty")
+    return values
 
 
 def _seed_label(master_seed: int, *key: int) -> str:
@@ -115,11 +117,10 @@ def fluid_convergence(
     scales = [ScalingLevel(lv) for lv in levels]  # checked before any run
     replicas = _count(replicas, "replicas", minimum=1)
     workers = _count(workers, "workers", minimum=1)
-    _check_positive(T, "T")
+    _check_positive(T, "T")  # a grid may stop at 0, a study may not
     dt = grid_step if grid_step is not None else 0.01 * T
-    _check_positive(dt, "grid_step")
+    grid = uniform_grid(T, dt, ("T", "grid_step"))
     x0, y0 = _pair(x0, y0, params.n_levels)
-    grid = uniform_grid(T, dt)
     sol = integrate(x0, y0, params, T, grid=grid)
 
     jobs = [

@@ -109,13 +109,17 @@ LSODA_ERRORS = {
 }
 
 
-def uniform_grid(stop: float, step: float) -> np.ndarray:
+def uniform_grid(stop: float, step: float,
+                 names: tuple[str, str] = ("grid stop", "grid step")
+                 ) -> np.ndarray:
     """Grid 0, step, 2*step, ... ending at stop. A last positive multiple of
     step within 1e-9 * step of stop ends the grid, clamped so float round-up
     cannot push it past the integration span; one further short of stop, or
-    0 for a positive stop, is followed by stop itself."""
-    _check_span(stop, "grid stop")
-    _check_positive(step, "grid step")
+    0 for a positive stop, is followed by stop itself. A stop that is not
+    finite and >= 0, or a step that is not finite and > 0, raises
+    ValueError naming the caller's argument, names = (stop's, step's)."""
+    _check_span(stop, names[0])
+    _check_positive(step, names[1])
     m = int(np.floor(stop / step + 1e-9))
     grid = np.arange(m + 1) * step
     grid[-1] = min(grid[-1], stop)

@@ -94,7 +94,7 @@ from .model import (
     apply_event,
     enumerate_events,
 )
-from .ode import _check_positive, _check_span, uniform_grid
+from .ode import _check_positive, uniform_grid
 
 __all__ = ["EventCounters", "Trajectory", "step", "simulate",
            "empirical_equilibrium", "initial_discrete_state"]
@@ -576,9 +576,7 @@ def simulate(
     integer (an integral float passes as one).
     """
     max_events = _count(max_events, "max_events")
-    _check_span(tau_max)
-    _check_positive(sample_dt, "sample_dt")
-    taus = uniform_grid(tau_max, sample_dt)
+    taus = uniform_grid(tau_max, sample_dt, ("tau_max", "sample_dt"))
     rng = np.random.default_rng(seed)
     init = initial_discrete_state(*_pair(x0, y0, params.n_levels), scale)
     L = float(scale.l)

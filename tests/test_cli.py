@@ -14,8 +14,8 @@ import pytest
 from lobfluid import (EventCounters, ModelParams, NonMonotoneInput,
                       ResidualTooLarge, ScalingLevel, SolverError, cli,
                       empirical_equilibrium, equilibrium_concentration,
-                      fluid_convergence, integrate, integrate_until_stationary,
-                      simulate)
+                      experiments, fluid_convergence, integrate,
+                      integrate_until_stationary, simulate)
 from lobfluid.cli import main
 from lobfluid.model import PARAM_FIELDS
 
@@ -177,6 +177,39 @@ def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
     assert code == 2
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# each study's list with the other options it requires; equilibrium's are
+# the bad values an empty --levels wrote unchecked into its manifest
+EMPTY_LISTS = [
+    ("converge", "levels", ["--tau-horizon", "1", "--replicas", "2"]),
+    ("equilibrium", "levels", ["--burn-in", "-1", "--n-samples", "-1",
+                               "--sample-gap", "0"]),
+    ("sweep", "lambda_s_values", []),
+]
+
+
+@pytest.mark.parametrize("command, key, flags", EMPTY_LISTS,
+                         ids=[f"{c}-{k}" for c, k, _ in EMPTY_LISTS])
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_an_empty_study_list_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, key, flags, how):
+    # these exited 0: converge and sweep wrote a CSV of its header alone
+    def run_study(*args, **kwargs):
+        raise AssertionError("ran before its list was checked")
+
+    monkeypatch.setattr(experiments, "integrate", run_study)
+    monkeypatch.setattr(experiments, "solve_recursive", run_study)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({command: {key: []}}))
+    given = ([cli._flag(key), ""] if how == "flag"
+             else ["--config", str(config)])
+    out = tmp_path / "out"
+    code, _, err = run(capsys, [command, "--n", "2", *ONES, *flags, *given,
+                                "--out-dir", str(out)])
+    assert (code, err) == (2, f"config error: {key} must be strictly "
+                              "increasing and not empty\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

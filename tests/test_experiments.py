@@ -78,7 +78,7 @@ def test_fluid_convergence_checks_workers():
     (np.inf, None, "T must be finite and > 0, got inf"),
     (1.0, 0.0, "grid_step must be finite and > 0, got 0.0"),
     (1.0, np.nan, "grid_step must be finite and > 0, got nan"),
-])
+], ids=["T=0", "T=inf", "grid_step=0", "grid_step=nan"])
 def test_fluid_convergence_grid_errors_name_the_argument(T, grid_step,
                                                          message):
     # these named the grid's own stop and step
@@ -105,6 +105,28 @@ def test_studies_check_their_scaling_levels_before_any_run(monkeypatch):
             study()
 
 
+@pytest.mark.parametrize("study, name", [
+    (lambda z: fluid_convergence(params(), z, z, [], 1.0, 2, 0), "levels"),
+    (lambda z: equilibrium_concentration(params(), [], 1.0, 2, 0.5, 0),
+     "levels"),
+    (lambda z: overproduction_sweep(params(), []), "lambda_s_values"),
+], ids=["fluid_convergence-levels", "equilibrium_concentration-levels",
+        "overproduction_sweep-lambda_s_values"])
+def test_studies_refuse_an_empty_list_before_any_run(monkeypatch, study,
+                                                     name):
+    # an empty list ran no chain and no sweep step, and the study returned
+    # an empty report, after the ODE run or the fixed-point solve
+    def run(*args, **kwargs):
+        raise AssertionError("ran before its list was checked")
+
+    monkeypatch.setattr(experiments, "integrate", run)
+    monkeypatch.setattr(experiments, "solve_recursive", run)
+    with pytest.raises(ValueError) as raised:
+        study(np.zeros(1))
+    assert str(raised.value) == (f"{name} must be strictly increasing and "
+                                 "not empty")
+
+
 def test_equilibrium_report_small_run():
     report = equilibrium_concentration(params(), [50], burn_in=5.0,
                                        n_samples=20, sample_gap=0.5,
@@ -128,6 +150,15 @@ def test_equilibrium_empty_report():
                                        master_seed=1)
     assert report.rows == []
     assert report.quartiles == {}
+
+
+def test_studies_take_an_array_of_levels():
+    # the list check reads a numpy array's length, not its truth value,
+    # which is ambiguous for more than one element
+    report = equilibrium_concentration(params(), np.array([10, 20]),
+                                       burn_in=1.0, n_samples=0,
+                                       sample_gap=1.0, master_seed=1)
+    assert report.levels == [10, 20]
 
 
 def test_sweep_saturation_plateau():

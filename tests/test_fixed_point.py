@@ -235,7 +235,7 @@ def test_classify_rejects_nonmonotone_input():
     # allows, so x* - y* is negative at level 1 and positive at level 2
     ([0.5, 0.5 + 5e-10], [0.5 + 1e-10, 0.5 + 2e-10],
      "crosses more than once"),
-])
+], ids=["y-falls", "x-y-cross-within-slack"])
 def test_classify_rejects_a_broken_interleaving(x, y, message):
     bad = FixedPoint(np.array(x), np.array(y), 1, "iii", 0.0, "synthetic",
                      0.0, 0)

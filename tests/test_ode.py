@@ -708,6 +708,14 @@ def test_uniform_grid_endpoint_never_overshoots():
                              (1.0, np.inf, "step"), (1.0, np.nan, "step")):
         with pytest.raises(ValueError, match=f"grid {name} must be finite"):
             uniform_grid(stop, step)
+    # a caller's names replace the grid's own: each caller checked its stop
+    # and step under its own names before the grid checked them again
+    for stop, step, message in ((-1.0, 0.1, "T must be >= 0, got -1.0"),
+                                (1.0, 0.0, "sample_dt must be finite and > 0, "
+                                           "got 0.0")):
+        with pytest.raises(ValueError) as raised:
+            uniform_grid(stop, step, names=("T", "sample_dt"))
+        assert str(raised.value) == message
 
 
 def test_integrate_nonnegative_and_bounded():
