@@ -94,6 +94,7 @@ STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
 SCALAR_FLOW_MAX = 104       # state components up to which _solve compiles
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
+GRID_MAX = 10**7            # points of a uniform grid, checked before allocation
 
 ODEPACK = "scipy.integrate._odepack"
 # LSODA's failure codes (istate < 0), with the messages scipy's odeint gives
@@ -117,14 +118,23 @@ def uniform_grid(stop: float, step: float,
     cannot push it past the integration span; one further short of stop, or
     0 for a positive stop, is followed by stop itself. A stop that is not
     finite and >= 0, or a step that is not finite and > 0, raises
-    ValueError naming the caller's argument, names = (stop's, step's)."""
+    ValueError naming the caller's argument, names = (stop's, step's), and
+    so does a step that would make more than GRID_MAX points, before any
+    is allocated: a simulation preallocates its samples, and a grid of
+    7 TiB failed inside numpy."""
     _check_span(stop, names[0])
     _check_positive(step, names[1])
-    m = int(np.floor(stop / step + 1e-9))
-    grid = np.arange(m + 1) * step
-    grid[-1] = min(grid[-1], stop)
+    ratio = stop / step + 1e-9  # inf for a step far below stop
+    m = int(np.floor(ratio)) if ratio < GRID_MAX else GRID_MAX
+    last = min(m * step, stop)
     # tau 0 alone never ends the grid of a positive stop, however short
-    if stop - grid[-1] > (1e-9 * step if m else 0.0):
+    then_stop = stop - last > (1e-9 * step if m else 0.0)
+    if m + 1 + then_stop > GRID_MAX:
+        raise ValueError(f"{names[1]} = {step} would make more than "
+                         f"{GRID_MAX} grid points up to {names[0]} = {stop}")
+    grid = np.arange(m + 1) * step
+    grid[-1] = last
+    if then_stop:
         grid = np.append(grid, stop)
     return grid
 

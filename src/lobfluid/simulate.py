@@ -7,32 +7,31 @@ same table (`EventCounters`' fields are the tallies, one per kind in rank
 order, and `TALLIES` names them by kind). `_run`, behind
 `simulate` and `empirical_equilibrium`, runs one fast engine: the template
 `_ENGINE`, whose event code `_engine_source` renders from the same table
-and `_compiled_engine` compiles on first use. The ODE right-hand side,
-written apart, is the independent check on the table (a test compares it
-with the table's drift). Every rendering holds exact counts and keeps
-B = sum b, S = sum s and M = sum min(b, s) exactly, so the closed-form
-total rate never drifts, and every rendering makes the same comparisons
-and float operations in the same order, so all give the same bits. The
-tests replay each rendering event by event against `step()`, and compare
-them bit for bit at every unrolled size. A sample is recorded by copying
-the counts into two `array("d")` buffers, as doubles and at C level, and
-`_run` scales them once in place at the end: no Python object per sample
-outlives its copy, so a run's samples take little more memory than the
-arrays returned.
+and `_python_engine` compiles on first use, or its rendering in C
+(`_cengine`). The ODE right-hand side, written apart, is the independent
+check on the table (a test compares it with the table's drift). Every
+rendering holds exact counts and keeps B = sum b, S = sum s and
+M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
+every rendering makes the same comparisons and float operations in the
+same order, so all give the same bits. The tests replay each rendering
+event by event against `step()`, and compare them bit for bit at every
+level count up to 17. Samples are recorded as doubles, at C level: no
+Python object per sample outlives its copy, so a run's samples take little
+more memory than the arrays returned, which `_run` scales once in place.
 
-Renderings: the template is rendered in two layouts, picked by `_run`
-from the level count N (no option chooses them). Up to ENGINE_UNROLL_MAX
-levels the book lives in locals: every b_k, s_k and per-level tally is a
-local variable and each level block's walk is an elif chain over the
-levels that ends in the past-the-end fallback, compiled once per N (1.1 ms
-at N = 2, 6 ms at N = 16). Above it the book lives in lists, each level
-block tests its entry level inline and then loops over the other levels
-(`_LIST_WALK`), and the one list form is compiled once per process (about
-2 ms). Both hold the counts as floats, which are exact below 2**53: `_run`
-refuses an initial population of 2**53 or more and caps the budget so
-that no count reaches it. On a 2-core Xeon (Python 3.11) the locals form
-takes less time per event than the list form at N <= 16 (CHANGES.md has
-the tables by N); nothing is compiled at import.
+Renderings: `_engine` picks one per process, and no option chooses it.
+The C rendering runs when a C compiler `cc` builds it (once per source,
+into a per-user cache; `_cengine` has the details) and a load-time check
+finds it giving the Python engine's bits. Otherwise the Python rendering
+runs: the book in lists, each level block testing its entry level inline
+and then looping over the other levels (`_LIST_WALK`), compiled once per
+process (about 2 ms). It is also the oracle the C engine is checked
+against. On a shared 2-core Xeon (gcc 12, Python 3.11) the C engine took
+43-58 ns per event at N = 2 and 48-73 ns at N = 50, the Python one
+460-530 and 460-690 ns (CHANGES.md has the runs). Both hold the
+counts as floats, which are exact below 2**53: `_run` refuses an initial
+population of 2**53 or more and caps the budget so that no count reaches
+it. Nothing is compiled or built at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -49,8 +48,9 @@ short at any N. The engine takes the stream as (holding, selection) pairs,
 CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
-through `math.log1p`, never `np.log1p`, whose vectorised form differs from
-it in the last bit on some machines. Replica streams are `SeedSequence`
+through `math.log1p`, or in C through the libm `log1p` that it calls,
+never `np.log1p`, whose vectorised form differs from it in the last bit
+on some machines. Replica streams are `SeedSequence`
 spawn keys `(i, j)` (replica j at the i-th scaling level).
 
 Per event the engine does only the work that event needs: one clock
@@ -101,7 +101,6 @@ __all__ = ["EventCounters", "Trajectory", "step", "simulate",
 
 DEFAULT_MAX_EVENTS = 50_000_000
 CHUNK = 1024  # (holding, selection) pairs per generator call
-ENGINE_UNROLL_MAX = 16  # level counts up to which the book lives in locals
 
 
 @dataclass
@@ -224,12 +223,12 @@ def _exhausted(max_events: int, t: float) -> BudgetExceeded:
     return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
 
 
-# The engine's source, with {fields} filled in by _engine_source: the book
-# (b{k}, s{k}, where {k} is a level's digits in the locals form and its
-# index in the list form), the tallies (one local per EventCounters field,
-# per level {k} of a per-level one), which it returns in rank order, and
-# each block of the dispatch, rendered from `model.TRANSITIONS`. The
-# counts are floats, which `_run` keeps exact (see `_compiled_engine`).
+# The Python engine's source, with {fields} filled in by _engine_source:
+# the tallies (one local per EventCounters field, a list for a per-level
+# one), which it returns in rank order, and each block of the dispatch,
+# rendered from `model.TRANSITIONS`. The counts are floats, which `_run`
+# keeps exact (see `_python_engine`). It also returns the clock as the run
+# left it, which `_cengine`'s load-time check compares.
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
@@ -247,10 +246,10 @@ _ENGINE = '''\
 def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     lam_b, lam_s, lam, rt, rq, rm, rqm = rates
     B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
-    {bs} = [*map(float, b)]
-    {ss} = [*map(float, s)]
+    b = [*map(float, b)]
+    s = [*map(float, s)]
     {tallies} = {zeros}
-    # the list form's levels after the entry level, in walk order
+    # the levels after the entry level, in walk order
     top = len(b) - 1
     up = range(1, len(b))
     down = range(top - 1, -1, -1)
@@ -274,8 +273,8 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
                 if t >= t_end:
                     break
                 while si < m and sample_ts[si] <= t:
-                    xs.fromlist({bs})
-                    ys.fromlist({ss})
+                    xs.fromlist(b)
+                    ys.fromlist(s)
                     si += 1
                 stop = min(sample_ts[si], t_end) if si < m else t_end
             target = pick * rate
@@ -302,24 +301,24 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
     else:
         raise _exhausted(max_events, t)
     while si < m:
-        xs.fromlist({bs})
-        ys.fromlist({ss})
+        xs.fromlist(b)
+        ys.fromlist(s)
         si += 1
     # the pair that ended the run was drawn but fired no event
     n_events = done + size - length_hint(picks) - 1
-    return (n_events, xs, ys, [*map(int, {bs})], [*map(int, {ss})],
-            (int(B), int(S), int(M)), ({tallies}))
+    return (n_events, xs, ys, [*map(int, b)], [*map(int, s)],
+            (int(B), int(S), int(M)), ({tallies}), t)
 '''
 
 # The engine's local for each level block's rate unit, the field over L
 _UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
 
-# A level block's walk in the list form, which leaves the level it picks
-# in k: the entry level inline, then the levels after it (`rest`, in walk
-# order), each test subtracting the weight tested before it. A target at or
-# past the block's end scans all levels back from the far edge (`back`) for
-# the last occupied one in walk order; the scan ends at the entry level,
-# which it picks when no other level is occupied.
+# A level block's walk, which leaves the level it picks in k: the entry
+# level inline, then the levels after it (`rest`, in walk order), each test
+# subtracting the weight tested before it. A target at or past the block's
+# end scans all levels back from the far edge (`back`) for the last
+# occupied one in walk order; the scan ends at the entry level, which it
+# picks when no other level is occupied.
 _LIST_WALK = """\
 k = {entry}
 if not target < (w := {weight}):
@@ -337,15 +336,38 @@ def _branch(test: str, body: str) -> str:
     return f"{test}:\n    " + body.replace("\n", "\n    ")
 
 
-def _indent(lines: str) -> str:
-    """lines indented to sit in the engine's dispatch."""
-    pad = " " * 16
+def _indent(lines: str, depth: int = 16) -> str:
+    """lines indented by depth spaces, by default to sit in the Python
+    engine's dispatch."""
+    pad = " " * depth
     return pad + lines.replace("\n", "\n" + pad)
 
 
-def _event(kind: EventKind, at) -> str:
-    """Source that fires one event of kind, read off its row of
-    `model.TRANSITIONS`; at(offset) is the suffix of b and s that names
+def _blocks():
+    """The dispatch's blocks, the rows of `model.TRANSITIONS` grouped by
+    rate (field, and the sides `model._taken` reads off the increments), in
+    rank order, which puts each alpha-move with the exit at its far edge.
+    Yields (name, kinds, unit, sides, up) per block: its first kind's name
+    in lower case; its kinds; the engine's rate unit (`_UNITS`), None for
+    an arrival, which fires at its one level unwalked; the names of the
+    sides, "b" and "s", whose smaller count times the unit is its weight at
+    a level, and whose counts are all nonzero where a level is occupied;
+    and whether it walks up from level 0, else down from the top, read off
+    its first row for a book of two levels. Every rendering of the engine
+    renders its blocks from these."""
+    for (field, sides), rows in groupby(
+            TRANSITIONS.items(),
+            key=lambda row: (row[1][0], _taken(row[1][2], "bs"))):
+        kinds = [kind for kind, _ in rows]
+        yield (kinds[0].name.lower(), kinds, _UNITS[field] if sides else None,
+               sides, TRANSITIONS[kinds[0]][1](2)[0] == 0)
+
+
+def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
+    """What firing one event of kind does, read off its row of
+    `model.TRANSITIONS`, as (guard, statement) pairs, each statement to run
+    when its guard holds (always for None), in expressions that read alike
+    in Python and C. at(offset) is the index suffix of b and s that names
     the level offset from the one it fires at. In order: the counts at
     that level, the side totals B and S by the row's net change on each
     side, M, the tally, and a move's destination count with its M test.
@@ -353,129 +375,75 @@ def _event(kind: EventKind, at) -> str:
     moves with b exactly when b <= s after a buyer arrives and when b < s
     after one leaves (mirrored for sellers)."""
     def add(name, sign):
-        return f"{name} {'+-'[sign < 0]}= 1.0"
+        return None, f"{name} {'+-'[sign < 0]}= 1.0"
 
     def moves_min(side, sign, level):
-        return (f"if {'bs'[side]}{level} {'<' if sign < 0 else '<='} "
-                f"{'sb'[side]}{level}:\n    " + add("M", sign))
+        return (f"{'bs'[side]}{level} {'<' if sign < 0 else '<='} "
+                f"{'sb'[side]}{level}", add("M", sign)[1])
 
     increments = TRANSITIONS[kind][2]
     tally = fields(EventCounters)[kind]
     here = [(side, sign) for side, offset, sign in increments if not offset]
     nets = [sum(sign for s, _, sign in increments if s == side)
             for side in (0, 1)]
-    lines = [add("bs"[side] + at(0), sign) for side, sign in here]
-    lines += [add(total, net) for total, net in zip("BS", nets) if net]
+    actions = [add("bs"[side] + at(0), sign) for side, sign in here]
+    actions += [add(total, net) for total, net in zip("BS", nets) if net]
     if len(here) == 2 and here[0][1] == here[1][1]:
-        lines.append(add("M", here[0][1]))
+        actions.append(add("M", here[0][1]))
     else:
-        lines += [moves_min(side, sign, at(0)) for side, sign in here]
-    lines.append(f"{tally.name}{'' if tally.type == 'int' else at(0)} += 1")
+        actions += [moves_min(side, sign, at(0)) for side, sign in here]
+    actions.append(
+        (None, f"{tally.name}{'' if tally.type == 'int' else at(0)} += 1"))
     for side, offset, sign in increments:
         if offset:
-            lines += [add("bs"[side] + at(offset), sign),
-                      moves_min(side, sign, at(offset))]
-    return "\n".join(lines)
+            actions += [add("bs"[side] + at(offset), sign),
+                        moves_min(side, sign, at(offset))]
+    return actions
 
 
 def _in_list(k: str, offset: int) -> str:
-    """The list form's index of the level offset from level k."""
+    """The index suffix of the level offset from level k."""
     return f"[{k} {'+-'[offset < 0]} {abs(offset)}]" if offset else f"[{k}]"
 
 
-def _unrolled_walk(levels, weight: str, occupied: str, fire) -> str:
-    """One level block's walk over levels (in walk order) as an elif
-    chain, for the locals form.
-
-    weight and occupied are source templates in {k} for level k's weight
-    in the block and for "level k is occupied", and fire(k) is the source
-    that fires the block's event at level k. Each test subtracts the
-    weight tested before it, as the list form's walk does. The last
-    level's test reduces to occupied, since a target below its weight
-    implies a positive weight; from there on the chain is the fallback of
-    a target at or past the end: the last occupied level in walk order,
-    the entry level if no other is occupied. A block of one level always
-    fires it.
-    """
-    if len(levels) == 1:
-        return _indent(fire(levels[0]))
-    first, *middle, last = levels
-    w = weight.format
-    lines = [_branch(f"if target < (w := {w(k=first)})", fire(first))]
-    lines += [_branch(f"elif (target := target - w) < (w := {w(k=k)})",
-                      fire(k)) for k in middle]
-    lines += [_branch(f"elif {occupied.format(k=k)}", fire(k))
-              for k in [last, *reversed(middle)]]
-    lines.append(_branch("else", fire(first)))
-    return _indent("\n".join(lines))
-
-
-def _engine_source(n: int | None) -> str:
-    """Source of the engine (see `_compiled_engine`): with the book in
-    locals for n levels, or in lists for any level count when n is None.
-
-    The dispatch's blocks are the rows of `model.TRANSITIONS` grouped by
-    rate (field, and the sides `model._taken` reads off the increments),
-    in rank order, which puts each alpha-move with the exit at its far
-    edge. A block walks its rows' levels in row order, as the rows give
-    them for n levels; the list form reads them for a book of two levels,
-    where the first gives the block's entry level (0 or top) and so its
-    direction. Its weight at a level (the rate unit times the smaller
-    count of those sides) and the test that the level is occupied come
-    from those sides.
-    """
+def _engine_source() -> str:
+    """Source of the Python engine (see `_python_engine`), its blocks
+    rendered from `_blocks`: each level block walks its levels from its
+    entry level (`_LIST_WALK`), then fires its event at the level picked;
+    an alpha block fires its move below the far edge and its exit there."""
     blocks = {}
-    for (field, sides), rows in groupby(
-            TRANSITIONS.items(),
-            key=lambda row: (row[1][0], _taken(row[1][2], ("b{k}", "s{k}")))):
-        kinds = [kind for kind, _ in rows]
-        name = kinds[0].name.lower()
-        occupied = " and ".join(sides)
-        count = ("(b{k} if b{k} < s{k} else s{k})" if len(sides) > 1
-                 else occupied)
-        # an arrival decrements no side: it fires at its one level, unwalked
-        weight = f"{_UNITS[field]} * {count}" if sides else None
-        if n is not None:
-            kind_at = {k: kind for kind in kinds
-                       for k in TRANSITIONS[kind][1](n)}
-            blocks[name] = _unrolled_walk(
-                [*kind_at], weight, occupied,
-                lambda k: _event(kind_at[k], lambda o: str(k + o)))
-            continue
-        up = TRANSITIONS[kinds[0]][1](2)[0] == 0
+    for name, kinds, unit, sides, up in _blocks():
         entry, rest, back = (("0", "up", "range(top, -1, -1)") if up
                              else ("top", "down", "range(top + 1)"))
-        at = functools.partial(_in_list, "k" if weight else entry)
-        fire, *leave = [_event(kind, at) for kind in kinds]
+        at = functools.partial(_in_list, "k" if unit else entry)
+        fire, *leave = ["\n".join(
+            statement if guard is None else _branch(f"if {guard}", statement)
+            for guard, statement in _actions(kind, at)) for kind in kinds]
         if leave:
             fire = (_branch("if k < top" if up else "if k > 0", fire) + "\n"
                     + _branch("else", *leave))
-        if weight:
+        if unit:
+            level = [side + "[k]" for side in sides]
+            count = (level[0] if len(level) == 1
+                     else "({0} if {0} < {1} else {1})".format(*level))
             fire = _LIST_WALK.format(entry=entry, rest=rest, back=back,
-                                     weight=weight.format(k="[k]"),
-                                     occupied=occupied.format(k="[k]")
+                                     weight=f"{unit} * {count}",
+                                     occupied=" and ".join(level)
                                      ) + "\n" + fire
         blocks[name] = _indent(fire)
-    names = ((lambda p: p) if n is None else
-             lambda p: "[" + ", ".join(f"{p}{k}" for k in range(n)) + "]")
     tallies, zeros = zip(*(
-        (f.name, "0") if f.type == "int" else (names(f.name), "[0] * len(b)")
+        (f.name, "0" if f.type == "int" else "[0] * len(b)")
         for f in fields(EventCounters)))
-    return _ENGINE.format(bs=names("b"), ss=names("s"),
-                          tallies=", ".join(tallies), zeros=", ".join(zeros),
+    return _ENGINE.format(tallies=", ".join(tallies), zeros=", ".join(zeros),
                           **blocks)
 
 
 @functools.cache
-def _compiled_engine(n: int | None):
-    """The engine rendered by `_engine_source(n)`, compiled once per level
-    count up to ENGINE_UNROLL_MAX and once for the list form.
-
-    Both layouts make the same draws, comparisons and float operations in
-    the same order, and so give the same bits. The locals form (n levels)
-    holds every b_k, s_k and per-level tally in a local and unrolls each
-    level block's walk (`_unrolled_walk`); the list form holds them in
-    lists and renders each walk as a loop (`_LIST_WALK`). The counts b_k,
+def _python_engine():
+    """The Python engine, `_engine_source()` compiled once per process: the
+    fallback where the C engine (`_cengine`) cannot run, and the oracle
+    that checks it. It holds the book and the per-level tallies in lists
+    and walks each level block in a loop (`_LIST_WALK`). The counts b_k,
     s_k, B, S and M are floats, which step by 1.0 and multiply the rates
     without an int-to-float conversion; they are exact below 2**53, so
     every comparison and product equals that on ints, and `_run` caps the
@@ -483,9 +451,20 @@ def _compiled_engine(n: int | None):
     """
     namespace = {"array": array, "log1p": log1p, "length_hint": length_hint,
                  "_exhausted": _exhausted}
-    exec(compile(_engine_source(n), f"<lobfluid.simulate engine {n}>",
-                 "exec"), namespace)
+    exec(compile(_engine_source(), "<lobfluid.simulate engine>", "exec"),
+         namespace)
     return namespace["engine"]
+
+
+@functools.cache
+def _engine():
+    """The engine `_run` runs, chosen once per process: the C rendering
+    when `_cengine.load` finds or builds it and its load-time check finds
+    it agreeing with the Python engine, else the Python engine. Both make
+    the same draws, comparisons and float operations in the same order and
+    so give the same bits, which is why no option chooses between them."""
+    from . import _cengine
+    return _cengine.load() or _python_engine()
 
 
 def _run(
@@ -502,20 +481,18 @@ def _run(
     identities exactly. Returns (x, y, n_events, final state, counters);
     row i of x and y is the scaled state at sample_ts[i].
 
-    The chain runs on one rendering of the engine: with the book in
-    locals up to ENGINE_UNROLL_MAX levels and in lists above; both give
-    the same bits. The counts are floats, exact below 2**53 (the loop is
-    pure Python; small numpy arrays would dominate the per-event cost), and
-    the aggregates B, S, M move with the +-1 increments, so the total rate
-    is exact at every step. An event adds at most one trader, so the
-    engine's budget is capped at 2**53 - 1 - P events for an initial
-    population P: reaching the cap raises BudgetExceeded naming it as the
-    budget, and a population of 2**53 or more raises ValueError. At any
-    real population the cap is far beyond a run's reach. Samples go into
-    `array("d")` buffers as doubles, through `fromlist`, which grows a
-    buffer once per sample where `extend` grows it once per count; x and y
-    are numpy views of the buffers, divided by L in place, which converts
-    and divides exactly as `np.array(samples, dtype=np.float64) / L` would.
+    The chain runs on `_engine()`, in C or in Python; both give the same
+    bits. The counts are floats, exact below 2**53, and the aggregates B,
+    S, M move with the +-1 increments, so the total rate is exact at every
+    step. An event adds at most one trader, so the engine's budget is
+    capped at 2**53 - 1 - P events for an initial population P: reaching
+    the cap raises BudgetExceeded naming it as the budget, and a
+    population of 2**53 or more raises ValueError. At any real population
+    the cap is far beyond a run's reach. The engine returns the samples as
+    doubles in a buffer (a numpy array, or an `array("d")` that the Python
+    engine grows once per sample through `fromlist`); x and y are numpy
+    views of the buffers, divided by L in place, which converts and divides
+    exactly as `np.array(samples, dtype=np.float64) / L` would.
     """
     n = params.n_levels
     b = [int(v) for v in init.b]
@@ -527,7 +504,6 @@ def _run(
         raise ValueError(f"initial population {population} is not below "
                          f"2**53, where float counts stop being exact")
     budget = min(max_events, 2**53 - 1 - population)
-    engine = _compiled_engine(n if n <= ENGINE_UNROLL_MAX else None)
     L = float(scale.l)
     lam_b = params.lambda_b
     lam_s = params.lambda_s
@@ -535,7 +511,7 @@ def _run(
     rm = params.alpha / scale.l
     rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
              rq + rm)
-    n_events, xs, ys, b, s, (B, S, M), tallies = engine(
+    n_events, xs, ys, b, s, (B, S, M), tallies, _ = _engine()(
         rates, b, s, t_end, sample_ts, rng, budget, CHUNK)
 
     if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):

@@ -1,4 +1,5 @@
-"""Shared test helpers: the engine renderings on scripted draws."""
+"""Shared test helpers: the engine renderings on scripted draws, and a
+C engine cache of the session's own."""
 
 import importlib
 from dataclasses import fields
@@ -9,9 +10,24 @@ import pytest
 from lobfluid import EventCounters
 from lobfluid.simulate import _run
 
-# the ENGINE_UNROLL_MAX that forces `_run` onto each layout of the engine
-# at every level count: the book in locals (unrolled), or in lists
-LAYOUTS = {"locals": 10**6, "lists": 0}
+
+@pytest.fixture(autouse=True, scope="session")
+def private_engine_cache(tmp_path_factory):
+    """The C engine's cache in a directory of the session's own, so the
+    tests never write to the user's home; the command-line runs that tests
+    start in subprocesses inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+def engines() -> dict:
+    """The engine's renderings by name: the Python one, and the C one
+    where it loads."""
+    module = importlib.import_module("lobfluid.simulate")
+    python, default = module._python_engine(), module._engine()
+    return {"python": python} | ({"c": default} if default is not python
+                                 else {})
 
 
 def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
@@ -22,16 +38,17 @@ def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
 
 @pytest.fixture
 def each_engine(monkeypatch):
-    """Call it to iterate over the names of the engine's two renderings,
-    the book in locals and in lists; on each step `_run` runs that
-    rendering at every level count."""
+    """Call it to iterate over the names of the engine's renderings, the
+    Python one first, then the C one where it loads; on each step `_run`
+    runs that rendering."""
     module = importlib.import_module("lobfluid.simulate")
+    renderings = engines()
 
-    def engines():
-        for layout, cap in LAYOUTS.items():
-            monkeypatch.setattr(module, "ENGINE_UNROLL_MAX", cap)
-            yield layout
-    return engines
+    def each():
+        for name, engine in renderings.items():
+            monkeypatch.setattr(module, "_engine", lambda engine=engine: engine)
+            yield name
+    return each
 
 
 class ScriptedUniforms:
@@ -54,7 +71,7 @@ class ScriptedUniforms:
 @pytest.fixture
 def fire_once(each_engine):
     """Run each engine rendering from `state` through exactly one event,
-    fired at time 0 with selection uniform `u`; both must end alike.
+    fired at time 0 with selection uniform `u`; all must end alike.
     Returns (final state, counters)."""
     def run(params, scale, state, u):
         outcomes = []

@@ -164,23 +164,25 @@ def test_criterion_06_monotone_extremal_trajectories():
                 assert (np.diff(sol.y, axis=0) * y_sign).min() > -1e-8
 
 
-def test_criterion_07_conservation_identities():
-    rng = np.random.default_rng(20240607)
+def test_criterion_07_conservation_identities(each_engine):
     with criterion(7, "counter conservation, 1000 fuzzed runs, zero tolerance"):
-        for _ in range(1000):
-            n = int(rng.integers(1, 6))
-            p = ModelParams(n, float(rng.uniform(0.2, 4)),
-                            float(rng.uniform(0.2, 4)),
-                            float(rng.uniform(0.2, 4)),
-                            float(rng.uniform(0.0, 4)),
-                            float(rng.uniform(0.2, 4)))
-            traj = simulate(p, ScalingLevel(int(rng.integers(1, 11))),
-                            rng.uniform(0, 2, n), rng.uniform(0, 2, n),
-                            tau_max=float(rng.uniform(0, 1)), sample_dt=0.25,
-                            seed=int(rng.integers(1 << 31)))
-            db, ds = traj.counters.conservation_defects(traj.initial_state,
-                                                        traj.final_state)
-            assert not db.any() and not ds.any()
+        for _ in each_engine():
+            rng = np.random.default_rng(20240607)
+            for _ in range(1000):
+                n = int(rng.integers(1, 6))
+                p = ModelParams(n, float(rng.uniform(0.2, 4)),
+                                float(rng.uniform(0.2, 4)),
+                                float(rng.uniform(0.2, 4)),
+                                float(rng.uniform(0.0, 4)),
+                                float(rng.uniform(0.2, 4)))
+                traj = simulate(p, ScalingLevel(int(rng.integers(1, 11))),
+                                rng.uniform(0, 2, n), rng.uniform(0, 2, n),
+                                tau_max=float(rng.uniform(0, 1)),
+                                sample_dt=0.25,
+                                seed=int(rng.integers(1 << 31)))
+                db, ds = traj.counters.conservation_defects(
+                    traj.initial_state, traj.final_state)
+                assert not db.any() and not ds.any()
 
 
 def test_criterion_08_fluid_limit_convergence():

@@ -1,0 +1,143 @@
+"""The C engine: its build, its cache, and the Python fallback's bytes."""
+
+import importlib
+import shutil
+import subprocess
+import zlib
+
+import pytest
+from conftest import engines
+
+from lobfluid import _cengine
+from lobfluid.cli import main
+
+simulate_module = importlib.import_module("lobfluid.simulate")
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler cc on PATH")
+
+# the README's simulate, converge and equilibrium arguments, at N = 2
+README_RUNS = {
+    "simulate": ["--scale", "1000", "--tau-max", "5", "--sample-dt", "0.05"],
+    "converge": ["--levels", "10,100,1000", "--tau-horizon", "5",
+                 "--replicas", "50"],
+    "equilibrium": ["--levels", "1000", "--burn-in", "10", "--n-samples",
+                    "200", "--sample-gap", "0.25"],
+}
+MODEL = ["--n", "2", "--lambda-b", "1", "--lambda-s", "1", "--alpha", "1",
+         "--beta", "1", "--gamma", "1", "--seed", "42"]
+
+
+@pytest.fixture
+def fresh_engine_choice():
+    """Lets a test choose the engine again, and the next test after it."""
+    simulate_module._engine.cache_clear()
+    yield
+    simulate_module._engine.cache_clear()
+
+
+def _readme_outputs(out_dir) -> dict:
+    outputs = {}
+    for command, flags in README_RUNS.items():
+        assert main([command, *flags, *MODEL,
+                     "--out-dir", str(out_dir / command)]) == 0
+        outputs |= {f"{command}/{path.name}": path.read_bytes()
+                    for path in sorted((out_dir / command).iterdir())}
+    return outputs
+
+
+@needs_cc
+def test_the_c_engine_loads_where_a_compiler_is_found():
+    # where cc is found, the engine `_run` runs is the C one; the tests
+    # that compare renderings then compare C with Python
+    assert set(engines()) == {"python", "c"}
+
+
+@needs_cc
+def test_the_fallback_writes_the_c_engine_bytes(tmp_path, monkeypatch,
+                                                fresh_engine_choice):
+    # with no compiler found and nothing cached, the Python engine runs,
+    # and every CSV and manifest of the README runs keeps its bytes
+    assert simulate_module._engine() is not simulate_module._python_engine()
+    compiled = _readme_outputs(tmp_path / "c")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    simulate_module._engine.cache_clear()
+    assert simulate_module._engine() is simulate_module._python_engine()
+    fallback = _readme_outputs(tmp_path / "python")
+    assert not (tmp_path / "empty").exists()
+    assert fallback.keys() == compiled.keys()
+    assert len(compiled) == 6  # a CSV and a manifest per command
+    for name in compiled:
+        assert fallback[name] == compiled[name], name
+
+
+@needs_cc
+def test_a_cached_library_of_another_source_is_rebuilt(tmp_path,
+                                                       monkeypatch):
+    # the cache file is named by the source's crc32 and the stored source
+    # is compared byte for byte: a working library built from another
+    # source under that name (as after a crc32 collision) is rebuilt, not
+    # loaded, and so is a library that does not load. Each case has a
+    # cache of its own, since a process that loaded a library from a path
+    # gets that library back from the path
+    source = _cengine._source().encode()
+    name = f"engine-{zlib.crc32(source):08x}"
+    other = source + b"/* another source */\n"
+    for case in ("other-source", "not-a-library"):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / case))
+        stem = tmp_path / case / "lobfluid" / name
+        stem.parent.mkdir(parents=True)
+        stored = stem.with_name(name + ".c")
+        library = stem.with_name(name + ".so")
+        if case == "other-source":
+            assert _cengine._build(shutil.which("cc"), other,
+                                   str(stem)) is not None
+            assert stored.read_bytes() == other
+        else:
+            stored.write_bytes(source)
+            library.write_bytes(b"not a library")
+        assert _cengine.load() is not None
+        assert stored.read_bytes() == source
+        assert library.read_bytes()[:4] == b"\x7fELF"
+        # the cache holds the library and its source, and nothing else
+        assert sorted(p.name for p in stem.parent.iterdir()) == [
+            stored.name, library.name]
+    # a library whose stored source matches loads without any build
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(_cengine, "_build", None)
+    assert _cengine.load() is not None
+
+
+@needs_cc
+def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path,
+                                                           monkeypatch):
+    # a file where the cache directory would be: nothing can be written
+    # there, so the library is built in a temporary directory and loaded
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    assert _cengine.load() is not None
+    assert blocked.read_text() == ""
+
+
+@pytest.mark.skipif(shutil.which("false") is None, reason="no false on PATH")
+def test_a_failed_build_falls_back_to_python(tmp_path, monkeypatch):
+    # a compiler that fails leaves nothing behind in the cache, which is
+    # private to the user
+    failing = shutil.which("false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(shutil, "which", lambda name: failing)
+    assert _cengine.load() is None
+    assert list((tmp_path / "lobfluid").iterdir()) == []
+    assert (tmp_path / "lobfluid").stat().st_mode & 0o777 == 0o700
+
+
+@needs_cc
+def test_the_generated_c_compiles_without_warnings(tmp_path):
+    source = tmp_path / "engine.c"
+    source.write_text(_cengine._source())
+    built = subprocess.run(
+        ["cc", *_cengine.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "engine.so"), str(source), "-lm"],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr

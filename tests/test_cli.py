@@ -167,9 +167,23 @@ def test_negative_list_values_reach_the_library_checks(tmp_path, capsys,
      "grid_step must be finite and > 0, got 0.0"),
     ("integrate", ["--tau-max", "0", "--grid-step", "-5"],
      "grid_step must be finite and > 0, got -5.0"),
+    # these failed inside numpy: a 7.28 TiB allocation (exit 1), "Maximum
+    # allowed size exceeded" (exit 2), and a run killed for its memory
+    ("integrate", ["--tau-max", "1e3", "--grid-step", "1e-9"],
+     "grid_step = 1e-09 would make more than 10000000 grid points up to "
+     "tau_max = 1000.0"),
+    ("simulate", ["--scale", "10", "--tau-max", "5", "--sample-dt", "1e-300"],
+     "sample_dt = 1e-300 would make more than 10000000 grid points up to "
+     "tau_max = 5.0"),
+    ("simulate", ["--scale", "10", "--tau-max", "1", "--sample-dt", "1e-9"],
+     "sample_dt = 1e-09 would make more than 10000000 grid points up to "
+     "tau_max = 1.0"),
 ], ids=["converge-tau-horizon=0", "simulate-sample-dt=0",
         "simulate-tau-max=-1", "integrate-grid-step=0", "converge-grid-step=0",
-        "integrate-tau-max=0-grid-step=-5"])
+        "integrate-tau-max=0-grid-step=-5",
+        "integrate-tau-max=1e3-grid-step=1e-9",
+        "simulate-tau-max=5-sample-dt=1e-300",
+        "simulate-tau-max=1-sample-dt=1e-9"])
 def test_grid_checks_name_the_argument(tmp_path, capsys, command, flags,
                                       message):
     code, out, err = run(capsys, [command, "--n", "2", *ONES, *flags,

@@ -674,6 +674,25 @@ def test_comparison_clamps_round_off_and_raises_on_a_negative_state(
         compare(-1e-7)
 
 
+def test_uniform_grid_caps_its_point_count(monkeypatch):
+    # a grid of more than GRID_MAX points is refused before it is
+    # allocated, naming the caller's step; up to the cap it is built,
+    # with or without stop appended
+    from lobfluid import ode, uniform_grid
+
+    monkeypatch.setattr(ode, "GRID_MAX", 10)
+    assert len(uniform_grid(9.0, 1.0)) == 10  # 0..9
+    assert len(uniform_grid(8.5, 1.0)) == 10  # 0..8, then 8.5
+    for stop, step in ((10.0, 1.0), (9.5, 1.0), (1.0, 5e-324), (1e300, 1e-300)):
+        with pytest.raises(ValueError) as raised:
+            uniform_grid(stop, step, names=("T", "sample_dt"))
+        assert str(raised.value) == (
+            f"sample_dt = {step} would make more than 10 grid points up to "
+            f"T = {stop}")
+    monkeypatch.undo()
+    assert ode.GRID_MAX == 10**7
+
+
 def test_uniform_grid_endpoint_never_overshoots():
     from lobfluid import uniform_grid
 

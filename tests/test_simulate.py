@@ -288,17 +288,12 @@ def test_budget_stops_at_the_exactness_cap(each_engine):
                  ScriptedUniforms([0.0] * 6), 10**30)
 
 
-def test_each_unrolled_size_matches_the_list_engine(each_engine):
-    # every level count up to the threshold has its own generated engine;
-    # a short run at each one, from a book with traders of both sides on
-    # most levels, gives the list rendering's bits
-    engine = importlib.import_module("lobfluid.simulate")
-    threshold = engine.ENGINE_UNROLL_MAX  # each_engine() overrides it
-    assert threshold >= 1
-    compiled = engine._compiled_engine
-    compiled.cache_clear()
+def test_each_level_count_matches_the_python_engine(each_engine):
+    # a short run at each level count from 1 to 17, from a book with
+    # traders of both sides on most levels, gives the Python engine's bits
+    # on every rendering
     rng = np.random.default_rng(53)
-    for n in range(1, threshold + 1):
+    for n in range(1, 18):
         p = params(n=n, lam_b=rng.uniform(0.2, 3), lam_s=rng.uniform(0.2, 3),
                    alpha=rng.uniform(0.2, 3),
                    beta=float(rng.choice([0.0, rng.uniform(0.2, 3)])),
@@ -307,17 +302,15 @@ def test_each_unrolled_size_matches_the_list_engine(each_engine):
         y0 = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
         runs = {name: simulate(p, ScalingLevel(10), x0, y0, 2.0, 0.25, seed=n)
                 for name in each_engine()}
-        listed = runs["lists"]
-        assert listed.n_events > 0
+        python = runs["python"]
+        assert python.n_events > 0
         for name, run in runs.items():
-            assert run.n_events == listed.n_events, (n, name)
-            assert run.x.tobytes() == listed.x.tobytes(), (n, name)
-            assert run.y.tobytes() == listed.y.tobytes(), (n, name)
-            assert (run.final_state.b == listed.final_state.b).all(), n
-            assert (run.final_state.s == listed.final_state.s).all(), n
-            assert_same_counters(run.counters, listed.counters)
-    # one engine at each size, and the list form once
-    assert compiled.cache_info().currsize == threshold + 1
+            assert run.n_events == python.n_events, (n, name)
+            assert run.x.tobytes() == python.x.tobytes(), (n, name)
+            assert run.y.tobytes() == python.y.tobytes(), (n, name)
+            assert (run.final_state.b == python.final_state.b).all(), n
+            assert (run.final_state.s == python.final_state.s).all(), n
+            assert_same_counters(run.counters, python.counters)
 
 
 def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
@@ -497,6 +490,13 @@ REPLAY_CASES = {
     # overlapping books: both sides on every level, so trades walk long runs
     "overlap": (params(n=20, alpha=0.5, beta=0.3, gamma=30.0), 10,
                 [0.5] * 20, [0.4] * 20, 0.3, 43),
+    "three-levels": (params(n=3, lam_b=1.4, alpha=0.9, beta=0.5), 10,
+                     [0.3, 0.2, 0.0], [0.0, 0.4, 0.5], 2.0, 47),
+    "seventeen-levels": (params(n=17, alpha=0.8, beta=0.3, gamma=5.0), 10,
+                         [0.5 * 0.8 ** k for k in range(17)],
+                         [0.5 * 0.8 ** (16 - k) for k in range(17)], 1.0, 53),
+    # the benchmark's long-chain rates at N = 50, from the empty book
+    "fifty-levels": (params(n=50), 30, [0.0] * 50, [0.0] * 50, 4.0, 59),
 }
 
 
@@ -559,14 +559,13 @@ def test_sparse_book_fires_each_event_as_step_does(fire_once):
         assert counters.conserves(state, got)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 50])
 def test_engine_fires_each_event_as_its_table_row(fire_once, n):
     # with traders on both sides of every level, a selection uniform at the
-    # middle of each event's share of the rate fires that event in both
-    # layouts: the book moves by exactly its row's +-1 increments at its
+    # middle of each event's share of the rate fires that event in every
+    # rendering: the book moves by exactly its row's +-1 increments at its
     # level, and only its kind's tally counts it, once, there. N = 1 has
-    # an alpha block of exits alone; N = 17 runs every level of the list
-    # layout's walks
+    # an alpha block of exits alone; N = 17 and 50 run long walks
     p = params(n=n, alpha=0.7, beta=0.4, gamma=1.3)
     scale = ScalingLevel(3)
     state = DiscreteState(np.arange(n) % 3 + 1, np.arange(n) % 2 + 1)
@@ -766,16 +765,14 @@ def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
     # the engine carries B = sum b, S = sum s and M = sum min(b, s) along
     # with the book; _run checks them against the final book
     module = importlib.import_module("lobfluid.simulate")
-    compiled = module._compiled_engine
-
-    def drifting(n):
-        def engine(*args):
-            n_events, xs, ys, b, s, (B, S, M), *rest = compiled(n)(*args)
-            return (n_events, xs, ys, b, s, (B, S, M + 1), *rest)
-        return engine
-
-    monkeypatch.setattr(module, "_compiled_engine", drifting)
     for _ in each_engine():
+        engine = module._engine()
+
+        def drifting(*args, engine=engine):
+            n_events, xs, ys, b, s, (B, S, M), *rest = engine(*args)
+            return (n_events, xs, ys, b, s, (B, S, M + 1), *rest)
+
+        monkeypatch.setattr(module, "_engine", lambda: drifting)
         with pytest.raises(InvariantViolation, match="aggregate drift: "):
             simulate(params(n=2), ScalingLevel(5), np.zeros(2), np.zeros(2),
                      1.0, 0.5, seed=3)

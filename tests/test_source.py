@@ -16,13 +16,11 @@ def _asserts(source: str, name: str) -> list[str]:
 
 
 def _generated_sources() -> list[tuple[str, str]]:
-    """(source, name) of what the library compiles at run time: the
-    simulator's engine in its list form and its locals form at every level
-    count it unrolls, and the ODE right-hand side on both sides of its
-    compiled-form threshold."""
+    """(source, name) of the Python the library compiles at run time: the
+    simulator's Python engine, and the ODE right-hand side on both sides
+    of its compiled-form threshold."""
     engine = importlib.import_module("lobfluid.simulate")
-    sources = [(engine._engine_source(n), f"engine {n}")
-               for n in [None, *range(1, engine.ENGINE_UNROLL_MAX + 1)]]
+    sources = [(engine._engine_source(), "engine")]
     sources += [(ode._flow_source(n, size), f"flow {n} {size}")
                 for n in (1, 2, 60) for size in (2 * n, 4 * n)]
     return sources
