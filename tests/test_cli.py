@@ -636,6 +636,11 @@ TRAJECTORY_SHA256 = (
 # such walks)
 TRAJECTORY_N50_SHA256 = (
     "8e5d5d6909c59bf37ae1ac77eb525b8837eaed1068e75c3461ab4dd12a3a12f3")
+# the same run sampled every 0.002: 4,001 rows, so the state writer's
+# blocks (output.BLOCK_ROWS rows) meet many times; computed with the
+# row-at-a-time writer that the block writer replaced
+TRAJECTORY_N50_FINE_SHA256 = (
+    "e74868cd9e075af44bc6fd003f6f9daac0c944892980ae3ded69835acdc7b684")
 
 
 def test_simulate_trajectory_golden_digest(tmp_path, capsys):
@@ -654,6 +659,15 @@ def test_simulate_n50_trajectory_golden_digest(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
     assert digest.hexdigest() == TRAJECTORY_N50_SHA256
+
+
+def test_simulate_n50_fine_trajectory_golden_digest(tmp_path, capsys):
+    code, _, _ = run(capsys, ["simulate", "--n", "50", *ONES, "--scale",
+                              "300", "--tau-max", "8", "--sample-dt", "0.002",
+                              "--seed", "42", "--out-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
+    assert digest.hexdigest() == TRAJECTORY_N50_FINE_SHA256
 
 
 # sha256 of the solver CSVs: the README's `solve` and `sweep` arguments, and

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ def _cases():
     signs = rng.choice([-1.0, 1.0], (40, 7))
     yield "bit-patterns", bits.view(np.float64) * signs
     yield "uniform", rng.random((25, 11))
+    # the state writers work in blocks of BLOCK_ROWS rows: row counts on
+    # both sides of one and of two block boundaries, with values repeating
+    # across blocks and tau new on every row
+    block = output.BLOCK_ROWS
+    for name, rows in [("block-minus-1", block - 1), ("block", block),
+                       ("block-plus-1", block + 1),
+                       ("two-blocks-plus-1", 2 * block + 1)]:
+        grid = rng.choice(vals, (rows, 7))
+        grid[:, 0] = np.arange(rows) * 0.002
+        yield name, grid
+    # 0.0, -0.0, nan and -nan, each repeated in the middle and the last
+    # columns of one block: each keeps its own text only if the writer
+    # tells values apart by their bits
+    signed = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0)]
+    yield "signed-zeros-and-nans", np.array(
+        [[0.5 * i, *np.roll(signed, i)] for i in range(8)])
+    # a row's last value also in an earlier column, and values found only
+    # in the last column or only before it: one pattern takes both the
+    # "," and the "\n" separator
+    yield "last-value-repeated", np.array([[0.25, 0.1, 0.25, 0.1, 0.25],
+                                           [0.5, 0.25, 0.1, 0.5, 0.75]])
 
 
 CASES = dict(_cases())
@@ -88,6 +110,25 @@ def test_state_writers_zero_rows_write_the_header(tmp_path):
     want = b"tau,x_1,x_2,y_1,y_2\n"
     assert reference_bytes(taus, x, y) == want
     assert _written(tmp_path, taus, x, y) == [want, want]
+
+
+def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    # a sampled trajectory: mostly zeros, the rest multiples of 1/300. The
+    # writer holds one block at a time, so ten times the rows may not
+    # raise its peak allocation
+    rng = np.random.default_rng(9)
+    peaks = []
+    for rows in (2_000, 20_000):
+        grid = rng.integers(1, 300, (rows, 101)) / 300.0
+        grid[rng.random(grid.shape) < 0.8] = 0.0
+        sol = OdeSolution(grid[:, 0].copy(), grid[:, 1:51], grid[:, 51:], 0)
+        tracemalloc.start()
+        try:
+            output.write_solution_csv(tmp_path / "solution.csv", sol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_state_writers_round_trip_the_binary_values(tmp_path):
