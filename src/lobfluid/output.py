@@ -8,10 +8,12 @@ Every float is written as `"%.17g" % v` (the same C formatting as
 labels never hold a comma, quote or newline. The four small CSVs apply
 one row format per file with `%`, one row at a time. State matrices
 (trajectories and ODE solutions, 1 + 2N fields per row: tau, x, y) are
-mostly zeros and repeat few distinct values, so they are written in blocks
-of `BLOCK_ROWS` rows, each distinct 64-bit pattern of a block formatted
-once; a pattern, not a float value, so 0.0 and -0.0, and NaNs of either
-sign, each keep their own text, and the bytes are those of the per-row
+written in blocks of `BLOCK_ROWS` rows. A sampled trajectory is mostly
+zeros and repeats few values, so each distinct 64-bit pattern of its
+blocks is formatted once; a pattern, not a float value, so 0.0 and -0.0,
+and NaNs of either sign, each keep their own text. An ODE solution repeats
+almost none, so a block whose patterns are mostly distinct is formatted
+cell by cell in one `%`. Either way the bytes are those of the per-row
 format.
 """
 
@@ -31,13 +33,20 @@ from .simulate import Trajectory
 
 
 # Rows per block of a state CSV. A larger block formats fewer repeated
-# values but holds more memory at once: on the benchmark's 4,001 x 101
+# values but holds more memory at once. On the benchmark's 4,001 x 101
 # trajectory (a shared 2-core Xeon, Python 3.11, numpy 2.4) the writer
 # took a median 50, 46, 41 and 38 ms at 64, 128, 256 and 512 rows (81 ms
-# one row at a time), and a longchain worker's peak RSS rose about 0.15,
-# 0.35, 0.55 and 0.4 MiB. 256 is the smallest block within a tenth of the
-# fastest (CHANGES.md has the runs)
+# one row at a time), and one such write in a fresh process raised max
+# RSS by 0.45, 0.93, 1.68 and 3.0 MiB. 256 is the smallest block within a
+# tenth of the fastest (CHANGES.md has the runs)
 BLOCK_ROWS = 256
+
+# A block with more distinct patterns than this share of its cells is
+# formatted cell by cell: looking every cell up in a table of formatted
+# patterns costs more than it saves once few cells repeat. Measured on
+# N = 50 blocks, the lookup was faster at half the cells distinct and
+# slower from 60% on
+DISTINCT_SHARE_MAX = 0.6
 
 
 @contextlib.contextmanager
@@ -97,13 +106,15 @@ def state_header(n: int) -> list[str]:
 def _write_states_csv(path, taus, x, y) -> None:
     """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`.
 
-    Each block of BLOCK_ROWS rows is copied into one float64 matrix whose
+    Each block of BLOCK_ROWS rows is copied into one float64 matrix. Its
     distinct bit patterns are formatted once, into a table of `text + ","`
-    entries followed by the same texts with `"\\n"`; every cell indexes the
-    table, the last column in its second half. Memory stays that of one
-    block, whatever the row count.
+    entries followed by the same texts with `"\\n"`, and every cell indexes
+    the table, the last column in its second half; a block with more than
+    DISTINCT_SHARE_MAX of its cells distinct is formatted with one `%`
+    instead. Memory stays that of one block, whatever the row count.
     """
     n = x.shape[1]
+    line = ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
     block = np.empty((min(len(taus), BLOCK_ROWS), 1 + 2 * n))
     with _csv_file(path, state_header(n)) as fh:
         for start in range(0, len(taus), BLOCK_ROWS):
@@ -118,6 +129,9 @@ def _write_states_csv(path, taus, x, y) -> None:
             ordered = np.sort(bits, axis=None)
             distinct = ordered[np.concatenate(
                 ([True], ordered[1:] != ordered[:-1]))]
+            if len(distinct) > DISTINCT_SHARE_MAX * bits.size:
+                fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+                continue
             texts = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
             table = np.array([t + "," for t in texts]
                              + [t + "\n" for t in texts], dtype=object)

@@ -138,9 +138,11 @@ class EventCounters:
         final - initial = sum of tally * increment over the rows of
         `model.TRANSITIONS`; both arrays are identically zero on every
         correctly simulated window."""
+        n = initial.n_levels
         defects = (final.b - initial.b, final.s - initial.s)
-        for name, ks, increments in _conservation_rows(initial.n_levels):
-            tally = getattr(self, name)
+        for kind, (_, levels, increments) in TRANSITIONS.items():
+            ks = np.array(levels(n), dtype=np.intp)
+            tally = getattr(self, TALLIES[kind])
             if isinstance(tally, np.ndarray):
                 tally = tally[ks]
             for side, offset, sign in increments:
@@ -155,18 +157,6 @@ class EventCounters:
 # The EventCounters field that tallies each event kind
 TALLIES = dict(zip(EventKind, (f.name for f in fields(EventCounters)),
                    strict=True))
-
-
-@functools.cache
-def _conservation_rows(n: int) -> tuple:
-    """(tally name, level indices, increments) per `model.TRANSITIONS` row
-    at N = n; the indices are read-only, since every caller shares them."""
-    rows = []
-    for kind, (_, levels, increments) in TRANSITIONS.items():
-        ks = np.array(levels(n), dtype=np.intp)
-        ks.flags.writeable = False
-        rows.append((TALLIES[kind], ks, increments))
-    return tuple(rows)
 
 
 @dataclass

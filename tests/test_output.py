@@ -79,10 +79,19 @@ def _cases():
         grid = rng.choice(vals, (rows, 7))
         grid[:, 0] = np.arange(rows) * 0.002
         yield name, grid
+    # a block that repeats few values, then one whose cells are mostly
+    # distinct (as in an ODE solution) that still holds both zeros and
+    # both NaNs, then one row: the writer switches between its table
+    # lookup and formatting every cell, at block boundaries
+    signed = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0)]
+    grid = rng.choice(vals, (2 * block + 1, 7))
+    grid[block:2 * block] = rng.random((block, 7))
+    grid[block:block + 4, 3] = signed
+    grid[:, 0] = np.arange(2 * block + 1) * 0.002
+    yield "repeated-then-distinct", grid
     # 0.0, -0.0, nan and -nan, each repeated in the middle and the last
     # columns of one block: each keeps its own text only if the writer
     # tells values apart by their bits
-    signed = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0)]
     yield "signed-zeros-and-nans", np.array(
         [[0.5 * i, *np.roll(signed, i)] for i in range(8)])
     # a row's last value also in an earlier column, and values found only
@@ -112,16 +121,24 @@ def test_state_writers_zero_rows_write_the_header(tmp_path):
     assert _written(tmp_path, taus, x, y) == [want, want]
 
 
-def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path):
-    # a sampled trajectory: mostly zeros, the rest multiples of 1/300. The
-    # writer holds one block at a time, so ten times the rows may not
-    # raise its peak allocation
+@pytest.mark.parametrize("repeated", [True, False],
+                         ids=["repeated-values", "distinct-values"])
+def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path, repeated):
+    # a sampled trajectory, mostly zeros and the rest multiples of 1/300,
+    # or an ODE-like solution whose cells are all distinct (5 columns, to
+    # keep the formatting short). The writer holds one block at a time, so
+    # ten times the rows may not raise its peak allocation
     rng = np.random.default_rng(9)
+    n = 50 if repeated else 2
     peaks = []
     for rows in (2_000, 20_000):
-        grid = rng.integers(1, 300, (rows, 101)) / 300.0
-        grid[rng.random(grid.shape) < 0.8] = 0.0
-        sol = OdeSolution(grid[:, 0].copy(), grid[:, 1:51], grid[:, 51:], 0)
+        if repeated:
+            grid = rng.integers(1, 300, (rows, 1 + 2 * n)) / 300.0
+            grid[rng.random(grid.shape) < 0.8] = 0.0
+        else:
+            grid = rng.random((rows, 1 + 2 * n))
+        sol = OdeSolution(grid[:, 0].copy(), grid[:, 1:1 + n],
+                          grid[:, 1 + n:], 0)
         tracemalloc.start()
         try:
             output.write_solution_csv(tmp_path / "solution.csv", sol)
