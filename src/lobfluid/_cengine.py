@@ -1,24 +1,23 @@
-"""The simulator's engine in C: a rendering of `simulate._ENGINE`'s
-contract, built on first use and loaded with `ctypes`.
+"""The simulator's engine in C: a rendering of the chunk function that
+`simulate._drive` runs, built on first use and loaded with `ctypes`.
 
 `simulate._engine` imports this module the first time a chain runs, so
 `import lobfluid` does not parse it. The C source is rendered from the
 same description as the Python engine: the blocks of `simulate._blocks`,
 the statements of `simulate._actions` (read off `model.TRANSITIONS`) and
-the fields of `EventCounters`. It keeps the same block order, the same
-sequential subtraction, the same clock test, and float counts exact below
-2**53, and it takes log1p from the platform's libm, as `math.log1p` does.
-It is compiled with `-O2 -ffp-contract=off` and no fast-math, so each
-product and sum rounds as Python's does, and it gives the Python engine's
-bits.
+the tally slots of `simulate._tally_slots`. It keeps the same block
+order, the same sequential subtraction, the same clock test, and float
+counts exact below 2**53, and it takes log1p from the platform's libm, as
+`math.log1p` does. It is compiled with `-O2 -ffp-contract=off` and no
+fast-math, so each product and sum rounds as Python's does, and it gives
+the Python engine's bits.
 
-Division of work: Python keeps the chunk loop and the draw contract. It
-draws each `Generator.random` chunk of CHUNK pairs and passes it to C by
-pointer; C runs that chunk's events, records each sample straight into
-preallocated float64 arrays of m x N values and keeps the tallies in an
-int64 array, one slot per scalar field of `EventCounters` and N per
-per-level field, in rank order. The clock, B, S, M and the next sample's
-index carry over from chunk to chunk in small arrays.
+Division of work: the C function `lobfluid_chunk` is the chunk function
+itself, and `load` returns the `bind` that points it at the driver's
+buffers. `simulate._drive` keeps the chunk loop, the budget and the draw
+contract: it draws each `Generator.random` chunk of CHUNK pairs, and C
+runs that chunk's events in place on the driver's float64 and int64
+arrays (book, clock with B, S and M, next sample, tallies and samples).
 
 Build and cache: the library is built once per source into
 `$XDG_CACHE_HOME/lobfluid` (else `~/.cache/lobfluid`, made with mode 0700)
@@ -44,19 +43,18 @@ import shutil
 import tempfile
 import zlib
 from contextlib import suppress
-from dataclasses import fields
 from string import Template
 
 import numpy as np
 
 from .simulate import (
-    EventCounters,
     _actions,
     _blocks,
-    _exhausted,
+    _drive,
     _in_list,
     _indent,
     _python_engine,
+    _tally_slots,
 )
 
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -185,73 +183,14 @@ def _source() -> str:
                 occupied=" && ".join(level)) + "\n" + fire
         blocks[name] = _indent(fire, 12)
     tallies, stores = [], []
-    scalars = levels = 0
-    for f in fields(EventCounters):
-        slot = " + ".join([str(scalars)] * bool(scalars)
-                          + [f"{levels} * n"] * bool(levels)) or "0"
-        if f.type == "int":
-            tallies.append(f"long long {f.name} = tally[{slot}];")
-            stores.append(f"tally[{slot}] = {f.name};")
-            scalars += 1
+    for name, slot, scalar in _tally_slots():
+        if scalar:
+            tallies.append(f"long long {name} = tally[{slot}];")
+            stores.append(f"tally[{slot}] = {name};")
         else:
-            tallies.append(f"long long *const {f.name} = tally + {slot};")
-            levels += 1
+            tallies.append(f"long long *const {name} = tally + {slot};")
     return _ENGINE.substitute(tallies=_indent("\n".join(tallies), 4),
                               stores=_indent("\n".join(stores), 4), **blocks)
-
-
-def _tallies(tally: np.ndarray, n: int) -> tuple:
-    """The tallies from the engine's int64 array, as the Python engine
-    returns them: an int per scalar field and a list per per-level one."""
-    out, at = [], 0
-    for f in fields(EventCounters):
-        if f.type == "int":
-            out.append(int(tally[at]))
-            at += 1
-        else:
-            out.append(tally[at:at + n].tolist())
-            at += n
-    return tuple(out)
-
-
-def _wrap(chunk_run):
-    """The engine, with the Python engine's signature and return, on the
-    library's chunk function: the chunk loop and budget of
-    `simulate._ENGINE` around it. Every buffer passed by pointer is a
-    contiguous float64 or int64 array that stays referenced here while C
-    runs."""
-    def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
-        n, m = len(b), len(sample_ts)
-        book = np.array([b, s], dtype=np.float64)
-        clock = np.array([0.0, sum(b), sum(s), sum(map(min, b, s))])
-        next_sample = np.zeros(1, dtype=np.int64)
-        tally = np.zeros(sum(1 if f.type == "int" else n
-                             for f in fields(EventCounters)), dtype=np.int64)
-        xs = np.empty(m * n)
-        ys = np.empty(m * n)
-        unit_rates = np.array(rates, dtype=np.float64)
-        times = np.array(sample_ts, dtype=np.float64)
-        fixed = (unit_rates.ctypes.data, t_end, times.ctypes.data, m, n,
-                 book[0].ctypes.data, book[1].ctypes.data, clock.ctypes.data,
-                 next_sample.ctypes.data, tally.ctypes.data, xs.ctypes.data,
-                 ys.ctypes.data)
-        done = 0
-        left = max_events + 1
-        while left:
-            size = chunk if chunk < left else left
-            u = np.ascontiguousarray(rng.random(2 * chunk), dtype=np.float64)
-            fired = chunk_run(u.ctypes.data, size, *fixed)
-            if fired < size:
-                break
-            done += size
-            left -= size
-        else:
-            raise _exhausted(max_events, float(clock[0]))
-        t, B, S, M = clock.tolist()
-        b, s = ([*map(int, side)] for side in book.tolist())
-        return (done + fired, xs, ys, b, s, (int(B), int(S), int(M)),
-                _tallies(tally, n), t)
-    return engine
 
 
 def _build(compiler: str, source: bytes, path: str):
@@ -289,9 +228,11 @@ def _library():
     when the build fails."""
     source = _source().encode()
     name = f"engine-{zlib.crc32(source):08x}"
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
-                         or os.path.join(os.path.expanduser("~"), ".cache"),
-                         "lobfluid")
+    # the XDG Base Directory spec: a relative path is invalid, and ignored
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(cache, "lobfluid")
     path = os.path.join(cache, name)
     with suppress(OSError):
         with open(path + ".c", "rb") as cached:
@@ -312,27 +253,28 @@ def _library():
         return None
 
 
-def _agrees(engine) -> bool:
+def _agrees(bind) -> bool:
     """The load-time check: a run of about 1,500 events at N = 4, from a
     book with traders of both sides, over several chunks of 256 pairs and
-    with 40 samples, gives the same outputs on engine as on the Python
-    engine. They include the final clock, which sums every holding time,
-    so it also compares C's log1p with math.log1p."""
-    def run(engine):
-        return engine((1.0, 1.5, 2.5, 0.4, 0.1, 0.2, 0.1 + 0.2),
-                      [3, 0, 5, 1], [0, 2, 4, 6], 200.0,
+    with 40 samples, leaves every buffer of `simulate._drive` as the Python
+    engine does, byte for byte. The clock sums every holding time, so this
+    also compares C's log1p with math.log1p."""
+    def run(bind):
+        return _drive(bind, (1.0, 1.5, 2.5, 0.4, 0.1, 0.2, 0.1 + 0.2),
+                      np.array([[3.0, 0, 5, 1], [0, 2, 4, 6]]), 200.0,
                       [5.0 * i for i in range(40)],
                       np.random.default_rng(2012), 10**6, 256)
-    got, want = run(engine), run(_python_engine())
-    return (got[0] == want[0] and got[3:] == want[3:]
-            and bytes(got[1]) == bytes(want[1])
-            and bytes(got[2]) == bytes(want[2]))
+    got, want = run(bind), run(_python_engine())
+    return got[0] == want[0] and all(
+        a.tobytes() == b.tobytes() for a, b in zip(got[1:], want[1:]))
 
 
 def load():
-    """The C engine, or None when no compiler is found, the build fails,
-    or the load-time check (`_agrees`) finds it disagreeing with the
-    Python engine."""
+    """The C engine's `bind` (see `simulate._drive`), or None when no
+    compiler is found, the build fails, or the load-time check (`_agrees`)
+    finds it disagreeing with the Python engine. The driver makes every
+    buffer passed by pointer a contiguous float64 or int64 array and keeps
+    it referenced while C runs."""
     library = _library()
     if library is None:
         return None
@@ -342,5 +284,16 @@ def load():
         ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
         *[ctypes.c_void_p] * 7)
     chunk_run.restype = ctypes.c_longlong
-    engine = _wrap(chunk_run)
-    return engine if _agrees(engine) else None
+
+    def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
+             ys):
+        fixed = (rates.ctypes.data, t_end, sample_ts.ctypes.data, *xs.shape,
+                 book[0].ctypes.data, book[1].ctypes.data, clock.ctypes.data,
+                 next_sample.ctypes.data, tally.ctypes.data, xs.ctypes.data,
+                 ys.ctypes.data)
+
+        def run(u, size):
+            u = np.ascontiguousarray(u, dtype=np.float64)
+            return chunk_run(u.ctypes.data, size, *fixed)
+        return run
+    return bind if _agrees(bind) else None

@@ -158,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _number(text: str):
     """A flag's text as the config file would hold it: an int, else a
-    float, else the text itself."""
+    float, else the text itself. Text with a `_` or a non-ASCII character
+    (`1_000`, `١٠٠`), which Python reads as a number and JSON does not,
+    stays text; `nan` and `inf` are read, so they reach the library's
+    finiteness checks."""
+    if "_" in text or not text.isascii():
+        return text
     for read in (int, float, str):
         with suppress(ValueError):
             return read(text)

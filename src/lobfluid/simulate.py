@@ -5,9 +5,10 @@
 `EventCounters.conservation_defects` derives its identities from the
 same table (`EventCounters`' fields are the tallies, one per kind in rank
 order, and `TALLIES` names them by kind). `_run`, behind
-`simulate` and `empirical_equilibrium`, runs one fast engine: the template
-`_ENGINE`, whose event code `_engine_source` renders from the same table
-and `_python_engine` compiles on first use, or its rendering in C
+`simulate` and `empirical_equilibrium`, runs the chain through one driver,
+`_drive`, on a rendering of one chunk function: the template `_ENGINE`,
+whose event code `_engine_source` renders from the same table and
+`_python_engine` compiles on first use, or its rendering in C
 (`_cengine`). The ODE right-hand side, written apart, is the independent
 check on the table (a test compares it with the table's drift). Every
 rendering holds exact counts and keeps B = sum b, S = sum s and
@@ -15,9 +16,16 @@ M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
 every rendering makes the same comparisons and float operations in the
 same order, so all give the same bits. The tests replay each rendering
 event by event against `step()`, and compare them bit for bit at every
-level count up to 17. Samples are recorded as doubles, at C level: no
-Python object per sample outlives its copy, so a run's samples take little
-more memory than the arrays returned, which `_run` scales once in place.
+level count up to 17.
+
+Division of work: a rendering is `bind(rates, t_end, sample_ts, book,
+clock, next_sample, tally, xs, ys)`, which returns the chunk function
+`run(u, size)`; it runs the events of one chunk of uniforms and returns
+the index of the pair that ended the run, or size. `_drive` owns the rest:
+every buffer, the one chunk loop, the budget, `BudgetExceeded` and the
+event count. A chunk records each sample's counts as doubles straight into
+the driver's preallocated (m, N) float64 arrays, which `_run` scales once
+in place, so a run's samples take no more memory than the arrays returned.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
 The C rendering runs when a C compiler `cc` builds it (once per source,
@@ -44,7 +52,7 @@ alpha-moves with the bottom exit at level 1); a target at or past the end
 blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
 and sellers at level N, and the stationary profile decays geometrically
 away from each entry level, so starting there keeps the expected walk
-short at any N. The engine takes the stream as (holding, selection) pairs,
+short at any N. `_drive` takes the stream as (holding, selection) pairs,
 CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
@@ -55,10 +63,10 @@ spawn keys `(i, j)` (replica j at the i-th scaling level).
 
 Per event the engine does only the work that event needs: one clock
 test, against the next sample time or the horizon, whichever comes first;
-no budget test (the engine takes at most the budget's worth of pairs plus
-one, and the budget ran out if that last pair falls before the horizon
-too); and one dispatch, in which each block applies its +-1 increments
-where it is picked. Each level block (trades, quits and alpha-moves of
+no budget test (the driver hands the engine at most the budget's worth of
+pairs plus one, and the budget ran out if that last pair falls before the
+horizon too); and one dispatch, in which each block applies its +-1
+increments where it is picked. Each level block (trades, quits and alpha-moves of
 either side) tests its entry level first, then the others level by level
 in walk order. An empty level subtracts 0.0 and leaves the target
 unchanged, so every comparison and subtraction is that of a walk over the
@@ -71,7 +79,6 @@ t in [0, tau * L], so one unit of tau costs O(L) events.
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass, fields
 from itertools import groupby
 from math import log1p
@@ -219,51 +226,60 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
-def _exhausted(max_events: int, t: float) -> BudgetExceeded:
-    return BudgetExceeded(f"event budget {max_events} exhausted at t={t:.6g}")
+def _tally_slots(n="n"):
+    """(name, slot, scalar) for each field of `EventCounters`, in rank
+    order. Every rendering keeps the tallies in one int64 array: a scalar
+    field in its slot, a per-level one in the n slots from its slot on.
+    slot is an int for a book of n levels, or, when n is a name, the
+    expression in n that the renderers write."""
+    scalars = levels = 0
+    for f in fields(EventCounters):
+        if isinstance(n, int):
+            slot = scalars + levels * n
+        else:
+            slot = " + ".join([str(scalars)] * bool(scalars)
+                              + [f"{levels} * {n}"] * bool(levels)) or "0"
+        scalar = f.type == "int"
+        yield f.name, slot, scalar
+        scalars += scalar
+        levels += not scalar
 
 
-# The Python engine's source, with {fields} filled in by _engine_source:
-# the tallies (one local per EventCounters field, a list for a per-level
-# one), which it returns in rank order, and each block of the dispatch,
-# rendered from `model.TRANSITIONS`. The counts are floats, which `_run`
-# keeps exact (see `_python_engine`). It also returns the clock as the run
-# left it, which `_cengine`'s load-time check compares.
+# The Python engine's source, with {fields} filled in by _engine_source: a
+# rendering of the chunk function, whose interface `_drive` states. A chunk
+# loads the book, the clock and the tallies into locals (lists and floats;
+# the tallies' slots from `_tally_slots`) and stores them back at its end.
+# The rates and the walk ranges are locals of run as well: a closure cell
+# read per event slows the walk.
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
-# changes only when samples are taken. The budget costs no test per event:
-# the engine takes at most max_events + 1 pairs, chunk by chunk, and if the
-# last of them also falls before t_end it raises BudgetExceeded. n_events is
-# the number of pairs consumed less the one that ended the run, counted
-# apart from the tallies, so their sum stays a check on it. The dispatch
-# walks the canonical order; a target at or past the end fires the last
-# positive-rate event: the seller arrival on an empty book, else the buyer
-# alpha block when there are no sellers (then B > 0), else the seller alpha
-# block. The target is never negative, so an empty block (weight 0.0) is
-# never picked by its test.
+# changes only when samples are taken. The dispatch walks the canonical
+# order; a target at or past the end fires the last positive-rate event:
+# the seller arrival on an empty book, else the buyer alpha block when
+# there are no sellers (then B > 0), else the seller alpha block. The
+# target is never negative, so an empty block (weight 0.0) is never picked
+# by its test.
 _ENGINE = '''\
-def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
-    lam_b, lam_s, lam, rt, rq, rm, rqm = rates
-    B, S, M = map(float, (sum(b), sum(s), sum(map(min, b, s))))
-    b = [*map(float, b)]
-    s = [*map(float, s)]
-    {tallies} = {zeros}
-    # the levels after the entry level, in walk order
-    top = len(b) - 1
-    up = range(1, len(b))
-    down = range(top - 1, -1, -1)
-    xs = array("d")
-    ys = array("d")
-    si = 0
+def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys):
+    rates = rates.tolist()
+    sample_ts = sample_ts.tolist()
     m = len(sample_ts)
-    stop = min(sample_ts[0], t_end) if m else t_end
-    t = 0.0
-    done = 0
-    left = max_events + 1
-    while left:
-        size = chunk if chunk < left else left
-        u = rng.random(2 * chunk)[:2 * size]
+
+    def run(u, size):
+        lam_b, lam_s, lam, rt, rq, rm, rqm = rates
+        b, s = book.tolist()
+        t, B, S, M = clock.tolist()
+        si, = next_sample.tolist()
+        n = len(b)
+        counts = tally.tolist()
+{loads}
+        # the levels after the entry level, in walk order
+        top = n - 1
+        up = range(1, n)
+        down = range(top - 1, -1, -1)
+        stop = min(sample_ts[si], t_end) if si < m else t_end
+        u = u[:2 * size]
         picks = iter(u[1::2].tolist())
         for hold, pick in zip(map(log1p, (-u[0::2]).tolist()), picks):
             w_trade = rt * M
@@ -273,8 +289,8 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
                 if t >= t_end:
                     break
                 while si < m and sample_ts[si] <= t:
-                    xs.fromlist(b)
-                    ys.fromlist(s)
+                    xs[si] = b
+                    ys[si] = s
                     si += 1
                 stop = min(sample_ts[si], t_end) if si < m else t_end
             target = pick * rate
@@ -293,21 +309,18 @@ def engine(rates, b, s, t_end, sample_ts, rng, max_events, chunk):
             else:
                 target -= w
 {seller_move}
-        else:
-            done += size
-            left -= size
-            continue
-        break
-    else:
-        raise _exhausted(max_events, t)
-    while si < m:
-        xs.fromlist(b)
-        ys.fromlist(s)
-        si += 1
-    # the pair that ended the run was drawn but fired no event
-    n_events = done + size - length_hint(picks) - 1
-    return (n_events, xs, ys, [*map(int, b)], [*map(int, s)],
-            (int(B), int(S), int(M)), ({tallies}), t)
+        book[:] = b, s
+        clock[:] = t, B, S, M
+{stores}
+        if t < t_end:
+            next_sample[0] = si
+            return size
+        xs[si:] = b
+        ys[si:] = s
+        next_sample[0] = m
+        # the pair that ended the run was drawn but fired no event
+        return size - length_hint(picks) - 1
+    return run
 '''
 
 # The engine's local for each level block's rate unit, the field over L
@@ -431,40 +444,85 @@ def _engine_source() -> str:
                                      occupied=" and ".join(level)
                                      ) + "\n" + fire
         blocks[name] = _indent(fire)
-    tallies, zeros = zip(*(
-        (f.name, "0" if f.type == "int" else "[0] * len(b)")
-        for f in fields(EventCounters)))
-    return _ENGINE.format(tallies=", ".join(tallies), zeros=", ".join(zeros),
-                          **blocks)
+    loads, stores = [], []
+    for name, slot, scalar in _tally_slots():
+        part = f"[{slot}]" if scalar else f"[{slot}:{slot} + n]"
+        loads.append(f"{name} = counts{part}")
+        stores.append(f"tally{part} = {name}")
+    return _ENGINE.format(loads=_indent("\n".join(loads), 8),
+                          stores=_indent("\n".join(stores), 8), **blocks)
 
 
 @functools.cache
 def _python_engine():
-    """The Python engine, `_engine_source()` compiled once per process: the
-    fallback where the C engine (`_cengine`) cannot run, and the oracle
-    that checks it. It holds the book and the per-level tallies in lists
-    and walks each level block in a loop (`_LIST_WALK`). The counts b_k,
-    s_k, B, S and M are floats, which step by 1.0 and multiply the rates
-    without an int-to-float conversion; they are exact below 2**53, so
-    every comparison and product equals that on ints, and `_run` caps the
-    budget so that no count reaches 2**53. The tallies stay ints.
+    """The Python engine's `bind`, `_engine_source()` compiled once per
+    process: the fallback where the C engine (`_cengine`) cannot run, and
+    the oracle that checks it. A chunk holds the book and the per-level
+    tallies in lists and walks each level block in a loop (`_LIST_WALK`).
+    The counts b_k, s_k, B, S and M are floats, which step by 1.0 and
+    multiply the rates without an int-to-float conversion; they are exact
+    below 2**53, so every comparison and product equals that on ints, and
+    `_run` caps the budget so that no count reaches 2**53. The tallies stay
+    ints.
     """
-    namespace = {"array": array, "log1p": log1p, "length_hint": length_hint,
-                 "_exhausted": _exhausted}
+    namespace = {"log1p": log1p, "length_hint": length_hint}
     exec(compile(_engine_source(), "<lobfluid.simulate engine>", "exec"),
          namespace)
-    return namespace["engine"]
+    return namespace["bind"]
 
 
 @functools.cache
 def _engine():
-    """The engine `_run` runs, chosen once per process: the C rendering
-    when `_cengine.load` finds or builds it and its load-time check finds
-    it agreeing with the Python engine, else the Python engine. Both make
-    the same draws, comparisons and float operations in the same order and
-    so give the same bits, which is why no option chooses between them."""
+    """The rendering `_run` runs, chosen once per process: the C one when
+    `_cengine.load` finds or builds it and its load-time check finds it
+    agreeing with the Python engine, else the Python engine. Both make the
+    same draws, comparisons and float operations in the same order and so
+    give the same bits, which is why no option chooses between them."""
     from . import _cengine
     return _cengine.load() or _python_engine()
+
+
+def _drive(bind, rates, book, t_end, sample_ts, rng, max_events, chunk):
+    """Run the chain from book (a float64 array, rows b and s) to t_end on
+    a rendering of the engine, taking its uniforms from rng chunk pairs
+    per call; returns (n_events, book, clock, next_sample, tally, xs, ys).
+
+    bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys)
+    is a rendering's one interface. It returns the chunk function
+    run(u, size), which runs pairs 0..size-1 of the uniforms u (holding,
+    selection) and returns the index of the pair that ended the run, after
+    filling the samples left with the final book, or size if no pair ended
+    it. The buffers it reads and updates are made here, contiguous, and
+    stay referenced here while it runs, since C holds pointers to them: the
+    book; the clock t with B, S and M; the index of the next sample; the
+    tallies in one int64 array (`_tally_slots`); and the samples' counts,
+    one row of xs and ys per sample time. The run takes at most
+    max_events + 1 pairs, so no event tests the budget: if the last of them
+    also falls before t_end the budget ran out. n_events is the number of
+    pairs that the run consumed less the one that ended it, counted apart
+    from the tallies, so their sum stays a check on it.
+    """
+    n, m = book.shape[1], len(sample_ts)
+    clock = np.array([0.0, *book.sum(axis=1), np.minimum(*book).sum()])
+    next_sample = np.zeros(1, dtype=np.int64)
+    tally = np.zeros(sum(1 if scalar else n
+                         for *_, scalar in _tally_slots(n)), dtype=np.int64)
+    xs, ys = np.empty((2, m, n))
+    rates = np.array(rates, dtype=np.float64)
+    sample_ts = np.array(sample_ts, dtype=np.float64)
+    run = bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
+               ys)
+    done = 0
+    left = max_events + 1
+    while left:
+        size = min(chunk, left)
+        ended = run(rng.random(2 * chunk), size)
+        if ended < size:
+            return done + ended, book, clock, next_sample, tally, xs, ys
+        done += size
+        left -= size
+    raise BudgetExceeded(
+        f"event budget {max_events} exhausted at t={clock[0]:.6g}")
 
 
 def _run(
@@ -481,55 +539,49 @@ def _run(
     identities exactly. Returns (x, y, n_events, final state, counters);
     row i of x and y is the scaled state at sample_ts[i].
 
-    The chain runs on `_engine()`, in C or in Python; both give the same
-    bits. The counts are floats, exact below 2**53, and the aggregates B,
-    S, M move with the +-1 increments, so the total rate is exact at every
-    step. An event adds at most one trader, so the engine's budget is
-    capped at 2**53 - 1 - P events for an initial population P: reaching
-    the cap raises BudgetExceeded naming it as the budget, and a
-    population of 2**53 or more raises ValueError. At any real population
-    the cap is far beyond a run's reach. The engine returns the samples as
-    doubles in a buffer (a numpy array, or an `array("d")` that the Python
-    engine grows once per sample through `fromlist`); x and y are numpy
-    views of the buffers, divided by L in place, which converts and divides
-    exactly as `np.array(samples, dtype=np.float64) / L` would.
+    The chain runs through `_drive` on `_engine()`, in C or in Python; both
+    give the same bits. The counts are floats, exact below 2**53, and the
+    aggregates B, S, M move with the +-1 increments, so the total rate is
+    exact at every step. An event adds at most one trader, so the budget
+    is capped at 2**53 - 1 - P events for an initial population P: reaching
+    the cap raises BudgetExceeded naming it as the budget, and a population
+    of 2**53 or more raises ValueError. At any real population the cap is
+    far beyond a run's reach. The engine records the samples' counts as
+    doubles in the driver's float64 arrays; x and y are those arrays,
+    divided by L in place, which converts and divides exactly as
+    `np.array(samples, dtype=np.float64) / L` would.
     """
-    n = params.n_levels
-    b = [int(v) for v in init.b]
-    s = [int(v) for v in init.s]
-    # float counts are exact below 2**53, and an event adds at most one
-    # trader; a run that reaches the cap raises BudgetExceeded naming it
-    population = sum(b) + sum(s)
+    population = sum(map(int, init.b)) + sum(map(int, init.s))
     if population >= 2**53:
         raise ValueError(f"initial population {population} is not below "
                          f"2**53, where float counts stop being exact")
     budget = min(max_events, 2**53 - 1 - population)
-    L = float(scale.l)
     lam_b = params.lambda_b
     lam_s = params.lambda_s
     rq = params.beta / scale.l
     rm = params.alpha / scale.l
     rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
              rq + rm)
-    n_events, xs, ys, b, s, (B, S, M), tallies, _ = _engine()(
-        rates, b, s, t_end, sample_ts, rng, budget, CHUNK)
+    n_events, book, clock, _, tally, x, y = _drive(
+        _engine(), rates, np.array([init.b, init.s], dtype=np.float64),
+        t_end, sample_ts, rng, budget, CHUNK)
 
-    if (B, S, M) != (sum(b), sum(s), sum(map(min, b, s))):
-        raise InvariantViolation(
-            f"aggregate drift: B={B}, S={S}, M={M} for b={b}, s={s}")
-    final = DiscreteState(np.array(b, dtype=np.int64),
-                          np.array(s, dtype=np.int64))
+    b, s = book.astype(np.int64)
+    B, S, M = map(int, clock[1:])
+    if (B, S, M) != (b.sum(), s.sum(), np.minimum(b, s).sum()):
+        raise InvariantViolation(f"aggregate drift: B={B}, S={S}, M={M} for "
+                                 f"b={b.tolist()}, s={s.tolist()}")
+    final = DiscreteState(b, s)
+    n = params.n_levels
     counters = EventCounters(*(
-        np.array(v, dtype=np.int64) if isinstance(v, list) else v
-        for v in tallies))
+        int(tally[slot]) if scalar else tally[slot:slot + n]
+        for _, slot, scalar in _tally_slots(n)))
     db, ds = counters.conservation_defects(init, final)
     if db.any() or ds.any():
         raise InvariantViolation(
             f"conservation defect: buyers {db}, sellers {ds}")
-    x = np.frombuffer(xs).reshape(len(sample_ts), n)
-    y = np.frombuffer(ys).reshape(len(sample_ts), n)
-    x /= L
-    y /= L
+    x /= float(scale.l)
+    y /= float(scale.l)
     return x, y, n_events, final, counters
 
 

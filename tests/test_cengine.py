@@ -1,8 +1,10 @@
 """The C engine: its build, its cache, and the Python fallback's bytes."""
 
 import importlib
+import os
 import shutil
 import subprocess
+import time
 import zlib
 
 import pytest
@@ -141,3 +143,66 @@ def test_the_generated_c_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "engine.so"), str(source), "-lm"],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
+
+
+def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
+    # the XDG Base Directory spec holds a relative XDG_CACHE_HOME invalid,
+    # to be ignored: the cache is ~/.cache/lobfluid, not a directory under
+    # the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    built = []
+    monkeypatch.setattr(_cengine, "_build",
+                        lambda compiler, source, path: built.append(path))
+    assert _cengine.load() is None
+    assert not (tmp_path / "relcache").exists()
+    assert [os.path.dirname(path) for path in built] == [
+        str(tmp_path / "home" / ".cache" / "lobfluid")]
+
+
+@needs_cc
+def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
+                                                fresh_engine_choice):
+    # the engine with its total rate summed in another order builds and
+    # runs, but its holding times differ in the last bit: the load-time
+    # check refuses it, the Python engine runs, and the bytes stay the same
+    simulate_flags = ["simulate", *README_RUNS["simulate"], *MODEL]
+    assert main([*simulate_flags, "--out-dir", str(tmp_path / "c")]) == 0
+    source = _cengine._source()
+    regrouped = source.replace("lam + rqm * (B + S) + w_trade",
+                               "lam + (rqm * (B + S) + w_trade)")
+    assert regrouped != source
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_cengine, "_source", lambda: regrouped)
+    assert _cengine.load() is None
+    # it was built, and refused by the check
+    name = f"engine-{zlib.crc32(regrouped.encode()):08x}.so"
+    assert (tmp_path / "cache" / "lobfluid" / name).exists()
+    simulate_module._engine.cache_clear()
+    assert simulate_module._engine() is simulate_module._python_engine()
+    assert main([*simulate_flags, "--out-dir", str(tmp_path / "python")]) == 0
+    for name in ("trajectory.csv", "manifest.json"):
+        assert ((tmp_path / "python" / name).read_bytes()
+                == (tmp_path / "c" / name).read_bytes()), name
+
+
+@pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")
+def test_a_build_that_hangs_is_stopped(tmp_path, monkeypatch):
+    # a compiler that never returns is killed after BUILD_TIMEOUT_S, and
+    # leaves no process and no file behind
+    pid_file = tmp_path / "pid"
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"#!/bin/sh\necho $$ > '{pid_file}'\n"
+                        f"exec '{shutil.which('sleep')}' 60\n")
+    compiler.chmod(0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(shutil, "which", lambda name: str(compiler))
+    monkeypatch.setattr(_cengine, "BUILD_TIMEOUT_S", 0.5)
+    start = time.monotonic()
+    assert _cengine.load() is None
+    assert time.monotonic() - start < 10
+    assert list((tmp_path / "cache" / "lobfluid").iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

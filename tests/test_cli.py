@@ -360,11 +360,24 @@ PARITY = [
     ("converge", "levels", "10.0,20", [10.0, 20], None),
     ("solve", "method", "foo", "foo",
      "method must be one of recursive, shooting, both, got 'foo'"),
+    # Python's int and float read these, JSON does not: a flag keeps them
+    # as text, as the file does, so both give the file's message
+    ("simulate", "scale", "1_000", "1_000",
+     "scale must be an integer, got '1_000'"),
+    ("simulate", "tau_max", "\u0661\u0660\u0660", "\u0661\u0660\u0660",
+     "tau_max must be a number, got '\u0661\u0660\u0660'"),
+    ("converge", "levels", "10,2_0", [10, "2_0"],
+     "levels must be an integer, got '2_0'"),
+    # and these JSON does not read either, yet a flag reads as numbers
+    ("simulate", "seed", "+1", 1, None),
+    ("simulate", "tau_max", ".5", 0.5, None),
 ]
 
 
-@pytest.mark.parametrize("command, key, flag, value, message", PARITY,
-                         ids=[f"{k}={flag}" for _, k, flag, *_ in PARITY])
+@pytest.mark.parametrize("command, key, flag, value, message", PARITY, ids=[
+    "scale=20.0", "seed=3.0", "max_events=1e6", "tau_max=abc",
+    "levels=10.0,20", "method=foo", "scale=1_000",
+    "tau_max=arabic-indic-100", "levels=10,2_0", "seed=+1", "tau_max=.5"])
 def test_a_flag_and_the_file_give_one_result(tmp_path, capsys, command, key,
                                              flag, value, message):
     config = tmp_path / "cfg.json"

@@ -762,15 +762,22 @@ def test_conservation_defect_raises_typed_error(monkeypatch):
 
 
 def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
-    # the engine carries B = sum b, S = sum s and M = sum min(b, s) along
-    # with the book; _run checks them against the final book
+    # the engine carries B = sum b, S = sum s and M = sum min(b, s) in its
+    # clock buffer along with the book; _run checks them against the final
+    # book. The chunk function that ends the run here leaves M one too high
     module = importlib.import_module("lobfluid.simulate")
     for _ in each_engine():
-        engine = module._engine()
+        bind = module._engine()
 
-        def drifting(*args, engine=engine):
-            n_events, xs, ys, b, s, (B, S, M), *rest = engine(*args)
-            return (n_events, xs, ys, b, s, (B, S, M + 1), *rest)
+        def drifting(rates, t_end, sample_ts, book, clock, *rest, bind=bind):
+            run = bind(rates, t_end, sample_ts, book, clock, *rest)
+
+            def drift(u, size):
+                ended = run(u, size)
+                if ended < size:
+                    clock[3] += 1.0
+                return ended
+            return drift
 
         monkeypatch.setattr(module, "_engine", lambda: drifting)
         with pytest.raises(InvariantViolation, match="aggregate drift: "):
