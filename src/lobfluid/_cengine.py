@@ -5,9 +5,9 @@
 `import lobfluid` does not parse it. The C source is rendered from the
 same description as the Python engine: the blocks of `simulate._blocks`,
 the statements of `simulate._actions` (read off `model.TRANSITIONS`) and
-the tally slots of `simulate._tally_slots`. It keeps the same block
-order, the same sequential subtraction, the same clock test, and float
-counts exact below 2**53, and it takes log1p from the platform's libm, as
+the tally rows of `simulate.TALLIES`. It keeps the same block order,
+the same sequential subtraction, the same clock test, and float counts
+exact below 2**53, and it takes log1p from the platform's libm, as
 `math.log1p` does. It is compiled with `-O2 -ffp-contract=off` and no
 fast-math, so each product and sum rounds as Python's does, and it gives
 the Python engine's bits.
@@ -18,6 +18,9 @@ buffers. `simulate._drive` keeps the chunk loop, the budget and the draw
 contract: it draws each `Generator.random` chunk of CHUNK pairs, and C
 runs that chunk's events in place on the driver's float64 and int64
 arrays (book, clock with B, S and M, next sample, tallies and samples).
+Each tally is a pointer to its row of the driver's tally matrix, so C
+stores nothing back, and the driver fills the samples left when the run
+ends.
 
 Build and cache: the library is built once per source into
 `$XDG_CACHE_HOME/lobfluid` (else `~/.cache/lobfluid`, made with mode 0700)
@@ -48,25 +51,23 @@ from string import Template
 import numpy as np
 
 from .simulate import (
+    TALLIES,
     _actions,
     _blocks,
     _drive,
     _in_list,
     _indent,
     _python_engine,
-    _tally_slots,
 )
 
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120  # a compiler that hangs must not hang the run
 
-# The chunk function, with $fields filled in by _source: the tallies'
-# locals, their stores and each block of the dispatch. It runs pairs
-# 0..size-1 of u (holding, selection) and returns the index of the pair
-# that ended the run, after filling the samples left with the final book,
-# or size if no pair ended it; the per-event path is the Python engine's.
-# A scalar tally lives in a local and is stored back at the end of the
-# chunk; a per-level one is written in place. The dispatch repeats
+# The chunk function, with $fields filled in by _source: the tallies, one
+# pointer per row of the tally matrix, written in place, and each block of
+# the dispatch. It runs pairs 0..size-1 of u (holding, selection) and
+# returns the index of the pair that ended the run, or size if no pair
+# ended it; the per-event path is the Python engine's. The dispatch repeats
 # each block weight where Python names it w, since C leaves the order of a
 # comparison's operands unspecified; the product is the same double.
 _ENGINE = Template("""\
@@ -93,13 +94,8 @@ $tallies
         const double rate = lam + rqm * (B + S) + w_trade;
         t -= log1p(-u[2 * i]) / rate;
         if (t >= stop) {
-            if (t >= t_end) {
-                for (; si < m; si++) {
-                    memcpy(xs + si * n, b, n * sizeof *b);
-                    memcpy(ys + si * n, s, n * sizeof *s);
-                }
+            if (t >= t_end)
                 break;
-            }
             for (; si < m && sample_ts[si] <= t; si++) {
                 memcpy(xs + si * n, b, n * sizeof *b);
                 memcpy(ys + si * n, s, n * sizeof *s);
@@ -129,7 +125,6 @@ $seller_move
     clock[2] = S;
     clock[3] = M;
     *next_sample = si;
-$stores
     return i;
 }
 """)
@@ -182,15 +177,9 @@ def _source() -> str:
                 back=back, weight=f"{unit} * {count}",
                 occupied=" && ".join(level)) + "\n" + fire
         blocks[name] = _indent(fire, 12)
-    tallies, stores = [], []
-    for name, slot, scalar in _tally_slots():
-        if scalar:
-            tallies.append(f"long long {name} = tally[{slot}];")
-            stores.append(f"tally[{slot}] = {name};")
-        else:
-            tallies.append(f"long long *const {name} = tally + {slot};")
-    return _ENGINE.substitute(tallies=_indent("\n".join(tallies), 4),
-                              stores=_indent("\n".join(stores), 4), **blocks)
+    tallies = "\n".join(f"long long *const {name} = tally + {i} * n;"
+                        for i, name in enumerate(TALLIES.values()))
+    return _ENGINE.substitute(tallies=_indent(tallies, 4), **blocks)
 
 
 def _build(compiler: str, source: bytes, path: str):

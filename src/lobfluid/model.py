@@ -162,7 +162,9 @@ class DiscreteState:
         return self.b.shape[0]
 
     def population(self) -> int:
-        return int(self.b.sum() + self.s.sum())
+        """The number of traders, summed as Python ints, which cannot wrap
+        as an int64 sum can."""
+        return sum(self.b.tolist()) + sum(self.s.tolist())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 `enumerate_events` and `apply_event` and is the reference, and
 `EventCounters.conservation_defects` derives its identities from the
 same table (`EventCounters`' fields are the tallies, one per kind in rank
-order, and `TALLIES` names them by kind). `_run`, behind
+order, and `TALLIES` names them by kind; every rendering tallies each kind
+per level, in one row of a tally matrix). `_run`, behind
 `simulate` and `empirical_equilibrium`, runs the chain through one driver,
 `_drive`, on a rendering of one chunk function: the template `_ENGINE`,
 whose event code `_engine_source` renders from the same table and
@@ -22,10 +23,11 @@ Division of work: a rendering is `bind(rates, t_end, sample_ts, book,
 clock, next_sample, tally, xs, ys)`, which returns the chunk function
 `run(u, size)`; it runs the events of one chunk of uniforms and returns
 the index of the pair that ended the run, or size. `_drive` owns the rest:
-every buffer, the one chunk loop, the budget, `BudgetExceeded` and the
-event count. A chunk records each sample's counts as doubles straight into
-the driver's preallocated (m, N) float64 arrays, which `_run` scales once
-in place, so a run's samples take no more memory than the arrays returned.
+every buffer, the one chunk loop, the budget, `BudgetExceeded`, the event
+count and the samples left when the run ends, which take the final book.
+A chunk records each sample's counts as doubles straight into the
+driver's preallocated (m, N) float64 arrays, which `_run` scales once in
+place, so a run's samples take no more memory than the arrays returned.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
 The C rendering runs when a C compiler `cc` builds it (once per source,
@@ -86,6 +88,7 @@ from operator import length_hint
 
 import numpy as np
 
+from . import ode
 from .errors import BudgetExceeded, InvariantViolation
 from .model import (
     TRANSITIONS,
@@ -113,9 +116,11 @@ CHUNK = 1024  # (holding, selection) pairs per generator call
 @dataclass
 class EventCounters:
     """Cumulative event tallies over a simulation window: the one statement
-    of the tally layout, from which the engine renders its tallies. There
-    is one field per EventKind, in rank order: an int tallies a kind, an
-    array tallies it per (0-based) level it fires at.
+    of the tallies, from which the engine renders them. There is one field
+    per EventKind, in rank order: an array tallies a kind per (0-based)
+    level it fires at, and an int tallies a kind that fires at one level
+    only. The engine tallies every kind per level, one row of an int64
+    matrix per field, and `_run` sums an int field's row.
 
     buyer_moves[k] counts moves from level k to k+1 (last entry unused);
     seller_moves[k] counts moves from level k to k-1 (entry 0 unused).
@@ -226,31 +231,13 @@ def step(
     return chosen, holding, apply_event(state, chosen)
 
 
-def _tally_slots(n="n"):
-    """(name, slot, scalar) for each field of `EventCounters`, in rank
-    order. Every rendering keeps the tallies in one int64 array: a scalar
-    field in its slot, a per-level one in the n slots from its slot on.
-    slot is an int for a book of n levels, or, when n is a name, the
-    expression in n that the renderers write."""
-    scalars = levels = 0
-    for f in fields(EventCounters):
-        if isinstance(n, int):
-            slot = scalars + levels * n
-        else:
-            slot = " + ".join([str(scalars)] * bool(scalars)
-                              + [f"{levels} * {n}"] * bool(levels)) or "0"
-        scalar = f.type == "int"
-        yield f.name, slot, scalar
-        scalars += scalar
-        levels += not scalar
-
-
 # The Python engine's source, with {fields} filled in by _engine_source: a
 # rendering of the chunk function, whose interface `_drive` states. A chunk
 # loads the book, the clock and the tallies into locals (lists and floats;
-# the tallies' slots from `_tally_slots`) and stores them back at its end.
-# The rates and the walk ranges are locals of run as well: a closure cell
-# read per event slows the walk.
+# one list per row of the tally matrix, named by its `EventCounters` field)
+# and stores them back at its end, each buffer in one call. The rates and
+# the walk ranges are locals of run as well: a closure cell read per event
+# slows the walk.
 #
 # Per event it does only what the event needs. The clock moves in place and
 # is tested once, against stop = min(next sample time, t_end), which
@@ -272,8 +259,7 @@ def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys):
         t, B, S, M = clock.tolist()
         si, = next_sample.tolist()
         n = len(b)
-        counts = tally.tolist()
-{loads}
+        {tallies} = tally.tolist()
         # the levels after the entry level, in walk order
         top = n - 1
         up = range(1, n)
@@ -311,13 +297,10 @@ def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys):
 {seller_move}
         book[:] = b, s
         clock[:] = t, B, S, M
-{stores}
+        next_sample[0] = si
+        tally[:] = {tallies}
         if t < t_end:
-            next_sample[0] = si
             return size
-        xs[si:] = b
-        ys[si:] = s
-        next_sample[0] = m
         # the pair that ended the run was drawn but fired no event
         return size - length_hint(picks) - 1
     return run
@@ -383,7 +366,9 @@ def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
     in Python and C. at(offset) is the index suffix of b and s that names
     the level offset from the one it fires at. In order: the counts at
     that level, the side totals B and S by the row's net change on each
-    side, M, the tally, and a move's destination count with its M test.
+    side, M, the kind's tally at that level (every kind, arrivals and exits
+    included, is tallied per level), and a move's destination count with
+    its M test.
     M moves unconditionally when both sides change alike; else min(b, s)
     moves with b exactly when b <= s after a buyer arrives and when b < s
     after one leaves (mirrored for sellers)."""
@@ -395,7 +380,6 @@ def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
                 f"{'sb'[side]}{level}", add("M", sign)[1])
 
     increments = TRANSITIONS[kind][2]
-    tally = fields(EventCounters)[kind]
     here = [(side, sign) for side, offset, sign in increments if not offset]
     nets = [sum(sign for s, _, sign in increments if s == side)
             for side in (0, 1)]
@@ -405,8 +389,7 @@ def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
         actions.append(add("M", here[0][1]))
     else:
         actions += [moves_min(side, sign, at(0)) for side, sign in here]
-    actions.append(
-        (None, f"{tally.name}{'' if tally.type == 'int' else at(0)} += 1"))
+    actions.append((None, f"{TALLIES[kind]}{at(0)} += 1"))
     for side, offset, sign in increments:
         if offset:
             actions += [add("bs"[side] + at(offset), sign),
@@ -444,21 +427,15 @@ def _engine_source() -> str:
                                      occupied=" and ".join(level)
                                      ) + "\n" + fire
         blocks[name] = _indent(fire)
-    loads, stores = [], []
-    for name, slot, scalar in _tally_slots():
-        part = f"[{slot}]" if scalar else f"[{slot}:{slot} + n]"
-        loads.append(f"{name} = counts{part}")
-        stores.append(f"tally{part} = {name}")
-    return _ENGINE.format(loads=_indent("\n".join(loads), 8),
-                          stores=_indent("\n".join(stores), 8), **blocks)
+    return _ENGINE.format(tallies=", ".join(TALLIES.values()), **blocks)
 
 
 @functools.cache
 def _python_engine():
     """The Python engine's `bind`, `_engine_source()` compiled once per
     process: the fallback where the C engine (`_cengine`) cannot run, and
-    the oracle that checks it. A chunk holds the book and the per-level
-    tallies in lists and walks each level block in a loop (`_LIST_WALK`).
+    the oracle that checks it. A chunk holds the book and the tallies in
+    lists and walks each level block in a loop (`_LIST_WALK`).
     The counts b_k, s_k, B, S and M are floats, which step by 1.0 and
     multiply the rates without an int-to-float conversion; they are exact
     below 2**53, so every comparison and product equals that on ints, and
@@ -490,13 +467,15 @@ def _drive(bind, rates, book, t_end, sample_ts, rng, max_events, chunk):
     bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys)
     is a rendering's one interface. It returns the chunk function
     run(u, size), which runs pairs 0..size-1 of the uniforms u (holding,
-    selection) and returns the index of the pair that ended the run, after
-    filling the samples left with the final book, or size if no pair ended
-    it. The buffers it reads and updates are made here, contiguous, and
-    stay referenced here while it runs, since C holds pointers to them: the
-    book; the clock t with B, S and M; the index of the next sample; the
-    tallies in one int64 array (`_tally_slots`); and the samples' counts,
-    one row of xs and ys per sample time. The run takes at most
+    selection) and returns the index of the pair that ended the run, or
+    size if no pair ended it. The buffers it reads and updates are made
+    here, contiguous, and stay referenced here while it runs, since C holds
+    pointers to them: the book; the clock t with B, S and M; the index of
+    the next sample; the tallies, an int64 matrix with one row per field of
+    `EventCounters` and one column per level, where every kind is tallied
+    at the 0-based level it fires at; and the samples' counts, one row of
+    xs and ys per sample time. When the run ends, the samples from the next
+    one on take the final book here. The run takes at most
     max_events + 1 pairs, so no event tests the budget: if the last of them
     also falls before t_end the budget ran out. n_events is the number of
     pairs that the run consumed less the one that ended it, counted apart
@@ -505,8 +484,7 @@ def _drive(bind, rates, book, t_end, sample_ts, rng, max_events, chunk):
     n, m = book.shape[1], len(sample_ts)
     clock = np.array([0.0, *book.sum(axis=1), np.minimum(*book).sum()])
     next_sample = np.zeros(1, dtype=np.int64)
-    tally = np.zeros(sum(1 if scalar else n
-                         for *_, scalar in _tally_slots(n)), dtype=np.int64)
+    tally = np.zeros((len(TALLIES), n), dtype=np.int64)
     xs, ys = np.empty((2, m, n))
     rates = np.array(rates, dtype=np.float64)
     sample_ts = np.array(sample_ts, dtype=np.float64)
@@ -518,6 +496,7 @@ def _drive(bind, rates, book, t_end, sample_ts, rng, max_events, chunk):
         size = min(chunk, left)
         ended = run(rng.random(2 * chunk), size)
         if ended < size:
+            xs[next_sample[0]:], ys[next_sample[0]:] = book
             return done + ended, book, clock, next_sample, tally, xs, ys
         done += size
         left -= size
@@ -537,7 +516,9 @@ def _run(
     """Advance the chain from init to t_end, recording scaled states at
     sample_ts, then verify the aggregates and the counter conservation
     identities exactly. Returns (x, y, n_events, final state, counters);
-    row i of x and y is the scaled state at sample_ts[i].
+    row i of x and y is the scaled state at sample_ts[i]. counters decodes
+    the driver's tally matrix, one row per field of `EventCounters`, an
+    int field being its row's sum.
 
     The chain runs through `_drive` on `_engine()`, in C or in Python; both
     give the same bits. The counts are floats, exact below 2**53, and the
@@ -551,7 +532,7 @@ def _run(
     divided by L in place, which converts and divides exactly as
     `np.array(samples, dtype=np.float64) / L` would.
     """
-    population = sum(map(int, init.b)) + sum(map(int, init.s))
+    population = init.population()
     if population >= 2**53:
         raise ValueError(f"initial population {population} is not below "
                          f"2**53, where float counts stop being exact")
@@ -572,10 +553,9 @@ def _run(
         raise InvariantViolation(f"aggregate drift: B={B}, S={S}, M={M} for "
                                  f"b={b.tolist()}, s={s.tolist()}")
     final = DiscreteState(b, s)
-    n = params.n_levels
     counters = EventCounters(*(
-        int(tally[slot]) if scalar else tally[slot:slot + n]
-        for _, slot, scalar in _tally_slots(n)))
+        int(row.sum()) if f.type == "int" else row
+        for f, row in zip(fields(EventCounters), tally)))
     db, ds = counters.conservation_defects(init, final)
     if db.any() or ds.any():
         raise InvariantViolation(
@@ -635,10 +615,15 @@ def empirical_equilibrium(
     The chain starts empty and is sampled every sample_gap of tau after a
     burn-in period; ergodicity makes the starting state irrelevant for long
     enough burn-in, which is the only equilibrium approximation used here.
+    n_samples may not pass `ode.GRID_MAX`, the cap on `simulate`'s sample
+    grid, since the samples are preallocated.
     """
     _check_positive(burn_in, "burn_in")
     _check_positive(sample_gap, "sample_gap")
     n_samples = _count(n_samples, "n_samples")
+    if n_samples > ode.GRID_MAX:
+        raise ValueError(f"n_samples must be at most {ode.GRID_MAX}, "
+                         f"got {n_samples}")
     if n_samples == 0:
         return []
     rng = np.random.default_rng(seed)

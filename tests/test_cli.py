@@ -891,6 +891,25 @@ def test_equilibrium_conservation_defect_exit_code(tmp_path, capsys,
     assert "conservation defect" in err
 
 
+def test_equilibrium_sample_cap_exits_2_before_any_work(tmp_path, capsys,
+                                                        monkeypatch):
+    # the cap is the schema's maximum; patched down, a count past it exits
+    # 2 at once (a billion samples would preallocate tens of GB)
+    from lobfluid import ode
+
+    schema = json.loads(SCHEMA.read_text())["properties"]
+    assert (schema["equilibrium"]["properties"]["n_samples"]["maximum"]
+            == ode.GRID_MAX)
+    monkeypatch.setattr(ode, "GRID_MAX", 10)
+    code, out, err = run(capsys, [
+        "equilibrium", "--n", "1", *ONES, "--levels", "5", "--burn-in", "1",
+        "--n-samples", "11", "--sample-gap", "0.5",
+        "--out-dir", str(tmp_path / "out")])
+    assert (code, err) == (2, "config error: n_samples must be at most 10, "
+                              "got 11\n")
+    assert not (tmp_path / "out").exists()
+
+
 def run_config(tmp_path, capsys, cfg, command, *flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -264,6 +264,13 @@ def test_enumerated_events_apply_cleanly_with_unit_population_steps():
                 assert delta == -1
 
 
+def test_population_is_exact_past_int64():
+    # each count is below 2**62, as initial_discrete_state allows, but an
+    # int64 sum of them wraps
+    state = DiscreteState([2**62, 2**62], [2**62, 0])
+    assert state.population() == 3 * 2**62
+
+
 def test_scale_state():
     state = DiscreteState(np.array([3, 1]), np.array([0, 2]))
     fs = scale_state(state, ScalingLevel(10))

@@ -218,6 +218,20 @@ def test_empirical_equilibrium_rejects_bad_sample_counts(each_engine,
                                   n_samples, 0.5, seed=3)
 
 
+def test_empirical_equilibrium_caps_its_samples(monkeypatch):
+    # the samples are preallocated, so a count past the cap on simulate's
+    # sample grid is refused before anything is allocated
+    from lobfluid import ode
+
+    monkeypatch.setattr(ode, "GRID_MAX", 10)
+    run = lambda count: empirical_equilibrium(params(n=2), ScalingLevel(10),
+                                              1.0, count, 0.5, seed=3)
+    assert len(run(10)) == 10
+    with pytest.raises(ValueError) as raised:
+        run(11)
+    assert str(raised.value) == "n_samples must be at most 10, got 11"
+
+
 def test_integral_counts_run_as_integers(each_engine):
     # an integral float or a numpy integer is the count it equals (2.0
     # samples raised a TypeError); a zero budget allows no event
@@ -311,6 +325,37 @@ def test_each_level_count_matches_the_python_engine(each_engine):
             assert (run.final_state.b == python.final_state.b).all(), n
             assert (run.final_state.s == python.final_state.s).all(), n
             assert_same_counters(run.counters, python.counters)
+
+
+def test_each_kind_tallies_only_at_its_levels(monkeypatch, each_engine):
+    # the engine tallies every kind, arrivals and exits included, in one
+    # row of the tally matrix per EventCounters field, at the 0-based level
+    # it fires at. The decoded counters sum an arrival's or an exit's row,
+    # so they cannot show one tallied at the wrong level; the raw rows can
+    module = importlib.import_module("lobfluid.simulate")
+    drive, tallies = module._drive, []
+
+    def recording(*args):
+        ran = drive(*args)
+        tallies.append(ran[4].copy())
+        return ran
+
+    monkeypatch.setattr(module, "_drive", recording)
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 17, 50):
+        x0 = rng.uniform(0.2, 1, n) * (rng.random(n) < 0.8)
+        y0 = rng.uniform(0.2, 1, n) * (rng.random(n) < 0.8)
+        for name in each_engine():
+            counters = simulate(params(n=n), ScalingLevel(10), x0, y0, 4.0,
+                                0.5, seed=n).counters
+            tally = tallies.pop()
+            assert tally.shape == (len(TALLIES), n), (n, name)
+            for kind, row in zip(EventKind, tally):
+                levels = list(TRANSITIONS[kind][1](n))
+                assert not np.delete(row, levels).any(), (n, name, kind)
+                assert row.any() == bool(levels), (n, name, kind)
+                field = getattr(counters, TALLIES[kind])
+                assert row.sum() == np.sum(field), (n, name, kind)
 
 
 def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
