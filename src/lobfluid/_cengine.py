@@ -1,5 +1,5 @@
 """The simulator's engine in C: a rendering of the chunk function that
-`simulate._drive` runs, built on first use and loaded with `ctypes`.
+`simulate._Driver` runs, built on first use and loaded with `ctypes`.
 
 `simulate._engine` imports this module the first time a chain runs, so
 `import lobfluid` does not parse it. The C source is rendered from the
@@ -14,9 +14,10 @@ the Python engine's bits.
 
 Division of work: the C function `lobfluid_chunk` is the chunk function
 itself, and `load` returns the `bind` that points it at the driver's
-buffers. `simulate._drive` keeps the chunk loop, the budget and the draw
-contract: it draws each `Generator.random` chunk of CHUNK pairs, and C
-runs that chunk's events in place on the driver's float64 and int64
+buffers. `simulate._Driver` makes those buffers once per chain set-up and
+resets them before each run; it keeps the chunk loop, the budget and the
+draw contract: it draws each `Generator.random` chunk of CHUNK pairs, and
+C runs that chunk's events in place on the driver's float64 and int64
 arrays (book, clock with B, S and M, next sample, tallies and samples).
 Each tally is a pointer to its row of the driver's tally matrix, so C
 stores nothing back, and the driver fills the samples left when the run
@@ -54,7 +55,7 @@ from .simulate import (
     TALLIES,
     _actions,
     _blocks,
-    _drive,
+    _Driver,
     _in_list,
     _indent,
     _python_engine,
@@ -243,27 +244,31 @@ def _library():
 
 
 def _agrees(bind) -> bool:
-    """The load-time check: a run of about 1,500 events at N = 4, from a
-    book with traders of both sides, over several chunks of 256 pairs and
-    with 40 samples, leaves every buffer of `simulate._drive` as the Python
-    engine does, byte for byte. The clock sums every holding time, so this
-    also compares C's log1p with math.log1p."""
-    def run(bind):
-        return _drive(bind, (1.0, 1.5, 2.5, 0.4, 0.1, 0.2, 0.1 + 0.2),
-                      np.array([[3.0, 0, 5, 1], [0, 2, 4, 6]]), 200.0,
-                      [5.0 * i for i in range(40)],
-                      np.random.default_rng(2012), 10**6, 256)
-    got, want = run(bind), run(_python_engine())
-    return got[0] == want[0] and all(
-        a.tobytes() == b.tobytes() for a, b in zip(got[1:], want[1:]))
+    """The load-time check: two consecutive runs of about 1,500 events
+    each at N = 4 on one `simulate._Driver`, from a book with traders of
+    both sides, over several chunks of 256 pairs and with 40 samples, leave
+    every buffer as the Python engine's do, byte for byte, after each run;
+    the second run checks the reuse of reset buffers. The clock sums every
+    holding time, so this also compares C's log1p with math.log1p."""
+    got, want = (_Driver(engine, (1.0, 1.5, 2.5, 0.4, 0.1, 0.2, 0.1 + 0.2),
+                         np.array([[3.0, 0, 5, 1], [0, 2, 4, 6]]), 200.0,
+                         [5.0 * i for i in range(40)], 10**6, 256)
+                 for engine in (bind, _python_engine()))
+    return all(
+        got.run(np.random.default_rng(seed))
+        == want.run(np.random.default_rng(seed))
+        and all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                for name in ("book", "clock", "next_sample", "tally",
+                             "samples"))
+        for seed in (2012, 2013))
 
 
 def load():
-    """The C engine's `bind` (see `simulate._drive`), or None when no
+    """The C engine's `bind` (see `simulate._Driver`), or None when no
     compiler is found, the build fails, or the load-time check (`_agrees`)
     finds it disagreeing with the Python engine. The driver makes every
     buffer passed by pointer a contiguous float64 or int64 array and keeps
-    it referenced while C runs."""
+    it referenced for as long as it can run."""
     library = _library()
     if library is None:
         return None

@@ -16,7 +16,9 @@ import numpy as np
 from .fixed_point import FixedPoint, solve_recursive
 from .model import ModelParams, ScalingLevel, _count, _pair
 from .ode import _check_positive, integrate, uniform_grid
-from .simulate import simulate, empirical_equilibrium
+# simulate is not called here, but stays bound: perfbench's tracer test
+# finds its wrapper on this module
+from .simulate import _replicas, empirical_equilibrium, simulate  # noqa: F401
 
 __all__ = ["ConvergenceReport", "SweepReport", "fluid_convergence",
            "equilibrium_concentration", "overproduction_sweep"]
@@ -88,11 +90,21 @@ def _sup_distance(traj_x, traj_y, ode_x, ode_y) -> float:
     return float(np.sqrt((gaps * gaps).sum(axis=1)).max())
 
 
-def _convergence_replica(args) -> tuple[int, int, float]:
-    params, scale, i, j, master_seed, x0, y0, T, dt, ode_x, ode_y = args
-    traj = simulate(params, scale, x0, y0, T, dt,
-                    _spawned_rng_seed(master_seed, i, j))
-    return i, j, _sup_distance(traj.x, traj.y, ode_x, ode_y)
+def _convergence_block(args) -> list[float]:
+    """The sup-distances of replicas first..last-1 at the i-th scaling
+    level, in replica order. The chain is set up once, as `simulate` sets
+    it up, and each replica runs on it and is measured before the next one
+    overwrites its samples, so each distance is that of `simulate` with
+    the replica's seed."""
+    (params, scale, i, first, last, master_seed, x0, y0, T, dt, ode_x,
+     ode_y) = args
+    _, chain = _replicas(params, scale, x0, y0, T, dt)
+    distances = []
+    for j in range(first, last):
+        x, y, _ = chain.run(
+            np.random.default_rng(_spawned_rng_seed(master_seed, i, j)))
+        distances.append(_sup_distance(x, y, ode_x, ode_y))
+    return distances
 
 
 def fluid_convergence(
@@ -123,22 +135,29 @@ def fluid_convergence(
     x0, y0 = _pair(x0, y0, params.n_levels)
     sol = integrate(x0, y0, params, T, grid=grid)
 
+    # each level's replicas in workers contiguous blocks (one when serial),
+    # so that every worker shares the longest chains
+    bounds = [replicas * w // workers for w in range(workers + 1)]
     jobs = [
-        (params, scale, i, j, master_seed, x0, y0, T, dt, sol.x, sol.y)
+        (params, scale, i, first, last, master_seed, x0, y0, T, dt, sol.x,
+         sol.y)
         for i, scale in enumerate(scales)
-        for j in range(replicas)
+        for first, last in zip(bounds, bounds[1:]) if first < last
     ]
     if workers > 1:
         # imported here: it loads multiprocessing, which nothing else needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_convergence_replica, jobs))
+            blocks = list(pool.map(_convergence_block, jobs))
     else:
-        results = [_convergence_replica(job) for job in jobs]
+        blocks = [_convergence_block(job) for job in jobs]
 
+    distances = [d for block in blocks for d in block]
     rows = [
-        (levels[i], j, _seed_label(master_seed, i, j), d) for i, j, d in results
+        (level, j, _seed_label(master_seed, i, j), distances[i * replicas + j])
+        for i, level in enumerate(levels)
+        for j in range(replicas)
     ]
     return ConvergenceReport(levels, rows, grid_step=dt)
 

@@ -5,29 +5,40 @@
 `EventCounters.conservation_defects` derives its identities from the
 same table (`EventCounters`' fields are the tallies, one per kind in rank
 order, and `TALLIES` names them by kind; every rendering tallies each kind
-per level, in one row of a tally matrix). `_run`, behind
-`simulate` and `empirical_equilibrium`, runs the chain through one driver,
-`_drive`, on a rendering of one chunk function: the template `_ENGINE`,
-whose event code `_engine_source` renders from the same table and
-`_python_engine` compiles on first use, or its rendering in C
-(`_cengine`). The ODE right-hand side, written apart, is the independent
-check on the table (a test compares it with the table's drift). Every
-rendering holds exact counts and keeps B = sum b, S = sum s and
-M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
-every rendering makes the same comparisons and float operations in the
-same order, so all give the same bits. The tests replay each rendering
-event by event against `step()`, and compare them bit for bit at every
-level count up to 17.
+per level, in one row of a tally matrix). `_Chain`, behind `simulate`,
+`empirical_equilibrium` and the replicas of a convergence study, runs the
+chain through one driver, `_Driver`, on a rendering of one chunk
+function: the template `_ENGINE`, whose event code `_engine_source`
+renders from the same table and `_python_engine` compiles on first use,
+or its rendering in C (`_cengine`). The ODE right-hand side, written
+apart, is the independent check on the table (a test compares it with
+the table's drift). Every rendering holds exact counts and keeps
+B = sum b, S = sum s and M = sum min(b, s) exactly, so the closed-form
+total rate never drifts, and every rendering makes the same comparisons
+and float operations in the same order, so all give the same bits. The
+tests replay each rendering event by event against `step()`, and compare
+them bit for bit at every level count up to 17.
 
 Division of work: a rendering is `bind(rates, t_end, sample_ts, book,
 clock, next_sample, tally, xs, ys)`, which returns the chunk function
 `run(u, size)`; it runs the events of one chunk of uniforms and returns
-the index of the pair that ended the run, or size. `_drive` owns the rest:
-every buffer, the one chunk loop, the budget, `BudgetExceeded`, the event
-count and the samples left when the run ends, which take the final book.
-A chunk records each sample's counts as doubles straight into the
-driver's preallocated (m, N) float64 arrays, which `_run` scales once in
-place, so a run's samples take no more memory than the arrays returned.
+the index of the pair that ended the run, or size. The work of a chain is
+split into a set-up, made once per (params, L, start, horizon, sample
+grid), and runs, one per replica. The set-up is a `_Chain`: the
+population check, the budget cap and the rates, and its `_Driver`, which
+makes every buffer and binds the rendering to them once. A run resets
+those buffers in place; the driver then owns the one chunk loop, the
+budget, `BudgetExceeded`, the event count and the samples left when the
+run ends, which take the final book, and the chain checks the aggregates
+and the counting identities (`_identities`, one cached matrix per N)
+exactly. A chunk records each sample's counts as doubles straight into
+the driver's preallocated (m, N) float64 arrays, which the run scales
+once in place and returns, so a run's samples take no more memory than
+the arrays returned, and the next run on the same set-up overwrites
+them. `simulate` and `empirical_equilibrium` make one run on a set-up of
+their own; `experiments.fluid_convergence` makes one set-up per level,
+or per block of a level's replicas with workers (`_replicas`, `simulate`'s
+own), and runs each replica on it.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
 The C rendering runs when a C compiler `cc` builds it (once per source,
@@ -39,9 +50,9 @@ process (about 2 ms). It is also the oracle the C engine is checked
 against. On a shared 2-core Xeon (gcc 12, Python 3.11) the C engine took
 43-58 ns per event at N = 2 and 48-73 ns at N = 50, the Python one
 460-530 and 460-690 ns (CHANGES.md has the runs). Both hold the
-counts as floats, which are exact below 2**53: `_run` refuses an initial
-population of 2**53 or more and caps the budget so that no count reaches
-it. Nothing is compiled or built at import.
+counts as floats, which are exact below 2**53: `_Chain` refuses an
+initial population of 2**53 or more and caps the budget so that no count
+reaches it. Nothing is compiled or built at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -54,7 +65,7 @@ alpha-moves with the bottom exit at level 1); a target at or past the end
 blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
 and sellers at level N, and the stationary profile decays geometrically
 away from each entry level, so starting there keeps the expected walk
-short at any N. `_drive` takes the stream as (holding, selection) pairs,
+short at any N. `_Driver` takes the stream as (holding, selection) pairs,
 CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
 calls; for PCG64, random(a) followed by random(b) gives the values of
 random(a + b), so no output depends on CHUNK. The holding column goes
@@ -120,7 +131,7 @@ class EventCounters:
     per EventKind, in rank order: an array tallies a kind per (0-based)
     level it fires at, and an int tallies a kind that fires at one level
     only. The engine tallies every kind per level, one row of an int64
-    matrix per field, and `_run` sums an int field's row.
+    matrix per field, and `_Chain.counters` sums an int field's row.
 
     buyer_moves[k] counts moves from level k to k+1 (last entry unused);
     seller_moves[k] counts moves from level k to k-1 (entry 0 unused).
@@ -148,18 +159,15 @@ class EventCounters:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-level defects of the buyer/seller counting identities
         final - initial = sum of tally * increment over the rows of
-        `model.TRANSITIONS`; both arrays are identically zero on every
-        correctly simulated window."""
-        n = initial.n_levels
-        defects = (final.b - initial.b, final.s - initial.s)
-        for kind, (_, levels, increments) in TRANSITIONS.items():
-            ks = np.array(levels(n), dtype=np.intp)
-            tally = getattr(self, TALLIES[kind])
-            if isinstance(tally, np.ndarray):
-                tally = tally[ks]
-            for side, offset, sign in increments:
-                defects[side][ks + offset] -= sign * tally
-        return defects
+        `model.TRANSITIONS` (`_defects`); both arrays are identically zero
+        on every correctly simulated window."""
+        # an int field's kind fires at one level, the only one C reads
+        tally = np.array([np.broadcast_to(getattr(self, name),
+                                          initial.n_levels)
+                          for name in TALLIES.values()], dtype=np.int64)
+        db, ds = _defects(np.array([final.b - initial.b, final.s - initial.s]),
+                          tally)
+        return db, ds
 
     def conserves(self, initial: DiscreteState, final: DiscreteState) -> bool:
         db, ds = self.conservation_defects(initial, final)
@@ -169,6 +177,36 @@ class EventCounters:
 # The EventCounters field that tallies each event kind
 TALLIES = dict(zip(EventKind, (f.name for f in fields(EventCounters)),
                    strict=True))
+
+
+@functools.cache
+def _identities(n: int) -> np.ndarray:
+    """The counting identities at n levels, read off `model.TRANSITIONS`:
+    the int64 matrix C of final - initial = C @ tally, with the book and
+    the tally matrix (one row per kind, one column per 0-based level)
+    flattened. An event moves traders at most one level from where it
+    fires, so C is stored by its three diagonals, shape (3, 2,
+    len(TALLIES), n): C[1 + offset, side, kind, k] is the increment that
+    one event of kind at level k makes to side at level k + offset, 0
+    where the kind does not fire. (Stored whole, C would take 144 MB at
+    n = 1000.)"""
+    c = np.zeros((3, 2, len(TALLIES), n), dtype=np.int64)
+    for row, (_, levels, increments) in enumerate(TRANSITIONS.values()):
+        for side, offset, sign in increments:
+            c[1 + offset, side, row, levels(n)] += sign
+    c.flags.writeable = False
+    return c
+
+
+def _defects(change: np.ndarray, tally: np.ndarray) -> np.ndarray:
+    """change - C @ tally (`_identities`), the defects of the counting
+    identities, rows b and s, for a window whose book changed by change
+    (rows b and s) and whose tally matrix is tally: zero on every
+    correctly simulated window."""
+    down, here, up = (_identities(tally.shape[1]) * tally).sum(axis=2)
+    here[:, :-1] += down[:, 1:]
+    here[:, 1:] += up[:, :-1]
+    return change - here
 
 
 @dataclass
@@ -232,7 +270,7 @@ def step(
 
 
 # The Python engine's source, with {fields} filled in by _engine_source: a
-# rendering of the chunk function, whose interface `_drive` states. A chunk
+# rendering of the chunk function, whose interface `_Driver` states. A chunk
 # loads the book, the clock and the tallies into locals (lists and floats;
 # one list per row of the tally matrix, named by its `EventCounters` field)
 # and stores them back at its end, each buffer in one call. The rates and
@@ -439,7 +477,7 @@ def _python_engine():
     The counts b_k, s_k, B, S and M are floats, which step by 1.0 and
     multiply the rates without an int-to-float conversion; they are exact
     below 2**53, so every comparison and product equals that on ints, and
-    `_run` caps the budget so that no count reaches 2**53. The tallies stay
+    `_Chain` caps the budget so that no count reaches 2**53. The tallies stay
     ints.
     """
     namespace = {"log1p": log1p, "length_hint": length_hint}
@@ -450,7 +488,7 @@ def _python_engine():
 
 @functools.cache
 def _engine():
-    """The rendering `_run` runs, chosen once per process: the C one when
+    """The rendering a `_Chain` runs, chosen once per process: the C one when
     `_cengine.load` finds or builds it and its load-time check finds it
     agreeing with the Python engine, else the Python engine. Both make the
     same draws, comparisons and float operations in the same order and so
@@ -459,110 +497,156 @@ def _engine():
     return _cengine.load() or _python_engine()
 
 
-def _drive(bind, rates, book, t_end, sample_ts, rng, max_events, chunk):
-    """Run the chain from book (a float64 array, rows b and s) to t_end on
-    a rendering of the engine, taking its uniforms from rng chunk pairs
-    per call; returns (n_events, book, clock, next_sample, tally, xs, ys).
+class _Driver:
+    """One chain's buffers, made once and bound once to a rendering of the
+    engine, and the runs on them: `run(rng)` resets the buffers in place
+    and runs the chain from start (a float64 array, rows b and s) to t_end,
+    taking its uniforms from rng chunk pairs per call, and returns the
+    number of events.
 
     bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys)
     is a rendering's one interface. It returns the chunk function
     run(u, size), which runs pairs 0..size-1 of the uniforms u (holding,
     selection) and returns the index of the pair that ended the run, or
     size if no pair ended it. The buffers it reads and updates are made
-    here, contiguous, and stay referenced here while it runs, since C holds
-    pointers to them: the book; the clock t with B, S and M; the index of
-    the next sample; the tallies, an int64 matrix with one row per field of
+    here, contiguous, and are attributes of the driver, which C holds
+    pointers into for as long as the driver lives: the rates and sample
+    times; the book; the clock t with B, S and M; the index of the next
+    sample; the tallies, an int64 matrix with one row per field of
     `EventCounters` and one column per level, where every kind is tallied
     at the 0-based level it fires at; and the samples' counts, one row of
-    xs and ys per sample time. When the run ends, the samples from the next
-    one on take the final book here. The run takes at most
-    max_events + 1 pairs, so no event tests the budget: if the last of them
-    also falls before t_end the budget ran out. n_events is the number of
-    pairs that the run consumed less the one that ended it, counted apart
-    from the tallies, so their sum stays a check on it.
+    xs and ys per sample time, views of the one array samples. When a run
+    ends, the samples from the next one on take the final book here. A run
+    takes at most max_events + 1 pairs, so no event tests the budget: if
+    the last of them also falls before t_end the budget ran out. Its
+    event count is the number of pairs that it consumed less the one that
+    ended it, counted apart from the tallies, so their sum stays a check
+    on it.
     """
-    n, m = book.shape[1], len(sample_ts)
-    clock = np.array([0.0, *book.sum(axis=1), np.minimum(*book).sum()])
-    next_sample = np.zeros(1, dtype=np.int64)
-    tally = np.zeros((len(TALLIES), n), dtype=np.int64)
-    xs, ys = np.empty((2, m, n))
-    rates = np.array(rates, dtype=np.float64)
-    sample_ts = np.array(sample_ts, dtype=np.float64)
-    run = bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
-               ys)
-    done = 0
-    left = max_events + 1
-    while left:
-        size = min(chunk, left)
-        ended = run(rng.random(2 * chunk), size)
-        if ended < size:
-            xs[next_sample[0]:], ys[next_sample[0]:] = book
-            return done + ended, book, clock, next_sample, tally, xs, ys
-        done += size
-        left -= size
-    raise BudgetExceeded(
-        f"event budget {max_events} exhausted at t={clock[0]:.6g}")
+
+    def __init__(self, bind, rates, start, t_end, sample_ts, max_events,
+                 chunk):
+        n, m = start.shape[1], len(sample_ts)
+        self.start = start
+        self.start_clock = np.array(
+            [0.0, *start.sum(axis=1), np.minimum(*start).sum()])
+        self.book = np.empty_like(start)
+        self.clock = np.empty(4)
+        self.next_sample = np.empty(1, dtype=np.int64)
+        self.tally = np.empty((len(TALLIES), n), dtype=np.int64)
+        self.samples = np.empty((2, m, n))
+        self.xs, self.ys = self.samples
+        self.rates = np.array(rates, dtype=np.float64)
+        self.sample_ts = np.array(sample_ts, dtype=np.float64)
+        self.max_events = max_events
+        self.chunk = chunk
+        self.chunk_run = bind(self.rates, t_end, self.sample_ts, self.book,
+                              self.clock, self.next_sample, self.tally,
+                              self.xs, self.ys)
+
+    def run(self, rng) -> int:
+        book, next_sample, chunk = self.book, self.next_sample, self.chunk
+        book[:] = self.start
+        self.clock[:] = self.start_clock
+        next_sample[0] = 0
+        self.tally.fill(0)
+        done = 0
+        left = self.max_events + 1
+        while left:
+            size = min(chunk, left)
+            ended = self.chunk_run(rng.random(2 * chunk), size)
+            if ended < size:
+                self.xs[next_sample[0]:], self.ys[next_sample[0]:] = book
+                return done + ended
+            done += size
+            left -= size
+        raise BudgetExceeded(f"event budget {self.max_events} exhausted at "
+                             f"t={self.clock[0]:.6g}")
 
 
-def _run(
-    params: ModelParams,
-    scale: ScalingLevel,
-    init: DiscreteState,
-    t_end: float,
-    sample_ts: list[float],
-    rng: np.random.Generator,
-    max_events: int,
-) -> tuple[np.ndarray, np.ndarray, int, DiscreteState, EventCounters]:
-    """Advance the chain from init to t_end, recording scaled states at
-    sample_ts, then verify the aggregates and the counter conservation
-    identities exactly. Returns (x, y, n_events, final state, counters);
-    row i of x and y is the scaled state at sample_ts[i]. counters decodes
-    the driver's tally matrix, one row per field of `EventCounters`, an
-    int field being its row's sum.
+class _Chain:
+    """A chain of the model from init to t_end, sampled at sample_ts, set
+    up once for any number of runs: the population check, the budget cap,
+    the rates and a `_Driver` on `_engine()`, in C or in Python; both give
+    the same bits.
 
-    The chain runs through `_drive` on `_engine()`, in C or in Python; both
-    give the same bits. The counts are floats, exact below 2**53, and the
-    aggregates B, S, M move with the +-1 increments, so the total rate is
-    exact at every step. An event adds at most one trader, so the budget
-    is capped at 2**53 - 1 - P events for an initial population P: reaching
-    the cap raises BudgetExceeded naming it as the budget, and a population
-    of 2**53 or more raises ValueError. At any real population the cap is
-    far beyond a run's reach. The engine records the samples' counts as
-    doubles in the driver's float64 arrays; x and y are those arrays,
-    divided by L in place, which converts and divides exactly as
-    `np.array(samples, dtype=np.float64) / L` would.
+    The counts are floats, exact below 2**53, and the aggregates B, S, M
+    move with the +-1 increments, so the total rate is exact at every
+    step. An event adds at most one trader, so the budget is capped at
+    2**53 - 1 - P events for an initial population P: reaching the cap
+    raises BudgetExceeded naming it as the budget, and a population of
+    2**53 or more raises ValueError. At any real population the cap is far
+    beyond a run's reach.
     """
-    population = init.population()
-    if population >= 2**53:
-        raise ValueError(f"initial population {population} is not below "
-                         f"2**53, where float counts stop being exact")
-    budget = min(max_events, 2**53 - 1 - population)
-    lam_b = params.lambda_b
-    lam_s = params.lambda_s
-    rq = params.beta / scale.l
-    rm = params.alpha / scale.l
-    rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
-             rq + rm)
-    n_events, book, clock, _, tally, x, y = _drive(
-        _engine(), rates, np.array([init.b, init.s], dtype=np.float64),
-        t_end, sample_ts, rng, budget, CHUNK)
 
-    b, s = book.astype(np.int64)
-    B, S, M = map(int, clock[1:])
-    if (B, S, M) != (b.sum(), s.sum(), np.minimum(b, s).sum()):
-        raise InvariantViolation(f"aggregate drift: B={B}, S={S}, M={M} for "
-                                 f"b={b.tolist()}, s={s.tolist()}")
-    final = DiscreteState(b, s)
-    counters = EventCounters(*(
-        int(row.sum()) if f.type == "int" else row
-        for f, row in zip(fields(EventCounters), tally)))
-    db, ds = counters.conservation_defects(init, final)
-    if db.any() or ds.any():
-        raise InvariantViolation(
-            f"conservation defect: buyers {db}, sellers {ds}")
-    x /= float(scale.l)
-    y /= float(scale.l)
-    return x, y, n_events, final, counters
+    def __init__(self, params: ModelParams, scale: ScalingLevel,
+                 init: DiscreteState, t_end: float, sample_ts: list[float],
+                 max_events: int):
+        population = init.population()
+        if population >= 2**53:
+            raise ValueError(f"initial population {population} is not below "
+                             f"2**53, where float counts stop being exact")
+        lam_b = params.lambda_b
+        lam_s = params.lambda_s
+        rq = params.beta / scale.l
+        rm = params.alpha / scale.l
+        rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
+                 rq + rm)
+        self.init = init
+        self.start = np.array([init.b, init.s])
+        self.scale = float(scale.l)
+        self.driver = _Driver(
+            _engine(), rates, self.start.astype(np.float64), t_end, sample_ts,
+            min(max_events, 2**53 - 1 - population), CHUNK)
+
+    def run(self, rng) -> tuple[np.ndarray, np.ndarray, int]:
+        """Run the chain on rng's uniforms, verify the aggregates and the
+        counting identities exactly, and return (x, y, n_events); row i of
+        x and y is the scaled state at sample_ts[i]. x and y are the
+        driver's sample arrays divided by L in place, which converts and
+        divides exactly as `np.array(samples, dtype=np.float64) / L` would;
+        the next run overwrites them."""
+        driver = self.driver
+        n_events = driver.run(rng)
+        final = driver.book.astype(np.int64)
+        b, s = final
+        B, S, M = map(int, driver.clock[1:])
+        if (B, S, M) != (b.sum(), s.sum(), np.minimum(b, s).sum()):
+            raise InvariantViolation(f"aggregate drift: B={B}, S={S}, M={M} "
+                                     f"for b={b.tolist()}, s={s.tolist()}")
+        db, ds = _defects(final - self.start, driver.tally)
+        if db.any() or ds.any():
+            raise InvariantViolation(
+                f"conservation defect: buyers {db}, sellers {ds}")
+        driver.samples /= self.scale
+        return driver.xs, driver.ys, n_events
+
+    def final(self) -> DiscreteState:
+        """The state where the last run ended."""
+        return DiscreteState(*self.driver.book.astype(np.int64))
+
+    def counters(self) -> EventCounters:
+        """The last run's tallies, decoded from the driver's tally matrix,
+        one row per field of `EventCounters`, an int field being its row's
+        sum; the array fields are views of the matrix."""
+        return EventCounters(*(
+            int(row.sum()) if f.type == "int" else row
+            for f, row in zip(fields(EventCounters), self.driver.tally)))
+
+
+def _replicas(params: ModelParams, scale: ScalingLevel, x0: np.ndarray,
+              y0: np.ndarray, tau_max: float, sample_dt: float,
+              max_events: int = DEFAULT_MAX_EVENTS
+              ) -> tuple[np.ndarray, _Chain]:
+    """`simulate`'s checks and set-up, made once for any number of runs:
+    returns the sample grid taus and the `_Chain` whose runs are
+    `simulate`'s for one seed each."""
+    max_events = _count(max_events, "max_events")
+    taus = uniform_grid(tau_max, sample_dt, ("tau_max", "sample_dt"))
+    init = initial_discrete_state(*_pair(x0, y0, params.n_levels), scale)
+    L = float(scale.l)
+    return taus, _Chain(params, scale, init, tau_max * L,
+                        [tau * L for tau in taus], max_events)
 
 
 def simulate(
@@ -583,21 +667,16 @@ def simulate(
     verified exactly before returning. max_events must be a nonnegative
     integer (an integral float passes as one).
     """
-    max_events = _count(max_events, "max_events")
-    taus = uniform_grid(tau_max, sample_dt, ("tau_max", "sample_dt"))
-    rng = np.random.default_rng(seed)
-    init = initial_discrete_state(*_pair(x0, y0, params.n_levels), scale)
-    L = float(scale.l)
-    sample_ts = [tau * L for tau in taus]
-    x, y, n_events, final, counters = _run(
-        params, scale, init, tau_max * L, sample_ts, rng, max_events)
+    taus, chain = _replicas(params, scale, x0, y0, tau_max, sample_dt,
+                            max_events)
+    x, y, n_events = chain.run(np.random.default_rng(seed))
     return Trajectory(
         taus=taus,
         x=x,
         y=y,
-        initial_state=init,
-        final_state=final,
-        counters=counters,
+        initial_state=chain.init,
+        final_state=chain.final(),
+        counters=chain.counters(),
         n_events=n_events,
     )
 
@@ -626,11 +705,10 @@ def empirical_equilibrium(
                          f"got {n_samples}")
     if n_samples == 0:
         return []
-    rng = np.random.default_rng(seed)
     n = params.n_levels
     init = DiscreteState(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     L = float(scale.l)
     sample_ts = [(burn_in + (i + 1) * sample_gap) * L for i in range(n_samples)]
-    x, y, _, _, _ = _run(params, scale, init, sample_ts[-1], sample_ts, rng,
-                         DEFAULT_MAX_EVENTS)
+    x, y, _ = _Chain(params, scale, init, sample_ts[-1], sample_ts,
+                     DEFAULT_MAX_EVENTS).run(np.random.default_rng(seed))
     return [FluidState(xi, yi) for xi, yi in zip(x, y)]

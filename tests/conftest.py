@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lobfluid import EventCounters
-from lobfluid.simulate import _run
+from lobfluid.simulate import _Chain
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -19,6 +19,14 @@ def private_engine_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+def run_chain(params, scale, init, t_end, sample_ts, rng, max_events):
+    """One run of a `_Chain` set up for it, as `simulate` makes one:
+    (x, y, n_events, final state, counters)."""
+    chain = _Chain(params, scale, init, t_end, sample_ts, max_events)
+    x, y, n_events = chain.run(rng)
+    return x, y, n_events, chain.final(), chain.counters()
 
 
 def engines() -> dict:
@@ -39,7 +47,7 @@ def assert_same_counters(got: EventCounters, want: EventCounters) -> None:
 @pytest.fixture
 def each_engine(monkeypatch):
     """Call it to iterate over the names of the engine's renderings, the
-    Python one first, then the C one where it loads; on each step `_run`
+    Python one first, then the C one where it loads; on each step a chain
     runs that rendering."""
     module = importlib.import_module("lobfluid.simulate")
     renderings = engines()
@@ -78,7 +86,7 @@ def fire_once(each_engine):
         for _ in each_engine():
             # holding uniform 0 fires at t = 0; the next one, 0.5, lands
             # past the horizon, and a one-event budget would catch a second
-            _, _, n_events, final, counters = _run(
+            _, _, n_events, final, counters = run_chain(
                 params, scale, state, 1e-9, [], ScriptedUniforms([0.0, u]), 1)
             assert n_events == 1
             outcomes.append((final, counters))

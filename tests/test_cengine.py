@@ -49,7 +49,7 @@ def _readme_outputs(out_dir) -> dict:
 
 @needs_cc
 def test_the_c_engine_loads_where_a_compiler_is_found():
-    # where cc is found, the engine `_run` runs is the C one; the tests
+    # where cc is found, the engine a chain runs is the C one; the tests
     # that compare renderings then compare C with Python
     assert set(engines()) == {"python", "c"}
 

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, config precedence, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobfluid import (EventCounters, ModelParams, NonMonotoneInput,
-                      ResidualTooLarge, ScalingLevel, SolverError, cli,
+from lobfluid import (ModelParams, NonMonotoneInput, ResidualTooLarge,
+                      ScalingLevel, SolverError, cli,
                       empirical_equilibrium, equilibrium_concentration,
                       experiments, fluid_convergence, integrate,
                       integrate_until_stationary, simulate)
 from lobfluid.cli import main
 from lobfluid.model import PARAM_FIELDS
 
+simulate_module = importlib.import_module("lobfluid.simulate")
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "run-config.schema.json"
 MODEL_ONES = {"n_levels": 1, "lambda_b": 1.0, "lambda_s": 1.0, "alpha": 1.0,
               "beta": 1.0, "gamma": 1.0}
@@ -866,11 +868,15 @@ def test_simulate_nonfinite_initial_data_exit_2(tmp_path, capsys, flags,
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
-    def defect(self, initial, final):
-        return np.array([1]), np.zeros(1, dtype=np.int64)
+def _zero_identities(monkeypatch):
+    """Counting identities that miss every increment, so a chain's whole
+    change of book reads as a conservation defect."""
+    zeroed = np.zeros_like(simulate_module._identities(1))
+    monkeypatch.setattr(simulate_module, "_identities", lambda n: zeroed)
 
-    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+
+def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
+    _zero_identities(monkeypatch)
     code, out, err = run(capsys, [
         "simulate", "--n", "1", *ONES, "--scale", "5", "--tau-max", "1",
         "--sample-dt", "0.5", "--out-dir", str(tmp_path)])
@@ -880,10 +886,7 @@ def test_conservation_defect_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_equilibrium_conservation_defect_exit_code(tmp_path, capsys,
                                                    monkeypatch):
-    def defect(self, initial, final):
-        return np.array([1]), np.zeros(1, dtype=np.int64)
-
-    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+    _zero_identities(monkeypatch)
     code, out, err = run(capsys, [
         "equilibrium", "--n", "1", *ONES, "--levels", "5", "--burn-in", "1",
         "--n-samples", "2", "--sample-gap", "0.5", "--out-dir", str(tmp_path)])

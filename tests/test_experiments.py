@@ -5,10 +5,14 @@ import pytest
 
 from lobfluid import (
     ModelParams,
+    ScalingLevel,
     experiments,
     equilibrium_concentration,
     fluid_convergence,
+    integrate,
     overproduction_sweep,
+    simulate,
+    uniform_grid,
 )
 
 
@@ -50,6 +54,31 @@ def test_fluid_convergence_single_replica_reproducible():
 
 def test_fluid_convergence_workers_do_not_change_results():
     assert small_convergence(workers=2).rows == small_convergence().rows
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids="workers={}".format)
+def test_fluid_convergence_rows_are_simulate_distances(workers):
+    # each level's replicas run on one chain set-up (with workers, in
+    # contiguous blocks of a level); every row's distance is, bit for bit,
+    # the one from `simulate` with the replica's seed. The README study's
+    # arguments, with three replicas, so that two workers split each level
+    # unevenly
+    p = params(n=2)
+    z = np.zeros(2)
+    levels, T, replicas, seed = [10, 100, 1000], 5.0, 3, 42
+    report = fluid_convergence(p, z, z, levels, T, replicas, seed,
+                               workers=workers)
+    sol = integrate(z, z, p, T, grid=uniform_grid(T, 0.01 * T))
+    want = []
+    for i, level in enumerate(levels):
+        for j in range(replicas):
+            traj = simulate(p, ScalingLevel(level), z, z, T, 0.01 * T,
+                            np.random.SeedSequence(entropy=seed,
+                                                   spawn_key=(i, j)))
+            want.append((level, j, f"{seed}:{i}:{j}",
+                         experiments._sup_distance(traj.x, traj.y, sol.x,
+                                                   sol.y)))
+    assert report.rows == want
 
 
 def test_fluid_convergence_validates_arguments():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import ScriptedUniforms, assert_same_counters
+from conftest import ScriptedUniforms, assert_same_counters, run_chain
 
 from lobfluid import (
     BudgetExceeded,
@@ -28,7 +28,7 @@ from lobfluid import (
     uniform_grid,
 )
 from lobfluid.model import TRANSITIONS
-from lobfluid.simulate import DEFAULT_MAX_EVENTS, TALLIES, _run
+from lobfluid.simulate import DEFAULT_MAX_EVENTS, TALLIES, _Chain
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -261,7 +261,7 @@ def test_integral_counts_run_as_integers(each_engine):
 def test_budgets_past_the_exactness_cap_give_equal_bits(each_engine):
     # the engine holds the counts as floats, exact below 2**53, and no
     # count passes the initial population (here 5 + 3) plus the events
-    # run, so `_run` caps the budget at 2**53 - 1 - 8; at and past that
+    # run, so a chain caps the budget at 2**53 - 1 - 8; at and past that
     # cap the run is the same
     for _ in each_engine():
         runs = [simulate(params(n=2), ScalingLevel(10), [0.5, 0.0],
@@ -281,8 +281,8 @@ def test_population_of_2_53_is_refused(each_engine):
         with pytest.raises(ValueError, match=r"initial population "
                                              r"9007199254740992 is not "
                                              r"below 2\*\*53, "):
-            _run(params(n=2), ScalingLevel(1), state, 1.0, [],
-                 ScriptedUniforms([0.0, 0.0]), 10**30)
+            run_chain(params(n=2), ScalingLevel(1), state, 1.0, [],
+                      ScriptedUniforms([0.0, 0.0]), 10**30)
 
 
 def test_budget_stops_at_the_exactness_cap(each_engine):
@@ -292,14 +292,14 @@ def test_budget_stops_at_the_exactness_cap(each_engine):
     # the 0.5 after the scripted pairs lands past the tiny horizon
     state = DiscreteState(np.array([2**53 - 3, 0]), np.array([0, 0]))
     for engine in each_engine():
-        _, _, n_events, final, counters = _run(
+        _, _, n_events, final, counters = run_chain(
             params(n=2), ScalingLevel(1), state, 1e-30, [],
             ScriptedUniforms([0.0] * 4), 10**30)
         assert n_events == counters.buyer_arrivals == 2, engine
         assert final.b.tolist() == [2**53 - 1, 0], engine
         with pytest.raises(BudgetExceeded, match="budget 2 exhausted at t=0$"):
-            _run(params(n=2), ScalingLevel(1), state, 1e-30, [],
-                 ScriptedUniforms([0.0] * 6), 10**30)
+            run_chain(params(n=2), ScalingLevel(1), state, 1e-30, [],
+                      ScriptedUniforms([0.0] * 6), 10**30)
 
 
 def test_each_level_count_matches_the_python_engine(each_engine):
@@ -333,14 +333,14 @@ def test_each_kind_tallies_only_at_its_levels(monkeypatch, each_engine):
     # it fires at. The decoded counters sum an arrival's or an exit's row,
     # so they cannot show one tallied at the wrong level; the raw rows can
     module = importlib.import_module("lobfluid.simulate")
-    drive, tallies = module._drive, []
+    run, tallies = module._Driver.run, []
 
-    def recording(*args):
-        ran = drive(*args)
-        tallies.append(ran[4].copy())
+    def recording(driver, rng):
+        ran = run(driver, rng)
+        tallies.append(driver.tally.copy())
         return ran
 
-    monkeypatch.setattr(module, "_drive", recording)
+    monkeypatch.setattr(module._Driver, "run", recording)
     rng = np.random.default_rng(59)
     for n in (1, 2, 17, 50):
         x0 = rng.uniform(0.2, 1, n) * (rng.random(n) < 0.8)
@@ -356,6 +356,42 @@ def test_each_kind_tallies_only_at_its_levels(monkeypatch, each_engine):
                 assert row.any() == bool(levels), (n, name, kind)
                 field = getattr(counters, TALLIES[kind])
                 assert row.sum() == np.sum(field), (n, name, kind)
+
+
+def test_runs_on_one_chain_are_independent(each_engine):
+    # a chain set up once resets its buffers before each run, so run b after
+    # run a leaves b's samples, event count, final book and tallies as b run
+    # alone does. In the scripted pair, a's events pass every sample time,
+    # so its chunks fill every sample; b's two arrivals fill the samples at
+    # 0 and 0.5, and its third holding time, about 36.7 / 2.4, carries it
+    # past the horizon, so the end fill writes all its samples from 1.0 on
+    # over a's
+    p = params(n=2)
+    empty = DiscreteState(np.zeros(2), np.zeros(2))
+    sample_ts = [0.5 * i for i in range(20)]
+    pairs = {"scripted": lambda: (ScriptedUniforms([]),
+                                  ScriptedUniforms([0.5, 0.1, 0.5, 0.9,
+                                                    1 - 2**-53])),
+             "seeded": lambda: (np.random.default_rng(1),
+                                np.random.default_rng(2))}
+    for name in each_engine():
+        for pair, streams in pairs.items():
+            runs = []
+            for alone in (False, True):
+                a, b = streams()
+                chain = _Chain(p, ScalingLevel(10), empty, 10.0, sample_ts,
+                               DEFAULT_MAX_EVENTS)
+                if not alone:
+                    chain.run(a)
+                    if pair == "scripted":
+                        assert chain.driver.next_sample[0] == 20, name
+                x, y, n_events = chain.run(b)
+                runs.append((x.tobytes(), y.tobytes(), n_events,
+                             chain.driver.book.tobytes(),
+                             chain.driver.tally.tobytes()))
+                if pair == "scripted":
+                    assert n_events == 2 and chain.driver.next_sample[0] == 2
+            assert runs[0] == runs[1], (name, pair)
 
 
 def test_budget_boundary_is_the_event_count(monkeypatch, each_engine):
@@ -401,8 +437,9 @@ def test_holding_time_is_bit_exact(each_engine, lam_b, lam_s, u):
     t_after = math.nextafter(t_first, math.inf)
     for engine in each_engine():
         for t_end, want in ((t_first, 0), (t_after, 1)):
-            _, _, n_events, _, _ = _run(p, ScalingLevel(7), empty, t_end, [],
-                                        ScriptedUniforms([u, 0.25]), 10)
+            _, _, n_events, _, _ = run_chain(p, ScalingLevel(7), empty,
+                                             t_end, [],
+                                             ScriptedUniforms([u, 0.25]), 10)
             assert n_events == want, (engine, t_end, want)
 
 
@@ -773,12 +810,15 @@ def test_target_past_a_block_end_fires_its_last_occupied_level(fire_once):
     assert found == {"trade": 2, "buyer_quit": 2, "seller_quit": 2}, found
 
 
-def test_conservation_defect_shows_each_extra_tally():
+@pytest.mark.parametrize("n", [1, 2, 3, 17], ids="n={}".format)
+def test_conservation_defect_shows_each_extra_tally(n):
     # one tally too many at any (kind, level) of a real trajectory leaves a
-    # defect of minus that row's increments, at exactly the levels they touch
-    p = params(n=3, alpha=0.8, beta=0.5, gamma=2.0)
-    traj = simulate(p, ScalingLevel(10), [0.5, 0.3, 0.2], [0.1, 0.4, 0.6],
-                    2.0, 0.5, seed=53)
+    # defect of minus that row's increments, at exactly the levels they
+    # touch. At N = 1 both edge exits and both arrivals share the one level
+    p = params(n=n, alpha=0.8, beta=0.5, gamma=2.0)
+    rng = np.random.default_rng(n)
+    traj = simulate(p, ScalingLevel(10), rng.uniform(0.1, 0.6, n),
+                    rng.uniform(0.1, 0.6, n), 2.0, 0.5, seed=53)
     ends = traj.initial_state, traj.final_state
     assert not np.any(traj.counters.conservation_defects(*ends))
     for kind, (_, levels, increments) in TRANSITIONS.items():
@@ -797,10 +837,12 @@ def test_conservation_defect_shows_each_extra_tally():
 
 
 def test_conservation_defect_raises_typed_error(monkeypatch):
-    def defect(self, initial, final):
-        return np.array([1, 0]), np.zeros(2, dtype=np.int64)
-
-    monkeypatch.setattr(EventCounters, "conservation_defects", defect)
+    # each run checks its tallies against the book through the identities
+    # that EventCounters.conservation_defects reads; with every identity
+    # zeroed, the book's whole change is a defect
+    module = importlib.import_module("lobfluid.simulate")
+    zeroed = np.zeros_like(module._identities(2))
+    monkeypatch.setattr(module, "_identities", lambda n: zeroed)
     with pytest.raises(InvariantViolation, match="conservation defect"):
         simulate(params(n=2), ScalingLevel(5), np.zeros(2), np.zeros(2),
                  1.0, 0.5, seed=3)
@@ -808,8 +850,9 @@ def test_conservation_defect_raises_typed_error(monkeypatch):
 
 def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
     # the engine carries B = sum b, S = sum s and M = sum min(b, s) in its
-    # clock buffer along with the book; _run checks them against the final
-    # book. The chunk function that ends the run here leaves M one too high
+    # clock buffer along with the book; each run checks them against the
+    # final book. The chunk function that ends the run here leaves M one
+    # too high
     module = importlib.import_module("lobfluid.simulate")
     for _ in each_engine():
         bind = module._engine()
