@@ -1,5 +1,5 @@
 """The simulator's engine in C: a rendering of the chunk function that
-`simulate._Driver` runs, built on first use and loaded with `ctypes`.
+`simulate._Chain` runs, built on first use and loaded with `ctypes`.
 
 `simulate._engine` imports this module the first time a chain runs, so
 `import lobfluid` does not parse it. The C source is rendered from the
@@ -13,15 +13,15 @@ fast-math, so each product and sum rounds as Python's does, and it gives
 the Python engine's bits.
 
 Division of work: the C function `lobfluid_chunk` is the chunk function
-itself, and `load` returns the `bind` that points it at the driver's
-buffers. `simulate._Driver` makes those buffers once per chain set-up and
-resets them before each run; it keeps the chunk loop, the budget and the
-draw contract: it draws each `Generator.random` chunk of CHUNK pairs, and
-C runs that chunk's events in place on the driver's float64 and int64
-arrays (book, clock with B, S and M, next sample, tallies and samples).
-Each tally is a pointer to its row of the driver's tally matrix, so C
-stores nothing back, and the driver fills the samples left when the run
-ends.
+itself, and `load` returns the `bind` that computes every pointer into
+the chain's buffers once, at its set-up. `simulate._Chain` makes those
+buffers, resets them before each run, and keeps the chunk loop, the
+budget and the draw contract: it fills its uniform buffer with each
+`Generator.random` chunk of CHUNK pairs, and C runs that chunk's events
+in place on the chain's float64 and int64 arrays (book, clock with B, S
+and M, next sample, tallies and samples). Each tally is a pointer to its
+row of the chain's tally matrix, so C stores nothing back, and the chain
+fills the samples left when the run ends.
 
 Build and cache: the library is built once per source into
 `$XDG_CACHE_HOME/lobfluid` (else `~/.cache/lobfluid`, made with mode 0700)
@@ -34,8 +34,8 @@ cannot be written, the library is built in a temporary directory private
 to the process. `subprocess` is imported only to build.
 
 `load` returns None, and the Python engine runs, when no compiler `cc` is
-found, the build fails, or the load-time check finds the C engine
-disagreeing with the Python engine on a short run.
+found, the build fails, or the load-time check (`_agrees`) finds the C
+engine disagreeing with the Python engine, or raising, on its runs.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ from string import Template
 
 import numpy as np
 
+from .errors import BudgetExceeded, SolverError
+from .model import DiscreteState, ModelParams, ScalingLevel
 from .simulate import (
     TALLIES,
     _actions,
     _blocks,
-    _Driver,
+    _Chain,
     _in_list,
     _indent,
     _python_engine,
@@ -63,6 +65,7 @@ from .simulate import (
 
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120  # a compiler that hangs must not hang the run
+SEED = 2012  # of the load-time check's uniforms
 
 # The chunk function, with $fields filled in by _source: the tallies, one
 # pointer per row of the tally matrix, written in place, and each block of
@@ -243,32 +246,44 @@ def _library():
         return None
 
 
+def _runs(bind) -> list:
+    """The load-time check's runs on bind, each chain's event count and
+    the bytes of every buffer after each run. They take one stream of
+    uniforms, seeded SEED, and run two `simulate._Chain`s at N = 4 from a
+    book with traders of both sides: two consecutive runs of about 1,500
+    events each to t = 200, sampled every 5, which cross chunk boundaries
+    and reuse reset buffers, then 60 runs of about 10 events each to t = 1.
+    A last-bit difference in one holding time is mostly lost in a clock
+    near 100, but shows in one still below 1."""
+    params = ModelParams(4, 1.0, 1.5, 0.2, 0.1, 0.4)
+    start = DiscreteState(np.array([3, 0, 5, 1]), np.array([0, 2, 4, 6]))
+    long_run, short_run = (_Chain(params, ScalingLevel(1), start, t_end,
+                                  np.arange(0.0, t_end, 5.0), 10**6,
+                                  bind=bind)
+                           for t_end in (200.0, 1.0))
+    rng = np.random.default_rng(SEED)
+    return [(chain.run(rng)[2], *(getattr(chain, name).tobytes() for name in
+                                  ("book", "clock", "next_sample", "tally",
+                                   "samples")))
+            for chain in [long_run] * 2 + [short_run] * 60]
+
+
 def _agrees(bind) -> bool:
-    """The load-time check: two consecutive runs of about 1,500 events
-    each at N = 4 on one `simulate._Driver`, from a book with traders of
-    both sides, over several chunks of 256 pairs and with 40 samples, leave
-    every buffer as the Python engine's do, byte for byte, after each run;
-    the second run checks the reuse of reset buffers. The clock sums every
+    """The load-time check: the runs of `_runs` on bind end as the Python
+    engine's do, byte for byte, and none raises. The clock sums every
     holding time, so this also compares C's log1p with math.log1p."""
-    got, want = (_Driver(engine, (1.0, 1.5, 2.5, 0.4, 0.1, 0.2, 0.1 + 0.2),
-                         np.array([[3.0, 0, 5, 1], [0, 2, 4, 6]]), 200.0,
-                         [5.0 * i for i in range(40)], 10**6, 256)
-                 for engine in (bind, _python_engine()))
-    return all(
-        got.run(np.random.default_rng(seed))
-        == want.run(np.random.default_rng(seed))
-        and all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
-                for name in ("book", "clock", "next_sample", "tally",
-                             "samples"))
-        for seed in (2012, 2013))
+    try:
+        return _runs(bind) == _runs(_python_engine())
+    except (SolverError, BudgetExceeded):
+        return False
 
 
 def load():
-    """The C engine's `bind` (see `simulate._Driver`), or None when no
+    """The C engine's `bind` (see `simulate._Chain`), or None when no
     compiler is found, the build fails, or the load-time check (`_agrees`)
-    finds it disagreeing with the Python engine. The driver makes every
-    buffer passed by pointer a contiguous float64 or int64 array and keeps
-    it referenced for as long as it can run."""
+    finds it disagreeing with the Python engine or raising. bind computes
+    every pointer once: the chain makes every buffer a contiguous float64
+    or int64 array and keeps it referenced for as long as it can run."""
     library = _library()
     if library is None:
         return None
@@ -279,15 +294,12 @@ def load():
         *[ctypes.c_void_p] * 7)
     chunk_run.restype = ctypes.c_longlong
 
-    def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
+    def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
              ys):
+        u = u.ctypes.data
         fixed = (rates.ctypes.data, t_end, sample_ts.ctypes.data, *xs.shape,
                  book[0].ctypes.data, book[1].ctypes.data, clock.ctypes.data,
                  next_sample.ctypes.data, tally.ctypes.data, xs.ctypes.data,
                  ys.ctypes.data)
-
-        def run(u, size):
-            u = np.ascontiguousarray(u, dtype=np.float64)
-            return chunk_run(u.ctypes.data, size, *fixed)
-        return run
+        return lambda size: chunk_run(u, size, *fixed)
     return bind if _agrees(bind) else None

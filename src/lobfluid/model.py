@@ -9,9 +9,10 @@ system instead of moving. `TRANSITIONS` states those rules once, as data:
 one row per event kind with its rate constant, its levels and its +-1
 increments, off which `_taken` reads the count that the rate multiplies.
 `enumerate_events` and `apply_event` read it, `simulate.step` drives them,
-`EventCounters.conservation_defects` derives its counting identities from
-it, and the simulator's engine renders its event code from it (the tests
-replay the engine against `step`). The ODE right-hand side, written apart
+`simulate._identities` derives the counting identities from it (a run's
+check and `EventCounters.conservation_defects` both read them), and the
+simulator's engine renders its event code from it (the tests replay the
+engine against `step`). The ODE right-hand side, written apart
 as the rules' drift rescaled, is the independent check on the table: a
 test compares the two.
 """
@@ -82,6 +83,22 @@ def _pair(x, y, n_levels: int,
     return tuple(pair)
 
 
+def _counts(value, name: str) -> np.ndarray:
+    """value as an int64 array: integers, or floats that are integers below
+    2**63 in size (such as `np.zeros(n)`). A fraction, a NaN, an infinity
+    or a value too large for int64 raises ValueError naming the argument,
+    where a cast would truncate, wrap or warn."""
+    v = np.asarray(value)
+    if v.dtype.kind == "f":
+        integral = (v == np.trunc(v)) & (np.abs(v) < 2.0**63)
+    else:
+        integral = v.dtype.kind in "biu"
+    if not np.all(integral):
+        raise ValueError(f"{name} must hold integer counts below 2**63 in "
+                         f"size, got {v.tolist()}")
+    return v.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five rate constants plus the level count N.
@@ -148,8 +165,7 @@ class DiscreteState:
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.b, dtype=np.int64)
-        s = np.asarray(self.s, dtype=np.int64)
+        b, s = _counts(self.b, "b"), _counts(self.s, "s")
         if b.ndim != 1 or s.shape != b.shape:
             raise ValueError("b and s must be 1-d arrays of equal length")
         if (b < 0).any() or (s < 0).any():

@@ -2,43 +2,43 @@
 
 `step()` drives the transition table `model.TRANSITIONS` through
 `enumerate_events` and `apply_event` and is the reference, and
-`EventCounters.conservation_defects` derives its identities from the
-same table (`EventCounters`' fields are the tallies, one per kind in rank
-order, and `TALLIES` names them by kind; every rendering tallies each kind
-per level, in one row of a tally matrix). `_Chain`, behind `simulate`,
+`_identities` derives the counting identities from the same table
+(`EventCounters`' fields are the tallies, one per kind in rank order, and
+`TALLIES` names them by kind; every rendering tallies each kind per level,
+in one row of a tally matrix). `_Chain`, behind `simulate`,
 `empirical_equilibrium` and the replicas of a convergence study, runs the
-chain through one driver, `_Driver`, on a rendering of one chunk
-function: the template `_ENGINE`, whose event code `_engine_source`
-renders from the same table and `_python_engine` compiles on first use,
-or its rendering in C (`_cengine`). The ODE right-hand side, written
-apart, is the independent check on the table (a test compares it with
-the table's drift). Every rendering holds exact counts and keeps
-B = sum b, S = sum s and M = sum min(b, s) exactly, so the closed-form
-total rate never drifts, and every rendering makes the same comparisons
-and float operations in the same order, so all give the same bits. The
-tests replay each rendering event by event against `step()`, and compare
-them bit for bit at every level count up to 17.
+chain on a rendering of one chunk function: the template `_ENGINE`, whose
+event code `_engine_source` renders from the same table and
+`_python_engine` compiles on first use, or its rendering in C
+(`_cengine`). The ODE right-hand side, written apart, is the independent
+check on the table (a test compares it with the table's drift). Every
+rendering holds exact counts and keeps B = sum b, S = sum s and
+M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
+every rendering makes the same comparisons and float operations in the
+same order, so all give the same bits. The tests replay each rendering
+event by event against `step()`, and compare them bit for bit at every
+level count up to 17.
 
-Division of work: a rendering is `bind(rates, t_end, sample_ts, book,
+Division of work: a rendering is `bind(u, rates, t_end, sample_ts, book,
 clock, next_sample, tally, xs, ys)`, which returns the chunk function
-`run(u, size)`; it runs the events of one chunk of uniforms and returns
-the index of the pair that ended the run, or size. The work of a chain is
-split into a set-up, made once per (params, L, start, horizon, sample
-grid), and runs, one per replica. The set-up is a `_Chain`: the
-population check, the budget cap and the rates, and its `_Driver`, which
-makes every buffer and binds the rendering to them once. A run resets
-those buffers in place; the driver then owns the one chunk loop, the
-budget, `BudgetExceeded`, the event count and the samples left when the
-run ends, which take the final book, and the chain checks the aggregates
-and the counting identities (`_identities`, one cached matrix per N)
-exactly. A chunk records each sample's counts as doubles straight into
-the driver's preallocated (m, N) float64 arrays, which the run scales
+`run(size)`; it runs the events of the first size pairs of uniforms in u
+and returns the index of the pair that ended the run, or size. The work
+of a chain is split into a set-up, made once per (params, L, start,
+horizon, sample grid), and runs, one per replica. The set-up is a
+`_Chain`: it checks the population, caps the budget, computes the rates,
+makes every buffer the engine touches and binds the rendering to them
+once. Its runs reset those buffers in place and own the one chunk loop,
+the budget, `BudgetExceeded`, the event count, the samples left when the
+run ends, which take the final book, and the exact checks of the
+aggregates and of the counting identities (`_identities`, one cached
+matrix per N). A chunk records each sample's counts as doubles straight
+into the chain's preallocated (m, N) float64 arrays, which the run scales
 once in place and returns, so a run's samples take no more memory than
-the arrays returned, and the next run on the same set-up overwrites
-them. `simulate` and `empirical_equilibrium` make one run on a set-up of
-their own; `experiments.fluid_convergence` makes one set-up per level,
-or per block of a level's replicas with workers (`_replicas`, `simulate`'s
-own), and runs each replica on it.
+the arrays returned, and the next run on the same set-up overwrites them.
+`simulate` and `empirical_equilibrium` make one run on a set-up of their
+own; `experiments.fluid_convergence` makes one set-up per level, or per
+block of a level's replicas with workers (`_replicas`, `simulate`'s own),
+and runs each replica on it.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
 The C rendering runs when a C compiler `cc` builds it (once per source,
@@ -65,18 +65,18 @@ alpha-moves with the bottom exit at level 1); a target at or past the end
 blocks walk levels 1..N, the seller blocks N..1: buyers enter at level 1
 and sellers at level N, and the stationary profile decays geometrically
 away from each entry level, so starting there keeps the expected walk
-short at any N. `_Driver` takes the stream as (holding, selection) pairs,
-CHUNK pairs (2 * CHUNK uniforms) per generator call, so no pair spans two
-calls; for PCG64, random(a) followed by random(b) gives the values of
-random(a + b), so no output depends on CHUNK. The holding column goes
-through `math.log1p`, or in C through the libm `log1p` that it calls,
-never `np.log1p`, whose vectorised form differs from it in the last bit
-on some machines. Replica streams are `SeedSequence`
-spawn keys `(i, j)` (replica j at the i-th scaling level).
+short at any N. `_Chain` takes the stream as (holding, selection) pairs,
+CHUNK pairs (2 * CHUNK uniforms) per generator call into one buffer, so
+no pair spans two calls; for PCG64, random(a) followed by random(b) gives
+the values of random(a + b), so no output depends on CHUNK. The holding
+column goes through `math.log1p`, or in C through the libm `log1p` that
+it calls, never `np.log1p`, whose vectorised form differs from it in the
+last bit on some machines. Replica streams are `SeedSequence` spawn keys
+`(i, j)` (replica j at the i-th scaling level).
 
 Per event the engine does only the work that event needs: one clock
 test, against the next sample time or the horizon, whichever comes first;
-no budget test (the driver hands the engine at most the budget's worth of
+no budget test (the chain hands the engine at most the budget's worth of
 pairs plus one, and the budget ran out if that last pair falls before the
 horizon too); and one dispatch, in which each block applies its +-1
 increments where it is picked. Each level block (trades, quits and alpha-moves of
@@ -270,11 +270,12 @@ def step(
 
 
 # The Python engine's source, with {fields} filled in by _engine_source: a
-# rendering of the chunk function, whose interface `_Driver` states. A chunk
-# loads the book, the clock and the tallies into locals (lists and floats;
-# one list per row of the tally matrix, named by its `EventCounters` field)
-# and stores them back at its end, each buffer in one call. The rates and
-# the walk ranges are locals of run as well: a closure cell read per event
+# rendering of the chunk function, whose interface `_Chain` states. A chunk
+# takes its pairs from the chain's uniform buffer u as two lists, loads the
+# book, the clock and the tallies into locals (lists and floats; one list
+# per row of the tally matrix, named by its `EventCounters` field) and
+# stores them back at its end, each buffer in one call. The rates and the
+# walk ranges are locals of run as well: a closure cell read per event
 # slows the walk.
 #
 # Per event it does only what the event needs. The clock moves in place and
@@ -286,12 +287,13 @@ def step(
 # target is never negative, so an empty block (weight 0.0) is never picked
 # by its test.
 _ENGINE = '''\
-def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys):
+def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
+         ys):
     rates = rates.tolist()
     sample_ts = sample_ts.tolist()
     m = len(sample_ts)
 
-    def run(u, size):
+    def run(size):
         lam_b, lam_s, lam, rt, rq, rm, rqm = rates
         b, s = book.tolist()
         t, B, S, M = clock.tolist()
@@ -303,9 +305,9 @@ def bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys):
         up = range(1, n)
         down = range(top - 1, -1, -1)
         stop = min(sample_ts[si], t_end) if si < m else t_end
-        u = u[:2 * size]
-        picks = iter(u[1::2].tolist())
-        for hold, pick in zip(map(log1p, (-u[0::2]).tolist()), picks):
+        pairs = u[:2 * size]
+        picks = iter(pairs[1::2].tolist())
+        for hold, pick in zip(map(log1p, (-pairs[0::2]).tolist()), picks):
             w_trade = rt * M
             rate = lam + rqm * (B + S) + w_trade
             t -= hold / rate
@@ -497,78 +499,26 @@ def _engine():
     return _cengine.load() or _python_engine()
 
 
-class _Driver:
-    """One chain's buffers, made once and bound once to a rendering of the
-    engine, and the runs on them: `run(rng)` resets the buffers in place
-    and runs the chain from start (a float64 array, rows b and s) to t_end,
-    taking its uniforms from rng chunk pairs per call, and returns the
-    number of events.
-
-    bind(rates, t_end, sample_ts, book, clock, next_sample, tally, xs, ys)
-    is a rendering's one interface. It returns the chunk function
-    run(u, size), which runs pairs 0..size-1 of the uniforms u (holding,
-    selection) and returns the index of the pair that ended the run, or
-    size if no pair ended it. The buffers it reads and updates are made
-    here, contiguous, and are attributes of the driver, which C holds
-    pointers into for as long as the driver lives: the rates and sample
-    times; the book; the clock t with B, S and M; the index of the next
-    sample; the tallies, an int64 matrix with one row per field of
-    `EventCounters` and one column per level, where every kind is tallied
-    at the 0-based level it fires at; and the samples' counts, one row of
-    xs and ys per sample time, views of the one array samples. When a run
-    ends, the samples from the next one on take the final book here. A run
-    takes at most max_events + 1 pairs, so no event tests the budget: if
-    the last of them also falls before t_end the budget ran out. Its
-    event count is the number of pairs that it consumed less the one that
-    ended it, counted apart from the tallies, so their sum stays a check
-    on it.
-    """
-
-    def __init__(self, bind, rates, start, t_end, sample_ts, max_events,
-                 chunk):
-        n, m = start.shape[1], len(sample_ts)
-        self.start = start
-        self.start_clock = np.array(
-            [0.0, *start.sum(axis=1), np.minimum(*start).sum()])
-        self.book = np.empty_like(start)
-        self.clock = np.empty(4)
-        self.next_sample = np.empty(1, dtype=np.int64)
-        self.tally = np.empty((len(TALLIES), n), dtype=np.int64)
-        self.samples = np.empty((2, m, n))
-        self.xs, self.ys = self.samples
-        self.rates = np.array(rates, dtype=np.float64)
-        self.sample_ts = np.array(sample_ts, dtype=np.float64)
-        self.max_events = max_events
-        self.chunk = chunk
-        self.chunk_run = bind(self.rates, t_end, self.sample_ts, self.book,
-                              self.clock, self.next_sample, self.tally,
-                              self.xs, self.ys)
-
-    def run(self, rng) -> int:
-        book, next_sample, chunk = self.book, self.next_sample, self.chunk
-        book[:] = self.start
-        self.clock[:] = self.start_clock
-        next_sample[0] = 0
-        self.tally.fill(0)
-        done = 0
-        left = self.max_events + 1
-        while left:
-            size = min(chunk, left)
-            ended = self.chunk_run(rng.random(2 * chunk), size)
-            if ended < size:
-                self.xs[next_sample[0]:], self.ys[next_sample[0]:] = book
-                return done + ended
-            done += size
-            left -= size
-        raise BudgetExceeded(f"event budget {self.max_events} exhausted at "
-                             f"t={self.clock[0]:.6g}")
-
-
 class _Chain:
     """A chain of the model from init to t_end, sampled at sample_ts, set
-    up once for any number of runs: the population check, the budget cap,
-    the rates and a `_Driver` on `_engine()`, in C or in Python; both give
-    the same bits.
+    up once for any number of runs on bind, a rendering of the engine
+    (`_engine()` by default, in C or in Python; both give the same bits).
+
+    The set-up checks the population, caps the budget, computes the rates,
+    makes every buffer the engine touches and binds the rendering to them
+    once. bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally,
+    xs, ys) is a rendering's one interface. It returns the chunk function
+    run(size), which runs pairs 0..size-1 of the uniforms in u (holding,
+    selection) and returns the index of the pair that ended the run, or
+    size if no pair ended it. The buffers are attributes of the chain,
+    contiguous float64 or int64 arrays that C holds pointers into for as
+    long as the chain lives: the uniforms, CHUNK pairs (CHUNK is read once,
+    here); the rates and sample times; the book; the clock t with B, S and
+    M; the index of the next sample; the tallies, an int64 matrix with one
+    row per field of `EventCounters` and one column per level, where every
+    kind is tallied at the 0-based level it fires at; and the samples'
+    counts, one row of xs and ys per sample time, views of the one array
+    samples.
 
     The counts are floats, exact below 2**53, and the aggregates B, S, M
     move with the +-1 increments, so the total rate is exact at every
@@ -581,7 +531,7 @@ class _Chain:
 
     def __init__(self, params: ModelParams, scale: ScalingLevel,
                  init: DiscreteState, t_end: float, sample_ts: list[float],
-                 max_events: int):
+                 max_events: int, bind=None):
         population = init.population()
         if population >= 2**53:
             raise ValueError(f"initial population {population} is not below "
@@ -590,48 +540,84 @@ class _Chain:
         lam_s = params.lambda_s
         rq = params.beta / scale.l
         rm = params.alpha / scale.l
-        rates = (lam_b, lam_s, lam_b + lam_s, params.gamma / scale.l, rq, rm,
-                 rq + rm)
+        self.rates = np.array([lam_b, lam_s, lam_b + lam_s,
+                               params.gamma / scale.l, rq, rm, rq + rm])
         self.init = init
         self.start = np.array([init.b, init.s])
+        self.start_clock = np.array([0.0, *self.start.sum(axis=1),
+                                     np.minimum(*self.start).sum()])
         self.scale = float(scale.l)
-        self.driver = _Driver(
-            _engine(), rates, self.start.astype(np.float64), t_end, sample_ts,
-            min(max_events, 2**53 - 1 - population), CHUNK)
+        self.max_events = min(max_events, 2**53 - 1 - population)
+        self.chunk = CHUNK
+        self.u = np.empty(2 * CHUNK)
+        self.sample_ts = np.array(sample_ts, dtype=np.float64)
+        self.book = np.empty(self.start.shape)
+        self.clock = np.empty(4)
+        self.next_sample = np.empty(1, dtype=np.int64)
+        self.tally = np.empty((len(TALLIES), init.n_levels), dtype=np.int64)
+        self.samples = np.empty((2, len(self.sample_ts), init.n_levels))
+        self.xs, self.ys = self.samples
+        self.chunk_run = (bind or _engine())(
+            self.u, self.rates, t_end, self.sample_ts, self.book, self.clock,
+            self.next_sample, self.tally, self.xs, self.ys)
 
     def run(self, rng) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run the chain on rng's uniforms, verify the aggregates and the
-        counting identities exactly, and return (x, y, n_events); row i of
-        x and y is the scaled state at sample_ts[i]. x and y are the
-        driver's sample arrays divided by L in place, which converts and
-        divides exactly as `np.array(samples, dtype=np.float64) / L` would;
-        the next run overwrites them."""
-        driver = self.driver
-        n_events = driver.run(rng)
-        final = driver.book.astype(np.int64)
+        """Reset the buffers in place, run the chain from init to t_end on
+        rng's uniforms, verify the aggregates and the counting identities
+        exactly, and return (x, y, n_events); row i of x and y is the
+        scaled state at sample_ts[i].
+
+        Each chunk fills u with `rng.random(out=u)`. A run takes at most
+        max_events + 1 pairs, so no event tests the budget: if the last of
+        them also falls before t_end the budget ran out. The event count is
+        the number of pairs consumed less the one that ended the run,
+        counted apart from the tallies, so their sum stays a check on it.
+        When the run ends, the samples from the next one on take the final
+        book. x and y are the sample arrays divided by L in place, which
+        converts and divides exactly as `np.array(samples,
+        dtype=np.float64) / L` would; the next run overwrites them."""
+        book, next_sample = self.book, self.next_sample
+        book[:] = self.start
+        self.clock[:] = self.start_clock
+        next_sample[0] = 0
+        self.tally.fill(0)
+        n_events, left = 0, self.max_events + 1
+        while left:
+            size = min(self.chunk, left)
+            rng.random(out=self.u)
+            ended = self.chunk_run(size)
+            n_events += ended
+            if ended < size:
+                break
+            left -= size
+        else:
+            raise BudgetExceeded(f"event budget {self.max_events} exhausted "
+                                 f"at t={self.clock[0]:.6g}")
+        self.xs[next_sample[0]:], self.ys[next_sample[0]:] = book
+        final = book.astype(np.int64)
         b, s = final
-        B, S, M = map(int, driver.clock[1:])
+        B, S, M = map(int, self.clock[1:])
         if (B, S, M) != (b.sum(), s.sum(), np.minimum(b, s).sum()):
             raise InvariantViolation(f"aggregate drift: B={B}, S={S}, M={M} "
                                      f"for b={b.tolist()}, s={s.tolist()}")
-        db, ds = _defects(final - self.start, driver.tally)
+        db, ds = _defects(final - self.start, self.tally)
         if db.any() or ds.any():
             raise InvariantViolation(
                 f"conservation defect: buyers {db}, sellers {ds}")
-        driver.samples /= self.scale
-        return driver.xs, driver.ys, n_events
+        self.samples /= self.scale
+        return self.xs, self.ys, n_events
 
     def final(self) -> DiscreteState:
         """The state where the last run ended."""
-        return DiscreteState(*self.driver.book.astype(np.int64))
+        return DiscreteState(*self.book.astype(np.int64))
 
     def counters(self) -> EventCounters:
-        """The last run's tallies, decoded from the driver's tally matrix,
-        one row per field of `EventCounters`, an int field being its row's
-        sum; the array fields are views of the matrix."""
+        """The last run's tallies, decoded from the tally matrix, one row
+        per field of `EventCounters`, an int field being its row's sum; the
+        array fields are views of the matrix."""
         return EventCounters(*(
             int(row.sum()) if f.type == "int" else row
-            for f, row in zip(fields(EventCounters), self.driver.tally)))
+            for f, row in zip(fields(EventCounters), self.tally)))
 
 
 def _replicas(params: ModelParams, scale: ScalingLevel, x0: np.ndarray,

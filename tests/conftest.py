@@ -61,18 +61,18 @@ def each_engine(monkeypatch):
 
 class ScriptedUniforms:
     """Stands in for a numpy Generator: `random` serves the scripted
-    uniforms in order, then 0.5 forever."""
+    uniforms in order, then 0.5 forever, one at a time or filling out."""
 
     def __init__(self, script):
         self.script = list(script)
 
-    def random(self, size=None):
-        if size is None:
+    def random(self, out=None):
+        if out is None:
             return self.script.pop(0) if self.script else 0.5
-        out = np.full(size, 0.5)
-        head = self.script[:size]
+        head = self.script[:len(out)]
+        out.fill(0.5)
         out[:len(head)] = head
-        del self.script[:size]
+        del self.script[:len(out)]
         return out
 
 

@@ -162,23 +162,44 @@ def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
         str(tmp_path / "home" / ".cache" / "lobfluid")]
 
 
+# Libraries that build and run but are not the Python engine, each as
+# (statement of the C source, its replacement) pairs. The regrouped total
+# rate differs from it in the last bit of a few holding times only; a
+# clock that never moves or is NaN never reaches the horizon, so a run
+# uses up its budget; an M that never moves breaks the aggregates, which
+# each run checks
+BROKEN = {
+    "regrouped-rate": [("lam + rqm * (B + S) + w_trade",
+                        "lam + (rqm * (B + S) + w_trade)")],
+    "frozen-clock": [("t -= log1p(", "t -= 0.0 * log1p(")],
+    "nan-clock": [("t -= log1p(-u[2 * i]) / rate;", "t -= NAN;")],
+    "frozen-m": [("M += 1.0", "M += 0.0"), ("M -= 1.0", "M -= 0.0")],
+}
+
+
+def _broken_source(case: str) -> str:
+    source = _cengine._source()
+    for statement, replacement in BROKEN[case]:
+        assert statement in source
+        source = source.replace(statement, replacement)
+    return source
+
+
 @needs_cc
+@pytest.mark.parametrize("case", list(BROKEN), ids=list(BROKEN))
 def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
-                                                fresh_engine_choice):
-    # the engine with its total rate summed in another order builds and
-    # runs, but its holding times differ in the last bit: the load-time
-    # check refuses it, the Python engine runs, and the bytes stay the same
+                                                fresh_engine_choice, case):
+    # each broken library builds and runs, but the load-time check refuses
+    # it, even where its runs raise: the Python engine runs, and the bytes
+    # stay the same
     simulate_flags = ["simulate", *README_RUNS["simulate"], *MODEL]
     assert main([*simulate_flags, "--out-dir", str(tmp_path / "c")]) == 0
-    source = _cengine._source()
-    regrouped = source.replace("lam + rqm * (B + S) + w_trade",
-                               "lam + (rqm * (B + S) + w_trade)")
-    assert regrouped != source
+    broken = _broken_source(case)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(_cengine, "_source", lambda: regrouped)
+    monkeypatch.setattr(_cengine, "_source", lambda: broken)
     assert _cengine.load() is None
     # it was built, and refused by the check
-    name = f"engine-{zlib.crc32(regrouped.encode()):08x}.so"
+    name = f"engine-{zlib.crc32(broken.encode()):08x}.so"
     assert (tmp_path / "cache" / "lobfluid" / name).exists()
     simulate_module._engine.cache_clear()
     assert simulate_module._engine() is simulate_module._python_engine()
@@ -186,6 +207,33 @@ def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
     for name in ("trajectory.csv", "manifest.json"):
         assert ((tmp_path / "python" / name).read_bytes()
                 == (tmp_path / "c" / name).read_bytes()), name
+
+
+@needs_cc
+def test_the_check_refuses_a_last_bit_difference_at_other_seeds(
+        tmp_path, monkeypatch):
+    # the regrouped rate shows only in the last bit of a few holding times,
+    # which the short runs' clocks keep: the check refuses that library,
+    # and passes the real one, under other seed bases too
+    engine = simulate_module._engine()
+    assert engine is not simulate_module._python_engine()
+    broken = _broken_source("regrouped-rate")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_cengine, "_source", lambda: broken)
+    agrees, checked = _cengine._agrees, []
+    monkeypatch.setattr(_cengine, "_agrees", checked.append)
+    assert _cengine.load() is None
+    regrouped, = checked
+    for seed in range(1, 11):
+        monkeypatch.setattr(_cengine, "SEED", seed)
+        assert agrees(engine), seed
+        assert not agrees(regrouped), seed
+
+
+def test_the_c_source_is_pinned():
+    # a machine rebuilds its cached library whenever the rendered C source
+    # changes; a change that re-renders it updates this crc32 on purpose
+    assert zlib.crc32(_cengine._source().encode()) == 0x79ad3635
 
 
 @pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")

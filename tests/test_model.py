@@ -271,6 +271,27 @@ def test_population_is_exact_past_int64():
     assert state.population() == 3 * 2**62
 
 
+@pytest.mark.parametrize("side", ["b", "s"])
+@pytest.mark.parametrize("counts", [
+    [0.5, 2.7], np.array([1e30, 0.0]), [1e30, 0], [np.nan, 0],
+    [np.inf, 0], [2.0**63, 0], [2**70, 0],
+], ids=["fractions", "array-1e30", "list-1e30", "nan", "inf", "2**63",
+        "int-2**70"])
+def test_occupancies_that_are_not_integer_counts_are_refused(counts, side):
+    # a cast to int64 would truncate 0.5 and 2.7 to 0 and 2, and turn a
+    # non-finite or too large value into a warning and a wrong count
+    sides = {"b": [0, 0], "s": [0, 0]} | {side: counts}
+    with pytest.raises(ValueError, match=f"^{side} must hold integer counts "
+                                         r"below 2\*\*63 in size, got "):
+        DiscreteState(**sides)
+
+
+def test_integral_float_occupancies_are_counts():
+    state = DiscreteState(np.zeros(2), [3.0, 2.0**62])
+    assert state.b.dtype == state.s.dtype == np.int64
+    assert state.b.tolist() == [0, 0] and state.s.tolist() == [3, 2**62]
+
+
 def test_scale_state():
     state = DiscreteState(np.array([3, 1]), np.array([0, 2]))
     fs = scale_state(state, ScalingLevel(10))

@@ -143,7 +143,7 @@ def test_simulate_bit_identical_for_fixed_seed():
 def test_outputs_do_not_depend_on_chunk_size(monkeypatch, each_engine):
     # the engine takes its uniforms CHUNK pairs at a time, and random(a)
     # followed by random(b) gives the values of random(a + b); both runs
-    # draw more than one real chunk. Each rendering reads CHUNK per call
+    # draw more than one real chunk. A chain reads CHUNK at its set-up
     engine = importlib.import_module("lobfluid.simulate")
     p = params(n=3, beta=0.2, gamma=2.0)
     runs, equilibria = [], []
@@ -333,14 +333,14 @@ def test_each_kind_tallies_only_at_its_levels(monkeypatch, each_engine):
     # it fires at. The decoded counters sum an arrival's or an exit's row,
     # so they cannot show one tallied at the wrong level; the raw rows can
     module = importlib.import_module("lobfluid.simulate")
-    run, tallies = module._Driver.run, []
+    run, tallies = module._Chain.run, []
 
-    def recording(driver, rng):
-        ran = run(driver, rng)
-        tallies.append(driver.tally.copy())
+    def recording(chain, rng):
+        ran = run(chain, rng)
+        tallies.append(chain.tally.copy())
         return ran
 
-    monkeypatch.setattr(module._Driver, "run", recording)
+    monkeypatch.setattr(module._Chain, "run", recording)
     rng = np.random.default_rng(59)
     for n in (1, 2, 17, 50):
         x0 = rng.uniform(0.2, 1, n) * (rng.random(n) < 0.8)
@@ -384,13 +384,13 @@ def test_runs_on_one_chain_are_independent(each_engine):
                 if not alone:
                     chain.run(a)
                     if pair == "scripted":
-                        assert chain.driver.next_sample[0] == 20, name
+                        assert chain.next_sample[0] == 20, name
                 x, y, n_events = chain.run(b)
                 runs.append((x.tobytes(), y.tobytes(), n_events,
-                             chain.driver.book.tobytes(),
-                             chain.driver.tally.tobytes()))
+                             chain.book.tobytes(),
+                             chain.tally.tobytes()))
                 if pair == "scripted":
-                    assert n_events == 2 and chain.driver.next_sample[0] == 2
+                    assert n_events == 2 and chain.next_sample[0] == 2
             assert runs[0] == runs[1], (name, pair)
 
 
@@ -857,11 +857,12 @@ def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
     for _ in each_engine():
         bind = module._engine()
 
-        def drifting(rates, t_end, sample_ts, book, clock, *rest, bind=bind):
-            run = bind(rates, t_end, sample_ts, book, clock, *rest)
+        def drifting(u, rates, t_end, sample_ts, book, clock, *rest,
+                     bind=bind):
+            run = bind(u, rates, t_end, sample_ts, book, clock, *rest)
 
-            def drift(u, size):
-                ended = run(u, size)
+            def drift(size):
+                ended = run(size)
                 if ended < size:
                     clock[3] += 1.0
                 return ended
