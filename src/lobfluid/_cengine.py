@@ -8,7 +8,7 @@ the statements of `simulate._actions` (read off `model.TRANSITIONS`) and
 the tally rows of `simulate.TALLIES`. It keeps the same block order,
 the same sequential subtraction, the same clock test, and float counts
 exact below 2**53, and it takes log1p from the platform's libm, as
-`math.log1p` does. It is compiled with `-O2 -ffp-contract=off` and no
+`math.log1p` does. It is built and cached by `_cbuild`, with no
 fast-math, so each product and sum rounds as Python's does, and it gives
 the Python engine's bits.
 
@@ -23,16 +23,6 @@ and M, next sample, tallies and samples). Each tally is a pointer to its
 row of the chain's tally matrix, so C stores nothing back, and the chain
 fills the samples left when the run ends.
 
-Build and cache: the library is built once per source into
-`$XDG_CACHE_HOME/lobfluid` (else `~/.cache/lobfluid`, made with mode 0700)
-as `engine-<crc32 of the source>.so`, beside the source it was built from.
-A cached library is loaded only when that stored source equals the
-rendered one byte for byte; any other is rebuilt. The compiler writes to
-temporary files that `os.replace` installs, the library before its source,
-so concurrent processes never load a half-written library. Where the cache
-cannot be written, the library is built in a temporary directory private
-to the process. `subprocess` is imported only to build.
-
 `load` returns None, and the Python engine runs, when no compiler `cc` is
 found, the build fails, or the load-time check (`_agrees`) finds the C
 engine disagreeing with the Python engine, or raising, on its runs.
@@ -42,15 +32,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import shutil
-import tempfile
-import zlib
-from contextlib import suppress
 from string import Template
 
 import numpy as np
 
+from . import _cbuild
 from .errors import BudgetExceeded, SolverError
 from .model import DiscreteState, ModelParams, ScalingLevel
 from .simulate import (
@@ -63,8 +49,6 @@ from .simulate import (
     _python_engine,
 )
 
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-BUILD_TIMEOUT_S = 120  # a compiler that hangs must not hang the run
 SEED = 2012  # of the load-time check's uniforms
 
 # The chunk function, with $fields filled in by _source: the tallies, one
@@ -186,66 +170,6 @@ def _source() -> str:
     return _ENGINE.substitute(tallies=_indent(tallies, 4), **blocks)
 
 
-def _build(compiler: str, source: bytes, path: str):
-    """The library built from source and installed as path + ".so", with
-    source as path + ".c", or None if the compiler fails. Raises OSError
-    if path's directory cannot be written or the library cannot be
-    loaded."""
-    import subprocess
-
-    fd, c_file = tempfile.mkstemp(suffix=".c", dir=os.path.dirname(path))
-    so_file = c_file[:-2] + ".so"
-    try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(source)
-        try:
-            built = subprocess.run(
-                [compiler, *FLAGS, "-o", so_file, c_file, "-lm"],
-                capture_output=True, timeout=BUILD_TIMEOUT_S).returncode == 0
-        except (OSError, subprocess.SubprocessError):
-            built = False
-        if not built:
-            return None
-        os.replace(so_file, path + ".so")
-        os.replace(c_file, path + ".c")
-    finally:
-        for leftover in (c_file, so_file):
-            with suppress(FileNotFoundError):
-                os.remove(leftover)
-    return ctypes.CDLL(path + ".so")
-
-
-def _library():
-    """The engine's library: the cached one if its stored source equals
-    the rendered source, else one built now; None without a compiler or
-    when the build fails."""
-    source = _source().encode()
-    name = f"engine-{zlib.crc32(source):08x}"
-    # the XDG Base Directory spec: a relative path is invalid, and ignored
-    cache = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(cache):
-        cache = os.path.join(os.path.expanduser("~"), ".cache")
-    cache = os.path.join(cache, "lobfluid")
-    path = os.path.join(cache, name)
-    with suppress(OSError):
-        with open(path + ".c", "rb") as cached:
-            if cached.read() == source:
-                return ctypes.CDLL(path + ".so")
-    compiler = shutil.which("cc")
-    if compiler is None:
-        return None
-    try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        return _build(compiler, source, path)
-    except OSError:
-        pass  # the cache cannot be written, or not loaded from
-    try:
-        with tempfile.TemporaryDirectory() as private:
-            return _build(compiler, source, os.path.join(private, name))
-    except OSError:
-        return None
-
-
 def _runs(bind) -> list:
     """The load-time check's runs on bind, each chain's event count and
     the bytes of every buffer after each run. They take one stream of
@@ -284,7 +208,7 @@ def load():
     finds it disagreeing with the Python engine or raising. bind computes
     every pointer once: the chain makes every buffer a contiguous float64
     or int64 array and keeps it referenced for as long as it can run."""
-    library = _library()
+    library = _cbuild.library("engine", _source())
     if library is None:
         return None
     chunk_run = library.lobfluid_chunk

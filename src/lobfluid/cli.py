@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -156,17 +158,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON's number grammar (RFC 8259, section 6), in ASCII digits
+JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
 def _number(text: str):
-    """A flag's text as the config file would hold it: an int, else a
-    float, else the text itself. Text with a `_` or a non-ASCII character
-    (`1_000`, `١٠٠`), which Python reads as a number and JSON does not,
-    stays text; `nan` and `inf` are read, so they reach the library's
-    finiteness checks."""
-    if "_" in text or not text.isascii():
-        return text
-    for read in (int, float, str):
-        with suppress(ValueError):
-            return read(text)
+    """A flag's text as the config file would hold it: where JSON's number
+    grammar reads a number (JSON_NUMBER, between JSON's whitespace), an int
+    without a fraction or exponent, else a float; else the text itself. So
+    `+1`, `.5`, `1.`, `01`, `1_000` and `١٠٠`, which Python reads as
+    numbers and JSON does not, stay text. A spelling that float reads as
+    NaN or infinite (`nan`, `inf`) is that float, so it reaches the
+    library's finiteness checks."""
+    number = JSON_NUMBER.fullmatch(text.strip(" \t\n\r"))
+    if number:
+        return float(number[0]) if number[1] or number[2] else int(number[0])
+    with suppress(ValueError):
+        if not math.isfinite(value := float(text)):
+            return value
+    return text
 
 
 def _parse(kind, value, key: str, from_flag: bool = False):

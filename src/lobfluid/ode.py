@@ -20,33 +20,47 @@ evaluations and an O(N) factorisation whatever N is.
 Every integration is one call of LSODA's `odeint` entry point: LSODA steps
 inside Fortran from 0 to the last output time and interpolates onto the
 requested grid there, with `tcrit = tau_max` so that no step passes the
-span. Only the right-hand side runs in Python. It is stated once, as the
-numpy form _flow, which every evaluation outside LSODA runs: rhs, and the
-stationarity defect _defect that integrate_until_stationary tests and
-fixed_point.fixed_point_residual returns. Inside LSODA, and only there,
-_solve runs a second form up to SCALAR_FLOW_MAX components: a
-straight-line function on Python floats, generated and compiled once per
-state shape (_compiled_flow). It unpacks the state into locals, writes
-every level's two equations out and returns a list, which the extension
-converts in C, since numpy's per-call dispatch costs more than the
-arithmetic on so few values. A compile costs some 20 to 150 numpy
-evaluations (0.4 ms at 8 components, 3 ms at 120), which only an
-integration's thousands of evaluations repay. Above the threshold the
-numpy form is faster. On a 2-core Xeon, inside LSODA, in us per
-evaluation (medians of 21 runs, the two forms alternating, of one
+span. The equations are stated once as the numpy form _flow, which every
+evaluation outside LSODA runs: rhs, and the stationarity defect _defect
+that integrate_until_stationary tests and fixed_point.fixed_point_residual
+returns. Inside LSODA, and only there, _solve hands the extension a form
+that costs less per call. Division of work:
+
+- the C flow (`_cflow`, loaded by _c_flow at the first _solve of a
+  process): a CPython extension function, built with cc, that writes every
+  stacked state's equations into a preallocated float64 array and returns
+  it, so an evaluation runs no Python code and makes no Python float. One
+  function serves every state shape; its load-time check compares it with
+  _flow byte for byte.
+- where the C flow cannot run (no compiler, no Python.h, a failed build or
+  check), the Python fallback: up to SCALAR_FLOW_MAX components a
+  straight-line function on Python floats, generated and compiled once per
+  state shape (_compiled_flow). It unpacks the state into locals, writes
+  every level's two equations out and returns a list, which the extension
+  converts in C, since numpy's per-call dispatch costs more than the
+  arithmetic on so few values. A compile costs some 20 to 150 numpy
+  evaluations (0.4 ms at 8 components, 3 ms at 120), which only an
+  integration's thousands of evaluations repay. Above the threshold,
+  the numpy form itself, which is faster there.
+
+On a 2-core Xeon, inside LSODA, in us per evaluation with LSODA's own
+work included (medians of 21 runs, the three forms alternating, of one
 integration from a random state over tau 40):
 
-    components   compiled   numpy
-        40          6.2      13.8
-        64          9.5      14.1
-       104         22.1      22.5
-       120         22.6      20.2
-       240         45.7      25.2
+    components     C   compiled   numpy
+         8        1.2      3.0     18.6
+        40        1.9      9.3     20.4
+        64        2.4     14.5     21.4
+       104        3.1     22.5     22.9
+       120        3.4     25.2     22.6
+       240        5.7     49.9     26.7
 
-so the two meet between 104 and 108 components.
-The two forms make the same operations in the same order, with the same
-tie rule in the min, so they agree to the last bit; tests/test_ode.py
-compares their bytes on both sides of the threshold.
+so the C flow takes 40% of the compiled form's time at 8 components and a fifth to a seventh of the faster Python
+form from 40 on, and the two Python forms meet between 104 and 120
+components. The forms make the same operations in the same order, with
+the same tie rule in the min, so they agree to the last bit;
+tests/test_ode.py compares their bytes at every size and on both sides of
+the threshold.
 
 LSODA is called through scipy's compiled ODEPACK module,
 `scipy.integrate._odepack`, which `_lsoda` loads on its own from the file
@@ -92,7 +106,7 @@ DEFAULT_TOL = 1e-9
 STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
 STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
-SCALAR_FLOW_MAX = 104       # state components up to which _solve compiles
+SCALAR_FLOW_MAX = 104       # components up to which the fallback compiles
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 GRID_MAX = 10**7            # points of a uniform grid, checked before allocation
 
@@ -253,6 +267,15 @@ def _lsoda():
     return module
 
 
+@functools.cache
+def _c_flow():
+    """The right-hand side in C (`_cflow.load`) that LSODA's extension
+    calls directly, or None where it cannot run; loaded, and built where
+    it is not cached, at the first _solve of the process."""
+    from . import _cflow
+    return _cflow.load()
+
+
 def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
            tau_max: float, tol: float) -> tuple[np.ndarray, int]:
     """LSODA on packed states with a banded Jacobian, reported at taus
@@ -260,19 +283,28 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     row per output time, and the number of right-hand-side evaluations.
 
     The positional arguments are those scipy.integrate.odeint passes for
-    `odeint(f, z0, taus, args=(params,), tfirst=True, ml=band, mu=band,
+    `odeint(f, z0, taus, args=args, tfirst=True, ml=band, mu=band,
     rtol=tol, atol=tol, tcrit=[tau_max], mxstep=MAX_STEPS,
     full_output=True)`, on copies of z0 and taus, since LSODA integrates in
-    the state array it is given. f is _compiled_flow for z0's shape up to
+    the state array it is given. f is the C flow (`_c_flow`), with args
+    (out, rates): the array it writes and returns, and the rates. Where
+    the C flow cannot run, f is _compiled_flow for z0's shape up to
     SCALAR_FLOW_MAX components (the extension converts its list in C) and
-    _flow above. A negative istate, LSODA's report of a failed integration,
-    raises StepUnderflow, and so does a non-finite state.
+    _flow above, with args (params,). A negative istate, LSODA's report of
+    a failed integration, raises StepUnderflow, and so does a non-finite
+    state.
     """
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
-    flow = (_compiled_flow(params.n_levels, z0.size)
-            if z0.size <= SCALAR_FLOW_MAX else _flow)
+    flow = _c_flow()
+    if flow is not None:
+        from ._cflow import rates
+        args = (np.empty(z0.size), rates(params))
+    else:
+        flow = (_compiled_flow(params.n_levels, z0.size)
+                if z0.size <= SCALAR_FLOW_MAX else _flow)
+        args = (params,)
     states, info, istate = _lsoda().odeint(
-        flow, z0.copy(), taus.copy(), (params,),
+        flow, z0.copy(), taus.copy(), args,
         None, 0,              # Dfun, col_deriv: finite-difference Jacobian
         band, band, True,     # ml, mu, full_output
         tol, tol, [tau_max],  # rtol, atol, tcrit

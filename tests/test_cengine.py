@@ -1,5 +1,6 @@
 """The C engine: its build, its cache, and the Python fallback's bytes."""
 
+import ctypes
 import importlib
 import os
 import shutil
@@ -10,7 +11,7 @@ import zlib
 import pytest
 from conftest import engines
 
-from lobfluid import _cengine
+from lobfluid import _cbuild, _cengine
 from lobfluid.cli import main
 
 simulate_module = importlib.import_module("lobfluid.simulate")
@@ -92,8 +93,9 @@ def test_a_cached_library_of_another_source_is_rebuilt(tmp_path,
         stored = stem.with_name(name + ".c")
         library = stem.with_name(name + ".so")
         if case == "other-source":
-            assert _cengine._build(shutil.which("cc"), other,
-                                   str(stem)) is not None
+            assert _cbuild._build((shutil.which("cc"), *_cbuild.FLAGS),
+                                  other, str(stem), ".so",
+                                  ctypes.CDLL) is not None
             assert stored.read_bytes() == other
         else:
             stored.write_bytes(source)
@@ -106,7 +108,7 @@ def test_a_cached_library_of_another_source_is_rebuilt(tmp_path,
             stored.name, library.name]
     # a library whose stored source matches loads without any build
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    monkeypatch.setattr(_cengine, "_build", None)
+    monkeypatch.setattr(_cbuild, "_build", None)
     assert _cengine.load() is not None
 
 
@@ -139,7 +141,7 @@ def test_the_generated_c_compiles_without_warnings(tmp_path):
     source = tmp_path / "engine.c"
     source.write_text(_cengine._source())
     built = subprocess.run(
-        ["cc", *_cengine.FLAGS, "-Wall", "-Wextra", "-Werror",
+        ["cc", *_cbuild.FLAGS, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "engine.so"), str(source), "-lm"],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
@@ -154,8 +156,8 @@ def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
     built = []
-    monkeypatch.setattr(_cengine, "_build",
-                        lambda compiler, source, path: built.append(path))
+    monkeypatch.setattr(_cbuild, "_build",
+                        lambda command, source, path, *_: built.append(path))
     assert _cengine.load() is None
     assert not (tmp_path / "relcache").exists()
     assert [os.path.dirname(path) for path in built] == [
@@ -247,7 +249,7 @@ def test_a_build_that_hangs_is_stopped(tmp_path, monkeypatch):
     compiler.chmod(0o755)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(shutil, "which", lambda name: str(compiler))
-    monkeypatch.setattr(_cengine, "BUILD_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(_cbuild, "BUILD_TIMEOUT_S", 0.5)
     start = time.monotonic()
     assert _cengine.load() is None
     assert time.monotonic() - start < 10

@@ -370,16 +370,32 @@ PARITY = [
      "tau_max must be a number, got '\u0661\u0660\u0660'"),
     ("converge", "levels", "10,2_0", [10, "2_0"],
      "levels must be an integer, got '2_0'"),
-    # and these JSON does not read either, yet a flag reads as numbers
-    ("simulate", "seed", "+1", 1, None),
-    ("simulate", "tau_max", ".5", 0.5, None),
+    # nor these, outside JSON's number grammar: a flag read them as
+    # numbers, and now keeps them as text, as the file would
+    ("simulate", "seed", "+1", "+1",
+     "seed must be a nonnegative integer, got '+1'"),
+    ("simulate", "tau_max", ".5", ".5", "tau_max must be a number, got '.5'"),
+    ("simulate", "tau_max", "1.", "1.", "tau_max must be a number, got '1.'"),
+    ("simulate", "scale", "01", "01", "scale must be an integer, got '01'"),
+    ("converge", "levels", "10,+20", [10, "+20"],
+     "levels must be an integer, got '+20'"),
+    # and these it reads as JSON does, whitespace and exponent included
+    ("simulate", "tau_max", " 5e-1 ", 0.5, None),
+    ("simulate", "seed", "-0", 0, None),
+    # NaN and the infinities still reach the library's finiteness checks
+    ("integrate", "tau_max", "nan", float("nan"),
+     "tau_max must be finite, got nan"),
+    ("integrate", "tau_max", "inf", float("inf"),
+     "tau_max must be finite, got inf"),
 ]
 
 
 @pytest.mark.parametrize("command, key, flag, value, message", PARITY, ids=[
     "scale=20.0", "seed=3.0", "max_events=1e6", "tau_max=abc",
     "levels=10.0,20", "method=foo", "scale=1_000",
-    "tau_max=arabic-indic-100", "levels=10,2_0", "seed=+1", "tau_max=.5"])
+    "tau_max=arabic-indic-100", "levels=10,2_0", "seed=+1", "tau_max=.5",
+    "tau_max=1.", "scale=01", "levels=10,+20", "tau_max=spaced-5e-1",
+    "seed=-0", "tau_max=nan", "tau_max=inf"])
 def test_a_flag_and_the_file_give_one_result(tmp_path, capsys, command, key,
                                              flag, value, message):
     config = tmp_path / "cfg.json"

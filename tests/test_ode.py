@@ -1,10 +1,13 @@
 """Fluid ODE system: right-hand side, integration, comparison principle."""
 
+import ctypes
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import lobfluid
-from lobfluid import cli, fixed_point_residual, ode
+from lobfluid import _cbuild, _cflow, cli, fixed_point_residual, ode
 from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
@@ -26,6 +29,10 @@ from lobfluid import (
     rhs,
     solve_recursive,
 )
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler cc on PATH")
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -139,37 +146,74 @@ def test_flow_is_the_drift_of_the_transition_table(n):
         assert (np.abs(got - drift) <= 1e-14 * scale).all(), (p, x, y)
 
 
-@pytest.mark.parametrize("n", COMPILED_SIZES)
-def test_compiled_flow_matches_levelwise_equations(n):
-    # the form _solve hands LSODA up to SCALAR_FLOW_MAX components
+def lsoda_flow(form, n, size):
+    """The right-hand side _solve hands LSODA for states of `size`
+    components at n levels, as f(z, p) -> array: the compiled Python form,
+    or the C flow with its out and rates arguments, skipping the test
+    where the C flow does not load."""
+    if form == "python":
+        flow = ode._compiled_flow(n, size)
+        return lambda z, p: np.array(flow(0.0, z, p))
+    flow = ode._c_flow()
+    if flow is None:
+        pytest.skip("the C flow did not load (no compiler cc or no Python.h)")
+
+    def evaluate(z, p):
+        out = np.empty(z.size)
+        assert flow(0.0, z, out, _cflow.rates(p)) is out
+        return out
+    return evaluate
+
+
+def over_forms(python_sizes, c_sizes):
+    """Parameters (form, n): the compiled Python form at python_sizes, with
+    the ids of n alone that it had before the C flow, and the C flow, which
+    serves every shape, at c_sizes, with ids c-<n>."""
+    return ([pytest.param("python", n, id=str(n)) for n in python_sizes]
+            + [pytest.param("c", n, id=f"c-{n}") for n in c_sizes])
+
+
+@pytest.mark.parametrize("form, n", over_forms(COMPILED_SIZES, FLOW_SIZES))
+def test_compiled_flow_matches_levelwise_equations(form, n):
+    # the forms _solve hands LSODA: the C flow at every size, and the
+    # Python form up to SCALAR_FLOW_MAX components where the C one does
+    # not load; both give _flow's bytes
     rng = np.random.default_rng(40 + n)
-    flow = ode._compiled_flow(n, 2 * n)
+    flow = lsoda_flow(form, n, 2 * n)
     for i in range(20):
         p = replace(random_params(rng), n_levels=n)
+        if i % 4 == 0:
+            p = replace(p, beta=0.0)
         x, y = flow_state(rng, n, ties=i % 2 == 1)
-        d = np.array(flow(0.0, ode._pack(x, y), p)).reshape(-1, 2)
+        z = ode._pack(x, y)
+        d = flow(z, p)
+        assert d.tobytes() == ode._flow(0.0, z, p).tobytes()
+        d = d.reshape(-1, 2)
         want_x, want_y = levelwise_rhs(x, y, p)
         assert d[:, 0].tobytes() == want_x.tobytes()
         assert d[:, 1].tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 32, HALF, 60])
-def test_stacked_flow_equals_separate_evaluations(n):
+@pytest.mark.parametrize("form, n", over_forms([1, 2, 7, 32, HALF, 60],
+                                               FLOW_SIZES))
+def test_stacked_flow_equals_separate_evaluations(form, n):
     # the comparison check integrates two states through the same equations,
-    # on either form; at n = 32 and HALF _solve runs each state on the
-    # compiled form and the stacked pair on _flow (at 60 it did so under
-    # the earlier threshold of 120 components)
+    # on any form; at n = 32 and HALF the Python fallback runs each state on
+    # the compiled form and the stacked pair on _flow (at 60 it did so
+    # under the earlier threshold of 120 components)
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
     b = ode._pack(*flow_state(rng, n, ties=False))
-    single, pair = ode._compiled_flow(n, 2 * n), ode._compiled_flow(n, 4 * n)
+    single, pair = lsoda_flow(form, n, 2 * n), lsoda_flow(form, n, 4 * n)
+    numpy_pair = ode._flow(0.0, np.concatenate([a, b]), p)
     for stacked, separate in (
-            (ode._flow(0.0, np.concatenate([a, b]), p),
+            (numpy_pair,
              np.concatenate([ode._flow(0.0, a, p), ode._flow(0.0, b, p)])),
-            (np.array(pair(0.0, np.concatenate([a, b]), p)),
-             np.array(single(0.0, a, p) + single(0.0, b, p)))):
+            (pair(np.concatenate([a, b]), p),
+             np.concatenate([single(a, p), single(b, p)]))):
         assert stacked.tobytes() == separate.tobytes()
+        assert stacked.tobytes() == numpy_pair.tobytes()
 
 
 def test_one_compiled_flow_serves_every_parameter_set_of_its_shape():
@@ -205,13 +249,13 @@ def test_evaluations_outside_lsoda_compile_nothing():
     assert (converged, tau_used) == (False, 0.0)
 
 
-def public_solve(z0, p, taus, tau_max, tol, func=ode._flow):
+def public_solve(z0, p, taus, tau_max, tol, func=ode._flow, args=None):
     """ode._solve's integration through scipy's public odeint wrapper, by
-    default on the numpy form of the right-hand side."""
+    default on the numpy form of the right-hand side, with args (p,)."""
     from scipy.integrate import odeint
 
     band = min(2, z0.size - 1)
-    states, info = odeint(func, z0, taus, args=(p,), tfirst=True,
+    states, info = odeint(func, z0, taus, args=args or (p,), tfirst=True,
                           ml=band, mu=band, rtol=tol, atol=tol,
                           tcrit=[tau_max], mxstep=ode.MAX_STEPS,
                           full_output=True)
@@ -243,18 +287,21 @@ def solve_cases():
            np.array([0.0, 25.0, 50.0]), 50.0, ode.DEFAULT_TOL)
 
 
-def test_solve_matches_public_odeint_bit_for_bit():
-    # _solve hands LSODA the compiled form up to SCALAR_FLOW_MAX components;
-    # the public run on the numpy form takes the same steps to the same bits
-    for z0, p, taus, tau_max, tol in solve_cases():
-        z0_kept, taus_kept = z0.copy(), taus.copy()
-        states, nfe = ode._solve(z0, p, taus, tau_max, tol)
-        want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
-        assert states.tobytes() == want.tobytes(), p
-        assert nfe == want_nfe, p
-        # _solve passes copies: LSODA integrates in the state array it gets
-        assert z0.tobytes() == z0_kept.tobytes()
-        assert taus.tobytes() == taus_kept.tobytes()
+def test_solve_matches_public_odeint_bit_for_bit(monkeypatch):
+    # _solve hands LSODA the C flow, or where it does not load the compiled
+    # form up to SCALAR_FLOW_MAX components; the public run on the numpy
+    # form takes the same steps to the same bits
+    for c_flow in {ode._c_flow(), None}:
+        monkeypatch.setattr(ode, "_c_flow", lambda c_flow=c_flow: c_flow)
+        for z0, p, taus, tau_max, tol in solve_cases():
+            z0_kept, taus_kept = z0.copy(), taus.copy()
+            states, nfe = ode._solve(z0, p, taus, tau_max, tol)
+            want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
+            assert states.tobytes() == want.tobytes(), p
+            assert nfe == want_nfe, p
+            # _solve passes copies: LSODA integrates in the array it gets
+            assert z0.tobytes() == z0_kept.tobytes()
+            assert taus.tobytes() == taus_kept.tobytes()
 
 
 class RecordingOdepack:
@@ -285,23 +332,154 @@ def same_argument(a, b):
 def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     # every argument, including those no result shows: LSODA reaches Adams
     # order 11 at most on this system, so an mxordn other than 12 would
-    # leave every output bit as it is; the callable is the compiled form
-    # for the state's shape up to SCALAR_FLOW_MAX components, _flow above
+    # leave every output bit as it is. The callable is the C flow, with
+    # args (out, rates): a float64 array of the state's size, written on
+    # every call, and the rates; where the C flow does not load, it is the
+    # compiled form for the state's shape up to SCALAR_FLOW_MAX components
+    # and _flow above, with args (params,)
     from scipy.integrate import _odepack_py
 
     private, public = RecordingOdepack(), RecordingOdepack()
     monkeypatch.setattr(ode, "_lsoda", lambda: private)
     monkeypatch.setattr(_odepack_py, "_odepack", public)
+    for c_flow in {ode._c_flow(), None}:
+        monkeypatch.setattr(ode, "_c_flow", lambda c_flow=c_flow: c_flow)
+        for z0, p, taus, tau_max, tol in solve_cases():
+            ode._solve(z0, p, taus, tau_max, tol)
+            got = private.calls.pop()
+            if c_flow is not None:
+                func, args = c_flow, got[3]
+                out, rates = args
+                assert (out.dtype, out.shape) == (np.float64, z0.shape)
+                assert out.flags.c_contiguous
+                assert same_argument(rates, _cflow.rates(p))
+            elif z0.size <= ode.SCALAR_FLOW_MAX:
+                func, args = ode._compiled_flow(p.n_levels, z0.size), None
+            else:
+                func, args = ode._flow, None
+            public_solve(z0, p, taus, tau_max, tol, func=func, args=args)
+            want = public.calls.pop()
+            assert len(got) == len(want) == 21
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert same_argument(a, b), (i, a, b)
+
+
+@pytest.fixture
+def fresh_flow_choice():
+    """Lets a test choose the LSODA form again, and the next test after
+    it."""
+    ode._c_flow.cache_clear()
+    yield
+    ode._c_flow.cache_clear()
+
+
+@needs_cc
+def test_the_c_flow_loads_where_a_compiler_is_found():
+    # where cc and Python.h are found, _solve hands LSODA the C flow; the
+    # tests that compare the forms then compare C with Python
+    if _cflow._flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    assert ode._c_flow() is not None
+
+
+def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
+                                                  fresh_flow_choice):
+    # an interpreter without its headers: even with a compiler, nothing is
+    # built and no cache directory is made, and _solve runs the Python
+    # forms on the public odeint bits
+    import sysconfig
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    monkeypatch.setattr(_cbuild, "_build", None)
+    assert ode._c_flow() is None
+    assert not (tmp_path / "cache").exists()
+    z0, p, taus, tau_max, tol = next(solve_cases())
+    states, nfe = ode._solve(z0, p, taus, tau_max, tol)
+    want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
+    assert (states.tobytes(), nfe) == (want.tobytes(), want_nfe)
+
+
+def fused_flags():
+    """The build's flags with contraction on, for this machine's FMA."""
+    return (*(flag.replace("off", "fast") for flag in _cbuild.FLAGS),
+            "-march=native")
+
+
+def fuses(tmp_path, flags) -> bool:
+    """Whether cc with flags computes a * b + c in one rounding here:
+    (1 + e)(1 - e) - 1 is -e**2 exactly, and 0 when the product rounds."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("double f(double a, double b, double c)\n"
+                     "{ return a * b + c; }\n")
+    subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe.so"),
+                    str(probe)], check=True, capture_output=True)
+    f = ctypes.CDLL(str(tmp_path / "probe.so")).f
+    f.argtypes = [ctypes.c_double] * 3
+    f.restype = ctypes.c_double
+    e = 2.0 ** -30
+    return f(1.0 + e, 1.0 - e, -1.0) != 0.0
+
+
+# each equation's two subtractions regrouped into one
+REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
+             ("y_in - bpa * y - trade", "y_in - (bpa * y + trade)")]
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["regrouped", "fused"])
+def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
+                                                fresh_flow_choice, case):
+    # each library builds, loads and runs, but its bits are not _flow's:
+    # the load-time check refuses it, and _solve then runs the Python
+    # forms, on the public odeint bits
+    if _cflow._flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if case == "regrouped":
+        source = _cflow.SOURCE
+        for statement, replacement in REGROUPED:
+            assert statement in source
+            source = source.replace(statement, replacement)
+        monkeypatch.setattr(_cflow, "SOURCE", source)
+    else:
+        if not fuses(tmp_path, fused_flags()):
+            pytest.skip("cc does not fuse a multiply-add on this machine")
+        monkeypatch.setattr(_cbuild, "FLAGS", fused_flags())
+    agrees, checked = _cflow._agrees, []
+    monkeypatch.setattr(_cflow, "_agrees",
+                        lambda flow: checked.append(flow) or agrees(flow))
+    assert ode._c_flow() is None
+    # it was built and loaded, and refused by the check
+    flow, = checked
+    z = np.linspace(0.1, 2.0, 8)
+    assert flow(0.0, z, np.empty(8), _cflow.rates(params(n=4))) is not None
     for z0, p, taus, tau_max, tol in solve_cases():
-        ode._solve(z0, p, taus, tau_max, tol)
-        compiled = z0.size <= ode.SCALAR_FLOW_MAX
-        public_solve(z0, p, taus, tau_max, tol,
-                     func=ode._compiled_flow(p.n_levels, z0.size) if compiled
-                     else ode._flow)
-        got, want = private.calls.pop(), public.calls.pop()
-        assert len(got) == len(want) == 21
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert same_argument(a, b), (i, a, b)
+        states, nfe = ode._solve(z0, p, taus, tau_max, tol)
+        want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
+        assert states.tobytes() == want.tobytes(), p
+        assert nfe == want_nfe, p
+
+
+@needs_cc
+def test_the_flow_c_compiles_without_warnings(tmp_path):
+    flags = _cflow._flags()
+    if flags is None:
+        pytest.skip("no Python.h for this interpreter")
+    source = tmp_path / "flow.c"
+    source.write_text(_cflow.SOURCE)
+    built = subprocess.run(
+        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "flow.so"), str(source)],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+
+
+def test_the_flow_c_source_is_pinned():
+    # a machine rebuilds its cached flow library whenever the C source
+    # changes; a change to it updates this crc32 on purpose
+    assert zlib.crc32(_cflow.SOURCE.encode()) == 0x5d0fcac3
 
 
 def run_python(code):
@@ -372,10 +550,13 @@ def test_lsoda_loader_and_public_odeint_agree_in_either_import_order():
 
 def test_lsoda_loader_after_the_scipy_package_alone():
     # with the scipy package already imported, the loader finds the
-    # extension under the loaded package's directory and adds no module
+    # extension under the loaded package's directory and adds no module;
+    # the C flow, whose first load adds the package's own _cflow and
+    # _cbuild, is loaded before the count
     out = run_python(
         "import sys, scipy\n" + LSODA_SETUP
-        + "before = set(sys.modules)\n"
+        + "ode._c_flow()\n"
+          "before = set(sys.modules)\n"
           "show(*private())\n"
           "print(sorted(set(sys.modules) - before))\n"
           "print(ode._lsoda().__file__.startswith(scipy.__path__[0]))\n"
@@ -459,12 +640,25 @@ def test_large_n_integration_cost_is_banded():
 
 
 def test_import_and_solve_do_not_load_scipy():
-    run_python(
-        "import sys, lobfluid, lobfluid.cli\n"
+    # and, with the C flow's library cached, one integrate loads no scipy
+    # package module, no simulator and no subprocess: the C flow's load
+    # path imports none of them. `import lobfluid` loads lobfluid.simulate,
+    # so the child drops it first, and any import of it would load it anew
+    loaded = ode._c_flow() is not None  # builds the library, where it can
+    out = run_python(
+        "import sys, numpy as np, lobfluid, lobfluid.cli\n"
         "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         "assert 'concurrent.futures.process' not in sys.modules, "
-        "'the process pool was imported'\n")
+        "'the process pool was imported'\n"
+        "del sys.modules['lobfluid.simulate']\n"
+        "lobfluid.integrate(np.zeros(2), np.zeros(2),\n"
+        "                   lobfluid.ModelParams(2, 1, 1, 1, 1, 1), 50.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m in ('lobfluid.simulate', 'lobfluid._cengine',\n"
+        "                      'subprocess')))\n"
+        "print(sys.modules['lobfluid.ode']._c_flow() is not None)\n")
+    assert out.splitlines() == ["[]", str(loaded)]
 
 
 def test_rhs_vanishes_at_analytic_fixed_points():
