@@ -1,5 +1,7 @@
-"""The build and cache of the package's C libraries: the simulator's engine
-(`_cengine`) and the fluid right-hand side that LSODA calls (`_cflow`).
+"""The build and cache of the package's three C libraries: the simulator's
+engine (`_cengine`, loaded with ctypes), and two CPython extension modules
+(`extension`): the fluid right-hand side that LSODA calls (`_cflow`) and
+the state CSV writer (`_cwrite`).
 
 Each library is compiled with `cc -O2 -ffp-contract=off` and no
 fast-math, so each product and sum rounds as Python's does, and it is
@@ -19,6 +21,8 @@ module of it.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import tempfile
@@ -94,3 +98,34 @@ def library(name: str, source: str, suffix: str = ".so", load=ctypes.CDLL,
                           suffix, load)
     except (OSError, ImportError):
         return None
+
+
+def _python_flags():
+    """The include flag of the interpreter's headers, or None where it has
+    no Python.h."""
+    import sysconfig
+
+    include = sysconfig.get_path("include")
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        return None
+    return (f"-I{include}",)
+
+
+def _load_extension(module: str, path: str):
+    """The extension module named module in the file path, registered
+    nowhere in sys.modules; raises ImportError if the file is not one."""
+    loader = importlib.machinery.ExtensionFileLoader(module, path)
+    spec = importlib.util.spec_from_file_location(module, path, loader=loader)
+    loaded = importlib.util.module_from_spec(spec)
+    loader.exec_module(loaded)
+    return loaded
+
+
+def extension(name: str, module: str, source: str):
+    """The CPython extension module named module (its init is
+    PyInit_<module>), built from source with the interpreter's Python.h
+    into `<name>-<crc32>` plus the interpreter's extension suffix, so
+    interpreters of another ABI never share a library. Returns None as
+    `library` does, and also where the interpreter has no Python.h."""
+    return library(name, source, importlib.machinery.EXTENSION_SUFFIXES[0],
+                   lambda path: _load_extension(module, path), _python_flags)

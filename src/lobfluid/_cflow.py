@@ -17,9 +17,9 @@ the min takes y on a tie, as numpy's elementwise minimum does, so one
 function serves every N and the stacked pair of a comparison check, with
 the numpy form's bits.
 
-Build and cache: `_cbuild`, with the interpreter's `Python.h`, into
-`flow-<crc32 of the source>` plus the interpreter's extension suffix, so
-interpreters of another ABI never share a library. `load` returns None,
+Build and cache: `_cbuild.extension`, with the interpreter's `Python.h`,
+into `flow-<crc32 of the source>` plus the interpreter's extension suffix,
+so interpreters of another ABI never share a library. `load` returns None,
 and `ode._solve` runs its Python forms, when no compiler `cc` or no
 `Python.h` is found, the build fails, or the load-time check (`_agrees`)
 finds the C flow differing from `ode._flow` in any byte.
@@ -27,10 +27,7 @@ finds the C flow differing from `ode._flow` in any byte.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 import random
 
 import numpy as np
@@ -158,27 +155,6 @@ def rates(params: ModelParams) -> np.ndarray:
                      params.alpha, params.beta, params.gamma])
 
 
-def _flags():
-    """The include flag of the interpreter's headers, or None where it has
-    no Python.h."""
-    import sysconfig
-
-    include = sysconfig.get_path("include")
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        return None
-    return (f"-I{include}",)
-
-
-def _load(path: str):
-    """The extension module in the file path, registered nowhere in
-    sys.modules; raises ImportError if the file is not one."""
-    loader = importlib.machinery.ExtensionFileLoader(MODULE, path)
-    spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    return module
-
-
 def _state(rng: random.Random, n: int, ties: bool) -> np.ndarray:
     """A random packed state of n levels; with ties, about 30% of its
     levels have x == y, and about half, the first two always, are signed
@@ -223,9 +199,7 @@ def load():
     """The C flow, or None when no compiler or no Python.h is found, the
     build fails, or the load-time check (`_agrees`) finds it differing
     from `ode._flow`."""
-    extension = _cbuild.library(
-        "flow", SOURCE, importlib.machinery.EXTENSION_SUFFIXES[0], _load,
-        _flags)
+    extension = _cbuild.extension("flow", MODULE, SOURCE)
     if extension is None or not _agrees(extension.flow):
         return None
     return extension.flow

@@ -8,19 +8,25 @@ Every float is written as `"%.17g" % v` (the same C formatting as
 labels never hold a comma, quote or newline. The four small CSVs apply
 one row format per file with `%`, one row at a time. State matrices
 (trajectories and ODE solutions, 1 + 2N fields per row: tau, x, y) are
-written in blocks of `BLOCK_ROWS` rows. A sampled trajectory is mostly
-zeros and repeats few values, so each distinct 64-bit pattern of its
-blocks is formatted once; a pattern, not a float value, so 0.0 and -0.0,
-and NaNs of either sign, each keep their own text. An ODE solution repeats
-almost none, so a block whose patterns are mostly distinct is formatted
-cell by cell in one `%`. Either way the bytes are those of the per-row
-format.
+written by the C writer of `lobfluid._cwrite` (`_c_write`), loaded at the
+first state CSV of a process: it formats each cell with the call that
+`%` makes and caches the texts by 64-bit pattern, so each distinct value
+of a trajectory, which is mostly zeros and repeats few values, is
+formatted about once. Where it cannot run (no compiler `cc`, no
+`Python.h`, a failed build or load-time check), `_write_state_blocks`
+writes them in blocks of `BLOCK_ROWS` rows: each distinct 64-bit pattern
+of a block is formatted once; a pattern, not a float value, so 0.0 and
+-0.0, and NaNs of either sign, each keep their own text. An ODE solution
+repeats almost none, so a block whose patterns are mostly distinct is
+formatted cell by cell in one `%`. Every way, the bytes are those of the
+per-row format.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -32,20 +38,21 @@ from .ode import OdeSolution
 from .simulate import Trajectory
 
 
-# Rows per block of a state CSV. A larger block formats fewer repeated
-# values but holds more memory at once. On the benchmark's 4,001 x 101
-# trajectory (a shared 2-core Xeon, Python 3.11, numpy 2.4) the writer
-# took a median 50, 46, 41 and 38 ms at 64, 128, 256 and 512 rows (81 ms
-# one row at a time), and one such write in a fresh process raised max
-# RSS by 0.45, 0.93, 1.68 and 3.0 MiB. 256 is the smallest block within a
-# tenth of the fastest (CHANGES.md has the runs)
+# Rows per block of a state CSV in the Python block writer, the C
+# writer's fallback. A larger block formats fewer repeated values but
+# holds more memory at once. On the benchmark's 4,001 x 101 trajectory
+# (a shared 2-core Xeon, Python 3.11, numpy 2.4) the writer took a median
+# 50, 46, 41 and 38 ms at 64, 128, 256 and 512 rows (81 ms one row at a
+# time), and one such write in a fresh process raised max RSS by 0.45,
+# 0.93, 1.68 and 3.0 MiB. 256 is the smallest block within a tenth of the
+# fastest (CHANGES.md has the runs)
 BLOCK_ROWS = 256
 
-# A block with more distinct patterns than this share of its cells is
-# formatted cell by cell: looking every cell up in a table of formatted
-# patterns costs more than it saves once few cells repeat. Measured on
-# N = 50 blocks, the lookup was faster at half the cells distinct and
-# slower from 60% on
+# A block of the Python block writer with more distinct patterns than
+# this share of its cells is formatted cell by cell: looking every cell up
+# in a table of formatted patterns costs more than it saves once few cells
+# repeat. Measured on N = 50 blocks, the lookup was faster at half the
+# cells distinct and slower from 60% on
 DISTINCT_SHARE_MAX = 0.6
 
 
@@ -103,7 +110,30 @@ def state_header(n: int) -> list[str]:
             + [f"y_{k}" for k in range(1, n + 1)])
 
 
+@functools.cache
+def _c_write():
+    """The state CSV writer in C (`_cwrite.load`), or None where it cannot
+    run; loaded, and built where it is not cached, at the first state CSV
+    of the process."""
+    from . import _cwrite
+    return _cwrite.load()
+
+
 def _write_states_csv(path, taus, x, y) -> None:
+    """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`: by the C
+    writer, which reads the float64 arrays (views are not copied) and
+    hands the text to the file in chunks, else by `_write_state_blocks`."""
+    states = _c_write()
+    if states is None:
+        _write_state_blocks(path, taus, x, y)
+        return
+    taus, x, y = (np.asarray(v, dtype=np.float64) for v in (taus, x, y))
+    with _csv_file(path, state_header(x.shape[1])) as fh:
+        fh.flush()  # the header, before the bytes written below it
+        states(fh.buffer.write, taus, x, y)
+
+
+def _write_state_blocks(path, taus, x, y) -> None:
     """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`.
 
     Each block of BLOCK_ROWS rows is copied into one float64 matrix. Its

@@ -377,7 +377,7 @@ def fresh_flow_choice():
 def test_the_c_flow_loads_where_a_compiler_is_found():
     # where cc and Python.h are found, _solve hands LSODA the C flow; the
     # tests that compare the forms then compare C with Python
-    if _cflow._flags() is None:
+    if _cbuild._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     assert ode._c_flow() is not None
 
@@ -434,7 +434,7 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
     # each library builds, loads and runs, but its bits are not _flow's:
     # the load-time check refuses it, and _solve then runs the Python
     # forms, on the public odeint bits
-    if _cflow._flags() is None:
+    if _cbuild._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     if case == "regrouped":
@@ -464,7 +464,7 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 @needs_cc
 def test_the_flow_c_compiles_without_warnings(tmp_path):
-    flags = _cflow._flags()
+    flags = _cbuild._python_flags()
     if flags is None:
         pytest.skip("no Python.h for this interpreter")
     source = tmp_path / "flow.c"

@@ -4,14 +4,36 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lobfluid import (ModelParams, ScalingLevel, equilibrium_concentration,
-                      output, overproduction_sweep, simulate, solve_recursive)
+import lobfluid
+from lobfluid import (ModelParams, ScalingLevel, _cbuild, _cwrite,
+                      equilibrium_concentration, integrate, output,
+                      overproduction_sweep, simulate, solve_recursive)
 from lobfluid.ode import OdeSolution
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler cc on PATH")
+
+
+def source_constant(name: str) -> int:
+    """The value of a #define of the C writer's source."""
+    return int(re.search(rf"^#define {name} (\d+)", _cwrite.SOURCE,
+                         re.MULTILINE)[1])
+
+
+CHUNK = source_constant("CHUNK")  # bytes per write call of the C writer
+TABLE = 1 << source_constant("TABLE_BITS")  # entries of its text cache
 
 # zero of both signs, the smallest subnormal, both sides of %g's switch to
 # exponent form (exponent < -4 or >= the precision, 17), short decimals
@@ -57,6 +79,16 @@ def _written(tmp_path, taus, x, y) -> list[bytes]:
     return [traj_path.read_bytes(), sol_path.read_bytes()]
 
 
+def _each_writer(monkeypatch):
+    """Yields "c", where the C writer loads, then "python": the state CSVs
+    are written by that writer until the next."""
+    for name, states in [("c", output._c_write()), ("python", None)]:
+        if name == "c" and states is None:
+            continue
+        monkeypatch.setattr(output, "_c_write", lambda states=states: states)
+        yield name
+
+
 def _cases():
     vals = np.array(ADVERSARIAL)
     rng = np.random.default_rng(7)
@@ -99,37 +131,91 @@ def _cases():
     # "," and the "\n" separator
     yield "last-value-repeated", np.array([[0.25, 0.1, 0.25, 0.1, 0.25],
                                            [0.5, 0.25, 0.1, 0.5, 0.75]])
+    # the C writer hands the file CHUNK bytes at a time: about 2.5 chunks
+    # of 18-20 byte cells, so chunks end inside cells and rows
+    rows = 5 * CHUNK // (2 * 7 * 19)
+    yield "chunks", rng.random((rows, 7))
+    # more distinct patterns than the C writer's table holds, written
+    # once and then again after they were evicted by the others
+    rows = TABLE // 11 + 200
+    distinct = rng.random((rows, 11))
+    yield "evicted-then-repeated", np.concatenate([distinct, distinct])
 
 
 CASES = dict(_cases())
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_state_writers_match_reference_bytes(tmp_path, case):
+def test_state_writers_match_reference_bytes(tmp_path, monkeypatch, case):
     grid = CASES[case]
     n = (grid.shape[1] - 1) // 2
     taus, x, y = grid[:, 0].copy(), grid[:, 1:1 + n], grid[:, 1 + n:]
     want = reference_bytes(taus, x, y)
-    for got in _written(tmp_path, taus, x, y):
-        assert got == want
+    for writer in _each_writer(monkeypatch):
+        for got in _written(tmp_path, taus, x, y):
+            assert got == want, writer
 
 
-def test_state_writers_zero_rows_write_the_header(tmp_path):
+def test_state_writers_zero_rows_write_the_header(tmp_path, monkeypatch):
     taus, x, y = np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
     want = b"tau,x_1,x_2,y_1,y_2\n"
     assert reference_bytes(taus, x, y) == want
-    assert _written(tmp_path, taus, x, y) == [want, want]
+    for writer in _each_writer(monkeypatch):
+        assert _written(tmp_path, taus, x, y) == [want, want], writer
+
+
+def test_state_writers_write_strided_solution_views(tmp_path, monkeypatch):
+    # an integrated solution's x and y are every other column of LSODA's
+    # states, and one of them is also taken with its rows reversed
+    p = ModelParams(4, 1.0, 2.0, 1.0, 1.0, 1.0)
+    sol = integrate(np.zeros(4), np.zeros(4), p, 2.0,
+                    grid=np.linspace(0.0, 2.0, 41))
+    assert sol.x.strides[1] == sol.y.strides[1] == 2 * sol.x.itemsize
+    for x, y in [(sol.x, sol.y), (sol.x, sol.y[::-1])]:
+        want = reference_bytes(sol.taus, x, y)
+        for writer in _each_writer(monkeypatch):
+            path = tmp_path / "solution.csv"
+            output.write_solution_csv(path, OdeSolution(sol.taus, x, y, 0))
+            assert path.read_bytes() == want, writer
+
+
+@needs_cc
+def test_the_c_writer_hands_the_file_whole_chunks(tmp_path):
+    states = output._c_write()
+    if states is None:
+        pytest.skip("the C writer cannot run here")
+    grid = CASES["chunks"]
+    taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
+    chunks = []
+    assert states(chunks.append, taus, x, y) is None
+    assert len(chunks) == 3
+    assert [len(chunk) for chunk in chunks[:-1]] == [CHUNK, CHUNK]
+    assert 0 < len(chunks[-1]) <= CHUNK
+    want = reference_bytes(taus, x, y)
+    assert b"".join(chunks) == want[want.index(b"\n") + 1:]
 
 
 @pytest.mark.parametrize("repeated", [True, False],
                          ids=["repeated-values", "distinct-values"])
-def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path, repeated):
+def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path,
+                                                         monkeypatch,
+                                                         repeated):
     # a sampled trajectory, mostly zeros and the rest multiples of 1/300,
     # or an ODE-like solution whose cells are all distinct (5 columns, to
-    # keep the formatting short). The writer holds one block at a time, so
-    # ten times the rows may not raise its peak allocation
+    # keep the formatting short). The C writer holds one table and one
+    # chunk, allocated with PyMem_* and so traced, and the Python writer
+    # one block at a time, so ten times the rows may not raise the peak
+    # allocation
     rng = np.random.default_rng(9)
     n = 50 if repeated else 2
+    for writer in _each_writer(monkeypatch):
+        peaks = _write_peaks(tmp_path, rng, n, repeated)
+        assert peaks[1] < 1.5 * peaks[0], writer
+
+
+def _write_peaks(tmp_path, rng, n, repeated) -> list[int]:
+    """Peak traced allocations of two state CSV writes, of 2,000 and
+    20,000 rows."""
     peaks = []
     for rows in (2_000, 20_000):
         if repeated:
@@ -145,17 +231,19 @@ def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path, repeated):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 1.5 * peaks[0]
+    return peaks
 
 
-def test_state_writers_round_trip_the_binary_values(tmp_path):
+def test_state_writers_round_trip_the_binary_values(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     x = rng.random((5, 4)) * 10.0 ** rng.integers(-320, 300, (5, 4))
     y = rng.random((5, 4))
     taus = np.arange(5) * 0.002
-    _written(tmp_path, taus, x, y)
-    back = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(back, np.column_stack([taus, x, y]))
+    for writer in _each_writer(monkeypatch):
+        _written(tmp_path, taus, x, y)
+        back = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(back, np.column_stack([taus, x, y])), writer
 
 
 # the other four writers, on records whose values cover ADVERSARIAL, small
@@ -222,3 +310,131 @@ def test_manifest_is_strict_json(tmp_path, value):
     assert not path.exists()
     output.write_manifest(path, {"x": np.array([1.0, 0.1])})
     assert path.read_text().endswith('"x": [\n    1.0,\n    0.1\n  ]\n}\n')
+
+
+@pytest.fixture
+def fresh_writer_choice():
+    """Lets a test choose the state writer again, and the next test after
+    it."""
+    output._c_write.cache_clear()
+    yield
+    output._c_write.cache_clear()
+
+
+@needs_cc
+def test_the_c_writer_loads_where_a_compiler_is_found():
+    # where cc and Python.h are found, the state CSVs are written in C; the
+    # tests that run both writers then compare C with Python
+    if _cbuild._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    assert output._c_write() is not None
+
+
+def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
+                                                    fresh_writer_choice):
+    # an interpreter without its headers: even with a compiler, nothing is
+    # built and no cache directory is made, and the Python block writer
+    # writes the reference bytes
+    import sysconfig
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    monkeypatch.setattr(_cbuild, "_build", None)
+    assert output._c_write() is None
+    assert not (tmp_path / "cache").exists()
+    grid = CASES["adversarial-n3"]
+    taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
+    want = reference_bytes(taus, x, y)
+    assert _written(tmp_path, taus, x, y) == [want, want]
+
+
+# each library builds, loads and runs, but writes one value as Python
+# does not: (the source's statement, its replacement, the value, the text)
+DIFFERING = {
+    # glibc's printf writes the sign of a NaN, which Python drops
+    "snprintf": ("    char *text = PyOS_double_to_string(v, 'g', 17, 0, "
+                 "NULL);\n",
+                 "    char *text = PyMem_Malloc(32);\n\n"
+                 "    if (text != NULL)\n"
+                 "        snprintf(text, 32, \"%.17g\", v);\n",
+                 -math.nan, b"-nan\n"),
+    "precision-16": ("'g', 17,", "'g', 16,", 0.1, b"0.1\n"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("case", list(DIFFERING))
+def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
+                                                  fresh_writer_choice, case):
+    # the load-time check refuses it, and the state CSVs are then written
+    # by the Python block writer, with the reference bytes
+    if _cbuild._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    statement, replacement, value, text = DIFFERING[case]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _cwrite.SOURCE.count(statement) == 1
+    monkeypatch.setattr(_cwrite, "SOURCE",
+                        _cwrite.SOURCE.replace(statement, replacement))
+    agrees, checked = _cwrite._agrees, []
+    monkeypatch.setattr(_cwrite, "_agrees",
+                        lambda states: checked.append(states) or agrees(states))
+    assert output._c_write() is None
+    # it was built and loaded, and refused by the check
+    states, = checked
+    chunks = []
+    states(chunks.append, np.array([value]), np.zeros((1, 0)),
+           np.zeros((1, 0)))
+    assert chunks == [text] != [("%.17g\n" % value).encode()]
+    grid = CASES["signed-zeros-and-nans"]
+    taus, x, y = grid[:, 0].copy(), grid[:, 1:3], grid[:, 3:]
+    want = reference_bytes(taus, x, y)
+    assert _written(tmp_path, taus, x, y) == [want, want]
+
+
+@needs_cc
+def test_the_writer_c_compiles_without_warnings(tmp_path):
+    flags = _cbuild._python_flags()
+    if flags is None:
+        pytest.skip("no Python.h for this interpreter")
+    source = tmp_path / "write.c"
+    source.write_text(_cwrite.SOURCE)
+    built = subprocess.run(
+        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "write.so"), str(source)],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+
+
+def test_the_writer_c_source_is_pinned():
+    # a machine rebuilds its cached writer library whenever the C source
+    # changes; a change to it updates this crc32 on purpose
+    assert zlib.crc32(_cwrite.SOURCE.encode()) == 0xdae83613
+
+
+def test_runs_without_a_state_csv_leave_the_c_writer_unloaded(tmp_path):
+    # importing the command line and running the README converge, which
+    # writes no state CSV, neither imports the writer's module nor builds
+    # or loads its library; a simulate run, which writes trajectory.csv,
+    # imports it
+    src = str(Path(lobfluid.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    model = ("'--n', '2', '--lambda-b', '1', '--lambda-s', '1', '--alpha', "
+             "'1', '--beta', '1', '--gamma', '1', '--seed', '42'")
+    code = (
+        "import contextlib, io, sys, lobfluid.cli\n"
+        "def main(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lobfluid.cli.main([*args, " + model + "]) == 0\n"
+        "main('converge', '--levels', '10,100,1000', '--tau-horizon', '5',\n"
+        f"     '--replicas', '50', '--out-dir', {str(tmp_path / 'c')!r})\n"
+        "print('lobfluid._cwrite' in sys.modules)\n"
+        "main('simulate', '--scale', '10', '--tau-max', '1',\n"
+        f"     '--sample-dt', '0.5', '--out-dir', {str(tmp_path / 's')!r})\n"
+        "print('lobfluid._cwrite' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False", "True"]
