@@ -24,8 +24,12 @@ row of the chain's tally matrix, so C stores nothing back, and the chain
 fills the samples left when the run ends.
 
 `load` returns None, and the Python engine runs, when no compiler `cc` is
-found, the build fails, or the load-time check (`_agrees`) finds the C
-engine disagreeing with the Python engine, or raising, on its runs.
+found, the build fails, the library's canary `fused` shows a multiply
+and add fused into one rounding, or the load-time check (`_agrees`) finds
+the C engine disagreeing with the Python engine, or raising, on its runs.
+The canary is there because the runs alone can miss a fused library:
+built with `-ffp-contract=fast -march=native`, one passed them at 6 of
+seed bases 1 to 20.
 """
 
 from __future__ import annotations
@@ -114,6 +118,13 @@ $seller_move
     clock[3] = M;
     *next_sample = si;
     return i;
+}
+
+/* the load-time canary: a * b + c in two roundings, as Python makes it,
+   unless the build fused it into one */
+double fused(double a, double b, double c)
+{
+    return a * b + c;
 }
 """)
 
@@ -204,12 +215,20 @@ def _agrees(bind) -> bool:
 
 def load():
     """The C engine's `bind` (see `simulate._Chain`), or None when no
-    compiler is found, the build fails, or the load-time check (`_agrees`)
-    finds it disagreeing with the Python engine or raising. bind computes
-    every pointer once: the chain makes every buffer a contiguous float64
-    or int64 array and keeps it referenced for as long as it can run."""
+    compiler is found, the build fails, the library fuses a multiply-add
+    (`fused(1 + e, 1 - e, -1)` is -e**2, not 0, at e = 2**-30), or the
+    load-time check (`_agrees`) finds it disagreeing with the Python
+    engine or raising. bind computes every pointer once: the chain makes
+    every buffer a contiguous float64 or int64 array and keeps it
+    referenced for as long as it can run."""
     library = _cbuild.library("engine", _source())
     if library is None:
+        return None
+    fused = library.fused
+    fused.argtypes = (ctypes.c_double,) * 3
+    fused.restype = ctypes.c_double
+    e = 2.0 ** -30
+    if fused(1.0 + e, 1.0 - e, -1.0) != 0.0:
         return None
     chunk_run = library.lobfluid_chunk
     chunk_run.argtypes = (

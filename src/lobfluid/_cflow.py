@@ -20,7 +20,7 @@ the numpy form's bits.
 Build and cache: `_cbuild.extension`, with the interpreter's `Python.h`,
 into `flow-<crc32 of the source>` plus the interpreter's extension suffix,
 so interpreters of another ABI never share a library. `load` returns None,
-and `ode._solve` runs its Python forms, when no compiler `cc` or no
+and `ode._solve` runs `ode._flow`, when no compiler `cc` or no
 `Python.h` is found, the build fails, or the load-time check (`_agrees`)
 finds the C flow differing from `ode._flow` in any byte.
 """

@@ -23,9 +23,10 @@ formatted again.
 
 Build and cache: `_cbuild.extension`, with the interpreter's `Python.h`,
 into `write-<crc32 of the source>`. `load` returns None, and `output`
-runs its Python block writer, when no compiler `cc` or no `Python.h` is
-found, the build fails, or the load-time check (`_agrees`) finds the C
-writer's bytes differing from the per-row format's.
+applies the per-row format itself, a block of rows at a time, when no
+compiler `cc` or no `Python.h` is found, the build fails, or the
+load-time check (`_agrees`) finds the C writer's bytes differing from the
+per-row format's.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ SEED = 2012  # of the load-time check's cells
 # bytes. On the benchmark's 4,001 x 101 trajectory (7,358 distinct
 # patterns; a shared 2-core Xeon, gcc 12.2, Python 3.11) the write took a
 # median 13.3, 10.2, 9.7, 9.1, 9.2 and 9.6 ms at 2**10, 2**12 ... 2**16
-# entries (48 KiB to 3 MiB), against 45 ms for the Python block writer;
-# 2**14 (768 KiB) is the fastest (CHANGES.md has the runs)
+# entries (48 KiB to 3 MiB); 2**14 (768 KiB) is the fastest (CHANGES.md
+# has the runs)
 SOURCE = """\
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -33,34 +33,25 @@ that costs less per call. Division of work:
   function serves every state shape; its load-time check compares it with
   _flow byte for byte.
 - where the C flow cannot run (no compiler, no Python.h, a failed build or
-  check), the Python fallback: up to SCALAR_FLOW_MAX components a
-  straight-line function on Python floats, generated and compiled once per
-  state shape (_compiled_flow). It unpacks the state into locals, writes
-  every level's two equations out and returns a list, which the extension
-  converts in C, since numpy's per-call dispatch costs more than the
-  arithmetic on so few values. A compile costs some 20 to 150 numpy
-  evaluations (0.4 ms at 8 components, 3 ms at 120), which only an
-  integration's thousands of evaluations repay. Above the threshold,
-  the numpy form itself, which is faster there.
+  check), _flow itself, at every size: the one Python form of the
+  equations is both the C flow's oracle and its fallback.
 
 On a 2-core Xeon, inside LSODA, in us per evaluation with LSODA's own
-work included (medians of 21 runs, the three forms alternating, of one
+work included (medians of 21 runs, the forms alternating, of one
 integration from a random state over tau 40):
 
-    components     C   compiled   numpy
-         8        1.2      3.0     18.6
-        40        1.9      9.3     20.4
-        64        2.4     14.5     21.4
-       104        3.1     22.5     22.9
-       120        3.4     25.2     22.6
-       240        5.7     49.9     26.7
+    components     C   numpy
+         8        1.2   18.6
+        40        1.9   20.4
+        64        2.4   21.4
+       104        3.1   22.9
+       120        3.4   22.6
+       240        5.7   26.7
 
-so the C flow takes 40% of the compiled form's time at 8 components and a fifth to a seventh of the faster Python
-form from 40 on, and the two Python forms meet between 104 and 120
-components. The forms make the same operations in the same order, with
-the same tie rule in the min, so they agree to the last bit;
-tests/test_ode.py compares their bytes at every size and on both sides of
-the threshold.
+so the C flow takes from a fifteenth of the numpy form's time at 8
+components to a fifth at 240. The two forms make the same operations in
+the same order, with the same tie rule in the min, so they agree to the
+last bit; tests/test_ode.py compares their bytes at every size.
 
 LSODA is called through scipy's compiled ODEPACK module,
 `scipy.integrate._odepack`, which `_lsoda` loads on its own from the file
@@ -106,7 +97,6 @@ DEFAULT_TOL = 1e-9
 STATIONARY_RHS_TOL = 1e-10  # sup-norm of the right-hand side at stationarity
 STATIONARY_BLOCK = 50.0     # tau span integrated between stationarity tests
 COMPARISON_GRID = 201       # grid points of a comparison check
-SCALAR_FLOW_MAX = 104       # components up to which the fallback compiles
 MAX_STEPS = 10**9           # LSODA's step cap per output interval; never binds
 GRID_MAX = 10**7            # points of a uniform grid, checked before allocation
 
@@ -195,50 +185,6 @@ def _defect(x: np.ndarray, y: np.ndarray, params: ModelParams) -> float:
 
 
 @functools.cache
-def _compiled_flow(n_levels: int, size: int):
-    """_flow's equations for one state shape as a straight-line function
-    on Python floats (`_flow_source`), compiled once per shape.
-
-    The rates are read from p on every call, so one function serves every
-    parameter set of the shape. Its one caller, _solve, asks only for
-    shapes of at most SCALAR_FLOW_MAX components, so the cache stays small.
-    """
-    namespace = {}
-    exec(compile(_flow_source(n_levels, size),
-                 f"<lobfluid.ode flow {n_levels} {size}>", "exec"), namespace)
-    return namespace["flow"]
-
-
-def _flow_source(n_levels: int, size: int) -> str:
-    """Source of `_compiled_flow`, built from integer indices alone.
-
-    Component i of z is the local v<i>, and each level's two equations
-    make _flow's operations in its order: (inflow - (beta+alpha) * v) -
-    trade. The min takes y on a tie, as _flow's elementwise minimum does,
-    so a signed zero comes out the same.
-    """
-    width = 2 * n_levels
-    body = []
-    out = []
-    for k in range(0, size, 2):  # a level's x at k, y at k + 1, trade t<k>
-        body.append(f"t{k} = g * (v{k} if v{k} < v{k + 1} else v{k + 1})")
-        x_in = f"a * v{k - 2}" if k % width else "lambda_b"
-        y_in = f"a * v{k + 3}" if (k + 2) % width else "lambda_s"
-        out += (f"{x_in} - bpa * v{k} - t{k}",
-                f"{y_in} - bpa * v{k + 1} - t{k}")
-    return "\n    ".join([
-        "def flow(t, z, p):",
-        ", ".join(f"v{i}" for i in range(size)) + ", = z.tolist()",
-        "a = p.alpha",
-        "bpa = p.beta + a",
-        "g = p.gamma",
-        "lambda_b = p.lambda_b",
-        "lambda_s = p.lambda_s",
-        *body,
-        "return [" + ", ".join(out) + "]"])
-
-
-@functools.cache
 def _lsoda():
     """scipy's compiled ODEPACK module, without any scipy package __init__.
 
@@ -288,11 +234,9 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     full_output=True)`, on copies of z0 and taus, since LSODA integrates in
     the state array it is given. f is the C flow (`_c_flow`), with args
     (out, rates): the array it writes and returns, and the rates. Where
-    the C flow cannot run, f is _compiled_flow for z0's shape up to
-    SCALAR_FLOW_MAX components (the extension converts its list in C) and
-    _flow above, with args (params,). A negative istate, LSODA's report of
-    a failed integration, raises StepUnderflow, and so does a non-finite
-    state.
+    the C flow cannot run, f is _flow, with args (params,). A negative
+    istate, LSODA's report of a failed integration, raises StepUnderflow,
+    and so does a non-finite state.
     """
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
     flow = _c_flow()
@@ -300,9 +244,7 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
         from ._cflow import rates
         args = (np.empty(z0.size), rates(params))
     else:
-        flow = (_compiled_flow(params.n_levels, z0.size)
-                if z0.size <= SCALAR_FLOW_MAX else _flow)
-        args = (params,)
+        flow, args = _flow, (params,)
     states, info, istate = _lsoda().odeint(
         flow, z0.copy(), taus.copy(), args,
         None, 0,              # Dfun, col_deriv: finite-difference Jacobian

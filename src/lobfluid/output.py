@@ -14,12 +14,8 @@ first state CSV of a process: it formats each cell with the call that
 of a trajectory, which is mostly zeros and repeats few values, is
 formatted about once. Where it cannot run (no compiler `cc`, no
 `Python.h`, a failed build or load-time check), `_write_state_blocks`
-writes them in blocks of `BLOCK_ROWS` rows: each distinct 64-bit pattern
-of a block is formatted once; a pattern, not a float value, so 0.0 and
--0.0, and NaNs of either sign, each keep their own text. An ODE solution
-repeats almost none, so a block whose patterns are mostly distinct is
-formatted cell by cell in one `%`. Every way, the bytes are those of the
-per-row format.
+applies the per-row format itself, to blocks of `BLOCK_ROWS` rows with
+one `%` each. Either way, the bytes are those of the per-row format.
 """
 
 from __future__ import annotations
@@ -39,21 +35,15 @@ from .simulate import Trajectory
 
 
 # Rows per block of a state CSV in the Python block writer, the C
-# writer's fallback. A larger block formats fewer repeated values but
-# holds more memory at once. On the benchmark's 4,001 x 101 trajectory
-# (a shared 2-core Xeon, Python 3.11, numpy 2.4) the writer took a median
-# 50, 46, 41 and 38 ms at 64, 128, 256 and 512 rows (81 ms one row at a
-# time), and one such write in a fresh process raised max RSS by 0.45,
-# 0.93, 1.68 and 3.0 MiB. 256 is the smallest block within a tenth of the
-# fastest (CHANGES.md has the runs)
-BLOCK_ROWS = 256
-
-# A block of the Python block writer with more distinct patterns than
-# this share of its cells is formatted cell by cell: looking every cell up
-# in a table of formatted patterns costs more than it saves once few cells
-# repeat. Measured on N = 50 blocks, the lookup was faster at half the
-# cells distinct and slower from 60% on
-DISTINCT_SHARE_MAX = 0.6
+# writer's fallback. The block bounds the writer's memory and does not
+# set its speed: on the benchmark's 4,001 x 101 trajectory (a shared
+# 2-core Xeon, Python 3.11, numpy 2.4) the medians of three runs of
+# alternating writes at 32 to 512 rows came in no fixed order, 76 to
+# 113 ms, while one write in a fresh process raised max RSS by 0.13,
+# 0.38, 1.17 and 3.0 MiB at 64, 128, 256 and 512 rows (0.13 and 2.3 MiB
+# at 64 and 256 on a distinct-valued solution of that size). 64 keeps
+# the memory near nothing (CHANGES.md has the runs)
+BLOCK_ROWS = 64
 
 
 @contextlib.contextmanager
@@ -136,12 +126,9 @@ def _write_states_csv(path, taus, x, y) -> None:
 def _write_state_blocks(path, taus, x, y) -> None:
     """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`.
 
-    Each block of BLOCK_ROWS rows is copied into one float64 matrix. Its
-    distinct bit patterns are formatted once, into a table of `text + ","`
-    entries followed by the same texts with `"\\n"`, and every cell indexes
-    the table, the last column in its second half; a block with more than
-    DISTINCT_SHARE_MAX of its cells distinct is formatted with one `%`
-    instead. Memory stays that of one block, whatever the row count.
+    Each block of BLOCK_ROWS rows is copied into one float64 matrix and
+    written with one `%` of the per-row format, repeated for its rows, so
+    memory stays that of one block, whatever the row count.
     """
     n = x.shape[1]
     line = ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
@@ -153,21 +140,7 @@ def _write_state_blocks(path, taus, x, y) -> None:
             rows[:, 0] = taus[start:stop]
             rows[:, 1:1 + n] = x[start:stop]
             rows[:, 1 + n:] = y[start:stop]
-            bits = rows.view(np.uint64)
-            # np.unique(bits) gives the same patterns, but took ten times
-            # as long as this sort on numpy 2.4
-            ordered = np.sort(bits, axis=None)
-            distinct = ordered[np.concatenate(
-                ([True], ordered[1:] != ordered[:-1]))]
-            if len(distinct) > DISTINCT_SHARE_MAX * bits.size:
-                fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
-                continue
-            texts = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
-            table = np.array([t + "," for t in texts]
-                             + [t + "\n" for t in texts], dtype=object)
-            idx = np.searchsorted(distinct, bits)
-            idx[:, -1] += len(texts)
-            fh.write("".join(table[idx.ravel()].tolist()))
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_solution_csv(path, sol: OdeSolution) -> None:

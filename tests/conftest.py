@@ -1,13 +1,15 @@
-"""Shared test helpers: the engine renderings on scripted draws, and a
-C engine cache of the session's own."""
+"""Shared test helpers: the engine renderings on scripted draws, a C
+engine cache of the session's own, and a build that fuses multiply-adds."""
 
+import ctypes
 import importlib
+import subprocess
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lobfluid import EventCounters
+from lobfluid import EventCounters, _cbuild
 from lobfluid.simulate import _Chain
 
 
@@ -96,3 +98,24 @@ def fire_once(each_engine):
             assert_same_counters(counters, other_counters)
         return final, counters
     return run
+
+
+def fused_flags():
+    """The build's flags with contraction on, for this machine's FMA."""
+    return (*(flag.replace("off", "fast") for flag in _cbuild.FLAGS),
+            "-march=native")
+
+
+def fuses(tmp_path, flags) -> bool:
+    """Whether cc with flags computes a * b + c in one rounding here:
+    (1 + e)(1 - e) - 1 is -e**2 exactly, and 0 when the product rounds."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("double f(double a, double b, double c)\n"
+                     "{ return a * b + c; }\n")
+    subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe.so"),
+                    str(probe)], check=True, capture_output=True)
+    f = ctypes.CDLL(str(tmp_path / "probe.so")).f
+    f.argtypes = [ctypes.c_double] * 3
+    f.restype = ctypes.c_double
+    e = 2.0 ** -30
+    return f(1.0 + e, 1.0 - e, -1.0) != 0.0

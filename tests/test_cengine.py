@@ -9,7 +9,7 @@ import time
 import zlib
 
 import pytest
-from conftest import engines
+from conftest import engines, fused_flags, fuses
 
 from lobfluid import _cbuild, _cengine
 from lobfluid.cli import main
@@ -232,10 +232,27 @@ def test_the_check_refuses_a_last_bit_difference_at_other_seeds(
         assert not agrees(regrouped), seed
 
 
+@needs_cc
+def test_a_fused_engine_library_is_refused(tmp_path, monkeypatch):
+    # a library built to fuse multiply-adds rounds some holding times
+    # otherwise than Python does, and the check's runs passed one at 6 of
+    # seed bases 1 to 20; its canary refuses it at every one
+    if not fuses(tmp_path, fused_flags()):
+        pytest.skip("cc does not fuse a multiply-add on this machine")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_cbuild, "FLAGS", fused_flags())
+    for seed in range(1, 21):
+        monkeypatch.setattr(_cengine, "SEED", seed)
+        assert _cengine.load() is None, seed
+    # it was built, and refused
+    name = f"engine-{zlib.crc32(_cengine._source().encode()):08x}.so"
+    assert (tmp_path / "cache" / "lobfluid" / name).exists()
+
+
 def test_the_c_source_is_pinned():
     # a machine rebuilds its cached library whenever the rendered C source
     # changes; a change that re-renders it updates this crc32 on purpose
-    assert zlib.crc32(_cengine._source().encode()) == 0x79ad3635
+    assert zlib.crc32(_cengine._source().encode()) == 0x1b7ca975
 
 
 @pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")

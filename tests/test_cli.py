@@ -669,8 +669,8 @@ TRAJECTORY_N50_SHA256 = (
     "8e5d5d6909c59bf37ae1ac77eb525b8837eaed1068e75c3461ab4dd12a3a12f3")
 # the same run sampled every 0.002: 4,001 rows, so the C writer's 64 KiB
 # chunks and, without it, the Python writer's blocks (output.BLOCK_ROWS
-# rows) meet many times; computed with the row-at-a-time writer that the
-# block writer replaced
+# rows, one `%` each) meet many times; computed with a writer that
+# formatted one row at a time
 TRAJECTORY_N50_FINE_SHA256 = (
     "e74868cd9e075af44bc6fd003f6f9daac0c944892980ae3ded69835acdc7b684")
 

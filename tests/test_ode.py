@@ -1,6 +1,5 @@
 """Fluid ODE system: right-hand side, integration, comparison principle."""
 
-import ctypes
 import os
 import re
 import shutil
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fused_flags, fuses
 
 import lobfluid
 from lobfluid import _cbuild, _cflow, cli, fixed_point_residual, ode
@@ -67,14 +67,8 @@ def levelwise_rhs(x, y, p):
     return dx, dy
 
 
-# both sides of the threshold up to which _solve hands LSODA the compiled
-# form: a state of HALF levels runs it, one of HALF + 1 runs _flow; 32 and
-# 33 levels, and 60 and 61, the sides of earlier thresholds of 64 and 120
-# components, stay, and the compiled form is checked up to 60 levels, the
-# largest state it ran at under the earlier threshold
-HALF = ode.SCALAR_FLOW_MAX // 2
-FLOW_SIZES = [1, 2, 7, 32, 33, HALF, HALF + 1, 60, 61, 400]
-COMPILED_SIZES = [n for n in FLOW_SIZES if n <= 60]
+# level counts of the flow tests, from one level to 400
+FLOW_SIZES = [1, 2, 7, 32, 33, 52, 53, 60, 61, 400]
 
 
 def flow_state(rng, n, ties):
@@ -106,6 +100,9 @@ def test_rhs_matches_levelwise_equations(n):
         # same operations in the same order, so the results agree exactly
         assert dx.tobytes() == want_x.tobytes()
         assert dy.tobytes() == want_y.tobytes()
+        # the stationarity defect is the same equations' sup-norm
+        assert fixed_point_residual(x, y, p) == max(np.abs(want_x).max(),
+                                                    np.abs(want_y).max())
 
 
 def table_drift(x, y, p):
@@ -146,14 +143,12 @@ def test_flow_is_the_drift_of_the_transition_table(n):
         assert (np.abs(got - drift) <= 1e-14 * scale).all(), (p, x, y)
 
 
-def lsoda_flow(form, n, size):
-    """The right-hand side _solve hands LSODA for states of `size`
-    components at n levels, as f(z, p) -> array: the compiled Python form,
-    or the C flow with its out and rates arguments, skipping the test
-    where the C flow does not load."""
+def lsoda_flow(form):
+    """The right-hand side _solve hands LSODA, as f(z, p) -> array: _flow,
+    where the C flow does not load, or the C flow with its out and rates
+    arguments, skipping the test where the C flow does not load."""
     if form == "python":
-        flow = ode._compiled_flow(n, size)
-        return lambda z, p: np.array(flow(0.0, z, p))
+        return lambda z, p: ode._flow(0.0, z, p)
     flow = ode._c_flow()
     if flow is None:
         pytest.skip("the C flow did not load (no compiler cc or no Python.h)")
@@ -165,21 +160,18 @@ def lsoda_flow(form, n, size):
     return evaluate
 
 
-def over_forms(python_sizes, c_sizes):
-    """Parameters (form, n): the compiled Python form at python_sizes, with
-    the ids of n alone that it had before the C flow, and the C flow, which
-    serves every shape, at c_sizes, with ids c-<n>."""
-    return ([pytest.param("python", n, id=str(n)) for n in python_sizes]
-            + [pytest.param("c", n, id=f"c-{n}") for n in c_sizes])
+# (form, n): _flow at every size, with ids of n alone, and the C flow,
+# which serves every shape, with ids c-<n>
+LSODA_FORMS = ([pytest.param("python", n, id=str(n)) for n in FLOW_SIZES]
+               + [pytest.param("c", n, id=f"c-{n}") for n in FLOW_SIZES])
 
 
-@pytest.mark.parametrize("form, n", over_forms(COMPILED_SIZES, FLOW_SIZES))
+@pytest.mark.parametrize("form, n", LSODA_FORMS)
 def test_compiled_flow_matches_levelwise_equations(form, n):
-    # the forms _solve hands LSODA: the C flow at every size, and the
-    # Python form up to SCALAR_FLOW_MAX components where the C one does
-    # not load; both give _flow's bytes
+    # the forms _solve hands LSODA: the C flow at every size, and _flow
+    # where the C one does not load; both give the levelwise bytes
     rng = np.random.default_rng(40 + n)
-    flow = lsoda_flow(form, n, 2 * n)
+    flow = lsoda_flow(form)
     for i in range(20):
         p = replace(random_params(rng), n_levels=n)
         if i % 4 == 0:
@@ -194,64 +186,25 @@ def test_compiled_flow_matches_levelwise_equations(form, n):
         assert d[:, 1].tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize("form, n", over_forms([1, 2, 7, 32, HALF, 60],
-                                               FLOW_SIZES))
+@pytest.mark.parametrize("form, n", LSODA_FORMS)
 def test_stacked_flow_equals_separate_evaluations(form, n):
-    # the comparison check integrates two states through the same equations,
-    # on any form; at n = 32 and HALF the Python fallback runs each state on
-    # the compiled form and the stacked pair on _flow (at 60 it did so
-    # under the earlier threshold of 120 components)
+    # the comparison check integrates two states through the same
+    # equations, on either form
     rng = np.random.default_rng(37 + n)
     p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
     a = ode._pack(*flow_state(rng, n, ties=True))
     b = ode._pack(*flow_state(rng, n, ties=False))
-    single, pair = lsoda_flow(form, n, 2 * n), lsoda_flow(form, n, 4 * n)
-    numpy_pair = ode._flow(0.0, np.concatenate([a, b]), p)
-    for stacked, separate in (
-            (numpy_pair,
-             np.concatenate([ode._flow(0.0, a, p), ode._flow(0.0, b, p)])),
-            (pair(np.concatenate([a, b]), p),
-             np.concatenate([single(a, p), single(b, p)]))):
-        assert stacked.tobytes() == separate.tobytes()
-        assert stacked.tobytes() == numpy_pair.tobytes()
-
-
-def test_one_compiled_flow_serves_every_parameter_set_of_its_shape():
-    # the compiled form is cached per state shape, not per parameter set:
-    # two sets called alternately must each get their own rates
-    rng = np.random.default_rng(39)
-    n = 3
-    sets = [replace(random_params(rng), n_levels=n) for _ in range(2)]
-    for i in range(8):
-        p = sets[i % 2]
-        x, y = flow_state(rng, n, ties=i % 4 < 2)
-        d = np.array(ode._compiled_flow(n, 2 * n)(0.0, ode._pack(x, y), p))
-        want_x, want_y = levelwise_rhs(x, y, p)
-        assert d[0::2].tobytes() == want_x.tobytes()
-        assert d[1::2].tobytes() == want_y.tobytes()
-    assert ode._compiled_flow(n, 2 * n) is ode._compiled_flow(n, 2 * n)
-
-
-def test_evaluations_outside_lsoda_compile_nothing():
-    # a compile costs 20 to 150 evaluations, so rhs, fixed_point_residual
-    # and the stationarity test evaluate _flow; a one-off rhs at 120
-    # components compiled a function it never used again
-    n = HALF
-    p = ModelParams(n, 1.3, 0.7, 0.9, 0.4, 2.5)
-    x, y = flow_state(np.random.default_rng(41), n, ties=True)
-    ode._compiled_flow.cache_clear()
-    dx, dy = rhs(FluidState(x, y), p)
-    residual = fixed_point_residual(x, y, p)
-    state, converged, tau_used = integrate_until_stationary(p, x, y,
-                                                            tau_max=0.0)
-    assert ode._compiled_flow.cache_info().currsize == 0
-    assert residual == max(np.abs(dx).max(), np.abs(dy).max()) > 0
-    assert (converged, tau_used) == (False, 0.0)
+    flow = lsoda_flow(form)
+    stacked = flow(np.concatenate([a, b]), p)
+    assert stacked.tobytes() == np.concatenate([flow(a, p),
+                                                flow(b, p)]).tobytes()
+    assert stacked.tobytes() == ode._flow(0.0, np.concatenate([a, b]),
+                                          p).tobytes()
 
 
 def public_solve(z0, p, taus, tau_max, tol, func=ode._flow, args=None):
     """ode._solve's integration through scipy's public odeint wrapper, by
-    default on the numpy form of the right-hand side, with args (p,)."""
+    default on _flow, with args (p,)."""
     from scipy.integrate import odeint
 
     band = min(2, z0.size - 1)
@@ -266,7 +219,7 @@ def solve_cases():
     """(z0, params, taus, tau_max, tol) over the shapes _solve is called on:
     one level (band clamped to 1), single states up to N = 10 on the
     endpoint default and on explicit grids, stacked comparison pairs, stiff
-    draws, and N = 1000 (numpy right-hand side)."""
+    draws, and N = 1000."""
     rng = np.random.default_rng(38)
     for i in range(24):
         p = random_params(rng, n_max=1 if i < 4 else 10)
@@ -288,9 +241,8 @@ def solve_cases():
 
 
 def test_solve_matches_public_odeint_bit_for_bit(monkeypatch):
-    # _solve hands LSODA the C flow, or where it does not load the compiled
-    # form up to SCALAR_FLOW_MAX components; the public run on the numpy
-    # form takes the same steps to the same bits
+    # _solve hands LSODA the C flow, or where it does not load _flow; the
+    # public run on _flow takes the same steps to the same bits
     for c_flow in {ode._c_flow(), None}:
         monkeypatch.setattr(ode, "_c_flow", lambda c_flow=c_flow: c_flow)
         for z0, p, taus, tau_max, tol in solve_cases():
@@ -334,9 +286,8 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     # order 11 at most on this system, so an mxordn other than 12 would
     # leave every output bit as it is. The callable is the C flow, with
     # args (out, rates): a float64 array of the state's size, written on
-    # every call, and the rates; where the C flow does not load, it is the
-    # compiled form for the state's shape up to SCALAR_FLOW_MAX components
-    # and _flow above, with args (params,)
+    # every call, and the rates; where the C flow does not load, it is
+    # _flow, with args (params,)
     from scipy.integrate import _odepack_py
 
     private, public = RecordingOdepack(), RecordingOdepack()
@@ -353,10 +304,8 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
                 assert (out.dtype, out.shape) == (np.float64, z0.shape)
                 assert out.flags.c_contiguous
                 assert same_argument(rates, _cflow.rates(p))
-            elif z0.size <= ode.SCALAR_FLOW_MAX:
-                func, args = ode._compiled_flow(p.n_levels, z0.size), None
             else:
-                func, args = ode._flow, None
+                func, args = ode._flow, (p,)
             public_solve(z0, p, taus, tau_max, tol, func=func, args=args)
             want = public.calls.pop()
             assert len(got) == len(want) == 21
@@ -385,8 +334,8 @@ def test_the_c_flow_loads_where_a_compiler_is_found():
 def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
                                                   fresh_flow_choice):
     # an interpreter without its headers: even with a compiler, nothing is
-    # built and no cache directory is made, and _solve runs the Python
-    # forms on the public odeint bits
+    # built and no cache directory is made, and _solve runs _flow on the
+    # public odeint bits
     import sysconfig
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -401,27 +350,6 @@ def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
     assert (states.tobytes(), nfe) == (want.tobytes(), want_nfe)
 
 
-def fused_flags():
-    """The build's flags with contraction on, for this machine's FMA."""
-    return (*(flag.replace("off", "fast") for flag in _cbuild.FLAGS),
-            "-march=native")
-
-
-def fuses(tmp_path, flags) -> bool:
-    """Whether cc with flags computes a * b + c in one rounding here:
-    (1 + e)(1 - e) - 1 is -e**2 exactly, and 0 when the product rounds."""
-    probe = tmp_path / "probe.c"
-    probe.write_text("double f(double a, double b, double c)\n"
-                     "{ return a * b + c; }\n")
-    subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe.so"),
-                    str(probe)], check=True, capture_output=True)
-    f = ctypes.CDLL(str(tmp_path / "probe.so")).f
-    f.argtypes = [ctypes.c_double] * 3
-    f.restype = ctypes.c_double
-    e = 2.0 ** -30
-    return f(1.0 + e, 1.0 - e, -1.0) != 0.0
-
-
 # each equation's two subtractions regrouped into one
 REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
              ("y_in - bpa * y - trade", "y_in - (bpa * y + trade)")]
@@ -432,8 +360,8 @@ REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
 def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
                                                 fresh_flow_choice, case):
     # each library builds, loads and runs, but its bits are not _flow's:
-    # the load-time check refuses it, and _solve then runs the Python
-    # forms, on the public odeint bits
+    # the load-time check refuses it, and _solve then runs _flow, on the
+    # public odeint bits
     if _cbuild._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -752,8 +680,8 @@ def test_negative_tau_max_is_rejected():
         integrate(np.zeros(2), np.zeros(2), p, -1.0)
     # a zero span is no violation and no convergence
     assert check_comparison(lo, hi, p, 0.0).ok
-    assert not integrate_until_stationary(p, np.zeros(2), np.zeros(2),
-                                          tau_max=0.0)[1]
+    assert integrate_until_stationary(p, np.zeros(2), np.zeros(2),
+                                      tau_max=0.0)[1:] == (False, 0.0)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])

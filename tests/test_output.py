@@ -113,8 +113,8 @@ def _cases():
         yield name, grid
     # a block that repeats few values, then one whose cells are mostly
     # distinct (as in an ODE solution) that still holds both zeros and
-    # both NaNs, then one row: the writer switches between its table
-    # lookup and formatting every cell, at block boundaries
+    # both NaNs, then one row: the C writer's table of texts mostly hits,
+    # then mostly misses
     signed = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0)]
     grid = rng.choice(vals, (2 * block + 1, 7))
     grid[block:2 * block] = rng.random((block, 7))

@@ -7,7 +7,7 @@ import warnings
 from pathlib import Path
 
 import lobfluid
-from lobfluid import errors, ode
+from lobfluid import errors
 
 
 def _asserts(source: str, name: str) -> list[str]:
@@ -17,13 +17,9 @@ def _asserts(source: str, name: str) -> list[str]:
 
 def _generated_sources() -> list[tuple[str, str]]:
     """(source, name) of the Python the library compiles at run time: the
-    simulator's Python engine, and the ODE right-hand side on both sides
-    of its compiled-form threshold."""
+    simulator's Python engine."""
     engine = importlib.import_module("lobfluid.simulate")
-    sources = [(engine._engine_source(), "engine")]
-    sources += [(ode._flow_source(n, size), f"flow {n} {size}")
-                for n in (1, 2, 60) for size in (2 * n, 4 * n)]
-    return sources
+    return [(engine._engine_source(), "engine")]
 
 
 def test_library_checks_invariants_without_assert():
