@@ -1,7 +1,7 @@
-"""The build and cache of the package's three C libraries: the simulator's
-engine (`_cengine`, loaded with ctypes), and two CPython extension modules
-(`extension`): the fluid right-hand side that LSODA calls (`_cflow`) and
-the state CSV writer (`_cwrite`).
+"""The build and cache of the package's two C libraries: the simulator's
+engine (`_cengine`, loaded with ctypes, so it needs only `cc`), and the
+CPython extension module of the fluid right-hand side and the state CSV
+writer (`_cext`, which also needs the interpreter's `Python.h`).
 
 Each library is compiled with `cc -O2 -ffp-contract=off` and no
 fast-math, so each product and sum rounds as Python's does, and it is
@@ -9,20 +9,19 @@ built once per source into `$XDG_CACHE_HOME/lobfluid` (else
 `~/.cache/lobfluid`, made with mode 0700) as `<name>-<crc32 of the
 source>` plus the library's file suffix, beside the source it was built
 from. A cached library is loaded only when that stored source equals the
-rendered one byte for byte; any other is rebuilt. The compiler writes to
-temporary files that `os.replace` installs, the library before its source,
-so concurrent processes never load a half-written library. Where the cache
-cannot be written, the library is built in a temporary directory private
-to the process. `subprocess` is imported only to build, and this module
-imports nothing of the package, so loading a cached library runs no other
-module of it.
+rendered one byte for byte; any other is rebuilt, and the files of a
+source no longer rendered are never read again and may be deleted. The
+compiler writes to temporary files that `os.replace` installs, the
+library before its source, so concurrent processes never load a
+half-written library. Where the cache cannot be written, the library is
+built in a temporary directory private to the process. `subprocess` is
+imported only to build, and this module imports nothing of the package,
+so loading a cached library runs no other module of it.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import os
 import shutil
 import tempfile
@@ -98,34 +97,3 @@ def library(name: str, source: str, suffix: str = ".so", load=ctypes.CDLL,
                           suffix, load)
     except (OSError, ImportError):
         return None
-
-
-def _python_flags():
-    """The include flag of the interpreter's headers, or None where it has
-    no Python.h."""
-    import sysconfig
-
-    include = sysconfig.get_path("include")
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        return None
-    return (f"-I{include}",)
-
-
-def _load_extension(module: str, path: str):
-    """The extension module named module in the file path, registered
-    nowhere in sys.modules; raises ImportError if the file is not one."""
-    loader = importlib.machinery.ExtensionFileLoader(module, path)
-    spec = importlib.util.spec_from_file_location(module, path, loader=loader)
-    loaded = importlib.util.module_from_spec(spec)
-    loader.exec_module(loaded)
-    return loaded
-
-
-def extension(name: str, module: str, source: str):
-    """The CPython extension module named module (its init is
-    PyInit_<module>), built from source with the interpreter's Python.h
-    into `<name>-<crc32>` plus the interpreter's extension suffix, so
-    interpreters of another ABI never share a library. Returns None as
-    `library` does, and also where the interpreter has no Python.h."""
-    return library(name, source, importlib.machinery.EXTENSION_SUFFIXES[0],
-                   lambda path: _load_extension(module, path), _python_flags)

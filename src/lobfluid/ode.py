@@ -26,12 +26,13 @@ that integrate_until_stationary tests and fixed_point.fixed_point_residual
 returns. Inside LSODA, and only there, _solve hands the extension a form
 that costs less per call. Division of work:
 
-- the C flow (`_cflow`, loaded by _c_flow at the first _solve of a
-  process): a CPython extension function, built with cc, that writes every
-  stacked state's equations into a preallocated float64 array and returns
-  it, so an evaluation runs no Python code and makes no Python float. One
-  function serves every state shape; its load-time check compares it with
-  _flow byte for byte.
+- the C flow (`flow` of the extension `_cext`, loaded by _c_flow at the
+  first _solve of a process): a CPython extension function, built with
+  cc, that writes every stacked state's equations into a preallocated
+  float64 array and returns it, so an evaluation runs no Python code and
+  makes no Python float. One function serves every state shape; its
+  load-time check, the only one _c_flow runs, compares it with _flow byte
+  for byte.
 - where the C flow cannot run (no compiler, no Python.h, a failed build or
   check), _flow itself, at every size: the one Python form of the
   equations is both the C flow's oracle and its fallback.
@@ -215,11 +216,11 @@ def _lsoda():
 
 @functools.cache
 def _c_flow():
-    """The right-hand side in C (`_cflow.load`) that LSODA's extension
-    calls directly, or None where it cannot run; loaded, and built where
-    it is not cached, at the first _solve of the process."""
-    from . import _cflow
-    return _cflow.load()
+    """The right-hand side in C (`_cext.load("flow")`) that LSODA's
+    extension calls directly, or None where it cannot run; loaded, and
+    built where it is not cached, at the first _solve of the process."""
+    from . import _cext
+    return _cext.load("flow")
 
 
 def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
@@ -241,7 +242,7 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
     flow = _c_flow()
     if flow is not None:
-        from ._cflow import rates
+        from ._cext import rates
         args = (np.empty(z0.size), rates(params))
     else:
         flow, args = _flow, (params,)

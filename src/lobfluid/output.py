@@ -8,8 +8,9 @@ Every float is written as `"%.17g" % v` (the same C formatting as
 labels never hold a comma, quote or newline. The four small CSVs apply
 one row format per file with `%`, one row at a time. State matrices
 (trajectories and ODE solutions, 1 + 2N fields per row: tau, x, y) are
-written by the C writer of `lobfluid._cwrite` (`_c_write`), loaded at the
-first state CSV of a process: it formats each cell with the call that
+written by the C writer `states` of the extension `lobfluid._cext`
+(`_c_write`, loaded at the first state CSV of a process, which runs the
+writer's load-time check alone): it formats each cell with the call that
 `%` makes and caches the texts by 64-bit pattern, so each distinct value
 of a trajectory, which is mostly zeros and repeats few values, is
 formatted about once. Where it cannot run (no compiler `cc`, no
@@ -102,11 +103,11 @@ def state_header(n: int) -> list[str]:
 
 @functools.cache
 def _c_write():
-    """The state CSV writer in C (`_cwrite.load`), or None where it cannot
-    run; loaded, and built where it is not cached, at the first state CSV
-    of the process."""
-    from . import _cwrite
-    return _cwrite.load()
+    """The state CSV writer in C (`_cext.load("states")`), or None where
+    it cannot run; loaded, and built where it is not cached, at the first
+    state CSV of the process."""
+    from . import _cext
+    return _cext.load("states")
 
 
 def _write_states_csv(path, taus, x, y) -> None:

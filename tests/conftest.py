@@ -1,5 +1,7 @@
 """Shared test helpers: the engine renderings on scripted draws, a C
-engine cache of the session's own, and a build that fuses multiply-adds."""
+library cache of the session's own, a fresh choice of the extension's
+functions, a build of the extension with warnings as errors, and a build
+that fuses multiply-adds."""
 
 import ctypes
 import importlib
@@ -9,18 +11,29 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lobfluid import EventCounters, _cbuild
+from lobfluid import EventCounters, _cbuild, _cext, ode, output
 from lobfluid.simulate import _Chain
 
 
 @pytest.fixture(autouse=True, scope="session")
-def private_engine_cache(tmp_path_factory):
-    """The C engine's cache in a directory of the session's own, so the
+def private_library_cache(tmp_path_factory):
+    """The C libraries' cache in a directory of the session's own, so the
     tests never write to the user's home; the command-line runs that tests
     start in subprocesses inherit it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@pytest.fixture
+def fresh_extension_choice():
+    """Lets a test load the extension's flow and writer again, and the
+    next test after it: clears the cache of both accessors."""
+    ode._c_flow.cache_clear()
+    output._c_write.cache_clear()
+    yield
+    ode._c_flow.cache_clear()
+    output._c_write.cache_clear()
 
 
 def run_chain(params, scale, init, t_end, sample_ts, rng, max_events):
@@ -119,3 +132,21 @@ def fuses(tmp_path, flags) -> bool:
     f.restype = ctypes.c_double
     e = 2.0 ** -30
     return f(1.0 + e, 1.0 - e, -1.0) != 0.0
+
+
+def build_extension(tmp_path):
+    """The extension module built from its source with warnings as errors,
+    outside the library cache; skips where the interpreter has no
+    Python.h."""
+    flags = _cext._python_flags()
+    if flags is None:
+        pytest.skip("no Python.h for this interpreter")
+    source = tmp_path / "ext.c"
+    source.write_text(_cext.SOURCE)
+    library = tmp_path / "ext.so"
+    built = subprocess.run(
+        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+         "-o", str(library), str(source)],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    return _cext._module(str(library))

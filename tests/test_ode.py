@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fused_flags, fuses
+from conftest import build_extension, fused_flags, fuses
 
 import lobfluid
-from lobfluid import _cbuild, _cflow, cli, fixed_point_residual, ode
+from lobfluid import _cbuild, _cext, cli, fixed_point_residual, ode, output
 from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
@@ -155,7 +155,7 @@ def lsoda_flow(form):
 
     def evaluate(z, p):
         out = np.empty(z.size)
-        assert flow(0.0, z, out, _cflow.rates(p)) is out
+        assert flow(0.0, z, out, _cext.rates(p)) is out
         return out
     return evaluate
 
@@ -303,7 +303,7 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
                 out, rates = args
                 assert (out.dtype, out.shape) == (np.float64, z0.shape)
                 assert out.flags.c_contiguous
-                assert same_argument(rates, _cflow.rates(p))
+                assert same_argument(rates, _cext.rates(p))
             else:
                 func, args = ode._flow, (p,)
             public_solve(z0, p, taus, tau_max, tol, func=func, args=args)
@@ -313,26 +313,17 @@ def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
                 assert same_argument(a, b), (i, a, b)
 
 
-@pytest.fixture
-def fresh_flow_choice():
-    """Lets a test choose the LSODA form again, and the next test after
-    it."""
-    ode._c_flow.cache_clear()
-    yield
-    ode._c_flow.cache_clear()
-
-
 @needs_cc
 def test_the_c_flow_loads_where_a_compiler_is_found():
     # where cc and Python.h are found, _solve hands LSODA the C flow; the
     # tests that compare the forms then compare C with Python
-    if _cbuild._python_flags() is None:
+    if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     assert ode._c_flow() is not None
 
 
 def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
-                                                  fresh_flow_choice):
+                                                  fresh_extension_choice):
     # an interpreter without its headers: even with a compiler, nothing is
     # built and no cache directory is made, and _solve runs _flow on the
     # public odeint bits
@@ -358,31 +349,33 @@ REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
 @needs_cc
 @pytest.mark.parametrize("case", ["regrouped", "fused"])
 def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
-                                                fresh_flow_choice, case):
-    # each library builds, loads and runs, but its bits are not _flow's:
-    # the load-time check refuses it, and _solve then runs _flow, on the
-    # public odeint bits
-    if _cbuild._python_flags() is None:
+                                                fresh_extension_choice, case):
+    # each library builds, loads and runs, but its flow's bits are not
+    # _flow's: the flow's load-time check refuses it, and _solve then runs
+    # _flow, on the public odeint bits, while the writer of that library
+    # passes its own check and still loads
+    if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     if case == "regrouped":
-        source = _cflow.SOURCE
+        source = _cext.SOURCE
         for statement, replacement in REGROUPED:
-            assert statement in source
+            assert source.count(statement) == 1
             source = source.replace(statement, replacement)
-        monkeypatch.setattr(_cflow, "SOURCE", source)
+        monkeypatch.setattr(_cext, "SOURCE", source)
     else:
         if not fuses(tmp_path, fused_flags()):
             pytest.skip("cc does not fuse a multiply-add on this machine")
         monkeypatch.setattr(_cbuild, "FLAGS", fused_flags())
-    agrees, checked = _cflow._agrees, []
-    monkeypatch.setattr(_cflow, "_agrees",
+    agrees, checked = _cext._flow_agrees, []
+    monkeypatch.setattr(_cext, "_flow_agrees",
                         lambda flow: checked.append(flow) or agrees(flow))
     assert ode._c_flow() is None
+    assert output._c_write() is not None
     # it was built and loaded, and refused by the check
     flow, = checked
     z = np.linspace(0.1, 2.0, 8)
-    assert flow(0.0, z, np.empty(8), _cflow.rates(params(n=4))) is not None
+    assert flow(0.0, z, np.empty(8), _cext.rates(params(n=4))) is not None
     for z0, p, taus, tau_max, tol in solve_cases():
         states, nfe = ode._solve(z0, p, taus, tau_max, tol)
         want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
@@ -392,23 +385,73 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 @needs_cc
 def test_the_flow_c_compiles_without_warnings(tmp_path):
-    flags = _cbuild._python_flags()
-    if flags is None:
-        pytest.skip("no Python.h for this interpreter")
-    source = tmp_path / "flow.c"
-    source.write_text(_cflow.SOURCE)
-    built = subprocess.run(
-        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "flow.so"), str(source)],
-        capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
+    # the flow's C is part of the extension's one source; the module built
+    # from it with warnings as errors gives _flow's bits
+    flow = build_extension(tmp_path).flow
+    p = params(n=3, lam_b=1.3, lam_s=0.7, alpha=0.9, beta=0.4, gamma=2.5)
+    z = np.linspace(0.1, 2.0, 12)  # two stacked states
+    got = flow(0.0, z, np.empty(12), _cext.rates(p))
+    assert got.tobytes() == ode._flow(0.0, z, p).tobytes()
 
 
 def test_the_flow_c_source_is_pinned():
-    # a machine rebuilds its cached flow library whenever the C source
-    # changes; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cflow.SOURCE.encode()) == 0x5d0fcac3
+    # the flow's library is the extension: a machine rebuilds its cached
+    # library whenever the extension's C source changes, the flow's or the
+    # writer's; a change to it updates this crc32 on purpose
+    assert zlib.crc32(_cext.SOURCE.encode()) == 0x1663d18e
 
+
+def flow_refusals() -> dict:
+    """The C flow's refusals by case: (arguments, exception, message), on
+    a state of two levels. A message of None is numpy's, the buffer
+    exporter's, and is not pinned."""
+    z, out, rates = (np.linspace(0.1, 1.0, 4), np.zeros(4),
+                     _cext.rates(params(n=2)))
+    read_only = out.copy()
+    read_only.flags.writeable = False
+    types = "flow takes float64 arrays"
+    sizes = ("flow takes states of 2N values, an out of their size and the "
+             "rates (N, lambda_b, lambda_s, alpha, beta, gamma)")
+
+    def with_n(n):
+        return (0.0, z, out, np.array([n, *rates[1:]]))
+
+    return {
+        "int64-z": ((0.0, z.astype(np.int64), out, rates), TypeError, types),
+        "float32-z": ((0.0, z.astype(np.float32), out, rates), TypeError,
+                      types),
+        "int64-out": ((0.0, z, out.astype(np.int64), rates), TypeError,
+                      types),
+        "float32-rates": ((0.0, z, out, rates.astype(np.float32)),
+                          TypeError, types),
+        "strided-z": ((0.0, np.repeat(z, 2)[::2], out, rates), ValueError,
+                      None),
+        "read-only-out": ((0.0, z, read_only, rates), ValueError, None),
+        "state-size": ((0.0, np.ones(6), np.empty(6), rates), ValueError,
+                       sizes),
+        "out-size": ((0.0, z, np.empty(6), rates), ValueError, sizes),
+        "rates-size": ((0.0, z, out, rates[:5]), ValueError, sizes),
+        "fractional-n": (with_n(1.5), ValueError, sizes),
+        "zero-n": (with_n(0.0), ValueError, sizes),
+        "n-above-size": (with_n(3.0), ValueError, sizes),
+        "three-arguments": ((0.0, z, out), TypeError,
+                            "flow takes (t, z, out, rates)"),
+    }
+
+
+FLOW_REFUSALS = flow_refusals()
+
+
+@pytest.mark.parametrize("case", list(FLOW_REFUSALS))
+def test_the_c_flow_refuses_other_arguments(case):
+    flow = ode._c_flow()
+    if flow is None:
+        pytest.skip("the C flow did not load (no compiler cc or no Python.h)")
+    args, exception, message = FLOW_REFUSALS[case]
+    with pytest.raises(exception) as refused:
+        flow(*args)
+    if message is not None:
+        assert str(refused.value) == message
 
 def run_python(code):
     """Run code in a fresh interpreter on this source tree; returns stdout."""
@@ -479,7 +522,7 @@ def test_lsoda_loader_and_public_odeint_agree_in_either_import_order():
 def test_lsoda_loader_after_the_scipy_package_alone():
     # with the scipy package already imported, the loader finds the
     # extension under the loaded package's directory and adds no module;
-    # the C flow, whose first load adds the package's own _cflow and
+    # the C flow, whose first load adds the package's own _cext and
     # _cbuild, is loaded before the count
     out = run_python(
         "import sys, scipy\n" + LSODA_SETUP

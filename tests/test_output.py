@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import build_extension
 
 import lobfluid
-from lobfluid import (ModelParams, ScalingLevel, _cbuild, _cwrite,
-                      equilibrium_concentration, integrate, output,
+from lobfluid import (ModelParams, ScalingLevel, _cbuild, _cext,
+                      equilibrium_concentration, integrate, ode, output,
                       overproduction_sweep, simulate, solve_recursive)
 from lobfluid.ode import OdeSolution
 
@@ -28,7 +29,7 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 def source_constant(name: str) -> int:
     """The value of a #define of the C writer's source."""
-    return int(re.search(rf"^#define {name} (\d+)", _cwrite.SOURCE,
+    return int(re.search(rf"^#define {name} (\d+)", _cext.SOURCE,
                          re.MULTILINE)[1])
 
 
@@ -179,11 +180,17 @@ def test_state_writers_write_strided_solution_views(tmp_path, monkeypatch):
             assert path.read_bytes() == want, writer
 
 
-@needs_cc
-def test_the_c_writer_hands_the_file_whole_chunks(tmp_path):
+def c_writer():
+    """The C writer, or a skip where it does not load."""
     states = output._c_write()
     if states is None:
         pytest.skip("the C writer cannot run here")
+    return states
+
+
+@needs_cc
+def test_the_c_writer_hands_the_file_whole_chunks(tmp_path):
+    states = c_writer()
     grid = CASES["chunks"]
     taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
     chunks = []
@@ -195,19 +202,65 @@ def test_the_c_writer_hands_the_file_whole_chunks(tmp_path):
     assert b"".join(chunks) == want[want.index(b"\n") + 1:]
 
 
+def states_refusals() -> dict:
+    """The C writer's refusals by case: (arguments after write, exception,
+    message), on three rows of two levels."""
+    taus, x = np.zeros(3), np.zeros((3, 2))
+    types = "states takes a float64 vector and two matrices"
+    shapes = ("states takes R taus and x and y of R rows and one column "
+              "count")
+    return {
+        "int-taus": ((np.zeros(3, dtype=int), x, x), TypeError, types),
+        "float32-x": ((taus, x.astype(np.float32), x), TypeError, types),
+        "vector-x": ((taus, np.zeros(3), x), TypeError, types),
+        "vector-y": ((taus, x, np.zeros(3)), TypeError, types),
+        "taus-rows": ((np.zeros(4), x, x), ValueError, shapes),
+        "y-rows": ((taus, x, np.zeros((4, 2))), ValueError, shapes),
+        "y-columns": ((taus, x, np.zeros((3, 3))), ValueError, shapes),
+        "three-arguments": ((taus, x), TypeError,
+                            "states takes (write, taus, x, y)"),
+    }
+
+
+STATES_REFUSALS = states_refusals()
+
+
+@pytest.mark.parametrize("case", list(STATES_REFUSALS))
+def test_the_c_writer_refuses_other_arguments(case):
+    # and writes nothing
+    states, chunks = c_writer(), []
+    args, exception, message = STATES_REFUSALS[case]
+    with pytest.raises(exception) as refused:
+        states(chunks.append, *args)
+    assert str(refused.value) == message
+    assert chunks == []
+
+
+def test_the_c_writer_passes_on_what_write_raises():
+    failure = KeyError("full")
+
+    def write(chunk):
+        raise failure
+
+    grid = CASES["uniform"]
+    with pytest.raises(KeyError) as raised:
+        c_writer()(write, grid[:, 0].copy(), grid[:, 1:6], grid[:, 6:])
+    assert raised.value is failure
+
+
 @pytest.mark.parametrize("repeated", [True, False],
                          ids=["repeated-values", "distinct-values"])
 def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path,
                                                          monkeypatch,
                                                          repeated):
-    # a sampled trajectory, mostly zeros and the rest multiples of 1/300,
-    # or an ODE-like solution whose cells are all distinct (5 columns, to
-    # keep the formatting short). The C writer holds one table and one
-    # chunk, allocated with PyMem_* and so traced, and the Python writer
-    # one block at a time, so ten times the rows may not raise the peak
-    # allocation
+    # a sampled trajectory, mostly zeros and the rest multiples of 1/300
+    # (21 columns), or an ODE-like solution whose cells are all distinct
+    # (5 columns); few columns keep the traced formatting short. The C
+    # writer holds one table and one chunk, allocated with PyMem_* and so
+    # traced, and the Python writer one block at a time, so ten times the
+    # rows may not raise the peak allocation
     rng = np.random.default_rng(9)
-    n = 50 if repeated else 2
+    n = 10 if repeated else 2
     for writer in _each_writer(monkeypatch):
         peaks = _write_peaks(tmp_path, rng, n, repeated)
         assert peaks[1] < 1.5 * peaks[0], writer
@@ -312,26 +365,17 @@ def test_manifest_is_strict_json(tmp_path, value):
     assert path.read_text().endswith('"x": [\n    1.0,\n    0.1\n  ]\n}\n')
 
 
-@pytest.fixture
-def fresh_writer_choice():
-    """Lets a test choose the state writer again, and the next test after
-    it."""
-    output._c_write.cache_clear()
-    yield
-    output._c_write.cache_clear()
-
-
 @needs_cc
 def test_the_c_writer_loads_where_a_compiler_is_found():
     # where cc and Python.h are found, the state CSVs are written in C; the
     # tests that run both writers then compare C with Python
-    if _cbuild._python_flags() is None:
+    if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     assert output._c_write() is not None
 
 
 def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
-                                                    fresh_writer_choice):
+                                                    fresh_extension_choice):
     # an interpreter without its headers: even with a compiler, nothing is
     # built and no cache directory is made, and the Python block writer
     # writes the reference bytes
@@ -366,20 +410,22 @@ DIFFERING = {
 @needs_cc
 @pytest.mark.parametrize("case", list(DIFFERING))
 def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
-                                                  fresh_writer_choice, case):
-    # the load-time check refuses it, and the state CSVs are then written
-    # by the Python block writer, with the reference bytes
-    if _cbuild._python_flags() is None:
+                                                  fresh_extension_choice, case):
+    # the writer's load-time check refuses it, and the state CSVs are then
+    # written by the Python block writer, with the reference bytes, while
+    # the flow of that library passes its own check and still loads
+    if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     statement, replacement, value, text = DIFFERING[case]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert _cwrite.SOURCE.count(statement) == 1
-    monkeypatch.setattr(_cwrite, "SOURCE",
-                        _cwrite.SOURCE.replace(statement, replacement))
-    agrees, checked = _cwrite._agrees, []
-    monkeypatch.setattr(_cwrite, "_agrees",
+    assert _cext.SOURCE.count(statement) == 1
+    monkeypatch.setattr(_cext, "SOURCE",
+                        _cext.SOURCE.replace(statement, replacement))
+    agrees, checked = _cext._states_agree, []
+    monkeypatch.setattr(_cext, "_states_agree",
                         lambda states: checked.append(states) or agrees(states))
     assert output._c_write() is None
+    assert ode._c_flow() is not None
     # it was built and loaded, and refused by the check
     states, = checked
     chunks = []
@@ -394,29 +440,32 @@ def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 @needs_cc
 def test_the_writer_c_compiles_without_warnings(tmp_path):
-    flags = _cbuild._python_flags()
-    if flags is None:
-        pytest.skip("no Python.h for this interpreter")
-    source = tmp_path / "write.c"
-    source.write_text(_cwrite.SOURCE)
-    built = subprocess.run(
-        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "write.so"), str(source)],
-        capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
+    # the writer's C is part of the extension's one source; the module
+    # built from it with warnings as errors writes the reference bytes
+    states = build_extension(tmp_path).states
+    grid = CASES["adversarial-n3"]
+    taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
+    chunks = []
+    states(chunks.append, taus, x, y)
+    header = (",".join(output.state_header(3)) + "\n").encode()
+    assert header + b"".join(chunks) == reference_bytes(taus, x, y)
 
 
 def test_the_writer_c_source_is_pinned():
-    # a machine rebuilds its cached writer library whenever the C source
-    # changes; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cwrite.SOURCE.encode()) == 0xdae83613
+    # the writer's own part of the extension's C source, from its cache
+    # entry to the module's method table; the extension's whole source,
+    # which keys its cached library, is pinned with the flow's tests
+    source = _cext.SOURCE
+    writer = source[source.index("/* a cached text"):
+                    source.index("static PyMethodDef")]
+    assert zlib.crc32(writer.encode()) == 0xb9b0f49d
 
 
 def test_runs_without_a_state_csv_leave_the_c_writer_unloaded(tmp_path):
-    # importing the command line and running the README converge, which
-    # writes no state CSV, neither imports the writer's module nor builds
-    # or loads its library; a simulate run, which writes trajectory.csv,
-    # imports it
+    # the README converge integrates the ODE, so its process loads the
+    # extension for the flow (or tries to), but it writes no state CSV and
+    # so never asks for the writer or runs the writer's load-time check;
+    # a simulate run, which writes trajectory.csv, does
     src = str(Path(lobfluid.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -424,17 +473,18 @@ def test_runs_without_a_state_csv_leave_the_c_writer_unloaded(tmp_path):
     model = ("'--n', '2', '--lambda-b', '1', '--lambda-s', '1', '--alpha', "
              "'1', '--beta', '1', '--gamma', '1', '--seed', '42'")
     code = (
-        "import contextlib, io, sys, lobfluid.cli\n"
+        "import contextlib, io, lobfluid.cli\n"
+        "from lobfluid import ode, output\n"
         "def main(*args):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert lobfluid.cli.main([*args, " + model + "]) == 0\n"
+        "    print(ode._c_flow.cache_info().currsize,\n"
+        "          output._c_write.cache_info().currsize)\n"
         "main('converge', '--levels', '10,100,1000', '--tau-horizon', '5',\n"
         f"     '--replicas', '50', '--out-dir', {str(tmp_path / 'c')!r})\n"
-        "print('lobfluid._cwrite' in sys.modules)\n"
         "main('simulate', '--scale', '10', '--tau-max', '1',\n"
-        f"     '--sample-dt', '0.5', '--out-dir', {str(tmp_path / 's')!r})\n"
-        "print('lobfluid._cwrite' in sys.modules)\n")
+        f"     '--sample-dt', '0.5', '--out-dir', {str(tmp_path / 's')!r})\n")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["False", "True"]
+    assert run.stdout.splitlines() == ["1 0", "1 1"]
