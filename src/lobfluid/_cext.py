@@ -1,15 +1,28 @@
 """The package's CPython extension module: the fluid right-hand side that
-scipy's ODEPACK extension calls from inside LSODA (`flow`), and the state
-CSV writer (`states`).
+scipy's ODEPACK extension calls from inside LSODA (`flow`), the state CSV
+writer (`states`), and the fixed-point solve with its residual (`solve`).
 
-`ode._c_flow` imports this module at the first `ode._solve` of a process
-and `output._c_write` at its first state CSV, so `import lobfluid` does
-not parse it; it imports no module of the package beyond `ode`, `model`
-and `_cbuild`, so an ODE run loads neither the simulator nor
-`subprocess` when the library is cached. Each accessor loads the one
-library and runs its own function's load-time check alone: a run that
-writes no state CSV never runs the writer's check, and a function
-refused by its check leaves the other in use.
+`ode._c_flow` imports this module at the first `ode._solve` of a process,
+`output._c_write` at its first state CSV and `fixed_point._c_solve` at its
+first fixed-point solve, so `import lobfluid` does not parse it; it
+imports no module of the package beyond `ode`, `model` and `_cbuild`
+(the solve's check imports `fixed_point`, its twin, when it runs), so an
+ODE run loads neither the simulator nor `subprocess` when the library is
+cached. The library is built and loaded once per process (`_extension`),
+and each accessor runs its own function's load-time check alone: a run
+that writes no state CSV never runs the writer's check, and a function
+refused by its check leaves the others in use.
+
+Division of work: each function is the compiled form of one Python twin,
+which is its load-time check's oracle and, where it cannot run, its
+fallback at every size:
+
+- `flow` for `ode._flow`, the fluid equations inside LSODA;
+- `states` for `output._write_state_blocks`, the per-row "%.17g" format;
+- `solve` for `fixed_point._pattern_solve` followed by
+  `fixed_point.fixed_point_residual`, the crossing-index solve behind
+  both solver names. `fixed_point._classify`, the trade volume and the
+  residual bound stay in Python.
 
 `flow(t, z, out, rates)`: z holds any number of stacked level-major
 states (x_1, y_1, x_2, y_2, ...) of 2N components each, out is a float64
@@ -20,6 +33,20 @@ equation makes `ode._flow`'s operations in its order, (inflow - (beta +
 alpha) * v) - gamma * min, and the min takes y on a tie, as numpy's
 elementwise minimum does, so one function serves every N and the stacked
 pair of a comparison check, with the numpy form's bits.
+
+`solve(rates, x, y)`: x and y are float64 arrays of N values. It writes
+the point that `fixed_point._pattern_solve` computes into x and y, with
+Python's operations in Python's order: `_kappa` and `_trials` with libm's
+`log`, `log1p` and `exp` (the functions behind Python's math module),
+`_over_exp` and the bisection with the first-wins `min` and `max` of
+Python, the trial's y below the crossing and the two `_chain` sweeps. It
+then packs the point and runs `flow`'s equations on it, and returns
+(trials, residual), the residual max |d| being `fixed_point_residual`'s
+bits. It returns None, and the caller runs the twin, where Python would
+raise (a zero divisor, a math domain or range error), where an arrival
+rate over alpha underflows to 0 (the twin then takes the logarithms
+apart), or where a trial's values, the point or its residual are not
+finite.
 
 `states(write, taus, x, y)`: taus is a float64 vector of R values and x
 and y are float64 matrices of R rows and N columns, read through the
@@ -45,6 +72,7 @@ or the function's load-time check finds it differing from that twin.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -59,11 +87,12 @@ from .ode import _flow, _pack
 
 MODULE = "lobfluid_ext"  # the extension's name; its init is PyInit_<name>
 CHECK_SIZES = (1, 2, 7, 60)  # level counts of the flow check's states
+SOLVE_SIZES = (1, 2, 7, 60, 178)  # level counts of the solve check's draws
 SEED = 2012  # of the load-time checks' draws
 
 # The extension module MODULE. flow checks its arguments, then runs each
 # state's levels in order; the expressions are _flow's, operation for
-# operation. The writer's table has 2**TABLE_BITS entries of 48 bytes. On
+# operation, and solve's are fixed_point's, in its order. The writer's table has 2**TABLE_BITS entries of 48 bytes. On
 # the benchmark's 4,001 x 101 trajectory (7,358 distinct patterns; a
 # shared 2-core Xeon, gcc 12.2, Python 3.11) the write took a median 13.3,
 # 10.2, 9.7, 9.1, 9.2 and 9.6 ms at 2**10, 2**12 ... 2**16 entries (48 KiB
@@ -71,6 +100,7 @@ SEED = 2012  # of the load-time checks' draws
 SOURCE = """\
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -79,6 +109,7 @@ SOURCE = """\
 #define CHUNK 65536
 #define FLOW_TYPES "flow takes float64 arrays"
 #define STATES_TYPES "states takes a float64 vector and two matrices"
+#define SOLVE_TYPES "solve takes float64 arrays"
 
 /* a view of a float64 buffer got with flags, of ndim dimensions (of any
    where ndim is 0), or -1 with an exception set: message, a TypeError,
@@ -162,6 +193,257 @@ flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyBuffer_Release(&out);
     }
     PyBuffer_Release(&z);
+    return result;
+}
+
+/* Python's n / d, math.log(v), math.log1p(v) and math.exp(v), with libm's
+   bits; each sets *bad where Python raises: a zero divisor, a math domain
+   error or an overflow */
+static double
+quotient(double n, double d, int *bad)
+{
+    *bad |= d == 0.0;
+    return n / d;
+}
+
+static double
+logarithm(double v, int *bad)
+{
+    *bad |= v <= 0.0;
+    return log(v);
+}
+
+static double
+logarithm1p(double v, int *bad)
+{
+    *bad |= v <= -1.0;
+    return log1p(v);
+}
+
+static double
+exponential(double v, int *bad)
+{
+    const double e = exp(v);
+
+    *bad |= isinf(e) && isfinite(v);
+    return e;
+}
+
+/* the constants of fixed_point._trials, computed once per solve */
+struct trials {
+    Py_ssize_t n;
+    double kappa, one_minus_kappa, log_r, log_rho, log_k, log_lb, log_ls;
+};
+
+/* fixed_point._kappa's (kappa, 1 - kappa) into t */
+static void
+kappa(double a, double b, double g, struct trials *t, int *bad)
+{
+    double q = b * (2.0 * a + b + g);
+
+    if (!(q < HUGE_VAL && g * a < HUGE_VAL) || g * a + q == 0.0) {
+        double m = a;  /* max(a, b, g): the first of the largest */
+
+        if (b > m)
+            m = b;
+        if (g > m)
+            m = g;
+        a = quotient(a, m, bad);
+        b = quotient(b, m, bad);
+        g = quotient(g, m, bad);
+        q = b * (2.0 * a + b + g);
+    }
+    t->kappa = quotient(g * a, g * a + q, bad);
+    t->one_minus_kappa = quotient(q, g * a + q, bad);
+}
+
+/* the quotient ratio's math.log; a ratio that underflowed to 0 is left to
+   the Python solve, which takes the logarithms apart */
+static double
+log_ratio(double rate, double a, int *bad)
+{
+    const double ratio = quotient(rate, a, bad);
+
+    *bad |= ratio == 0.0;
+    return *bad ? 0.0 : logarithm(ratio, bad);
+}
+
+/* fixed_point._over_exp: d / exp(log_w), saturating near 1e300 */
+static double
+over_exp(double d, double log_w, int *bad)
+{
+    double power;
+
+    if (d == 0.0)
+        return 0.0;
+    power = logarithm(fabs(d), bad) - log_w;
+    return copysign(exponential(690.0 < power ? 690.0 : power, bad), d);
+}
+
+/* the trial at crossing index ell, (X, Y, log_s), into out */
+static void
+trial(const struct trials *t, Py_ssize_t ell, double *out, int *bad)
+{
+    const double log_a = t->log_lb + (double) ell * t->log_r;
+    const double log_b = t->log_ls + (double) (t->n - ell) * t->log_r;
+    const double log_s = log_b > log_a ? log_b : log_a;
+    const double rhs_a = exponential(log_a - log_s, bad);
+    const double rhs_b = exponential(log_b - log_s, bad);
+    const double log_u = (double) ell * t->log_rho;
+    const double log_v = (double) (t->n - ell) * t->log_rho;
+    double log_w = t->log_k, u, v, det, num_x, num_y;
+
+    if (log_u > log_w)
+        log_w = log_u;
+    if (log_v > log_w)
+        log_w = log_v;
+    u = exponential(log_u - log_w, bad);
+    v = exponential(log_v - log_w, bad);
+    det = (exponential(t->log_k - log_w, bad)
+           + t->kappa * t->kappa * (u + v - u * exponential(log_v, bad)));
+    num_x = (over_exp(rhs_a - rhs_b + t->one_minus_kappa * rhs_b, log_w, bad)
+             + t->kappa * u * rhs_b);
+    num_y = (over_exp(rhs_b - rhs_a + t->one_minus_kappa * rhs_a, log_w, bad)
+             + t->kappa * v * rhs_a);
+    out[0] = quotient(num_x, det, bad);
+    out[1] = quotient(num_y, det, bad);
+    out[2] = log_s;
+}
+
+/* fixed_point._pattern_solve into x and y; its trial count, or -1 where
+   Python would raise or a trial's values are not finite */
+static Py_ssize_t
+pattern(const double *r, double *x, double *y)
+{
+    const Py_ssize_t n = (Py_ssize_t) r[0];
+    const double a = r[3], b = r[4], g = r[5];
+    const double bpa = b + a, bpag = bpa + g;
+    struct trials t;
+    Py_ssize_t lo = 0, hi = n, ell, trials = 0, k;
+    double c, found[3], level_y, gain, u;
+    int bad = 0;
+
+    t.n = n;
+    kappa(a, b, g, &t, &bad);
+    t.log_r = -logarithm1p(quotient(b, a, &bad), &bad);
+    t.log_rho = t.log_r - logarithm1p(quotient(b + g, a, &bad), &bad);
+    t.log_k = (t.one_minus_kappa > 0.0
+               ? logarithm(t.one_minus_kappa * (1.0 + t.kappa), &bad)
+               : -HUGE_VAL);
+    t.log_lb = log_ratio(r[1], a, &bad);
+    t.log_ls = log_ratio(r[2], a, &bad);
+    c = quotient(a, a + b + g, &bad);
+    if (bad)
+        return -1;
+    for (;;) {
+        ell = (lo + hi) / 2;
+        trial(&t, ell, found, &bad);
+        trials++;
+        if (bad || !(isfinite(found[0]) && isfinite(found[1])
+                     && isfinite(found[2])))
+            return -1;
+        if (c * found[0] > found[1] && ell < hi)
+            lo = ell + 1;
+        else if (found[0] < c * found[1] && ell > lo)
+            hi = ell - 1;
+        else
+            break;
+    }
+    /* the trial's y below the crossing; above it min = x, so y does not
+       cap x */
+    level_y = found[1] * exponential(found[2], &bad);
+    for (k = n - 1; k >= ell; k--)
+        y[k] = HUGE_VAL;
+    for (k = ell - 1; k >= 0; k--) {
+        level_y *= c;
+        y[k] = level_y;
+    }
+    /* fixed_point._chain forward against y, then backward against x */
+    for (gain = r[1], k = 0; k < n; k++) {
+        u = quotient(gain, bpag, &bad);
+        if (!(u <= y[k]))
+            u = quotient(gain - g * y[k], bpa, &bad);
+        x[k] = u;
+        gain = a * u;
+    }
+    for (gain = r[2], k = n - 1; k >= 0; k--) {
+        u = quotient(gain, bpag, &bad);
+        if (!(u <= x[k]))
+            u = quotient(gain - g * x[k], bpa, &bad);
+        y[k] = u;
+        gain = a * u;
+    }
+    return bad ? -1 : trials;
+}
+
+/* fixed_point.fixed_point_residual: the largest |equation| at the point,
+   packed level-major; NAN where one is not finite or memory runs out */
+static double
+residual(const double *r, const double *x, const double *y)
+{
+    const Py_ssize_t n = (Py_ssize_t) r[0];
+    double *v = PyMem_Malloc(4 * (size_t) n * sizeof(double));
+    double largest = 0.0;
+    Py_ssize_t k;
+
+    if (v == NULL)
+        return NAN;
+    for (k = 0; k < n; k++) {
+        v[2 * k] = x[k];
+        v[2 * k + 1] = y[k];
+    }
+    equations(v, v + 2 * n, 2 * n, 2 * n, r);
+    for (k = 2 * n; k < 4 * n; k++) {
+        if (!isfinite(v[k])) {
+            largest = NAN;
+            break;
+        }
+        if (fabs(v[k]) > largest)
+            largest = fabs(v[k]);
+    }
+    PyMem_Free(v);
+    return largest;
+}
+
+static PyObject *
+solve(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer rates, x, y;
+    PyObject *result = NULL;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "solve takes (rates, x, y)");
+        return NULL;
+    }
+    if (doubles(args[0], &rates, PyBUF_C_CONTIGUOUS, 0, SOLVE_TYPES) < 0)
+        return NULL;
+    if (doubles(args[1], &x, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS, 0,
+                SOLVE_TYPES) == 0) {
+        if (doubles(args[2], &y, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS, 0,
+                    SOLVE_TYPES) == 0) {
+            const double n = rates.len == 6 * (Py_ssize_t) sizeof(double)
+                ? ((const double *) rates.buf)[0] : 0.0;
+            const Py_ssize_t size = x.len / (Py_ssize_t) sizeof(double);
+
+            if (!(n >= 1.0 && n == (double) size) || y.len != x.len)
+                PyErr_SetString(PyExc_ValueError,
+                                "solve takes the rates (N, lambda_b, "
+                                "lambda_s, alpha, beta, gamma) and x and y "
+                                "of N values");
+            else {
+                const Py_ssize_t trials = pattern(rates.buf, x.buf, y.buf);
+                const double largest = trials < 0 ? NAN
+                    : residual(rates.buf, x.buf, y.buf);
+
+                result = isfinite(largest)
+                    ? Py_BuildValue("(nd)", trials, largest)
+                    : Py_NewRef(Py_None);
+            }
+            PyBuffer_Release(&y);
+        }
+        PyBuffer_Release(&x);
+    }
+    PyBuffer_Release(&rates);
     return result;
 }
 
@@ -310,6 +592,9 @@ states(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"flow", (PyCFunction) (void (*)(void)) flow, METH_FASTCALL,
      "flow(t, z, out, rates): the fluid equations of z, written into out"},
+    {"solve", (PyCFunction) (void (*)(void)) solve, METH_FASTCALL,
+     "solve(rates, x, y): the fixed point into x and y, and (trials, "
+     "residual), or None where the Python solve must run"},
     {"states", (PyCFunction) (void (*)(void)) states, METH_FASTCALL,
      "states(write, taus, x, y): the rows taus[i], x[i], y[i] as CSV text, "
      "handed to write in chunks"},
@@ -429,6 +714,52 @@ def _states_agree(states) -> bool:
     return b"".join(chunks) == want.encode()
 
 
+def _solve_draws(rng: random.Random):
+    """The parameters of the solve's check: at each SOLVE_SIZES level
+    count, rates drawn log-uniform on [0.1, 10] in six kinds, arrivals
+    within a factor 1e3 of each other (mostly regime iii beyond one
+    level), buyers and sellers 1e100 times the other side's arrivals
+    (regimes i and ii), beta 0 at balanced and at unbalanced arrivals,
+    and alpha and gamma scaled by 1e200, so gamma alpha overflows."""
+    for n in SOLVE_SIZES:
+        for kind in range(6):
+            lambda_b, alpha, beta, gamma = (
+                math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+                for _ in range(4))
+            lambda_s = lambda_b * 10.0 ** rng.uniform(-3.0, 3.0)
+            if kind == 1:
+                lambda_s = lambda_b * 1e-100
+            elif kind == 2:
+                lambda_s = lambda_b * 1e100
+            elif kind == 3:
+                beta, lambda_s = 0.0, lambda_b
+            elif kind == 4:
+                beta = 0.0
+            elif kind == 5:
+                alpha, gamma = alpha * 1e200, gamma * 1e200
+            yield ModelParams(n, lambda_b, lambda_s, alpha, beta, gamma)
+
+
+def _solve_agrees(solve) -> bool:
+    """The solve's load-time check: on each of `_solve_draws`, seeded
+    SEED, solve writes the x and y of its Python twin,
+    `fixed_point._pattern_solve`, and returns its trial count and the
+    bytes of `fixed_point.fixed_point_residual` at that point."""
+    from .fixed_point import _pattern_solve, fixed_point_residual
+
+    for p in _solve_draws(random.Random(SEED)):
+        x, y = np.empty(p.n_levels), np.empty(p.n_levels)
+        found = solve(rates(p), x, y)
+        want_x, want_y, trials = _pattern_solve(p)
+        residual = fixed_point_residual(want_x, want_y, p)
+        if (not isinstance(found, tuple)
+                or (found[0], found[1].hex()) != (trials, residual.hex())
+                or x.tobytes() != want_x.tobytes()
+                or y.tobytes() != want_y.tobytes()):
+            return False
+    return True
+
+
 def _python_flags():
     """The include flag of the interpreter's headers, or None where it has
     no Python.h."""
@@ -450,15 +781,25 @@ def _module(path: str):
     return module
 
 
+@functools.cache
+def _extension():
+    """The extension module, built and loaded once per process (where the
+    cache cannot be written, each build is private to its process); None
+    where it cannot be."""
+    return _cbuild.library("ext", SOURCE,
+                           importlib.machinery.EXTENSION_SUFFIXES[0],
+                           _module, _python_flags)
+
+
 def load(name: str):
-    """The extension's function name ("flow" or "states") where the library
-    builds and loads and the function passes its own load-time check
-    (`_flow_agrees` or `_states_agree`); else None."""
-    extension = _cbuild.library("ext", SOURCE,
-                                importlib.machinery.EXTENSION_SUFFIXES[0],
-                                _module, _python_flags)
+    """The extension's function name ("flow", "states" or "solve") where
+    the library builds and loads and the function passes its own load-time
+    check (`_flow_agrees`, `_states_agree` or `_solve_agrees`); else
+    None."""
+    extension = _extension()
     if extension is None:
         return None
     function = getattr(extension, name)
-    agrees = _flow_agrees if name == "flow" else _states_agree
+    agrees = {"flow": _flow_agrees, "states": _states_agree,
+              "solve": _solve_agrees}[name]
     return function if agrees(function) else None

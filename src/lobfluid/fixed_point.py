@@ -41,6 +41,23 @@ returned point carries its residual, and a residual above
 1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge instead of
 returning a non-solution.
 
+Division of work, behind both names (_solve):
+
+- the C solve (`solve` of the extension `_cext`, loaded by _c_solve at the
+  first solve of a process): one CPython extension function that writes
+  the point into two float64 arrays and returns (trials, residual), with
+  _pattern_solve's operations in its order and fixed_point_residual's
+  bits, so a solve runs no Python per trial or level. Its load-time
+  check, the only one _c_solve runs, compares it with the twin byte for
+  byte. It leaves to the twin every point where Python would raise, or
+  where a value is not finite.
+- where the C solve cannot run (no compiler, no Python.h, a failed build
+  or check), _pattern_solve and then fixed_point_residual, at every N:
+  the solve's one Python twin, its oracle and its fallback.
+
+_classify, the trade volume and the residual bound (_package) run in
+Python on either route.
+
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
 broken line, the middle equations push it forward level by level with
@@ -49,6 +66,7 @@ slopes that only steepen, and the last equation cuts the image once.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -247,10 +265,10 @@ def trade_volume(fp: FixedPoint, params: ModelParams) -> float:
     return float(params.gamma * np.minimum(fp.x_star, fp.y_star).sum())
 
 
-def _package(
-    x: np.ndarray, y: np.ndarray, params: ModelParams, solver: str, iters: int
-) -> FixedPoint:
-    res = fixed_point_residual(x, y, params)
+def _package(params: ModelParams, solver: str) -> FixedPoint:
+    """The solve's point with its residual, crossing index, regime and
+    trade volume; raises ResidualTooLarge above the bound."""
+    x, y, iters, res = _solve(params)
     bound = RESIDUAL_REL * max(1.0, params.lambda_b, params.lambda_s)
     if not res <= bound:
         raise ResidualTooLarge(
@@ -307,6 +325,13 @@ def _kappa(a: float, b: float, g: float) -> tuple[float, float]:
     return g * a / (g * a + q), q / (g * a + q)
 
 
+def _log_ratio(rate: float, a: float) -> float:
+    """log(rate / a); where the quotient underflows to 0 (rate 1e-300 at
+    alpha 1e300), log(rate) - log(a)."""
+    ratio = rate / a
+    return math.log(ratio) if ratio > 0.0 else math.log(rate) - math.log(a)
+
+
 def _trials(p: ModelParams) -> Callable[[int], tuple[float, float, float]]:
     """The linear solve for a trial crossing index, as a function of ell
     that returns (X, Y, log_s): X = x_ell and Y = y_(ell+1), both divided
@@ -324,7 +349,7 @@ def _trials(p: ModelParams) -> Callable[[int], tuple[float, float, float]]:
     log_rho = log_r - math.log1p((b + g) / a)
     log_k = (math.log(one_minus_kappa * (1.0 + kappa)) if one_minus_kappa > 0
              else -math.inf)
-    log_lb, log_ls = math.log(p.lambda_b / a), math.log(p.lambda_s / a)
+    log_lb, log_ls = _log_ratio(p.lambda_b, a), _log_ratio(p.lambda_s, a)
 
     def trial(ell: int) -> tuple[float, float, float]:
         log_a = log_lb + ell * log_r
@@ -376,14 +401,38 @@ def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
     return np.fromiter(x, float, n), np.fromiter(y, float, n), trials
 
 
+@functools.cache
+def _c_solve():
+    """The crossing-index solve and its residual in C
+    (`_cext.load("solve")`), or None where it cannot run; loaded, and
+    built where it is not cached, at the first solve of the process."""
+    from . import _cext
+    return _cext.load("solve")
+
+
+def _solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(x, y, trials, residual): the C solve where it loaded and returns a
+    point, else its one Python twin, _pattern_solve and then
+    fixed_point_residual, at every N."""
+    solve = _c_solve()
+    if solve is not None:
+        from ._cext import rates
+
+        x, y = np.empty(p.n_levels), np.empty(p.n_levels)
+        found = solve(rates(p), x, y)
+        if found is not None:
+            return x, y, *found
+    x, y, trials = _pattern_solve(p)
+    return x, y, trials, fixed_point_residual(x, y, p)
+
+
 def solve_shooting(params: ModelParams) -> FixedPoint:
     """Fixed point by bisection on the crossing index over [0, N], then one
     implicit sweep against the solved pattern.
 
     Raises ResidualTooLarge if the result misses its residual bound.
     """
-    x, y, trials = _pattern_solve(params)
-    return _package(x, y, params, "shooting", trials)
+    return _package(params, "shooting")
 
 
 def solve_recursive(params: ModelParams) -> FixedPoint:
@@ -394,5 +443,4 @@ def solve_recursive(params: ModelParams) -> FixedPoint:
     independent check. Raises ResidualTooLarge if the result misses its
     residual bound.
     """
-    x, y, trials = _pattern_solve(params)
-    return _package(x, y, params, "recursive-implicit", trials)
+    return _package(params, "recursive-implicit")

@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lobfluid import EventCounters, _cbuild, _cext, ode, output
+from lobfluid import EventCounters, _cbuild, _cext, fixed_point, ode, output
 from lobfluid.simulate import _Chain
 
 
@@ -25,15 +25,20 @@ def private_library_cache(tmp_path_factory):
         yield
 
 
+def _clear_extension_choice():
+    for cached in (_cext._extension, ode._c_flow, output._c_write,
+                   fixed_point._c_solve):
+        cached.cache_clear()
+
+
 @pytest.fixture
 def fresh_extension_choice():
-    """Lets a test load the extension's flow and writer again, and the
-    next test after it: clears the cache of both accessors."""
-    ode._c_flow.cache_clear()
-    output._c_write.cache_clear()
+    """Lets a test load the extension and its flow, writer and solve
+    again, and the next test after it: clears the module's cache and the
+    cache of each accessor."""
+    _clear_extension_choice()
     yield
-    ode._c_flow.cache_clear()
-    output._c_write.cache_clear()
+    _clear_extension_choice()
 
 
 def run_chain(params, scale, init, t_end, sample_ts, rng, max_events):

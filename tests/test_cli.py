@@ -498,6 +498,24 @@ def test_solve_with_overflowing_gamma_alpha(tmp_path, capsys):
     assert "x* = (6.666666667e-201, 3.333333333e-201)" in out
 
 
+def test_arrivals_far_below_alpha_exit_0(tmp_path, capsys):
+    # an arrival rate over alpha underflows to 0 (1e-300 / 1e300): the
+    # solve takes the logarithms apart, where it once exited 2 with
+    # "config error: math domain error"
+    code, out, err = run(capsys, [
+        "solve", "--n", "1", "--lambda-b", "1e-300", "--lambda-s", "1",
+        "--alpha", "1e300", "--beta", "0", "--gamma", "1",
+        "--out-dir", str(tmp_path / "solve")])
+    assert code == 0, err
+    assert "regime (ii), ell = 0" in out
+    code, out, err = run(capsys, [
+        "sweep", "--n", "2", "--lambda-b", "1", "--lambda-s", "1",
+        "--alpha", "1e300", "--beta", "0", "--gamma", "1",
+        "--lambda-s-values", "1e-300,1", "--out-dir", str(tmp_path / "sweep")])
+    assert code == 0, err
+    assert "lambda_s=1e-300: regime (i), ell=2" in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

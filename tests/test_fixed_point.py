@@ -1,9 +1,13 @@
 """Fixed-point solvers, the forward broken-line map, and regime structure."""
 
 import hashlib
+import math
+import random
+import shutil
 
 import numpy as np
 import pytest
+from conftest import build_extension
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +27,7 @@ from lobfluid import (
     step_map,
     trade_volume,
 )
-from lobfluid import fixed_point
+from lobfluid import _cext, fixed_point, ode, output
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -376,6 +380,16 @@ def test_balanced_beta_zero_profile_is_symmetric():
          log_ratio=0.0)
 @example(n=50, alpha=1e-100, beta=0.0, gamma_ratio=1e-200, lambda_b=2.0,
          log_ratio=-3.0)
+# lambda_b / alpha underflows to 0 (1e-300 / 1e300), where the log of the
+# quotient raised a math domain error: regime ii
+@example(n=1, alpha=1e300, beta=0.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
+@example(n=1, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
+@example(n=5, alpha=1e300, beta=0.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
+@example(n=5, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
 def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
                                          log_ratio):
     assert_solvers_agree(ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio,
@@ -458,8 +472,23 @@ def test_solver_bits_over_the_admissible_range():
 
 
 def test_non_solution_raises(monkeypatch):
-    p = params(n=3)
+    # the residual check runs on the C solve's point where it loads, and
+    # on the Python twin's elsewhere: a bound below the residual of a
+    # true solve raises on either route, and so does a twin that returns
+    # a point off the fixed point
+    p = ModelParams(3, 1.3, 0.7, 0.9, 0.4, 2.5)
     x, y, _ = fixed_point._pattern_solve(p)
+    residual = fixed_point_residual(x, y, p)
+    assert residual > 0.0
+    for c_solve in (fixed_point._c_solve(), None):
+        monkeypatch.setattr(fixed_point, "_c_solve",
+                            lambda c_solve=c_solve: c_solve)
+        with monkeypatch.context() as patch:
+            patch.setattr(fixed_point, "RESIDUAL_REL", residual / 2.0)
+            for solve in (solve_shooting, solve_recursive):
+                with pytest.raises(ResidualTooLarge,
+                                   match=f"residual {residual:.3e} exceeds"):
+                    solve(p)
     monkeypatch.setattr(fixed_point, "_pattern_solve",
                         lambda p: (x * 1.01, y, 1))
     with pytest.raises(ResidualTooLarge):
@@ -473,3 +502,216 @@ def test_downward_crossing_raises_typed_error(monkeypatch):
     monkeypatch.setattr(fixed_point, "_advance", lambda v, w, p: (1.0, 0.1))
     with pytest.raises(InvariantViolation):
         map_jacobian_check(BrokenLinePoint(0.1, 0.5, 1), params(n=2))
+
+
+# ------------------------------------------------------------- the C solve
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler cc on PATH")
+
+
+def c_solve():
+    """The C solve, or a skip where it does not load."""
+    solve = fixed_point._c_solve()
+    if solve is None:
+        pytest.skip("the C solve does not load here")
+    return solve
+
+
+def c_result(solve, p):
+    """(x bytes, y bytes, trials, residual hex) of the C solve, or None
+    where it leaves the point to the Python twin."""
+    x, y = np.empty(p.n_levels), np.empty(p.n_levels)
+    found = solve(_cext.rates(p), x, y)
+    if found is None:
+        return None
+    trials, residual = found
+    return x.tobytes(), y.tobytes(), trials, residual.hex()
+
+
+def twin_result(p):
+    """The same of the Python twin, or the exception it raises."""
+    try:
+        x, y, trials = fixed_point._pattern_solve(p)
+    except (ArithmeticError, ValueError) as error:
+        return error
+    residual = fixed_point_residual(x, y, p)
+    return x.tobytes(), y.tobytes(), trials, residual.hex()
+
+
+def defers(p, twin) -> bool:
+    """Whether the C solve leaves p to the twin: where the twin raises, a
+    value of its point or residual is not finite, or an arrival rate over
+    alpha underflows to 0."""
+    if isinstance(twin, Exception):
+        return True
+    x, y = (np.frombuffer(b) for b in twin[:2])
+    return (not (np.isfinite(x).all() and np.isfinite(y).all()
+                 and math.isfinite(float.fromhex(twin[3])))
+            or p.lambda_b / p.alpha == 0.0 or p.lambda_s / p.alpha == 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1000),
+    alpha=st.floats(0.1, 10.0),
+    beta=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    gamma_ratio=st.floats(1e-2, 1e4),
+    lambda_b=st.floats(0.1, 10.0),
+    log_ratio=st.floats(-6.0, 6.0),
+)
+# the examples of test_solvers_over_parameter_extremes
+@example(n=3, alpha=1.0, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=1000, alpha=1.0, beta=1e155, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=1, alpha=1.0, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=3.0)
+@example(n=3, alpha=1.0, beta=1e100, gamma_ratio=1e300, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=50, alpha=1e-100, beta=0.0, gamma_ratio=1e-200, lambda_b=2.0,
+         log_ratio=-3.0)
+# those of test_solvers_where_gamma_alpha_overflows
+@example(n=1, alpha=1e200, beta=0.0, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=50, alpha=1e200, beta=1.0, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+@example(n=1000, alpha=1e200, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
+         log_ratio=0.0)
+# where the C solve defers: lambda_b / alpha underflows to 0 (the twin
+# solves it), and lambda_b / alpha overflows (the twin's point is NaN)
+@example(n=1, alpha=1e300, beta=0.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
+@example(n=5, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
+         log_ratio=300.0)
+@example(n=3, alpha=1e-10, beta=0.0, gamma_ratio=1.0, lambda_b=1e300,
+         log_ratio=-300.0)
+def test_the_c_solve_matches_its_python_twin(n, alpha, beta, gamma_ratio,
+                                             lambda_b, log_ratio):
+    p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
+                    alpha * gamma_ratio)
+    got, want = c_result(c_solve(), p), twin_result(p)
+    if defers(p, want):
+        assert got is None
+    else:
+        assert got == want
+
+
+@needs_cc
+def test_the_c_solve_loads_where_a_compiler_is_found():
+    # where cc and Python.h are found, both solver names run the C solve;
+    # the tests that compare it with its twin then compare C with Python
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    assert fixed_point._c_solve() is not None
+
+
+def test_the_solve_check_covers_every_regime():
+    # the load-time check's draws: regimes i, ii and iii, beta = 0 at
+    # balanced and at unbalanced arrivals, gamma alpha overflowing, and
+    # N = 1, on each of which the Python twin returns within the bound
+    draws = list(_cext._solve_draws(random.Random(_cext.SEED)))
+    points = [(p, solve_recursive(p)) for p in draws]
+    assert {fp.regime for _, fp in points} == {"i", "ii", "iii"}
+    zero_beta = [p for p in draws if p.beta == 0.0]
+    assert any(p.lambda_b == p.lambda_s for p in zero_beta)
+    assert any(p.lambda_b != p.lambda_s for p in zero_beta)
+    assert any(p.gamma * p.alpha == math.inf for p in draws)
+    assert any(p.n_levels == 1 for p in draws)
+    assert all(fp.residual <= residual_bound(p) for p, fp in points)
+
+
+def test_both_solver_names_take_the_c_solve(monkeypatch):
+    # the C solve, where it loads, gives both names their point, with the
+    # bits of the Python twin
+    p = ModelParams(178, 1.7, 0.6, 0.910499, 1.495533, 9104.99)
+    solve, calls = c_solve(), []
+    monkeypatch.setattr(fixed_point, "_c_solve", lambda: lambda *args: (
+        calls.append(args) or solve(*args)))
+    points = [f(p) for f in (solve_recursive, solve_shooting)]
+    assert len(calls) == 2
+    for fp in points:
+        assert (fp.x_star.tobytes(), fp.y_star.tobytes(), fp.iterations,
+                fp.residual.hex()) == twin_result(p)
+
+
+# the solve's (beta + alpha) + gamma regrouped, and one of its
+# multiply-adds fused
+SOLVE_MUTATIONS = {
+    "regrouped": ("bpag = bpa + g", "bpag = b + (a + g)"),
+    "fused": ("gain - g * y[k]", "fma(-g, y[k], gain)"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("case", list(SOLVE_MUTATIONS))
+def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
+                                                 fresh_extension_choice, case):
+    # the library builds, loads and runs, but its solve's bits are not
+    # the twin's: the solve's load-time check refuses it, and both solver
+    # names run the twin, while the flow and the writer of that library
+    # pass their own checks and still load
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    statement, replacement = SOLVE_MUTATIONS[case]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _cext.SOURCE.count(statement) == 1
+    monkeypatch.setattr(_cext, "SOURCE",
+                        _cext.SOURCE.replace(statement, replacement))
+    agrees, checked = _cext._solve_agrees, []
+    monkeypatch.setattr(_cext, "_solve_agrees",
+                        lambda solve: checked.append(solve) or agrees(solve))
+    assert fixed_point._c_solve() is None
+    assert ode._c_flow() is not None
+    assert output._c_write() is not None
+    # it was built and loaded, and refused by the check
+    solve, = checked
+    p = params(n=4)
+    assert solve(_cext.rates(p), np.empty(4), np.empty(4)) is not None
+    fp = solve_recursive(p)
+    assert (fp.x_star.tobytes(), fp.y_star.tobytes(), fp.iterations,
+            fp.residual.hex()) == twin_result(p)
+
+
+@needs_cc
+def test_the_solve_c_compiles_without_warnings(tmp_path):
+    # the solve's C is part of the extension's one source; the module
+    # built from it with warnings as errors gives the twin's bits
+    solve = build_extension(tmp_path).solve
+    for p in pinned_params():
+        assert c_result(solve, p) == twin_result(p), p
+
+
+def solve_refusals() -> dict:
+    """The C solve's refusals by case: (arguments, exception, message), at
+    N = 2. A message of None is numpy's, the buffer exporter's, and is
+    not pinned."""
+    rates, x, y = _cext.rates(params(n=2)), np.empty(2), np.empty(2)
+    read_only = y.copy()
+    read_only.flags.writeable = False
+    types = "solve takes float64 arrays"
+    sizes = ("solve takes the rates (N, lambda_b, lambda_s, alpha, beta, "
+             "gamma) and x and y of N values")
+    return {
+        "two-arguments": ((rates, x), TypeError, "solve takes (rates, x, y)"),
+        "int64-rates": ((rates.astype(np.int64), x, y), TypeError, types),
+        "float32-x": ((rates, x.astype(np.float32), y), TypeError, types),
+        "list-y": ((rates, x, [0.0, 0.0]), TypeError, None),
+        "read-only-y": ((rates, x, read_only), ValueError, None),
+        "short-rates": ((rates[:5], x, y), ValueError, sizes),
+        "n-zero": ((np.array([0.0, *rates[1:]]), np.empty(0), np.empty(0)),
+                   ValueError, sizes),
+        "n-fractional": ((np.array([1.5, *rates[1:]]), x, y), ValueError,
+                         sizes),
+        "y-longer": ((rates, x, np.empty(3)), ValueError, sizes),
+    }
+
+
+@pytest.mark.parametrize("case", list(solve_refusals()))
+def test_the_c_solve_refuses_other_arguments(case):
+    solve = c_solve()
+    args, error, message = solve_refusals()[case]
+    with pytest.raises(error) as raised:
+        solve(*args)
+    if message is not None:
+        assert str(raised.value) == message

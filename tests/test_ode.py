@@ -15,7 +15,8 @@ import pytest
 from conftest import build_extension, fused_flags, fuses
 
 import lobfluid
-from lobfluid import _cbuild, _cext, cli, fixed_point_residual, ode, output
+from lobfluid import (_cbuild, _cext, cli, fixed_point, fixed_point_residual,
+                      ode, output)
 from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
@@ -341,6 +342,26 @@ def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
     assert (states.tobytes(), nfe) == (want.tobytes(), want_nfe)
 
 
+@needs_cc
+def test_the_extension_is_built_once_per_process(tmp_path, monkeypatch,
+                                                 fresh_extension_choice):
+    # where the cache cannot be written (XDG_CACHE_HOME names a file) the
+    # library is built for the process alone; its flow, writer and solve
+    # still share that one build
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    build, builds = _cbuild._build, []
+    monkeypatch.setattr(_cbuild, "_build",
+                        lambda *args: builds.append(args) or build(*args))
+    assert ode._c_flow() is not None
+    assert output._c_write() is not None
+    assert fixed_point._c_solve() is not None
+    assert len(builds) == 1
+
+
 # each equation's two subtractions regrouped into one
 REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
              ("y_in - bpa * y - trade", "y_in - (bpa * y + trade)")]
@@ -396,9 +417,9 @@ def test_the_flow_c_compiles_without_warnings(tmp_path):
 
 def test_the_flow_c_source_is_pinned():
     # the flow's library is the extension: a machine rebuilds its cached
-    # library whenever the extension's C source changes, the flow's or the
-    # writer's; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cext.SOURCE.encode()) == 0x1663d18e
+    # library whenever the extension's C source changes, the flow's, the
+    # writer's or the solve's; a change to it updates this crc32 on purpose
+    assert zlib.crc32(_cext.SOURCE.encode()) == 0x330fa96b
 
 
 def flow_refusals() -> dict:
