@@ -6,19 +6,21 @@ writer (`states`), and the fixed-point solve with its residual (`solve`).
 `output._c_write` at its first state CSV and `fixed_point._c_solve` at its
 first fixed-point solve, so `import lobfluid` does not parse it; it
 imports no module of the package beyond `ode`, `model` and `_cbuild`
-(the solve's check imports `fixed_point`, its twin, when it runs), so an
-ODE run loads neither the simulator nor `subprocess` when the library is
-cached. The library is built and loaded once per process (`_extension`),
-and each accessor runs its own function's load-time check alone: a run
-that writes no state CSV never runs the writer's check, and a function
-refused by its check leaves the others in use.
+(the writer's check imports `output` and the solve's `fixed_point`, each
+its function's twin, when it runs), so an ODE run loads neither the
+simulator nor `subprocess` when the library is cached. The library is
+built and loaded once per process (`_extension`), and each accessor runs
+its own function's load-time check alone: a run that writes no state CSV
+never runs the writer's check, and a function refused by its check leaves
+the others in use.
 
 Division of work: each function is the compiled form of one Python twin,
 which is its load-time check's oracle and, where it cannot run, its
 fallback at every size:
 
 - `flow` for `ode._flow`, the fluid equations inside LSODA;
-- `states` for `output._write_state_blocks`, the per-row "%.17g" format;
+- `states` for `output._state_rows` in the format `output._state_line`,
+  the per-row "%.17g" format, written by `_write_rows` as every CSV is;
 - `solve` for `fixed_point._pattern_solve` followed by
   `fixed_point.fixed_point_residual`, the crossing-index solve behind
   both solver names. `fixed_point._classify`, the trade volume and the
@@ -700,15 +702,16 @@ def _states_agree(states) -> bool:
     """The writer's load-time check: on CHECK_ROWS rows of CHECK_LEVELS
     levels whose cells are `_cells`, read as strided views of one matrix
     (taus its first column, x its odd columns, y its even ones in reverse
-    row order), states writes the bytes of the per-row format
-    `"%.17g,...\\n" % row`."""
+    row order), states writes the bytes of its Python twin, the rows of
+    `output._state_rows` in the format `output._state_line`."""
+    from .output import _state_line, _state_rows
+
     width = 1 + 2 * CHECK_LEVELS
     matrix = _cells(random.Random(SEED), CHECK_ROWS * width).reshape(
         CHECK_ROWS, width)
     taus, x, y = matrix[:, 0], matrix[:, 1::2], matrix[::-1, 2::2]
-    line = ",".join(["%.17g"] * width) + "\n"
-    want = "".join(line % (tau, *xi, *yi) for tau, xi, yi
-                   in zip(taus.tolist(), x.tolist(), y.tolist()))
+    line = _state_line(CHECK_LEVELS)
+    want = "".join(line % row for row in _state_rows(taus, x, y))
     chunks = []
     states(chunks.append, taus, x, y)
     return b"".join(chunks) == want.encode()

@@ -233,8 +233,10 @@ def fixed_point_residual(
 ) -> float:
     """Sup-norm defect of (x, y) over all 2N stationary equations: the
     largest component of the fluid right-hand side at that point, the
-    defect integrate_until_stationary tests (ode._defect)."""
-    return _defect(x, y, params)
+    defect integrate_until_stationary tests (ode._defect); NaN, without
+    a warning, where a value of the point is infinite."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return _defect(x, y, params)
 
 
 def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:
@@ -327,9 +329,11 @@ def _kappa(a: float, b: float, g: float) -> tuple[float, float]:
 
 def _log_ratio(rate: float, a: float) -> float:
     """log(rate / a); where the quotient underflows to 0 (rate 1e-300 at
-    alpha 1e300), log(rate) - log(a)."""
+    alpha 1e300) or overflows to inf (rate 1e305 at alpha 1e-10),
+    log(rate) - log(a)."""
     ratio = rate / a
-    return math.log(ratio) if ratio > 0.0 else math.log(rate) - math.log(a)
+    return (math.log(ratio) if 0.0 < ratio < math.inf
+            else math.log(rate) - math.log(a))
 
 
 def _trials(p: ModelParams) -> Callable[[int], tuple[float, float, float]]:
@@ -391,7 +395,11 @@ def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
             break
     # the trial's y below the crossing; above it min = x, so y does not cap x
     y = [math.inf] * n
-    level_y = big_y * math.exp(log_s)
+    try:
+        level_y = big_y * math.exp(log_s)
+    except OverflowError:  # log_s is at most log(1.8e308 / 5e-324), 1455
+        quarter = math.exp(log_s / 4.0)
+        level_y = big_y * quarter * quarter * quarter * quarter
     for i in range(ell - 1, -1, -1):
         level_y *= c
         y[i] = level_y

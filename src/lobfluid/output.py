@@ -5,8 +5,8 @@ the binary values exactly; line endings are fixed to '\\n' and nothing
 time-dependent is ever written, so identical runs produce identical bytes.
 Every float is written as `"%.17g" % v` (the same C formatting as
 `format(v, ".17g")`), every integer as `%d` and every label as `%s`;
-labels never hold a comma, quote or newline. The four small CSVs apply
-one row format per file with `%`, one row at a time. State matrices
+labels never hold a comma, quote or newline. Each CSV has one row
+format, which `_write_rows` applies with one `%` per row. The state CSVs
 (trajectories and ODE solutions, 1 + 2N fields per row: tau, x, y) are
 written by the C writer `states` of the extension `lobfluid._cext`
 (`_c_write`, loaded at the first state CSV of a process, which runs the
@@ -14,9 +14,9 @@ writer's load-time check alone): it formats each cell with the call that
 `%` makes and caches the texts by 64-bit pattern, so each distinct value
 of a trajectory, which is mostly zeros and repeats few values, is
 formatted about once. Where it cannot run (no compiler `cc`, no
-`Python.h`, a failed build or load-time check), `_write_state_blocks`
-applies the per-row format itself, to blocks of `BLOCK_ROWS` rows with
-one `%` each. Either way, the bytes are those of the per-row format.
+`Python.h`, a failed build or check), `_write_rows` writes them too: the
+rows of `_state_rows` in the format `_state_line`, the writer's one
+Python twin and its check's oracle.
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ from .experiments import ConvergenceReport, SweepReport
 from .fixed_point import FixedPoint
 from .ode import OdeSolution
 from .simulate import Trajectory
-
-
-# Rows per block of a state CSV in the Python block writer, the C
-# writer's fallback. The block bounds the writer's memory and does not
-# set its speed: on the benchmark's 4,001 x 101 trajectory (a shared
-# 2-core Xeon, Python 3.11, numpy 2.4) the medians of three runs of
-# alternating writes at 32 to 512 rows came in no fixed order, 76 to
-# 113 ms, while one write in a fresh process raised max RSS by 0.13,
-# 0.38, 1.17 and 3.0 MiB at 64, 128, 256 and 512 rows (0.13 and 2.3 MiB
-# at 64 and 256 on a distinct-valued solution of that size). 64 keeps
-# the memory near nothing (CHANGES.md has the runs)
-BLOCK_ROWS = 64
 
 
 @contextlib.contextmanager
@@ -110,38 +98,32 @@ def _c_write():
     return _cext.load("states")
 
 
+def _state_line(n: int) -> str:
+    """The row format of a state CSV of n levels: 1 + 2n `%.17g` fields."""
+    return ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
+
+
+def _state_rows(taus, x, y):
+    """Row i as a tuple: taus[i], then x[i], then y[i]; one row's values
+    are made at a time, so memory does not grow with the rows."""
+    for tau, xi, yi in zip(taus, x, y):
+        yield (tau, *xi.tolist(), *yi.tolist())
+
+
 def _write_states_csv(path, taus, x, y) -> None:
     """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`: by the C
     writer, which reads the float64 arrays (views are not copied) and
-    hands the text to the file in chunks, else by `_write_state_blocks`."""
+    hands the text to the file in chunks, else by its Python twin."""
+    taus, x, y = (np.asarray(v, dtype=np.float64) for v in (taus, x, y))
+    n = x.shape[1]
     states = _c_write()
     if states is None:
-        _write_state_blocks(path, taus, x, y)
+        _write_rows(path, state_header(n), _state_line(n),
+                    _state_rows(taus, x, y))
         return
-    taus, x, y = (np.asarray(v, dtype=np.float64) for v in (taus, x, y))
-    with _csv_file(path, state_header(x.shape[1])) as fh:
+    with _csv_file(path, state_header(n)) as fh:
         fh.flush()  # the header, before the bytes written below it
         states(fh.buffer.write, taus, x, y)
-
-
-def _write_state_blocks(path, taus, x, y) -> None:
-    """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`.
-
-    Each block of BLOCK_ROWS rows is copied into one float64 matrix and
-    written with one `%` of the per-row format, repeated for its rows, so
-    memory stays that of one block, whatever the row count.
-    """
-    n = x.shape[1]
-    line = ",".join(["%.17g"] * (1 + 2 * n)) + "\n"
-    block = np.empty((min(len(taus), BLOCK_ROWS), 1 + 2 * n))
-    with _csv_file(path, state_header(n)) as fh:
-        for start in range(0, len(taus), BLOCK_ROWS):
-            rows = block[:len(taus) - start]
-            stop = start + rows.shape[0]
-            rows[:, 0] = taus[start:stop]
-            rows[:, 1:1 + n] = x[start:stop]
-            rows[:, 1 + n:] = y[start:stop]
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_solution_csv(path, sol: OdeSolution) -> None:

@@ -1,10 +1,12 @@
-"""Shared test helpers: the engine renderings on scripted draws, a C
-library cache of the session's own, a fresh choice of the extension's
-functions, a build of the extension with warnings as errors, and a build
-that fuses multiply-adds."""
+"""Shared test helpers: the mark of the tests that need a C compiler, the
+engine renderings on scripted draws, a C library cache of the session's
+own, a fresh choice of the extension's functions, one build of the
+extension with warnings as errors per session, and a build that fuses
+multiply-adds."""
 
 import ctypes
 import importlib
+import shutil
 import subprocess
 from dataclasses import fields
 
@@ -13,6 +15,9 @@ import pytest
 
 from lobfluid import EventCounters, _cbuild, _cext, fixed_point, ode, output
 from lobfluid.simulate import _Chain
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler cc on PATH")
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -139,16 +144,18 @@ def fuses(tmp_path, flags) -> bool:
     return f(1.0 + e, 1.0 - e, -1.0) != 0.0
 
 
-def build_extension(tmp_path):
+@pytest.fixture(scope="session")
+def build_extension(tmp_path_factory):
     """The extension module built from its source with warnings as errors,
-    outside the library cache; skips where the interpreter has no
-    Python.h."""
+    once per session and outside the library cache; skips where the
+    interpreter has no Python.h."""
     flags = _cext._python_flags()
     if flags is None:
         pytest.skip("no Python.h for this interpreter")
-    source = tmp_path / "ext.c"
+    directory = tmp_path_factory.mktemp("warnings")
+    source = directory / "ext.c"
     source.write_text(_cext.SOURCE)
-    library = tmp_path / "ext.so"
+    library = directory / "ext.so"
     built = subprocess.run(
         ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
          "-o", str(library), str(source)],

@@ -9,14 +9,12 @@ import time
 import zlib
 
 import pytest
-from conftest import engines, fused_flags, fuses
+from conftest import engines, fused_flags, fuses, needs_cc
 
 from lobfluid import _cbuild, _cengine
 from lobfluid.cli import main
 
 simulate_module = importlib.import_module("lobfluid.simulate")
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler cc on PATH")
 
 # the README's simulate, converge and equilibrium arguments, at N = 2
 README_RUNS = {

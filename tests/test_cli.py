@@ -516,6 +516,19 @@ def test_arrivals_far_below_alpha_exit_0(tmp_path, capsys):
     assert "lambda_s=1e-300: regime (i), ell=2" in out
 
 
+def test_arrivals_far_above_alpha_exit_0(tmp_path, capsys):
+    # an arrival rate over alpha overflows to inf (1e305 / 1e-10): the
+    # solve takes the logarithms apart, where it once exited 3 with a NaN
+    # residual; the point is 1e300 times that of arrivals 1 and 1e5
+    code, out, err = run(capsys, [
+        "solve", "--n", "3", "--lambda-b", "1e300", "--lambda-s", "1e305",
+        "--alpha", "1e-10", "--beta", "1", "--gamma", "1",
+        "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert "regime (iii), ell = 1" in out
+    assert "x* = (9.999999999e+299, 4.999999999e+289, 2.499999999e+279)" in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")
@@ -686,9 +699,9 @@ TRAJECTORY_SHA256 = (
 TRAJECTORY_N50_SHA256 = (
     "8e5d5d6909c59bf37ae1ac77eb525b8837eaed1068e75c3461ab4dd12a3a12f3")
 # the same run sampled every 0.002: 4,001 rows, so the C writer's 64 KiB
-# chunks and, without it, the Python writer's blocks (output.BLOCK_ROWS
-# rows, one `%` each) meet many times; computed with a writer that
-# formatted one row at a time
+# chunks end inside rows many times, and its text table sees each value
+# often; without the C writer, its Python twin writes the rows one `%`
+# each, as the writer that computed this digest did
 TRAJECTORY_N50_FINE_SHA256 = (
     "e74868cd9e075af44bc6fd003f6f9daac0c944892980ae3ded69835acdc7b684")
 

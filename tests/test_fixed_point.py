@@ -3,11 +3,10 @@
 import hashlib
 import math
 import random
-import shutil
 
 import numpy as np
 import pytest
-from conftest import build_extension
+from conftest import needs_cc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -390,10 +389,28 @@ def test_balanced_beta_zero_profile_is_symmetric():
          log_ratio=300.0)
 @example(n=5, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
          log_ratio=300.0)
+# lambda_s / alpha overflows to inf (1e305 / 1e-10), where every trial was
+# NaN and the residual bound refused the point: regime iii
+@example(n=3, alpha=1e-10, beta=1.0, gamma_ratio=1e10, lambda_b=1e300,
+         log_ratio=5.0)
 def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
                                          log_ratio):
     assert_solvers_agree(ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio,
                                      alpha, beta, alpha * gamma_ratio))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_arrivals_whose_ratio_to_alpha_overflows_scale_the_point(n):
+    # the point is linear in the arrivals: with lambda_s / alpha = 1e315,
+    # past the largest float, it is 1e300 times the point of the arrivals
+    # divided by 1e300, to rounding (regime ii at N = 1, iii above; at
+    # N = 10 x* falls to 3e208, the scaled point's to 3e-92)
+    p = ModelParams(n, 1e300, 1e305, 1e-10, 1.0, 1.0)
+    scaled = ModelParams(n, 1.0, 1e5, 1e-10, 1.0, 1.0)
+    fp, want = assert_solvers_agree(p), solve_recursive(scaled)
+    assert (fp.ell, fp.regime) == (want.ell, want.regime)
+    for got, ref in [(fp.x_star, want.x_star), (fp.y_star, want.y_star)]:
+        assert np.abs(got / (1e300 * ref) - 1.0).max() <= 1e-12
 
 
 # gamma alpha overflows at alpha = gamma = 1e200 (kappa would be inf / inf,
@@ -506,10 +523,6 @@ def test_downward_crossing_raises_typed_error(monkeypatch):
 
 # ------------------------------------------------------------- the C solve
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler cc on PATH")
-
-
 def c_solve():
     """The C solve, or a skip where it does not load."""
     solve = fixed_point._c_solve()
@@ -542,13 +555,14 @@ def twin_result(p):
 def defers(p, twin) -> bool:
     """Whether the C solve leaves p to the twin: where the twin raises, a
     value of its point or residual is not finite, or an arrival rate over
-    alpha underflows to 0."""
+    alpha underflows to 0 or overflows to inf."""
     if isinstance(twin, Exception):
         return True
     x, y = (np.frombuffer(b) for b in twin[:2])
     return (not (np.isfinite(x).all() and np.isfinite(y).all()
                  and math.isfinite(float.fromhex(twin[3])))
-            or p.lambda_b / p.alpha == 0.0 or p.lambda_s / p.alpha == 0.0)
+            or not 0.0 < p.lambda_b / p.alpha < math.inf
+            or not 0.0 < p.lambda_s / p.alpha < math.inf)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -578,14 +592,16 @@ def defers(p, twin) -> bool:
          log_ratio=0.0)
 @example(n=1000, alpha=1e200, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
          log_ratio=0.0)
-# where the C solve defers: lambda_b / alpha underflows to 0 (the twin
-# solves it), and lambda_b / alpha overflows (the twin's point is NaN)
+# where the C solve defers: an arrival rate over alpha underflows to 0 or
+# overflows to inf, and the twin takes the logarithms apart
 @example(n=1, alpha=1e300, beta=0.0, gamma_ratio=1e-300, lambda_b=1e-300,
          log_ratio=300.0)
 @example(n=5, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
          log_ratio=300.0)
 @example(n=3, alpha=1e-10, beta=0.0, gamma_ratio=1.0, lambda_b=1e300,
          log_ratio=-300.0)
+@example(n=3, alpha=1e-10, beta=1.0, gamma_ratio=1e10, lambda_b=1e300,
+         log_ratio=5.0)
 def test_the_c_solve_matches_its_python_twin(n, alpha, beta, gamma_ratio,
                                              lambda_b, log_ratio):
     p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
@@ -674,10 +690,10 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 
 @needs_cc
-def test_the_solve_c_compiles_without_warnings(tmp_path):
+def test_the_solve_c_compiles_without_warnings(build_extension):
     # the solve's C is part of the extension's one source; the module
     # built from it with warnings as errors gives the twin's bits
-    solve = build_extension(tmp_path).solve
+    solve = build_extension.solve
     for p in pinned_params():
         assert c_result(solve, p) == twin_result(p), p
 
@@ -686,7 +702,7 @@ def solve_refusals() -> dict:
     """The C solve's refusals by case: (arguments, exception, message), at
     N = 2. A message of None is numpy's, the buffer exporter's, and is
     not pinned."""
-    rates, x, y = _cext.rates(params(n=2)), np.empty(2), np.empty(2)
+    rates, x, y = _cext.rates(params(n=2)), np.zeros(2), np.zeros(2)
     read_only = y.copy()
     read_only.flags.writeable = False
     types = "solve takes float64 arrays"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_extension, fused_flags, fuses
+from conftest import fused_flags, fuses, needs_cc
 
 import lobfluid
 from lobfluid import (_cbuild, _cext, cli, fixed_point, fixed_point_residual,
@@ -30,10 +30,6 @@ from lobfluid import (
     rhs,
     solve_recursive,
 )
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler cc on PATH")
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -405,10 +401,10 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 
 @needs_cc
-def test_the_flow_c_compiles_without_warnings(tmp_path):
+def test_the_flow_c_compiles_without_warnings(build_extension):
     # the flow's C is part of the extension's one source; the module built
     # from it with warnings as errors gives _flow's bits
-    flow = build_extension(tmp_path).flow
+    flow = build_extension.flow
     p = params(n=3, lam_b=1.3, lam_s=0.7, alpha=0.9, beta=0.4, gamma=2.5)
     z = np.linspace(0.1, 2.0, 12)  # two stacked states
     got = flow(0.0, z, np.empty(12), _cext.rates(p))

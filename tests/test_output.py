@@ -15,16 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_extension
+from conftest import needs_cc
 
 import lobfluid
 from lobfluid import (ModelParams, ScalingLevel, _cbuild, _cext,
-                      equilibrium_concentration, integrate, ode, output,
-                      overproduction_sweep, simulate, solve_recursive)
+                      equilibrium_concentration, fixed_point, integrate, ode,
+                      output, overproduction_sweep, simulate, solve_recursive)
 from lobfluid.ode import OdeSolution
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler cc on PATH")
 
 
 def source_constant(name: str) -> int:
@@ -102,28 +99,25 @@ def _cases():
     signs = rng.choice([-1.0, 1.0], (40, 7))
     yield "bit-patterns", bits.view(np.float64) * signs
     yield "uniform", rng.random((25, 11))
-    # the state writers work in blocks of BLOCK_ROWS rows: row counts on
-    # both sides of one and of two block boundaries, with values repeating
-    # across blocks and tau new on every row
-    block = output.BLOCK_ROWS
-    for name, rows in [("block-minus-1", block - 1), ("block", block),
-                       ("block-plus-1", block + 1),
-                       ("two-blocks-plus-1", 2 * block + 1)]:
+    # row counts on both sides of 64 and of 128, with values repeating
+    # across rows and tau new on every row
+    for name, rows in [("block-minus-1", 63), ("block", 64),
+                       ("block-plus-1", 65), ("two-blocks-plus-1", 129)]:
         grid = rng.choice(vals, (rows, 7))
         grid[:, 0] = np.arange(rows) * 0.002
         yield name, grid
-    # a block that repeats few values, then one whose cells are mostly
-    # distinct (as in an ODE solution) that still holds both zeros and
-    # both NaNs, then one row: the C writer's table of texts mostly hits,
-    # then mostly misses
+    # 64 rows that repeat few values, then 64 whose cells are mostly
+    # distinct (as in an ODE solution) that still hold both zeros and both
+    # NaNs, then one row: the C writer's table of texts mostly hits, then
+    # mostly misses
     signed = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0)]
-    grid = rng.choice(vals, (2 * block + 1, 7))
-    grid[block:2 * block] = rng.random((block, 7))
-    grid[block:block + 4, 3] = signed
-    grid[:, 0] = np.arange(2 * block + 1) * 0.002
+    grid = rng.choice(vals, (129, 7))
+    grid[64:128] = rng.random((64, 7))
+    grid[64:68, 3] = signed
+    grid[:, 0] = np.arange(129) * 0.002
     yield "repeated-then-distinct", grid
     # 0.0, -0.0, nan and -nan, each repeated in the middle and the last
-    # columns of one block: each keeps its own text only if the writer
+    # columns of eight rows: each keeps its own text only if the writer
     # tells values apart by their bits
     yield "signed-zeros-and-nans", np.array(
         [[0.5 * i, *np.roll(signed, i)] for i in range(8)])
@@ -257,8 +251,8 @@ def test_state_writer_memory_does_not_grow_with_the_rows(tmp_path,
     # (21 columns), or an ODE-like solution whose cells are all distinct
     # (5 columns); few columns keep the traced formatting short. The C
     # writer holds one table and one chunk, allocated with PyMem_* and so
-    # traced, and the Python writer one block at a time, so ten times the
-    # rows may not raise the peak allocation
+    # traced, and its Python twin one row at a time, so ten times the rows
+    # may not raise the peak allocation
     rng = np.random.default_rng(9)
     n = 10 if repeated else 2
     for writer in _each_writer(monkeypatch):
@@ -377,7 +371,7 @@ def test_the_c_writer_loads_where_a_compiler_is_found():
 def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
                                                     fresh_extension_choice):
     # an interpreter without its headers: even with a compiler, nothing is
-    # built and no cache directory is made, and the Python block writer
+    # built and no cache directory is made, and the writer's Python twin
     # writes the reference bytes
     import sysconfig
 
@@ -412,7 +406,7 @@ DIFFERING = {
 def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
                                                   fresh_extension_choice, case):
     # the writer's load-time check refuses it, and the state CSVs are then
-    # written by the Python block writer, with the reference bytes, while
+    # written by its Python twin, with the reference bytes, while
     # the flow of that library passes its own check and still loads
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
@@ -439,10 +433,26 @@ def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
 
 
 @needs_cc
-def test_the_writer_c_compiles_without_warnings(tmp_path):
+def test_the_writers_check_reads_its_python_twin(monkeypatch,
+                                                 fresh_extension_choice):
+    # the writer's load-time check takes its oracle from the twin that
+    # writes the state CSVs where the C writer cannot run: a twin that
+    # writes 16 digits refuses the C writer, and only the C writer
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    line = output._state_line
+    monkeypatch.setattr(output, "_state_line",
+                        lambda n: line(n).replace("%.17g", "%.16g"))
+    assert output._c_write() is None
+    assert ode._c_flow() is not None
+    assert fixed_point._c_solve() is not None
+
+
+@needs_cc
+def test_the_writer_c_compiles_without_warnings(build_extension):
     # the writer's C is part of the extension's one source; the module
     # built from it with warnings as errors writes the reference bytes
-    states = build_extension(tmp_path).states
+    states = build_extension.states
     grid = CASES["adversarial-n3"]
     taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
     chunks = []
