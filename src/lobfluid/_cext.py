@@ -1,30 +1,25 @@
-"""The package's CPython extension module: the fluid right-hand side that
-scipy's ODEPACK extension calls from inside LSODA (`flow`), the state CSV
-writer (`states`), and the fixed-point solve with its residual (`solve`).
+"""The package's one C library, a CPython extension module: the fluid
+right-hand side that scipy's ODEPACK extension calls from inside LSODA
+(`flow`), the state CSV writer (`states`), the fixed-point solve with its
+residual (`solve`) and the simulator's engine (`engine`).
 
-`ode._c_flow` imports this module at the first `ode._solve` of a process,
-`output._c_write` at its first state CSV and `fixed_point._c_solve` at its
-first fixed-point solve, so `import lobfluid` does not parse it; it
-imports no module of the package beyond `ode`, `model` and `_cbuild`
-(the writer's check imports `output` and the solve's `fixed_point`, each
-its function's twin, when it runs), so an ODE run loads neither the
-simulator nor `subprocess` when the library is cached. The library is
-built and loaded once per process (`_extension`), and each accessor runs
-its own function's load-time check alone: a run that writes no state CSV
-never runs the writer's check, and a function refused by its check leaves
-the others in use.
+The first `ode._solve`, state CSV, fixed-point solve or chain of a
+process (`ode._c_flow`, `output._c_write`, `fixed_point._c_solve`,
+`simulate._engine`) imports this module. It imports only `ode`, `model`
+and `errors` of the package (a check imports its twin's module when it
+runs), so an ODE run loads neither the simulator nor `subprocess` when
+the library is cached. The library is built and loaded once per process
+(`_extension`), and each accessor runs its own function's load-time check
+alone, so a function refused by its check leaves the others in use.
 
 Division of work: each function is the compiled form of one Python twin,
-which is its load-time check's oracle and, where it cannot run, its
-fallback at every size:
-
-- `flow` for `ode._flow`, the fluid equations inside LSODA;
-- `states` for `output._state_rows` in the format `output._state_line`,
-  the per-row "%.17g" format, written by `_write_rows` as every CSV is;
-- `solve` for `fixed_point._pattern_solve` followed by
-  `fixed_point.fixed_point_residual`, the crossing-index solve behind
-  both solver names. `fixed_point._classify`, the trade volume and the
-  residual bound stay in Python.
+its check's oracle and, where it cannot run, its fallback at every size:
+`flow` of `ode._flow`; `states` of `output._state_rows` in the per-row
+"%.17g" format `output._state_line`, written by `_write_rows` as every
+CSV is; `solve` of `fixed_point._pattern_solve` followed by
+`fixed_point.fixed_point_residual`, behind both solver names
+(`fixed_point._classify`, the trade volume and the residual bound stay in
+Python); `engine` of `simulate._python_engine`.
 
 `flow(t, z, out, rates)`: z holds any number of stacked level-major
 states (x_1, y_1, x_2, y_2, ...) of 2N components each, out is a float64
@@ -37,39 +32,53 @@ elementwise minimum does, so one function serves every N and the stacked
 pair of a comparison check, with the numpy form's bits.
 
 `solve(rates, x, y)`: x and y are float64 arrays of N values. It writes
-the point that `fixed_point._pattern_solve` computes into x and y, with
-Python's operations in Python's order: `_kappa` and `_trials` with libm's
-`log`, `log1p` and `exp` (the functions behind Python's math module),
-`_over_exp` and the bisection with the first-wins `min` and `max` of
-Python, the trial's y below the crossing and the two `_chain` sweeps. It
-then packs the point and runs `flow`'s equations on it, and returns
-(trials, residual), the residual max |d| being `fixed_point_residual`'s
-bits. It returns None, and the caller runs the twin, where Python would
-raise (a zero divisor, a math domain or range error), where an arrival
-rate over alpha underflows to 0 (the twin then takes the logarithms
-apart), or where a trial's values, the point or its residual are not
+the point of `fixed_point._pattern_solve` into them with Python's
+operations in Python's order (libm's `log`, `log1p` and `exp`, which
+Python's math module calls, and Python's first-wins `min` and `max`),
+then runs `flow`'s equations on it and returns (trials, residual) with
+`fixed_point_residual`'s bits. It returns None, and the caller runs the
+twin, where Python would raise (a zero divisor, a math domain or range
+error) or where a trial's values, the point or its residual are not
 finite.
 
 `states(write, taus, x, y)`: taus is a float64 vector of R values and x
-and y are float64 matrices of R rows and N columns, read through the
-buffer protocol with their strides, so views are not copied. Row i is
-taus[i], x[i], y[i], comma-separated and ended by a newline, handed to
-write as bytes objects of CHUNK (64 KiB) bytes, the last one shorter.
-Each cell is formatted by `PyOS_double_to_string(v, 'g', 17, 0, NULL)`,
-the call that `"%.17g" % v` makes, so the text is Python's by
-construction (a C `printf` would write "-nan" where Python writes "nan").
-A trajectory repeats few values, so the texts are cached in a
-direct-mapped table of 2**TABLE_BITS entries keyed on the cell's 64-bit
-pattern, not its value, so 0.0 and -0.0, and NaNs of either sign, each
-keep their own text. The table is allocated once per call, so memory
-does not grow with the rows or the distinct values; a pattern whose entry
-another one took is formatted again.
+and y are float64 matrices of R rows and N columns, read with their
+strides, so views are not copied. Row i is taus[i], x[i], y[i],
+comma-separated and ended by a newline, handed to write in bytes objects
+of CHUNK (64 KiB) bytes, the last one shorter. Each cell is formatted by
+`PyOS_double_to_string(v, 'g', 17, 0, NULL)`, the call that
+`"%.17g" % v` makes (a C `printf` would write "-nan" where Python writes
+"nan"). A trajectory repeats few values, so the texts are cached in a
+direct-mapped table of 2**TABLE_BITS entries, allocated once per call and
+keyed on the cell's 64-bit pattern, so 0.0 and -0.0, and NaNs of either
+sign, each keep their own text; a pattern whose entry another one took
+is formatted again.
 
-Build and cache: `_cbuild.library`, with the interpreter's `Python.h`,
-into `ext-<crc32 of the source>` plus the interpreter's extension suffix.
-`load(name)` returns None, and the caller runs the function's one Python
-twin, when no compiler `cc` or no `Python.h` is found, the build fails,
-or the function's load-time check finds it differing from that twin.
+`engine(u, size, rates, t_end, sample_ts, book, clock, next_sample,
+tally, xs, ys)`: the chunk function on a chain's buffers, which it checks
+and takes on each call (`_bind` makes the `bind` that `simulate._Chain`
+takes). `_engine_source` renders it from what the Python engine's source
+is rendered from, `model._blocks`, `model._actions` and `model.TALLIES`,
+so rendering it loads no simulator. It keeps the Python engine's block
+order, sequential subtraction, clock test and float counts, and takes
+log1p from libm, as `math.log1p` does.
+
+Build and cache: `cc -O2 -ffp-contract=off`, no fast-math, with the
+interpreter's `Python.h`, once per source into `$XDG_CACHE_HOME/lobfluid`
+(else `~/.cache/lobfluid`, made with mode 0700) as `ext-<crc32 of the
+source>` plus SUFFIX, beside that source. A cached library loads only
+where its stored source equals SOURCE byte for byte; the files of any
+other source (the `engine-*` files of the engine's former library too)
+are never read again. `os.replace` installs the library before its
+source, so no process loads a half-written one; where the cache cannot
+be written, the library is built in a directory private to the process.
+The canary `fused` refuses the whole library where the build fused a
+multiply and add into one rounding: an engine built with
+`-ffp-contract=fast -march=native` passed its check's runs at 6 of seed
+bases 1 to 20. `load(name)` returns None, and the caller runs the
+function's Python twin, when no `cc` or no `Python.h` is found, the build
+fails, the canary refuses it, or the function's check finds it differing
+from that twin (or, for the engine, raising).
 """
 
 from __future__ import annotations
@@ -80,26 +89,42 @@ import importlib.util
 import math
 import os
 import random
+import shutil
+import tempfile
+import zlib
+from contextlib import suppress
+from string import Template
 
 import numpy as np
 
-from . import _cbuild
-from .model import ModelParams
+from .errors import BudgetExceeded, SolverError
+from .model import (
+    TALLIES,
+    DiscreteState,
+    ModelParams,
+    ScalingLevel,
+    _actions,
+    _blocks,
+    _in_list,
+    _indent,
+)
 from .ode import _flow, _pack
 
 MODULE = "lobfluid_ext"  # the extension's name; its init is PyInit_<name>
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+BUILD_TIMEOUT_S = 120  # a compiler that hangs must not hang the run
+SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # of the library's file
 CHECK_SIZES = (1, 2, 7, 60)  # level counts of the flow check's states
 SOLVE_SIZES = (1, 2, 7, 60, 178)  # level counts of the solve check's draws
 SEED = 2012  # of the load-time checks' draws
 
-# The extension module MODULE. flow checks its arguments, then runs each
-# state's levels in order; the expressions are _flow's, operation for
-# operation, and solve's are fixed_point's, in its order. The writer's table has 2**TABLE_BITS entries of 48 bytes. On
-# the benchmark's 4,001 x 101 trajectory (7,358 distinct patterns; a
-# shared 2-core Xeon, gcc 12.2, Python 3.11) the write took a median 13.3,
-# 10.2, 9.7, 9.1, 9.2 and 9.6 ms at 2**10, 2**12 ... 2**16 entries (48 KiB
-# to 3 MiB); 2**14 (768 KiB) is the fastest (CHANGES.md has the runs)
-SOURCE = """\
+# The extension module MODULE, with $engine filled in by _engine_source;
+# flow's expressions are _flow's, operation for operation, and solve's are
+# fixed_point's, in its order. The writer's table has 2**TABLE_BITS
+# entries of 48 bytes: on the benchmark's 4,001 x 101 trajectory (a shared
+# 2-core Xeon, gcc 12.2, Python 3.11) 2**14 (768 KiB) wrote fastest of
+# 2**10 ... 2**16, 9.1 ms against 13.3 at 2**10 (CHANGES.md has the runs)
+_SOURCE = Template("""\
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -112,17 +137,19 @@ SOURCE = """\
 #define FLOW_TYPES "flow takes float64 arrays"
 #define STATES_TYPES "states takes a float64 vector and two matrices"
 #define SOLVE_TYPES "solve takes float64 arrays"
+#define INT64 (sizeof(long) == 8 ? "l" : "q")  /* numpy's int64 code */
 
-/* a view of a float64 buffer got with flags, of ndim dimensions (of any
+/* a view of a buffer of 8-byte items of struct code format ("d" for
+   float64, INT64 for int64) got with flags, of ndim dimensions (of any
    where ndim is 0), or -1 with an exception set: message, a TypeError,
    where the buffer holds another type or has another dimension */
 static int
-doubles(PyObject *object, Py_buffer *view, int flags, int ndim,
-        const char *message)
+typed(PyObject *object, Py_buffer *view, int flags, int ndim,
+      const char *format, const char *message)
 {
     if (PyObject_GetBuffer(object, view, flags | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->itemsize != sizeof(double) || strcmp(view->format, "d") != 0
+    if (view->itemsize != 8 || strcmp(view->format, format) != 0
             || (ndim && view->ndim != ndim)) {
         PyBuffer_Release(view);
         PyErr_SetString(PyExc_TypeError, message);
@@ -130,6 +157,9 @@ doubles(PyObject *object, Py_buffer *view, int flags, int ndim,
     }
     return 0;
 }
+
+#define doubles(object, view, flags, ndim, message) \
+    typed(object, view, flags, ndim, "d", message)
 
 /* 2N, the size of one state, if z and out are of one size, a multiple of
    it, and rates holds six values led by a whole N >= 1; else 0 */
@@ -259,15 +289,15 @@ kappa(double a, double b, double g, struct trials *t, int *bad)
     t->one_minus_kappa = quotient(q, g * a + q, bad);
 }
 
-/* the quotient ratio's math.log; a ratio that underflowed to 0 is left to
-   the Python solve, which takes the logarithms apart */
+/* fixed_point._log_ratio: log(rate / a), or log(rate) - log(a) where the
+   quotient underflows to 0 or overflows to inf */
 static double
 log_ratio(double rate, double a, int *bad)
 {
     const double ratio = quotient(rate, a, bad);
 
-    *bad |= ratio == 0.0;
-    return *bad ? 0.0 : logarithm(ratio, bad);
+    return 0.0 < ratio && ratio < HUGE_VAL ? logarithm(ratio, bad)
+        : logarithm(rate, bad) - logarithm(a, bad);
 }
 
 /* fixed_point._over_exp: d / exp(log_w), saturating near 1e300 */
@@ -322,7 +352,7 @@ pattern(const double *r, double *x, double *y)
     const double bpa = b + a, bpag = bpa + g;
     struct trials t;
     Py_ssize_t lo = 0, hi = n, ell, trials = 0, k;
-    double c, found[3], level_y, gain, u;
+    double c, found[3], level_y, scale, gain, u;
     int bad = 0;
 
     t.n = n;
@@ -352,8 +382,12 @@ pattern(const double *r, double *x, double *y)
             break;
     }
     /* the trial's y below the crossing; above it min = x, so y does not
-       cap x */
-    level_y = found[1] * exponential(found[2], &bad);
+       cap x. Where exp(log_s) overflows, in four factors, as Python's */
+    if (isinf(scale = exp(found[2]))) {
+        scale = exponential(found[2] / 4.0, &bad);
+        level_y = found[1] * scale * scale * scale * scale;
+    } else
+        level_y = found[1] * scale;
     for (k = n - 1; k >= ell; k--)
         y[k] = HUGE_VAL;
     for (k = ell - 1; k >= 0; k--) {
@@ -448,6 +482,8 @@ solve(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     PyBuffer_Release(&rates);
     return result;
 }
+
+$engine
 
 /* a cached text: the cell's bit pattern and its text; size 0 is empty */
 struct entry {
@@ -594,6 +630,12 @@ states(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"flow", (PyCFunction) (void (*)(void)) flow, METH_FASTCALL,
      "flow(t, z, out, rates): the fluid equations of z, written into out"},
+    {"engine", (PyCFunction) (void (*)(void)) engine, METH_FASTCALL,
+     "engine(u, size, rates, t_end, sample_ts, book, clock, next_sample, "
+     "tally, xs, ys): the simulator's chunk function on the chain's "
+     "buffers; the index of the pair that ended the run, or size"},
+    {"fused", fused, METH_VARARGS,
+     "fused(a, b, c): a * b + c as the build computes it"},
     {"solve", (PyCFunction) (void (*)(void)) solve, METH_FASTCALL,
      "solve(rates, x, y): the fixed point into x and y, and (trials, "
      "residual), or None where the Python solve must run"},
@@ -615,7 +657,200 @@ PyInit_lobfluid_ext(void)
 {
     return PyModuleDef_Init(&module);
 }
-"""
+""")
+
+
+# The engine: the chunk function, with $fields filled in by _engine_source
+# (a pointer per row of the tally matrix, and each block of the dispatch),
+# engine, which checks a chain's buffers and runs chunk on them, and the
+# canary fused. chunk runs pairs 0..size-1 of u (holding, selection) and
+# returns the index of the pair that ended the run, or size, on the Python
+# engine's per-event path; it repeats each block weight where Python names
+# it w, since C leaves the order of a comparison's operands unspecified.
+_ENGINE = Template("""\
+/* kept out of engine: inlined there, it took 5-7% longer per event at
+   N = 50 */
+Py_NO_INLINE static long long
+chunk(const double *u, long long size, const double *rates, double t_end,
+      const double *sample_ts, long long m, long long n, double *b,
+      double *s, double *clock, long long *next_sample, long long *tally,
+      double *xs, double *ys)
+{
+    const double lam_b = rates[0], lam_s = rates[1], lam = rates[2];
+    const double rt = rates[3], rq = rates[4], rm = rates[5], rqm = rates[6];
+    const long long top = n - 1;
+    double t = clock[0], B = clock[1], S = clock[2], M = clock[3];
+    long long si = *next_sample;
+    double stop = si < m && sample_ts[si] <= t_end ? sample_ts[si] : t_end;
+    double target, w;
+    long long i, k;
+$tallies
+    for (i = 0; i < size; i++) {
+        const double w_trade = rt * M;
+        const double rate = lam + rqm * (B + S) + w_trade;
+        t -= log1p(-u[2 * i]) / rate;
+        if (t >= stop) {
+            if (t >= t_end)
+                break;
+            for (; si < m && sample_ts[si] <= t; si++) {
+                memcpy(xs + si * n, b, n * sizeof *b);
+                memcpy(ys + si * n, s, n * sizeof *s);
+            }
+            stop = si < m && sample_ts[si] <= t_end ? sample_ts[si] : t_end;
+        }
+        target = u[2 * i + 1] * rate;
+        if (target < lam_b) {
+$buyer_arrival
+        } else if ((target -= lam_b) < lam_s || !(B || S)) {
+$seller_arrival
+        } else if ((target -= lam_s) < w_trade) {
+$trade
+        } else if ((target -= w_trade) < rq * B) {
+$buyer_quit
+        } else if ((target -= rq * B) < rq * S) {
+$seller_quit
+        } else if ((target -= rq * S) < rm * B || !S) {
+$buyer_move
+        } else {
+            target -= rm * B;
+$seller_move
+        }
+    }
+    clock[0] = t;
+    clock[1] = B;
+    clock[2] = S;
+    clock[3] = M;
+    *next_sample = si;
+    return i;
+}
+
+/* engine's buffers, by argument: the uniforms, the rates, the sample
+   times, then those it writes: the book, the clock, the next sample, the
+   tallies and the samples */
+enum {U, RATES, SAMPLE_TS, BOOK, CLOCK, NEXT_SAMPLE, TALLY, XS, YS, BUFFERS};
+static const int argument[BUFFERS] = {0, 2, 4, 5, 6, 7, 8, 9, 10};
+
+static PyObject *
+engine(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer v[BUFFERS];
+    PyObject *result = NULL;
+    long long size;
+    double t_end;
+    int got;
+
+    if (nargs != 11) {
+        PyErr_SetString(PyExc_TypeError, "engine takes 11 arguments");
+        return NULL;
+    }
+    if ((size = PyLong_AsLongLong(args[1])) == -1 && PyErr_Occurred())
+        return NULL;
+    if ((t_end = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
+        return NULL;
+    for (got = 0; got < BUFFERS; got++)
+        if (typed(args[argument[got]], &v[got], PyBUF_C_CONTIGUOUS
+                  | (got >= BOOK ? PyBUF_WRITABLE : 0),
+                  got == BOOK || got >= TALLY ? 2 : 0,
+                  got == NEXT_SAMPLE || got == TALLY ? INT64 : "d",
+                  "engine takes float64 arrays, and int64 next_sample and "
+                  "tally") < 0)
+            break;
+    if (got == BUFFERS) {
+        const Py_ssize_t m = v[XS].shape[0], n = v[XS].shape[1];
+        const long long si = v[NEXT_SAMPLE].len == 8
+            ? *(const long long *) v[NEXT_SAMPLE].buf : -1;
+
+        if (!(size >= 0 && size <= v[U].len / 16 && n >= 1
+              && v[RATES].len == 7 * 8 && v[SAMPLE_TS].len == m * 8
+              && v[BOOK].shape[0] == 2 && v[BOOK].shape[1] == n
+              && v[CLOCK].len == 4 * 8 && si >= 0 && si <= m
+              && v[TALLY].shape[0] == $kinds && v[TALLY].shape[1] == n
+              && v[YS].shape[0] == m && v[YS].shape[1] == n))
+            PyErr_SetString(PyExc_ValueError,
+                            "engine takes 2 size uniforms or more, 7 rates, "
+                            "m sample times, a book of 2 rows of n >= 1, a "
+                            "clock of 4 values, a next_sample from 0 to m, "
+                            "a tally of $kinds rows of n, and xs and ys of m "
+                            "rows of n");
+        else
+            result = PyLong_FromLongLong(chunk(
+                v[U].buf, size, v[RATES].buf, t_end, v[SAMPLE_TS].buf, m, n,
+                v[BOOK].buf, (double *) v[BOOK].buf + n, v[CLOCK].buf,
+                v[NEXT_SAMPLE].buf, v[TALLY].buf, v[XS].buf, v[YS].buf));
+    }
+    while (got-- > 0)
+        PyBuffer_Release(&v[got]);
+    return result;
+}
+
+/* the load-time canary: a * b + c in two roundings, as Python makes it,
+   unless the build fused it into one */
+static PyObject *
+fused(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    double a, b, c;
+
+    if (!PyArg_ParseTuple(args, "ddd", &a, &b, &c))
+        return NULL;
+    return PyFloat_FromDouble(a * b + c);
+}""")
+
+# A level block's walk, which leaves the level it picks in k, as
+# `simulate._LIST_WALK` does (its comment has the walk)
+_WALK = Template("""\
+k = $entry;
+w = $weight;
+if (!(target < w)) {
+    for (k = $first; k != $end; k$step) {
+        target -= w;
+        w = $weight;
+        if (target < w)
+            break;
+    }
+    if (k == $end)
+        for (k = $last; k != $entry && !($occupied); k$back)
+            ;
+}""")
+
+# (entry, first, end, step, last, back) of a walk up from level 0 and of
+# one down from the top
+_DIRECTIONS = {True: ("0", "1", "n", "++", "top", "--"),
+               False: ("top", "top - 1", "-1", "--", "0", "++")}
+
+
+def _engine_source() -> str:
+    """The C source of the engine, its blocks rendered from
+    `model._blocks` and `model._actions`, as `simulate._engine_source`
+    renders the Python engine's."""
+    blocks = {}
+    for name, kinds, unit, sides, up in _blocks():
+        entry, first, end, step, last, back = _DIRECTIONS[up]
+        at = functools.partial(_in_list, "k" if unit else entry)
+        fire, *leave = ["\n".join(
+            f"{statement};" if guard is None
+            else f"if ({guard})\n    {statement};"
+            for guard, statement in _actions(kind, at)) for kind in kinds]
+        if leave:
+            fire = (f"if ({'k < top' if up else 'k > 0'}) {{\n"
+                    + _indent(fire, 4) + "\n} else {\n"
+                    + _indent(*leave, 4) + "\n}")
+        if unit:
+            level = [side + "[k]" for side in sides]
+            count = (level[0] if len(level) == 1
+                     else "({0} < {1} ? {0} : {1})".format(*level))
+            fire = _WALK.substitute(
+                entry=entry, first=first, end=end, step=step, last=last,
+                back=back, weight=f"{unit} * {count}",
+                occupied=" && ".join(level)) + "\n" + fire
+        blocks[name] = _indent(fire, 12)
+    tallies = "\n".join(f"long long *const {name} = tally + {i} * n;"
+                        for i, name in enumerate(TALLIES.values()))
+    return _ENGINE.substitute(tallies=_indent(tallies, 4), kinds=len(TALLIES),
+                              **blocks)
+
+
+# the extension's C source, which keys its cached library
+SOURCE = _SOURCE.substitute(engine=_engine_source())
 
 
 def rates(params: ModelParams) -> np.ndarray:
@@ -719,13 +954,14 @@ def _states_agree(states) -> bool:
 
 def _solve_draws(rng: random.Random):
     """The parameters of the solve's check: at each SOLVE_SIZES level
-    count, rates drawn log-uniform on [0.1, 10] in six kinds, arrivals
+    count, rates drawn log-uniform on [0.1, 10] in eight kinds, arrivals
     within a factor 1e3 of each other (mostly regime iii beyond one
     level), buyers and sellers 1e100 times the other side's arrivals
     (regimes i and ii), beta 0 at balanced and at unbalanced arrivals,
-    and alpha and gamma scaled by 1e200, so gamma alpha overflows."""
+    gamma alpha overflowing, and lambda_b / alpha underflowing to 0 and
+    lambda_s / alpha overflowing to inf."""
     for n in SOLVE_SIZES:
-        for kind in range(6):
+        for kind in range(8):
             lambda_b, alpha, beta, gamma = (
                 math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
                 for _ in range(4))
@@ -740,6 +976,10 @@ def _solve_draws(rng: random.Random):
                 beta = 0.0
             elif kind == 5:
                 alpha, gamma = alpha * 1e200, gamma * 1e200
+            elif kind == 6:
+                lambda_b, alpha = lambda_b * 1e-300, alpha * 1e300
+            elif kind == 7:
+                lambda_s, alpha = lambda_b * 1e300, alpha * 1e-12
             yield ModelParams(n, lambda_b, lambda_s, alpha, beta, gamma)
 
 
@@ -763,6 +1003,50 @@ def _solve_agrees(solve) -> bool:
     return True
 
 
+def _engine_runs(bind) -> list:
+    """The engine check's runs on bind: each one's event count and the
+    bytes of every buffer after it. Two `simulate._Chain`s at N = 4, from
+    a book with traders of both sides, take one stream seeded SEED: two
+    runs of about 1,500 events to t = 200, sampled every 5, which cross
+    chunks and reuse reset buffers, then 60 of about 10 events to t = 1,
+    whose clocks, still below 1, keep a last-bit difference."""
+    from .simulate import _Chain
+
+    params = ModelParams(4, 1.0, 1.5, 0.2, 0.1, 0.4)
+    start = DiscreteState(np.array([3, 0, 5, 1]), np.array([0, 2, 4, 6]))
+    long_run, short_run = (_Chain(params, ScalingLevel(1), start, t_end,
+                                  np.arange(0.0, t_end, 5.0), 10**6,
+                                  bind=bind)
+                           for t_end in (200.0, 1.0))
+    rng = np.random.default_rng(SEED)
+    return [(chain.run(rng)[2], *(getattr(chain, name).tobytes() for name in
+                                  ("book", "clock", "next_sample", "tally",
+                                   "samples")))
+            for chain in [long_run] * 2 + [short_run] * 60]
+
+
+def _engine_agrees(bind) -> bool:
+    """The engine's load-time check: the runs of `_engine_runs` on bind
+    end as `simulate._python_engine`'s do, byte for byte (the clock sums
+    every holding time, so log1p's too), and none raises."""
+    from .simulate import _python_engine
+
+    try:
+        return _engine_runs(bind) == _engine_runs(_python_engine())
+    except (SolverError, BudgetExceeded):
+        return False
+
+
+def _bind(engine):
+    """The C engine's `bind` (see `simulate._Chain`), whose chunk function
+    calls engine on the chain's buffers."""
+    def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
+             ys):
+        return lambda size: engine(u, size, rates, t_end, sample_ts, book,
+                                   clock, next_sample, tally, xs, ys)
+    return bind
+
+
 def _python_flags():
     """The include flag of the interpreter's headers, or None where it has
     no Python.h."""
@@ -784,25 +1068,86 @@ def _module(path: str):
     return module
 
 
+def _build(command: tuple, source: bytes, path: str):
+    """The extension built from source by command (the compiler and its
+    flags) and installed as path + SUFFIX, with source as path + ".c",
+    then loaded; or None if the compiler fails. Raises OSError if path's
+    directory cannot be written, and OSError or ImportError if the module
+    cannot be loaded."""
+    import subprocess
+
+    fd, c_file = tempfile.mkstemp(suffix=".c", dir=os.path.dirname(path))
+    so_file = c_file[:-2] + SUFFIX
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(source)
+        try:
+            built = subprocess.run(
+                [*command, "-o", so_file, c_file, "-lm"],
+                capture_output=True, timeout=BUILD_TIMEOUT_S).returncode == 0
+        except (OSError, subprocess.SubprocessError):
+            built = False
+        if not built:
+            return None
+        os.replace(so_file, path + SUFFIX)
+        os.replace(c_file, path + ".c")
+    finally:
+        for leftover in (c_file, so_file):
+            with suppress(FileNotFoundError):
+                os.remove(leftover)
+    return _module(path + SUFFIX)
+
+
 @functools.cache
 def _extension():
-    """The extension module, built and loaded once per process (where the
-    cache cannot be written, each build is private to its process); None
-    where it cannot be."""
-    return _cbuild.library("ext", SOURCE,
-                           importlib.machinery.EXTENSION_SUFFIXES[0],
-                           _module, _python_flags)
+    """The extension module of SOURCE, built and loaded once per process:
+    the cached one if its stored source equals SOURCE, else one built now
+    (where the cache cannot be written, in a directory private to the
+    process). None without a compiler `cc` or Python.h, where the build
+    fails, or where the canary shows a multiply and add fused into one
+    rounding: `fused(1 + e, 1 - e, -1)` is -e**2, not 0, at e = 2**-30."""
+    source = SOURCE.encode()
+    stem = f"ext-{zlib.crc32(source):08x}"
+    # the XDG Base Directory spec: a relative path is invalid, and ignored
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(cache, "lobfluid")
+    path = os.path.join(cache, stem)
+    module = None
+    with suppress(OSError, ImportError):
+        with open(path + ".c", "rb") as cached:
+            if cached.read() == source:
+                module = _module(path + SUFFIX)
+    compiler = shutil.which("cc") if module is None else None
+    include = None if compiler is None else _python_flags()
+    if include is not None:
+        command = (compiler, *FLAGS, *include)
+        try:
+            os.makedirs(cache, mode=0o700, exist_ok=True)
+            module = _build(command, source, path)
+        except (OSError, ImportError):  # the cache cannot be written to
+            with suppress(OSError, ImportError), \
+                    tempfile.TemporaryDirectory() as private:
+                module = _build(command, source, os.path.join(private, stem))
+    e = 2.0 ** -30
+    if module is None or module.fused(1.0 + e, 1.0 - e, -1.0) != 0.0:
+        return None
+    return module
 
 
 def load(name: str):
-    """The extension's function name ("flow", "states" or "solve") where
-    the library builds and loads and the function passes its own load-time
-    check (`_flow_agrees`, `_states_agree` or `_solve_agrees`); else
-    None."""
+    """The extension's function name ("flow", "states" or "solve"), or
+    the C engine's `bind` for "engine", where the library builds and
+    loads, passes its canary, and the function passes its own load-time
+    check (`_flow_agrees`, `_states_agree`, `_solve_agrees` or
+    `_engine_agrees`); else None."""
     extension = _extension()
     if extension is None:
         return None
     function = getattr(extension, name)
+    if name == "engine":
+        function = _bind(function)
     agrees = {"flow": _flow_agrees, "states": _states_agree,
-              "solve": _solve_agrees}[name]
+              "solve": _solve_agrees, "engine": _engine_agrees}[name]
     return function if agrees(function) else None

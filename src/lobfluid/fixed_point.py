@@ -37,26 +37,21 @@ takes a single step of it.
 solve_shooting and solve_recursive currently run this same solve, bisecting
 ell over [0, N], and return the same bits under their own labels; the ODE
 route (ode.integrate_until_stationary) is the independent check. Every
-returned point carries its residual, and a residual above
-1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge instead of
+returned point carries its residual; a point with a value outside the
+float range raises SolverError, and a residual above
+1e-8 * max(1, lambda_b, lambda_s) raises ResidualTooLarge, instead of
 returning a non-solution.
 
-Division of work, behind both names (_solve):
-
-- the C solve (`solve` of the extension `_cext`, loaded by _c_solve at the
-  first solve of a process): one CPython extension function that writes
-  the point into two float64 arrays and returns (trials, residual), with
-  _pattern_solve's operations in its order and fixed_point_residual's
-  bits, so a solve runs no Python per trial or level. Its load-time
-  check, the only one _c_solve runs, compares it with the twin byte for
-  byte. It leaves to the twin every point where Python would raise, or
-  where a value is not finite.
-- where the C solve cannot run (no compiler, no Python.h, a failed build
-  or check), _pattern_solve and then fixed_point_residual, at every N:
-  the solve's one Python twin, its oracle and its fallback.
-
-_classify, the trade volume and the residual bound (_package) run in
-Python on either route.
+Division of work, behind both names (_solve): the C solve (`solve` of the
+extension `_cext`, loaded by _c_solve at the first solve of a process)
+writes the point into two float64 arrays and returns (trials, residual),
+with _pattern_solve's operations in its order and fixed_point_residual's
+bits, so a solve runs no Python per trial or level; its load-time check
+compares it with the twin byte for byte. It leaves to the twin every
+point where Python would raise, or where a value is not finite. The twin,
+_pattern_solve and then fixed_point_residual, runs at every N where the C
+solve cannot. _classify, the trade volume and the residual bound
+(_package) run in Python on either route.
 
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
@@ -78,6 +73,7 @@ from .errors import (
     NonMonotoneInput,
     OnKink,
     ResidualTooLarge,
+    SolverError,
 )
 from .model import ModelParams
 from .ode import _defect
@@ -269,10 +265,15 @@ def trade_volume(fp: FixedPoint, params: ModelParams) -> float:
 
 def _package(params: ModelParams, solver: str) -> FixedPoint:
     """The solve's point with its residual, crossing index, regime and
-    trade volume; raises ResidualTooLarge above the bound."""
+    trade volume; raises SolverError where a value of the point is not
+    finite, and ResidualTooLarge above the bound."""
     x, y, iters, res = _solve(params)
     bound = RESIDUAL_REL * max(1.0, params.lambda_b, params.lambda_s)
     if not res <= bound:
+        # a value of the point that is not finite makes the residual NaN
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise SolverError(f"{solver}: x* or y* is outside the float "
+                              "range")
         raise ResidualTooLarge(
             f"{solver}: residual {res:.3e} exceeds the bound {bound:.3e}")
     ell, label = _classify(x, y)

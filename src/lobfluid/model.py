@@ -10,17 +10,20 @@ one row per event kind with its rate constant, its levels and its +-1
 increments, off which `_taken` reads the count that the rate multiplies.
 `enumerate_events` and `apply_event` read it, `simulate.step` drives them,
 `simulate._identities` derives the counting identities from it (a run's
-check and `EventCounters.conservation_defects` both read them), and the
-simulator's engine renders its event code from it (the tests replay the
-engine against `step`). The ODE right-hand side, written apart
-as the rules' drift rescaled, is the independent check on the table: a
-test compares the two.
+check and `EventCounters.conservation_defects` both read them), and every
+rendering of the simulator's engine, in Python (`simulate`) and in C
+(`_cext`), renders its event code from it through the readers beside it
+(`_blocks`, `_actions`; `TALLIES` names each kind's tally), so neither
+rendering imports the other (the tests replay the engine against `step`).
+The ODE right-hand side, written apart as the rules' drift rescaled, is
+the independent check on the table: a test compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
+from itertools import groupby
 from operator import index
 
 import numpy as np
@@ -273,6 +276,87 @@ def _taken(increments, book) -> list:
     at a level is the smallest of their counts there. An arrival takes
     from no side and has no count."""
     return [book[side] for side, _, sign in increments if sign < 0]
+
+
+# The tally of each event kind: the field of `simulate.EventCounters` that
+# counts it, and its row's name in every rendering of the simulator's engine
+TALLIES = dict(zip(EventKind, (
+    "buyer_arrivals seller_arrivals trades buyer_quits seller_quits "
+    "buyer_moves buyer_exit_top seller_moves seller_exit_bottom").split(),
+    strict=True))
+
+# The engine's local for each level block's rate unit, the field over L
+_UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
+
+
+def _indent(lines: str, depth: int = 16) -> str:
+    """lines indented by depth spaces, by default to sit in the Python
+    engine's dispatch."""
+    pad = " " * depth
+    return pad + lines.replace("\n", "\n" + pad)
+
+
+def _blocks():
+    """The dispatch's blocks, the rows of `TRANSITIONS` grouped by rate
+    (field, and the sides `_taken` reads off the increments), in rank
+    order, which puts each alpha-move with the exit at its far edge.
+    Yields (name, kinds, unit, sides, up) per block: its first kind's name
+    in lower case; its kinds; the engine's rate unit (`_UNITS`), None for
+    an arrival, which fires at its one level unwalked; the names of the
+    sides, "b" and "s", whose smaller count times the unit is its weight at
+    a level, and whose counts are all nonzero where a level is occupied;
+    and whether it walks up from level 0, else down from the top, read off
+    its first row for a book of two levels. Both renderings of the engine,
+    in Python and in C, render their blocks from these."""
+    for (field, sides), rows in groupby(
+            TRANSITIONS.items(),
+            key=lambda row: (row[1][0], _taken(row[1][2], "bs"))):
+        kinds = [kind for kind, _ in rows]
+        yield (kinds[0].name.lower(), kinds, _UNITS[field] if sides else None,
+               sides, TRANSITIONS[kinds[0]][1](2)[0] == 0)
+
+
+def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
+    """What firing one event of kind does, read off its row of
+    `TRANSITIONS`, as (guard, statement) pairs, each statement to run when
+    its guard holds (always for None), in expressions that read alike in
+    Python and C. at(offset) is the index suffix of b and s that names the
+    level offset from the one it fires at. In order: the counts at that
+    level, the side totals B and S by the row's net change on each side,
+    M, the kind's tally at that level (every kind, arrivals and exits
+    included, is tallied per level), and a move's destination count with
+    its M test.
+    M moves unconditionally when both sides change alike; else min(b, s)
+    moves with b exactly when b <= s after a buyer arrives and when b < s
+    after one leaves (mirrored for sellers)."""
+    def add(name, sign):
+        return None, f"{name} {'+-'[sign < 0]}= 1.0"
+
+    def moves_min(side, sign, level):
+        return (f"{'bs'[side]}{level} {'<' if sign < 0 else '<='} "
+                f"{'sb'[side]}{level}", add("M", sign)[1])
+
+    increments = TRANSITIONS[kind][2]
+    here = [(side, sign) for side, offset, sign in increments if not offset]
+    nets = [sum(sign for s, _, sign in increments if s == side)
+            for side in (0, 1)]
+    actions = [add("bs"[side] + at(0), sign) for side, sign in here]
+    actions += [add(total, net) for total, net in zip("BS", nets) if net]
+    if len(here) == 2 and here[0][1] == here[1][1]:
+        actions.append(add("M", here[0][1]))
+    else:
+        actions += [moves_min(side, sign, at(0)) for side, sign in here]
+    actions.append((None, f"{TALLIES[kind]}{at(0)} += 1"))
+    for side, offset, sign in increments:
+        if offset:
+            actions += [add("bs"[side] + at(offset), sign),
+                        moves_min(side, sign, at(offset))]
+    return actions
+
+
+def _in_list(k: str, offset: int) -> str:
+    """The index suffix of the level offset from level k."""
+    return f"[{k} {'+-'[offset < 0]} {abs(offset)}]" if offset else f"[{k}]"
 
 
 def enumerate_events(

@@ -4,13 +4,15 @@
 `enumerate_events` and `apply_event` and is the reference, and
 `_identities` derives the counting identities from the same table
 (`EventCounters`' fields are the tallies, one per kind in rank order, and
-`TALLIES` names them by kind; every rendering tallies each kind per level,
-in one row of a tally matrix). `_Chain`, behind `simulate`,
+`model.TALLIES` names them by kind; every rendering tallies each kind per
+level, in one row of a tally matrix). `_Chain`, behind `simulate`,
 `empirical_equilibrium` and the replicas of a convergence study, runs the
 chain on a rendering of one chunk function: the template `_ENGINE`, whose
 event code `_engine_source` renders from the same table and
-`_python_engine` compiles on first use, or its rendering in C
-(`_cengine`). The ODE right-hand side, written apart, is the independent
+`_python_engine` compiles on first use, or its rendering in C, the
+`engine` function of the package's one CPython extension (`_cext`). Both
+render their blocks through the table's readers in `model` (`_blocks`,
+`_actions`). The ODE right-hand side, written apart, is the independent
 check on the table (a test compares it with the table's drift). Every
 rendering holds exact counts and keeps B = sum b, S = sum s and
 M = sum min(b, s) exactly, so the closed-form total rate never drifts, and
@@ -19,40 +21,35 @@ same order, so all give the same bits. The tests replay each rendering
 event by event against `step()`, and compare them bit for bit at every
 level count up to 17.
 
-Division of work: a rendering is `bind(u, rates, t_end, sample_ts, book,
-clock, next_sample, tally, xs, ys)`, which returns the chunk function
-`run(size)`; it runs the events of the first size pairs of uniforms in u
-and returns the index of the pair that ended the run, or size. The work
-of a chain is split into a set-up, made once per (params, L, start,
-horizon, sample grid), and runs, one per replica. The set-up is a
-`_Chain`: it checks the population, caps the budget, computes the rates,
-makes every buffer the engine touches and binds the rendering to them
-once. Its runs reset those buffers in place and own the one chunk loop,
-the budget, `BudgetExceeded`, the event count, the samples left when the
-run ends, which take the final book, and the exact checks of the
-aggregates and of the counting identities (`_identities`, one cached
-matrix per N). A chunk records each sample's counts as doubles straight
-into the chain's preallocated (m, N) float64 arrays, which the run scales
-once in place and returns, so a run's samples take no more memory than
-the arrays returned, and the next run on the same set-up overwrites them.
-`simulate` and `empirical_equilibrium` make one run on a set-up of their
-own; `experiments.fluid_convergence` makes one set-up per level, or per
-block of a level's replicas with workers (`_replicas`, `simulate`'s own),
-and runs each replica on it.
+Division of work: the work of a chain is split into a set-up, made once
+per (params, L, start, horizon, sample grid), and runs, one per replica.
+The set-up is a `_Chain`, which binds a rendering to the buffers it
+makes (its docstring states the interface). Its runs reset those buffers
+in place and own the one chunk loop, the budget, `BudgetExceeded`, the
+event count, the samples left when the run ends, which take the final
+book, and the exact checks of the aggregates and of the counting
+identities (`_identities`, one cached matrix per N). A chunk records each
+sample's counts as doubles straight into the chain's preallocated (m, N)
+float64 arrays, which the run scales once in place and returns; the next
+run on the same set-up overwrites them. `simulate` and
+`empirical_equilibrium` make one run on a set-up of their own;
+`experiments.fluid_convergence` makes one set-up per level, or per block
+of a level's replicas with workers (`_replicas`, `simulate`'s own), and
+runs each replica on it.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
-The C rendering runs when a C compiler `cc` builds it (once per source,
-into a per-user cache; `_cengine` has the details) and a load-time check
-finds it giving the Python engine's bits. Otherwise the Python rendering
-runs: the book in lists, each level block testing its entry level inline
-and then looping over the other levels (`_LIST_WALK`), compiled once per
-process (about 2 ms). It is also the oracle the C engine is checked
-against. On a shared 2-core Xeon (gcc 12, Python 3.11) the C engine took
-43-58 ns per event at N = 2 and 48-73 ns at N = 50, the Python one
-460-530 and 460-690 ns (CHANGES.md has the runs). Both hold the
-counts as floats, which are exact below 2**53: `_Chain` refuses an
-initial population of 2**53 or more and caps the budget so that no count
-reaches it. Nothing is compiled or built at import.
+The C rendering runs when a C compiler `cc` and the interpreter's
+`Python.h` build the extension (once per source, into a per-user cache;
+`_cext` has the details) and a load-time check finds it giving the Python
+engine's bits. Otherwise the Python rendering runs: the book in lists,
+each level block testing its entry level inline and then looping over the
+other levels (`_LIST_WALK`), compiled once per process (about 2 ms). It
+is also the oracle the C engine is checked against. On a shared 2-core
+Xeon (gcc 12, Python 3.11) the C engine took 43-58 ns per event at N = 2
+and 48-73 ns at N = 50, the Python one 460-530 and 460-690 ns (CHANGES.md
+has the runs). Both hold the counts as floats, which are exact below
+2**53: `_Chain` refuses an initial population of 2**53 or more and caps
+the budget so that no count reaches it. Nothing is compiled or built at import.
 
 Draw contract: a replica's randomness is one stream of uniform doubles
 u_1, u_2, ... from `Generator.random`. Event i takes u_(2i-1) for its
@@ -74,16 +71,12 @@ it calls, never `np.log1p`, whose vectorised form differs from it in the
 last bit on some machines. Replica streams are `SeedSequence` spawn keys
 `(i, j)` (replica j at the i-th scaling level).
 
-Per event the engine does only the work that event needs: one clock
-test, against the next sample time or the horizon, whichever comes first;
-no budget test (the chain hands the engine at most the budget's worth of
-pairs plus one, and the budget ran out if that last pair falls before the
-horizon too); and one dispatch, in which each block applies its +-1
-increments where it is picked. Each level block (trades, quits and alpha-moves of
-either side) tests its entry level first, then the others level by level
-in walk order. An empty level subtracts 0.0 and leaves the target
-unchanged, so every comparison and subtraction is that of a walk over the
-occupied levels, and the same level fires.
+Per event the engine makes one clock test (against the next sample time
+or the horizon, whichever comes first), no budget test (a chunk call gets
+at most the budget's worth of pairs plus one) and one dispatch, in which
+each level block tests its entry level first, then the others in walk
+order; an empty level subtracts 0.0, so the same level fires as in a walk
+over the occupied levels.
 
 Per-trader rates fall like 1/L while the horizon in scaled time tau covers
 t in [0, tau * L], so one unit of tau costs O(L) events.
@@ -93,7 +86,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from itertools import groupby
 from math import log1p
 from operator import length_hint
 
@@ -102,16 +94,19 @@ import numpy as np
 from . import ode
 from .errors import BudgetExceeded, InvariantViolation
 from .model import (
+    TALLIES,
     TRANSITIONS,
     DiscreteState,
     Event,
-    EventKind,
     FluidState,
     ModelParams,
     ScalingLevel,
+    _actions,
+    _blocks,
     _count,
+    _in_list,
+    _indent,
     _pair,
-    _taken,
     apply_event,
     enumerate_events,
 )
@@ -126,12 +121,12 @@ CHUNK = 1024  # (holding, selection) pairs per generator call
 
 @dataclass
 class EventCounters:
-    """Cumulative event tallies over a simulation window: the one statement
-    of the tallies, from which the engine renders them. There is one field
-    per EventKind, in rank order: an array tallies a kind per (0-based)
-    level it fires at, and an int tallies a kind that fires at one level
-    only. The engine tallies every kind per level, one row of an int64
-    matrix per field, and `_Chain.counters` sums an int field's row.
+    """Cumulative event tallies over a simulation window. There is one
+    field per EventKind, in rank order, named by `model.TALLIES`, which
+    every rendering of the engine reads: an array tallies a kind per
+    (0-based) level it fires at, and an int tallies a kind that fires at
+    one level only. The engine tallies every kind per level, one row of an
+    int64 matrix per field, and `_Chain.counters` sums an int field's row.
 
     buyer_moves[k] counts moves from level k to k+1 (last entry unused);
     seller_moves[k] counts moves from level k to k-1 (entry 0 unused).
@@ -172,11 +167,6 @@ class EventCounters:
     def conserves(self, initial: DiscreteState, final: DiscreteState) -> bool:
         db, ds = self.conservation_defects(initial, final)
         return not (db.any() or ds.any())
-
-
-# The EventCounters field that tallies each event kind
-TALLIES = dict(zip(EventKind, (f.name for f in fields(EventCounters)),
-                   strict=True))
 
 
 @functools.cache
@@ -346,9 +336,6 @@ def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
     return run
 '''
 
-# The engine's local for each level block's rate unit, the field over L
-_UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
-
 # A level block's walk, which leaves the level it picks in k: the entry
 # level inline, then the levels after it (`rest`, in walk order), each test
 # subtracting the weight tested before it. A target at or past the block's
@@ -370,76 +357,6 @@ if not target < (w := {weight}):
 def _branch(test: str, body: str) -> str:
     """body under the clause test (`if ...`, `elif ...` or `else`)."""
     return f"{test}:\n    " + body.replace("\n", "\n    ")
-
-
-def _indent(lines: str, depth: int = 16) -> str:
-    """lines indented by depth spaces, by default to sit in the Python
-    engine's dispatch."""
-    pad = " " * depth
-    return pad + lines.replace("\n", "\n" + pad)
-
-
-def _blocks():
-    """The dispatch's blocks, the rows of `model.TRANSITIONS` grouped by
-    rate (field, and the sides `model._taken` reads off the increments), in
-    rank order, which puts each alpha-move with the exit at its far edge.
-    Yields (name, kinds, unit, sides, up) per block: its first kind's name
-    in lower case; its kinds; the engine's rate unit (`_UNITS`), None for
-    an arrival, which fires at its one level unwalked; the names of the
-    sides, "b" and "s", whose smaller count times the unit is its weight at
-    a level, and whose counts are all nonzero where a level is occupied;
-    and whether it walks up from level 0, else down from the top, read off
-    its first row for a book of two levels. Every rendering of the engine
-    renders its blocks from these."""
-    for (field, sides), rows in groupby(
-            TRANSITIONS.items(),
-            key=lambda row: (row[1][0], _taken(row[1][2], "bs"))):
-        kinds = [kind for kind, _ in rows]
-        yield (kinds[0].name.lower(), kinds, _UNITS[field] if sides else None,
-               sides, TRANSITIONS[kinds[0]][1](2)[0] == 0)
-
-
-def _actions(kind: EventKind, at) -> list[tuple[str | None, str]]:
-    """What firing one event of kind does, read off its row of
-    `model.TRANSITIONS`, as (guard, statement) pairs, each statement to run
-    when its guard holds (always for None), in expressions that read alike
-    in Python and C. at(offset) is the index suffix of b and s that names
-    the level offset from the one it fires at. In order: the counts at
-    that level, the side totals B and S by the row's net change on each
-    side, M, the kind's tally at that level (every kind, arrivals and exits
-    included, is tallied per level), and a move's destination count with
-    its M test.
-    M moves unconditionally when both sides change alike; else min(b, s)
-    moves with b exactly when b <= s after a buyer arrives and when b < s
-    after one leaves (mirrored for sellers)."""
-    def add(name, sign):
-        return None, f"{name} {'+-'[sign < 0]}= 1.0"
-
-    def moves_min(side, sign, level):
-        return (f"{'bs'[side]}{level} {'<' if sign < 0 else '<='} "
-                f"{'sb'[side]}{level}", add("M", sign)[1])
-
-    increments = TRANSITIONS[kind][2]
-    here = [(side, sign) for side, offset, sign in increments if not offset]
-    nets = [sum(sign for s, _, sign in increments if s == side)
-            for side in (0, 1)]
-    actions = [add("bs"[side] + at(0), sign) for side, sign in here]
-    actions += [add(total, net) for total, net in zip("BS", nets) if net]
-    if len(here) == 2 and here[0][1] == here[1][1]:
-        actions.append(add("M", here[0][1]))
-    else:
-        actions += [moves_min(side, sign, at(0)) for side, sign in here]
-    actions.append((None, f"{TALLIES[kind]}{at(0)} += 1"))
-    for side, offset, sign in increments:
-        if offset:
-            actions += [add("bs"[side] + at(offset), sign),
-                        moves_min(side, sign, at(offset))]
-    return actions
-
-
-def _in_list(k: str, offset: int) -> str:
-    """The index suffix of the level offset from level k."""
-    return f"[{k} {'+-'[offset < 0]} {abs(offset)}]" if offset else f"[{k}]"
 
 
 def _engine_source() -> str:
@@ -473,15 +390,13 @@ def _engine_source() -> str:
 @functools.cache
 def _python_engine():
     """The Python engine's `bind`, `_engine_source()` compiled once per
-    process: the fallback where the C engine (`_cengine`) cannot run, and
+    process: the fallback where the C engine (`_cext`) cannot run, and
     the oracle that checks it. A chunk holds the book and the tallies in
-    lists and walks each level block in a loop (`_LIST_WALK`).
-    The counts b_k, s_k, B, S and M are floats, which step by 1.0 and
-    multiply the rates without an int-to-float conversion; they are exact
-    below 2**53, so every comparison and product equals that on ints, and
-    `_Chain` caps the budget so that no count reaches 2**53. The tallies stay
-    ints.
-    """
+    lists and walks each level block in a loop (`_LIST_WALK`). The counts
+    b_k, s_k, B, S and M are floats, which step by 1.0 and multiply the
+    rates without an int-to-float conversion; exact below 2**53, where
+    `_Chain` caps them, they compare and multiply as ints would. The
+    tallies stay ints."""
     namespace = {"log1p": log1p, "length_hint": length_hint}
     exec(compile(_engine_source(), "<lobfluid.simulate engine>", "exec"),
          namespace)
@@ -491,12 +406,13 @@ def _python_engine():
 @functools.cache
 def _engine():
     """The rendering a `_Chain` runs, chosen once per process: the C one when
-    `_cengine.load` finds or builds it and its load-time check finds it
-    agreeing with the Python engine, else the Python engine. Both make the
-    same draws, comparisons and float operations in the same order and so
-    give the same bits, which is why no option chooses between them."""
-    from . import _cengine
-    return _cengine.load() or _python_engine()
+    `_cext.load("engine")` finds or builds the extension and the engine's
+    load-time check finds it agreeing with the Python engine, else the
+    Python engine. Both make the same draws, comparisons and float
+    operations in the same order and so give the same bits, which is why
+    no option chooses between them."""
+    from . import _cext
+    return _cext.load("engine") or _python_engine()
 
 
 class _Chain:
@@ -511,22 +427,18 @@ class _Chain:
     run(size), which runs pairs 0..size-1 of the uniforms in u (holding,
     selection) and returns the index of the pair that ended the run, or
     size if no pair ended it. The buffers are attributes of the chain,
-    contiguous float64 or int64 arrays that C holds pointers into for as
-    long as the chain lives: the uniforms, CHUNK pairs (CHUNK is read once,
-    here); the rates and sample times; the book; the clock t with B, S and
-    M; the index of the next sample; the tallies, an int64 matrix with one
-    row per field of `EventCounters` and one column per level, where every
-    kind is tallied at the 0-based level it fires at; and the samples'
-    counts, one row of xs and ys per sample time, views of the one array
-    samples.
+    contiguous float64 or int64 arrays that C takes on each chunk call:
+    the uniforms, CHUNK pairs (CHUNK is read once, here); the rates and
+    sample times; the book; the clock t with B, S and M; the index of the
+    next sample; the tallies, an int64 matrix with one row per field of
+    `EventCounters` and one column per level, where every kind is tallied
+    at the 0-based level it fires at; and the samples' counts, one row of
+    xs and ys per sample time, views of the one array samples.
 
-    The counts are floats, exact below 2**53, and the aggregates B, S, M
-    move with the +-1 increments, so the total rate is exact at every
-    step. An event adds at most one trader, so the budget is capped at
-    2**53 - 1 - P events for an initial population P: reaching the cap
-    raises BudgetExceeded naming it as the budget, and a population of
-    2**53 or more raises ValueError. At any real population the cap is far
-    beyond a run's reach.
+    The counts are floats, exact below 2**53. An event adds at most one
+    trader, so the budget is capped at 2**53 - 1 - P events for an initial
+    population P (reaching it raises BudgetExceeded), and a population of
+    2**53 or more raises ValueError.
     """
 
     def __init__(self, params: ModelParams, scale: ScalingLevel,

@@ -1,8 +1,8 @@
 """Shared test helpers: the mark of the tests that need a C compiler, the
 engine renderings on scripted draws, a C library cache of the session's
-own, a fresh choice of the extension's functions, one build of the
-extension with warnings as errors per session, and a build that fuses
-multiply-adds."""
+own, a fresh choice of the extension's functions and of the engine, one
+build of the extension with warnings as errors per session, and a build
+that fuses multiply-adds."""
 
 import ctypes
 import importlib
@@ -13,8 +13,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lobfluid import EventCounters, _cbuild, _cext, fixed_point, ode, output
-from lobfluid.simulate import _Chain
+from lobfluid import EventCounters, _cext, fixed_point, ode, output
+from lobfluid.simulate import _Chain, _engine
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler cc on PATH")
@@ -22,7 +22,7 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 @pytest.fixture(autouse=True, scope="session")
 def private_library_cache(tmp_path_factory):
-    """The C libraries' cache in a directory of the session's own, so the
+    """The C library's cache in a directory of the session's own, so the
     tests never write to the user's home; the command-line runs that tests
     start in subprocesses inherit it."""
     with pytest.MonkeyPatch.context() as patch:
@@ -32,15 +32,15 @@ def private_library_cache(tmp_path_factory):
 
 def _clear_extension_choice():
     for cached in (_cext._extension, ode._c_flow, output._c_write,
-                   fixed_point._c_solve):
+                   fixed_point._c_solve, _engine):
         cached.cache_clear()
 
 
 @pytest.fixture
 def fresh_extension_choice():
-    """Lets a test load the extension and its flow, writer and solve
-    again, and the next test after it: clears the module's cache and the
-    cache of each accessor."""
+    """Lets a test load the extension and its flow, writer, solve and
+    engine again, and the next test after it: clears the module's cache
+    and the cache of each accessor."""
     _clear_extension_choice()
     yield
     _clear_extension_choice()
@@ -125,7 +125,7 @@ def fire_once(each_engine):
 
 def fused_flags():
     """The build's flags with contraction on, for this machine's FMA."""
-    return (*(flag.replace("off", "fast") for flag in _cbuild.FLAGS),
+    return (*(flag.replace("off", "fast") for flag in _cext.FLAGS),
             "-march=native")
 
 
@@ -157,7 +157,7 @@ def build_extension(tmp_path_factory):
     source.write_text(_cext.SOURCE)
     library = directory / "ext.so"
     built = subprocess.run(
-        ["cc", *_cbuild.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+        ["cc", *_cext.FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
          "-o", str(library), str(source)],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr

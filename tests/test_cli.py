@@ -529,6 +529,20 @@ def test_arrivals_far_above_alpha_exit_0(tmp_path, capsys):
     assert "x* = (9.999999999e+299, 4.999999999e+289, 2.499999999e+279)" in out
 
 
+def test_a_point_outside_the_float_range_exits_3(tmp_path, capsys):
+    # x* overflows to inf (lambda_b 1e300 over alpha + gamma = 2e-10): the
+    # solve names that, where it once reported "residual nan exceeds the
+    # bound"
+    code, out, err = run(capsys, [
+        "solve", "--n", "3", "--lambda-b", "1e300", "--lambda-s", "1",
+        "--alpha", "1e-10", "--beta", "0", "--gamma", "1e-10",
+        "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert err == ("solver error: recursive-implicit: x* or y* is outside "
+                   "the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

@@ -15,8 +15,8 @@ import pytest
 from conftest import fused_flags, fuses, needs_cc
 
 import lobfluid
-from lobfluid import (_cbuild, _cext, cli, fixed_point, fixed_point_residual,
-                      ode, output)
+from lobfluid import (_cext, cli, fixed_point, fixed_point_residual, ode,
+                      output)
 from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
@@ -322,15 +322,17 @@ def test_the_c_flow_loads_where_a_compiler_is_found():
 def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
                                                   fresh_extension_choice):
     # an interpreter without its headers: even with a compiler, nothing is
-    # built and no cache directory is made, and _solve runs _flow on the
-    # public odeint bits
+    # built and no cache directory is made, _solve runs _flow on the
+    # public odeint bits, and a chain runs the Python engine
     import sysconfig
 
+    simulate_module = sys.modules["lobfluid.simulate"]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    monkeypatch.setattr(_cbuild, "_build", None)
+    monkeypatch.setattr(_cext, "_build", None)
     assert ode._c_flow() is None
+    assert simulate_module._engine() is simulate_module._python_engine()
     assert not (tmp_path / "cache").exists()
     z0, p, taus, tau_max, tol = next(solve_cases())
     states, nfe = ode._solve(z0, p, taus, tau_max, tol)
@@ -342,19 +344,20 @@ def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
 def test_the_extension_is_built_once_per_process(tmp_path, monkeypatch,
                                                  fresh_extension_choice):
     # where the cache cannot be written (XDG_CACHE_HOME names a file) the
-    # library is built for the process alone; its flow, writer and solve
-    # still share that one build
+    # library is built for the process alone; its flow, writer, solve and
+    # engine still share that one build
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     blocked = tmp_path / "file"
     blocked.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
-    build, builds = _cbuild._build, []
-    monkeypatch.setattr(_cbuild, "_build",
+    build, builds = _cext._build, []
+    monkeypatch.setattr(_cext, "_build",
                         lambda *args: builds.append(args) or build(*args))
     assert ode._c_flow() is not None
     assert output._c_write() is not None
     assert fixed_point._c_solve() is not None
+    assert _cext.load("engine") is not None
     assert len(builds) == 1
 
 
@@ -368,9 +371,11 @@ REGROUPED = [("x_in - bpa * x - trade", "x_in - (bpa * x + trade)"),
 def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
                                                 fresh_extension_choice, case):
     # each library builds, loads and runs, but its flow's bits are not
-    # _flow's: the flow's load-time check refuses it, and _solve then runs
-    # _flow, on the public odeint bits, while the writer of that library
-    # passes its own check and still loads
+    # _flow's, and _solve then runs _flow, on the public odeint bits. The
+    # regrouped library is refused by the flow's load-time check, while
+    # its writer passes its own check and still loads; the library whose
+    # build fuses multiply-adds is refused whole, by its canary, before
+    # the flow's check runs, and its writer with it
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -383,16 +388,21 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
     else:
         if not fuses(tmp_path, fused_flags()):
             pytest.skip("cc does not fuse a multiply-add on this machine")
-        monkeypatch.setattr(_cbuild, "FLAGS", fused_flags())
+        monkeypatch.setattr(_cext, "FLAGS", fused_flags())
     agrees, checked = _cext._flow_agrees, []
     monkeypatch.setattr(_cext, "_flow_agrees",
                         lambda flow: checked.append(flow) or agrees(flow))
     assert ode._c_flow() is None
-    assert output._c_write() is not None
-    # it was built and loaded, and refused by the check
-    flow, = checked
-    z = np.linspace(0.1, 2.0, 8)
-    assert flow(0.0, z, np.empty(8), _cext.rates(params(n=4))) is not None
+    if case == "regrouped":
+        assert output._c_write() is not None
+        # it was built and loaded, and refused by the check
+        flow, = checked
+        z = np.linspace(0.1, 2.0, 8)
+        assert flow(0.0, z, np.empty(8),
+                    _cext.rates(params(n=4))) is not None
+    else:
+        assert output._c_write() is None
+        assert checked == []
     for z0, p, taus, tau_max, tol in solve_cases():
         states, nfe = ode._solve(z0, p, taus, tau_max, tol)
         want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
@@ -412,10 +422,13 @@ def test_the_flow_c_compiles_without_warnings(build_extension):
 
 
 def test_the_flow_c_source_is_pinned():
-    # the flow's library is the extension: a machine rebuilds its cached
-    # library whenever the extension's C source changes, the flow's, the
-    # writer's or the solve's; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cext.SOURCE.encode()) == 0x330fa96b
+    # the flow's own part of the extension's C source, from its size check
+    # to the solve's arithmetic; the extension's whole source, which keys
+    # its cached library, is pinned in test_cengine.py
+    source = _cext.SOURCE
+    flow = source[source.index("/* 2N, the size of one state"):
+                  source.index("/* Python's n / d")]
+    assert zlib.crc32(flow.encode()) == 0xa847d578
 
 
 def flow_refusals() -> dict:
@@ -539,8 +552,8 @@ def test_lsoda_loader_and_public_odeint_agree_in_either_import_order():
 def test_lsoda_loader_after_the_scipy_package_alone():
     # with the scipy package already imported, the loader finds the
     # extension under the loaded package's directory and adds no module;
-    # the C flow, whose first load adds the package's own _cext and
-    # _cbuild, is loaded before the count
+    # the C flow, whose first load adds the package's own _cext, is
+    # loaded before the count
     out = run_python(
         "import sys, scipy\n" + LSODA_SETUP
         + "ode._c_flow()\n"
@@ -630,7 +643,8 @@ def test_large_n_integration_cost_is_banded():
 def test_import_and_solve_do_not_load_scipy():
     # and, with the C flow's library cached, one integrate loads no scipy
     # package module, no simulator and no subprocess: the C flow's load
-    # path imports none of them. `import lobfluid` loads lobfluid.simulate,
+    # path, the rendering of the extension's engine included, imports none
+    # of them. `import lobfluid` loads lobfluid.simulate,
     # so the child drops it first, and any import of it would load it anew
     loaded = ode._c_flow() is not None  # builds the library, where it can
     out = run_python(
@@ -643,8 +657,7 @@ def test_import_and_solve_do_not_load_scipy():
         "lobfluid.integrate(np.zeros(2), np.zeros(2),\n"
         "                   lobfluid.ModelParams(2, 1, 1, 1, 1, 1), 50.0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "             or m in ('lobfluid.simulate', 'lobfluid._cengine',\n"
-        "                      'subprocess')))\n"
+        "             or m in ('lobfluid.simulate', 'subprocess')))\n"
         "print(sys.modules['lobfluid.ode']._c_flow() is not None)\n")
     assert out.splitlines() == ["[]", str(loaded)]
 

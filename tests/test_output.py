@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import needs_cc
+from conftest import _clear_extension_choice, needs_cc
 
 import lobfluid
-from lobfluid import (ModelParams, ScalingLevel, _cbuild, _cext,
+from lobfluid import (ModelParams, ScalingLevel, _cext, cli,
                       equilibrium_concentration, fixed_point, integrate, ode,
                       output, overproduction_sweep, simulate, solve_recursive)
 from lobfluid.ode import OdeSolution
@@ -371,20 +371,33 @@ def test_the_c_writer_loads_where_a_compiler_is_found():
 def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
                                                     fresh_extension_choice):
     # an interpreter without its headers: even with a compiler, nothing is
-    # built and no cache directory is made, and the writer's Python twin
-    # writes the reference bytes
+    # built and no cache directory is made, the writer's Python twin
+    # writes the reference bytes, and the README simulate, on the Python
+    # engine and that writer, writes the bytes it writes where the
+    # extension loads
     import sysconfig
 
+    readme = ["simulate", "--n", "2", "--lambda-b", "1", "--lambda-s", "1",
+              "--alpha", "1", "--beta", "1", "--gamma", "1", "--seed", "42",
+              "--scale", "1000", "--tau-max", "5", "--sample-dt", "0.05"]
+    assert cli.main([*readme, "--out-dir", str(tmp_path / "c")]) == 0
+    _clear_extension_choice()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    monkeypatch.setattr(_cbuild, "_build", None)
+    monkeypatch.setattr(_cext, "_build", None)
     assert output._c_write() is None
-    assert not (tmp_path / "cache").exists()
     grid = CASES["adversarial-n3"]
     taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
     want = reference_bytes(taus, x, y)
     assert _written(tmp_path, taus, x, y) == [want, want]
+    simulate_module = sys.modules["lobfluid.simulate"]
+    assert simulate_module._engine() is simulate_module._python_engine()
+    assert cli.main([*readme, "--out-dir", str(tmp_path / "python")]) == 0
+    for name in ("trajectory.csv", "manifest.json"):
+        assert ((tmp_path / "python" / name).read_bytes()
+                == (tmp_path / "c" / name).read_bytes()), name
+    assert not (tmp_path / "cache").exists()
 
 
 # each library builds, loads and runs, but writes one value as Python
@@ -464,7 +477,7 @@ def test_the_writer_c_compiles_without_warnings(build_extension):
 def test_the_writer_c_source_is_pinned():
     # the writer's own part of the extension's C source, from its cache
     # entry to the module's method table; the extension's whole source,
-    # which keys its cached library, is pinned with the flow's tests
+    # which keys its cached library, is pinned in test_cengine.py
     source = _cext.SOURCE
     writer = source[source.index("/* a cached text"):
                     source.index("static PyMethodDef")]

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -331,7 +332,9 @@ def test_each_kind_tallies_only_at_its_levels(monkeypatch, each_engine):
     # the engine tallies every kind, arrivals and exits included, in one
     # row of the tally matrix per EventCounters field, at the 0-based level
     # it fires at. The decoded counters sum an arrival's or an exit's row,
-    # so they cannot show one tallied at the wrong level; the raw rows can
+    # so they cannot show one tallied at the wrong level; the raw rows can.
+    # model.TALLIES, which the renderings read, names the fields in order
+    assert list(TALLIES.values()) == [f.name for f in fields(EventCounters)]
     module = importlib.import_module("lobfluid.simulate")
     run, tallies = module._Chain.run, []
 
