@@ -56,8 +56,8 @@ is formatted again.
 
 `engine(u, size, rates, t_end, sample_ts, book, clock, next_sample,
 tally, xs, ys)`: the chunk function on a chain's buffers, which it checks
-and takes on each call (`_bind` makes the `bind` that `simulate._Chain`
-takes). `_engine_source` renders it from what the Python engine's source
+and takes on each call, called as `simulate._Chain` calls the Python
+engine. `_engine_source` renders it from what the Python engine's source
 is rendered from, `model._blocks`, `model._actions` and `model.TALLIES`,
 so rendering it loads no simulator. It keeps the Python engine's block
 order, sequential subtraction, clock test and float counts, and takes
@@ -382,18 +382,20 @@ pattern(const double *r, double *x, double *y)
             break;
     }
     /* the trial's y below the crossing; above it min = x, so y does not
-       cap x. Where exp(log_s) overflows, in four factors, as Python's */
-    if (isinf(scale = exp(found[2]))) {
-        scale = exponential(found[2] / 4.0, &bad);
-        level_y = found[1] * scale * scale * scale * scale;
-    } else
-        level_y = found[1] * scale;
+       cap x. Where exp(log_s) overflows, in logs, as Python's */
     for (k = n - 1; k >= ell; k--)
         y[k] = HUGE_VAL;
-    for (k = ell - 1; k >= 0; k--) {
-        level_y *= c;
-        y[k] = level_y;
-    }
+    scale = exp(found[2]);
+    level_y = isinf(scale) ? log(fabs(found[1])) + found[2]
+        : found[1] * scale;
+    for (k = ell - 1; k >= 0; k--)
+        if (isinf(scale)) {
+            level_y += log(c);
+            y[k] = copysign(exp(level_y), found[1]);
+        } else {
+            level_y *= c;
+            y[k] = level_y;
+        }
     /* fixed_point._chain forward against y, then backward against x */
     for (gain = r[1], k = 0; k < n; k++) {
         u = quotient(gain, bpag, &bad);
@@ -954,14 +956,15 @@ def _states_agree(states) -> bool:
 
 def _solve_draws(rng: random.Random):
     """The parameters of the solve's check: at each SOLVE_SIZES level
-    count, rates drawn log-uniform on [0.1, 10] in eight kinds, arrivals
+    count, rates drawn log-uniform on [0.1, 10] in nine kinds, arrivals
     within a factor 1e3 of each other (mostly regime iii beyond one
     level), buyers and sellers 1e100 times the other side's arrivals
     (regimes i and ii), beta 0 at balanced and at unbalanced arrivals,
-    gamma alpha overflowing, and lambda_b / alpha underflowing to 0 and
-    lambda_s / alpha overflowing to inf."""
+    gamma alpha overflowing, lambda_b / alpha underflowing to 0 and
+    lambda_s / alpha overflowing to inf, and lambda_b 1e300 at alpha
+    1e-200, whose y_1 fills in log space at N = 1."""
     for n in SOLVE_SIZES:
-        for kind in range(8):
+        for kind in range(9):
             lambda_b, alpha, beta, gamma = (
                 math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
                 for _ in range(4))
@@ -980,6 +983,9 @@ def _solve_draws(rng: random.Random):
                 lambda_b, alpha = lambda_b * 1e-300, alpha * 1e300
             elif kind == 7:
                 lambda_s, alpha = lambda_b * 1e300, alpha * 1e-12
+            elif kind == 8:
+                lambda_b, lambda_s, alpha = (lambda_b * 1e300,
+                                             lambda_b * 3e299, alpha * 1e-200)
             yield ModelParams(n, lambda_b, lambda_s, alpha, beta, gamma)
 
 
@@ -1003,8 +1009,8 @@ def _solve_agrees(solve) -> bool:
     return True
 
 
-def _engine_runs(bind) -> list:
-    """The engine check's runs on bind: each one's event count and the
+def _engine_runs(engine) -> list:
+    """The engine check's runs on engine: each one's event count and the
     bytes of every buffer after it. Two `simulate._Chain`s at N = 4, from
     a book with traders of both sides, take one stream seeded SEED: two
     runs of about 1,500 events to t = 200, sampled every 5, which cross
@@ -1016,7 +1022,7 @@ def _engine_runs(bind) -> list:
     start = DiscreteState(np.array([3, 0, 5, 1]), np.array([0, 2, 4, 6]))
     long_run, short_run = (_Chain(params, ScalingLevel(1), start, t_end,
                                   np.arange(0.0, t_end, 5.0), 10**6,
-                                  bind=bind)
+                                  engine=engine)
                            for t_end in (200.0, 1.0))
     rng = np.random.default_rng(SEED)
     return [(chain.run(rng)[2], *(getattr(chain, name).tobytes() for name in
@@ -1025,26 +1031,16 @@ def _engine_runs(bind) -> list:
             for chain in [long_run] * 2 + [short_run] * 60]
 
 
-def _engine_agrees(bind) -> bool:
-    """The engine's load-time check: the runs of `_engine_runs` on bind
+def _engine_agrees(engine) -> bool:
+    """The engine's load-time check: the runs of `_engine_runs` on engine
     end as `simulate._python_engine`'s do, byte for byte (the clock sums
     every holding time, so log1p's too), and none raises."""
     from .simulate import _python_engine
 
     try:
-        return _engine_runs(bind) == _engine_runs(_python_engine())
+        return _engine_runs(engine) == _engine_runs(_python_engine())
     except (SolverError, BudgetExceeded):
         return False
-
-
-def _bind(engine):
-    """The C engine's `bind` (see `simulate._Chain`), whose chunk function
-    calls engine on the chain's buffers."""
-    def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
-             ys):
-        return lambda size: engine(u, size, rates, t_end, sample_ts, book,
-                                   clock, next_sample, tally, xs, ys)
-    return bind
 
 
 def _python_flags():
@@ -1137,17 +1133,14 @@ def _extension():
 
 
 def load(name: str):
-    """The extension's function name ("flow", "states" or "solve"), or
-    the C engine's `bind` for "engine", where the library builds and
-    loads, passes its canary, and the function passes its own load-time
-    check (`_flow_agrees`, `_states_agree`, `_solve_agrees` or
-    `_engine_agrees`); else None."""
+    """The extension's function name ("flow", "states", "solve" or
+    "engine") where the library builds and loads, passes its canary, and
+    the function passes its own load-time check (`_flow_agrees`,
+    `_states_agree`, `_solve_agrees` or `_engine_agrees`); else None."""
     extension = _extension()
     if extension is None:
         return None
     function = getattr(extension, name)
-    if name == "engine":
-        function = _bind(function)
     agrees = {"flow": _flow_agrees, "states": _states_agree,
               "solve": _solve_agrees, "engine": _engine_agrees}[name]
     return function if agrees(function) else None

@@ -398,12 +398,20 @@ def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
     y = [math.inf] * n
     try:
         level_y = big_y * math.exp(log_s)
-    except OverflowError:  # log_s is at most log(1.8e308 / 5e-324), 1455
-        quarter = math.exp(log_s / 4.0)
-        level_y = big_y * quarter * quarter * quarter * quarter
-    for i in range(ell - 1, -1, -1):
-        level_y *= c
-        y[i] = level_y
+    except OverflowError:  # y_(ell+1) is past the float range: in logs
+        log_c = math.log(c) if c else -math.inf
+        log_y = (math.log(abs(big_y)) if big_y else -math.inf) + log_s
+        for i in range(ell - 1, -1, -1):
+            log_y += log_c
+            try:
+                level_y = math.exp(log_y)
+            except OverflowError:
+                level_y = math.inf
+            y[i] = math.copysign(level_y, big_y)
+    else:
+        for i in range(ell - 1, -1, -1):
+            level_y *= c
+            y[i] = level_y
     x = _chain(p.lambda_b, y, p)
     y = _chain(p.lambda_s, reversed(x), p)
     y.reverse()

@@ -289,7 +289,7 @@ TALLIES = dict(zip(EventKind, (
 _UNITS = {"gamma": "rt", "beta": "rq", "alpha": "rm"}
 
 
-def _indent(lines: str, depth: int = 16) -> str:
+def _indent(lines: str, depth: int = 12) -> str:
     """lines indented by depth spaces, by default to sit in the Python
     engine's dispatch."""
     pad = " " * depth

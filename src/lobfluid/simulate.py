@@ -23,19 +23,19 @@ level count up to 17.
 
 Division of work: the work of a chain is split into a set-up, made once
 per (params, L, start, horizon, sample grid), and runs, one per replica.
-The set-up is a `_Chain`, which binds a rendering to the buffers it
-makes (its docstring states the interface). Its runs reset those buffers
-in place and own the one chunk loop, the budget, `BudgetExceeded`, the
-event count, the samples left when the run ends, which take the final
-book, and the exact checks of the aggregates and of the counting
-identities (`_identities`, one cached matrix per N). A chunk records each
-sample's counts as doubles straight into the chain's preallocated (m, N)
-float64 arrays, which the run scales once in place and returns; the next
-run on the same set-up overwrites them. `simulate` and
-`empirical_equilibrium` make one run on a set-up of their own;
-`experiments.fluid_convergence` makes one set-up per level, or per block
-of a level's replicas with workers (`_replicas`, `simulate`'s own), and
-runs each replica on it.
+The set-up is a `_Chain`, which makes the buffers that each chunk of a
+run hands the rendering, in C or in Python, by their one signature (its
+docstring states it). Its runs reset those buffers in place and own the
+one chunk loop, the budget, `BudgetExceeded`, the event count, the
+samples left when the run ends, which take the final book, and the exact
+checks of the aggregates and of the counting identities (`_identities`,
+one cached matrix per N). A chunk records each sample's counts as
+doubles straight into the chain's preallocated (m, N) float64 arrays,
+which the run scales once in place and returns; the next run on the same
+set-up overwrites them. `simulate` and `empirical_equilibrium` make one
+run on a set-up of their own; `experiments.fluid_convergence` makes one
+set-up per level, or per block of a level's replicas with workers
+(`_replicas`, `simulate`'s own), and runs each replica on it.
 
 Renderings: `_engine` picks one per process, and no option chooses it.
 The C rendering runs when a C compiler `cc` and the interpreter's
@@ -260,80 +260,75 @@ def step(
 
 
 # The Python engine's source, with {fields} filled in by _engine_source: a
-# rendering of the chunk function, whose interface `_Chain` states. A chunk
-# takes its pairs from the chain's uniform buffer u as two lists, loads the
-# book, the clock and the tallies into locals (lists and floats; one list
-# per row of the tally matrix, named by its `EventCounters` field) and
-# stores them back at its end, each buffer in one call. The rates and the
-# walk ranges are locals of run as well: a closure cell read per event
-# slows the walk.
+# rendering of the chunk function, whose one signature `_Chain` states. A
+# chunk takes its pairs from the chain's uniform buffer u as two lists,
+# loads the rates, the book, the clock and the tallies into locals (lists
+# and floats; one list per row of the tally matrix, named by its
+# `EventCounters` field) and stores the buffers it writes back at its end,
+# each in one call. It reads a sample time from its buffer only when the
+# clock passes one, so a chunk costs nothing per sample time.
 #
 # Per event it does only what the event needs. The clock moves in place and
-# is tested once, against stop = min(next sample time, t_end), which
-# changes only when samples are taken. The dispatch walks the canonical
+# is tested once, against stop = min(next sample time, t_end), a float
+# that changes only when samples are taken. The dispatch walks the canonical
 # order; a target at or past the end fires the last positive-rate event:
 # the seller arrival on an empty book, else the buyer alpha block when
 # there are no sellers (then B > 0), else the seller alpha block. The
 # target is never negative, so an empty block (weight 0.0) is never picked
 # by its test.
 _ENGINE = '''\
-def bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally, xs,
-         ys):
-    rates = rates.tolist()
-    sample_ts = sample_ts.tolist()
+def engine(u, size, rates, t_end, sample_ts, book, clock, next_sample, tally,
+           xs, ys):
+    lam_b, lam_s, lam, rt, rq, rm, rqm = rates.tolist()
+    b, s = book.tolist()
+    t, B, S, M = clock.tolist()
+    si, = next_sample.tolist()
     m = len(sample_ts)
-
-    def run(size):
-        lam_b, lam_s, lam, rt, rq, rm, rqm = rates
-        b, s = book.tolist()
-        t, B, S, M = clock.tolist()
-        si, = next_sample.tolist()
-        n = len(b)
-        {tallies} = tally.tolist()
-        # the levels after the entry level, in walk order
-        top = n - 1
-        up = range(1, n)
-        down = range(top - 1, -1, -1)
-        stop = min(sample_ts[si], t_end) if si < m else t_end
-        pairs = u[:2 * size]
-        picks = iter(pairs[1::2].tolist())
-        for hold, pick in zip(map(log1p, (-pairs[0::2]).tolist()), picks):
-            w_trade = rt * M
-            rate = lam + rqm * (B + S) + w_trade
-            t -= hold / rate
-            if t >= stop:
-                if t >= t_end:
-                    break
-                while si < m and sample_ts[si] <= t:
-                    xs[si] = b
-                    ys[si] = s
-                    si += 1
-                stop = min(sample_ts[si], t_end) if si < m else t_end
-            target = pick * rate
-            if target < lam_b:
+    n = len(b)
+    {tallies} = tally.tolist()
+    # the levels after the entry level, in walk order
+    top = n - 1
+    up = range(1, n)
+    down = range(top - 1, -1, -1)
+    stop = min(float(sample_ts[si]), t_end) if si < m else t_end
+    pairs = u[:2 * size]
+    picks = iter(pairs[1::2].tolist())
+    for hold, pick in zip(map(log1p, (-pairs[0::2]).tolist()), picks):
+        w_trade = rt * M
+        rate = lam + rqm * (B + S) + w_trade
+        t -= hold / rate
+        if t >= stop:
+            if t >= t_end:
+                break
+            while si < m and sample_ts[si] <= t:
+                xs[si] = b
+                ys[si] = s
+                si += 1
+            stop = min(float(sample_ts[si]), t_end) if si < m else t_end
+        target = pick * rate
+        if target < lam_b:
 {buyer_arrival}
-            elif (target := target - lam_b) < lam_s or not (B or S):
+        elif (target := target - lam_b) < lam_s or not (B or S):
 {seller_arrival}
-            elif (target := target - lam_s) < w_trade:
+        elif (target := target - lam_s) < w_trade:
 {trade}
-            elif (target := target - w_trade) < (w := rq * B):
+        elif (target := target - w_trade) < (w := rq * B):
 {buyer_quit}
-            elif (target := target - w) < (w := rq * S):
+        elif (target := target - w) < (w := rq * S):
 {seller_quit}
-            elif (target := target - w) < (w := rm * B) or not S:
+        elif (target := target - w) < (w := rm * B) or not S:
 {buyer_move}
-            else:
-                target -= w
+        else:
+            target -= w
 {seller_move}
-        book[:] = b, s
-        clock[:] = t, B, S, M
-        next_sample[0] = si
-        tally[:] = {tallies}
-        if t < t_end:
-            return size
-        # the pair that ended the run was drawn but fired no event
-        return size - length_hint(picks) - 1
-    return run
+    book[:] = b, s
+    clock[:] = t, B, S, M
+    next_sample[0] = si
+    tally[:] = {tallies}
+    if t < t_end or not size:
+        return size
+    # the pair that ended the run was drawn but fired no event
+    return size - length_hint(picks) - 1
 '''
 
 # A level block's walk, which leaves the level it picks in k: the entry
@@ -389,18 +384,18 @@ def _engine_source() -> str:
 
 @functools.cache
 def _python_engine():
-    """The Python engine's `bind`, `_engine_source()` compiled once per
-    process: the fallback where the C engine (`_cext`) cannot run, and
-    the oracle that checks it. A chunk holds the book and the tallies in
-    lists and walks each level block in a loop (`_LIST_WALK`). The counts
-    b_k, s_k, B, S and M are floats, which step by 1.0 and multiply the
-    rates without an int-to-float conversion; exact below 2**53, where
-    `_Chain` caps them, they compare and multiply as ints would. The
-    tallies stay ints."""
+    """The Python engine, the chunk function `engine` of
+    `_engine_source()` compiled once per process: the fallback where the
+    C engine (`_cext`) cannot run, and the oracle that checks it. A chunk
+    holds the book and the tallies in lists and walks each level block in
+    a loop (`_LIST_WALK`). The counts b_k, s_k, B, S and M are floats,
+    which step by 1.0 and multiply the rates without an int-to-float
+    conversion; exact below 2**53, where `_Chain` caps them, they compare
+    and multiply as ints would. The tallies stay ints."""
     namespace = {"log1p": log1p, "length_hint": length_hint}
     exec(compile(_engine_source(), "<lobfluid.simulate engine>", "exec"),
          namespace)
-    return namespace["bind"]
+    return namespace["engine"]
 
 
 @functools.cache
@@ -417,23 +412,24 @@ def _engine():
 
 class _Chain:
     """A chain of the model from init to t_end, sampled at sample_ts, set
-    up once for any number of runs on bind, a rendering of the engine
-    (`_engine()` by default, in C or in Python; both give the same bits).
+    up once for any number of runs on engine, a rendering of the chunk
+    function (`_engine()` by default, in C or in Python; both give the
+    same bits).
 
-    The set-up checks the population, caps the budget, computes the rates,
-    makes every buffer the engine touches and binds the rendering to them
-    once. bind(u, rates, t_end, sample_ts, book, clock, next_sample, tally,
-    xs, ys) is a rendering's one interface. It returns the chunk function
-    run(size), which runs pairs 0..size-1 of the uniforms in u (holding,
-    selection) and returns the index of the pair that ended the run, or
-    size if no pair ended it. The buffers are attributes of the chain,
-    contiguous float64 or int64 arrays that C takes on each chunk call:
-    the uniforms, CHUNK pairs (CHUNK is read once, here); the rates and
-    sample times; the book; the clock t with B, S and M; the index of the
-    next sample; the tallies, an int64 matrix with one row per field of
-    `EventCounters` and one column per level, where every kind is tallied
-    at the 0-based level it fires at; and the samples' counts, one row of
-    xs and ys per sample time, views of the one array samples.
+    The set-up checks the population, caps the budget, computes the rates
+    and makes every buffer the engine touches. Each chunk of a run calls
+    engine(u, size, rates, t_end, sample_ts, book, clock, next_sample,
+    tally, xs, ys), both renderings' one signature, which runs pairs
+    0..size-1 of the uniforms in u (holding, selection) and returns the
+    index of the pair that ended the run, or size if none did. The
+    buffers are attributes of the chain, contiguous float64 or int64
+    arrays: the uniforms, CHUNK pairs (CHUNK is read once, here); the
+    rates and sample times; the book; the clock t with B, S and M; the
+    index of the next sample; the tallies, an int64 matrix with one row
+    per field of `EventCounters` and one column per level, where every
+    kind is tallied at the 0-based level it fires at; and the samples'
+    counts, one row of xs and ys per sample time, views of the one array
+    samples.
 
     The counts are floats, exact below 2**53. An event adds at most one
     trader, so the budget is capped at 2**53 - 1 - P events for an initial
@@ -443,7 +439,7 @@ class _Chain:
 
     def __init__(self, params: ModelParams, scale: ScalingLevel,
                  init: DiscreteState, t_end: float, sample_ts: list[float],
-                 max_events: int, bind=None):
+                 max_events: int, engine=None):
         population = init.population()
         if population >= 2**53:
             raise ValueError(f"initial population {population} is not below "
@@ -459,6 +455,7 @@ class _Chain:
         self.start_clock = np.array([0.0, *self.start.sum(axis=1),
                                      np.minimum(*self.start).sum()])
         self.scale = float(scale.l)
+        self.t_end = t_end
         self.max_events = min(max_events, 2**53 - 1 - population)
         self.chunk = CHUNK
         self.u = np.empty(2 * CHUNK)
@@ -469,9 +466,7 @@ class _Chain:
         self.tally = np.empty((len(TALLIES), init.n_levels), dtype=np.int64)
         self.samples = np.empty((2, len(self.sample_ts), init.n_levels))
         self.xs, self.ys = self.samples
-        self.chunk_run = (bind or _engine())(
-            self.u, self.rates, t_end, self.sample_ts, self.book, self.clock,
-            self.next_sample, self.tally, self.xs, self.ys)
+        self.engine = engine or _engine()
 
     def run(self, rng) -> tuple[np.ndarray, np.ndarray, int]:
         """Reset the buffers in place, run the chain from init to t_end on
@@ -489,6 +484,8 @@ class _Chain:
         converts and divides exactly as `np.array(samples,
         dtype=np.float64) / L` would; the next run overwrites them."""
         book, next_sample = self.book, self.next_sample
+        buffers = (self.rates, self.t_end, self.sample_ts, book, self.clock,
+                   next_sample, self.tally, self.xs, self.ys)
         book[:] = self.start
         self.clock[:] = self.start_clock
         next_sample[0] = 0
@@ -497,7 +494,7 @@ class _Chain:
         while left:
             size = min(self.chunk, left)
             rng.random(out=self.u)
-            ended = self.chunk_run(size)
+            ended = self.engine(self.u, size, *buffers)
             n_events += ended
             if ended < size:
                 break

@@ -57,8 +57,10 @@ def _builds_without_python_h(monkeypatch):
 @needs_python_h
 def test_the_c_engine_loads_where_a_compiler_is_found():
     # where cc and Python.h are found, the engine a chain runs is the C
-    # one; the tests that compare renderings then compare C with Python
+    # one, the extension's function itself; the tests that compare
+    # renderings then compare C with Python
     assert set(engines()) == {"python", "c"}
+    assert _cext.load("engine") is _cext._extension().engine
 
 
 @needs_cc
@@ -155,7 +157,7 @@ def test_a_failed_build_falls_back_to_python(tmp_path, monkeypatch,
 def test_the_generated_c_compiles_without_warnings(build_extension):
     # the engine's C is part of the extension's one source; the module
     # built from it with warnings as errors passes the engine's check
-    assert _cext._engine_agrees(_cext._bind(build_extension.engine))
+    assert _cext._engine_agrees(build_extension.engine)
 
 
 def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch,
@@ -278,7 +280,7 @@ def test_the_c_source_is_pinned():
     # a machine rebuilds its cached library whenever the extension's C
     # source changes, the flow's, the writer's, the solve's or the
     # engine's as rendered; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cext.SOURCE.encode()) == 0x9206be46
+    assert zlib.crc32(_cext.SOURCE.encode()) == 0xb3b2bbd2
 
 
 @pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")
@@ -309,7 +311,8 @@ def engine_arguments() -> dict:
     size of 8 pairs."""
     chain = _Chain(ModelParams(3, 1.0, 1.5, 0.2, 0.1, 0.4), ScalingLevel(1),
                    DiscreteState(np.array([3, 0, 5]), np.array([0, 2, 4])),
-                   20.0, [0.0, 5.0, 10.0, 15.0], 100, bind=lambda *args: None)
+                   20.0, [0.0, 5.0, 10.0, 15.0], 100,
+                   engine=lambda *args: None)
     chain.u.fill(0.5)
     chain.book[:] = chain.start
     chain.clock[:] = chain.start_clock
@@ -320,6 +323,31 @@ def engine_arguments() -> dict:
             "sample_ts": chain.sample_ts, "book": chain.book,
             "clock": chain.clock, "next_sample": chain.next_sample,
             "tally": chain.tally, "xs": chain.xs, "ys": chain.ys}
+
+
+@pytest.mark.parametrize("size", [0, 1, 8])
+def test_both_renderings_take_one_argument_list(size):
+    # the Python engine and the extension's engine are called alike, with
+    # the buffers a chain hands them: on copies of one argument list they
+    # return the same index and leave the same bytes, from the reset clock
+    # and from a clock already at the horizon, where no pair fires
+    extension = _cext._extension()
+    if extension is None:
+        pytest.skip("the extension did not load (no compiler cc or no "
+                    "Python.h)")
+    for t in (0.0, 20.0):
+        ended, written = [], []
+        for engine in (simulate_module._python_engine(), extension.engine):
+            arguments = {name: value.copy() if isinstance(value, np.ndarray)
+                         else value
+                         for name, value in engine_arguments().items()}
+            arguments["size"] = size
+            arguments["clock"][0] = t
+            ended.append(engine(*arguments.values()))
+            written.append([value.tobytes() for value in arguments.values()
+                            if isinstance(value, np.ndarray)])
+        assert ended[0] == ended[1] == (size if t == 0.0 else 0), t
+        assert written[0] == written[1], t
 
 
 def _read_only(array):

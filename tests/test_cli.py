@@ -543,6 +543,18 @@ def test_a_point_outside_the_float_range_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_virtual_level_past_the_float_range_exits_0(tmp_path, capsys):
+    # y_2 = lambda_s / alpha = 1e312 is past the float range: y_1 fills in
+    # log space, caps x_1, and the point is within the residual bound,
+    # where it once exited 3 with "residual 5.000e+304 exceeds the bound"
+    code, out, err = run(capsys, [
+        "solve", "--n", "1", "--lambda-b", "1e305", "--lambda-s", "1e300",
+        "--alpha", "1e-12", "--beta", "1", "--gamma", "1",
+        "--out-dir", str(tmp_path / "out")])
+    assert code == 0, err
+    assert "x* = (9.99995e+304)" in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

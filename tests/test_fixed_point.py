@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -393,6 +394,10 @@ def test_balanced_beta_zero_profile_is_symmetric():
 # NaN and the residual bound refused the point: regime iii
 @example(n=3, alpha=1e-10, beta=1.0, gamma_ratio=1e10, lambda_b=1e300,
          log_ratio=5.0)
+# where lambda_s / alpha = 1e312 is past the float range and y_1 fills in
+# log space
+@example(n=1, alpha=1e-12, beta=1.0, gamma_ratio=1e12, lambda_b=1e305,
+         log_ratio=-5.0)
 def test_solvers_over_parameter_extremes(n, alpha, beta, gamma_ratio, lambda_b,
                                          log_ratio):
     assert_solvers_agree(ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio,
@@ -603,6 +608,10 @@ def defers(twin) -> bool:
          log_ratio=-300.0)
 @example(n=3, alpha=1e-10, beta=1.0, gamma_ratio=1e10, lambda_b=1e300,
          log_ratio=5.0)
+# where lambda_s / alpha = 1e312 is past the float range and y_1 fills in
+# log space
+@example(n=1, alpha=1e-12, beta=1.0, gamma_ratio=1e12, lambda_b=1e305,
+         log_ratio=-5.0)
 def test_the_c_solve_matches_its_python_twin(n, alpha, beta, gamma_ratio,
                                              lambda_b, log_ratio):
     p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
@@ -623,11 +632,35 @@ def test_the_c_solve_loads_where_a_compiler_is_found():
     assert fixed_point._c_solve() is not None
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_a_virtual_level_beyond_the_float_range_scales_the_point(n):
+    # y_(N+1) = lambda_s / alpha = 1e312 is past the float range; the
+    # point is linear in the arrivals, so it is 1e10 times the point at
+    # arrivals 1e10 times smaller, where every level is in range. At one
+    # level (regime i) y_1 fills in log space from y_(N+1), where it once
+    # came out inf and capped nothing
+    p = params(n=n, lam_b=1e305, lam_s=1e300, alpha=1e-12)
+    small = params(n=n, lam_b=1e295, lam_s=1e290, alpha=1e-12)
+    assert p.lambda_s / p.alpha == math.inf
+    for solve in (solve_recursive, solve_shooting):
+        point, scaled = solve(p), solve(small)
+        for got, want in ((point.x_star, scaled.x_star),
+                          (point.y_star, scaled.y_star)):
+            np.testing.assert_allclose(got, 1e10 * want, rtol=1e-12, atol=0)
+        if n == 1:
+            y = p.lambda_s / (p.alpha + p.beta + p.gamma)
+            x = (p.lambda_b - p.gamma * y) / (p.beta + p.alpha)
+            assert point.regime == "i"
+            np.testing.assert_allclose(point.y_star, [y], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(point.x_star, [x], rtol=1e-12, atol=0)
+
+
 def test_the_solve_check_covers_every_regime():
     # the load-time check's draws: regimes i, ii and iii, beta = 0 at
     # balanced and at unbalanced arrivals, gamma alpha overflowing, arrival
-    # rates over alpha underflowing to 0 and overflowing to inf, and N = 1,
-    # on each of which the Python twin returns within the bound
+    # rates over alpha underflowing to 0 and overflowing to inf, a point
+    # whose y_1 fills in log space past an out-of-range y_(N+1), and
+    # N = 1, on each of which the Python twin returns within the bound
     draws = list(_cext._solve_draws(random.Random(_cext.SEED)))
     points = [(p, solve_recursive(p)) for p in draws]
     assert {fp.regime for _, fp in points} == {"i", "ii", "iii"}
@@ -638,6 +671,11 @@ def test_the_solve_check_covers_every_regime():
     assert any(p.lambda_b / p.alpha == 0.0 for p in draws)
     assert any(p.lambda_s / p.alpha == math.inf for p in draws)
     assert any(p.n_levels == 1 for p in draws)
+    # the trial's scale exp(log_s) at the crossing is past the float range
+    log_max = math.log(sys.float_info.max)
+    assert any(fp.regime == "i"
+               and fixed_point._trials(p)(fp.ell)[2] > log_max
+               for p, fp in points)
     assert all(fp.residual <= residual_bound(p) for p, fp in points)
 
 

@@ -858,18 +858,15 @@ def test_aggregate_drift_raises_typed_error(each_engine, monkeypatch):
     # too high
     module = importlib.import_module("lobfluid.simulate")
     for _ in each_engine():
-        bind = module._engine()
+        engine = module._engine()
 
-        def drifting(u, rates, t_end, sample_ts, book, clock, *rest,
-                     bind=bind):
-            run = bind(u, rates, t_end, sample_ts, book, clock, *rest)
-
-            def drift(size):
-                ended = run(size)
-                if ended < size:
-                    clock[3] += 1.0
-                return ended
-            return drift
+        def drifting(u, size, rates, t_end, sample_ts, book, clock, *rest,
+                     engine=engine):
+            ended = engine(u, size, rates, t_end, sample_ts, book, clock,
+                           *rest)
+            if ended < size:
+                clock[3] += 1.0
+            return ended
 
         monkeypatch.setattr(module, "_engine", lambda: drifting)
         with pytest.raises(InvariantViolation, match="aggregate drift: "):
