@@ -36,10 +36,10 @@ the point of `fixed_point._pattern_solve` into them with Python's
 operations in Python's order (libm's `log`, `log1p` and `exp`, which
 Python's math module calls, and Python's first-wins `min` and `max`),
 then runs `flow`'s equations on it and returns (trials, residual) with
-`fixed_point_residual`'s bits. It returns None, and the caller runs the
-twin, where Python would raise (a zero divisor, a math domain or range
-error) or where a trial's values, the point or its residual are not
-finite.
+`fixed_point_residual`'s bits. It returns its twin's result for every
+admitted input, non-finite points and a NaN residual included: a trial's
+NaN fails each comparison in C as in Python, and the twin raises on no
+admitted rates.
 
 `states(write, taus, x, y)`: taus is a float64 vector of R values and x
 and y are float64 matrices of R rows and N columns, read with their
@@ -228,99 +228,71 @@ flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
-/* Python's n / d, math.log(v), math.log1p(v) and math.exp(v), with libm's
-   bits; each sets *bad where Python raises: a zero divisor, a math domain
-   error or an overflow */
-static double
-quotient(double n, double d, int *bad)
-{
-    *bad |= d == 0.0;
-    return n / d;
-}
-
-static double
-logarithm(double v, int *bad)
-{
-    *bad |= v <= 0.0;
-    return log(v);
-}
-
-static double
-logarithm1p(double v, int *bad)
-{
-    *bad |= v <= -1.0;
-    return log1p(v);
-}
-
-static double
-exponential(double v, int *bad)
-{
-    const double e = exp(v);
-
-    *bad |= isinf(e) && isfinite(v);
-    return e;
-}
-
 /* the constants of fixed_point._trials, computed once per solve */
 struct trials {
     Py_ssize_t n;
     double kappa, one_minus_kappa, log_r, log_rho, log_k, log_lb, log_ls;
 };
 
-/* fixed_point._kappa's (kappa, 1 - kappa) into t */
+/* fixed_point._kappa's (kappa, 1 - kappa) into t, in its three cases */
 static void
-kappa(double a, double b, double g, struct trials *t, int *bad)
+kappa(double a, double b, double g, struct trials *t)
 {
-    double q = b * (2.0 * a + b + g);
+    double ga = g * a, q = b * (2.0 * a + b + g);
 
-    if (!(q < HUGE_VAL && g * a < HUGE_VAL) || g * a + q == 0.0) {
+    if (!(ga + q < HUGE_VAL) || ga + q == 0.0) {
+        const double least = g < a ? g : a, beta = b;  /* min(a, g) */
         double m = a;  /* max(a, b, g): the first of the largest */
 
         if (b > m)
             m = b;
         if (g > m)
             m = g;
-        a = quotient(a, m, bad);
-        b = quotient(b, m, bad);
-        g = quotient(g, m, bad);
+        a /= m;
+        b /= m;
+        g /= m;
+        ga = g * a;
         q = b * (2.0 * a + b + g);
+        if (ga + q == 0.0) {
+            ga = least;
+            q = beta * (2.0 * a + b + g);
+        }
     }
-    t->kappa = quotient(g * a, g * a + q, bad);
-    t->one_minus_kappa = quotient(q, g * a + q, bad);
+    t->kappa = ga / (ga + q);
+    t->one_minus_kappa = q / (ga + q);
 }
 
 /* fixed_point._log_ratio: log(rate / a), or log(rate) - log(a) where the
    quotient underflows to 0 or overflows to inf */
 static double
-log_ratio(double rate, double a, int *bad)
+log_ratio(double rate, double a)
 {
-    const double ratio = quotient(rate, a, bad);
+    const double ratio = rate / a;
 
-    return 0.0 < ratio && ratio < HUGE_VAL ? logarithm(ratio, bad)
-        : logarithm(rate, bad) - logarithm(a, bad);
+    return 0.0 < ratio && ratio < HUGE_VAL ? log(ratio) : log(rate) - log(a);
 }
 
 /* fixed_point._over_exp: d / exp(log_w), saturating near 1e300 */
 static double
-over_exp(double d, double log_w, int *bad)
+over_exp(double d, double log_w)
 {
     double power;
 
     if (d == 0.0)
         return 0.0;
-    power = logarithm(fabs(d), bad) - log_w;
-    return copysign(exponential(690.0 < power ? 690.0 : power, bad), d);
+    power = log(fabs(d)) - log_w;
+    return copysign(exp(690.0 < power ? 690.0 : power), d);
 }
 
 /* the trial at crossing index ell, (X, Y, log_s), into out */
 static void
-trial(const struct trials *t, Py_ssize_t ell, double *out, int *bad)
+trial(const struct trials *t, Py_ssize_t ell, double *out)
 {
     const double log_a = t->log_lb + (double) ell * t->log_r;
     const double log_b = t->log_ls + (double) (t->n - ell) * t->log_r;
     const double log_s = log_b > log_a ? log_b : log_a;
-    const double rhs_a = exponential(log_a - log_s, bad);
-    const double rhs_b = exponential(log_b - log_s, bad);
+    const double rhs_a = exp(log_a - log_s);
+    const double rhs_b = exp(log_b - log_s);
     const double log_u = (double) ell * t->log_rho;
     const double log_v = (double) (t->n - ell) * t->log_rho;
     double log_w = t->log_k, u, v, det, num_x, num_y;
@@ -329,21 +301,21 @@ trial(const struct trials *t, Py_ssize_t ell, double *out, int *bad)
         log_w = log_u;
     if (log_v > log_w)
         log_w = log_v;
-    u = exponential(log_u - log_w, bad);
-    v = exponential(log_v - log_w, bad);
-    det = (exponential(t->log_k - log_w, bad)
-           + t->kappa * t->kappa * (u + v - u * exponential(log_v, bad)));
-    num_x = (over_exp(rhs_a - rhs_b + t->one_minus_kappa * rhs_b, log_w, bad)
+    u = exp(log_u - log_w);
+    v = exp(log_v - log_w);
+    det = (exp(t->log_k - log_w)
+           + t->kappa * t->kappa * (u + v - u * exp(log_v)));
+    num_x = (over_exp(rhs_a - rhs_b + t->one_minus_kappa * rhs_b, log_w)
              + t->kappa * u * rhs_b);
-    num_y = (over_exp(rhs_b - rhs_a + t->one_minus_kappa * rhs_a, log_w, bad)
+    num_y = (over_exp(rhs_b - rhs_a + t->one_minus_kappa * rhs_a, log_w)
              + t->kappa * v * rhs_a);
-    out[0] = quotient(num_x, det, bad);
-    out[1] = quotient(num_y, det, bad);
+    out[0] = num_x / det;
+    out[1] = num_y / det;
     out[2] = log_s;
 }
 
-/* fixed_point._pattern_solve into x and y; its trial count, or -1 where
-   Python would raise or a trial's values are not finite */
+/* fixed_point._pattern_solve into x and y; its trial count. A trial's
+   NaN fails each comparison, as in Python, and ends the bisection */
 static Py_ssize_t
 pattern(const double *r, double *x, double *y)
 {
@@ -353,27 +325,20 @@ pattern(const double *r, double *x, double *y)
     struct trials t;
     Py_ssize_t lo = 0, hi = n, ell, trials = 0, k;
     double c, found[3], level_y, scale, gain, u;
-    int bad = 0;
 
     t.n = n;
-    kappa(a, b, g, &t, &bad);
-    t.log_r = -logarithm1p(quotient(b, a, &bad), &bad);
-    t.log_rho = t.log_r - logarithm1p(quotient(b + g, a, &bad), &bad);
+    kappa(a, b, g, &t);
+    t.log_r = -log1p(b / a);
+    t.log_rho = t.log_r - log1p((b + g) / a);
     t.log_k = (t.one_minus_kappa > 0.0
-               ? logarithm(t.one_minus_kappa * (1.0 + t.kappa), &bad)
-               : -HUGE_VAL);
-    t.log_lb = log_ratio(r[1], a, &bad);
-    t.log_ls = log_ratio(r[2], a, &bad);
-    c = quotient(a, a + b + g, &bad);
-    if (bad)
-        return -1;
+               ? log(t.one_minus_kappa * (1.0 + t.kappa)) : -HUGE_VAL);
+    t.log_lb = log_ratio(r[1], a);
+    t.log_ls = log_ratio(r[2], a);
+    c = a / (a + b + g);
     for (;;) {
         ell = (lo + hi) / 2;
-        trial(&t, ell, found, &bad);
+        trial(&t, ell, found);
         trials++;
-        if (bad || !(isfinite(found[0]) && isfinite(found[1])
-                     && isfinite(found[2])))
-            return -1;
         if (c * found[0] > found[1] && ell < hi)
             lo = ell + 1;
         else if (found[0] < c * found[1] && ell > lo)
@@ -382,7 +347,9 @@ pattern(const double *r, double *x, double *y)
             break;
     }
     /* the trial's y below the crossing; above it min = x, so y does not
-       cap x. Where exp(log_s) overflows, in logs, as Python's */
+       cap x. Where exp(log_s) overflows, in logs, as Python's (log_s is
+       finite, -inf or NaN, so an infinite scale is where Python's exp
+       raises OverflowError) */
     for (k = n - 1; k >= ell; k--)
         y[k] = HUGE_VAL;
     scale = exp(found[2]);
@@ -398,24 +365,25 @@ pattern(const double *r, double *x, double *y)
         }
     /* fixed_point._chain forward against y, then backward against x */
     for (gain = r[1], k = 0; k < n; k++) {
-        u = quotient(gain, bpag, &bad);
+        u = gain / bpag;
         if (!(u <= y[k]))
-            u = quotient(gain - g * y[k], bpa, &bad);
+            u = (gain - g * y[k]) / bpa;
         x[k] = u;
         gain = a * u;
     }
     for (gain = r[2], k = n - 1; k >= 0; k--) {
-        u = quotient(gain, bpag, &bad);
+        u = gain / bpag;
         if (!(u <= x[k]))
-            u = quotient(gain - g * x[k], bpa, &bad);
+            u = (gain - g * x[k]) / bpa;
         y[k] = u;
         gain = a * u;
     }
-    return bad ? -1 : trials;
+    return trials;
 }
 
-/* fixed_point.fixed_point_residual: the largest |equation| at the point,
-   packed level-major; NAN where one is not finite or memory runs out */
+/* fixed_point.fixed_point_residual: numpy's max of |equations| at the
+   point, packed level-major, so NaN where one is NaN; -1 with
+   MemoryError set where memory runs out */
 static double
 residual(const double *r, const double *x, const double *y)
 {
@@ -424,15 +392,17 @@ residual(const double *r, const double *x, const double *y)
     double largest = 0.0;
     Py_ssize_t k;
 
-    if (v == NULL)
-        return NAN;
+    if (v == NULL) {
+        PyErr_NoMemory();
+        return -1.0;
+    }
     for (k = 0; k < n; k++) {
         v[2 * k] = x[k];
         v[2 * k + 1] = y[k];
     }
     equations(v, v + 2 * n, 2 * n, 2 * n, r);
     for (k = 2 * n; k < 4 * n; k++) {
-        if (!isfinite(v[k])) {
+        if (isnan(v[k])) {
             largest = NAN;
             break;
         }
@@ -470,12 +440,10 @@ solve(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
                                 "of N values");
             else {
                 const Py_ssize_t trials = pattern(rates.buf, x.buf, y.buf);
-                const double largest = trials < 0 ? NAN
-                    : residual(rates.buf, x.buf, y.buf);
+                const double largest = residual(rates.buf, x.buf, y.buf);
 
-                result = isfinite(largest)
-                    ? Py_BuildValue("(nd)", trials, largest)
-                    : Py_NewRef(Py_None);
+                if (!(largest < 0.0))
+                    result = Py_BuildValue("(nd)", trials, largest);
             }
             PyBuffer_Release(&y);
         }
@@ -640,7 +608,7 @@ static PyMethodDef methods[] = {
      "fused(a, b, c): a * b + c as the build computes it"},
     {"solve", (PyCFunction) (void (*)(void)) solve, METH_FASTCALL,
      "solve(rates, x, y): the fixed point into x and y, and (trials, "
-     "residual), or None where the Python solve must run"},
+     "residual)"},
     {"states", (PyCFunction) (void (*)(void)) states, METH_FASTCALL,
      "states(write, taus, x, y): the rows taus[i], x[i], y[i] as CSV text, "
      "handed to write in chunks"},
@@ -962,7 +930,13 @@ def _solve_draws(rng: random.Random):
     (regimes i and ii), beta 0 at balanced and at unbalanced arrivals,
     gamma alpha overflowing, lambda_b / alpha underflowing to 0 and
     lambda_s / alpha overflowing to inf, and lambda_b 1e300 at alpha
-    1e-200, whose y_1 fills in log space at N = 1."""
+    1e-200, whose y_1 fills in log space at N = 1. Then four more draws of
+    that fill at N = 1, with lambda_s within 10% below lambda_b, so that
+    x_1 = (lambda_b - gamma y_1) / (beta + alpha) cancels most of lambda_b
+    and keeps y_1's last bit; at each level count both rescales of
+    `fixed_point._kappa`, where gamma alpha + q overflows though each term
+    is finite and where both terms round to 0 once divided by the largest
+    rate squared; and a point whose x* is past the float range."""
     for n in SOLVE_SIZES:
         for kind in range(9):
             lambda_b, alpha, beta, gamma = (
@@ -987,6 +961,17 @@ def _solve_draws(rng: random.Random):
                 lambda_b, lambda_s, alpha = (lambda_b * 1e300,
                                              lambda_b * 3e299, alpha * 1e-200)
             yield ModelParams(n, lambda_b, lambda_s, alpha, beta, gamma)
+    for _ in range(4):
+        lambda_b, alpha, beta, gamma = (
+            math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            for _ in range(4))
+        lambda_b *= 1e300
+        yield ModelParams(1, lambda_b, lambda_b * rng.uniform(0.9, 1.0),
+                          alpha * 1e-12, beta, gamma)
+    for n in SOLVE_SIZES:
+        yield ModelParams(n, 1.0, 1.0, 1.0, 1e-12, 1.7976931348623157e308)
+        yield ModelParams(n, 1.0, 1.0, 1.7976931348623157e308, 0.0, 5e-324)
+    yield ModelParams(3, 1e300, 1.0, 1e-10, 0.0, 1e-10)
 
 
 def _solve_agrees(solve) -> bool:
@@ -1001,8 +986,7 @@ def _solve_agrees(solve) -> bool:
         found = solve(rates(p), x, y)
         want_x, want_y, trials = _pattern_solve(p)
         residual = fixed_point_residual(want_x, want_y, p)
-        if (not isinstance(found, tuple)
-                or (found[0], found[1].hex()) != (trials, residual.hex())
+        if ((found[0], found[1].hex()) != (trials, residual.hex())
                 or x.tobytes() != want_x.tobytes()
                 or y.tobytes() != want_y.tobytes()):
             return False

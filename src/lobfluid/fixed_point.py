@@ -46,12 +46,11 @@ Division of work, behind both names (_solve): the C solve (`solve` of the
 extension `_cext`, loaded by _c_solve at the first solve of a process)
 writes the point into two float64 arrays and returns (trials, residual),
 with _pattern_solve's operations in its order and fixed_point_residual's
-bits, so a solve runs no Python per trial or level; its load-time check
-compares it with the twin byte for byte. It leaves to the twin every
-point where Python would raise, or where a value is not finite. The twin,
-_pattern_solve and then fixed_point_residual, runs at every N where the C
-solve cannot. _classify, the trade volume and the residual bound
-(_package) run in Python on either route.
+bits, non-finite points included, so a solve runs no Python per trial or
+level; its load-time check compares it with the twin byte for byte. The
+twin, _pattern_solve and then fixed_point_residual, runs at every N in a
+process where the C solve did not load. _classify, the trade volume and
+the residual bound (_package) run in Python on either route.
 
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
@@ -312,20 +311,26 @@ def _over_exp(d: float, log_w: float) -> float:
 def _kappa(a: float, b: float, g: float) -> tuple[float, float]:
     """(kappa, 1 - kappa) with kappa = gamma alpha / (gamma alpha + q) and
     q = beta (2 alpha + beta + gamma); 1 - kappa = q / (gamma alpha + q) is
-    exactly 0 at beta = 0.
+    exactly 0 at beta = 0. Three cases:
 
-    Where q or gamma alpha overflows (beta above about 1e154 at unit
-    rates, or gamma alpha above about 1.8e308), kappa or 1 - kappa would be
-    inf / inf; where both round to 0 (gamma alpha below 5e-324 at
-    beta = 0), kappa would be 0 / 0. There the rates are first divided by
-    the largest of them, which moves neither ratio.
+    - where gamma alpha + q is finite and above 0, the ratios as written;
+    - where it overflows (beta above about 1e154 at unit rates, or gamma
+      alpha near 1.8e308, or each term finite and their sum not) or
+      rounds to 0 (gamma alpha below 5e-324 at beta = 0), the rates are
+      first divided by m, the largest of them, which moves neither ratio;
+    - where gamma alpha / m^2 and q / m^2 both round to 0 (alpha 1.8e308,
+      beta 0, gamma 5e-324), m is alpha or gamma, and both terms are
+      divided by m once: gamma alpha / m is min(alpha, gamma) and q / m is
+      beta (2 alpha + beta + gamma) / m.
     """
-    q = b * (2.0 * a + b + g)
-    if not (q < math.inf and g * a < math.inf) or g * a + q == 0.0:
-        m = max(a, b, g)
+    ga, q = g * a, b * (2.0 * a + b + g)
+    if not ga + q < math.inf or ga + q == 0.0:
+        m, least, beta = max(a, b, g), min(a, g), b
         a, b, g = a / m, b / m, g / m
-        q = b * (2.0 * a + b + g)
-    return g * a / (g * a + q), q / (g * a + q)
+        ga, q = g * a, b * (2.0 * a + b + g)
+        if ga + q == 0.0:
+            ga, q = least, beta * (2.0 * a + b + g)
+    return ga / (ga + q), q / (ga + q)
 
 
 def _log_ratio(rate: float, a: float) -> float:
@@ -428,19 +433,17 @@ def _c_solve():
 
 
 def _solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(x, y, trials, residual): the C solve where it loaded and returns a
-    point, else its one Python twin, _pattern_solve and then
-    fixed_point_residual, at every N."""
+    """(x, y, trials, residual): the C solve's where it loaded, at every N
+    and for every admitted input, else its one Python twin's,
+    _pattern_solve and then fixed_point_residual."""
     solve = _c_solve()
-    if solve is not None:
-        from ._cext import rates
+    if solve is None:
+        x, y, trials = _pattern_solve(p)
+        return x, y, trials, fixed_point_residual(x, y, p)
+    from ._cext import rates
 
-        x, y = np.empty(p.n_levels), np.empty(p.n_levels)
-        found = solve(rates(p), x, y)
-        if found is not None:
-            return x, y, *found
-    x, y, trials = _pattern_solve(p)
-    return x, y, trials, fixed_point_residual(x, y, p)
+    x, y = np.empty(p.n_levels), np.empty(p.n_levels)
+    return x, y, *solve(rates(p), x, y)
 
 
 def solve_shooting(params: ModelParams) -> FixedPoint:

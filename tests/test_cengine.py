@@ -5,6 +5,8 @@ import importlib
 import importlib.machinery
 import os
 import shutil
+import subprocess
+import sys
 import time
 import zlib
 
@@ -276,11 +278,44 @@ def test_a_fused_engine_library_is_refused(tmp_path, monkeypatch,
     assert (tmp_path / "cache" / "lobfluid" / name).exists()
 
 
+@pytest.mark.parametrize("command, asked", [
+    ("converge", ["flow", "engine"]),
+    ("solve", ["solve"]),
+], ids=["converge", "solve"])
+def test_a_run_checks_only_the_functions_it_calls(tmp_path, command, asked):
+    # each accessor runs its function's load-time check at its first call
+    # in a process, so a fresh interpreter asks for what its command calls
+    # and no more: the README converge integrates the ODE and runs chains
+    # but solves no fixed point, so it never runs the solve's check, and
+    # solve runs the solve's check alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(os.path.dirname(os.path.dirname(_cext.__file__))),
+         *filter(None, [env.get("PYTHONPATH")])])
+    argv = [command, *README_RUNS.get(command, []), *MODEL,
+            "--out-dir", str(tmp_path)]
+    code = (
+        "import contextlib, importlib, io, lobfluid.cli\n"
+        "from lobfluid import fixed_point, ode, output\n"
+        "simulate = importlib.import_module('lobfluid.simulate')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert lobfluid.cli.main({argv!r}) == 0\n"
+        "accessors = {'flow': ode._c_flow, 'writer': output._c_write,\n"
+        "             'solve': fixed_point._c_solve,\n"
+        "             'engine': simulate._engine}\n"
+        "print(*[name for name, accessor in accessors.items()\n"
+        "        if accessor.cache_info().currsize])\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == asked
+
+
 def test_the_c_source_is_pinned():
     # a machine rebuilds its cached library whenever the extension's C
     # source changes, the flow's, the writer's, the solve's or the
     # engine's as rendered; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cext.SOURCE.encode()) == 0xb3b2bbd2
+    assert zlib.crc32(_cext.SOURCE.encode()) == 0xc1b7ca37
 
 
 @pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")

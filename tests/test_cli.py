@@ -555,6 +555,24 @@ def test_a_virtual_level_past_the_float_range_exits_0(tmp_path, capsys):
     assert "x* = (9.99995e+304)" in out
 
 
+@pytest.mark.parametrize("rates, x_star", [
+    (["--alpha", "1.7976931348623157e308", "--beta", "0", "--gamma",
+      "5e-324"], "x* = (5.562684646e-309, 5.562684646e-309)"),
+    (["--alpha", "1", "--beta", "1e-12", "--gamma",
+      "1.7976931348623157e308"], "x* = (0.5, 2.781342323e-309)"),
+], ids=["terms-vanish", "sum-overflows"])
+def test_rates_a_float_range_apart_exit_0(tmp_path, capsys, rates, x_star):
+    # kappa's gamma alpha and beta (2 alpha + beta + gamma) both round to 0
+    # once divided by alpha^2, or their sum overflows though each is
+    # finite: the solve returns, where it once exited 1 with a
+    # ZeroDivisionError
+    code, out, err = run(capsys, [
+        "solve", "--n", "2", "--lambda-b", "1", "--lambda-s", "1", *rates,
+        "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    assert x_star in out
+
+
 def test_nonmonotone_result_exit_code(tmp_path, capsys, monkeypatch):
     def fail(params):
         raise NonMonotoneInput("x* is not strictly decreasing")

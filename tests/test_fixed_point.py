@@ -19,6 +19,7 @@ from lobfluid import (
     NonMonotoneInput,
     OnKink,
     ResidualTooLarge,
+    SolverError,
     classify_regime,
     fixed_point_residual,
     map_jacobian_check,
@@ -537,36 +538,17 @@ def c_solve():
 
 
 def c_result(solve, p):
-    """(x bytes, y bytes, trials, residual hex) of the C solve, or None
-    where it leaves the point to the Python twin."""
+    """(x bytes, y bytes, trials, residual hex) of the C solve."""
     x, y = np.empty(p.n_levels), np.empty(p.n_levels)
-    found = solve(_cext.rates(p), x, y)
-    if found is None:
-        return None
-    trials, residual = found
+    trials, residual = solve(_cext.rates(p), x, y)
     return x.tobytes(), y.tobytes(), trials, residual.hex()
 
 
 def twin_result(p):
-    """The same of the Python twin, or the exception it raises."""
-    try:
-        x, y, trials = fixed_point._pattern_solve(p)
-    except (ArithmeticError, ValueError) as error:
-        return error
+    """The same of the Python twin."""
+    x, y, trials = fixed_point._pattern_solve(p)
     residual = fixed_point_residual(x, y, p)
     return x.tobytes(), y.tobytes(), trials, residual.hex()
-
-
-def defers(twin) -> bool:
-    """Whether the C solve leaves a point to the twin: where the twin
-    raises, or a value of its point or residual is not finite. (An
-    arrival rate over alpha that underflows to 0 or overflows to inf is
-    no longer left to it.)"""
-    if isinstance(twin, Exception):
-        return True
-    x, y = (np.frombuffer(b) for b in twin[:2])
-    return not (np.isfinite(x).all() and np.isfinite(y).all()
-                and math.isfinite(float.fromhex(twin[3])))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -597,9 +579,8 @@ def defers(twin) -> bool:
 @example(n=1000, alpha=1e200, beta=1e300, gamma_ratio=1.0, lambda_b=1.0,
          log_ratio=0.0)
 # where an arrival rate over alpha underflows to 0 or overflows to inf,
-# and both solves take the logarithms apart (the C solve once left these
-# to the twin); at lambda_b = 1e300, alpha = gamma = 1e-10 the trial's
-# exp(log_s) overflows, and so does x*, which C leaves to the twin
+# and both solves take the logarithms apart; at lambda_b = 1e300,
+# alpha = gamma = 1e-10 the trial's exp(log_s) overflows, and so does x*
 @example(n=1, alpha=1e300, beta=0.0, gamma_ratio=1e-300, lambda_b=1e-300,
          log_ratio=300.0)
 @example(n=5, alpha=1e300, beta=1.0, gamma_ratio=1e-300, lambda_b=1e-300,
@@ -612,15 +593,19 @@ def defers(twin) -> bool:
 # log space
 @example(n=1, alpha=1e-12, beta=1.0, gamma_ratio=1e12, lambda_b=1e305,
          log_ratio=-5.0)
+# where _kappa's gamma alpha + q overflows though each term is finite
+# (its other rescale needs gamma / alpha below 5e-324, past gamma_ratio's
+# reach: test_kappa_at_rates_a_float_range_apart has it)
+@example(n=2, alpha=1.0, beta=1e-12, gamma_ratio=1.7976931348623157e308,
+         lambda_b=1.0, log_ratio=0.0)
 def test_the_c_solve_matches_its_python_twin(n, alpha, beta, gamma_ratio,
                                              lambda_b, log_ratio):
+    # the C solve returns its twin's bytes on every admitted input,
+    # non-finite points and NaN residuals included, and the twin raises
+    # on none
     p = ModelParams(n, lambda_b, lambda_b * 10.0 ** log_ratio, alpha, beta,
                     alpha * gamma_ratio)
-    got, want = c_result(c_solve(), p), twin_result(p)
-    if defers(want):
-        assert got is None
-    else:
-        assert got == want
+    assert c_result(c_solve(), p) == twin_result(p)
 
 
 @needs_cc
@@ -655,13 +640,55 @@ def test_a_virtual_level_beyond_the_float_range_scales_the_point(n):
             np.testing.assert_allclose(point.x_star, [x], rtol=1e-12, atol=0)
 
 
+# rates of the two rescales of _kappa: gamma alpha + q overflows though
+# each term is finite, and gamma alpha and q both round to 0 once divided
+# by the largest rate squared
+KAPPA_CASES = {
+    "sum-overflows": (1.0, 1e-12, 1.7976931348623157e308),
+    "terms-vanish": (1.7976931348623157e308, 0.0, 5e-324),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 50], ids=["n1", "n2", "n50"])
+@pytest.mark.parametrize("case", list(KAPPA_CASES), ids=list(KAPPA_CASES))
+def test_kappa_at_rates_a_float_range_apart(monkeypatch, case, n):
+    # where kappa and 1 - kappa were 0 and 0 (a zero determinant) or
+    # 0 / 0, both names return a point within the bound, with one set of
+    # bits from the C solve and from its Python twin
+    alpha, beta, gamma = KAPPA_CASES[case]
+    kappa, one_minus_kappa = fixed_point._kappa(alpha, beta, gamma)
+    if beta == 0.0:
+        assert (kappa, one_minus_kappa) == (1.0, 0.0)
+    else:
+        assert one_minus_kappa == pytest.approx(beta / alpha, rel=1e-2)
+        assert kappa == 1.0 - one_minus_kappa
+    p = ModelParams(n, 1.0, 1.0, alpha, beta, gamma)
+    found = set()
+    for c_solve in (fixed_point._c_solve(), None):
+        monkeypatch.setattr(fixed_point, "_c_solve",
+                            lambda c_solve=c_solve: c_solve)
+        for solve in (solve_recursive, solve_shooting):
+            fp = solve(p)
+            assert fp.residual <= residual_bound(p)
+            found.add((fp.x_star.tobytes(), fp.y_star.tobytes(),
+                       fp.iterations, fp.residual.hex()))
+    assert len(found) == 1
+
+
 def test_the_solve_check_covers_every_regime():
     # the load-time check's draws: regimes i, ii and iii, beta = 0 at
     # balanced and at unbalanced arrivals, gamma alpha overflowing, arrival
-    # rates over alpha underflowing to 0 and overflowing to inf, a point
-    # whose y_1 fills in log space past an out-of-range y_(N+1), and
-    # N = 1, on each of which the Python twin returns within the bound
+    # rates over alpha underflowing to 0 and overflowing to inf, points
+    # whose y_1 fills in log space past an out-of-range y_(N+1), four of
+    # them with lambda_s near lambda_b, N = 1, and both rescales of
+    # _kappa, on each of which the Python twin returns within the bound;
+    # and one point past the float range, which both names refuse
     draws = list(_cext._solve_draws(random.Random(_cext.SEED)))
+    outside = ModelParams(3, 1e300, 1.0, 1e-10, 0.0, 1e-10)
+    assert draws.count(outside) == 1
+    with pytest.raises(SolverError, match="outside the float range"):
+        solve_recursive(outside)
+    draws.remove(outside)
     points = [(p, solve_recursive(p)) for p in draws]
     assert {fp.regime for _, fp in points} == {"i", "ii", "iii"}
     zero_beta = [p for p in draws if p.beta == 0.0]
@@ -673,9 +700,15 @@ def test_the_solve_check_covers_every_regime():
     assert any(p.n_levels == 1 for p in draws)
     # the trial's scale exp(log_s) at the crossing is past the float range
     log_max = math.log(sys.float_info.max)
-    assert any(fp.regime == "i"
-               and fixed_point._trials(p)(fp.ell)[2] > log_max
-               for p, fp in points)
+    fills = [p for p, fp in points if fp.regime == "i"
+             and fixed_point._trials(p)(fp.ell)[2] > log_max]
+    assert sum(p.n_levels == 1 and 0.9 <= p.lambda_s / p.lambda_b < 1.0
+               for p in fills) >= 4
+    big, tiny = 1.7976931348623157e308, 5e-324
+    for rates in ((1.0, 1e-12, big), (big, 0.0, tiny)):
+        assert ({p.n_levels for p in draws
+                 if (p.alpha, p.beta, p.gamma) == rates}
+                == set(_cext.SOLVE_SIZES))
     assert all(fp.residual <= residual_bound(p) for p, fp in points)
 
 
@@ -693,11 +726,14 @@ def test_both_solver_names_take_the_c_solve(monkeypatch):
                 fp.residual.hex()) == twin_result(p)
 
 
-# the solve's (beta + alpha) + gamma regrouped, and one of its
-# multiply-adds fused
+# the solve's (beta + alpha) + gamma regrouped, one of its multiply-adds
+# fused, and each level of its log-space fill one ulp high
 SOLVE_MUTATIONS = {
     "regrouped": ("bpag = bpa + g", "bpag = b + (a + g)"),
     "fused": ("gain - g * y[k]", "fma(-g, y[k], gain)"),
+    "fill-last-bit": ("y[k] = copysign(exp(level_y), found[1]);",
+                      "y[k] = copysign(exp(level_y), found[1])"
+                      " * (1.0 + 0x1p-52);"),
 }
 
 
@@ -707,8 +743,8 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
                                                  fresh_extension_choice, case):
     # the library builds, loads and runs, but its solve's bits are not
     # the twin's: the solve's load-time check refuses it, and both solver
-    # names run the twin, while the flow and the writer of that library
-    # pass their own checks and still load
+    # names run the twin, while the flow, the writer and the engine of
+    # that library pass their own checks and stay in use
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     statement, replacement = SOLVE_MUTATIONS[case]
@@ -722,10 +758,11 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
     assert fixed_point._c_solve() is None
     assert ode._c_flow() is not None
     assert output._c_write() is not None
+    assert _cext.load("engine") is _cext._extension().engine
     # it was built and loaded, and refused by the check
     solve, = checked
     p = params(n=4)
-    assert solve(_cext.rates(p), np.empty(4), np.empty(4)) is not None
+    assert isinstance(solve(_cext.rates(p), np.empty(4), np.empty(4)), tuple)
     fp = solve_recursive(p)
     assert (fp.x_star.tobytes(), fp.y_star.tobytes(), fp.iterations,
             fp.residual.hex()) == twin_result(p)

@@ -423,11 +423,11 @@ def test_the_flow_c_compiles_without_warnings(build_extension):
 
 def test_the_flow_c_source_is_pinned():
     # the flow's own part of the extension's C source, from its size check
-    # to the solve's arithmetic; the extension's whole source, which keys
+    # to the solve's constants; the extension's whole source, which keys
     # its cached library, is pinned in test_cengine.py
     source = _cext.SOURCE
     flow = source[source.index("/* 2N, the size of one state"):
-                  source.index("/* Python's n / d")]
+                  source.index("/* the constants of fixed_point._trials")]
     assert zlib.crc32(flow.encode()) == 0xa847d578
 
 
