@@ -1,25 +1,29 @@
 """The package's one C library, a CPython extension module: the fluid
 right-hand side that scipy's ODEPACK extension calls from inside LSODA
 (`flow`), the state CSV writer (`states`), the fixed-point solve with its
-residual (`solve`) and the simulator's engine (`engine`).
+residual (`solve`), the fixed point's classification with its trade
+volume (`classify`) and the simulator's engine (`engine`).
 
-The first `ode._solve`, state CSV, fixed-point solve or chain of a
-process (`ode._c_flow`, `output._c_write`, `fixed_point._c_solve`,
-`simulate._engine`) imports this module. It imports only `ode`, `model`
-and `errors` of the package (a check imports its twin's module when it
-runs), so an ODE run loads neither the simulator nor `subprocess` when
-the library is cached. The library is built and loaded once per process
-(`_extension`), and each accessor runs its own function's load-time check
-alone, so a function refused by its check leaves the others in use.
+The first `ode._solve`, state CSV, fixed-point solve or classification,
+or chain of a process (`ode._c_flow`, `output._c_write`,
+`fixed_point._c_solve`, `fixed_point._c_classify`, `simulate._engine`)
+imports this module. It imports only `ode`, `model` and `errors` of the
+package (a check imports its twin's module when it runs), so an ODE run
+loads neither the simulator nor `subprocess` when the library is cached.
+The library is built and loaded once per process (`_extension`), and
+each accessor runs its own function's load-time check alone, so a
+function refused by its check leaves the others in use.
 
 Division of work: each function is the compiled form of one Python twin,
 its check's oracle and, where it cannot run, its fallback at every size:
 `flow` of `ode._flow`; `states` of `output._state_rows` in the per-row
 "%.17g" format `output._state_line`, written by `_write_rows` as every
 CSV is; `solve` of `fixed_point._pattern_solve` followed by
-`fixed_point.fixed_point_residual`, behind both solver names
-(`fixed_point._classify`, the trade volume and the residual bound stay in
-Python); `engine` of `simulate._python_engine`.
+`fixed_point.fixed_point_residual`, behind both solver names (the
+residual bound stays in Python); `classify` of `fixed_point._classify`
+followed by `fixed_point._volume`, numpy's sum (the regime labels and the
+refusals' messages stay in Python); `engine` of
+`simulate._python_engine`.
 
 `flow(t, z, out, rates)`: z holds any number of stacked level-major
 states (x_1, y_1, x_2, y_2, ...) of 2N components each, out is a float64
@@ -40,6 +44,17 @@ then runs `flow`'s equations on it and returns (trials, residual) with
 admitted input, non-finite points and a NaN residual included: a trial's
 NaN fails each comparison in C as in Python, and the twin raises on no
 admitted rates.
+
+`classify(gamma, x, y)`: x and y are float64 vectors of N >= 1 values,
+read with their strides. It returns (ell, refusal, volume): refusal is
+the index in `fixed_point._REFUSALS` of the first of `_classify`'s
+refusals that applies, in its order (a value that is not finite, x not
+falling by more than the slack 1e-9 max(max |x|, max |y|, 1), y not
+rising by more than it, x > y not a prefix), or 0, and then ell counts
+the levels where x > y and volume is gamma times min(x_k, y_k) summed as
+numpy's pairwise sum adds `np.minimum(x, y)`, from its identity 0.0, so
+with `_volume`'s bits; where it refuses, ell is 0 and volume 0.0. A
+numpy that sums otherwise fails the function's check, and the twin runs.
 
 `states(write, taus, x, y)`: taus is a float64 vector of R values and x
 and y are float64 matrices of R rows and N columns, read with their
@@ -97,7 +112,7 @@ from string import Template
 
 import numpy as np
 
-from .errors import BudgetExceeded, SolverError
+from .errors import BudgetExceeded, NonMonotoneInput, SolverError
 from .model import (
     TALLIES,
     DiscreteState,
@@ -107,6 +122,7 @@ from .model import (
     _blocks,
     _in_list,
     _indent,
+    rates,
 )
 from .ode import _flow, _pack
 
@@ -116,14 +132,18 @@ BUILD_TIMEOUT_S = 120  # a compiler that hangs must not hang the run
 SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # of the library's file
 CHECK_SIZES = (1, 2, 7, 60)  # level counts of the flow check's states
 SOLVE_SIZES = (1, 2, 7, 60, 178)  # level counts of the solve check's draws
+# level counts of the classify check's interleaved points: both sides of
+# numpy's pairwise sum's 8-value and 128-value thresholds, and two splits
+CLASSIFY_SIZES = (1, 2, 7, 8, 128, 129, 256, 1000)
 SEED = 2012  # of the load-time checks' draws
 
 # The extension module MODULE, with $engine filled in by _engine_source;
-# flow's expressions are _flow's, operation for operation, and solve's are
-# fixed_point's, in its order. The writer's table has 2**TABLE_BITS
-# entries of 48 bytes: on the benchmark's 4,001 x 101 trajectory (a shared
-# 2-core Xeon, gcc 12.2, Python 3.11) 2**14 (768 KiB) wrote fastest of
-# 2**10 ... 2**16, 9.1 ms against 13.3 at 2**10 (CHANGES.md has the runs)
+# flow's expressions are _flow's, operation for operation, and solve's and
+# classify's are fixed_point's, in its order. The writer's table has
+# 2**TABLE_BITS entries of 48 bytes: on the benchmark's 4,001 x 101
+# trajectory (a shared 2-core Xeon, gcc 12.2, Python 3.11) 2**14 (768 KiB)
+# wrote fastest of 2**10 ... 2**16, 9.1 ms against 13.3 at 2**10
+# (CHANGES.md has the runs)
 _SOURCE = Template("""\
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,6 +157,7 @@ _SOURCE = Template("""\
 #define FLOW_TYPES "flow takes float64 arrays"
 #define STATES_TYPES "states takes a float64 vector and two matrices"
 #define SOLVE_TYPES "solve takes float64 arrays"
+#define CLASSIFY_TYPES "classify takes float64 vectors"
 #define INT64 (sizeof(long) == 8 ? "l" : "q")  /* numpy's int64 code */
 
 /* a view of a buffer of 8-byte items of struct code format ("d" for
@@ -453,6 +474,115 @@ solve(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* fixed_point._REFUSALS: why a point is not classified, or INTERLEAVES */
+enum {INTERLEAVES, NOT_FINITE, X_RISES, Y_FALLS, CROSSES_TWICE};
+
+#define AT(v, k) (*(const double *) ((const char *) (v)->buf \\
+                                    + (k) * (v)->strides[0]))
+
+/* fixed_point._classify's refusal of the point (x, y) of n >= 1 levels,
+   in its order, and its crossing index into ell where it has none */
+static int
+refusal(const Py_buffer *x, const Py_buffer *y, Py_ssize_t n, Py_ssize_t *ell)
+{
+    double scale = 1.0, slack;  /* max(max |x|, max |y|, 1.0) */
+    Py_ssize_t k;
+
+    for (k = 0; k < n; k++) {
+        if (!isfinite(AT(x, k)) || !isfinite(AT(y, k)))
+            return NOT_FINITE;
+        if (fabs(AT(x, k)) > scale)
+            scale = fabs(AT(x, k));
+        if (fabs(AT(y, k)) > scale)
+            scale = fabs(AT(y, k));
+    }
+    slack = 1e-9 * scale;
+    for (k = 1; k < n; k++)
+        if (AT(x, k) >= AT(x, k - 1) + slack)
+            return X_RISES;
+    for (k = 1; k < n; k++)
+        if (AT(y, k) <= AT(y, k - 1) - slack)
+            return Y_FALLS;
+    for (*ell = 0, k = 0; k < n; k++)
+        *ell += AT(x, k) > AT(y, k);
+    for (k = 0; k < *ell; k++)
+        if (!(AT(x, k) > AT(y, k)))
+            return CROSSES_TWICE;
+    return INTERLEAVES;
+}
+
+/* min(x_k, y_k) (y on a tie, as numpy's elementwise minimum) summed over
+   levels first .. first + n - 1 as numpy's pairwise sum adds them: from
+   0.0 below 8 values, in eight accumulators up to 128, and above that
+   split at n / 2 rounded down to a multiple of 8 */
+static double
+pairwise(const Py_buffer *x, const Py_buffer *y, Py_ssize_t first,
+         Py_ssize_t n)
+{
+#define MIN(k) (AT(x, k) < AT(y, k) ? AT(x, k) : AT(y, k))
+    double r[8], sum = 0.0;
+    Py_ssize_t i, j, half;
+
+    if (n < 8) {
+        for (i = first; i < first + n; i++)
+            sum += MIN(i);
+        return sum;
+    }
+    if (n > 128) {
+        half = n / 2 - n / 2 % 8;
+        return (pairwise(x, y, first, half)
+                + pairwise(x, y, first + half, n - half));
+    }
+    for (j = 0; j < 8; j++)
+        r[j] = MIN(first + j);
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++)
+            r[j] += MIN(first + i + j);
+    sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        sum += MIN(first + i);
+    return sum;
+#undef MIN
+}
+
+static PyObject *
+classify(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer x, y;
+    PyObject *result = NULL;
+    double gamma;
+
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "classify takes (gamma, x, y)");
+        return NULL;
+    }
+    if ((gamma = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (doubles(args[1], &x, PyBUF_STRIDES, 1, CLASSIFY_TYPES) < 0)
+        return NULL;
+    if (doubles(args[2], &y, PyBUF_STRIDES, 1, CLASSIFY_TYPES) == 0) {
+        const Py_ssize_t n = x.shape[0];
+
+        if (n < 1 || y.shape[0] != n)
+            PyErr_SetString(PyExc_ValueError,
+                            "classify takes gamma and x and y of N >= 1 "
+                            "values");
+        else {
+            Py_ssize_t ell = 0;
+            const int refused = refusal(&x, &y, n, &ell);
+            /* numpy's sum starts from its identity, 0.0 */
+            const double volume = refused ? 0.0
+                : gamma * (0.0 + pairwise(&x, &y, 0, n));
+
+            result = Py_BuildValue("(nid)", refused ? 0 : ell, refused,
+                                   volume);
+        }
+        PyBuffer_Release(&y);
+    }
+    PyBuffer_Release(&x);
+    return result;
+}
+
 $engine
 
 /* a cached text: the cell's bit pattern and its text; size 0 is empty */
@@ -598,6 +728,9 @@ states(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef methods[] = {
+    {"classify", (PyCFunction) (void (*)(void)) classify, METH_FASTCALL,
+     "classify(gamma, x, y): (ell, refusal, trade volume) of the point; "
+     "refusal 0 where it interleaves"},
     {"flow", (PyCFunction) (void (*)(void)) flow, METH_FASTCALL,
      "flow(t, z, out, rates): the fluid equations of z, written into out"},
     {"engine", (PyCFunction) (void (*)(void)) engine, METH_FASTCALL,
@@ -823,12 +956,6 @@ def _engine_source() -> str:
 SOURCE = _SOURCE.substitute(engine=_engine_source())
 
 
-def rates(params: ModelParams) -> np.ndarray:
-    """The rates argument of the C flow for params."""
-    return np.array([params.n_levels, params.lambda_b, params.lambda_s,
-                     params.alpha, params.beta, params.gamma])
-
-
 def _state(rng: random.Random, n: int, ties: bool) -> np.ndarray:
     """A random packed state of n levels; with ties, about 30% of its
     levels have x == y, and about half, the first two always, are signed
@@ -993,6 +1120,80 @@ def _solve_agrees(solve) -> bool:
     return True
 
 
+def _classify_points(rng: random.Random):
+    """The points (gamma, x, y) of the classify check, at gamma
+    log-uniform on [0.1, 10]: at each CLASSIFY_SIZES level count, four
+    interleaved points, x = 2 f**k falling and y = 2 c r**(N-1-k) rising,
+    with f and r drawn from [exp(-5 / N), 1] and c log-uniform on
+    [0.1, 10], so the crossing falls anywhere and no Python float is made
+    per level; then exact ties x_k == y_k, zeros and signed zeros, a sum
+    of 1 and seven 0.75 ulps of 1 that rounds apart in other groupings,
+    steps of x and of y exactly at the slack and one ulp inside it (at
+    scale 1, and at scale 8 set by a y of -8 and by one of 8), each of the
+    three refusals, and NaN, inf and -inf at the first, a middle and the
+    last level of x and of y."""
+    def gamma():
+        return math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+
+    for n in CLASSIFY_SIZES:
+        levels = np.arange(n)
+        for _ in range(4):
+            fall, rise = (rng.uniform(math.exp(-5.0 / n), 1.0)
+                          for _ in range(2))
+            yield (gamma(), 2.0 * fall ** levels,
+                   2.0 * gamma() * rise ** levels[::-1])
+    inside = math.nextafter(0.5 + 1e-9, 0.0), math.nextafter(0.5 - 1e-9, 1.0)
+    crafted = [
+        ([3.0, 2.0, 1.0], [1.0, 2.0, 3.0]), ([1.0], [1.0]),
+        ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0]),
+        ([-0.0] * 9, [0.0] * 9), ([0.0] * 9, [-0.0] * 9),
+        ([0.0] * 3, [-0.0] * 3), ([1.0, *[3 * 2.0 ** -54] * 7], [1.0] * 8),
+        ([0.5, 0.5 + 1e-9], [0.75, 1.0]), ([0.5, inside[0]], [0.75, 1.0]),
+        ([0.25, 0.0], [0.5, 0.5 - 1e-9]), ([0.25, 0.0], [0.5, inside[1]]),
+        ([4.0, math.nextafter(4.0 + 8e-9, 0.0)], [6.0, 8.0]),
+        ([4.0, math.nextafter(4.0 + 8e-9, 0.0)], [-8.0, 5.0]),
+        ([0.1, 0.2], [0.05, 0.3]), ([0.3, 0.2], [0.2, 0.1]),
+        ([0.1, 0.2], [0.3, 0.05]),
+        ([0.5, 0.5 + 5e-10], [0.5 + 1e-10, 0.5 + 2e-10]),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in (0, 2, 4):
+            x, y = [1.0, 0.8, 0.6, 0.4, 0.2], [0.1, 0.3, 0.5, 0.7, 0.9]
+            crafted.append(([*x[:k], bad, *x[k + 1:]], y))
+            crafted.append((x, [*y[:k], bad, *y[k + 1:]]))
+    for x, y in crafted:
+        yield gamma(), x, y
+
+
+def _classify_twin(gamma: float, x: np.ndarray,
+                   y: np.ndarray) -> tuple[int, int, float]:
+    """What classify returns for the point, from its Python twin,
+    `fixed_point._classify` and then `fixed_point._volume`: (ell, 0,
+    volume), or (0, refusal, 0.0) where _classify refuses it, with
+    refusal its message's index in `fixed_point._REFUSALS`."""
+    from .fixed_point import _REFUSALS, _classify, _volume
+
+    try:
+        ell, _ = _classify(x, y)
+    except NonMonotoneInput as refused:
+        return 0, _REFUSALS.index(str(refused)), 0.0
+    return ell, 0, _volume(gamma, x, y)
+
+
+def _classify_agrees(classify) -> bool:
+    """The classify's load-time check: on each of `_classify_points`,
+    seeded SEED, classify returns the crossing index, the refusal and the
+    bytes of the trade volume of its Python twin (`_classify_twin`)."""
+    for gamma, x, y in _classify_points(random.Random(SEED)):
+        x, y = np.array(x), np.array(y)
+        ell, refusal, volume = classify(gamma, x, y)
+        want_ell, want_refusal, want_volume = _classify_twin(gamma, x, y)
+        if ((ell, refusal, volume.hex())
+                != (want_ell, want_refusal, want_volume.hex())):
+            return False
+    return True
+
+
 def _engine_runs(engine) -> list:
     """The engine check's runs on engine: each one's event count and the
     bytes of every buffer after it. Two `simulate._Chain`s at N = 4, from
@@ -1117,14 +1318,16 @@ def _extension():
 
 
 def load(name: str):
-    """The extension's function name ("flow", "states", "solve" or
-    "engine") where the library builds and loads, passes its canary, and
-    the function passes its own load-time check (`_flow_agrees`,
-    `_states_agree`, `_solve_agrees` or `_engine_agrees`); else None."""
+    """The extension's function name ("flow", "states", "solve",
+    "classify" or "engine") where the library builds and loads, passes its
+    canary, and the function passes its own load-time check
+    (`_flow_agrees`, `_states_agree`, `_solve_agrees`, `_classify_agrees`
+    or `_engine_agrees`); else None."""
     extension = _extension()
     if extension is None:
         return None
     function = getattr(extension, name)
     agrees = {"flow": _flow_agrees, "states": _states_agree,
-              "solve": _solve_agrees, "engine": _engine_agrees}[name]
+              "solve": _solve_agrees, "classify": _classify_agrees,
+              "engine": _engine_agrees}[name]
     return function if agrees(function) else None

@@ -49,8 +49,15 @@ with _pattern_solve's operations in its order and fixed_point_residual's
 bits, non-finite points included, so a solve runs no Python per trial or
 level; its load-time check compares it with the twin byte for byte. The
 twin, _pattern_solve and then fixed_point_residual, runs at every N in a
-process where the C solve did not load. _classify, the trade volume and
-the residual bound (_package) run in Python on either route.
+process where the C solve did not load. The residual bound (_package)
+runs in Python on either route. Then the C classify (`classify` of the
+extension, loaded by _c_classify at the first solve or classification)
+returns the crossing index, which of _classify's refusals applies, and
+the trade volume, with _classify's comparisons in its order and numpy's
+pairwise sum, so the same bits and no Python object per level; its one
+twin, _classify and then _volume, is its load-time oracle and its
+fallback. The regime labels and the refusals' messages (_REFUSALS) stay
+in Python on either route (_classified).
 
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
@@ -74,7 +81,7 @@ from .errors import (
     ResidualTooLarge,
     SolverError,
 )
-from .model import ModelParams
+from .model import ModelParams, rates
 from .ode import _defect
 
 __all__ = [
@@ -234,32 +241,78 @@ def fixed_point_residual(
         return _defect(x, y, params)
 
 
+# _classify's refusals, the messages of its NonMonotoneInput, by the
+# index that the C classify returns (0 where the point interleaves)
+_REFUSALS = (None, "x* or y* holds a value that is not finite",
+             "x* is not strictly decreasing", "y* is not strictly increasing",
+             "sign pattern of x*-y* crosses more than once")
+
+
+def _label(ell: int, n: int) -> str:
+    """The regime label of crossing index ell at n levels."""
+    return "i" if ell == n else ("ii" if ell == 0 else "iii")
+
+
 def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:
     """Crossing index and regime label; validates the interleaving."""
     n = x.shape[0]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonMonotoneInput(_REFUSALS[1])
     scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
     slack = 1e-9 * scale
     if n > 1:
         if np.count_nonzero(x[1:] >= x[:-1] + slack):
-            raise NonMonotoneInput("x* is not strictly decreasing")
+            raise NonMonotoneInput(_REFUSALS[2])
         if np.count_nonzero(y[1:] <= y[:-1] - slack):
-            raise NonMonotoneInput("y* is not strictly increasing")
+            raise NonMonotoneInput(_REFUSALS[3])
     above = x > y
     ell = int(np.count_nonzero(above))
     if np.count_nonzero(above[:ell]) != ell:  # one lies at ell or beyond
-        raise NonMonotoneInput("sign pattern of x*-y* crosses more than once")
-    label = "i" if ell == n else ("ii" if ell == 0 else "iii")
-    return ell, label
+        raise NonMonotoneInput(_REFUSALS[4])
+    return ell, _label(ell, n)
+
+
+def _volume(gamma: float, x: np.ndarray, y: np.ndarray) -> float:
+    """The trade volume gamma * sum_k min(x_k, y_k), in numpy's sum."""
+    return float(gamma * np.minimum(x, y).sum())
+
+
+@functools.cache
+def _c_classify():
+    """The crossing index, the interleaving checks and the trade volume in
+    C (`_cext.load("classify")`), or None where it cannot run; loaded at
+    the first solve or classification of the process."""
+    from . import _cext
+    return _cext.load("classify")
+
+
+def _classified(gamma: float, x: np.ndarray,
+                y: np.ndarray) -> tuple[int, str, float]:
+    """(ell, regime label, trade volume) of the point (x, y): the C
+    classify's where it loaded, else its one Python twin's, _classify and
+    then _volume. Raises NonMonotoneInput, with _classify's message, where
+    the point does not interleave or holds a value that is not finite."""
+    classify = _c_classify()
+    if classify is None:
+        ell, label = _classify(x, y)
+        return ell, label, _volume(gamma, x, y)
+    ell, refusal, volume = classify(gamma, x, y)
+    if refusal:
+        raise NonMonotoneInput(_REFUSALS[refusal])
+    return ell, _label(ell, x.shape[0]), volume
 
 
 def classify_regime(fp: FixedPoint) -> tuple[int, str]:
-    """Recompute (ell, regime label) from a fixed point's coordinates."""
-    return _classify(fp.x_star, fp.y_star)
+    """Recompute (ell, regime label) from a fixed point's coordinates,
+    taken as float64, which the C classify reads."""
+    ell, label, _ = _classified(1.0, np.asarray(fp.x_star, float),
+                                np.asarray(fp.y_star, float))
+    return ell, label
 
 
 def trade_volume(fp: FixedPoint, params: ModelParams) -> float:
     """Stationary trade throughput gamma * sum_k min(x*_k, y*_k)."""
-    return float(params.gamma * np.minimum(fp.x_star, fp.y_star).sum())
+    return _volume(params.gamma, fp.x_star, fp.y_star)
 
 
 def _package(params: ModelParams, solver: str) -> FixedPoint:
@@ -275,8 +328,7 @@ def _package(params: ModelParams, solver: str) -> FixedPoint:
                               "range")
         raise ResidualTooLarge(
             f"{solver}: residual {res:.3e} exceeds the bound {bound:.3e}")
-    ell, label = _classify(x, y)
-    vol = float(params.gamma * np.minimum(x, y).sum())
+    ell, label, vol = _classified(params.gamma, x, y)
     return FixedPoint(x, y, ell, label, vol, solver, res, iters)
 
 
@@ -440,8 +492,6 @@ def _solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int, float]:
     if solve is None:
         x, y, trials = _pattern_solve(p)
         return x, y, trials, fixed_point_residual(x, y, p)
-    from ._cext import rates
-
     x, y = np.empty(p.n_levels), np.empty(p.n_levels)
     return x, y, *solve(rates(p), x, y)
 

@@ -21,6 +21,7 @@ the independent check on the table: a test compares the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 from itertools import groupby
@@ -124,12 +125,13 @@ class ModelParams:
             self.n_levels, "n_levels", minimum=1, error=BadN))
         for name in ("lambda_b", "lambda_s", "alpha", "gamma"):
             v = float(getattr(self, name))
-            if not (v > 0.0) or not np.isfinite(v):
+            if not (v > 0.0) or not math.isfinite(v):
                 raise NonPositiveRate(f"{name} must be > 0, got {v}")
             object.__setattr__(self, name, v)
-        if not (self.beta >= 0.0) or not np.isfinite(self.beta):
+        beta = float(self.beta)
+        if not (beta >= 0.0) or not math.isfinite(beta):
             raise NegativeBeta(f"beta must be >= 0, got {self.beta}")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", beta)
         if self.price_labels is not None:
             labels = tuple(float(c) for c in self.price_labels)
             if len(labels) != self.n_levels:
@@ -147,6 +149,13 @@ class ModelParams:
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+
+
+def rates(params: ModelParams) -> np.ndarray:
+    """The rates argument of the extension's flow and solve for params:
+    the float64 array (N, lambda_b, lambda_s, alpha, beta, gamma)."""
+    return np.array([params.n_levels, params.lambda_b, params.lambda_s,
+                     params.alpha, params.beta, params.gamma])
 
 
 @dataclass(frozen=True)

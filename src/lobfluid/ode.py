@@ -89,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, NegativeState, StepUnderflow
-from .model import FluidState, ModelParams, _pair
+from .model import FluidState, ModelParams, _pair, rates
 
 __all__ = ["OdeSolution", "ComparisonReport", "rhs", "integrate",
            "integrate_until_stationary", "check_comparison", "uniform_grid"]
@@ -242,7 +242,6 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
     flow = _c_flow()
     if flow is not None:
-        from ._cext import rates
         args = (np.empty(z0.size), rates(params))
     else:
         flow, args = _flow, (params,)

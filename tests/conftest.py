@@ -32,15 +32,15 @@ def private_library_cache(tmp_path_factory):
 
 def _clear_extension_choice():
     for cached in (_cext._extension, ode._c_flow, output._c_write,
-                   fixed_point._c_solve, _engine):
+                   fixed_point._c_solve, fixed_point._c_classify, _engine):
         cached.cache_clear()
 
 
 @pytest.fixture
 def fresh_extension_choice():
-    """Lets a test load the extension and its flow, writer, solve and
-    engine again, and the next test after it: clears the module's cache
-    and the cache of each accessor."""
+    """Lets a test load the extension and its flow, writer, solve,
+    classify and engine again, and the next test after it: clears the
+    module's cache and the cache of each accessor."""
     _clear_extension_choice()
     yield
     _clear_extension_choice()

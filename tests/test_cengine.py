@@ -211,8 +211,8 @@ def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
                                                 fresh_extension_choice, case):
     # each broken engine builds and runs, but the engine's load-time check
     # refuses it, even where its runs raise: the Python engine runs, and
-    # the bytes stay the same, while the flow, the writer and the solve of
-    # that library pass their own checks and stay in use
+    # the bytes stay the same, while the flow, the writer, the solve and
+    # the classify of that library pass their own checks and stay in use
     simulate_flags = ["simulate", *README_RUNS["simulate"], *MODEL]
     assert main([*simulate_flags, "--out-dir", str(tmp_path / "c")]) == 0
     broken = _broken_source(case)
@@ -226,6 +226,7 @@ def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
     assert ode._c_flow() is not None
     assert output._c_write() is not None
     assert fixed_point._c_solve() is not None
+    assert fixed_point._c_classify() is not None
     assert main([*simulate_flags, "--out-dir", str(tmp_path / "python")]) == 0
     for name in ("trajectory.csv", "manifest.json"):
         assert ((tmp_path / "python" / name).read_bytes()
@@ -273,6 +274,7 @@ def test_a_fused_engine_library_is_refused(tmp_path, monkeypatch,
         assert ode._c_flow() is None, seed
         assert output._c_write() is None, seed
         assert fixed_point._c_solve() is None, seed
+        assert fixed_point._c_classify() is None, seed
     # it was built, and refused
     name = f"ext-{zlib.crc32(_cext.SOURCE.encode()):08x}{SUFFIX}"
     assert (tmp_path / "cache" / "lobfluid" / name).exists()
@@ -280,14 +282,14 @@ def test_a_fused_engine_library_is_refused(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command, asked", [
     ("converge", ["flow", "engine"]),
-    ("solve", ["solve"]),
+    ("solve", ["solve", "classify"]),
 ], ids=["converge", "solve"])
 def test_a_run_checks_only_the_functions_it_calls(tmp_path, command, asked):
     # each accessor runs its function's load-time check at its first call
     # in a process, so a fresh interpreter asks for what its command calls
     # and no more: the README converge integrates the ODE and runs chains
-    # but solves no fixed point, so it never runs the solve's check, and
-    # solve runs the solve's check alone
+    # but solves no fixed point, so it never runs the solve's or the
+    # classify's check, and solve runs those two checks alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(os.path.dirname(os.path.dirname(_cext.__file__))),
@@ -302,6 +304,7 @@ def test_a_run_checks_only_the_functions_it_calls(tmp_path, command, asked):
         f"    assert lobfluid.cli.main({argv!r}) == 0\n"
         "accessors = {'flow': ode._c_flow, 'writer': output._c_write,\n"
         "             'solve': fixed_point._c_solve,\n"
+        "             'classify': fixed_point._c_classify,\n"
         "             'engine': simulate._engine}\n"
         "print(*[name for name, accessor in accessors.items()\n"
         "        if accessor.cache_info().currsize])\n")
@@ -313,9 +316,10 @@ def test_a_run_checks_only_the_functions_it_calls(tmp_path, command, asked):
 
 def test_the_c_source_is_pinned():
     # a machine rebuilds its cached library whenever the extension's C
-    # source changes, the flow's, the writer's, the solve's or the
-    # engine's as rendered; a change to it updates this crc32 on purpose
-    assert zlib.crc32(_cext.SOURCE.encode()) == 0xc1b7ca37
+    # source changes, the flow's, the writer's, the solve's, the
+    # classify's or the engine's as rendered; a change to it updates this
+    # crc32 on purpose
+    assert zlib.crc32(_cext.SOURCE.encode()) == 0xa536a848
 
 
 @pytest.mark.skipif(shutil.which("sleep") is None, reason="no sleep on PATH")

@@ -218,20 +218,42 @@ def test_fixed_points_interleave_strictly():
 
 # ----------------------------------------------------------- classification
 
-def test_classify_regime_examples():
-    fp = solve_shooting(params(n=1, lam_b=2.0))
-    assert (fp.ell, fp.regime) == (1, "i")
-    fp = solve_shooting(params(n=2))
-    assert (fp.ell, fp.regime) == (1, "iii")
-    fp = solve_shooting(params(n=2, lam_b=1e-3))
-    assert (fp.ell, fp.regime) == (0, "ii")
+@pytest.fixture
+def each_classify(monkeypatch):
+    """Call it to iterate over the classification's routes by name, the
+    Python twin first, then the C classify where it loads; on each step
+    classify_regime and both solver names take that route."""
+    c = fixed_point._c_classify()
+    routes = {"python": None} | ({"c": c} if c is not None else {})
+
+    def each():
+        for name, classify in routes.items():
+            monkeypatch.setattr(fixed_point, "_c_classify",
+                                lambda classify=classify: classify)
+            yield name
+    return each
 
 
-def test_classify_rejects_nonmonotone_input():
+def test_classify_regime_examples(each_classify):
+    for _ in each_classify():
+        fp = solve_shooting(params(n=1, lam_b=2.0))
+        assert (fp.ell, fp.regime) == (1, "i")
+        fp = solve_shooting(params(n=2))
+        assert (fp.ell, fp.regime) == (1, "iii")
+        fp = solve_shooting(params(n=2, lam_b=1e-3))
+        assert (fp.ell, fp.regime) == (0, "ii")
+        # coordinates of another dtype are classified as float64
+        ints = FixedPoint(np.array([3, 1]), np.array([2, 4]), 1, "iii", 0.0,
+                          "synthetic", 0.0, 0)
+        assert classify_regime(ints) == (1, "iii")
+
+
+def test_classify_rejects_nonmonotone_input(each_classify):
     bad = FixedPoint(np.array([0.1, 0.2]), np.array([0.05, 0.3]), 1, "iii",
                      0.0, "synthetic", 0.0, 0)
-    with pytest.raises(NonMonotoneInput):
-        classify_regime(bad)
+    for _ in each_classify():
+        with pytest.raises(NonMonotoneInput):
+            classify_regime(bad)
 
 
 @pytest.mark.parametrize("x, y, message", [
@@ -241,23 +263,49 @@ def test_classify_rejects_nonmonotone_input():
     ([0.5, 0.5 + 5e-10], [0.5 + 1e-10, 0.5 + 2e-10],
      "crosses more than once"),
 ], ids=["y-falls", "x-y-cross-within-slack"])
-def test_classify_rejects_a_broken_interleaving(x, y, message):
+def test_classify_rejects_a_broken_interleaving(x, y, message,
+                                                each_classify):
     bad = FixedPoint(np.array(x), np.array(y), 1, "iii", 0.0, "synthetic",
                      0.0, 0)
-    with pytest.raises(NonMonotoneInput, match=message):
-        classify_regime(bad)
+    for _ in each_classify():
+        with pytest.raises(NonMonotoneInput, match=message):
+            classify_regime(bad)
 
 
-def test_trade_volume_values():
-    p2 = params(n=2)
-    assert trade_volume(solve_shooting(p2), p2) == pytest.approx(2 / 7,
-                                                                 abs=1e-10)
-    p1 = params(n=1, lam_b=2.0)
-    assert trade_volume(solve_shooting(p1), p1) == pytest.approx(1 / 3,
-                                                                 abs=1e-10)
-    synthetic = FixedPoint(np.zeros(3), np.array([0.1, 0.2, 0.3]), 0, "ii",
-                           0.0, "synthetic", 0.0, 0)
-    assert trade_volume(synthetic, params(n=3)) == 0.0
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("level", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_classify_refuses_a_non_finite_point(side, level, value,
+                                             each_classify):
+    # NaN fails every comparison and inf passes some, so such a point
+    # once classified: x* = [nan, 1], y* = [0.5, 2] as (0, "ii"), and
+    # x* = [inf, 1] as (1, "iii"), where the first level of x is the one
+    # not finite, as in the first-level cases here
+    point = {"x": [1.0, 0.8, 0.6, 0.4, 0.2], "y": [0.1, 0.3, 0.5, 0.7, 0.9]}
+    point[side][level] = value
+    bad = FixedPoint(np.array(point["x"]), np.array(point["y"]), 0, "ii",
+                     0.0, "synthetic", 0.0, 0)
+    for _ in each_classify():
+        with pytest.raises(NonMonotoneInput,
+                           match="^x\\* or y\\* holds a value that is not "
+                                 "finite$"):
+            classify_regime(bad)
+
+
+def test_trade_volume_values(each_classify):
+    for _ in each_classify():
+        p2 = params(n=2)
+        fp = solve_shooting(p2)
+        assert trade_volume(fp, p2) == pytest.approx(2 / 7, abs=1e-10)
+        assert fp.trade_volume.hex() == trade_volume(fp, p2).hex()
+        p1 = params(n=1, lam_b=2.0)
+        fp = solve_shooting(p1)
+        assert trade_volume(fp, p1) == pytest.approx(1 / 3, abs=1e-10)
+        assert fp.trade_volume.hex() == trade_volume(fp, p1).hex()
+        synthetic = FixedPoint(np.zeros(3), np.array([0.1, 0.2, 0.3]), 0,
+                               "ii", 0.0, "synthetic", 0.0, 0)
+        assert trade_volume(synthetic, params(n=3)) == 0.0
 
 
 def test_regime_ii_decoupling():
@@ -743,8 +791,8 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
                                                  fresh_extension_choice, case):
     # the library builds, loads and runs, but its solve's bits are not
     # the twin's: the solve's load-time check refuses it, and both solver
-    # names run the twin, while the flow, the writer and the engine of
-    # that library pass their own checks and stay in use
+    # names run the twin, while the flow, the writer, the classify and
+    # the engine of that library pass their own checks and stay in use
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     statement, replacement = SOLVE_MUTATIONS[case]
@@ -758,6 +806,7 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
     assert fixed_point._c_solve() is None
     assert ode._c_flow() is not None
     assert output._c_write() is not None
+    assert fixed_point._c_classify() is not None
     assert _cext.load("engine") is _cext._extension().engine
     # it was built and loaded, and refused by the check
     solve, = checked
@@ -808,5 +857,197 @@ def test_the_c_solve_refuses_other_arguments(case):
     args, error, message = solve_refusals()[case]
     with pytest.raises(error) as raised:
         solve(*args)
+    if message is not None:
+        assert str(raised.value) == message
+
+
+# ---------------------------------------------------------- the C classify
+
+def c_classify():
+    """The C classify, or a skip where it does not load."""
+    classify = fixed_point._c_classify()
+    if classify is None:
+        pytest.skip("the C classify does not load here")
+    return classify
+
+
+def classified(classify, gamma, x, y):
+    """(ell, refusal, trade volume hex) of classify, the C one or its
+    Python twin, `_cext._classify_twin`."""
+    ell, refusal, volume = classify(gamma, x, y)
+    return ell, refusal, volume.hex()
+
+
+def twin_classified(gamma, x, y):
+    return classified(_cext._classify_twin, gamma, x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.floats(0.1, 10.0),
+    gamma=st.floats(0.1, 10.0),
+    zeros=st.booleans(),
+    tie=st.booleans(),
+)
+def test_the_c_classify_matches_its_python_twin(n, seed, top, gamma, zeros,
+                                                tie):
+    # interleaved points: x the sorted draws of [0, 2] falling, read as a
+    # reversed view, so the C reads it with its stride, and y those of
+    # [0, 2 top] rising; with zeros x is 0 from the middle level on, and
+    # with tie y equals x at the first level where x is not above it
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 2.0, n))[::-1]
+    y = np.sort(rng.uniform(0.0, 2.0 * top, n))
+    if zeros:
+        x[n // 2:] = 0.0
+    if tie:
+        k = min(int(np.count_nonzero(x > y)), n - 1)
+        y[k] = x[k]
+    assert (classified(c_classify(), gamma, x, y)
+            == twin_classified(gamma, x, y))
+
+
+def test_the_c_classify_matches_its_twin_on_the_check_points():
+    # the load-time check's points, one by one: every refusal, non-finite
+    # values at the first, a middle and the last level of each side, and
+    # interleaved points at every CLASSIFY_SIZES level count
+    classify = c_classify()
+    points = list(_cext._classify_points(random.Random(_cext.SEED)))
+    refusals, sizes, non_finite = set(), set(), set()
+    for gamma, x, y in points:
+        x, y = np.array(x), np.array(y)
+        want = twin_classified(gamma, x, y)
+        assert classified(classify, gamma, x, y) == want, (x, y)
+        refusals.add(want[1])
+        if want[1] == 0:
+            sizes.add(x.size)
+        for side, v in (("x", x), ("y", y)):
+            non_finite |= {(side, int(k), str(v[k]))
+                           for k in np.flatnonzero(~np.isfinite(v))}
+    assert refusals == set(range(len(fixed_point._REFUSALS)))
+    assert sizes >= set(_cext.CLASSIFY_SIZES)
+    assert non_finite == {(side, k, value) for side in "xy"
+                          for k in (0, 2, 4) for value in ("nan", "inf",
+                                                           "-inf")}
+
+
+@pytest.mark.parametrize("route", ["c", "python"])
+def test_the_trade_volume_is_numpys_sum_over_the_admissible_range(
+        monkeypatch, route):
+    # with the C solve and classify, and with their Python twins, each
+    # solved point carries numpy's trade volume to the last bit
+    if route == "python":
+        monkeypatch.setattr(fixed_point, "_c_solve", lambda: None)
+        monkeypatch.setattr(fixed_point, "_c_classify", lambda: None)
+    for p in pinned_params():
+        fp = solve_recursive(p)
+        want = float(p.gamma * np.minimum(fp.x_star, fp.y_star).sum())
+        assert fp.trade_volume.hex() == want.hex(), p
+        assert classify_regime(fp) == (fp.ell, fp.regime)
+
+
+def test_both_solver_names_take_the_c_classify(monkeypatch):
+    # the C classify, where it loads, gives both names their crossing
+    # index, regime and trade volume, with the twin's bits
+    p = ModelParams(178, 1.7, 0.6, 0.910499, 1.495533, 9104.99)
+    classify, calls = c_classify(), []
+    monkeypatch.setattr(fixed_point, "_c_classify", lambda: lambda *args: (
+        calls.append(args) or classify(*args)))
+    points = [f(p) for f in (solve_recursive, solve_shooting)]
+    assert len(calls) == 2
+    for fp in points:
+        want_ell, _, want_volume = twin_classified(p.gamma, fp.x_star,
+                                                   fp.y_star)
+        assert (fp.ell, fp.trade_volume.hex()) == (want_ell, want_volume)
+
+
+@needs_cc
+def test_the_c_classify_loads_where_a_compiler_is_found():
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    assert fixed_point._c_classify() is not None
+
+
+# the x test's >= turned strict, so a step exactly at the slack passes, and
+# the volume summed left to right, as numpy sums below 8 values
+CLASSIFY_MUTATIONS = {
+    "x-step-strict": ("if (AT(x, k) >= AT(x, k - 1) + slack)",
+                      "if (AT(x, k) > AT(x, k - 1) + slack)"),
+    "left-to-right-sum": ("if (n < 8) {", "if (n > 0) {"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("case", list(CLASSIFY_MUTATIONS))
+def test_a_classify_library_that_differs_is_refused(
+        tmp_path, monkeypatch, fresh_extension_choice, case):
+    # the library builds, loads and runs, but its classify differs from
+    # the twin: the classify's load-time check refuses it, and both solver
+    # names and classify_regime run the twin, while the flow, the writer,
+    # the solve and the engine of that library pass their own checks
+    if _cext._python_flags() is None:
+        pytest.skip("no Python.h for this interpreter")
+    statement, replacement = CLASSIFY_MUTATIONS[case]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _cext.SOURCE.count(statement) == 1
+    monkeypatch.setattr(_cext, "SOURCE",
+                        _cext.SOURCE.replace(statement, replacement))
+    agrees, checked = _cext._classify_agrees, []
+    monkeypatch.setattr(_cext, "_classify_agrees", lambda classify: (
+        checked.append(classify) or agrees(classify)))
+    assert fixed_point._c_classify() is None
+    assert ode._c_flow() is not None
+    assert output._c_write() is not None
+    assert fixed_point._c_solve() is not None
+    assert _cext.load("engine") is _cext._extension().engine
+    # it was built and loaded, and refused by the check
+    classify, = checked
+    assert isinstance(classify(1.0, np.ones(2), np.ones(2)), tuple)
+    p = params(n=4)
+    fp = solve_recursive(p)
+    assert (fp.ell, fp.trade_volume.hex()) == twin_classified(
+        p.gamma, fp.x_star, fp.y_star)[::2]
+    assert classify_regime(fp) == (fp.ell, fp.regime)
+
+
+@needs_cc
+def test_the_classify_c_compiles_without_warnings(build_extension):
+    # the classify's C is part of the extension's one source; the module
+    # built from it with warnings as errors passes the classify's check
+    # and gives the twin's bits on every pinned point
+    classify = build_extension.classify
+    assert _cext._classify_agrees(classify)
+    for p in pinned_params():
+        x, y, _ = fixed_point._pattern_solve(p)
+        assert (classified(classify, p.gamma, x, y)
+                == twin_classified(p.gamma, x, y)), p
+
+
+def classify_refusals() -> dict:
+    """The C classify's refusals by case: (arguments, exception, message).
+    A message of None is numpy's or Python's, and is not pinned."""
+    x, y = np.ones(2), np.zeros(2)
+    types = "classify takes float64 vectors"
+    sizes = "classify takes gamma and x and y of N >= 1 values"
+    return {
+        "two-arguments": ((1.0, x), TypeError, "classify takes (gamma, x, y)"),
+        "string-gamma": (("1", x, y), TypeError, None),
+        "int64-x": ((1.0, x.astype(np.int64), y), TypeError, types),
+        "float32-y": ((1.0, x, y.astype(np.float32)), TypeError, types),
+        "matrix-x": ((1.0, np.ones((2, 2)), y), TypeError, types),
+        "list-y": ((1.0, x, [0.0, 0.0]), TypeError, None),
+        "empty": ((1.0, np.empty(0), np.empty(0)), ValueError, sizes),
+        "y-longer": ((1.0, x, np.zeros(3)), ValueError, sizes),
+    }
+
+
+@pytest.mark.parametrize("case", list(classify_refusals()))
+def test_the_c_classify_refuses_other_arguments(case):
+    classify = c_classify()
+    args, error, message = classify_refusals()[case]
+    with pytest.raises(error) as raised:
+        classify(*args)
     if message is not None:
         assert str(raised.value) == message

@@ -44,6 +44,55 @@ def test_validate_params_beta_zero_allowed():
     assert p.beta == 0
 
 
+RATE_FIELDS = ("lambda_b", "lambda_s", "alpha", "beta", "gamma")
+FIELD_ARGS = dict(zip(RATE_FIELDS, ("lam_b", "lam_s", "alpha", "beta",
+                                    "gamma")))
+
+
+@pytest.mark.parametrize("field", RATE_FIELDS)
+@pytest.mark.parametrize("value, shown", [
+    (float("nan"), "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (-1.0, "-1.0"), (np.float64(-2.5), "-2.5"), (np.float64("nan"), "nan"),
+], ids=["nan", "inf", "minus-inf", "negative", "numpy-negative", "numpy-nan"])
+def test_each_rate_refuses_a_value_out_of_its_range(field, value, shown):
+    # a rate is one float() and one math.isfinite: the same error classes
+    # and messages as the numpy test they replaced, numpy floats included
+    error, bound = ((NegativeBeta, ">= 0") if field == "beta"
+                    else (NonPositiveRate, "> 0"))
+    with pytest.raises(error) as raised:
+        params(**{FIELD_ARGS[field]: value})
+    assert str(raised.value) == f"{field} must be {bound}, got {shown}"
+
+
+@pytest.mark.parametrize("field", RATE_FIELDS)
+def test_each_rate_takes_a_float_of_any_number_type(field):
+    # zero is a rate's edge: beta may be 0 (of either sign) and the others
+    # may not; ints and numpy floats are stored as Python floats, and
+    # beta's message shows the value as given
+    arg = FIELD_ARGS[field]
+    if field == "beta":
+        assert [str(params(beta=zero).beta) for zero in (0, 0.0, -0.0)] == [
+            "0.0", "0.0", "-0.0"]
+        with pytest.raises(NegativeBeta, match="^beta must be >= 0, got -1$"):
+            params(beta=-1)
+    else:
+        for zero, shown in ((0, "0.0"), (0.0, "0.0"), (-0.0, "-0.0")):
+            with pytest.raises(NonPositiveRate) as raised:
+                params(**{arg: zero})
+            assert str(raised.value) == f"{field} must be > 0, got {shown}"
+    for value in (2, np.float64(2.0), np.float32(2.0), np.int64(2)):
+        got = getattr(params(**{arg: value}), field)
+        assert type(got) is float and got == 2.0
+
+
+@pytest.mark.parametrize("field", RATE_FIELDS)
+def test_an_int_past_the_float_range_raises_one_error_for_each_rate(field):
+    # beta took numpy's TypeError ("ufunc 'isfinite' not supported");
+    # every rate now converts with float(), which raises OverflowError
+    with pytest.raises(OverflowError, match="int too large to convert"):
+        params(**{FIELD_ARGS[field]: 10**400})
+
+
 def test_validate_params_rejections():
     with pytest.raises(BadN):
         params(n=0)

@@ -344,8 +344,8 @@ def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
 def test_the_extension_is_built_once_per_process(tmp_path, monkeypatch,
                                                  fresh_extension_choice):
     # where the cache cannot be written (XDG_CACHE_HOME names a file) the
-    # library is built for the process alone; its flow, writer, solve and
-    # engine still share that one build
+    # library is built for the process alone; its flow, writer, solve,
+    # classify and engine still share that one build
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
     blocked = tmp_path / "file"
@@ -357,6 +357,7 @@ def test_the_extension_is_built_once_per_process(tmp_path, monkeypatch,
     assert ode._c_flow() is not None
     assert output._c_write() is not None
     assert fixed_point._c_solve() is not None
+    assert fixed_point._c_classify() is not None
     assert _cext.load("engine") is not None
     assert len(builds) == 1
 

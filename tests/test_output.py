@@ -459,6 +459,7 @@ def test_the_writers_check_reads_its_python_twin(monkeypatch,
     assert output._c_write() is None
     assert ode._c_flow() is not None
     assert fixed_point._c_solve() is not None
+    assert fixed_point._c_classify() is not None
 
 
 @needs_cc
