@@ -7,23 +7,25 @@ volume (`classify`) and the simulator's engine (`engine`).
 The first `ode._solve`, state CSV, fixed-point solve or classification,
 or chain of a process (`ode._c_flow`, `output._c_write`,
 `fixed_point._c_solve`, `fixed_point._c_classify`, `simulate._engine`)
-imports this module. It imports only `ode`, `model` and `errors` of the
-package (a check imports its twin's module when it runs), so an ODE run
+imports this module. It imports only `ode` and `model` of the package
+(the engine's check imports the simulator when it runs), so an ODE run
 loads neither the simulator nor `subprocess` when the library is cached.
 The library is built and loaded once per process (`_extension`), and
 each accessor runs its own function's load-time check alone, so a
 function refused by its check leaves the others in use.
 
-Division of work: each function is the compiled form of one Python twin,
-its check's oracle and, where it cannot run, its fallback at every size:
-`flow` of `ode._flow`; `states` of `output._state_rows` in the per-row
-"%.17g" format `output._state_line`, written by `_write_rows` as every
-CSV is; `solve` of `fixed_point._pattern_solve` followed by
+Division of work: each function has one Python twin that takes its
+arguments and returns what it returns, its check's oracle and, where it
+cannot run, its fallback at every size: `flow` has `ode._flow`; `states`
+has `output._python_states`, the rows of `output._state_rows` in the
+per-row "%.17g" format `output._state_line`; `solve` has
+`fixed_point._python_solve`, `fixed_point._pattern_solve` followed by
 `fixed_point.fixed_point_residual`, behind both solver names (the
-residual bound stays in Python); `classify` of `fixed_point._classify`
-followed by `fixed_point._volume`, numpy's sum (the regime labels and the
-refusals' messages stay in Python); `engine` of
-`simulate._python_engine`.
+residual bound stays in Python); `classify` has `fixed_point._classify`,
+its refusals followed by `fixed_point._volume`, numpy's sum (the regime
+labels and the refusals' messages stay in Python); `engine` has
+`simulate._python_engine`. `load(name, twin)` returns the one that runs,
+so no caller branches on which it is.
 
 `flow(t, z, out, rates)`: z holds any number of stacked level-major
 states (x_1, y_1, x_2, y_2, ...) of 2N components each, out is a float64
@@ -90,10 +92,12 @@ be written, the library is built in a directory private to the process.
 The canary `fused` refuses the whole library where the build fused a
 multiply and add into one rounding: an engine built with
 `-ffp-contract=fast -march=native` passed its check's runs at 6 of seed
-bases 1 to 20. `load(name)` returns None, and the caller runs the
-function's Python twin, when no `cc` or no `Python.h` is found, the build
-fails, the canary refuses it, or the function's check finds it differing
-from that twin (or, for the engine, raising).
+bases 1 to 20. One rule checks every function: its check's runs
+(`RUNS`), lists of bytes (`float.hex`, `tobytes`, joined output) made on
+the C function and on its twin, must be equal. `load(name, twin)`
+returns the twin when no `cc` or no `Python.h` is found, the build
+fails, the canary refuses the library, or the C function's runs differ
+from the twin's or raise.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ from string import Template
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonMonotoneInput, SolverError
 from .model import (
     TALLIES,
     DiscreteState,
@@ -124,7 +127,7 @@ from .model import (
     _indent,
     rates,
 )
-from .ode import _flow, _pack
+from .ode import _pack
 
 MODULE = "lobfluid_ext"  # the extension's name; its init is PyInit_<name>
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -972,17 +975,18 @@ def _state(rng: random.Random, n: int, ties: bool) -> np.ndarray:
     return _pack(np.array(x), np.array(y))
 
 
-def _flow_agrees(flow) -> bool:
-    """The flow's load-time check: on states of every CHECK_SIZES level
-    count, single and a stacked pair, without and with ties and signed
-    zeros, at rates drawn log-uniform on [0.1, 10] (beta 0 on every
-    fourth), flow returns its out holding `ode._flow`'s bytes. The draws,
-    here and in `_states_agree`, come from the standard library's
-    generator, seeded SEED: numpy's random module would add some 5 MiB
-    and 10 ms to every process that integrates or writes a state CSV."""
+def _flow_runs(flow) -> list:
+    """The flow check's runs: on states of every CHECK_SIZES level count,
+    single and a stacked pair, without and with ties and signed zeros, at
+    rates drawn log-uniform on [0.1, 10] (beta 0 on every fourth), whether
+    flow returns its out, and out's bytes. The draws, here and in
+    `_states_runs`, come from the standard library's generator, seeded
+    SEED: numpy's random module would add some 5 MiB and 10 ms to every
+    process that integrates or writes a state CSV."""
     rng = random.Random(SEED)
     cases = [(n, stacked, ties) for n in CHECK_SIZES for stacked in (1, 2)
              for ties in (False, True)]
+    runs = []
     for i, (n, stacked, ties) in enumerate(cases):
         rates_drawn = [math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
                        for _ in range(5)]
@@ -991,10 +995,8 @@ def _flow_agrees(flow) -> bool:
         p = ModelParams(n, *rates_drawn)
         z = np.concatenate([_state(rng, n, ties) for _ in range(stacked)])
         out = np.empty_like(z)
-        if (flow(0.0, z, out, rates(p)) is not out
-                or out.tobytes() != _flow(0.0, z, p).tobytes()):
-            return False
-    return True
+        runs.append((flow(0.0, z, out, rates(p)) is out, out.tobytes()))
+    return runs
 
 
 # bit patterns of the writer's check beyond its random draws: both zeros,
@@ -1030,23 +1032,17 @@ def _cells(rng: random.Random, count: int) -> np.ndarray:
                            values, repeats])[order]
 
 
-def _states_agree(states) -> bool:
-    """The writer's load-time check: on CHECK_ROWS rows of CHECK_LEVELS
-    levels whose cells are `_cells`, read as strided views of one matrix
-    (taus its first column, x its odd columns, y its even ones in reverse
-    row order), states writes the bytes of its Python twin, the rows of
-    `output._state_rows` in the format `output._state_line`."""
-    from .output import _state_line, _state_rows
-
+def _states_runs(states) -> list:
+    """The writer check's run: on CHECK_ROWS rows of CHECK_LEVELS levels
+    whose cells are `_cells`, read as strided views of one matrix (taus
+    its first column, x its odd columns, y its even ones in reverse row
+    order), the bytes states hands its write, joined."""
     width = 1 + 2 * CHECK_LEVELS
     matrix = _cells(random.Random(SEED), CHECK_ROWS * width).reshape(
         CHECK_ROWS, width)
-    taus, x, y = matrix[:, 0], matrix[:, 1::2], matrix[::-1, 2::2]
-    line = _state_line(CHECK_LEVELS)
-    want = "".join(line % row for row in _state_rows(taus, x, y))
     chunks = []
-    states(chunks.append, taus, x, y)
-    return b"".join(chunks) == want.encode()
+    states(chunks.append, matrix[:, 0], matrix[:, 1::2], matrix[::-1, 2::2])
+    return [b"".join(chunks)]
 
 
 def _solve_draws(rng: random.Random):
@@ -1101,23 +1097,15 @@ def _solve_draws(rng: random.Random):
     yield ModelParams(3, 1e300, 1.0, 1e-10, 0.0, 1e-10)
 
 
-def _solve_agrees(solve) -> bool:
-    """The solve's load-time check: on each of `_solve_draws`, seeded
-    SEED, solve writes the x and y of its Python twin,
-    `fixed_point._pattern_solve`, and returns its trial count and the
-    bytes of `fixed_point.fixed_point_residual` at that point."""
-    from .fixed_point import _pattern_solve, fixed_point_residual
-
+def _solve_runs(solve) -> list:
+    """The solve check's runs: on each of `_solve_draws`, seeded SEED,
+    the trial count, the residual's bits and the x and y solve writes."""
+    runs = []
     for p in _solve_draws(random.Random(SEED)):
         x, y = np.empty(p.n_levels), np.empty(p.n_levels)
-        found = solve(rates(p), x, y)
-        want_x, want_y, trials = _pattern_solve(p)
-        residual = fixed_point_residual(want_x, want_y, p)
-        if ((found[0], found[1].hex()) != (trials, residual.hex())
-                or x.tobytes() != want_x.tobytes()
-                or y.tobytes() != want_y.tobytes()):
-            return False
-    return True
+        trials, residual = solve(rates(p), x, y)
+        runs.append((trials, residual.hex(), x.tobytes(), y.tobytes()))
+    return runs
 
 
 def _classify_points(rng: random.Random):
@@ -1165,38 +1153,20 @@ def _classify_points(rng: random.Random):
         yield gamma(), x, y
 
 
-def _classify_twin(gamma: float, x: np.ndarray,
-                   y: np.ndarray) -> tuple[int, int, float]:
-    """What classify returns for the point, from its Python twin,
-    `fixed_point._classify` and then `fixed_point._volume`: (ell, 0,
-    volume), or (0, refusal, 0.0) where _classify refuses it, with
-    refusal its message's index in `fixed_point._REFUSALS`."""
-    from .fixed_point import _REFUSALS, _classify, _volume
-
-    try:
-        ell, _ = _classify(x, y)
-    except NonMonotoneInput as refused:
-        return 0, _REFUSALS.index(str(refused)), 0.0
-    return ell, 0, _volume(gamma, x, y)
-
-
-def _classify_agrees(classify) -> bool:
-    """The classify's load-time check: on each of `_classify_points`,
-    seeded SEED, classify returns the crossing index, the refusal and the
-    bytes of the trade volume of its Python twin (`_classify_twin`)."""
+def _classify_runs(classify) -> list:
+    """The classify check's runs: on each of `_classify_points`, seeded
+    SEED, the crossing index, the refusal and the trade volume's bits."""
+    runs = []
     for gamma, x, y in _classify_points(random.Random(SEED)):
-        x, y = np.array(x), np.array(y)
-        ell, refusal, volume = classify(gamma, x, y)
-        want_ell, want_refusal, want_volume = _classify_twin(gamma, x, y)
-        if ((ell, refusal, volume.hex())
-                != (want_ell, want_refusal, want_volume.hex())):
-            return False
-    return True
+        ell, refusal, volume = classify(gamma, np.array(x), np.array(y))
+        runs.append((ell, refusal, volume.hex()))
+    return runs
 
 
 def _engine_runs(engine) -> list:
     """The engine check's runs on engine: each one's event count and the
-    bytes of every buffer after it. Two `simulate._Chain`s at N = 4, from
+    bytes of every buffer after it (the clock sums every holding time, so
+    log1p's bits show in it). Two `simulate._Chain`s at N = 4, from
     a book with traders of both sides, take one stream seeded SEED: two
     runs of about 1,500 events to t = 200, sampled every 5, which cross
     chunks and reuse reset buffers, then 60 of about 10 events to t = 1,
@@ -1216,16 +1186,9 @@ def _engine_runs(engine) -> list:
             for chain in [long_run] * 2 + [short_run] * 60]
 
 
-def _engine_agrees(engine) -> bool:
-    """The engine's load-time check: the runs of `_engine_runs` on engine
-    end as `simulate._python_engine`'s do, byte for byte (the clock sums
-    every holding time, so log1p's too), and none raises."""
-    from .simulate import _python_engine
-
-    try:
-        return _engine_runs(engine) == _engine_runs(_python_engine())
-    except (SolverError, BudgetExceeded):
-        return False
+# each function's load-time check: its runs, by name
+RUNS = {"flow": _flow_runs, "states": _states_runs, "solve": _solve_runs,
+        "classify": _classify_runs, "engine": _engine_runs}
 
 
 def _python_flags():
@@ -1317,17 +1280,20 @@ def _extension():
     return module
 
 
-def load(name: str):
-    """The extension's function name ("flow", "states", "solve",
-    "classify" or "engine") where the library builds and loads, passes its
-    canary, and the function passes its own load-time check
-    (`_flow_agrees`, `_states_agree`, `_solve_agrees`, `_classify_agrees`
-    or `_engine_agrees`); else None."""
+def load(name: str, twin):
+    """The function that runs for name ("flow", "states", "solve",
+    "classify" or "engine"): the extension's, where the library builds and
+    loads, passes its canary, and the function's check runs (`RUNS[name]`)
+    give the bytes of twin's, its Python twin on its arguments; else twin.
+    A C function that raises on its runs is refused; a twin that raises
+    there raises here."""
     extension = _extension()
     if extension is None:
-        return None
-    function = getattr(extension, name)
-    agrees = {"flow": _flow_agrees, "states": _states_agree,
-              "solve": _solve_agrees, "classify": _classify_agrees,
-              "engine": _engine_agrees}[name]
-    return function if agrees(function) else None
+        return twin
+    function, runs = getattr(extension, name), RUNS[name]
+    want = runs(twin)
+    try:
+        agrees = runs(function) == want
+    except Exception:  # whatever a broken build raises, the twin runs
+        return twin
+    return function if agrees else twin

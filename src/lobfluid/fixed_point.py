@@ -47,17 +47,19 @@ extension `_cext`, loaded by _c_solve at the first solve of a process)
 writes the point into two float64 arrays and returns (trials, residual),
 with _pattern_solve's operations in its order and fixed_point_residual's
 bits, non-finite points included, so a solve runs no Python per trial or
-level; its load-time check compares it with the twin byte for byte. The
-twin, _pattern_solve and then fixed_point_residual, runs at every N in a
-process where the C solve did not load. The residual bound (_package)
-runs in Python on either route. Then the C classify (`classify` of the
-extension, loaded by _c_classify at the first solve or classification)
-returns the crossing index, which of _classify's refusals applies, and
-the trade volume, with _classify's comparisons in its order and numpy's
-pairwise sum, so the same bits and no Python object per level; its one
-twin, _classify and then _volume, is its load-time oracle and its
-fallback. The regime labels and the refusals' messages (_REFUSALS) stay
-in Python on either route (_classified).
+level; its load-time check compares it with its twin byte for byte. The
+twin, _python_solve (_pattern_solve and then fixed_point_residual, on the
+C solve's arguments), runs at every N in a process where the C solve did
+not load. The residual bound (_package) runs in Python on either route.
+Then the C classify (`classify` of the extension, loaded by _c_classify
+at the first solve or classification) returns the crossing index, which
+of the refusals in _REFUSALS applies, and the trade volume, with
+_classify's comparisons in its order and numpy's pairwise sum, so the
+same bits and no Python object per level; its one twin, _classify, on
+its arguments, is its load-time oracle and its fallback. _solve and
+_classified call whichever function their accessor returns alike, and
+the regime labels and the refusals' messages stay in Python
+(_classified).
 
 The forward broken-line map (step_map, map_jacobian_check) is the geometric
 picture behind uniqueness: the first equation confines (x*_1, y*_1) to a
@@ -241,8 +243,9 @@ def fixed_point_residual(
         return _defect(x, y, params)
 
 
-# _classify's refusals, the messages of its NonMonotoneInput, by the
-# index that the C classify returns (0 where the point interleaves)
+# the refusals of a point's classification, the messages of _classified's
+# NonMonotoneInput, by the index that classify, in C or _classify, returns
+# (0 where the point interleaves)
 _REFUSALS = (None, "x* or y* holds a value that is not finite",
              "x* is not strictly decreasing", "y* is not strictly increasing",
              "sign pattern of x*-y* crosses more than once")
@@ -253,23 +256,33 @@ def _label(ell: int, n: int) -> str:
     return "i" if ell == n else ("ii" if ell == 0 else "iii")
 
 
-def _classify(x: np.ndarray, y: np.ndarray) -> tuple[int, str]:
-    """Crossing index and regime label; validates the interleaving."""
+def _classify(gamma: float, x: np.ndarray,
+              y: np.ndarray) -> tuple[int, int, float]:
+    """The C classify's Python twin, on its arguments: (ell, refusal,
+    volume), with refusal the index in _REFUSALS of the first refusal that
+    applies to the point, or 0 and then the crossing index ell and the
+    trade volume (_volume); where it refuses, ell is 0 and volume 0.0.
+    Raises as the C classify does where x and y are not float64 vectors
+    (TypeError) or not of one length N >= 1 (ValueError)."""
+    if not all(isinstance(v, np.ndarray) and v.dtype == np.float64
+               and v.ndim == 1 for v in (x, y)):
+        raise TypeError("classify takes float64 vectors")
     n = x.shape[0]
+    if n < 1 or y.shape[0] != n:
+        raise ValueError("classify takes gamma and x and y of N >= 1 values")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonMonotoneInput(_REFUSALS[1])
+        return 0, 1, 0.0
     scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
     slack = 1e-9 * scale
-    if n > 1:
-        if np.count_nonzero(x[1:] >= x[:-1] + slack):
-            raise NonMonotoneInput(_REFUSALS[2])
-        if np.count_nonzero(y[1:] <= y[:-1] - slack):
-            raise NonMonotoneInput(_REFUSALS[3])
+    if np.count_nonzero(x[1:] >= x[:-1] + slack):
+        return 0, 2, 0.0
+    if np.count_nonzero(y[1:] <= y[:-1] - slack):
+        return 0, 3, 0.0
     above = x > y
     ell = int(np.count_nonzero(above))
     if np.count_nonzero(above[:ell]) != ell:  # one lies at ell or beyond
-        raise NonMonotoneInput(_REFUSALS[4])
-    return ell, _label(ell, n)
+        return 0, 4, 0.0
+    return ell, 0, _volume(gamma, x, y)
 
 
 def _volume(gamma: float, x: np.ndarray, y: np.ndarray) -> float:
@@ -279,24 +292,21 @@ def _volume(gamma: float, x: np.ndarray, y: np.ndarray) -> float:
 
 @functools.cache
 def _c_classify():
-    """The crossing index, the interleaving checks and the trade volume in
-    C (`_cext.load("classify")`), or None where it cannot run; loaded at
-    the first solve or classification of the process."""
+    """The crossing index, the interleaving checks and the trade volume:
+    in C (`_cext.load("classify", _classify)`), or _classify where the C
+    classify cannot run; loaded at the first solve or classification of
+    the process."""
     from . import _cext
-    return _cext.load("classify")
+    return _cext.load("classify", _classify)
 
 
 def _classified(gamma: float, x: np.ndarray,
                 y: np.ndarray) -> tuple[int, str, float]:
-    """(ell, regime label, trade volume) of the point (x, y): the C
-    classify's where it loaded, else its one Python twin's, _classify and
-    then _volume. Raises NonMonotoneInput, with _classify's message, where
-    the point does not interleave or holds a value that is not finite."""
-    classify = _c_classify()
-    if classify is None:
-        ell, label = _classify(x, y)
-        return ell, label, _volume(gamma, x, y)
-    ell, refusal, volume = classify(gamma, x, y)
+    """(ell, regime label, trade volume) of the point (x, y), by the
+    classify `_c_classify` returns. Raises NonMonotoneInput, with its
+    refusal's message, where the point does not interleave or holds a
+    value that is not finite."""
+    ell, refusal, volume = _c_classify()(gamma, x, y)
     if refusal:
         raise NonMonotoneInput(_REFUSALS[refusal])
     return ell, _label(ell, x.shape[0]), volume
@@ -475,25 +485,31 @@ def _pattern_solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int]:
     return np.fromiter(x, float, n), np.fromiter(y, float, n), trials
 
 
+def _python_solve(r: np.ndarray, x: np.ndarray,
+                  y: np.ndarray) -> tuple[int, float]:
+    """The C solve's Python twin, on its arguments: the point of
+    _pattern_solve at the rates r = `rates(params)` written into x and y,
+    and (trials, fixed_point_residual there)."""
+    p = ModelParams(*r.tolist())
+    x[:], y[:], trials = _pattern_solve(p)
+    return trials, fixed_point_residual(x, y, p)
+
+
 @functools.cache
 def _c_solve():
-    """The crossing-index solve and its residual in C
-    (`_cext.load("solve")`), or None where it cannot run; loaded, and
-    built where it is not cached, at the first solve of the process."""
+    """The crossing-index solve and its residual: in C
+    (`_cext.load("solve", _python_solve)`), or _python_solve where the C
+    solve cannot run; loaded, and built where it is not cached, at the
+    first solve of the process."""
     from . import _cext
-    return _cext.load("solve")
+    return _cext.load("solve", _python_solve)
 
 
 def _solve(p: ModelParams) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(x, y, trials, residual): the C solve's where it loaded, at every N
-    and for every admitted input, else its one Python twin's,
-    _pattern_solve and then fixed_point_residual."""
-    solve = _c_solve()
-    if solve is None:
-        x, y, trials = _pattern_solve(p)
-        return x, y, trials, fixed_point_residual(x, y, p)
+    """(x, y, trials, residual) of the solve `_c_solve` returns, the same
+    bits at every N and for every admitted input on either route."""
     x, y = np.empty(p.n_levels), np.empty(p.n_levels)
-    return x, y, *solve(rates(p), x, y)
+    return x, y, *_c_solve()(rates(p), x, y)
 
 
 def solve_shooting(params: ModelParams) -> FixedPoint:

@@ -23,8 +23,8 @@ requested grid there, with `tcrit = tau_max` so that no step passes the
 span. The equations are stated once as the numpy form _flow, which every
 evaluation outside LSODA runs: rhs, and the stationarity defect _defect
 that integrate_until_stationary tests and fixed_point.fixed_point_residual
-returns. Inside LSODA, and only there, _solve hands the extension a form
-that costs less per call. Division of work:
+returns. Inside LSODA, _solve hands the extension the flow that _c_flow
+returns, with the arguments (out, rates). Division of work:
 
 - the C flow (`flow` of the extension `_cext`, loaded by _c_flow at the
   first _solve of a process): a CPython extension function, built with
@@ -35,7 +35,8 @@ that costs less per call. Division of work:
   for byte.
 - where the C flow cannot run (no compiler, no Python.h, a failed build or
   check), _flow itself, at every size: the one Python form of the
-  equations is both the C flow's oracle and its fallback.
+  equations takes the C flow's arguments and is both its oracle and its
+  fallback, so _solve calls whichever _c_flow returns alike.
 
 On a 2-core Xeon, inside LSODA, in us per evaluation with LSODA's own
 work included (medians of 21 runs, the forms alternating, of one
@@ -148,7 +149,8 @@ def rhs(state: FluidState, params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     """Evaluate (dx/dtau, dy/dtau) at a finite fluid state with
     params.n_levels levels; any other state raises ValueError."""
     x, y = _pair(state.x, state.y, params.n_levels, ("state.x", "state.y"))
-    d = _flow(0.0, _pack(x, y), params).reshape(-1, 2)
+    z = _pack(x, y)
+    d = _flow(0.0, z, np.empty_like(z), rates(params)).reshape(-1, 2)
     return d[:, 0], d[:, 1]
 
 
@@ -157,9 +159,13 @@ def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y]).ravel()
 
 
-def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
+def _flow(t: float, z: np.ndarray, out: np.ndarray,
+          r: np.ndarray) -> np.ndarray:
     """The fluid equations on one or more stacked level-major states, on
-    arrays of shape (state, level, x/y).
+    arrays of shape (state, level, x/y), written into out, which it
+    returns: the C flow's arguments, with r = `rates(params)`, the array
+    (N, lambda_b, lambda_s, alpha, beta, gamma), and out a contiguous
+    float64 array of z's size.
 
     z holds any number of states of 2N components each; every state is
     advanced independently, so one call evaluates a single trajectory or the
@@ -169,20 +175,23 @@ def _flow(t: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
     over the (x, y) pairs gives the same values at some 25 times the cost
     at N = 1000.
     """
-    s = z.reshape(-1, p.n_levels, 2)
+    n, lambda_b, lambda_s, alpha, beta, gamma = r.tolist()
+    s = z.reshape(-1, int(n), 2)
     gain = np.empty_like(s)
-    gain[:, 0, 0] = p.lambda_b
-    gain[:, 1:, 0] = p.alpha * s[:, :-1, 0]
-    gain[:, :-1, 1] = p.alpha * s[:, 1:, 1]
-    gain[:, -1, 1] = p.lambda_s
-    trade = p.gamma * np.minimum(s[:, :, 0:1], s[:, :, 1:2])
-    return (gain - (p.beta + p.alpha) * s - trade).ravel()
+    gain[:, 0, 0] = lambda_b
+    gain[:, 1:, 0] = alpha * s[:, :-1, 0]
+    gain[:, :-1, 1] = alpha * s[:, 1:, 1]
+    gain[:, -1, 1] = lambda_s
+    trade = gamma * np.minimum(s[:, :, 0:1], s[:, :, 1:2])
+    np.subtract(gain - (beta + alpha) * s, trade, out=out.reshape(s.shape))
+    return out
 
 
 def _defect(x: np.ndarray, y: np.ndarray, params: ModelParams) -> float:
     """Sup-norm of the right-hand side at (x, y): how far the point is from
     stationary."""
-    return float(np.abs(_flow(0.0, _pack(x, y), params)).max())
+    z = _pack(x, y)
+    return float(np.abs(_flow(0.0, z, np.empty_like(z), rates(params))).max())
 
 
 @functools.cache
@@ -216,11 +225,12 @@ def _lsoda():
 
 @functools.cache
 def _c_flow():
-    """The right-hand side in C (`_cext.load("flow")`) that LSODA's
-    extension calls directly, or None where it cannot run; loaded, and
-    built where it is not cached, at the first _solve of the process."""
+    """The right-hand side that LSODA's extension calls directly: the C
+    flow (`_cext.load("flow", _flow)`), or _flow where it cannot run;
+    loaded, and built where it is not cached, at the first _solve of the
+    process."""
     from . import _cext
-    return _cext.load("flow")
+    return _cext.load("flow", _flow)
 
 
 def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
@@ -233,20 +243,15 @@ def _solve(z0: np.ndarray, params: ModelParams, taus: np.ndarray,
     `odeint(f, z0, taus, args=args, tfirst=True, ml=band, mu=band,
     rtol=tol, atol=tol, tcrit=[tau_max], mxstep=MAX_STEPS,
     full_output=True)`, on copies of z0 and taus, since LSODA integrates in
-    the state array it is given. f is the C flow (`_c_flow`), with args
-    (out, rates): the array it writes and returns, and the rates. Where
-    the C flow cannot run, f is _flow, with args (params,). A negative
-    istate, LSODA's report of a failed integration, raises StepUnderflow,
-    and so does a non-finite state.
+    the state array it is given. f is the flow `_c_flow` returns, with args
+    (out, rates): the array it writes and returns, and the rates. A
+    negative istate, LSODA's report of a failed integration, raises
+    StepUnderflow, and so does a non-finite state.
     """
     band = min(2, z0.size - 1)  # LSODA rejects a band wider than the system
-    flow = _c_flow()
-    if flow is not None:
-        args = (np.empty(z0.size), rates(params))
-    else:
-        flow, args = _flow, (params,)
     states, info, istate = _lsoda().odeint(
-        flow, z0.copy(), taus.copy(), args,
+        _c_flow(), z0.copy(), taus.copy(),
+        (np.empty(z0.size), rates(params)),  # args: out, rates
         None, 0,              # Dfun, col_deriv: finite-difference Jacobian
         band, band, True,     # ml, mu, full_output
         tol, tol, [tau_max],  # rtol, atol, tcrit

@@ -8,15 +8,16 @@ Every float is written as `"%.17g" % v` (the same C formatting as
 labels never hold a comma, quote or newline. Each CSV has one row
 format, which `_write_rows` applies with one `%` per row. The state CSVs
 (trajectories and ODE solutions, 1 + 2N fields per row: tau, x, y) are
-written by the C writer `states` of the extension `lobfluid._cext`
-(`_c_write`, loaded at the first state CSV of a process, which runs the
-writer's load-time check alone): it formats each cell with the call that
-`%` makes and caches the texts by 64-bit pattern, so each distinct value
-of a trajectory, which is mostly zeros and repeats few values, is
-formatted about once. Where it cannot run (no compiler `cc`, no
-`Python.h`, a failed build or check), `_write_rows` writes them too: the
-rows of `_state_rows` in the format `_state_line`, the writer's one
-Python twin and its check's oracle.
+written by the writer `_c_write` returns, loaded at the first state CSV
+of a process, which runs the writer's load-time check alone: the C
+writer `states` of the extension `lobfluid._cext`, which formats each
+cell with the call that `%` makes and caches the texts by 64-bit
+pattern, so each distinct value of a trajectory, which is mostly zeros
+and repeats few values, is formatted about once. Where it cannot run (no
+compiler `cc`, no `Python.h`, a failed build or check), its one Python
+twin `_python_states`, on the same arguments, hands the file the rows of
+`_state_rows` in the format `_state_line`, one row at a time; it is
+also the check's oracle.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ def state_header(n: int) -> list[str]:
 
 @functools.cache
 def _c_write():
-    """The state CSV writer in C (`_cext.load("states")`), or None where
-    it cannot run; loaded, and built where it is not cached, at the first
-    state CSV of the process."""
+    """The state CSV writer: the C one (`_cext.load("states",
+    _python_states)`), or its twin where it cannot run; loaded, and built
+    where it is not cached, at the first state CSV of the process."""
     from . import _cext
-    return _cext.load("states")
+    return _cext.load("states", _python_states)
 
 
 def _state_line(n: int) -> str:
@@ -110,20 +111,23 @@ def _state_rows(taus, x, y):
         yield (tau, *xi.tolist(), *yi.tolist())
 
 
+def _python_states(write, taus, x, y) -> None:
+    """The C writer's Python twin, on its arguments: hands write the bytes
+    of each row of `_state_rows` in the format `_state_line`."""
+    line = _state_line(x.shape[1])
+    for row in _state_rows(taus, x, y):
+        write((line % row).encode())
+
+
 def _write_states_csv(path, taus, x, y) -> None:
-    """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`: by the C
-    writer, which reads the float64 arrays (views are not copied) and
-    hands the text to the file in chunks, else by its Python twin."""
+    """Row i is taus[i], x[i], y[i], each value `"%.17g" % v`, handed to
+    the file's binary buffer by the writer `_c_write` returns: the C one
+    reads the float64 arrays (views are not copied) and hands the text in
+    chunks."""
     taus, x, y = (np.asarray(v, dtype=np.float64) for v in (taus, x, y))
-    n = x.shape[1]
-    states = _c_write()
-    if states is None:
-        _write_rows(path, state_header(n), _state_line(n),
-                    _state_rows(taus, x, y))
-        return
-    with _csv_file(path, state_header(n)) as fh:
+    with _csv_file(path, state_header(x.shape[1])) as fh:
         fh.flush()  # the header, before the bytes written below it
-        states(fh.buffer.write, taus, x, y)
+        _c_write()(fh.buffer.write, taus, x, y)
 
 
 def write_solution_csv(path, sol: OdeSolution) -> None:

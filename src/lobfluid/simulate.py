@@ -25,7 +25,10 @@ Division of work: the work of a chain is split into a set-up, made once
 per (params, L, start, horizon, sample grid), and runs, one per replica.
 The set-up is a `_Chain`, which makes the buffers that each chunk of a
 run hands the rendering, in C or in Python, by their one signature (its
-docstring states it). Its runs reset those buffers in place and own the
+docstring states it): as for each of the extension's five functions, the
+Python twin takes the C function's arguments, `_engine()` returns the
+one that runs (`_cext.load`), and `_Chain` calls it without asking
+which. Its runs reset those buffers in place and own the
 one chunk loop, the budget, `BudgetExceeded`, the event count, the
 samples left when the run ends, which take the final book, and the exact
 checks of the aggregates and of the counting identities (`_identities`,
@@ -400,14 +403,14 @@ def _python_engine():
 
 @functools.cache
 def _engine():
-    """The rendering a `_Chain` runs, chosen once per process: the C one when
-    `_cext.load("engine")` finds or builds the extension and the engine's
-    load-time check finds it agreeing with the Python engine, else the
-    Python engine. Both make the same draws, comparisons and float
-    operations in the same order and so give the same bits, which is why
-    no option chooses between them."""
+    """The rendering a `_Chain` runs, chosen once per process by
+    `_cext.load("engine", _python_engine())`: the C one where the extension
+    loads and the engine's load-time check finds it agreeing with the
+    Python engine, else the Python engine. Both make the same draws,
+    comparisons and float operations in the same order and so give the
+    same bits, which is why no option chooses between them."""
     from . import _cext
-    return _cext.load("engine") or _python_engine()
+    return _cext.load("engine", _python_engine())
 
 
 class _Chain:

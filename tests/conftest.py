@@ -1,8 +1,8 @@
 """Shared test helpers: the mark of the tests that need a C compiler, the
 engine renderings on scripted draws, a C library cache of the session's
-own, a fresh choice of the extension's functions and of the engine, one
-build of the extension with warnings as errors per session, and a build
-that fuses multiply-adds."""
+own, the extension's functions' accessors and twins, a fresh choice of
+those functions, one build of the extension with warnings as errors per
+session, and a build that fuses multiply-adds."""
 
 import ctypes
 import importlib
@@ -28,6 +28,29 @@ def private_library_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+def accessors() -> dict:
+    """Each of the extension's five functions by name: (its accessor, its
+    Python twin). An accessor returns the extension's function where it
+    loads and passes its check, else the twin."""
+    simulate = importlib.import_module("lobfluid.simulate")
+    return {"flow": (ode._c_flow, ode._flow),
+            "states": (output._c_write, output._python_states),
+            "solve": (fixed_point._c_solve, fixed_point._python_solve),
+            "classify": (fixed_point._c_classify, fixed_point._classify),
+            "engine": (simulate._engine, simulate._python_engine())}
+
+
+def route(name: str) -> str:
+    """"c" where the accessor of the extension's function name returns the
+    extension's own function, "python" where it returns its twin."""
+    accessor, twin = accessors()[name]
+    function = accessor()
+    if function is twin:
+        return "python"
+    assert function is getattr(_cext._extension(), name)
+    return "c"
 
 
 def _clear_extension_choice():

@@ -1,6 +1,7 @@
 """The C engine, a function of the package's one extension: its build,
 its cache, its refusals and the Python fallback's bytes."""
 
+import functools
 import importlib
 import importlib.machinery
 import os
@@ -8,15 +9,15 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 import zlib
 
 import numpy as np
 import pytest
-from conftest import (_clear_extension_choice, engines, fused_flags, fuses,
-                      needs_cc)
+from conftest import (_clear_extension_choice, accessors, engines,
+                      fused_flags, fuses, needs_cc, route)
 
-from lobfluid import (DiscreteState, ModelParams, ScalingLevel, _cext,
-                      fixed_point, ode, output)
+from lobfluid import DiscreteState, ModelParams, ScalingLevel, _cext
 from lobfluid.cli import main
 from lobfluid.simulate import _Chain
 
@@ -62,7 +63,76 @@ def test_the_c_engine_loads_where_a_compiler_is_found():
     # one, the extension's function itself; the tests that compare
     # renderings then compare C with Python
     assert set(engines()) == {"python", "c"}
-    assert _cext.load("engine") is _cext._extension().engine
+    assert route("engine") == "c"
+
+
+def _skewed(name, function):
+    """A wrapper of function, standing in for the extension's function
+    name, that gives other bytes on its check's runs: the flow's last
+    equation negated, the writer's output one newline longer, one more
+    solve trial, the classify's volume negated (0.0 and -0.0 have other
+    bits), and the engine's clock nudged up by one ulp after each chunk."""
+    def flow(t, z, out, r):
+        function(t, z, out, r)
+        out[-1] = -out[-1]
+        return out
+
+    def states(write, taus, x, y):
+        function(write, taus, x, y)
+        write(b"\n")
+
+    def solve(r, x, y):
+        trials, residual = function(r, x, y)
+        return trials + 1, residual
+
+    def classify(gamma, x, y):
+        ell, refusal, volume = function(gamma, x, y)
+        return ell, refusal, -volume
+
+    def engine(*args):
+        ended = function(*args)
+        clock = args[6]
+        clock[0] = np.nextafter(clock[0], np.inf)
+        return ended
+
+    return {"flow": flow, "states": states, "solve": solve,
+            "classify": classify, "engine": engine}[name]
+
+
+def _raising(*args):
+    raise RuntimeError("a stub that raises on every call")
+
+
+@pytest.mark.parametrize("name", ["flow", "states", "solve", "classify",
+                                  "engine"])
+@pytest.mark.parametrize("stub", ["skewed", "raising"])
+def test_each_accessor_returns_the_function_that_runs(
+        monkeypatch, fresh_extension_choice, name, stub):
+    # one rule for the extension's five functions: where the library
+    # loads, each accessor returns the extension's own function; without
+    # it, the function's twin; and where one function gives other bytes
+    # than its twin on its check's runs, or raises there, its accessor
+    # returns the twin and the other four return the extension's. The
+    # stub extension holds, for each function, a wrapper of its twin,
+    # which agrees with it, so this runs without a compiler too
+    table = accessors()
+    extension = _cext._extension()
+    if extension is not None:
+        assert table[name][0]() is getattr(extension, name)
+    _clear_extension_choice()
+    # cached, as the extension is, so that clearing the choice clears it
+    monkeypatch.setattr(_cext, "_extension", functools.cache(lambda: None))
+    assert table[name][0]() is table[name][1]
+    stub_extension = types.SimpleNamespace(**{
+        other: functools.partial(twin) for other, (_, twin) in table.items()})
+    bad = (_skewed(name, table[name][1]) if stub == "skewed" else _raising)
+    setattr(stub_extension, name, bad)
+    _clear_extension_choice()
+    monkeypatch.setattr(_cext, "_extension",
+                        functools.cache(lambda: stub_extension))
+    for other, (accessor, twin) in table.items():
+        want = twin if other == name else getattr(stub_extension, other)
+        assert accessor() is want, other
 
 
 @needs_cc
@@ -112,7 +182,7 @@ def test_a_cached_library_of_another_source_is_rebuilt(
             stored.write_bytes(source)
             library.write_bytes(b"not a library")
         _clear_extension_choice()
-        assert _cext.load("engine") is not None
+        assert route("engine") == "c"
         assert stored.read_bytes() == source
         assert library.read_bytes()[:4] == b"\x7fELF"
         # the cache holds the library and its source, and nothing else
@@ -122,7 +192,7 @@ def test_a_cached_library_of_another_source_is_rebuilt(
     monkeypatch.setattr(shutil, "which", lambda name: None)
     monkeypatch.setattr(_cext, "_build", None)
     _clear_extension_choice()
-    assert _cext.load("engine") is not None
+    assert route("engine") == "c"
 
 
 @needs_cc
@@ -135,8 +205,7 @@ def test_an_unwritable_cache_builds_in_a_private_directory(
     blocked = tmp_path / "not-a-directory"
     blocked.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
-    assert _cext.load("engine") is not None
-    assert simulate_module._engine() is not simulate_module._python_engine()
+    assert route("engine") == "c"
     assert blocked.read_text() == ""
 
 
@@ -149,8 +218,7 @@ def test_a_failed_build_falls_back_to_python(tmp_path, monkeypatch,
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(shutil, "which", lambda name: failing)
     _builds_without_python_h(monkeypatch)
-    assert simulate_module._engine() is simulate_module._python_engine()
-    assert ode._c_flow() is None
+    assert route("engine") == route("flow") == "python"
     assert list((tmp_path / "lobfluid").iterdir()) == []
     assert (tmp_path / "lobfluid").stat().st_mode & 0o777 == 0o700
 
@@ -159,7 +227,8 @@ def test_a_failed_build_falls_back_to_python(tmp_path, monkeypatch,
 def test_the_generated_c_compiles_without_warnings(build_extension):
     # the engine's C is part of the extension's one source; the module
     # built from it with warnings as errors passes the engine's check
-    assert _cext._engine_agrees(build_extension.engine)
+    assert (_cext._engine_runs(build_extension.engine)
+            == _cext._engine_runs(simulate_module._python_engine()))
 
 
 def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch,
@@ -175,7 +244,7 @@ def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch,
     built = []
     monkeypatch.setattr(_cext, "_build",
                         lambda command, source, path: built.append(path))
-    assert _cext.load("engine") is None
+    assert route("engine") == "python"
     assert not (tmp_path / "relcache").exists()
     assert [os.path.dirname(path) for path in built] == [
         str(tmp_path / "home" / ".cache" / "lobfluid")]
@@ -219,14 +288,12 @@ def test_a_library_that_disagrees_is_not_loaded(tmp_path, monkeypatch,
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_cext, "SOURCE", broken)
     _clear_extension_choice()
-    assert simulate_module._engine() is simulate_module._python_engine()
+    assert route("engine") == "python"
     # it was built, and refused by the check
     name = f"ext-{zlib.crc32(broken.encode()):08x}{SUFFIX}"
     assert (tmp_path / "cache" / "lobfluid" / name).exists()
-    assert ode._c_flow() is not None
-    assert output._c_write() is not None
-    assert fixed_point._c_solve() is not None
-    assert fixed_point._c_classify() is not None
+    assert [route(name) for name in ("flow", "states", "solve",
+                                    "classify")] == ["c"] * 4
     assert main([*simulate_flags, "--out-dir", str(tmp_path / "python")]) == 0
     for name in ("trajectory.csv", "manifest.json"):
         assert ((tmp_path / "python" / name).read_bytes()
@@ -245,10 +312,13 @@ def test_the_check_refuses_a_last_bit_difference_at_other_seeds(
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_cext, "SOURCE", _broken_source("regrouped-rate"))
     _clear_extension_choice()
-    agrees, checked = _cext._engine_agrees, []
-    monkeypatch.setattr(_cext, "_engine_agrees", checked.append)
-    assert _cext.load("engine") is None
-    regrouped, = checked
+    assert route("engine") == "python"
+    regrouped = _cext._extension().engine
+    python = simulate_module._python_engine()
+
+    def agrees(engine):
+        return _cext._engine_runs(engine) == _cext._engine_runs(python)
+
     for seed in range(1, 11):
         monkeypatch.setattr(_cext, "SEED", seed)
         assert agrees(engine), seed
@@ -270,11 +340,7 @@ def test_a_fused_engine_library_is_refused(tmp_path, monkeypatch,
     for seed in range(1, 21):
         monkeypatch.setattr(_cext, "SEED", seed)
         _clear_extension_choice()
-        assert simulate_module._engine() is simulate_module._python_engine()
-        assert ode._c_flow() is None, seed
-        assert output._c_write() is None, seed
-        assert fixed_point._c_solve() is None, seed
-        assert fixed_point._c_classify() is None, seed
+        assert {route(name) for name in accessors()} == {"python"}, seed
     # it was built, and refused
     name = f"ext-{zlib.crc32(_cext.SOURCE.encode()):08x}{SUFFIX}"
     assert (tmp_path / "cache" / "lobfluid" / name).exists()
@@ -337,7 +403,7 @@ def test_a_build_that_hangs_is_stopped(tmp_path, monkeypatch,
     monkeypatch.setattr(_cext, "BUILD_TIMEOUT_S", 0.5)
     _builds_without_python_h(monkeypatch)
     start = time.monotonic()
-    assert _cext.load("engine") is None
+    assert route("engine") == "python"
     assert time.monotonic() - start < 10
     assert list((tmp_path / "cache" / "lobfluid").iterdir()) == []
     with pytest.raises(ProcessLookupError):

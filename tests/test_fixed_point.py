@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import needs_cc
+from conftest import needs_cc, route
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ from lobfluid import (
     step_map,
     trade_volume,
 )
-from lobfluid import _cext, fixed_point, ode, output
+from lobfluid import _cext, fixed_point
 
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
@@ -223,8 +223,8 @@ def each_classify(monkeypatch):
     """Call it to iterate over the classification's routes by name, the
     Python twin first, then the C classify where it loads; on each step
     classify_regime and both solver names take that route."""
-    c = fixed_point._c_classify()
-    routes = {"python": None} | ({"c": c} if c is not None else {})
+    c, twin = fixed_point._c_classify(), fixed_point._classify
+    routes = {"python": twin} | ({"c": c} if c is not twin else {})
 
     def each():
         for name, classify in routes.items():
@@ -270,6 +270,32 @@ def test_classify_rejects_a_broken_interleaving(x, y, message,
     for _ in each_classify():
         with pytest.raises(NonMonotoneInput, match=message):
             classify_regime(bad)
+
+
+# points of other shapes: (x*, y*, exception, message)
+SHAPES = {
+    "lengths-differ": ([3.0, 2.0, 1.0], [2.5], ValueError,
+                       "classify takes gamma and x and y of N >= 1 values"),
+    "matrix": ([[3.0, 2.0], [1.0, 0.5]], [[0.5, 1.0], [2.0, 3.0]], TypeError,
+               "classify takes float64 vectors"),
+    "empty": ([], [], ValueError,
+              "classify takes gamma and x and y of N >= 1 values"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPES))
+def test_classify_refuses_a_point_of_another_shape(case, each_classify):
+    # both routes refuse with one class and one message: the Python twin,
+    # on the C classify's arguments, once classified x* = [3, 2, 1] with
+    # y* = [2.5] as (1, "iii") by numpy broadcasting, and a 2-D point as
+    # (1, "i")
+    x, y, exception, message = SHAPES[case]
+    bad = FixedPoint(np.array(x), np.array(y), 1, "iii", 0.0, "synthetic",
+                     0.0, 0)
+    for _ in each_classify():
+        with pytest.raises(exception) as refused:
+            classify_regime(bad)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -551,7 +577,7 @@ def test_non_solution_raises(monkeypatch):
     x, y, _ = fixed_point._pattern_solve(p)
     residual = fixed_point_residual(x, y, p)
     assert residual > 0.0
-    for c_solve in (fixed_point._c_solve(), None):
+    for c_solve in (fixed_point._c_solve(), fixed_point._python_solve):
         monkeypatch.setattr(fixed_point, "_c_solve",
                             lambda c_solve=c_solve: c_solve)
         with monkeypatch.context() as patch:
@@ -580,23 +606,23 @@ def test_downward_crossing_raises_typed_error(monkeypatch):
 def c_solve():
     """The C solve, or a skip where it does not load."""
     solve = fixed_point._c_solve()
-    if solve is None:
+    if solve is fixed_point._python_solve:
         pytest.skip("the C solve does not load here")
     return solve
 
 
 def c_result(solve, p):
-    """(x bytes, y bytes, trials, residual hex) of the C solve."""
+    """(x bytes, y bytes, trials, residual hex) of solve, the C one or
+    its Python twin."""
     x, y = np.empty(p.n_levels), np.empty(p.n_levels)
     trials, residual = solve(_cext.rates(p), x, y)
     return x.tobytes(), y.tobytes(), trials, residual.hex()
 
 
 def twin_result(p):
-    """The same of the Python twin."""
-    x, y, trials = fixed_point._pattern_solve(p)
-    residual = fixed_point_residual(x, y, p)
-    return x.tobytes(), y.tobytes(), trials, residual.hex()
+    """The same of the Python twin, _pattern_solve and then
+    fixed_point_residual, on the C solve's arguments."""
+    return c_result(fixed_point._python_solve, p)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -662,7 +688,7 @@ def test_the_c_solve_loads_where_a_compiler_is_found():
     # the tests that compare it with its twin then compare C with Python
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
-    assert fixed_point._c_solve() is not None
+    assert route("solve") == "c"
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -712,7 +738,7 @@ def test_kappa_at_rates_a_float_range_apart(monkeypatch, case, n):
         assert kappa == 1.0 - one_minus_kappa
     p = ModelParams(n, 1.0, 1.0, alpha, beta, gamma)
     found = set()
-    for c_solve in (fixed_point._c_solve(), None):
+    for c_solve in (fixed_point._c_solve(), fixed_point._python_solve):
         monkeypatch.setattr(fixed_point, "_c_solve",
                             lambda c_solve=c_solve: c_solve)
         for solve in (solve_recursive, solve_shooting):
@@ -800,16 +826,11 @@ def test_a_solve_library_that_differs_is_refused(tmp_path, monkeypatch,
     assert _cext.SOURCE.count(statement) == 1
     monkeypatch.setattr(_cext, "SOURCE",
                         _cext.SOURCE.replace(statement, replacement))
-    agrees, checked = _cext._solve_agrees, []
-    monkeypatch.setattr(_cext, "_solve_agrees",
-                        lambda solve: checked.append(solve) or agrees(solve))
-    assert fixed_point._c_solve() is None
-    assert ode._c_flow() is not None
-    assert output._c_write() is not None
-    assert fixed_point._c_classify() is not None
-    assert _cext.load("engine") is _cext._extension().engine
+    assert route("solve") == "python"
+    assert [route(name) for name in ("flow", "states", "classify",
+                                    "engine")] == ["c"] * 4
     # it was built and loaded, and refused by the check
-    solve, = checked
+    solve = _cext._extension().solve
     p = params(n=4)
     assert isinstance(solve(_cext.rates(p), np.empty(4), np.empty(4)), tuple)
     fp = solve_recursive(p)
@@ -866,20 +887,20 @@ def test_the_c_solve_refuses_other_arguments(case):
 def c_classify():
     """The C classify, or a skip where it does not load."""
     classify = fixed_point._c_classify()
-    if classify is None:
+    if classify is fixed_point._classify:
         pytest.skip("the C classify does not load here")
     return classify
 
 
 def classified(classify, gamma, x, y):
     """(ell, refusal, trade volume hex) of classify, the C one or its
-    Python twin, `_cext._classify_twin`."""
+    Python twin, `fixed_point._classify`."""
     ell, refusal, volume = classify(gamma, x, y)
     return ell, refusal, volume.hex()
 
 
 def twin_classified(gamma, x, y):
-    return classified(_cext._classify_twin, gamma, x, y)
+    return classified(fixed_point._classify, gamma, x, y)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -939,8 +960,10 @@ def test_the_trade_volume_is_numpys_sum_over_the_admissible_range(
     # with the C solve and classify, and with their Python twins, each
     # solved point carries numpy's trade volume to the last bit
     if route == "python":
-        monkeypatch.setattr(fixed_point, "_c_solve", lambda: None)
-        monkeypatch.setattr(fixed_point, "_c_classify", lambda: None)
+        monkeypatch.setattr(fixed_point, "_c_solve",
+                            lambda: fixed_point._python_solve)
+        monkeypatch.setattr(fixed_point, "_c_classify",
+                            lambda: fixed_point._classify)
     for p in pinned_params():
         fp = solve_recursive(p)
         want = float(p.gamma * np.minimum(fp.x_star, fp.y_star).sum())
@@ -967,7 +990,7 @@ def test_both_solver_names_take_the_c_classify(monkeypatch):
 def test_the_c_classify_loads_where_a_compiler_is_found():
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
-    assert fixed_point._c_classify() is not None
+    assert route("classify") == "c"
 
 
 # the x test's >= turned strict, so a step exactly at the slack passes, and
@@ -994,16 +1017,11 @@ def test_a_classify_library_that_differs_is_refused(
     assert _cext.SOURCE.count(statement) == 1
     monkeypatch.setattr(_cext, "SOURCE",
                         _cext.SOURCE.replace(statement, replacement))
-    agrees, checked = _cext._classify_agrees, []
-    monkeypatch.setattr(_cext, "_classify_agrees", lambda classify: (
-        checked.append(classify) or agrees(classify)))
-    assert fixed_point._c_classify() is None
-    assert ode._c_flow() is not None
-    assert output._c_write() is not None
-    assert fixed_point._c_solve() is not None
-    assert _cext.load("engine") is _cext._extension().engine
+    assert route("classify") == "python"
+    assert [route(name) for name in ("flow", "states", "solve",
+                                    "engine")] == ["c"] * 4
     # it was built and loaded, and refused by the check
-    classify, = checked
+    classify = _cext._extension().classify
     assert isinstance(classify(1.0, np.ones(2), np.ones(2)), tuple)
     p = params(n=4)
     fp = solve_recursive(p)
@@ -1018,7 +1036,8 @@ def test_the_classify_c_compiles_without_warnings(build_extension):
     # built from it with warnings as errors passes the classify's check
     # and gives the twin's bits on every pinned point
     classify = build_extension.classify
-    assert _cext._classify_agrees(classify)
+    assert (_cext._classify_runs(classify)
+            == _cext._classify_runs(fixed_point._classify))
     for p in pinned_params():
         x, y, _ = fixed_point._pattern_solve(p)
         assert (classified(classify, p.gamma, x, y)

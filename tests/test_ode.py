@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fused_flags, fuses, needs_cc
+from conftest import accessors, fused_flags, fuses, needs_cc, route
 
 import lobfluid
-from lobfluid import (_cext, cli, fixed_point, fixed_point_residual, ode,
-                      output)
+from lobfluid import _cext, cli, fixed_point_residual, ode
 from lobfluid.model import TRANSITIONS, _taken
 from lobfluid import (
     FluidState,
@@ -34,6 +33,11 @@ from lobfluid import (
 
 def params(n=1, lam_b=1.0, lam_s=1.0, alpha=1.0, beta=1.0, gamma=1.0):
     return ModelParams(n, lam_b, lam_s, alpha, beta, gamma)
+
+
+def numpy_flow(z, p):
+    """_flow at z, on the C flow's arguments: a fresh out, and the rates."""
+    return ode._flow(0.0, z, np.empty(z.size), _cext.rates(p))
 
 
 def random_params(rng, n_max=6):
@@ -136,18 +140,16 @@ def test_flow_is_the_drift_of_the_transition_table(n):
             p = replace(p, beta=0.0)
         x, y = flow_state(rng, n, ties=i % 2 == 1)
         drift, scale = table_drift(x, y, p)
-        got = ode._flow(0.0, ode._pack(x, y), p).reshape(n, 2)
+        got = numpy_flow(ode._pack(x, y), p).reshape(n, 2)
         assert (np.abs(got - drift) <= 1e-14 * scale).all(), (p, x, y)
 
 
 def lsoda_flow(form):
     """The right-hand side _solve hands LSODA, as f(z, p) -> array: _flow,
-    where the C flow does not load, or the C flow with its out and rates
-    arguments, skipping the test where the C flow does not load."""
-    if form == "python":
-        return lambda z, p: ode._flow(0.0, z, p)
-    flow = ode._c_flow()
-    if flow is None:
+    where the C flow does not load, or the C flow, skipping the test where
+    the C flow does not load; both with their out and rates arguments."""
+    flow = ode._flow if form == "python" else ode._c_flow()
+    if form == "c" and flow is ode._flow:
         pytest.skip("the C flow did not load (no compiler cc or no Python.h)")
 
     def evaluate(z, p):
@@ -176,7 +178,7 @@ def test_compiled_flow_matches_levelwise_equations(form, n):
         x, y = flow_state(rng, n, ties=i % 2 == 1)
         z = ode._pack(x, y)
         d = flow(z, p)
-        assert d.tobytes() == ode._flow(0.0, z, p).tobytes()
+        assert d.tobytes() == numpy_flow(z, p).tobytes()
         d = d.reshape(-1, 2)
         want_x, want_y = levelwise_rhs(x, y, p)
         assert d[:, 0].tobytes() == want_x.tobytes()
@@ -195,17 +197,18 @@ def test_stacked_flow_equals_separate_evaluations(form, n):
     stacked = flow(np.concatenate([a, b]), p)
     assert stacked.tobytes() == np.concatenate([flow(a, p),
                                                 flow(b, p)]).tobytes()
-    assert stacked.tobytes() == ode._flow(0.0, np.concatenate([a, b]),
-                                          p).tobytes()
+    assert stacked.tobytes() == numpy_flow(np.concatenate([a, b]),
+                                           p).tobytes()
 
 
 def public_solve(z0, p, taus, tau_max, tol, func=ode._flow, args=None):
     """ode._solve's integration through scipy's public odeint wrapper, by
-    default on _flow, with args (p,)."""
+    default on _flow, with args (out, rates)."""
     from scipy.integrate import odeint
 
     band = min(2, z0.size - 1)
-    states, info = odeint(func, z0, taus, args=args or (p,), tfirst=True,
+    args = args or (np.empty(z0.size), _cext.rates(p))
+    states, info = odeint(func, z0, taus, args=args, tfirst=True,
                           ml=band, mu=band, rtol=tol, atol=tol,
                           tcrit=[tau_max], mxstep=ode.MAX_STEPS,
                           full_output=True)
@@ -240,7 +243,7 @@ def solve_cases():
 def test_solve_matches_public_odeint_bit_for_bit(monkeypatch):
     # _solve hands LSODA the C flow, or where it does not load _flow; the
     # public run on _flow takes the same steps to the same bits
-    for c_flow in {ode._c_flow(), None}:
+    for c_flow in {ode._c_flow(), ode._flow}:
         monkeypatch.setattr(ode, "_c_flow", lambda c_flow=c_flow: c_flow)
         for z0, p, taus, tau_max, tol in solve_cases():
             z0_kept, taus_kept = z0.copy(), taus.copy()
@@ -281,29 +284,25 @@ def same_argument(a, b):
 def test_solve_passes_lsoda_the_public_odeint_arguments(monkeypatch):
     # every argument, including those no result shows: LSODA reaches Adams
     # order 11 at most on this system, so an mxordn other than 12 would
-    # leave every output bit as it is. The callable is the C flow, with
-    # args (out, rates): a float64 array of the state's size, written on
-    # every call, and the rates; where the C flow does not load, it is
-    # _flow, with args (params,)
+    # leave every output bit as it is. The callable is the C flow, or
+    # _flow where the C flow does not load, with args (out, rates): a
+    # float64 array of the state's size, written on every call, and the
+    # rates
     from scipy.integrate import _odepack_py
 
     private, public = RecordingOdepack(), RecordingOdepack()
     monkeypatch.setattr(ode, "_lsoda", lambda: private)
     monkeypatch.setattr(_odepack_py, "_odepack", public)
-    for c_flow in {ode._c_flow(), None}:
+    for c_flow in {ode._c_flow(), ode._flow}:
         monkeypatch.setattr(ode, "_c_flow", lambda c_flow=c_flow: c_flow)
         for z0, p, taus, tau_max, tol in solve_cases():
             ode._solve(z0, p, taus, tau_max, tol)
             got = private.calls.pop()
-            if c_flow is not None:
-                func, args = c_flow, got[3]
-                out, rates = args
-                assert (out.dtype, out.shape) == (np.float64, z0.shape)
-                assert out.flags.c_contiguous
-                assert same_argument(rates, _cext.rates(p))
-            else:
-                func, args = ode._flow, (p,)
-            public_solve(z0, p, taus, tau_max, tol, func=func, args=args)
+            out, rates = got[3]
+            assert (out.dtype, out.shape) == (np.float64, z0.shape)
+            assert out.flags.c_contiguous
+            assert same_argument(rates, _cext.rates(p))
+            public_solve(z0, p, taus, tau_max, tol, func=c_flow, args=got[3])
             want = public.calls.pop()
             assert len(got) == len(want) == 21
             for i, (a, b) in enumerate(zip(got, want)):
@@ -316,7 +315,7 @@ def test_the_c_flow_loads_where_a_compiler_is_found():
     # tests that compare the forms then compare C with Python
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
-    assert ode._c_flow() is not None
+    assert route("flow") == "c"
 
 
 def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
@@ -326,13 +325,11 @@ def test_without_python_h_the_flow_builds_nothing(tmp_path, monkeypatch,
     # public odeint bits, and a chain runs the Python engine
     import sysconfig
 
-    simulate_module = sys.modules["lobfluid.simulate"]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
     monkeypatch.setattr(_cext, "_build", None)
-    assert ode._c_flow() is None
-    assert simulate_module._engine() is simulate_module._python_engine()
+    assert route("flow") == route("engine") == "python"
     assert not (tmp_path / "cache").exists()
     z0, p, taus, tau_max, tol = next(solve_cases())
     states, nfe = ode._solve(z0, p, taus, tau_max, tol)
@@ -354,11 +351,7 @@ def test_the_extension_is_built_once_per_process(tmp_path, monkeypatch,
     build, builds = _cext._build, []
     monkeypatch.setattr(_cext, "_build",
                         lambda *args: builds.append(args) or build(*args))
-    assert ode._c_flow() is not None
-    assert output._c_write() is not None
-    assert fixed_point._c_solve() is not None
-    assert fixed_point._c_classify() is not None
-    assert _cext.load("engine") is not None
+    assert {route(name) for name in accessors()} == {"c"}
     assert len(builds) == 1
 
 
@@ -390,20 +383,16 @@ def test_a_flow_library_that_differs_is_refused(tmp_path, monkeypatch,
         if not fuses(tmp_path, fused_flags()):
             pytest.skip("cc does not fuse a multiply-add on this machine")
         monkeypatch.setattr(_cext, "FLAGS", fused_flags())
-    agrees, checked = _cext._flow_agrees, []
-    monkeypatch.setattr(_cext, "_flow_agrees",
-                        lambda flow: checked.append(flow) or agrees(flow))
-    assert ode._c_flow() is None
+    assert route("flow") == "python"
     if case == "regrouped":
-        assert output._c_write() is not None
+        assert route("states") == "c"
         # it was built and loaded, and refused by the check
-        flow, = checked
-        z = np.linspace(0.1, 2.0, 8)
-        assert flow(0.0, z, np.empty(8),
-                    _cext.rates(params(n=4))) is not None
+        flow = _cext._extension().flow
+        z, out = np.linspace(0.1, 2.0, 8), np.empty(8)
+        assert flow(0.0, z, out, _cext.rates(params(n=4))) is out
     else:
-        assert output._c_write() is None
-        assert checked == []
+        assert _cext._extension() is None
+        assert route("states") == "python"
     for z0, p, taus, tau_max, tol in solve_cases():
         states, nfe = ode._solve(z0, p, taus, tau_max, tol)
         want, want_nfe = public_solve(z0, p, taus, tau_max, tol)
@@ -419,7 +408,7 @@ def test_the_flow_c_compiles_without_warnings(build_extension):
     p = params(n=3, lam_b=1.3, lam_s=0.7, alpha=0.9, beta=0.4, gamma=2.5)
     z = np.linspace(0.1, 2.0, 12)  # two stacked states
     got = flow(0.0, z, np.empty(12), _cext.rates(p))
-    assert got.tobytes() == ode._flow(0.0, z, p).tobytes()
+    assert got.tobytes() == numpy_flow(z, p).tobytes()
 
 
 def test_the_flow_c_source_is_pinned():
@@ -476,7 +465,7 @@ FLOW_REFUSALS = flow_refusals()
 @pytest.mark.parametrize("case", list(FLOW_REFUSALS))
 def test_the_c_flow_refuses_other_arguments(case):
     flow = ode._c_flow()
-    if flow is None:
+    if flow is ode._flow:
         pytest.skip("the C flow did not load (no compiler cc or no Python.h)")
     args, exception, message = FLOW_REFUSALS[case]
     with pytest.raises(exception) as refused:
@@ -522,13 +511,15 @@ def test_ode_routes_leave_scipy_integrate_unloaded(tmp_path):
 # one small integration by the loader (private) and by the public odeint
 LSODA_SETUP = ("import hashlib, numpy as np\n"
                "from lobfluid import ModelParams, ode\n"
+               "from lobfluid.model import rates\n"
                "p = ModelParams(3, 1.3, 0.7, 0.9, 0.4, 2.5)\n"
                "z0 = ode._pack(np.array([0.5, 0.0, 1.0]),\n"
                "               np.array([0.0, 2.0, 0.1]))\n"
                "taus = np.linspace(0.0, 30.0, 11)\n"
                "def public():\n"
                "    from scipy.integrate import odeint\n"
-               "    s, info = odeint(ode._flow, z0, taus, args=(p,),\n"
+               "    s, info = odeint(ode._flow, z0, taus,\n"
+               "                     args=(np.empty(z0.size), rates(p)),\n"
                "                     tfirst=True, ml=2, mu=2, rtol=1e-9,\n"
                "                     atol=1e-9, tcrit=[30.0],\n"
                "                     mxstep=ode.MAX_STEPS, full_output=True)\n"
@@ -647,7 +638,8 @@ def test_import_and_solve_do_not_load_scipy():
     # path, the rendering of the extension's engine included, imports none
     # of them. `import lobfluid` loads lobfluid.simulate,
     # so the child drops it first, and any import of it would load it anew
-    loaded = ode._c_flow() is not None  # builds the library, where it can
+    # builds the library, where it can
+    loaded = ode._c_flow() is not ode._flow
     out = run_python(
         "import sys, numpy as np, lobfluid, lobfluid.cli\n"
         "lobfluid.solve_recursive(lobfluid.ModelParams(2, 1, 1, 1, 1, 1))\n"
@@ -659,7 +651,8 @@ def test_import_and_solve_do_not_load_scipy():
         "                   lobfluid.ModelParams(2, 1, 1, 1, 1, 1), 50.0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m in ('lobfluid.simulate', 'subprocess')))\n"
-        "print(sys.modules['lobfluid.ode']._c_flow() is not None)\n")
+        "ode = sys.modules['lobfluid.ode']\n"
+        "print(ode._c_flow() is not ode._flow)\n")
     assert out.splitlines() == ["[]", str(loaded)]
 
 

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _clear_extension_choice, needs_cc
+from conftest import _clear_extension_choice, needs_cc, route
 
 import lobfluid
 from lobfluid import (ModelParams, ScalingLevel, _cext, cli,
-                      equilibrium_concentration, fixed_point, integrate, ode,
-                      output, overproduction_sweep, simulate, solve_recursive)
+                      equilibrium_concentration, integrate, output,
+                      overproduction_sweep, simulate, solve_recursive)
 from lobfluid.ode import OdeSolution
 
 
@@ -80,8 +80,9 @@ def _written(tmp_path, taus, x, y) -> list[bytes]:
 def _each_writer(monkeypatch):
     """Yields "c", where the C writer loads, then "python": the state CSVs
     are written by that writer until the next."""
-    for name, states in [("c", output._c_write()), ("python", None)]:
-        if name == "c" and states is None:
+    twin = output._python_states
+    for name, states in [("c", output._c_write()), ("python", twin)]:
+        if name == "c" and states is twin:
             continue
         monkeypatch.setattr(output, "_c_write", lambda states=states: states)
         yield name
@@ -177,7 +178,7 @@ def test_state_writers_write_strided_solution_views(tmp_path, monkeypatch):
 def c_writer():
     """The C writer, or a skip where it does not load."""
     states = output._c_write()
-    if states is None:
+    if states is output._python_states:
         pytest.skip("the C writer cannot run here")
     return states
 
@@ -365,7 +366,7 @@ def test_the_c_writer_loads_where_a_compiler_is_found():
     # tests that run both writers then compare C with Python
     if _cext._python_flags() is None:
         pytest.skip("no Python.h for this interpreter")
-    assert output._c_write() is not None
+    assert route("states") == "c"
 
 
 def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
@@ -386,13 +387,12 @@ def test_without_python_h_the_writer_builds_nothing(tmp_path, monkeypatch,
     monkeypatch.setattr(sysconfig, "get_path", lambda name: str(tmp_path))
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
     monkeypatch.setattr(_cext, "_build", None)
-    assert output._c_write() is None
+    assert route("states") == "python"
     grid = CASES["adversarial-n3"]
     taus, x, y = grid[:, 0].copy(), grid[:, 1:4], grid[:, 4:]
     want = reference_bytes(taus, x, y)
     assert _written(tmp_path, taus, x, y) == [want, want]
-    simulate_module = sys.modules["lobfluid.simulate"]
-    assert simulate_module._engine() is simulate_module._python_engine()
+    assert route("engine") == "python"
     assert cli.main([*readme, "--out-dir", str(tmp_path / "python")]) == 0
     for name in ("trajectory.csv", "manifest.json"):
         assert ((tmp_path / "python" / name).read_bytes()
@@ -428,13 +428,10 @@ def test_a_writer_library_that_differs_is_refused(tmp_path, monkeypatch,
     assert _cext.SOURCE.count(statement) == 1
     monkeypatch.setattr(_cext, "SOURCE",
                         _cext.SOURCE.replace(statement, replacement))
-    agrees, checked = _cext._states_agree, []
-    monkeypatch.setattr(_cext, "_states_agree",
-                        lambda states: checked.append(states) or agrees(states))
-    assert output._c_write() is None
-    assert ode._c_flow() is not None
+    assert route("states") == "python"
+    assert route("flow") == "c"
     # it was built and loaded, and refused by the check
-    states, = checked
+    states = _cext._extension().states
     chunks = []
     states(chunks.append, np.array([value]), np.zeros((1, 0)),
            np.zeros((1, 0)))
@@ -456,10 +453,9 @@ def test_the_writers_check_reads_its_python_twin(monkeypatch,
     line = output._state_line
     monkeypatch.setattr(output, "_state_line",
                         lambda n: line(n).replace("%.17g", "%.16g"))
-    assert output._c_write() is None
-    assert ode._c_flow() is not None
-    assert fixed_point._c_solve() is not None
-    assert fixed_point._c_classify() is not None
+    assert route("states") == "python"
+    assert [route(name) for name in ("flow", "solve", "classify",
+                                    "engine")] == ["c"] * 4
 
 
 @needs_cc
